@@ -12,7 +12,6 @@
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
@@ -213,11 +212,11 @@ func writeBenchJSON(path string, v any) error {
 	if path == "" {
 		return nil
 	}
-	blob, err := json.MarshalIndent(v, "", "  ")
+	blob, err := experiments.MarshalBench(v)
 	if err != nil {
 		return err
 	}
-	if err := os.WriteFile(path, append(blob, '\n'), 0o644); err != nil {
+	if err := os.WriteFile(path, blob, 0o644); err != nil {
 		return err
 	}
 	fmt.Fprintf(os.Stderr, "ghbench: wrote %s\n", path)

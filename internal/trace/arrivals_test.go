@@ -23,8 +23,8 @@ func TestArrivalProcessMatchesFleetDraws(t *testing.T) {
 		fs := &fnState{load: load, rng: sim.NewRand(42)}
 		var now sim.Time
 		for i := 0; i < 1000; i++ {
-			want := fs.interarrival(now)
-			// Rewind: interarrival consumed the fleet stream; the process
+			want := drawInterarrival(fs.load, fs.rng, now)
+			// The draw consumed the fleet stream; the process
 			// holds its own identical stream.
 			got := ap.Next(now)
 			if got != want {

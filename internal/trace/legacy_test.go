@@ -19,9 +19,9 @@ import (
 // floor after scaleToZeroAfter and evicts the snapshot image. It is the
 // reference the FixedTTL policy must stay bit-compatible with.
 func legacyReapIdle(f *Fleet, fs *fnState, now sim.Time, keepAlive, scaleToZeroAfter sim.Duration) {
-	for len(fs.platform.Containers()) > 1 {
+	for len(fs.pools[0].Containers()) > 1 {
 		removed := false
-		for _, c := range fs.platform.Containers() {
+		for _, c := range fs.pools[0].Containers() {
 			if c.Ready() > now {
 				continue
 			}
@@ -30,7 +30,7 @@ func legacyReapIdle(f *Fleet, fs *fnState, now sim.Time, keepAlive, scaleToZeroA
 				idleSince = c.Ready()
 			}
 			if now.Sub(idleSince) > keepAlive {
-				fs.platform.RemoveContainer(c)
+				fs.pools[0].RemoveContainer(c)
 				fs.stats.Reaped++
 				removed = true
 				break
@@ -44,7 +44,7 @@ func legacyReapIdle(f *Fleet, fs *fnState, now sim.Time, keepAlive, scaleToZeroA
 	if scaleToZeroAfter <= 0 || len(fs.queue) > 0 {
 		return
 	}
-	cs := fs.platform.Containers()
+	cs := fs.pools[0].Containers()
 	if len(cs) != 1 {
 		return
 	}
@@ -52,10 +52,10 @@ func legacyReapIdle(f *Fleet, fs *fnState, now sim.Time, keepAlive, scaleToZeroA
 	if c.Ready() > now || now.Sub(c.Ready()) <= scaleToZeroAfter {
 		return
 	}
-	fs.platform.RemoveContainer(c)
+	fs.pools[0].RemoveContainer(c)
 	fs.stats.Reaped++
 	fs.stats.ScaledToZero++
-	if fs.platform.EvictImage() {
+	if fs.pools[0].EvictImage() {
 		fs.stats.ImagesEvicted++
 	}
 }

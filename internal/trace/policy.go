@@ -79,12 +79,14 @@ type MemorySignal struct {
 	value faas.MemoryStats
 }
 
-// memoryMemo is the shared memo behind a fleet-issued MemorySignal; the
-// fleet resets it at every signal snapshot so a refreshed snapshot re-walks.
+// memoryMemo is the shared memo behind a dispatcher-issued MemorySignal; the
+// dispatcher resets it at every signal snapshot so a refreshed snapshot
+// re-walks. The stats are summed over the function's pools (nil slots are
+// pools not created yet).
 type memoryMemo struct {
-	platform *faas.Platform
-	valid    bool
-	stats    faas.MemoryStats
+	pools []*faas.Platform
+	valid bool
+	stats faas.MemoryStats
 }
 
 // Get returns the memory stats, computing (and memoizing) them on first use.
@@ -93,8 +95,18 @@ func (m MemorySignal) Get() faas.MemoryStats {
 		return m.value
 	}
 	if !m.memo.valid {
-		m.memo.stats = m.memo.platform.Memory()
-		m.memo.valid = true
+		var sum faas.MemoryStats
+		for _, pl := range m.memo.pools {
+			if pl == nil {
+				continue
+			}
+			st := pl.Memory()
+			sum.StateStoreBytes += st.StateStoreBytes
+			sum.ResidentPages += st.ResidentPages
+			sum.SharedFramePages += st.SharedFramePages
+			sum.FramesInUse += st.FramesInUse
+		}
+		m.memo.stats, m.memo.valid = sum, true
 	}
 	return m.memo.stats
 }
@@ -139,15 +151,6 @@ type Policy interface {
 // QueueDepth, PoolSize, Requests, SLOTargetMs) are still populated.
 type SignalFree interface {
 	SignalFree()
-}
-
-// MemoryFree is an optional Policy refinement: implementing it declares
-// that no decision reads Signals.Memory. Since Signals.Memory became a lazy
-// memoized thunk the declaration is advisory — a policy that never calls
-// Get never pays for the resident-page walk, declared or not — but it
-// remains a useful documentation marker.
-type MemoryFree interface {
-	MemoryFree()
 }
 
 // FixedTTL is the classic two-tier reaper as a Policy: tier one removes
@@ -227,10 +230,6 @@ func (p SLOAware) overTarget(sig Signals) bool {
 	t := p.target(sig)
 	return t > 0 && sig.P95E2EMs > t
 }
-
-// SLOAware never reads Signals.Memory: its decisions are latency- and
-// cost-signal driven.
-func (SLOAware) MemoryFree() {}
 
 // ScaleUp implements Policy: when the SLO is at risk — or clones make
 // extra capacity nearly free — cover the part of the queue not already

@@ -322,13 +322,13 @@ func TestFleetScaleUpBatch(t *testing.T) {
 	fs := f.fns[0]
 	// Saturate the single warm container, then queue three arrivals.
 	now := f.engine.Now()
-	if _, err := fs.platform.Serve(fs.platform.Containers()[0], ""); err != nil {
+	if _, err := fs.pools[0].Serve(fs.pools[0].Containers()[0], ""); err != nil {
 		t.Fatal(err)
 	}
 	fs.queue = append(fs.queue, queuedReq{at: now}, queuedReq{at: now}, queuedReq{at: now})
 	f.dispatch(fs)
 	// Cap 3: the one busy container plus two scale-ups.
-	if got := len(fs.platform.Containers()); got != cfg.MaxContainersPerFunction {
+	if got := len(fs.pools[0].Containers()); got != cfg.MaxContainersPerFunction {
 		t.Fatalf("pool = %d after batch scale-up, want the cap %d", got, cfg.MaxContainersPerFunction)
 	}
 	if fs.stats.ColdStarts != cfg.MaxContainersPerFunction-1 {
@@ -351,10 +351,10 @@ func TestFleetPolicyKeepsImageOnScaleToZero(t *testing.T) {
 	fs := f.fns[0]
 	// Serve once so latency signals exist, then scale up to observe a
 	// clone cold start (the reap TTL derives from it).
-	if _, err := fs.platform.Serve(fs.platform.Containers()[0], ""); err != nil {
+	if _, err := fs.pools[0].Serve(fs.pools[0].Containers()[0], ""); err != nil {
 		t.Fatal(err)
 	}
-	c, err := fs.platform.AddContainer()
+	c, err := fs.pools[0].AddContainer()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -376,7 +376,7 @@ func TestFleetPolicyKeepsImageOnScaleToZero(t *testing.T) {
 		fs.observeArrival(f.engine.Now())
 	}
 	f.reapIdle(fs, reapAt)
-	if got := len(fs.platform.Containers()); got != 0 {
+	if got := len(fs.pools[0].Containers()); got != 0 {
 		t.Fatalf("pool = %d after scale-to-zero", got)
 	}
 	if fs.stats.ScaledToZero != 1 || fs.stats.ImagesEvicted != 0 {
@@ -386,14 +386,14 @@ func TestFleetPolicyKeepsImageOnScaleToZero(t *testing.T) {
 	if f.kern.Phys.InUse() == 0 {
 		t.Fatal("image frames gone despite retention")
 	}
-	revived, err := fs.platform.AddContainer()
+	revived, err := fs.pools[0].AddContainer()
 	if err != nil {
 		t.Fatal(err)
 	}
 	if revived.ColdStart().ClonedFrom < 0 {
 		t.Fatal("revival from zero replayed the pipeline; template was lost")
 	}
-	fs.platform.RemoveContainer(revived)
+	fs.pools[0].RemoveContainer(revived)
 
 	// A kept image is re-evaluated at every tick on the empty pool: once
 	// the rate estimate has decayed past the eviction threshold (traffic

@@ -1,13 +1,22 @@
 // Package trace simulates a multi-function FaaS fleet: several deployed
-// functions sharing one invoker host, each with its own arrival process,
-// dynamically scaled container pools with keep-alive expiry, cold starts on
-// demand, and FIFO queueing when the pool is saturated.
+// functions, each with its own arrival process, dynamically scaled container
+// pools with keep-alive expiry, cold starts on demand, and FIFO queueing
+// when the pool is saturated.
 //
 // The paper motivates Groundhog with exactly this setting (§1-§2:
 // multiplexed tenants, Azure-style short functions [39], idle capacity
 // between requests); the fleet simulation quantifies what request isolation
 // costs a *provider* — latency distributions, cold-start rates, restore
 // counts, and memory — rather than a single benchmark container.
+//
+// The package owns the repository's only dispatcher. Dispatcher is the loop
+// itself — arrival processes, the per-function queue ring, peek-serve-pop
+// dispatch, the policy-driven reaper, the observation signals, chains —
+// written over a function's scan-ordered set of faas.Platform pools. Where
+// those pools live and how one more container is obtained is the one thing
+// it delegates, to a Provider (provider.go). Fleet is the Dispatcher on one
+// shared kernel (one pool per function); internal/cluster is the same
+// Dispatcher with one pool per host behind a placer and an image registry.
 package trace
 
 import (
@@ -369,22 +378,25 @@ type FunctionStats struct {
 	CloneLatency    metrics.Recorder
 }
 
-// newFunctionStats builds a FunctionStats with its latency recorders
-// initialized per the fleet's Config.SketchStats selection.
-func newFunctionStats(name string, sketch bool) *FunctionStats {
-	st := &FunctionStats{Name: name}
+// newRecorder returns a latency recorder per the Config.SketchStats
+// selection: a bounded-memory sketch, or the exact sample-retaining summary.
+func newRecorder(sketch bool) metrics.Recorder {
 	if sketch {
-		st.E2E = metrics.NewSketch(0)
-		st.Queue = metrics.NewSketch(0)
-		st.FullColdLatency = metrics.NewSketch(0)
-		st.CloneLatency = metrics.NewSketch(0)
-	} else {
-		st.E2E = &metrics.Summary{}
-		st.Queue = &metrics.Summary{}
-		st.FullColdLatency = &metrics.Summary{}
-		st.CloneLatency = &metrics.Summary{}
+		return metrics.NewSketch(0)
 	}
-	return st
+	return &metrics.Summary{}
+}
+
+// newFunctionStats builds a FunctionStats with its latency recorders
+// initialized.
+func newFunctionStats(name string, sketch bool) *FunctionStats {
+	return &FunctionStats{
+		Name:            name,
+		E2E:             newRecorder(sketch),
+		Queue:           newRecorder(sketch),
+		FullColdLatency: newRecorder(sketch),
+		CloneLatency:    newRecorder(sketch),
+	}
 }
 
 // Result is a fleet run's outcome.
@@ -471,8 +483,14 @@ type queuedReq struct {
 
 // fnState is the dispatcher's view of one deployed function.
 type fnState struct {
-	load     FunctionLoad
-	platform *faas.Platform
+	// index is the function's position in the loads (the Provider's handle).
+	index int
+	load  FunctionLoad
+	// pools is the function's container pools in scan order, exactly as
+	// Provider.Deploy returned them: one on a Fleet; on a cluster one slot
+	// per host, nil until the first placement there. Every loop below skips
+	// nil slots and otherwise treats the pools as one pool.
+	pools []*faas.Platform
 	// policy is the function's resolved scaling policy (the load's
 	// override, else the fleet's); signalFree caches whether it declared
 	// SignalFree, so the dispatcher skips maintaining the observation
@@ -492,7 +510,7 @@ type fnState struct {
 	// of one per scheduled dispatch.
 	redispatch func()
 	// memMemo backs the signal snapshot's lazy Memory thunk; signals()
-	// resets it so every snapshot re-walks at most once.
+	// resets it so every snapshot re-walks (every pool) at most once.
 	memMemo memoryMemo
 	// arrivalTimes is a drop-oldest ring of recent arrival timestamps; the
 	// policy's rate estimate is its population over its span to now, so a
@@ -533,6 +551,34 @@ func (fs *fnState) observeCrash(t sim.Time) {
 // queueDepth reports the number of requests waiting for a container.
 func (fs *fnState) queueDepth() int { return len(fs.queue) - fs.qhead }
 
+// containers is the function's pool size, summed over its pools.
+func (fs *fnState) containers() int {
+	n := 0
+	for _, pl := range fs.pools {
+		if pl != nil {
+			n += len(pl.Containers())
+		}
+	}
+	return n
+}
+
+// evictImage drops one pool's snapshot image, counting it only when an
+// image was actually released.
+func (fs *fnState) evictImage(pl *faas.Platform) {
+	if pl.EvictImage() {
+		fs.stats.ImagesEvicted++
+	}
+}
+
+// evictImages drops the function's snapshot image on every pool holding one.
+func (fs *fnState) evictImages() {
+	for _, pl := range fs.pools {
+		if pl != nil {
+			fs.evictImage(pl)
+		}
+	}
+}
+
 // enqueue appends one request to the queue ring.
 func (fs *fnState) enqueue(q queuedReq) {
 	if fs.qhead > 0 && len(fs.queue) == cap(fs.queue) {
@@ -565,21 +611,9 @@ type chainState struct {
 	stages [][]*fnState
 }
 
-// newChainStats builds a ChainStats with its recorder initialized per the
-// fleet's Config.SketchStats selection, mirroring newFunctionStats.
+// newChainStats builds a ChainStats with its recorder initialized.
 func newChainStats(ch Chain, sketch bool) *ChainStats {
-	st := &ChainStats{Name: ch.Name, SLOTargetMs: ch.SLOTargetMs}
-	if sketch {
-		st.E2E = metrics.NewSketch(0)
-	} else {
-		st.E2E = &metrics.Summary{}
-	}
-	return st
-}
-
-// interarrival draws the chain's next arrival gap on its own stream.
-func (cs *chainState) interarrival(now sim.Time) sim.Duration {
-	return drawInterarrival(cs.load, cs.rng, now)
+	return &ChainStats{Name: ch.Name, SLOTargetMs: ch.SLOTargetMs, E2E: newRecorder(sketch)}
 }
 
 // chainRun is one in-flight chain arrival: which stage it is in and how
@@ -596,18 +630,40 @@ type chainRun struct {
 // invocations are ordinary requests to the per-function machinery — they
 // count in Arrived/Requests, ride the same queue ring, and retry on crashes
 // — plus a completion hook that advances the chain.
-func (f *Fleet) startChainStage(run *chainRun) {
+func (d *Dispatcher) startChainStage(run *chainRun) {
 	targets := run.cs.stages[run.stage]
 	run.pending = len(targets)
-	now := f.engine.Now()
+	now := d.engine.Now()
 	for _, fs := range targets {
-		if !fs.signalFree {
-			fs.observeArrival(now)
-		}
-		fs.stats.Arrived++
-		fs.enqueue(queuedReq{at: now, run: run})
-		f.dispatch(fs)
+		d.admit(fs, queuedReq{at: now, run: run})
 	}
+}
+
+// admit is one request entering a function's queue — an open-loop arrival
+// or a chain stage invocation — followed by a dispatch pass.
+func (d *Dispatcher) admit(fs *fnState, q queuedReq) {
+	if !fs.signalFree {
+		fs.observeArrival(q.at)
+	}
+	fs.stats.Arrived++
+	fs.enqueue(q)
+	d.dispatch(fs)
+}
+
+// startArrivals runs one arrival process until the deadline: gaps drawn from
+// load on rng (drawInterarrival — the draw the standalone ArrivalProcess
+// shares, so the two stay draw-for-draw identical), arrived called at each.
+func (d *Dispatcher) startArrivals(load FunctionLoad, rng *sim.Rand, deadline sim.Time, arrived func(now sim.Time)) {
+	var arrive func()
+	arrive = func() {
+		now := d.engine.Now()
+		if d.err != nil || now >= deadline {
+			return
+		}
+		arrived(now)
+		d.engine.After(drawInterarrival(load, rng, now), arrive)
+	}
+	d.engine.After(drawInterarrival(load, rng, 0), arrive)
 }
 
 // chainStepDone is the completion event of one stage invocation: when the
@@ -616,38 +672,42 @@ func (f *Fleet) startChainStage(run *chainRun) {
 // reaches exactly one of these terminal states or remains queued — the
 // drain serves all queues, so after Run every chain has completed and
 // ChainStats.Lost stays zero (the conservation invariant).
-func (f *Fleet) chainStepDone(run *chainRun) {
+func (d *Dispatcher) chainStepDone(run *chainRun) {
 	run.pending--
 	if run.pending > 0 {
 		return
 	}
 	run.stage++
 	if run.stage < len(run.cs.stages) {
-		f.startChainStage(run)
+		d.startChainStage(run)
 		return
 	}
 	st := run.cs.stats
 	st.Completed++
-	st.E2E.AddDuration(f.engine.Now().Sub(run.started))
+	st.E2E.AddDuration(d.engine.Now().Sub(run.started))
 }
 
-// Fleet runs a multi-function workload and reports per-function and
-// fleet-wide outcomes.
-type Fleet struct {
+// Dispatcher is the fleet loop: it runs a multi-function workload over the
+// pools its Provider deploys and reports per-function and fleet-wide
+// outcomes. Fleet wraps it for the one-kernel case; internal/cluster drives
+// it over N hosts.
+type Dispatcher struct {
 	cfg Config
 	// policy is the fleet-wide default; each fnState resolves its own
 	// (FunctionLoad.Policy overrides it per function).
 	policy Policy
 	engine *sim.Engine
-	kern   *kernel.Kernel
+	prov   Provider
 	fns    []*fnState
 	chains []*chainState
 	err    error
 
 	// frameArea integrates in-use frames over virtual time (sampled at
-	// policy ticks); lastSample is the integration cursor.
+	// policy ticks); lastSample is the integration cursor and peakFrames
+	// the samples' high-water mark.
 	frameArea  float64
 	lastSample sim.Time
+	peakFrames int
 
 	// p95Scratch is the reused sorted copy behind the per-tick P95E2EMs
 	// signal — one buffer for the whole fleet instead of a fresh
@@ -660,26 +720,25 @@ type Fleet struct {
 	reapOverride func(fs *fnState, now sim.Time)
 }
 
-// NewFleet deploys the given functions (one warm container each — providers
-// keep a floor of pre-warmed capacity) on a shared simulated host.
-func NewFleet(cfg Config, loads []FunctionLoad) (*Fleet, error) {
+// NewDispatcher validates the configuration and the loads (the one load
+// validation every front end shares) and deploys each function through prov,
+// in load order, on the given engine — the engine the provider's platforms
+// must also run on.
+func NewDispatcher(engine *sim.Engine, cfg Config, loads []FunctionLoad, prov Provider) (*Dispatcher, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
 	if len(loads) == 0 {
 		return nil, fmt.Errorf("trace: no functions")
 	}
-	f := &Fleet{
+	d := &Dispatcher{
 		cfg:    cfg,
 		policy: cfg.Policy,
-		engine: sim.NewEngine(),
-		kern:   kernel.New(cfg.Cost),
+		engine: engine,
+		prov:   prov,
 	}
-	// Arm the shared kernel's fault seams. A zero plan yields a nil injector,
-	// so a fault-free fleet stays bit-identical to one without the field.
-	f.kern.Faults = faults.New(cfg.Faults)
-	if f.policy == nil {
-		f.policy = FixedTTL{KeepAlive: cfg.KeepAlive, ScaleToZeroAfter: cfg.ScaleToZeroAfter}
+	if d.policy == nil {
+		d.policy = FixedTTL{KeepAlive: cfg.KeepAlive, ScaleToZeroAfter: cfg.ScaleToZeroAfter}
 	}
 	// chainFed marks functions referenced by a chain stage: they may omit
 	// their own open-loop arrival process (RatePerSec == 0).
@@ -697,32 +756,21 @@ func NewFleet(cfg Config, loads []FunctionLoad) (*Fleet, error) {
 			return nil, fmt.Errorf("trace: %s: non-positive rate", name)
 		}
 		if load.SLOTargetMs < 0 {
-			return nil, fmt.Errorf("trace: %s: negative SLO target", load.Entry.Prof.DisplayName())
+			return nil, fmt.Errorf("trace: %s: negative SLO target", name)
 		}
 		if load.DiurnalAmplitude < 0 || load.DiurnalAmplitude >= 1 {
-			return nil, fmt.Errorf("trace: %s: diurnal amplitude %v outside [0, 1)",
-				load.Entry.Prof.DisplayName(), load.DiurnalAmplitude)
+			return nil, fmt.Errorf("trace: %s: diurnal amplitude %v outside [0, 1)", name, load.DiurnalAmplitude)
 		}
 		if load.DiurnalAmplitude > 0 && load.DiurnalPeriod <= 0 {
-			return nil, fmt.Errorf("trace: %s: diurnal amplitude needs a positive period",
-				load.Entry.Prof.DisplayName())
+			return nil, fmt.Errorf("trace: %s: diurnal amplitude needs a positive period", name)
 		}
 		if err := load.Runtime.Validate(); err != nil {
 			return nil, fmt.Errorf("trace: %s: %w", name, err)
 		}
 		// The deployed profile is the measured one through the runtime
 		// overlay — a zero overlay returns it unchanged, byte for byte.
-		prof := load.Runtime.Apply(load.Entry.Prof)
-		// Zero constructor containers so the store kind can be set first;
-		// the warm floor is added explicitly (pre-warmed, like the
-		// constructor path).
-		pl, err := faas.NewPlatformOn(f.engine, f.kern, prof, cfg.Mode, 0, cfg.Seed+uint64(i)*7919)
+		pools, err := prov.Deploy(i, load.Runtime.Apply(load.Entry.Prof), cfg.Seed+uint64(i)*7919)
 		if err != nil {
-			return nil, err
-		}
-		pl.Store = cfg.Store
-		pl.CloneScaleOut = cfg.CloneScaleOut
-		if _, err := pl.AddWarmContainer(); err != nil {
 			return nil, err
 		}
 		target := load.SLOTargetMs
@@ -730,28 +778,19 @@ func NewFleet(cfg Config, loads []FunctionLoad) (*Fleet, error) {
 			target = cfg.SLOTargetMs
 		}
 		fs := &fnState{
+			index:       i,
 			load:        load,
-			platform:    pl,
-			stats:       newFunctionStats(load.Entry.Prof.DisplayName(), cfg.SketchStats),
+			pools:       pools,
+			stats:       newFunctionStats(name, cfg.SketchStats),
 			rng:         sim.NewRand(cfg.Seed ^ uint64(i)*0x9E3779B97F4A7C15),
 			sloTargetMs: target,
 		}
-		fs.setPolicy(f.policy)
-		fs.redispatch = func() { f.dispatch(fs) }
-		f.fns = append(f.fns, fs)
+		fs.setPolicy(d.policy)
+		fs.redispatch = func() { d.dispatch(fs) }
+		d.fns = append(d.fns, fs)
 	}
 	for _, ev := range cfg.Events {
-		if ev.Function == "" {
-			continue
-		}
-		known := false
-		for _, fs := range f.fns {
-			if fs.stats.Name == ev.Function {
-				known = true
-				break
-			}
-		}
-		if !known {
+		if ev.Function != "" && d.fn(ev.Function) == nil {
 			return nil, fmt.Errorf("trace: event %q targets unknown function %q", ev.Kind, ev.Function)
 		}
 	}
@@ -768,7 +807,7 @@ func NewFleet(cfg Config, loads []FunctionLoad) (*Fleet, error) {
 		for _, st := range ch.Stages {
 			var targets []*fnState
 			for _, name := range st.Functions {
-				fs := f.fn(name)
+				fs := d.fn(name)
 				if fs == nil {
 					return nil, fmt.Errorf("trace: chain %s references unknown function %q", ch.Name, name)
 				}
@@ -776,14 +815,14 @@ func NewFleet(cfg Config, loads []FunctionLoad) (*Fleet, error) {
 			}
 			cs.stages = append(cs.stages, targets)
 		}
-		f.chains = append(f.chains, cs)
+		d.chains = append(d.chains, cs)
 	}
-	return f, nil
+	return d, nil
 }
 
 // fn returns the state of the function with the given display name, or nil.
-func (f *Fleet) fn(name string) *fnState {
-	for _, fs := range f.fns {
+func (d *Dispatcher) fn(name string) *fnState {
+	for _, fs := range d.fns {
 		if fs.stats.Name == name {
 			return fs
 		}
@@ -805,29 +844,42 @@ func (fs *fnState) setPolicy(fleetDefault Policy) {
 // setPolicy swaps the fleet-wide policy, re-resolving every function that
 // has no per-load override (the policy tests drive a built fleet through
 // several policies this way).
-func (f *Fleet) setPolicy(p Policy) {
-	f.policy = p
-	for _, fs := range f.fns {
+func (d *Dispatcher) setPolicy(p Policy) {
+	d.policy = p
+	for _, fs := range d.fns {
 		fs.setPolicy(p)
 	}
 }
 
+// Signals is the observation set for function fn (its index in the loads)
+// at virtual time now — what its policy would be shown. The cluster's
+// placer reads it at every placement.
+func (d *Dispatcher) Signals(fn int, now sim.Time) Signals { return d.signals(d.fns[fn], now) }
+
 // signals assembles the policy's observation set for one function at the
-// current virtual time. Percentiles are computed on copies — reading a
-// signal must never disturb the stats the fleet is still accumulating. For
-// SignalFree policies the expensive observations (the Memory page walk,
-// the p95 copy-and-sort) are skipped: the decisions ignore them anyway.
-func (f *Fleet) signals(fs *fnState, now sim.Time) Signals {
+// current virtual time, over all of its pools: pool size and warming count
+// sum, CloneReady holds if any pool can clone, Memory aggregates every pool.
+// Percentiles are computed on copies — reading a signal must never disturb
+// the stats the fleet is still accumulating. For SignalFree policies the
+// expensive observations (the Memory page walk, the p95 copy-and-sort) are
+// skipped: the decisions ignore them anyway.
+func (d *Dispatcher) signals(fs *fnState, now sim.Time) Signals {
 	sig := Signals{
 		Now:         now,
 		QueueDepth:  fs.queueDepth(),
-		PoolSize:    len(fs.platform.Containers()),
 		Requests:    fs.stats.Requests,
 		SLOTargetMs: fs.sloTargetMs,
 	}
-	for _, c := range fs.platform.Containers() {
-		if c.Ready() > now && c.Requests() == 0 {
-			sig.Warming++
+	for _, pl := range fs.pools {
+		if pl == nil {
+			continue
+		}
+		cs := pl.Containers()
+		sig.PoolSize += len(cs)
+		for _, c := range cs {
+			if c.Ready() > now && c.Requests() == 0 {
+				sig.Warming++
+			}
 		}
 	}
 	sig.Crashes = fs.stats.Crashes + fs.stats.EventCrashes
@@ -839,12 +891,17 @@ func (f *Fleet) signals(fs *fnState, now sim.Time) Signals {
 			sig.CrashRatePerSec = float64(n) / span.Seconds()
 		}
 	}
-	sig.CloneReady = fs.platform.CloneSourceReady()
+	for _, pl := range fs.pools {
+		if pl != nil && pl.CloneSourceReady() {
+			sig.CloneReady = true
+			break
+		}
+	}
 	// Memory is handed out as a lazy memoized thunk: resetting the memo
 	// invalidates any earlier snapshot's view, and the O(resident pages)
 	// walk runs only if (and when) the policy calls Get — at most once per
 	// snapshot.
-	fs.memMemo = memoryMemo{platform: fs.platform}
+	fs.memMemo = memoryMemo{pools: fs.pools}
 	sig.Memory = MemorySignal{memo: &fs.memMemo}
 	if n := len(fs.arrivalTimes); n > 0 {
 		if span := now.Sub(fs.arrivalTimes[0]); span > 0 {
@@ -863,14 +920,14 @@ func (f *Fleet) signals(fs *fnState, now sim.Time) Signals {
 		// copy in ring order (the same float additions Summary.Mean
 		// performed), then the sort and interpolation reproduce
 		// Summary.Percentile exactly (PercentileSorted is its implementation).
-		f.p95Scratch = append(f.p95Scratch[:0], fs.recentE2E...)
+		d.p95Scratch = append(d.p95Scratch[:0], fs.recentE2E...)
 		var sum float64
-		for _, v := range f.p95Scratch {
+		for _, v := range d.p95Scratch {
 			sum += v
 		}
-		sig.MeanE2EMs = sum / float64(len(f.p95Scratch))
-		sort.Float64s(f.p95Scratch)
-		sig.P95E2EMs = metrics.PercentileSorted(f.p95Scratch, 95)
+		sig.MeanE2EMs = sum / float64(len(d.p95Scratch))
+		sort.Float64s(d.p95Scratch)
+		sig.P95E2EMs = metrics.PercentileSorted(d.p95Scratch, 95)
 		var svc float64
 		for _, v := range fs.recentSvc {
 			svc += v
@@ -880,111 +937,92 @@ func (f *Fleet) signals(fs *fnState, now sim.Time) Signals {
 	return sig
 }
 
-// interarrival draws the next gap for a function (drawInterarrival on the
-// function's own stream — the extraction point for the standalone
-// ArrivalProcess, which must stay draw-for-draw identical).
-func (fs *fnState) interarrival(now sim.Time) sim.Duration {
-	return drawInterarrival(fs.load, fs.rng, now)
-}
-
 // Run executes the configured window and returns the results.
-func (f *Fleet) Run() (*Result, error) {
-	deadline := sim.Time(f.cfg.Window)
+// Result.PeakFrames is the high-water mark of the policy-tick frame samples
+// (the provider's pools may span several physical memories, whose exact
+// peaks need not align in time); Fleet.Run replaces it with its one
+// kernel's exact figure.
+func (d *Dispatcher) Run() (*Result, error) {
+	deadline := sim.Time(d.cfg.Window)
 
 	// Arrival processes (chain-fed functions with no rate of their own
 	// receive only chain invocations).
-	for _, fs := range f.fns {
-		if fs.load.RatePerSec <= 0 {
-			continue
+	for _, fs := range d.fns {
+		if fs.load.RatePerSec > 0 {
+			d.startArrivals(fs.load, fs.rng, deadline, func(now sim.Time) {
+				d.admit(fs, queuedReq{at: now})
+			})
 		}
-		fs := fs
-		var arrive func()
-		arrive = func() {
-			if f.err != nil || f.engine.Now() >= deadline {
-				return
-			}
-			if !fs.signalFree {
-				fs.observeArrival(f.engine.Now())
-			}
-			fs.stats.Arrived++
-			fs.enqueue(queuedReq{at: f.engine.Now()})
-			f.dispatch(fs)
-			f.engine.After(fs.interarrival(f.engine.Now()), arrive)
-		}
-		f.engine.After(fs.interarrival(0), arrive)
 	}
 
 	// Chain arrival processes: each arrival starts stage 0 immediately;
 	// later stages ride completion events (chainStepDone), including
 	// through the drain — a chain started before the deadline always runs
 	// to completion.
-	for _, cs := range f.chains {
-		cs := cs
-		var arrive func()
-		arrive = func() {
-			if f.err != nil || f.engine.Now() >= deadline {
-				return
-			}
+	for _, cs := range d.chains {
+		d.startArrivals(cs.load, cs.rng, deadline, func(now sim.Time) {
 			cs.stats.Started++
-			f.startChainStage(&chainRun{cs: cs, started: f.engine.Now()})
-			f.engine.After(cs.interarrival(f.engine.Now()), arrive)
-		}
-		f.engine.After(cs.interarrival(0), arrive)
+			d.startChainStage(&chainRun{cs: cs, started: now})
+		})
 	}
 
 	// Scheduled failure events.
-	for _, ev := range f.cfg.Events {
-		ev := ev
-		f.engine.At(sim.Time(ev.At), func() { f.applyEvent(ev) })
+	for _, ev := range d.cfg.Events {
+		d.engine.At(sim.Time(ev.At), func() { d.applyEvent(ev) })
 	}
 
 	// Policy tick: sample the frame integral, then let the policy reap
 	// (or, in the equivalence tests, the injected legacy reaper).
-	step := f.reapIdle
-	if f.reapOverride != nil {
-		step = f.reapOverride
+	step := d.reapIdle
+	if d.reapOverride != nil {
+		step = d.reapOverride
 	}
 	var reap func()
 	reap = func() {
-		if f.err != nil || f.engine.Now() >= deadline {
+		if d.err != nil || d.engine.Now() >= deadline {
 			return
 		}
-		now := f.engine.Now()
-		f.sampleFrames(now, deadline)
-		for _, fs := range f.fns {
+		now := d.engine.Now()
+		d.sampleFrames(now, deadline)
+		for _, fs := range d.fns {
 			step(fs, now)
 		}
-		f.engine.After(f.cfg.KeepAlive/2, reap)
+		d.engine.After(d.cfg.KeepAlive/2, reap)
 	}
-	f.engine.After(f.cfg.KeepAlive/2, reap)
+	d.engine.After(d.cfg.KeepAlive/2, reap)
 
-	f.engine.RunUntil(deadline)
-	f.sampleFrames(deadline, deadline) // close the frame integral at the deadline
+	d.engine.RunUntil(deadline)
+	d.sampleFrames(deadline, deadline) // close the frame integral at the deadline
 	// Drain: let in-flight requests finish (no new arrivals).
-	f.engine.Run()
-	if f.err != nil {
-		return nil, f.err
+	d.engine.Run()
+	if d.err != nil {
+		return nil, d.err
 	}
 
-	res := &Result{PeakFrames: f.kern.Phys.Peak(), EndFrames: f.kern.Phys.InUse()}
+	res := &Result{PeakFrames: d.peakFrames, EndFrames: d.prov.FramesInUse()}
 	if deadline > 0 {
-		res.MeanFrames = f.frameArea / float64(deadline)
+		res.MeanFrames = d.frameArea / float64(deadline)
 	}
-	for _, fs := range f.fns {
-		// Fold the platform's recovery counters into the per-function stats;
+	for _, fs := range d.fns {
+		// Fold the pools' recovery counters into the per-function stats;
 		// Crashes and RestoreFaults were already counted on the dispatch path.
-		rec := fs.platform.Recovery()
-		fs.stats.ColdStartRetries = rec.ColdStartRetries
-		fs.stats.RetryBackoff = rec.RetryBackoff
-		fs.stats.CloneFallbacks = rec.CloneFallbacks
-		fs.stats.DonorsQuarantined = rec.DonorsQuarantined
-		fs.stats.ImageIntegrityFailures = rec.ImageIntegrityFailures
+		for _, pl := range fs.pools {
+			if pl == nil {
+				continue
+			}
+			rec := pl.Recovery()
+			fs.stats.ColdStartRetries += rec.ColdStartRetries
+			fs.stats.RetryBackoff += rec.RetryBackoff
+			fs.stats.CloneFallbacks += rec.CloneFallbacks
+			fs.stats.DonorsQuarantined += rec.DonorsQuarantined
+			fs.stats.ImageIntegrityFailures += rec.ImageIntegrityFailures
+		}
 		res.PerFunction = append(res.PerFunction, fs.stats)
 	}
 	sort.Slice(res.PerFunction, func(i, j int) bool {
 		return res.PerFunction[i].Name < res.PerFunction[j].Name
 	})
-	for _, cs := range f.chains {
+	for _, cs := range d.chains {
 		st := cs.stats
 		st.Lost = st.Started - st.Completed
 		st.SLOMet = st.SLOTargetMs <= 0 || st.E2E.N() == 0 || st.E2E.Percentile(95) <= st.SLOTargetMs
@@ -995,31 +1033,37 @@ func (f *Fleet) Run() (*Result, error) {
 }
 
 // sampleFrames advances the frame-seconds integral to now (clamped to the
-// deadline: the mean is defined over the window, not the drain).
-func (f *Fleet) sampleFrames(now, deadline sim.Time) {
+// deadline: the mean is defined over the window, not the drain) and the
+// sampled peak.
+func (d *Dispatcher) sampleFrames(now, deadline sim.Time) {
 	if now > deadline {
 		now = deadline
 	}
-	if dt := float64(now - f.lastSample); dt > 0 {
-		f.frameArea += float64(f.kern.Phys.InUse()) * dt
-		f.lastSample = now
+	inUse := d.prov.FramesInUse()
+	if inUse > d.peakFrames {
+		d.peakFrames = inUse
+	}
+	if dt := float64(now - d.lastSample); dt > 0 {
+		d.frameArea += float64(inUse) * dt
+		d.lastSample = now
 	}
 }
 
-// reapIdle applies the function's resolved policy to its pool.
+// reapIdle applies the function's resolved policy to its pools, taken
+// together as one pool scanned in order.
 //
 // Tier one: containers above the policy's warm floor are removed when
-// Policy.Reap says so, given their idle time. The pool is re-read after
+// Policy.Reap says so, given their idle time. The pools are re-read after
 // every removal — faas.Platform.RemoveContainer compacts the live slice in
 // place, so ranging over a pre-reap snapshot would visit shifted (and stale
 // duplicate) entries and over-count removals.
 //
 // Tier two (scale-to-zero): with no queued requests, the last container is
 // removed when Policy.Reap(last=true) says so. Policy.EvictImage then
-// decides whether the deployment's snapshot image goes too; a policy that
-// keeps it has the clone template captured first (EnsureCloneTemplate), so
-// the next scale-up revives the pool at clone cost instead of replaying the
-// pipeline.
+// decides whether the deployment's snapshot images go too — on every pool;
+// a policy that keeps them has the clone template captured first on the
+// last container's pool (EnsureCloneTemplate), so the next scale-up revives
+// the function at clone cost instead of replaying the pipeline.
 //
 // In tier one a container that never served measures idleness from
 // Ready() — the time it became able to serve. An orphaned scale-up (its
@@ -1027,31 +1071,37 @@ func (f *Fleet) sampleFrames(now, deadline sim.Time) {
 // pin the pool above the floor forever and block scale-to-zero. Tier two
 // measures from Ready() always, which is never earlier than the last
 // response's completion.
-func (f *Fleet) reapIdle(fs *fnState, now sim.Time) {
-	sig := f.signals(fs, now)
+func (d *Dispatcher) reapIdle(fs *fnState, now sim.Time) {
+	sig := d.signals(fs, now)
 	floor := fs.policy.WarmFloor(sig)
 	if floor < 1 {
 		floor = 1 // the last container belongs to the scale-to-zero tier
 	}
-	for len(fs.platform.Containers()) > floor {
+	for fs.containers() > floor {
 		removed := false
-		for _, c := range fs.platform.Containers() {
-			if c.Ready() > now {
-				continue // busy (or still cold-starting)
+	scan:
+		for _, pl := range fs.pools {
+			if pl == nil {
+				continue
 			}
-			idleSince := c.LastDone()
-			if idleSince == 0 {
-				idleSince = c.Ready() // never served: idle since serveable
-			}
-			if fs.policy.Reap(sig, now.Sub(idleSince), false) {
-				fs.platform.RemoveContainer(c)
-				fs.stats.Reaped++
-				// Refresh the whole observation set: a half-updated
-				// snapshot (new pool size, old memory figures) would
-				// skew per-container rent for the next decision.
-				sig = f.signals(fs, now)
-				removed = true
-				break // re-read the pool; the slice just changed under us
+			for _, c := range pl.Containers() {
+				if c.Ready() > now {
+					continue // busy (or still cold-starting)
+				}
+				idleSince := c.LastDone()
+				if idleSince == 0 {
+					idleSince = c.Ready() // never served: idle since serveable
+				}
+				if fs.policy.Reap(sig, now.Sub(idleSince), false) {
+					pl.RemoveContainer(c)
+					fs.stats.Reaped++
+					// Refresh the whole observation set: a half-updated
+					// snapshot (new pool size, old memory figures) would
+					// skew per-container rent for the next decision.
+					sig = d.signals(fs, now)
+					removed = true
+					break scan // re-read the pools; the slice just changed under us
+				}
 			}
 		}
 		if !removed {
@@ -1062,22 +1112,23 @@ func (f *Fleet) reapIdle(fs *fnState, now sim.Time) {
 	if fs.queueDepth() > 0 || floor > 1 {
 		return
 	}
-	cs := fs.platform.Containers()
-	if len(cs) == 0 {
-		// The pool already scaled to zero with its image kept: re-consult
-		// the eviction verdict every tick. The rate estimate decays after
-		// traffic stops, so a "keep" made mid-traffic must be allowed to
-		// flip once holding the image no longer pays.
-		if fs.policy.EvictImage(sig) && fs.platform.EvictImage() {
-			fs.stats.ImagesEvicted++
+	total := fs.containers()
+	if total == 0 {
+		// Already scaled to zero with images kept: re-consult the eviction
+		// verdict every tick. The rate estimate decays after traffic stops,
+		// so a "keep" made mid-traffic must be allowed to flip once holding
+		// the images no longer pays.
+		if fs.policy.EvictImage(sig) {
+			fs.evictImages()
 		}
 		return
 	}
-	if len(cs) != 1 {
+	if total != 1 {
 		return
 	}
-	c := cs[0]
-	if c.Ready() > now || !fs.policy.Reap(sig, now.Sub(c.Ready()), true) {
+	// With one container left, the first ready one is it — or it is busy.
+	last, lastPool := pickReady(fs, now)
+	if last == nil || !fs.policy.Reap(sig, now.Sub(last.Ready()), true) {
 		return
 	}
 	evict := fs.policy.EvictImage(sig)
@@ -1085,52 +1136,55 @@ func (f *Fleet) reapIdle(fs *fnState, now sim.Time) {
 		// Keep the revival path cheap: capture the donor template before
 		// the donor disappears. The template (and its snapshot) survives
 		// the container's removal.
-		fs.platform.EnsureCloneTemplate()
+		lastPool.EnsureCloneTemplate()
 	}
-	fs.platform.RemoveContainer(c)
+	lastPool.RemoveContainer(last)
 	fs.stats.Reaped++
 	fs.stats.ScaledToZero++
-	if evict && fs.platform.EvictImage() {
-		fs.stats.ImagesEvicted++
+	if evict {
+		fs.evictImages()
 	}
 }
 
-// dispatch hands queued requests to available containers, scaling the pool
-// up (with a cold start) when all are busy and the cap allows.
-func (f *Fleet) dispatch(fs *fnState) {
-	if f.err != nil {
+// dispatch hands queued requests to available containers on any of the
+// function's pools, scaling up through the Provider (with a cold start) when
+// all are busy and the cap allows.
+func (d *Dispatcher) dispatch(fs *fnState) {
+	if d.err != nil {
 		return
 	}
-	now := f.engine.Now()
+	now := d.engine.Now()
 	for fs.queueDepth() > 0 {
-		c := f.pickReady(fs, now)
+		c, pl := pickReady(fs, now)
 		if c == nil {
 			// No container free right now: ask the policy how many to add
 			// (clamped to the pool's headroom), then wait for the earliest
-			// ready time either way.
+			// ready time.
 			added := false
-			if headroom := f.cfg.MaxContainersPerFunction - len(fs.platform.Containers()); headroom > 0 {
-				n := fs.policy.ScaleUp(f.signals(fs, now))
+			pool := fs.containers()
+			if headroom := d.cfg.MaxContainersPerFunction - pool; headroom > 0 {
+				n := fs.policy.ScaleUp(d.signals(fs, now))
 				if n > headroom {
 					n = headroom
 				}
-				if n < 1 && len(fs.platform.Containers()) == 0 {
+				if n < 1 && pool == 0 {
 					n = 1 // an empty pool must scale or the queue starves
 				}
 				for i := 0; i < n; i++ {
-					nc, err := fs.platform.AddContainer()
+					nc, err := d.prov.ScaleUp(fs.index, now)
 					if err != nil {
-						if faas.IsTransient(err) {
+						if faas.IsTransient(err) || errors.Is(err, ErrNoCapacity) {
 							// The platform's own retry budget is already
-							// spent; hold the queue and re-dispatch after a
-							// backoff instead of killing the fleet — faults
-							// delay requests, they must not drop them.
+							// spent (or no host has room); hold the queue and
+							// re-dispatch after a backoff instead of killing
+							// the fleet — faults delay requests, they must
+							// not drop them.
 							fs.coldFailStreak++
-							f.engine.After(retryDispatchDelay(fs.coldFailStreak), fs.redispatch)
+							d.engine.After(retryDispatchDelay(fs.coldFailStreak), fs.redispatch)
 							return
 						}
-						f.err = err
-						f.engine.Stop()
+						d.err = err
+						d.engine.Stop()
 						return
 					}
 					fs.coldFailStreak = 0
@@ -1144,13 +1198,13 @@ func (f *Fleet) dispatch(fs *fnState) {
 						fs.stats.FullColdStarts++
 						fs.stats.FullColdLatency.AddDuration(cold.Total)
 					}
-					f.engine.At(nc.Ready(), fs.redispatch)
+					d.engine.At(nc.Ready(), fs.redispatch)
 					added = true
 				}
 			}
-			if !added {
-				if next := f.earliestReady(fs); next > now {
-					f.engine.At(next, fs.redispatch)
+			if !added || d.prov.RearmsPoolWake() {
+				if next := earliestReady(fs); next > now {
+					d.engine.At(next, fs.redispatch)
 				}
 			}
 			return
@@ -1159,7 +1213,7 @@ func (f *Fleet) dispatch(fs *fnState) {
 		// the head of the queue to retry on another container (or a fresh
 		// cold start) — it is only consumed once a response was delivered.
 		qr := fs.queueHead()
-		st, err := fs.platform.Serve(c, "")
+		st, err := pl.Serve(c, "")
 		if err != nil {
 			if errors.Is(err, faas.ErrContainerCrashed) {
 				fs.stats.Crashes++
@@ -1168,8 +1222,8 @@ func (f *Fleet) dispatch(fs *fnState) {
 				}
 				continue
 			}
-			f.err = err
-			f.engine.Stop()
+			d.err = err
+			d.engine.Stop()
 			return
 		}
 		fs.dequeue()
@@ -1191,94 +1245,133 @@ func (f *Fleet) dispatch(fs *fnState) {
 		if run := qr.run; run != nil {
 			// Chain requests hand off to the next stage when the response is
 			// delivered; the closure is the only allocation on the chain path.
-			f.engine.At(st.Completed, func() { f.chainStepDone(run) })
+			d.engine.At(st.Completed, func() { d.chainStepDone(run) })
 		}
 		// When this container frees up, it may drain more queue.
-		f.engine.At(st.ReadyAgain, fs.redispatch)
+		d.engine.At(st.ReadyAgain, fs.redispatch)
 	}
+}
+
+// DispatchAll re-dispatches every function's queue at the current virtual
+// time — what a provider calls after it took pools away (a host failed), so
+// displaced queues start their recovery at the event, not the next arrival.
+func (d *Dispatcher) DispatchAll() {
+	for _, fs := range d.fns {
+		d.dispatch(fs)
+	}
+}
+
+// emptyPool removes every container of one of fs's pools, accounting them
+// as crashed (EventCrashes, feeding the crash-rate signal) or drained.
+func (d *Dispatcher) emptyPool(fs *fnState, pl *faas.Platform, crashed bool) {
+	n := removeAll(pl)
+	if !crashed {
+		fs.stats.Drained += n
+		return
+	}
+	fs.stats.EventCrashes += n
+	if !fs.signalFree {
+		for range n {
+			fs.observeCrash(d.engine.Now())
+		}
+	}
+}
+
+// removeAll tears down every container of a pool and reports how many.
+func removeAll(pl *faas.Platform) int {
+	n := 0
+	for len(pl.Containers()) > 0 {
+		pl.RemoveContainer(pl.Containers()[0])
+		n++
+	}
+	return n
+}
+
+// EvacuatePool takes one of function fn's pools out of service at the
+// current virtual time: its containers are removed — as crashes or as a
+// graceful drain — and its snapshot image evicted, all accounted in the
+// function's stats. The cluster applies it to every pool of a failed or
+// draining host, then calls DispatchAll.
+func (d *Dispatcher) EvacuatePool(fn int, pl *faas.Platform, crashed bool) {
+	fs := d.fns[fn]
+	d.emptyPool(fs, pl, crashed)
+	fs.evictImage(pl)
 }
 
 // applyEvent executes one scheduled failure event against every targeted
 // function, then re-dispatches: a crash wave's queued requests must start
 // their recovery cold starts at the event's time, not the next arrival's.
-func (f *Fleet) applyEvent(ev Event) {
-	if f.err != nil {
+func (d *Dispatcher) applyEvent(ev Event) {
+	if d.err != nil {
 		return
 	}
-	for _, fs := range f.fns {
+	for _, fs := range d.fns {
 		if ev.Function != "" && fs.stats.Name != ev.Function {
 			continue
 		}
-		switch ev.Kind {
-		case EventCrashWave:
-			for {
-				cs := fs.platform.Containers()
-				if len(cs) == 0 {
-					break
-				}
-				fs.platform.RemoveContainer(cs[0])
-				fs.stats.EventCrashes++
-				if !fs.signalFree {
-					fs.observeCrash(f.engine.Now())
-				}
+		for _, pl := range fs.pools {
+			if pl == nil {
+				continue
 			}
-		case EventCorruptImage:
-			fs.platform.CorruptImage()
-		case EventDrain:
-			for {
-				cs := fs.platform.Containers()
-				if len(cs) == 0 {
-					break
-				}
-				fs.platform.RemoveContainer(cs[0])
-				fs.stats.Drained++
-			}
-			if fs.platform.EvictImage() {
-				fs.stats.ImagesEvicted++
+			switch ev.Kind {
+			case EventCrashWave:
+				d.emptyPool(fs, pl, true)
+			case EventCorruptImage:
+				pl.CorruptImage()
+			case EventDrain:
+				d.emptyPool(fs, pl, false)
+				fs.evictImage(pl)
 			}
 		}
-		f.dispatch(fs)
+		d.dispatch(fs)
 	}
 }
 
 // Teardown removes every container and evicts every deployment's snapshot
-// image, then reports the kernel's remaining in-use frame count. On a
+// image, then reports the provider's remaining in-use frame count. On a
 // leak-free fleet — any fault plan, any event schedule — the answer is the
-// kernel's baseline (0): every frame a partial or crashed operation touched
+// kernels' baseline (0): every frame a partial or crashed operation touched
 // was released.
-func (f *Fleet) Teardown() int {
-	for _, fs := range f.fns {
-		for {
-			cs := fs.platform.Containers()
-			if len(cs) == 0 {
-				break
+func (d *Dispatcher) Teardown() int {
+	for _, fs := range d.fns {
+		for _, pl := range fs.pools {
+			if pl == nil {
+				continue
 			}
-			fs.platform.RemoveContainer(cs[0])
-		}
-		fs.platform.EvictImage()
-	}
-	return f.kern.Phys.InUse()
-}
-
-// Kernel exposes the fleet's shared kernel (frame accounting assertions).
-func (f *Fleet) Kernel() *kernel.Kernel { return f.kern }
-
-// pickReady returns a container that can serve right now, or nil.
-func (f *Fleet) pickReady(fs *fnState, now sim.Time) *faas.Container {
-	for _, c := range fs.platform.Containers() {
-		if c.Ready() <= now {
-			return c
+			removeAll(pl)
+			pl.EvictImage()
 		}
 	}
-	return nil
+	return d.prov.FramesInUse()
 }
 
-// earliestReady returns the soonest ready time across the pool.
-func (f *Fleet) earliestReady(fs *fnState) sim.Time {
+// pickReady returns a container that can serve right now and its pool,
+// scanning the pools in order, or nil.
+func pickReady(fs *fnState, now sim.Time) (*faas.Container, *faas.Platform) {
+	for _, pl := range fs.pools {
+		if pl == nil {
+			continue
+		}
+		for _, c := range pl.Containers() {
+			if c.Ready() <= now {
+				return c, pl
+			}
+		}
+	}
+	return nil, nil
+}
+
+// earliestReady returns the soonest ready time across the function's pools.
+func earliestReady(fs *fnState) sim.Time {
 	var best sim.Time
-	for _, c := range fs.platform.Containers() {
-		if best == 0 || c.Ready() < best {
-			best = c.Ready()
+	for _, pl := range fs.pools {
+		if pl == nil {
+			continue
+		}
+		for _, c := range pl.Containers() {
+			if best == 0 || c.Ready() < best {
+				best = c.Ready()
+			}
 		}
 	}
 	return best

@@ -194,7 +194,7 @@ func TestInterarrivalMoments(t *testing.T) {
 		const n = 30000
 		var sum, sumSq float64
 		for i := 0; i < n; i++ {
-			v := float64(fs.interarrival(0)) / 1e6 // ms
+			v := float64(drawInterarrival(fs.load, fs.rng, 0)) / 1e6 // ms
 			sum += v
 			sumSq += v * v
 		}
@@ -233,18 +233,18 @@ func TestFleetReaperPreservesWarmFloor(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, fs := range f.fns {
-		if len(fs.platform.Containers()) < 1 {
+		if len(fs.pools[0].Containers()) < 1 {
 			t.Fatalf("%s scaled to zero without ScaleToZeroAfter", fs.stats.Name)
 		}
 	}
 	// Direct check too: a pool of one idle-forever container is untouchable.
 	fs := f.fns[0]
-	for len(fs.platform.Containers()) > 1 {
-		fs.platform.RemoveContainer(fs.platform.Containers()[1])
+	for len(fs.pools[0].Containers()) > 1 {
+		fs.pools[0].RemoveContainer(fs.pools[0].Containers()[1])
 	}
 	reapedBefore := fs.stats.Reaped
 	f.reapIdle(fs, f.engine.Now()+sim.Time(time.Hour))
-	if len(fs.platform.Containers()) != 1 || fs.stats.Reaped != reapedBefore {
+	if len(fs.pools[0].Containers()) != 1 || fs.stats.Reaped != reapedBefore {
 		t.Fatal("reaper touched the warm floor")
 	}
 }
@@ -260,27 +260,27 @@ func TestFleetReaperMultiReapAccounting(t *testing.T) {
 		t.Fatal(err)
 	}
 	fs := f.fns[0]
-	for len(fs.platform.Containers()) < 3 {
-		if _, err := fs.platform.AddContainer(); err != nil {
+	for len(fs.pools[0].Containers()) < 3 {
+		if _, err := fs.pools[0].AddContainer(); err != nil {
 			t.Fatal(err)
 		}
 	}
 	var latest sim.Time
-	for _, c := range fs.platform.Containers() {
+	for _, c := range fs.pools[0].Containers() {
 		if c.Ready() > latest {
 			latest = c.Ready()
 		}
 	}
 	f.engine.RunUntil(latest)
-	for _, c := range fs.platform.Containers() {
-		if _, err := fs.platform.Serve(c, ""); err != nil {
+	for _, c := range fs.pools[0].Containers() {
+		if _, err := fs.pools[0].Serve(c, ""); err != nil {
 			t.Fatal(err)
 		}
 	}
 	f.engine.Run() // let completions land
 
 	f.reapIdle(fs, f.engine.Now()+sim.Time(time.Hour))
-	if got := len(fs.platform.Containers()); got != 1 {
+	if got := len(fs.pools[0].Containers()); got != 1 {
 		t.Fatalf("pool = %d containers after reap, want the warm floor of 1", got)
 	}
 	if fs.stats.Reaped != 2 {
@@ -298,14 +298,14 @@ func TestFleetReapWhileBusy(t *testing.T) {
 		t.Fatal(err)
 	}
 	fs := f.fns[0]
-	if _, err := fs.platform.AddContainer(); err != nil {
+	if _, err := fs.pools[0].AddContainer(); err != nil {
 		t.Fatal(err)
 	}
-	c2 := fs.platform.Containers()[1]
+	c2 := fs.pools[0].Containers()[1]
 	f.engine.RunUntil(c2.Ready())
 	var minReady, maxReady sim.Time
-	for _, c := range fs.platform.Containers() {
-		if _, err := fs.platform.Serve(c, ""); err != nil {
+	for _, c := range fs.pools[0].Containers() {
+		if _, err := fs.pools[0].Serve(c, ""); err != nil {
 			t.Fatal(err)
 		}
 		// Each serve leaves the restore gate closed until Ready().
@@ -323,13 +323,13 @@ func TestFleetReapWhileBusy(t *testing.T) {
 	// Mid-cleanup: both containers' LastDone exceed the tiny TTL but their
 	// restore gates are still closed.
 	f.reapIdle(fs, minReady-1)
-	if fs.stats.Reaped != 0 || len(fs.platform.Containers()) != 2 {
-		t.Fatalf("busy container reaped: reaped=%d pool=%d", fs.stats.Reaped, len(fs.platform.Containers()))
+	if fs.stats.Reaped != 0 || len(fs.pools[0].Containers()) != 2 {
+		t.Fatalf("busy container reaped: reaped=%d pool=%d", fs.stats.Reaped, len(fs.pools[0].Containers()))
 	}
 	// Once the gates open, the extra container is fair game.
 	f.reapIdle(fs, maxReady+sim.Time(time.Hour))
-	if fs.stats.Reaped != 1 || len(fs.platform.Containers()) != 1 {
-		t.Fatalf("idle container survived: reaped=%d pool=%d", fs.stats.Reaped, len(fs.platform.Containers()))
+	if fs.stats.Reaped != 1 || len(fs.pools[0].Containers()) != 1 {
+		t.Fatalf("idle container survived: reaped=%d pool=%d", fs.stats.Reaped, len(fs.pools[0].Containers()))
 	}
 }
 
@@ -377,7 +377,7 @@ func TestFleetScaleToZeroEvictsImage(t *testing.T) {
 		t.Fatal(err)
 	}
 	fs := f.fns[0]
-	c, err := fs.platform.AddContainer() // clones from the warm floor donor
+	c, err := fs.pools[0].AddContainer() // clones from the warm floor donor
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -385,7 +385,7 @@ func TestFleetScaleToZeroEvictsImage(t *testing.T) {
 		t.Fatal("scale-up did not clone")
 	}
 	f.engine.RunUntil(c.Ready())
-	if _, err := fs.platform.Serve(c, ""); err != nil {
+	if _, err := fs.pools[0].Serve(c, ""); err != nil {
 		t.Fatal(err)
 	}
 	f.engine.Run()
@@ -394,7 +394,7 @@ func TestFleetScaleToZeroEvictsImage(t *testing.T) {
 	}
 
 	f.reapIdle(fs, f.engine.Now()+sim.Time(time.Hour))
-	if got := len(fs.platform.Containers()); got != 0 {
+	if got := len(fs.pools[0].Containers()); got != 0 {
 		t.Fatalf("pool = %d after scale-to-zero", got)
 	}
 	if fs.stats.ScaledToZero != 1 || fs.stats.ImagesEvicted != 1 {
@@ -486,12 +486,12 @@ func TestFleetReapsOrphanedNeverServedContainer(t *testing.T) {
 		t.Fatal(err)
 	}
 	fs := f.fns[0]
-	if _, err := fs.platform.AddContainer(); err != nil { // orphan: never serves
+	if _, err := fs.pools[0].AddContainer(); err != nil { // orphan: never serves
 		t.Fatal(err)
 	}
 	f.engine.Run()
 	f.reapIdle(fs, f.engine.Now()+sim.Time(time.Hour))
-	if got := len(fs.platform.Containers()); got != 0 {
+	if got := len(fs.pools[0].Containers()); got != 0 {
 		t.Fatalf("pool = %d; orphaned never-served container blocked scale-to-zero", got)
 	}
 	if fs.stats.ScaledToZero != 1 {
