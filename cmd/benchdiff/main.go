@@ -1,23 +1,30 @@
-// Command benchdiff is the CI benchmark-regression gate: it compares a
-// freshly generated benchmark JSON summary against its committed baseline
-// and exits non-zero on any allocation-count regression, >25% (by default)
-// drift of a deterministic virtual cost or frame count, or a shape change.
+// Command benchdiff is the CI benchmark-regression gate: it compares
+// freshly generated benchmark JSON summaries against their committed
+// baselines and exits non-zero on any allocation-count regression, >25% (by
+// default) drift of a deterministic virtual cost or frame count, or a shape
+// change.
 //
 // Usage:
 //
+//	benchdiff -baseline bench/baselines -current . -summary "$GITHUB_STEP_SUMMARY"
 //	benchdiff -baseline bench/baselines/BENCH_restore.json -current BENCH_restore.json
-//	benchdiff -baseline bench/baselines/BENCH_coldstart.json -current BENCH_coldstart.json -max-drift 0.25
-//	benchdiff -baseline ... -current ... -summary "$GITHUB_STEP_SUMMARY" -title cluster
+//	benchdiff -baseline ... -current ... -max-drift 0.25 -summary FILE -title cluster
+//
+// -baseline and -current are either two files or two directories. Given
+// directories (what CI does), every BENCH_*.json on either side must have a
+// same-named partner on the other — a missing one is a violation — and each
+// pair is compared like a pair of files.
 //
 // With -summary, a markdown table of every gated metric (baseline, current,
-// delta, rule, verdict) is appended to the given file — CI points it at
-// $GITHUB_STEP_SUMMARY so each run's headline numbers land on the job page,
-// pass or fail.
+// delta, rule, verdict) is appended to the given file, one table per pair —
+// CI points it at $GITHUB_STEP_SUMMARY so each run's headline numbers land
+// on the job page, pass or fail.
 //
 // Wall-clock and allocation-byte figures are machine-dependent and ignored;
 // see internal/benchdiff for the full per-field policy. To re-baseline after
-// an intentional performance change, regenerate the JSON with the same
-// ghbench flags CI uses and copy it over the file in bench/baselines/.
+// an intentional performance change, follow bench/README.md: regenerate with
+// `ghbench -e bench-all -out bench/baselines` and `ghload -bench`, and
+// regenerate bench/baselines/SHA256SUMS in the same commit.
 package main
 
 import (
@@ -31,14 +38,14 @@ import (
 
 func main() {
 	var (
-		baselinePath = flag.String("baseline", "", "committed baseline JSON (required)")
-		currentPath  = flag.String("current", "", "freshly generated JSON (required)")
+		baselinePath = flag.String("baseline", "", "committed baseline: a BENCH_*.json file, or a directory of them (required)")
+		currentPath  = flag.String("current", "", "freshly generated counterpart: a file, or a directory (required)")
 		maxDrift     = flag.Float64("max-drift", benchdiff.DefaultMaxDrift,
 			"relative drift tolerance for virtual costs and frame counts")
 		summaryPath = flag.String("summary", "",
 			"append a markdown table of gated metrics to this file (e.g. $GITHUB_STEP_SUMMARY); written before a failing exit")
 		title = flag.String("title", "",
-			"heading for the -summary table (defaults to the current file's name)")
+			"heading for a file pair's -summary table (defaults to the current file's name; directory mode heads each table with its file's name)")
 	)
 	flag.Parse()
 	if *baselinePath == "" || *currentPath == "" {
@@ -46,35 +53,21 @@ func main() {
 		flag.Usage()
 		os.Exit(2)
 	}
-	baseline, err := os.ReadFile(*baselinePath)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "benchdiff: %v\n", err)
-		os.Exit(2)
-	}
-	current, err := os.ReadFile(*currentPath)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "benchdiff: %v\n", err)
-		os.Exit(2)
-	}
-	violations, err := benchdiff.Compare(baseline, current, *maxDrift)
+	reports, err := compare(*baselinePath, *currentPath, *title, *maxDrift)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "benchdiff: %v\n", err)
 		os.Exit(2)
 	}
 	// The summary is appended before the verdict decides the exit code, so a
-	// failing gate still publishes its table to the CI job summary.
+	// failing gate still publishes its tables to the CI job summary.
 	if *summaryPath != "" {
-		if *title == "" {
-			*title = filepath.Base(*currentPath)
-		}
-		md, err := benchdiff.Summary(*title, baseline, current, *maxDrift)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "benchdiff: summary: %v\n", err)
-			os.Exit(2)
-		}
 		f, err := os.OpenFile(*summaryPath, os.O_APPEND|os.O_CREATE|os.O_WRONLY, 0o644)
 		if err == nil {
-			_, err = f.WriteString(md)
+			for _, r := range reports {
+				if _, err = f.WriteString(r.Summary); err != nil {
+					break
+				}
+			}
 			if cerr := f.Close(); err == nil {
 				err = cerr
 			}
@@ -84,13 +77,43 @@ func main() {
 			os.Exit(2)
 		}
 	}
-	if len(violations) > 0 {
-		fmt.Fprintf(os.Stderr, "benchdiff: %s vs %s: %d violation(s)\n",
-			*currentPath, *baselinePath, len(violations))
-		for _, v := range violations {
+	failed := 0
+	for _, r := range reports {
+		if len(r.Violations) == 0 {
+			continue
+		}
+		failed++
+		fmt.Fprintf(os.Stderr, "benchdiff: %s: %d violation(s)\n", r.Name, len(r.Violations))
+		for _, v := range r.Violations {
 			fmt.Fprintf(os.Stderr, "  %s\n", v)
 		}
+	}
+	if failed > 0 {
 		os.Exit(1)
 	}
-	fmt.Printf("benchdiff: %s matches %s\n", *currentPath, *baselinePath)
+	fmt.Printf("benchdiff: %s matches %s (%d file(s))\n", *currentPath, *baselinePath, len(reports))
+}
+
+// compare runs directory mode when both paths are directories and file mode
+// when both are files.
+func compare(baselinePath, currentPath, title string, maxDrift float64) ([]benchdiff.FileReport, error) {
+	bfi, err := os.Stat(baselinePath)
+	if err != nil {
+		return nil, err
+	}
+	cfi, err := os.Stat(currentPath)
+	if err != nil {
+		return nil, err
+	}
+	switch {
+	case bfi.IsDir() != cfi.IsDir():
+		return nil, fmt.Errorf("-baseline and -current must be two files or two directories")
+	case bfi.IsDir():
+		return benchdiff.CompareDirs(baselinePath, currentPath, maxDrift)
+	}
+	if title == "" {
+		title = filepath.Base(currentPath)
+	}
+	r, err := benchdiff.CompareFiles(title, baselinePath, currentPath, maxDrift)
+	return []benchdiff.FileReport{r}, err
 }

@@ -129,15 +129,18 @@
 // # Benchmark regression gate
 //
 // Committed baselines for the benchmark JSONs live under bench/baselines/,
-// generated with the exact flags CI uses (-quick). CI regenerates the JSONs
-// on every push and runs cmd/benchdiff against the baselines; any
+// each generated at the scale experiments.Registry records for its suite
+// (-quick for all but bench-fleet-xl) and pinned by digest in
+// bench/baselines/SHA256SUMS. CI regenerates the JSONs on every push
+// (ghbench -e bench-all) and runs cmd/benchdiff over the two directories; any
 // allocation-count regression, any >25% drift of a deterministic virtual
-// cost or frame count (in either direction), and any shape change fails the
-// build, while machine-dependent wall-clock and byte figures are ignored.
-// After an intentional performance change, re-baseline by regenerating and
-// committing the files (bench/README.md walks through the full policy):
+// cost or frame count (in either direction), any shape change and any file
+// without its partner fails the build, while machine-dependent wall-clock
+// and byte figures are ignored. After an intentional performance change,
+// re-baseline by regenerating and committing the files together with
+// SHA256SUMS (bench/README.md walks through the full policy):
 //
-//	go run ./cmd/ghbench -e bench-restore -quick -restore-json bench/baselines/BENCH_restore.json
-//	go run ./cmd/ghbench -e bench-coldstart -quick -coldstart-json bench/baselines/BENCH_coldstart.json
-//	go run ./cmd/ghbench -e bench-fleet -quick -fleet-json bench/baselines/BENCH_fleet.json
+//	go run ./cmd/ghbench -e bench-all -out bench/baselines
+//	go run ./cmd/ghload -bench bench/baselines/BENCH_server.json -duration 3s
+//	(cd bench/baselines && sha256sum BENCH_*.json > SHA256SUMS)
 package groundhog

@@ -111,7 +111,11 @@ func TestDocsBenchReferencesResolve(t *testing.T) {
 				t.Errorf("%s mentions %s but %s does not exist", f, name, baseline)
 			}
 		}
-		for _, m := range codeSpan.FindAllStringSubmatch(doc, -1) {
+		// Fences go first: codeSpan would pair a fence's last backtick with
+		// the first backtick of the prose after it and read every later
+		// span inside out.
+		prose := anyFence.ReplaceAllString(doc, "")
+		for _, m := range codeSpan.FindAllStringSubmatch(prose, -1) {
 			// Only the leading token is a path claim ("cmd/benchdiff
 			// -baseline ..." names the command, not a file called that);
 			// globs like `cmd/*` are patterns, not paths.
@@ -135,6 +139,8 @@ func TestDocsBenchReferencesResolve(t *testing.T) {
 		}
 	}
 }
+
+var anyFence = regexp.MustCompile("(?s)```.*?```")
 
 var goFence = regexp.MustCompile("(?s)```go\n(.*?)```")
 

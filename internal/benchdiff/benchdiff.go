@@ -1,7 +1,10 @@
 // Package benchdiff compares freshly generated benchmark JSON summaries
 // (BENCH_restore.json, BENCH_coldstart.json) against committed baselines
 // (bench/baselines/) and reports regressions. It is the library behind
-// cmd/benchdiff, the CI benchmark gate.
+// cmd/benchdiff, the CI benchmark gate: Compare and Summary judge one pair
+// of documents, CompareFiles one pair of files, and CompareDirs every
+// BENCH_*.json of two directories, where a file without a same-named
+// partner on the other side is itself a violation.
 //
 // Both documents are flattened into path -> leaf maps (array elements by
 // index, e.g. "[0].fleet[2].frames_in_use") and every baseline leaf is
@@ -36,6 +39,8 @@ package benchdiff
 import (
 	"encoding/json"
 	"fmt"
+	"os"
+	"path/filepath"
 	"sort"
 	"strings"
 )
@@ -94,6 +99,95 @@ func Compare(baseline, current []byte, maxDrift float64) ([]Violation, error) {
 		}
 	}
 	return out, nil
+}
+
+// FileReport is the outcome of comparing one baseline/current file pair.
+type FileReport struct {
+	Name       string // the summary heading; the file's name in directory mode
+	Violations []Violation
+	Summary    string // the pair's Summary table
+}
+
+// CompareFiles reads one baseline/current pair of files and returns its
+// violations and its Summary table under the given heading.
+func CompareFiles(name, baselinePath, currentPath string, maxDrift float64) (FileReport, error) {
+	baseline, err := os.ReadFile(baselinePath)
+	if err != nil {
+		return FileReport{}, err
+	}
+	current, err := os.ReadFile(currentPath)
+	if err != nil {
+		return FileReport{}, err
+	}
+	r := FileReport{Name: name}
+	if r.Violations, err = Compare(baseline, current, maxDrift); err != nil {
+		return FileReport{}, fmt.Errorf("%s: %w", name, err)
+	}
+	if r.Summary, err = Summary(name, baseline, current, maxDrift); err != nil {
+		return FileReport{}, fmt.Errorf("%s: %w", name, err)
+	}
+	return r, nil
+}
+
+// CompareDirs compares the BENCH_*.json files of two directories pairwise by
+// file name and returns one report per name, sorted. Every file on either
+// side must have a partner on the other: a baseline nothing regenerated is a
+// suite that silently stopped running, and a fresh file with no baseline is
+// a suite nobody gates, so both are violations rather than skips.
+func CompareDirs(baselineDir, currentDir string, maxDrift float64) ([]FileReport, error) {
+	inBaseline, err := benchFiles(baselineDir)
+	if err != nil {
+		return nil, err
+	}
+	inCurrent, err := benchFiles(currentDir)
+	if err != nil {
+		return nil, err
+	}
+	names := make([]string, 0, len(inBaseline))
+	for name := range inBaseline {
+		names = append(names, name)
+	}
+	for name := range inCurrent {
+		if !inBaseline[name] {
+			names = append(names, name)
+		}
+	}
+	if len(names) == 0 {
+		return nil, fmt.Errorf("benchdiff: no BENCH_*.json in %s or %s", baselineDir, currentDir)
+	}
+	sort.Strings(names)
+
+	reports := make([]FileReport, 0, len(names))
+	for _, name := range names {
+		if inBaseline[name] && inCurrent[name] {
+			r, err := CompareFiles(name, filepath.Join(baselineDir, name), filepath.Join(currentDir, name), maxDrift)
+			if err != nil {
+				return nil, err
+			}
+			reports = append(reports, r)
+			continue
+		}
+		v := Violation{Path: name, Baseline: "present", Current: "-", Reason: "no current file for this baseline"}
+		if inCurrent[name] {
+			v = Violation{Path: name, Baseline: "-", Current: "present", Reason: "no committed baseline for this file"}
+		}
+		reports = append(reports, FileReport{Name: name, Violations: []Violation{v},
+			Summary: fmt.Sprintf("### %s\n\n:x: %s\n\n", name, v.Reason)})
+	}
+	return reports, nil
+}
+
+// benchFiles returns the names of the BENCH_*.json files directly in dir.
+func benchFiles(dir string) (map[string]bool, error) {
+	paths, err := filepath.Glob(filepath.Join(dir, "BENCH_*.json"))
+	if err != nil {
+		return nil, err
+	}
+	names := make(map[string]bool, len(paths))
+	for _, p := range paths {
+		names[filepath.Base(p)] = true
+	}
+	return names, nil
 }
 
 // flattenDocs parses both documents and returns their leaf maps plus the

@@ -1,6 +1,8 @@
 package benchdiff
 
 import (
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 )
@@ -216,6 +218,43 @@ func TestMissingAndRelabeledEntriesFail(t *testing.T) {
 	}
 	if !found {
 		t.Fatalf("missing metric not reported: %v", vs)
+	}
+
+	// The same rule one level up: in directory mode a baseline that nothing
+	// regenerated and a fresh file that nothing gates are both violations,
+	// next to a matched pair judged by the leaf rules (here: the relabel).
+	bdir, cdir := t.TempDir(), t.TempDir()
+	for path, doc := range map[string]string{
+		filepath.Join(bdir, "BENCH_paired.json"):      baseline,
+		filepath.Join(cdir, "BENCH_paired.json"):      strings.Replace(baseline, `"tracker": "soft-dirty"`, `"tracker": "uffd"`, 1),
+		filepath.Join(bdir, "BENCH_stopped.json"):     baseline,
+		filepath.Join(cdir, "BENCH_unbaselined.json"): baseline,
+		filepath.Join(bdir, "SHA256SUMS"):             "not a benchmark file",
+	} {
+		if err := os.WriteFile(path, []byte(doc), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	reports, err := CompareDirs(bdir, cdir, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := []struct{ name, reason string }{
+		{"BENCH_paired.json", "identity"},
+		{"BENCH_stopped.json", "no current file"},
+		{"BENCH_unbaselined.json", "no committed baseline"},
+	}
+	if len(reports) != len(want) {
+		t.Fatalf("CompareDirs reported %d files, want %d: %+v", len(reports), len(want), reports)
+	}
+	for i, w := range want {
+		r := reports[i]
+		if r.Name != w.name || len(r.Violations) != 1 || !strings.Contains(r.Violations[0].Reason, w.reason) {
+			t.Errorf("report %d = %s %v, want %s with one %q violation", i, r.Name, r.Violations, w.name, w.reason)
+		}
+		if !strings.Contains(r.Summary, "### "+w.name) || !strings.Contains(r.Summary, ":x:") {
+			t.Errorf("%s: summary does not head its own failing table:\n%s", w.name, r.Summary)
+		}
 	}
 }
 

@@ -2,53 +2,53 @@ package experiments
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"encoding/hex"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 )
 
-// TestQuickBaselinesReproduce runs the five dispatcher-bound suites with the
-// configuration `ghbench -e bench-<suite> -quick` uses, marshals each summary
-// as ghbench does, and compares the bytes with the committed baseline. CI's
-// sha256 step proves the baseline files were not edited; this proves the code
-// still produces them — a change to the dispatcher, the cluster's placement
-// ladder or anything under them that moves a deterministic output fails here,
-// in tier-1, before any benchdiff tolerance can absorb it.
-func TestQuickBaselinesReproduce(t *testing.T) {
-	cfg := Quick()
-	cfg.MaxBenchmarks = 0 // ghbench: -benchmarks controls truncation explicitly
-	cfg.Seed = 1          // ghbench's -seed default
+var baselineDir = filepath.Join("..", "..", "bench", "baselines")
 
-	suites := []struct {
-		name string
-		run  func() (any, error)
-	}{
-		{"fleet", func() (any, error) {
-			res, err := FleetBench(cfg, true)
-			return []FleetBenchResult{res}, err
-		}},
-		{"policy", func() (any, error) {
-			res, err := PolicyBench(cfg, true)
-			return []PolicyBenchResult{res}, err
-		}},
-		{"faults", func() (any, error) {
-			res, err := FaultsBench(cfg, true)
-			return []FaultsBenchResult{res}, err
-		}},
-		{"cluster", func() (any, error) { return ClusterBench(cfg, true) }},
-		{"scenarios", func() (any, error) {
-			res, err := ScenariosBench(cfg, true)
-			return []ScenariosBenchResult{res}, err
-		}},
+// committedBaselines returns the names of the BENCH_*.json files in
+// bench/baselines/.
+func committedBaselines(t *testing.T) map[string]bool {
+	t.Helper()
+	paths, err := filepath.Glob(filepath.Join(baselineDir, "BENCH_*.json"))
+	if err != nil {
+		t.Fatal(err)
 	}
-	for _, s := range suites {
-		t.Run(s.name, func(t *testing.T) {
-			path := filepath.Join("..", "..", "bench", "baselines", "BENCH_"+s.name+".json")
+	names := map[string]bool{}
+	for _, p := range paths {
+		names[filepath.Base(p)] = true
+	}
+	return names
+}
+
+// TestQuickBaselinesReproduce runs every byte-deterministic suite of the
+// Registry at the scale its baseline was generated at, with ghbench's default
+// configuration, marshals each summary as ghbench does, and compares the
+// bytes with the committed baseline. SHA256SUMS proves the baseline files
+// were not edited; this proves the code still produces them — a change to
+// the dispatcher, the cluster's placement ladder or anything under them that
+// moves a deterministic output fails here, in tier-1, before any benchdiff
+// tolerance can absorb it. The suites with wall-clock or allocation leaves
+// (bench-restore, bench-fleet-xl) stay with benchdiff in CI.
+func TestQuickBaselinesReproduce(t *testing.T) {
+	cfg := Default() // ghbench -e bench-all: default scale, -seed 1
+	for _, e := range Registry {
+		if !e.Deterministic {
+			continue
+		}
+		t.Run(e.Name, func(t *testing.T) {
+			path := filepath.Join(baselineDir, e.Artifact)
 			want, err := os.ReadFile(path)
 			if err != nil {
 				t.Fatal(err)
 			}
-			res, err := s.run()
+			res, _, err := e.Run(cfg, !e.FullWindow)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -57,9 +57,48 @@ func TestQuickBaselinesReproduce(t *testing.T) {
 				t.Fatal(err)
 			}
 			if !bytes.Equal(got, want) {
-				t.Fatalf("bench-%s -quick no longer reproduces %s byte-for-byte (run `go run ./cmd/ghbench -e bench-%s -quick` and diff)",
-					s.name, path, s.name)
+				t.Fatalf("%s no longer reproduces %s byte-for-byte (run `go run ./cmd/ghbench -e bench-all -out DIR` and diff)",
+					e.Name, path)
 			}
 		})
+	}
+}
+
+// TestBaselinesPinned holds bench/baselines/SHA256SUMS and the directory to
+// each other: every BENCH_*.json has a line, every line has its file, and
+// the digests match — what CI's `sha256sum -c` checks, plus the unlisted
+// file it cannot see. A baseline may only change together with its line,
+// and the reason belongs in CHANGES.md.
+func TestBaselinesPinned(t *testing.T) {
+	blob, err := os.ReadFile(filepath.Join(baselineDir, "SHA256SUMS"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	pinned := map[string]string{}
+	for _, line := range strings.Split(strings.TrimSpace(string(blob)), "\n") {
+		f := strings.Fields(line)
+		if len(f) != 2 || pinned[f[1]] != "" {
+			t.Fatalf("SHA256SUMS: malformed or repeated line %q", line)
+		}
+		pinned[f[1]] = f[0]
+	}
+	for name := range committedBaselines(t) {
+		want, ok := pinned[name]
+		if !ok {
+			t.Errorf("%s has no line in SHA256SUMS", name)
+			continue
+		}
+		delete(pinned, name)
+		data, err := os.ReadFile(filepath.Join(baselineDir, name))
+		if err != nil {
+			t.Fatal(err)
+		}
+		sum := sha256.Sum256(data)
+		if got := hex.EncodeToString(sum[:]); got != want {
+			t.Errorf("%s: sha256 %s, SHA256SUMS pins %s", name, got, want)
+		}
+	}
+	for name := range pinned {
+		t.Errorf("SHA256SUMS pins %s, which is not in %s", name, baselineDir)
 	}
 }

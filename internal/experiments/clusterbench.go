@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"time"
 
-	"groundhog/internal/catalog"
 	"groundhog/internal/cluster"
 	"groundhog/internal/faults"
 	"groundhog/internal/isolation"
@@ -94,22 +93,12 @@ const clusterHosts = 4
 // ClusterBench runs the multi-host placement benchmark: the fleetMix
 // workload on a clusterHosts-host GH cluster, once per built-in placer
 // (locality-aware, round-robin, pack-first), each under the same fault
-// plan, host failure, and drain. Deterministic for a fixed seed; quick
-// mirrors FleetBench's reduced scale (half window, three functions) and
-// must track the CI flag the baselines were generated with.
+// plan, host failure, and drain. Deterministic for a fixed seed; quick is
+// FleetBench's reduced scale (fleetMixLoads: half window, three functions).
 func ClusterBench(cfg Config, quick bool) ([]ClusterBenchResult, error) {
-	var loads []trace.FunctionLoad
-	for _, m := range fleetMix {
-		e, err := catalog.Lookup(m.name)
-		if err != nil {
-			return nil, err
-		}
-		loads = append(loads, trace.FunctionLoad{Entry: e, RatePerSec: m.rate, Burstiness: m.burst})
-	}
-	window := sim.Duration(4 * time.Second)
-	if quick {
-		window = sim.Duration(2 * time.Second)
-		loads = loads[:3]
+	loads, window, err := fleetMixLoads(quick)
+	if err != nil {
+		return nil, err
 	}
 
 	var out []ClusterBenchResult

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"time"
 
-	"groundhog/internal/catalog"
 	"groundhog/internal/faults"
 	"groundhog/internal/metrics"
 	"groundhog/internal/sim"
@@ -92,21 +91,12 @@ func faultsEvents(window sim.Duration) []trace.Event {
 // three scheduled failure events (faultsEvents), then a full teardown. The
 // run is deterministic for a fixed seed — the fault plan draws from its own
 // seeded per-site streams — so the emitted JSON is byte-stable and gated.
-// quick mirrors FleetBench's reduced scale (half window, three functions)
-// and must track the CI flag the baselines were generated with.
+// quick is FleetBench's reduced scale (fleetMixLoads: half window, three
+// functions).
 func FaultsBench(cfg Config, quick bool) (FaultsBenchResult, error) {
-	var loads []trace.FunctionLoad
-	for _, m := range fleetMix {
-		e, err := catalog.Lookup(m.name)
-		if err != nil {
-			return FaultsBenchResult{}, err
-		}
-		loads = append(loads, trace.FunctionLoad{Entry: e, RatePerSec: m.rate, Burstiness: m.burst})
-	}
-	window := sim.Duration(4 * time.Second)
-	if quick {
-		window = sim.Duration(2 * time.Second)
-		loads = loads[:3]
+	loads, window, err := fleetMixLoads(quick)
+	if err != nil {
+		return FaultsBenchResult{}, err
 	}
 
 	tc := fleetBenchConfig(cfg, window)

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"time"
 
-	"groundhog/internal/catalog"
 	"groundhog/internal/isolation"
 	"groundhog/internal/metrics"
 	"groundhog/internal/sim"
@@ -108,21 +107,12 @@ func fleetBenchConfig(cfg Config, window sim.Duration) trace.Config {
 // variants serve exactly the same request trace. quick halves the window
 // and truncates the mix; it is an explicit parameter (not inferred from
 // cfg.MaxBenchmarks, the catalog-truncation knob) because it changes the
-// gated JSON's shape and must track exactly the CI flag the baselines were
-// generated with.
+// gated JSON's shape and must be the scale the suite's Registry entry
+// records for its baseline.
 func FleetBench(cfg Config, quick bool) (FleetBenchResult, error) {
-	var loads []trace.FunctionLoad
-	for _, m := range fleetMix {
-		e, err := catalog.Lookup(m.name)
-		if err != nil {
-			return FleetBenchResult{}, err
-		}
-		loads = append(loads, trace.FunctionLoad{Entry: e, RatePerSec: m.rate, Burstiness: m.burst})
-	}
-	window := sim.Duration(4 * time.Second)
-	if quick {
-		window = sim.Duration(2 * time.Second)
-		loads = loads[:3]
+	loads, window, err := fleetMixLoads(quick)
+	if err != nil {
+		return FleetBenchResult{}, err
 	}
 
 	res := FleetBenchResult{

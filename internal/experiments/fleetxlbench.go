@@ -6,7 +6,6 @@ import (
 	"runtime"
 	"time"
 
-	"groundhog/internal/catalog"
 	"groundhog/internal/isolation"
 	"groundhog/internal/metrics"
 	"groundhog/internal/runtimes"
@@ -45,15 +44,7 @@ func microProfile(name string, totalPages, dirtyPages int, execMS float64) runti
 // machinery busy without dominating volume. Rates are per-second of
 // simulated time; the window is sized so the sum comfortably clears a
 // million requests.
-var fleetXLMix = []struct {
-	name   string
-	micro  runtimes.Profile // synthetic head function (name empty)
-	rate   float64
-	burst  float64
-	amp    float64       // diurnal amplitude (0 = flat)
-	period time.Duration // diurnal period
-	phase  float64       // diurnal phase offset, radians
-}{
+var fleetXLMix = []mixEntry{
 	// Tier 0: the microservice head — bursty...
 	{micro: microProfile("u-auth", 192, 5, 0.9), rate: 6000, burst: 4},
 	{micro: microProfile("u-router", 160, 4, 0.7), rate: 5000, burst: 3},
@@ -140,24 +131,9 @@ type FleetXLBenchResult struct {
 // quick shrinks the window ~60x for unit tests; the CI gate and the
 // committed baseline use the full window.
 func FleetXLBench(cfg Config, quick bool) (FleetXLBenchResult, error) {
-	var loads []trace.FunctionLoad
-	for _, m := range fleetXLMix {
-		e := catalog.Entry{Prof: m.micro}
-		if m.name != "" {
-			var err error
-			e, err = catalog.Lookup(m.name)
-			if err != nil {
-				return FleetXLBenchResult{}, err
-			}
-		}
-		loads = append(loads, trace.FunctionLoad{
-			Entry:            e,
-			RatePerSec:       m.rate,
-			Burstiness:       m.burst,
-			DiurnalAmplitude: m.amp,
-			DiurnalPeriod:    sim.Duration(m.period),
-			DiurnalPhase:     m.phase,
-		})
+	loads, err := mixLoads(fleetXLMix)
+	if err != nil {
+		return FleetXLBenchResult{}, err
 	}
 	window := sim.Duration(40 * time.Second)
 	if quick {

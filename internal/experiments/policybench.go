@@ -4,9 +4,7 @@ import (
 	"fmt"
 	"time"
 
-	"groundhog/internal/catalog"
 	"groundhog/internal/metrics"
-	"groundhog/internal/sim"
 	"groundhog/internal/trace"
 )
 
@@ -55,20 +53,11 @@ type PolicyBenchResult struct {
 // seed on a clone-enabled fleet, so the only variable is when the fleet
 // scales. Arrivals are independent of dispatch, so every policy serves
 // exactly the same request trace. quick halves the window and truncates the
-// mix, tracking the CI flag the baselines were generated with.
+// mix (fleetMixLoads).
 func PolicyBench(cfg Config, quick bool) (PolicyBenchResult, error) {
-	var loads []trace.FunctionLoad
-	for _, m := range fleetMix {
-		e, err := catalog.Lookup(m.name)
-		if err != nil {
-			return PolicyBenchResult{}, err
-		}
-		loads = append(loads, trace.FunctionLoad{Entry: e, RatePerSec: m.rate, Burstiness: m.burst})
-	}
-	window := sim.Duration(4 * time.Second)
-	if quick {
-		window = sim.Duration(2 * time.Second)
-		loads = loads[:3]
+	loads, window, err := fleetMixLoads(quick)
+	if err != nil {
+		return PolicyBenchResult{}, err
 	}
 
 	base := fleetBenchConfig(cfg, window)

@@ -77,8 +77,8 @@ type ScenariosBenchResult struct {
 // overlays — each on its own clone-scale-out GH fleet, and summarizes them
 // for BENCH_scenarios.json. Each run is deterministic for a fixed seed, so
 // the emitted JSON is byte-stable and gated. quick mirrors the other
-// suites' reduced scale (half window, lower scenario rates) and must track
-// exactly the CI flag the baselines were generated with.
+// suites' reduced scale (half window, lower scenario rates) and must be the
+// scale the suite's Registry entry records for its baseline.
 func ScenariosBench(cfg Config, quick bool) (ScenariosBenchResult, error) {
 	window := sim.Duration(4 * time.Second)
 	if quick {
