@@ -1,30 +1,28 @@
-// Command benchdiff is the CI benchmark-regression gate: it compares
-// freshly generated benchmark JSON summaries against their committed
-// baselines and exits non-zero on any allocation-count regression, >25% (by
-// default) drift of a deterministic virtual cost or frame count, or a shape
-// change.
+// Command benchdiff is the CI benchmark gate: it compares freshly generated
+// benchmark JSON summaries against their committed baselines and exits
+// non-zero unless every pair is byte-identical. The baselines are outputs of
+// a seeded simulation, so there is nothing to tolerate; on a mismatch it
+// names each leaf that moved, vanished or appeared, and by how much.
 //
 // Usage:
 //
-//	benchdiff -baseline bench/baselines -current . -summary "$GITHUB_STEP_SUMMARY"
+//	benchdiff -baseline bench/baselines -current DIR -summary "$GITHUB_STEP_SUMMARY"
 //	benchdiff -baseline bench/baselines/BENCH_restore.json -current BENCH_restore.json
-//	benchdiff -baseline ... -current ... -max-drift 0.25 -summary FILE -title cluster
+//	benchdiff -baseline ... -current ... -summary FILE -title cluster
 //
 // -baseline and -current are either two files or two directories. Given
 // directories (what CI does), every BENCH_*.json on either side must have a
 // same-named partner on the other — a missing one is a violation — and each
 // pair is compared like a pair of files.
 //
-// With -summary, a markdown table of every gated metric (baseline, current,
-// delta, rule, verdict) is appended to the given file, one table per pair —
-// CI points it at $GITHUB_STEP_SUMMARY so each run's headline numbers land
-// on the job page, pass or fail.
+// With -summary, each pair's verdict — and on a mismatch a markdown table of
+// the differing leaves (baseline, current, delta) — is appended to the given
+// file; CI points it at $GITHUB_STEP_SUMMARY so a failing gate explains
+// itself on the job page.
 //
-// Wall-clock and allocation-byte figures are machine-dependent and ignored;
-// see internal/benchdiff for the full per-field policy. To re-baseline after
-// an intentional performance change, follow bench/README.md: regenerate with
-// `ghbench -e bench-all -out bench/baselines` and `ghload -bench`, and
-// regenerate bench/baselines/SHA256SUMS in the same commit.
+// To re-baseline after an intentional change, follow bench/README.md:
+// regenerate with `ghbench -e bench-all -out bench/baselines` and regenerate
+// bench/baselines/SHA256SUMS in the same commit.
 package main
 
 import (
@@ -40,12 +38,10 @@ func main() {
 	var (
 		baselinePath = flag.String("baseline", "", "committed baseline: a BENCH_*.json file, or a directory of them (required)")
 		currentPath  = flag.String("current", "", "freshly generated counterpart: a file, or a directory (required)")
-		maxDrift     = flag.Float64("max-drift", benchdiff.DefaultMaxDrift,
-			"relative drift tolerance for virtual costs and frame counts")
-		summaryPath = flag.String("summary", "",
-			"append a markdown table of gated metrics to this file (e.g. $GITHUB_STEP_SUMMARY); written before a failing exit")
+		summaryPath  = flag.String("summary", "",
+			"append each pair's verdict and differing leaves, as markdown, to this file (e.g. $GITHUB_STEP_SUMMARY); written before a failing exit")
 		title = flag.String("title", "",
-			"heading for a file pair's -summary table (defaults to the current file's name; directory mode heads each table with its file's name)")
+			"heading for a file pair's -summary entry (defaults to the current file's name; directory mode heads each entry with its file's name)")
 	)
 	flag.Parse()
 	if *baselinePath == "" || *currentPath == "" {
@@ -53,7 +49,7 @@ func main() {
 		flag.Usage()
 		os.Exit(2)
 	}
-	reports, err := compare(*baselinePath, *currentPath, *title, *maxDrift)
+	reports, err := compare(*baselinePath, *currentPath, *title)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "benchdiff: %v\n", err)
 		os.Exit(2)
@@ -96,7 +92,7 @@ func main() {
 
 // compare runs directory mode when both paths are directories and file mode
 // when both are files.
-func compare(baselinePath, currentPath, title string, maxDrift float64) ([]benchdiff.FileReport, error) {
+func compare(baselinePath, currentPath, title string) ([]benchdiff.FileReport, error) {
 	bfi, err := os.Stat(baselinePath)
 	if err != nil {
 		return nil, err
@@ -109,11 +105,11 @@ func compare(baselinePath, currentPath, title string, maxDrift float64) ([]bench
 	case bfi.IsDir() != cfi.IsDir():
 		return nil, fmt.Errorf("-baseline and -current must be two files or two directories")
 	case bfi.IsDir():
-		return benchdiff.CompareDirs(baselinePath, currentPath, maxDrift)
+		return benchdiff.CompareDirs(baselinePath, currentPath)
 	}
 	if title == "" {
 		title = filepath.Base(currentPath)
 	}
-	r, err := benchdiff.CompareFiles(title, baselinePath, currentPath, maxDrift)
+	r, err := benchdiff.CompareFiles(title, baselinePath, currentPath)
 	return []benchdiff.FileReport{r}, err
 }

@@ -1,22 +1,23 @@
 // Command ghload drives a live Groundhog serving stack with real load and
 // reports client-observed throughput and latency. By default it
 // self-hosts: server + gateway + both listeners in-process on loopback,
-// so one command measures the whole serving path with zero setup. Point
-// it at an external ghserve with -url / -binary-addr instead.
+// so one command drives the whole serving path with zero setup. Point
+// it at an external ghserve with -url / -binary-addr instead. The numbers
+// it prints are uncalibrated; the serving path's measured cost is
+// bench/e2e's live-closed and live-open workloads.
 //
 //	ghload -duration 5s                       # closed loop, HTTP, self-hosted
 //	ghload -transport binary -workers 16      # binary protocol
 //	ghload -loop open -rate 2000 -burstiness 4
 //	ghload -url http://localhost:8080 -fn 'json (p)' -mode fork
-//	ghload -bench BENCH_server.json           # benchmark suite for benchdiff
 //
 // Exit status is nonzero when the run saw any transport error, any lost
 // (unaccounted) request, leaked snapshot frames at shutdown, or zero
-// successful responses — CI's smoke step leans on that contract.
+// successful responses — CI's smoke steps (one per transport) lean on that
+// contract.
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"log"
@@ -46,16 +47,8 @@ func main() {
 		bodyBytes = flag.Int("body-bytes", 512, "request payload size (echoed and verified)")
 		seed      = flag.Uint64("seed", 1, "open-loop arrival process seed")
 		quiet     = flag.Bool("quiet", false, "suppress the live progress line")
-		benchPath = flag.String("bench", "", "run the benchmark suite and write its JSON summary to this path (ignores load flags)")
 	)
 	flag.Parse()
-
-	if *benchPath != "" {
-		if err := runBench(*benchPath, *duration); err != nil {
-			log.Fatalf("ghload: %v", err)
-		}
-		return
-	}
 
 	target, err := resolveTarget(*urlFlag, *binFlag, *transport)
 	if err != nil {
@@ -180,154 +173,4 @@ func selfHost() (*target, error) {
 			return leaked
 		},
 	}, nil
-}
-
-// --- benchmark suite -----------------------------------------------------
-
-// benchFn / benchBody are the suite's fixed workload: a representative
-// small python function and a mid-size payload.
-const (
-	benchFn      = "get-time (p)"
-	benchBody    = 512
-	benchWorkers = 8
-)
-
-// serveBenchEntry is one closed-loop load measurement in
-// BENCH_server.json. Leaf naming follows benchdiff's rules: per_sec is
-// floor-gated, lost_requests and leaked_frames are exact invariants,
-// latency/wall fields are informational.
-type serveBenchEntry struct {
-	Benchmark       string  `json:"benchmark"`
-	Transport       string  `json:"transport"`
-	Loop            string  `json:"loop"`
-	Fn              string  `json:"fn"`
-	Workers         int     `json:"workers"`
-	BodyBytes       int     `json:"body_bytes"`
-	Requests        int     `json:"requests"`
-	OK              int     `json:"ok"`
-	Rejected        int     `json:"rejected"`
-	Transient       int     `json:"transient"`
-	TransportErrors int     `json:"transport_errors"`
-	LostRequests    int     `json:"lost_requests"`
-	LeakedFrames    int     `json:"leaked_frames"`
-	WallMs          float64 `json:"wall_ms"`
-	PerSec          float64 `json:"per_sec"`
-	P50Ms           float64 `json:"e2e_p50_ms"`
-	P95Ms           float64 `json:"e2e_p95_ms"`
-	P99Ms           float64 `json:"e2e_p99_ms"`
-}
-
-// hotpathBenchEntry commits the differential allocation profile; every
-// *allocs* leaf is regression-gated by benchdiff (+0.5 allocs/request).
-type hotpathBenchEntry struct {
-	Benchmark      string  `json:"benchmark"`
-	Fn             string  `json:"fn"`
-	BodyBytes      int     `json:"body_bytes"`
-	Bare           float64 `json:"bare_invoke_allocs_per_request"`
-	HTTP           float64 `json:"http_allocs_per_request"`
-	HTTPOverhead   float64 `json:"http_gateway_overhead_allocs_per_request"`
-	Binary         float64 `json:"binary_allocs_per_request"`
-	BinaryOverhead float64 `json:"binary_gateway_overhead_allocs_per_request"`
-}
-
-// runBench measures both transports closed-loop against fresh self-hosted
-// stacks, profiles the hot path's allocations, and writes the three-entry
-// JSON summary benchdiff gates in CI.
-func runBench(path string, duration time.Duration) error {
-	body := bodyOf(benchBody)
-
-	httpEntry, err := benchServe("server-http", duration, body, func(t *target) loadgen.Dial {
-		return loadgen.HTTPDial(t.httpURL, benchFn, "")
-	})
-	if err != nil {
-		return err
-	}
-	binEntry, err := benchServe("server-binary", duration, body, func(t *target) loadgen.Dial {
-		return loadgen.BinaryDial(t.binAddr, benchFn, "")
-	})
-	if err != nil {
-		return err
-	}
-	binEntry.Transport = "binary"
-
-	fmt.Fprintln(os.Stderr, "ghload: profiling hot-path allocations")
-	allocs, err := loadgen.MeasureHotpathAllocs(benchFn, benchBody)
-	if err != nil {
-		return err
-	}
-	hotEntry := hotpathBenchEntry{
-		Benchmark:      "server-hotpath",
-		Fn:             benchFn,
-		BodyBytes:      benchBody,
-		Bare:           round2(allocs.BarePerRequest),
-		HTTP:           round2(allocs.HTTPPerRequest),
-		HTTPOverhead:   round2(allocs.HTTPOverhead),
-		Binary:         round2(allocs.BinaryPerRequest),
-		BinaryOverhead: round2(allocs.BinaryOverhead),
-	}
-
-	return writeBenchJSON(path, []any{httpEntry, binEntry, hotEntry})
-}
-
-// benchServe runs one closed-loop measurement against a fresh
-// self-hosted stack.
-func benchServe(name string, duration time.Duration, body []byte, dial func(*target) loadgen.Dial) (serveBenchEntry, error) {
-	fmt.Fprintf(os.Stderr, "ghload: running %s (closed loop, %d workers, %s)\n", name, benchWorkers, duration)
-	stack, err := selfHost()
-	if err != nil {
-		return serveBenchEntry{}, err
-	}
-	res, err := loadgen.Run(loadgen.Config{
-		Dial:     dial(stack),
-		Closed:   true,
-		Workers:  benchWorkers,
-		Duration: duration,
-		Body:     body,
-		Report:   os.Stderr,
-	})
-	leaked := stack.close()
-	if err != nil {
-		return serveBenchEntry{}, fmt.Errorf("%s: %w", name, err)
-	}
-	if res.OK == 0 {
-		return serveBenchEntry{}, fmt.Errorf("%s: zero successful requests", name)
-	}
-	return serveBenchEntry{
-		Benchmark:       name,
-		Transport:       "http",
-		Loop:            "closed",
-		Fn:              benchFn,
-		Workers:         benchWorkers,
-		BodyBytes:       len(body),
-		Requests:        res.Requests,
-		OK:              res.OK,
-		Rejected:        res.Rejected,
-		Transient:       res.Transient,
-		TransportErrors: res.Errors,
-		LostRequests:    res.Lost,
-		LeakedFrames:    leaked,
-		WallMs:          round2(res.Wall.Seconds() * 1000),
-		PerSec:          round2(res.PerSec),
-		P50Ms:           round2(res.P50Ms),
-		P95Ms:           round2(res.P95Ms),
-		P99Ms:           round2(res.P99Ms),
-	}, nil
-}
-
-func round2(v float64) float64 {
-	return float64(int64(v*100+0.5)) / 100
-}
-
-// writeBenchJSON mirrors ghbench's output discipline: indented JSON, one
-// trailing newline, a note on stderr.
-func writeBenchJSON(path string, v any) error {
-	blob, err := json.MarshalIndent(v, "", "  ")
-	if err != nil {
-		return err
-	}
-	if err := os.WriteFile(path, append(blob, '\n'), 0o644); err != nil {
-		return err
-	}
-	fmt.Fprintf(os.Stderr, "ghload: wrote %s\n", path)
-	return nil
 }

@@ -11,12 +11,7 @@
 // (restore fast path, UFFD dirty log, clone), and the table of invariants
 // with the tests that pin them; bench/README.md documents the benchmark
 // JSONs and the re-baseline workflow, and examples/ holds runnable
-// walkthroughs. The root-level benchmarks (bench_test.go) regenerate each
-// figure at reduced scale:
-//
-//	go test -bench=. -benchmem
-//
-// The full-scale figures come from the CLI:
+// walkthroughs. The figures come from the CLI (-quick for reduced scale):
 //
 //	go run ./cmd/ghbench -e all
 //
@@ -44,9 +39,8 @@
 // CopyRun) straight out of the arena. After the first restore has sized the
 // manager's scratch buffers, rolling back a request that dirtied pages
 // without changing the memory layout performs zero heap allocations — a
-// property pinned by TestRestoreSteadyStateZeroAllocs and observable with:
-//
-//	go test ./internal/core/ -bench=BenchmarkRestoreSteadyState -benchmem
+// property pinned by TestRestoreSteadyStateZeroAllocs (both state stores);
+// what the path costs the host is bench/e2e's core.restore.ns rung.
 //
 // The UFFD tracker (the §4.3 ablation the paper rejected) holds the same
 // bar by a different route: each write-protect fault appends the page to the
@@ -66,9 +60,9 @@
 // reallocating it.
 //
 // The same scenario — in both tracker variants — is exported as a CLI
-// microbenchmark that also writes a machine-readable BENCH_restore.json (an
-// array with one entry per tracker: wall ns/restore, allocs/restore, virtual
-// µs/restore, page counters) for tracking across commits:
+// suite that also writes a machine-readable BENCH_restore.json (an array
+// with one entry per tracker: virtual µs/restore, page counters) for
+// tracking across commits:
 //
 //	go run ./cmd/ghbench -e bench-restore
 //
@@ -131,16 +125,15 @@
 // Committed baselines for the benchmark JSONs live under bench/baselines/,
 // each generated at the scale experiments.Registry records for its suite
 // (-quick for all but bench-fleet-xl) and pinned by digest in
-// bench/baselines/SHA256SUMS. CI regenerates the JSONs on every push
-// (ghbench -e bench-all) and runs cmd/benchdiff over the two directories; any
-// allocation-count regression, any >25% drift of a deterministic virtual
-// cost or frame count (in either direction), any shape change and any file
-// without its partner fails the build, while machine-dependent wall-clock
-// and byte figures are ignored. After an intentional performance change,
-// re-baseline by regenerating and committing the files together with
-// SHA256SUMS (bench/README.md walks through the full policy):
+// bench/baselines/SHA256SUMS. Every one is the output of a seeded
+// simulation, so the gate has one rule: CI regenerates the JSONs on every
+// push (ghbench -e bench-all) and runs cmd/benchdiff over the two
+// directories, and any pair that is not byte-identical — or any file without
+// its partner — fails the build, naming the leaves that moved. Host-time
+// figures live in bench/e2e (BENCHMARK.json), not here. After an intentional
+// change, re-baseline by regenerating and committing the files together
+// with SHA256SUMS (bench/README.md walks through it):
 //
 //	go run ./cmd/ghbench -e bench-all -out bench/baselines
-//	go run ./cmd/ghload -bench bench/baselines/BENCH_server.json -duration 3s
 //	(cd bench/baselines && sha256sum BENCH_*.json > SHA256SUMS)
 package groundhog

@@ -1,68 +1,32 @@
 // Package benchdiff compares freshly generated benchmark JSON summaries
-// (BENCH_restore.json, BENCH_coldstart.json) against committed baselines
-// (bench/baselines/) and reports regressions. It is the library behind
-// cmd/benchdiff, the CI benchmark gate: Compare and Summary judge one pair
-// of documents, CompareFiles one pair of files, and CompareDirs every
-// BENCH_*.json of two directories, where a file without a same-named
-// partner on the other side is itself a violation.
+// (BENCH_*.json) against committed baselines (bench/baselines/). It is the
+// library behind cmd/benchdiff, the CI benchmark gate, and behind tier-1's
+// TestQuickBaselinesReproduce: Compare judges one pair of documents,
+// CompareFiles one pair of files, and CompareDirs every BENCH_*.json of two
+// directories, where a file without a same-named partner on the other side
+// is itself a violation.
 //
-// Both documents are flattened into path -> leaf maps (array elements by
-// index, e.g. "[0].fleet[2].frames_in_use") and every baseline leaf is
-// checked against the current run under per-field policies keyed by the
-// leaf's name:
-//
-//   - allocation counters (name contains "allocs"): any increase beyond a
-//     small absolute slack fails — the zero-allocation hot paths must stay
-//     zero-allocation;
-//   - deterministic virtual costs (name ends in "_us" or contains
-//     "virtual") and physical frame counts (names ending in
-//     "frames_in_use", plus the fleet benchmark's "end_frames"): relative
-//     drift beyond the threshold fails in either direction — improvements
-//     require an intentional re-baseline, exactly like regressions;
-//   - invariant counters ("leaked_frames", "lost_requests" from the
-//     fault-injection suite, "chains_lost" from the scenario suite): must
-//     match the baseline exactly — the baselines pin them at zero, so any
-//     change is a recovery (or chain-conservation) bug;
-//   - throughput floors (name contains "per_sec"): wall-clock dependent,
-//     so they are gated one-sided with a generous margin — only a collapse
-//     below PerSecFloorRatio of the baseline fails (an engine regression
-//     of several-fold, not machine jitter); improvements always pass;
-//   - identity strings (benchmark/tracker/mode names) and booleans (e.g.
-//     the fleet-xl wall-budget and million-request flags): must match
-//     exactly;
-//   - wall-clock and byte counters: machine-dependent, informational only.
-//
-// A baseline leaf missing from the current run fails; metrics added by new
-// code are ignored until they are baselined.
+// There is one rule: every baseline is the output of a seeded simulation, so
+// a pair passes iff it is byte-identical. Nothing is tolerated and nothing
+// is ignored — an improvement needs a deliberate re-baseline exactly like a
+// regression. On a mismatch both documents are flattened into path -> leaf
+// maps (array elements by index, e.g. "[0].fleet[2].frames_in_use") and the
+// report names every leaf that moved, vanished or appeared, and by how much.
 package benchdiff
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"os"
 	"path/filepath"
 	"sort"
+	"strconv"
 	"strings"
 )
 
-// AllocSlack is the absolute tolerance on allocation counters: runtime
-// background activity can add fractional allocs/op to a zero-allocation
-// path's measurement without indicating a regression.
-const AllocSlack = 0.5
-
-// DefaultMaxDrift is the default relative tolerance for deterministic
-// virtual-cost and frame-count metrics.
-const DefaultMaxDrift = 0.25
-
-// PerSecFloorRatio is the one-sided floor on throughput metrics (leaf name
-// contains "per_sec"): the current value must stay above this fraction of
-// the baseline. Throughput is wall-clock dependent, so the margin is
-// deliberately wide — a violation means the engine got several times
-// slower, not that the CI machine had a noisy neighbor. Improvements
-// always pass (re-baseline to ratchet the floor up).
-const PerSecFloorRatio = 0.25
-
-// Violation is one failed comparison.
+// Violation is one difference between a baseline and its current
+// counterpart; "-" stands for the side a leaf or file is absent from.
 type Violation struct {
 	Path     string
 	Baseline string
@@ -74,29 +38,48 @@ func (v Violation) String() string {
 	return fmt.Sprintf("%s: baseline %s, current %s: %s", v.Path, v.Baseline, v.Current, v.Reason)
 }
 
-// Compare checks a current benchmark JSON document against its baseline and
-// returns the violations, ordered by path. maxDrift <= 0 selects
-// DefaultMaxDrift.
-func Compare(baseline, current []byte, maxDrift float64) ([]Violation, error) {
-	if maxDrift <= 0 {
-		maxDrift = DefaultMaxDrift
+// Compare checks a current benchmark JSON document against its baseline.
+// It returns no violations iff the two are byte-identical, and otherwise one
+// per differing leaf, ordered by path.
+func Compare(baseline, current []byte) ([]Violation, error) {
+	if bytes.Equal(baseline, current) {
+		return nil, nil
 	}
-	bleaves, cleaves, paths, err := flattenDocs(baseline, current)
+	bleaves, err := flattenDoc(baseline)
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("benchdiff: baseline: %w", err)
 	}
+	cleaves, err := flattenDoc(current)
+	if err != nil {
+		return nil, fmt.Errorf("benchdiff: current: %w", err)
+	}
+	paths := make([]string, 0, len(bleaves))
+	for p := range bleaves {
+		paths = append(paths, p)
+	}
+	for p := range cleaves {
+		if _, ok := bleaves[p]; !ok {
+			paths = append(paths, p)
+		}
+	}
+	sort.Strings(paths)
+
 	var out []Violation
 	for _, p := range paths {
-		bv := bleaves[p]
-		cv, ok := cleaves[p]
-		if !ok {
-			out = append(out, Violation{Path: p, Baseline: leafString(bv), Current: "-",
-				Reason: "metric missing from current run"})
-			continue
+		bv, inBaseline := bleaves[p]
+		cv, inCurrent := cleaves[p]
+		switch {
+		case !inCurrent:
+			out = append(out, Violation{Path: p, Baseline: bv, Current: "-", Reason: "leaf vanished from the current run"})
+		case !inBaseline:
+			out = append(out, Violation{Path: p, Baseline: "-", Current: cv, Reason: "leaf appeared with no baseline"})
+		case bv != cv:
+			out = append(out, Violation{Path: p, Baseline: bv, Current: cv, Reason: leafDelta(bv, cv)})
 		}
-		if v, bad := check(p, bv, cv, maxDrift); bad {
-			out = append(out, v)
-		}
+	}
+	if len(out) == 0 {
+		out = []Violation{{Path: "(document)", Baseline: "-", Current: "-",
+			Reason: "same leaves, different bytes (formatting or key order)"}}
 	}
 	return out, nil
 }
@@ -105,12 +88,12 @@ func Compare(baseline, current []byte, maxDrift float64) ([]Violation, error) {
 type FileReport struct {
 	Name       string // the summary heading; the file's name in directory mode
 	Violations []Violation
-	Summary    string // the pair's Summary table
+	Summary    string // markdown: the verdict, and a row per violation
 }
 
 // CompareFiles reads one baseline/current pair of files and returns its
-// violations and its Summary table under the given heading.
-func CompareFiles(name, baselinePath, currentPath string, maxDrift float64) (FileReport, error) {
+// violations and their summary under the given heading.
+func CompareFiles(name, baselinePath, currentPath string) (FileReport, error) {
 	baseline, err := os.ReadFile(baselinePath)
 	if err != nil {
 		return FileReport{}, err
@@ -119,14 +102,11 @@ func CompareFiles(name, baselinePath, currentPath string, maxDrift float64) (Fil
 	if err != nil {
 		return FileReport{}, err
 	}
-	r := FileReport{Name: name}
-	if r.Violations, err = Compare(baseline, current, maxDrift); err != nil {
+	vs, err := Compare(baseline, current)
+	if err != nil {
 		return FileReport{}, fmt.Errorf("%s: %w", name, err)
 	}
-	if r.Summary, err = Summary(name, baseline, current, maxDrift); err != nil {
-		return FileReport{}, fmt.Errorf("%s: %w", name, err)
-	}
-	return r, nil
+	return FileReport{Name: name, Violations: vs, Summary: summary(name, vs)}, nil
 }
 
 // CompareDirs compares the BENCH_*.json files of two directories pairwise by
@@ -134,7 +114,7 @@ func CompareFiles(name, baselinePath, currentPath string, maxDrift float64) (Fil
 // side must have a partner on the other: a baseline nothing regenerated is a
 // suite that silently stopped running, and a fresh file with no baseline is
 // a suite nobody gates, so both are violations rather than skips.
-func CompareDirs(baselineDir, currentDir string, maxDrift float64) ([]FileReport, error) {
+func CompareDirs(baselineDir, currentDir string) ([]FileReport, error) {
 	inBaseline, err := benchFiles(baselineDir)
 	if err != nil {
 		return nil, err
@@ -160,7 +140,7 @@ func CompareDirs(baselineDir, currentDir string, maxDrift float64) ([]FileReport
 	reports := make([]FileReport, 0, len(names))
 	for _, name := range names {
 		if inBaseline[name] && inCurrent[name] {
-			r, err := CompareFiles(name, filepath.Join(baselineDir, name), filepath.Join(currentDir, name), maxDrift)
+			r, err := CompareFiles(name, filepath.Join(baselineDir, name), filepath.Join(currentDir, name))
 			if err != nil {
 				return nil, err
 			}
@@ -171,8 +151,8 @@ func CompareDirs(baselineDir, currentDir string, maxDrift float64) ([]FileReport
 		if inCurrent[name] {
 			v = Violation{Path: name, Baseline: "-", Current: "present", Reason: "no committed baseline for this file"}
 		}
-		reports = append(reports, FileReport{Name: name, Violations: []Violation{v},
-			Summary: fmt.Sprintf("### %s\n\n:x: %s\n\n", name, v.Reason)})
+		vs := []Violation{v}
+		reports = append(reports, FileReport{Name: name, Violations: vs, Summary: summary(name, vs)})
 	}
 	return reports, nil
 }
@@ -190,30 +170,22 @@ func benchFiles(dir string) (map[string]bool, error) {
 	return names, nil
 }
 
-// flattenDocs parses both documents and returns their leaf maps plus the
-// baseline's paths in sorted order (the iteration order of every report).
-func flattenDocs(baseline, current []byte) (bleaves, cleaves map[string]any, paths []string, err error) {
-	var bdoc, cdoc any
-	if err := json.Unmarshal(baseline, &bdoc); err != nil {
-		return nil, nil, nil, fmt.Errorf("benchdiff: baseline: %w", err)
+// flattenDoc parses a document and returns every leaf, as its JSON text,
+// under its path. Numbers keep the digits they were written with, so two
+// that differ only in the last one differ here too.
+func flattenDoc(doc []byte) (map[string]string, error) {
+	dec := json.NewDecoder(bytes.NewReader(doc))
+	dec.UseNumber()
+	var v any
+	if err := dec.Decode(&v); err != nil {
+		return nil, err
 	}
-	if err := json.Unmarshal(current, &cdoc); err != nil {
-		return nil, nil, nil, fmt.Errorf("benchdiff: current: %w", err)
-	}
-	bleaves = map[string]any{}
-	cleaves = map[string]any{}
-	flatten("", bdoc, bleaves)
-	flatten("", cdoc, cleaves)
-	paths = make([]string, 0, len(bleaves))
-	for p := range bleaves {
-		paths = append(paths, p)
-	}
-	sort.Strings(paths)
-	return bleaves, cleaves, paths, nil
+	leaves := map[string]string{}
+	flatten("", v, leaves)
+	return leaves, nil
 }
 
-// flatten records every leaf of a decoded JSON document under its path.
-func flatten(path string, v any, out map[string]any) {
+func flatten(path string, v any, out map[string]string) {
 	switch x := v.(type) {
 	case map[string]any:
 		for k, sub := range x {
@@ -227,185 +199,45 @@ func flatten(path string, v any, out map[string]any) {
 		for i, sub := range x {
 			flatten(fmt.Sprintf("%s[%d]", path, i), sub, out)
 		}
-	default:
-		out[path] = v
+	case json.Number:
+		out[path] = x.String()
+	default: // string, bool, nil: none of them can fail to marshal
+		text, _ := json.Marshal(x)
+		out[path] = string(text)
 	}
 }
 
-// leafName extracts the final field name of a flattened path.
-func leafName(path string) string {
-	name := path
-	if i := strings.LastIndex(name, "."); i >= 0 {
-		name = name[i+1:]
-	}
-	if i := strings.Index(name, "["); i >= 0 {
-		name = name[:i]
-	}
-	return name
-}
-
-// check applies the per-field policy to one (baseline, current) leaf pair.
-func check(path string, bv, cv any, maxDrift float64) (Violation, bool) {
-	bn, bIsNum := bv.(float64)
-	cn, cIsNum := cv.(float64)
-	if !bIsNum || !cIsNum {
-		if leafString(bv) != leafString(cv) {
-			return Violation{Path: path, Baseline: leafString(bv), Current: leafString(cv),
-				Reason: "identity changed; entries no longer comparable"}, true
-		}
-		return Violation{}, false
-	}
-	name := strings.ToLower(leafName(path))
-	switch {
-	case name == "leaked_frames" || name == "lost_requests" || name == "chains_lost":
-		// Hard invariants of the fault-injection and scenario suites:
-		// recovery must never drop a request, leak a frame, or abandon a
-		// chain mid-stage, so any change — in either direction — is a
-		// violation, not drift.
-		if cn != bn {
-			return Violation{Path: path, Baseline: fmtNum(bn), Current: fmtNum(cn),
-				Reason: "invariant counter changed (must match baseline exactly)"}, true
-		}
-	case strings.Contains(name, "allocs"):
-		if cn > bn+AllocSlack {
-			return Violation{Path: path, Baseline: fmtNum(bn), Current: fmtNum(cn),
-				Reason: "allocation-count regression"}, true
-		}
-	case strings.Contains(name, "per_sec"):
-		if cn < bn*PerSecFloorRatio {
-			return Violation{Path: path, Baseline: fmtNum(bn), Current: fmtNum(cn),
-				Reason: fmt.Sprintf("throughput collapsed below %.0f%% of baseline", PerSecFloorRatio*100)}, true
-		}
-	case strings.HasSuffix(name, "_us") || strings.Contains(name, "virtual") ||
-		strings.HasSuffix(name, "frames_in_use") || name == "end_frames":
-		var drift float64
-		switch {
-		case bn != 0:
-			drift = (cn - bn) / bn
-		case cn != 0:
-			drift = 1 // zero baseline, nonzero current: full drift
-		}
-		if drift < 0 {
-			drift = -drift
-		}
-		if drift > maxDrift {
-			return Violation{Path: path, Baseline: fmtNum(bn), Current: fmtNum(cn),
-				Reason: fmt.Sprintf("drift %.1f%% exceeds %.0f%% (re-baseline if intentional)",
-					drift*100, maxDrift*100)}, true
-		}
-	}
-	// Everything else (wall_ns, alloc bytes, derived ratios, page counts
-	// already pinned by tests) is informational.
-	return Violation{}, false
-}
-
-// gateRule names the policy check applies to a leaf; "" means the leaf is
-// informational (wall-clock, byte counters) and does not gate the build.
-// It must stay in lockstep with check's switch — TestSummaryMatchesGate
-// cross-checks the two.
-func gateRule(path string, bv any, maxDrift float64) string {
-	if _, isNum := bv.(float64); !isNum {
-		return "identity"
-	}
-	name := strings.ToLower(leafName(path))
-	switch {
-	case name == "leaked_frames" || name == "lost_requests" || name == "chains_lost":
-		return "invariant (exact)"
-	case strings.Contains(name, "allocs"):
-		return fmt.Sprintf("allocs (+%.1f slack)", AllocSlack)
-	case strings.Contains(name, "per_sec"):
-		return fmt.Sprintf("floor (>=%.0f%% of baseline)", PerSecFloorRatio*100)
-	case strings.HasSuffix(name, "_us") || strings.Contains(name, "virtual") ||
-		strings.HasSuffix(name, "frames_in_use") || name == "end_frames":
-		return fmt.Sprintf("drift <=%.0f%%", maxDrift*100)
-	}
-	return ""
-}
-
-// Summary renders the gated leaves of a baseline/current pair as a GitHub
-// job-summary markdown fragment: a level-3 heading followed by one table row
-// per gated metric — pass or fail — so a green run still publishes its
-// headline numbers. Informational leaves are counted but not listed.
-// maxDrift <= 0 selects DefaultMaxDrift.
-func Summary(title string, baseline, current []byte, maxDrift float64) (string, error) {
-	if maxDrift <= 0 {
-		maxDrift = DefaultMaxDrift
-	}
-	bleaves, cleaves, paths, err := flattenDocs(baseline, current)
-	if err != nil {
-		return "", err
-	}
+// summary renders one pair's verdict as a GitHub job-summary markdown
+// fragment: a level-3 heading, then either the all-clear or one table row
+// per violation.
+func summary(title string, vs []Violation) string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "### %s\n\n", title)
-	b.WriteString("| metric | baseline | current | Δ | rule | |\n")
-	b.WriteString("|---|---:|---:|---:|---|---|\n")
-	informational, failed := 0, 0
-	for _, p := range paths {
-		bv := bleaves[p]
-		rule := gateRule(p, bv, maxDrift)
-		if rule == "" {
-			informational++
-			continue
-		}
-		cv, ok := cleaves[p]
-		cur, delta, status := "-", "-", ":white_check_mark:"
-		if !ok {
-			status = ":x: missing"
-			failed++
-		} else {
-			cur = leafString(cv)
-			delta = leafDelta(bv, cv)
-			if v, bad := check(p, bv, cv, maxDrift); bad {
-				status = ":x: " + v.Reason
-				failed++
-			}
-		}
-		fmt.Fprintf(&b, "| `%s` | %s | %s | %s | %s | %s |\n",
-			p, leafString(bv), cur, delta, rule, status)
+	if len(vs) == 0 {
+		b.WriteString(":white_check_mark: byte-identical to its baseline\n\n")
+		return b.String()
 	}
-	fmt.Fprintf(&b, "\n%d gated metric(s) failed; %d informational leaves not shown.\n\n",
-		failed, informational)
-	return b.String(), nil
+	fmt.Fprintf(&b, ":x: %d difference(s) from the baseline\n\n", len(vs))
+	b.WriteString("| path | baseline | current | |\n")
+	b.WriteString("|---|---:|---:|---|\n")
+	for _, v := range vs {
+		fmt.Fprintf(&b, "| `%s` | %s | %s | %s |\n", v.Path, v.Baseline, v.Current, v.Reason)
+	}
+	b.WriteString("\n")
+	return b.String()
 }
 
-// leafDelta formats the current-vs-baseline change of one leaf pair.
-func leafDelta(bv, cv any) string {
-	bn, bIsNum := bv.(float64)
-	cn, cIsNum := cv.(float64)
-	if !bIsNum || !cIsNum {
-		if leafString(bv) == leafString(cv) {
-			return "-"
-		}
+// leafDelta says how far a leaf moved: for two numbers the signed
+// difference and its share of the baseline.
+func leafDelta(bv, cv string) string {
+	bn, berr := strconv.ParseFloat(bv, 64)
+	cn, cerr := strconv.ParseFloat(cv, 64)
+	if berr != nil || cerr != nil {
 		return "changed"
 	}
 	d := cn - bn
-	signed := fmtNum(d)
-	if d >= 0 {
-		signed = "+" + signed
+	if bn == 0 {
+		return fmt.Sprintf("moved %+.6g", d)
 	}
-	switch {
-	case d == 0:
-		return "0"
-	case bn != 0:
-		return fmt.Sprintf("%s (%+.1f%%)", signed, d/bn*100)
-	default:
-		return signed
-	}
-}
-
-func fmtNum(f float64) string {
-	if f == float64(int64(f)) {
-		return fmt.Sprintf("%d", int64(f))
-	}
-	return fmt.Sprintf("%g", f)
-}
-
-func leafString(v any) string {
-	if v == nil {
-		return "null"
-	}
-	if f, ok := v.(float64); ok {
-		return fmtNum(f)
-	}
-	return fmt.Sprintf("%v", v)
+	return fmt.Sprintf("moved %+.6g (%+.2g%%)", d, d/bn*100)
 }

@@ -9,13 +9,13 @@ import (
 )
 
 // steadyStateManager wraps the shared scenario (internal/benchscenario) used
-// by both these guards and the ghbench bench-restore microbenchmark, so the
-// CI allocation guard and BENCH_restore.json measure the same workload.
-func steadyStateManager(tb testing.TB, heapPages, dirtyPages int, opts core.Options) (*core.Manager, func()) {
-	tb.Helper()
+// by both these guards and the ghbench bench-restore suite, so the allocation
+// guard and BENCH_restore.json run the same workload.
+func steadyStateManager(t *testing.T, heapPages, dirtyPages int, opts core.Options) (*core.Manager, func()) {
+	t.Helper()
 	_, m, request, err := benchscenario.SteadyState(kernel.Default(), heapPages, dirtyPages, opts)
 	if err != nil {
-		tb.Fatal(err)
+		t.Fatal(err)
 	}
 	return m, request
 }
@@ -23,17 +23,23 @@ func steadyStateManager(tb testing.TB, heapPages, dirtyPages int, opts core.Opti
 // TestRestoreSteadyStateZeroAllocs pins the steady-state restore path at
 // exactly zero heap allocations: after the first restore has sized the
 // manager's scratch buffers, rolling back a request that dirtied pages (but
-// did not change the memory layout) must not allocate at all.
+// did not change the memory layout) must not allocate at all — under the
+// default copy store and under the CoW store (§5.5), whose restores copy
+// from shared frames instead of the arena.
 func TestRestoreSteadyStateZeroAllocs(t *testing.T) {
-	m, request := steadyStateManager(t, 256, 64, core.DefaultOptions())
-	allocs := testing.AllocsPerRun(50, func() {
-		request()
-		if _, err := m.Restore(); err != nil {
-			t.Fatal(err)
+	for _, store := range []core.StoreKind{core.StoreCopy, core.StoreCoW} {
+		opts := core.DefaultOptions()
+		opts.Store = store
+		m, request := steadyStateManager(t, 256, 64, opts)
+		allocs := testing.AllocsPerRun(50, func() {
+			request()
+			if _, err := m.Restore(); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if allocs != 0 {
+			t.Fatalf("steady-state restore (%v store) allocates: %.1f allocs/op, want 0", store, allocs)
 		}
-	})
-	if allocs != 0 {
-		t.Fatalf("steady-state restore allocates: %.1f allocs/op, want 0", allocs)
 	}
 }
 
@@ -74,54 +80,5 @@ func TestRestoreSteadyStateZeroAllocsLargeSpace(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Fatalf("steady-state restore allocates: %.1f allocs/op, want 0", allocs)
-	}
-}
-
-// BenchmarkRestoreSteadyState measures the real-CPU cost of the restore hot
-// path at steady state (fixed dirty set, stable layout). Run with -benchmem:
-// the headline number is 0 allocs/op.
-func BenchmarkRestoreSteadyState(b *testing.B) {
-	m, request := steadyStateManager(b, 1024, 128, core.DefaultOptions())
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		request()
-		if _, err := m.Restore(); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkRestoreUffdSteadyState is the same scenario under the UFFD
-// tracker: restores read the fault handler's dirty log instead of scanning
-// the pagemap. The headline number is again 0 allocs/op.
-func BenchmarkRestoreUffdSteadyState(b *testing.B) {
-	_, m, request, err := benchscenario.SteadyStateUffd(kernel.Default(), 1024, 128)
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		request()
-		if _, err := m.Restore(); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkRestoreSteadyStateCoW is the same scenario over the CoW state
-// store (§5.5): restores copy from shared frames instead of the arena.
-func BenchmarkRestoreSteadyStateCoW(b *testing.B) {
-	opts := core.DefaultOptions()
-	opts.Store = core.StoreCoW
-	m, request := steadyStateManager(b, 1024, 128, opts)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		request()
-		if _, err := m.Restore(); err != nil {
-			b.Fatal(err)
-		}
 	}
 }

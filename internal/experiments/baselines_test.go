@@ -1,13 +1,14 @@
 package experiments
 
 import (
-	"bytes"
 	"crypto/sha256"
 	"encoding/hex"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"groundhog/internal/benchdiff"
 )
 
 var baselineDir = filepath.Join("..", "..", "bench", "baselines")
@@ -27,19 +28,19 @@ func committedBaselines(t *testing.T) map[string]bool {
 	return names
 }
 
-// TestQuickBaselinesReproduce runs every byte-deterministic suite of the
-// Registry at the scale its baseline was generated at, with ghbench's default
-// configuration, marshals each summary as ghbench does, and compares the
-// bytes with the committed baseline. SHA256SUMS proves the baseline files
-// were not edited; this proves the code still produces them — a change to
-// the dispatcher, the cluster's placement ladder or anything under them that
-// moves a deterministic output fails here, in tier-1, before any benchdiff
-// tolerance can absorb it. The suites with wall-clock or allocation leaves
-// (bench-restore, bench-fleet-xl) stay with benchdiff in CI.
+// TestQuickBaselinesReproduce runs every -quick-scale suite of the Registry
+// with ghbench's default configuration, marshals each summary as ghbench
+// does, and holds the bytes to the committed baseline through the comparison
+// CI's gate runs, so a failure names the leaves that moved. SHA256SUMS
+// proves the baseline files were not edited; this proves the code still
+// produces them — a change to the dispatcher, the cluster's placement ladder
+// or anything under them that moves a simulation output fails here, in
+// tier-1. The full-window suite (bench-fleet-xl, ~16 s) is left to CI's
+// bench-all, which runs all eight.
 func TestQuickBaselinesReproduce(t *testing.T) {
 	cfg := Default() // ghbench -e bench-all: default scale, -seed 1
 	for _, e := range Registry {
-		if !e.Deterministic {
+		if e.Artifact == "" || e.FullWindow {
 			continue
 		}
 		t.Run(e.Name, func(t *testing.T) {
@@ -48,7 +49,7 @@ func TestQuickBaselinesReproduce(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			res, _, err := e.Run(cfg, !e.FullWindow)
+			res, _, err := e.Run(cfg, true)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -56,9 +57,12 @@ func TestQuickBaselinesReproduce(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if !bytes.Equal(got, want) {
-				t.Fatalf("%s no longer reproduces %s byte-for-byte (run `go run ./cmd/ghbench -e bench-all -out DIR` and diff)",
-					e.Name, path)
+			moved, err := benchdiff.Compare(want, got)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, v := range moved {
+				t.Errorf("%s no longer reproduces %s: %s", e.Name, path, v)
 			}
 		})
 	}

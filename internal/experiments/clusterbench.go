@@ -16,10 +16,9 @@ import (
 // workload on a multi-host cluster under one placement policy, with a
 // mid-run host failure and a later drain. One entry per built-in placer —
 // the comparison the tentpole asks for (does clone cheapness favor packing
-// or spreading?). LostRequests and LeakedFrames are identity-gated
-// invariants; the virtual cost/latency figures and frame counts are
-// drift-gated; the transfer and per-host counters are informational
-// context.
+// or spreading?). LostRequests and LeakedFrames are invariants the baseline
+// pins at zero; like every other field they are held to their committed
+// bytes.
 type ClusterBenchResult struct {
 	Benchmark string  `json:"benchmark"`
 	Placer    string  `json:"placer"`
@@ -29,13 +28,13 @@ type ClusterBenchResult struct {
 	WindowMs  float64 `json:"window_ms"`
 	Seed      uint64  `json:"seed"`
 
-	// Identity-gated invariants.
+	// Conservation invariants.
 	Arrived      int `json:"arrived"`
 	Requests     int `json:"requests"`
 	LostRequests int `json:"lost_requests"`
 	LeakedFrames int `json:"leaked_frames"`
 
-	// Placement and transfer counters (informational).
+	// Placement and transfer counters.
 	FullColdStarts       int `json:"full_cold_starts"`
 	TransferColdStarts   int `json:"transfer_cold_starts"`
 	LocalCloneColdStarts int `json:"local_clone_cold_starts"`
@@ -45,7 +44,7 @@ type ClusterBenchResult struct {
 	HostCrashes          int `json:"host_crashes"`
 	Drained              int `json:"drained"`
 
-	// Drift-gated virtual figures: the scale-up bill (transfer share broken
+	// Virtual figures: the scale-up bill (transfer share broken
 	// out), the latency tail, and the cluster's memory footprint.
 	ColdStartVirtualUs float64 `json:"cold_start_total_virtual_us"`
 	TransferVirtualUs  float64 `json:"transfer_total_virtual_us"`
@@ -54,7 +53,7 @@ type ClusterBenchResult struct {
 	PeakFramesInUse    int     `json:"peak_frames_in_use"`
 	EndFrames          int     `json:"end_frames"`
 
-	// PerHost is the per-host placement and memory map (informational).
+	// PerHost is the per-host placement and memory map.
 	PerHost []ClusterBenchHost `json:"per_host"`
 }
 

@@ -18,7 +18,7 @@ import (
 )
 
 // Config scales the experiments. Defaults reproduce the full figures;
-// Quick() shrinks sample counts for use inside `go test -bench`.
+// Quick() shrinks sample counts for the tests and `ghbench -quick`.
 type Config struct {
 	Cost kernel.CostModel
 	Seed uint64

@@ -11,13 +11,12 @@ import (
 )
 
 // FaultsBenchResult is one entry of BENCH_faults.json: the fleetMix workload
-// under an armed fault plan plus scheduled failure events. Two fields carry
-// hard invariants the benchmark gate holds at exact identity — LostRequests
-// (arrived minus served after the drain; recovery must never drop a
-// request) and LeakedFrames (in-use frames after a full teardown; every
-// aborted partial operation must release its frames). The recovery
-// counters are informational context; the virtual latency and cost figures
-// are drift-gated like every other suite's.
+// under an armed fault plan plus scheduled failure events. Two fields are
+// invariants the baseline pins at zero — LostRequests (arrived minus served
+// after the drain; recovery must never drop a request) and LeakedFrames
+// (in-use frames after a full teardown; every aborted partial operation must
+// release its frames). Like every other field they are held to their
+// committed bytes.
 type FaultsBenchResult struct {
 	Benchmark string  `json:"benchmark"`
 	Mode      string  `json:"mode"`
@@ -25,13 +24,13 @@ type FaultsBenchResult struct {
 	WindowMs  float64 `json:"window_ms"`
 	Seed      uint64  `json:"seed"`
 
-	// Identity-gated invariants.
+	// Conservation invariants.
 	Arrived      int `json:"arrived"`
 	Requests     int `json:"requests"`
 	LostRequests int `json:"lost_requests"`
 	LeakedFrames int `json:"leaked_frames"`
 
-	// Recovery counters (informational).
+	// Recovery counters.
 	Crashes                int `json:"crashes"`
 	RestoreFaults          int `json:"restore_faults"`
 	ColdStartRetries       int `json:"cold_start_retries"`
@@ -43,7 +42,7 @@ type FaultsBenchResult struct {
 	FullColdStarts         int `json:"full_cold_starts"`
 	CloneColdStarts        int `json:"clone_cold_starts"`
 
-	// Drift-gated virtual figures: the recovery bill (summed cold-start
+	// Virtual figures: the recovery bill (summed cold-start
 	// retry backoff and total cold-start cost) and the latency tail, where
 	// crash-and-requeue and retried cold starts surface.
 	RetryBackoffVirtualUs float64 `json:"retry_backoff_virtual_us"`

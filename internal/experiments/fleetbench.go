@@ -12,9 +12,8 @@ import (
 
 // FleetVariantStats is the per-variant accumulation shared by the fleet
 // and policy benchmarks: request/cold-start/reap counters, the summed
-// cold-start bill, pooled latency percentiles, and the frame figures. The
-// *_virtual_* and frame fields are deterministic simulation outputs gated
-// by cmd/benchdiff; the counters are informational context.
+// cold-start bill, pooled latency percentiles, and the frame figures. Every
+// field is a deterministic simulation output, held to its committed bytes.
 type FleetVariantStats struct {
 	Requests           int     `json:"requests"`
 	FullColdStarts     int     `json:"full_cold_starts"`
@@ -79,8 +78,7 @@ type FleetBenchResult struct {
 	KeepAlive     FleetBenchVariant `json:"keepalive"`
 	CloneScaleOut FleetBenchVariant `json:"clone_scaleout"`
 	// ColdStartSavingsX is keep-alive's total cold-start bill over the
-	// clone fleet's (informational; the gated per-variant totals carry the
-	// regression signal).
+	// clone fleet's.
 	ColdStartSavingsX float64 `json:"coldstart_cost_keepalive_over_clone"`
 }
 
@@ -107,8 +105,8 @@ func fleetBenchConfig(cfg Config, window sim.Duration) trace.Config {
 // variants serve exactly the same request trace. quick halves the window
 // and truncates the mix; it is an explicit parameter (not inferred from
 // cfg.MaxBenchmarks, the catalog-truncation knob) because it changes the
-// gated JSON's shape and must be the scale the suite's Registry entry
-// records for its baseline.
+// artifact's shape and must be the scale the suite's Registry entry records
+// for its baseline.
 func FleetBench(cfg Config, quick bool) (FleetBenchResult, error) {
 	loads, window, err := fleetMixLoads(quick)
 	if err != nil {

@@ -15,15 +15,13 @@ import (
 const PolicyBenchSLOTargetMs = 100
 
 // PolicyBenchVariant is one scheduling policy's outcome under the shared
-// bursty arrival trace, as emitted into BENCH_policy.json. The *_virtual_*
-// figures, the frame figures, and slo_met are deterministic simulation
-// outputs gated by cmd/benchdiff; the counters are informational context.
+// bursty arrival trace, as emitted into BENCH_policy.json. Every field is a
+// deterministic simulation output, held to its committed bytes.
 type PolicyBenchVariant struct {
 	Policy string `json:"policy"`
 	FleetVariantStats
 	// SLOMet reports whether every function's p95 E2E stayed at or under
-	// its target (identity-compared by the gate: a policy that starts
-	// missing the SLO fails CI).
+	// its target (a policy that starts missing the SLO fails the gate).
 	SLOMet bool `json:"slo_met"`
 	// WorstFnP95VirtualMs is the largest per-function p95 — the figure
 	// SLOMet is judged on (the pooled p95 can hide one bad function).
@@ -42,9 +40,7 @@ type PolicyBenchResult struct {
 	WindowMs    float64              `json:"window_ms"`
 	SLOTargetMs float64              `json:"slo_target_ms"`
 	Policies    []PolicyBenchVariant `json:"policies"`
-	// FrameSavingsX is FixedTTL's mean frames over SLOAware's
-	// (informational; the gated per-policy figures carry the regression
-	// signal).
+	// FrameSavingsX is FixedTTL's mean frames over SLOAware's.
 	FrameSavingsX float64 `json:"mean_frames_fixed_over_slo"`
 }
 

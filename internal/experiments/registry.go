@@ -9,9 +9,9 @@ import (
 
 // Experiment is one entry of Registry: something cmd/ghbench can run by
 // name. The paper's figures and tables only print; the repository's own
-// benchmark suites also yield a JSON artifact that CI gates against
-// bench/baselines/ and, for the deterministic ones, that tier-1 reproduces
-// byte-for-byte.
+// benchmark suites also yield a JSON artifact — the bytes a seeded
+// simulation produces — that must equal its baseline in bench/baselines/
+// byte for byte: tier-1 reproduces the -quick-scale ones, CI all of them.
 type Experiment struct {
 	Name string
 	// Artifact is the BENCH_*.json file a suite's JSON value is written to,
@@ -21,9 +21,6 @@ type Experiment struct {
 	// FullWindow marks a suite whose committed baseline was generated
 	// without -quick; every other suite's baseline is its -quick output.
 	FullWindow bool
-	// Deterministic marks a suite whose artifact carries no wall-clock or
-	// allocation leaf, so the same code always yields the same bytes.
-	Deterministic bool
 	// Run measures the experiment. The value is the artifact's content
 	// (nil without an Artifact), already wrapped in the array every
 	// BENCH_*.json is.
@@ -68,9 +65,7 @@ var Registry = []Experiment{
 	{Name: "related-work", Run: figure(RelatedWork)},
 	{Name: "fleet", Run: figure(Fleet)},
 
-	// One array entry per write tracker. The wall ns and allocs per restore
-	// are real measurements, so the artifact is gated by benchdiff's rules
-	// rather than reproduced byte-for-byte.
+	// One array entry per write tracker.
 	{Name: "bench-restore", Artifact: "BENCH_restore.json",
 		Run: func(cfg Config, quick bool) (any, *metrics.Table, error) {
 			heapPages, iters := 4096, 2000
@@ -85,25 +80,24 @@ var Registry = []Experiment{
 		}},
 	// One array entry per state store. The sweep is deterministic virtual
 	// time, so quick needs no reduction.
-	{Name: "bench-coldstart", Artifact: "BENCH_coldstart.json", Deterministic: true,
+	{Name: "bench-coldstart", Artifact: "BENCH_coldstart.json",
 		Run: func(cfg Config, _ bool) (any, *metrics.Table, error) {
 			tb, res, err := ColdStartScaleOut(cfg)
 			return res, tb, err
 		}},
-	{Name: "bench-fleet", Artifact: "BENCH_fleet.json", Deterministic: true,
+	{Name: "bench-fleet", Artifact: "BENCH_fleet.json",
 		Run: single(FleetBench, FleetBenchTable)},
-	{Name: "bench-policy", Artifact: "BENCH_policy.json", Deterministic: true,
+	{Name: "bench-policy", Artifact: "BENCH_policy.json",
 		Run: single(PolicyBench, PolicyBenchTable)},
-	{Name: "bench-faults", Artifact: "BENCH_faults.json", Deterministic: true,
+	{Name: "bench-faults", Artifact: "BENCH_faults.json",
 		Run: single(FaultsBench, FaultsBenchTable)},
-	// Full window on purpose: the suite measures the engine's own speed at
-	// scale — a million simulated requests must fit the wall budget, and its
-	// two boolean gates only mean something at the real size. Wall seconds,
-	// requests/sec and retained allocations are real measurements.
+	// Full window on purpose: reached_million_requests only means something
+	// at the real size. Too long for tier-1 (~16 s), so CI's bench-all is
+	// what holds this one to its baseline.
 	{Name: "bench-fleet-xl", Artifact: "BENCH_fleet_xl.json", FullWindow: true,
 		Run: single(FleetXLBench, FleetXLBenchTable)},
 	// One array entry per placer.
-	{Name: "bench-cluster", Artifact: "BENCH_cluster.json", Deterministic: true,
+	{Name: "bench-cluster", Artifact: "BENCH_cluster.json",
 		Run: func(cfg Config, quick bool) (any, *metrics.Table, error) {
 			res, err := ClusterBench(cfg, quick)
 			if err != nil {
@@ -111,7 +105,7 @@ var Registry = []Experiment{
 			}
 			return res, ClusterBenchTable(res), nil
 		}},
-	{Name: "bench-scenarios", Artifact: "BENCH_scenarios.json", Deterministic: true,
+	{Name: "bench-scenarios", Artifact: "BENCH_scenarios.json",
 		Run: single(ScenariosBench, ScenariosBenchTable)},
 }
 

@@ -2,12 +2,6 @@ package experiments
 
 import "testing"
 
-// externalBaselines are the committed baselines no Registry suite produces,
-// by producer.
-var externalBaselines = map[string]string{
-	"BENCH_server.json": "ghload -bench", // live listeners and real load, not a simulation
-}
-
 func TestRegistryEntriesWellFormed(t *testing.T) {
 	names, artifacts := map[string]bool{}, map[string]bool{}
 	for _, e := range Registry {
@@ -22,8 +16,8 @@ func TestRegistryEntriesWellFormed(t *testing.T) {
 			t.Errorf("Lookup(%q) = %q, %v", e.Name, got.Name, ok)
 		}
 		if e.Artifact == "" {
-			if e.FullWindow || e.Deterministic {
-				t.Errorf("%s: FullWindow and Deterministic describe an artifact, and it has none", e.Name)
+			if e.FullWindow {
+				t.Errorf("%s: FullWindow describes an artifact, and it has none", e.Name)
 			}
 			continue
 		}
@@ -53,16 +47,7 @@ func TestEverySuiteGatedEveryBaselineProduced(t *testing.T) {
 		if !committed[e.Artifact] {
 			t.Errorf("%s writes %s, which has no committed baseline", e.Name, e.Artifact)
 		}
-		if externalBaselines[e.Artifact] != "" {
-			t.Errorf("%s is listed as produced by %q and by %s", e.Artifact, externalBaselines[e.Artifact], e.Name)
-		}
 		delete(committed, e.Artifact)
-	}
-	for name := range externalBaselines {
-		if !committed[name] {
-			t.Errorf("externalBaselines lists %s, which is not committed", name)
-		}
-		delete(committed, name)
 	}
 	for name := range committed {
 		t.Errorf("baseline %s has no producer in the Registry", name)

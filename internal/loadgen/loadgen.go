@@ -1,6 +1,6 @@
 // Package loadgen drives a live gateway-fronted server — real listeners,
 // real transports — and reports client-observed throughput and latency.
-// It is the harness behind cmd/ghload and the BENCH_server.json benchmark.
+// It is the harness behind cmd/ghload.
 //
 // Two loop disciplines:
 //
@@ -14,7 +14,7 @@
 //     outrun the admission queues.
 //
 // Every fired request is accounted into exactly one outcome class; Lost
-// (fired minus accounted) is the harness-level invariant the benchmark
+// (fired minus accounted) is the harness-level invariant ghload's exit code
 // pins at zero — a request the server swallowed without answering.
 package loadgen
 

@@ -169,20 +169,3 @@ func TestEchoCorruptionIsAnError(t *testing.T) {
 		t.Fatalf("corrupt echo not surfaced: res=%+v err=%v", res, err)
 	}
 }
-
-// TestMeasureHotpathAllocs: the benchmark's differential alloc probe runs
-// clean and produces coherent numbers (the tight <=2 overhead bound lives
-// in internal/gateway's alloc guard; under -race only coherence is
-// checked).
-func TestMeasureHotpathAllocs(t *testing.T) {
-	out, err := MeasureHotpathAllocs("get-time (p)", 256)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if out.BarePerRequest <= 0 || out.HTTPPerRequest <= 0 || out.BinaryPerRequest <= 0 {
-		t.Fatalf("non-positive alloc figures: %+v", out)
-	}
-	if out.HTTPOverhead < 0 || out.BinaryOverhead < 0 {
-		t.Fatalf("negative overhead: %+v", out)
-	}
-}
