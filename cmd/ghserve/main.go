@@ -30,16 +30,12 @@ func main() {
 		addr       = flag.String("addr", "127.0.0.1:8080", "HTTP listen address (control plane + /fn/ data plane)")
 		binaryAddr = flag.String("binary-addr", "127.0.0.1:8081", "binary-protocol listen address (empty disables)")
 		trust      = flag.Bool("trust-same-caller", false, "enable the §4.4 trusted-caller optimization")
-		hosts      = flag.Int("hosts", server.DefaultHosts, "simulated hosts deployments are spread across")
 		queueDepth = flag.Int("queue-depth", gateway.DefaultQueueDepth, "per-deployment admission queue bound")
 	)
 	flag.Parse()
 
 	s := server.New()
 	s.SetTrustSameCaller(*trust)
-	if err := s.SetHosts(*hosts); err != nil {
-		log.Fatal(err)
-	}
 	g := gateway.New(s, gateway.Config{QueueDepth: *queueDepth})
 	if *binaryAddr != "" {
 		ln, err := net.Listen("tcp", *binaryAddr)

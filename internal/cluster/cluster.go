@@ -538,12 +538,6 @@ func (cl *Cluster) FramesInUse() int {
 	return n
 }
 
-// RearmsPoolWake implements trace.Provider. The cluster has always re-armed
-// the earliest-ready wake-up after a scale-up pass, and BENCH_cluster.json
-// pins the extra dispatch pass that causes under armed faults; see the
-// Provider contract.
-func (cl *Cluster) RearmsPoolWake() bool { return true }
-
 // ScaleUp implements trace.Provider: it places one more container for the
 // deployment through the Placer and starts it by the cheapest path its host
 // allows — join an in-flight pull, clone locally, pull-then-clone, or run
@@ -649,6 +643,3 @@ func (cl *Cluster) Teardown() int { return cl.disp.Teardown() }
 
 // Registry exposes the cluster's image registry (tests and benchmarks).
 func (cl *Cluster) Registry() *Registry { return cl.registry }
-
-// HostKernel exposes one host's kernel (frame accounting assertions).
-func (cl *Cluster) HostKernel(id int) *kernel.Kernel { return cl.hosts[id].kern }

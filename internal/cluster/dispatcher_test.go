@@ -32,21 +32,25 @@ func runFleet(t *testing.T, cfg trace.Config, loads []trace.FunctionLoad) *trace
 }
 
 // TestOneHostClusterMatchesFleet pins the provider seam's N-host instance
-// against its trivial one: a disarmed, event-free one-host cluster is the
-// same program as a clone-scale-out fleet on the same seed, so every shared
-// per-function field and the frame integral agree exactly. PeakFrames is the
-// one documented difference (tick-sampled on the cluster, exact on the
-// fleet: sampled <= exact).
+// against its trivial one: an event-free one-host cluster is the same program
+// as a clone-scale-out fleet on the same seed, armed with host 0's fault
+// stream or not, so every shared per-function field and the frame integral
+// agree exactly. PeakFrames is the one documented difference (tick-sampled on
+// the cluster, exact on the fleet: sampled <= exact).
 func TestOneHostClusterMatchesFleet(t *testing.T) {
 	for _, tc := range []struct {
 		name        string
 		rate        float64
 		scaleToZero bool
+		armed       bool
 	}{
-		{"rate=10/keep-warm", 10, false},
-		{"rate=10/scale-to-zero", 10, true},
-		{"rate=30/keep-warm", 30, false},
-		{"rate=30/scale-to-zero", 30, true},
+		{"rate=10/keep-warm", 10, false, false},
+		{"rate=10/scale-to-zero", 10, true, false},
+		{"rate=30/keep-warm", 30, false, false},
+		{"rate=30/scale-to-zero", 30, true, false},
+		{"rate=10/armed", 10, true, true},
+		{"rate=30/armed", 30, true, true},
+		{"rate=120/armed", 120, true, true},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			cfg := testConfig()
@@ -54,9 +58,16 @@ func TestOneHostClusterMatchesFleet(t *testing.T) {
 			if !tc.scaleToZero {
 				cfg.ScaleToZeroAfter = 0
 			}
+			fcfg := fleetConfig(cfg)
+			if tc.armed {
+				cfg.Faults = testFaults(7)
+				// The fleet's one kernel draws host 0's injection stream.
+				fcfg.Faults = cfg.Faults
+				fcfg.Faults.Seed = cfg.Faults.Seed ^ 0x9E3779B97F4A7C15
+			}
 			loads := testLoads(t, tc.rate)
 			_, cres := runCluster(t, cfg, tc.rate)
-			fres := runFleet(t, fleetConfig(cfg), loads)
+			fres := runFleet(t, fcfg, loads)
 
 			if len(cres.PerFunction) != len(fres.PerFunction) {
 				t.Fatalf("%d cluster functions vs %d fleet functions", len(cres.PerFunction), len(fres.PerFunction))
@@ -70,15 +81,16 @@ func TestOneHostClusterMatchesFleet(t *testing.T) {
 					ColdStartCost                                         sim.Duration
 					E2EMedian, E2EP99, QueueMedian, QueueP99              float64
 					FullColdStarts, CloneColdStarts, StateGets, StatePuts int
+					Crashes                                               int
 				}
 				got := shared{c.Name, c.Arrived, c.Requests, c.ColdStarts, c.Restores, c.Reaped,
 					c.ScaledToZero, c.ImagesEvicted, c.ColdStartCost,
 					c.E2E.Median(), c.E2E.P99(), c.Queue.Median(), c.Queue.P99(),
-					c.FullColdStarts, c.CloneColdStarts, c.StateGets, c.StatePuts}
+					c.FullColdStarts, c.CloneColdStarts, c.StateGets, c.StatePuts, c.Crashes}
 				want := shared{f.Name, f.Arrived, f.Requests, f.ColdStarts, f.Restores, f.Reaped,
 					f.ScaledToZero, f.ImagesEvicted, f.ColdStartCost,
 					f.E2E.Median(), f.E2E.P99(), f.Queue.Median(), f.Queue.P99(),
-					f.FullColdStarts, f.CloneColdStarts, f.StateGets, f.StatePuts}
+					f.FullColdStarts, f.CloneColdStarts, f.StateGets, f.StatePuts, f.Crashes}
 				if got != want {
 					t.Errorf("%s diverges:\ncluster %+v\nfleet   %+v", c.Name, got, want)
 				}

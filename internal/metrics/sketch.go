@@ -131,9 +131,6 @@ func NewSketch(alpha float64) *Sketch {
 	}
 }
 
-// Alpha returns the sketch's relative accuracy guarantee.
-func (s *Sketch) Alpha() float64 { return s.alpha }
-
 // Add records one sample. Negative samples are treated as zero (the
 // recorded statistics are latencies and counts, which cannot be negative).
 func (s *Sketch) Add(v float64) {

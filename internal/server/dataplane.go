@@ -45,44 +45,11 @@ func (s *Server) DataPlane(fn string, mode isolation.Mode) (*Handle, error) {
 	return &Handle{s: s, dep: dep}, nil
 }
 
-// Invoke runs one request from caller against the deployment, deploying the
-// platform on first use and — unlike the control plane — re-pooling an
-// empty deployment (crash-drained or reaped to zero) with a fresh cold
-// start before giving up: a data plane heals its pool rather than shedding
-// every request after a failure burst. Transient failures (injected
-// crashes, exhausted cold-start retries) still propagate for the caller to
-// map to 503 + Retry-After.
+// Invoke runs one request from caller against the deployment (see
+// Server.invoke: lazy deploy, self-healing pool) and returns its stats.
 func (h *Handle) Invoke(caller string) (faas.RequestStats, error) {
-	dep := h.dep
-	dep.mu.Lock()
-	defer dep.mu.Unlock()
-	if dep.gone {
-		return faas.RequestStats{}, ErrGone
-	}
-	if dep.platform == nil {
-		if err := dep.deploy(); err != nil {
-			h.s.undeploy(dep)
-			dep.gone = true
-			return faas.RequestStats{}, err
-		}
-	}
-	dep.host.mu.Lock()
-	if len(dep.platform.Containers()) == 0 {
-		// Self-heal: one scale-up attempt (the platform's own retry budget
-		// applies inside). Failure is transient — the next request tries
-		// again.
-		if _, err := dep.platform.AddContainer(); err != nil {
-			dep.host.mu.Unlock()
-			return faas.RequestStats{}, err
-		}
-	}
-	st, err := dep.platform.InvokeOnce(caller)
-	dep.host.mu.Unlock()
-	if err != nil {
-		return faas.RequestStats{}, err
-	}
-	dep.record(st)
-	return st, nil
+	st, _, err := h.s.invoke(h.dep, caller)
+	return st, err
 }
 
 // ColdStartMeanMs reports the deployment's observed mean cold-start cost in
@@ -103,11 +70,9 @@ func (h *Handle) ColdStartMeanMs() float64 {
 	return 0
 }
 
-// ArmFaults arms a deterministic fault plan on the deployment's host kernel
-// (deploying the platform first if needed). The injector sits on the shared
-// host kernel, so colocated deployments on the same host see the same
-// seams armed — tests wanting a single blast radius run SetHosts(1) or a
-// dedicated function.
+// ArmFaults arms a deterministic fault plan on the deployment's kernel
+// (deploying the platform first if needed). The kernel is the deployment's
+// own, so the blast radius is this deployment and nothing else.
 func (h *Handle) ArmFaults(plan faults.Plan) error {
 	if err := plan.Validate(); err != nil {
 		return err
@@ -123,75 +88,67 @@ func (h *Handle) ArmFaults(plan faults.Plan) error {
 			return err
 		}
 	}
-	dep.host.mu.Lock()
 	dep.platform.Kern.Faults = faults.New(plan)
-	dep.host.mu.Unlock()
 	return nil
 }
 
 // Undeploy removes fn × mode mid-traffic: the deployment leaves the
-// registry, its containers and snapshot image are torn down (frames back to
-// the host pool), and cached handles fail with ErrGone. An in-flight invoke
-// holding the deployment lock completes and delivers its response first —
-// undeploy never loses an accepted request. Returns false when no such
-// deployment exists.
+// registry, its containers and snapshot image are torn down, and cached
+// handles fail with ErrGone. An in-flight invoke holding the deployment lock
+// completes and delivers its response first — undeploy never loses an
+// accepted request. Returns false when no such deployment exists.
 func (s *Server) Undeploy(fn string, mode isolation.Mode) bool {
 	s.mu.Lock()
 	key := fn + "|" + string(mode)
 	dep, ok := s.deployments[key]
-	if ok {
-		delete(s.deployments, key)
-		dep.host.load--
-	}
+	delete(s.deployments, key)
 	s.mu.Unlock()
-	if !ok {
-		return false
+	if ok {
+		s.retire(dep)
 	}
-	dep.mu.Lock()
-	dep.gone = true
-	dep.teardown()
-	dep.mu.Unlock()
-	return true
+	return ok
 }
 
-// Shutdown undeploys everything and reports the residual frame count across
-// all host kernels — zero when no deployment leaked memory (the serving
-// analogue of trace.Fleet.Teardown). The server keeps answering after
-// shutdown: invokes fail with ErrGone until a new deployment registers.
+// Shutdown undeploys everything and reports the frames left in use on the
+// kernel of every deployment this server ever tore down — zero when none
+// leaked memory (the serving analogue of trace.Fleet.Teardown). The server
+// keeps answering after shutdown: invokes fail with ErrGone until a new
+// deployment registers.
 func (s *Server) Shutdown() int {
 	s.mu.Lock()
-	deps := make([]*deployment, 0, len(s.deployments))
-	for _, dep := range s.deployments {
-		deps = append(deps, dep)
-	}
+	deps := s.deployments
 	s.deployments = make(map[string]*deployment)
-	hosts := s.hosts
 	s.mu.Unlock()
 
 	for _, dep := range deps {
-		dep.mu.Lock()
-		dep.gone = true
-		dep.host.load--
-		dep.teardown()
-		dep.mu.Unlock()
+		s.retire(dep)
 	}
-	total := 0
-	for _, h := range hosts {
-		h.mu.Lock()
-		total += h.kern.Phys.InUse()
-		h.mu.Unlock()
-	}
-	return total
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.leaked
 }
 
-// teardown releases the deployment's platform memory: every container
+// retire tears down a deployment already out of the registry and adds what
+// its kernel still holds to the server's leak total.
+func (s *Server) retire(dep *deployment) {
+	dep.mu.Lock()
+	dep.gone = true
+	left := dep.teardown()
+	dep.mu.Unlock()
+
+	s.mu.Lock()
+	s.leaked += left
+	s.mu.Unlock()
+}
+
+// teardown releases the deployment's platform memory — every container
 // removed (address spaces exited, snapshot frame references released) and
-// the exported image evicted. Caller holds dep.mu.
-func (dep *deployment) teardown() {
+// the exported image evicted — and returns the frames its kernel still
+// counts in use afterwards: the deployment's leak. Caller holds dep.mu.
+func (dep *deployment) teardown() int {
 	if dep.platform == nil {
-		return
+		return 0
 	}
-	dep.host.mu.Lock()
 	for {
 		cs := dep.platform.Containers()
 		if len(cs) == 0 {
@@ -200,13 +157,12 @@ func (dep *deployment) teardown() {
 		dep.platform.RemoveContainer(cs[0])
 	}
 	dep.platform.EvictImage()
-	dep.host.mu.Unlock()
+	return dep.platform.Kern.Phys.InUse()
 }
 
 // record updates the per-deployment request counters after a served
-// request. Caller holds dep.mu; both the control plane's /invoke and the
-// gateway's Handle.Invoke fold through here so the /deployments listing
-// counts every served request once, whichever plane served it.
+// request, so the /deployments listing counts every served request once,
+// whichever plane served it. Caller holds dep.mu.
 func (dep *deployment) record(st faas.RequestStats) {
 	dep.invoked++
 	dep.e2e = metrics.PushBounded(dep.e2e, float64(st.E2E)/1e6, e2eWindow)

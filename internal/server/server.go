@@ -3,11 +3,8 @@
 // (one platform per function × isolation mode) are created lazily on first
 // invocation and stay warm, exactly like reused containers; repeated
 // invocations against the same deployment therefore exercise container
-// reuse with or without request isolation. Deployments are spread
-// least-loaded across a small set of simulated hosts (DefaultHosts, or
-// ghserve's -hosts flag), each host owning one kernel and physical-memory
-// pool, so /deployments reports per-host memory rather than a single
-// machine-wide aggregate.
+// reuse with or without request isolation. Each deployment owns its kernel
+// and physical-memory pool, so /deployments reports per-deployment memory.
 //
 // Endpoints:
 //
@@ -21,6 +18,7 @@ package server
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"net/http"
 	"slices"
@@ -41,49 +39,28 @@ import (
 // Server multiplexes HTTP requests onto simulated platforms. Each platform
 // simulation is single-threaded, so a per-deployment mutex serializes
 // invocations of the same function × mode; unrelated deployments run
-// concurrently up to their host's kernel lock. The server's own mutex
-// guards the deployments map, the host list, and the deploy-time
-// configuration.
+// concurrently. The server's own mutex guards the deployments map, the
+// deploy-time configuration and the leak total.
 type Server struct {
 	mu    sync.Mutex
-	cost  kernel.CostModel
 	seed  uint64
 	trust bool
 
-	hosts       []*serverHost
 	deployments map[string]*deployment
+	// leaked sums the frames still in use on the kernels of deployments
+	// already torn down (Undeploy, Shutdown): their kernels are gone, so
+	// this total is all that is left for Shutdown to report.
+	leaked int
 }
 
-// DefaultHosts is the simulated host count a fresh server runs with.
-const DefaultHosts = 4
-
-// serverHost is one simulated machine: a kernel (and so a physical-memory
-// pool) shared by every deployment placed on it. Its mutex serializes the
-// colocated platforms' kernel traffic; the placement load counter is
-// guarded by the server mutex instead, because placement happens under it.
-type serverHost struct {
-	id   int
-	mu   sync.Mutex
-	kern *kernel.Kernel
-	load int // deployments placed here; guarded by Server.mu
-}
-
-func newHosts(cost kernel.CostModel, n int) []*serverHost {
-	hosts := make([]*serverHost, n)
-	for i := range hosts {
-		hosts[i] = &serverHost{id: i, kern: kernel.New(cost)}
-	}
-	return hosts
-}
-
-// deployment is one function × mode platform. Its mutex covers the platform
-// (constructed lazily on the first invocation, so a slow cold start never
-// blocks the whole server) and the invocation counter.
+// deployment is one function × mode platform on a kernel of its own. Its
+// mutex covers the platform (constructed lazily on the first invocation, so
+// a slow cold start never blocks the whole server) and the invocation
+// counter.
 type deployment struct {
 	fn    string
 	mode  isolation.Mode
 	prof  runtimes.Profile
-	host  *serverHost
 	seed  uint64
 	trust bool
 
@@ -107,16 +84,9 @@ type deployment struct {
 // latencyWindow semantics: breaches and calm spells both age out).
 const e2eWindow = 128
 
-// New returns a server with the default cost model and DefaultHosts
-// simulated hosts.
+// New returns a server whose deployments run on the default cost model.
 func New() *Server {
-	cost := kernel.Default()
-	return &Server{
-		cost:        cost,
-		seed:        1,
-		hosts:       newHosts(cost, DefaultHosts),
-		deployments: make(map[string]*deployment),
-	}
+	return &Server{seed: 1, deployments: make(map[string]*deployment)}
 }
 
 // SetTrustSameCaller enables the §4.4 trusted-caller optimization on all
@@ -125,22 +95,6 @@ func (s *Server) SetTrustSameCaller(on bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.trust = on
-}
-
-// SetHosts resizes the simulated cluster. It must run before the first
-// deployment registers: existing deployments hold references into the old
-// hosts' kernels, so a live resize would split the memory accounting.
-func (s *Server) SetHosts(n int) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if n < 1 {
-		return fmt.Errorf("server: need at least one host, got %d", n)
-	}
-	if len(s.deployments) > 0 {
-		return fmt.Errorf("server: SetHosts after %d deployment(s) registered", len(s.deployments))
-	}
-	s.hosts = newHosts(s.cost, n)
-	return nil
 }
 
 // Handler returns the HTTP handler.
@@ -246,43 +200,29 @@ func (s *Server) handleInvoke(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	dep.mu.Lock()
-	defer dep.mu.Unlock()
-	if dep.gone {
-		// Undeployed between the registry lookup and the lock: the record is
-		// already out of the map, so the client's retry re-registers afresh.
-		http.Error(w, ErrGone.Error(), http.StatusNotFound)
-		return
-	}
-	fresh := dep.platform == nil
-	if fresh {
-		if err := dep.deploy(); err != nil {
-			s.undeploy(dep)
-			http.Error(w, err.Error(), http.StatusBadRequest)
-			return
-		}
-	}
-	// The host lock covers the kernel traffic of the invocation (frame
-	// allocation, restore), serializing colocated deployments the way one
-	// machine's memory subsystem would.
-	dep.host.mu.Lock()
-	st, err := dep.platform.InvokeOnce(caller)
-	dep.host.mu.Unlock()
+	st, deployCold, err := s.invoke(dep, caller)
 	if err != nil {
-		// Transient failures — an empty pool, a crashed container, an
-		// exhausted cold-start retry budget — are the client's cue to retry,
-		// not a server bug: 503 with a Retry-After, like a real invoker
-		// shedding load during a failure burst.
-		if faas.IsTransient(err) {
+		var de deployError
+		switch {
+		case errors.Is(err, ErrGone):
+			// Undeployed between the registry lookup and the lock: the record is
+			// already out of the map, so the client's retry re-registers afresh.
+			http.Error(w, err.Error(), http.StatusNotFound)
+		case errors.As(err, &de):
+			http.Error(w, err.Error(), http.StatusBadRequest)
+		case faas.IsTransient(err):
+			// Transient failures — a crashed container, an exhausted cold-start
+			// retry budget — are the client's cue to retry, not a server bug:
+			// 503 with a Retry-After, like a real invoker shedding load during a
+			// failure burst.
 			w.Header().Set("Retry-After", "1")
 			http.Error(w, err.Error(), http.StatusServiceUnavailable)
-			return
+		default:
+			http.Error(w, err.Error(), http.StatusInternalServerError)
 		}
-		http.Error(w, err.Error(), http.StatusInternalServerError)
 		return
 	}
-	dep.record(st)
-	resp := InvokeResponse{
+	writeJSON(w, http.StatusOK, InvokeResponse{
 		Function:     fn,
 		Mode:         string(mode),
 		Caller:       caller,
@@ -291,16 +231,52 @@ func (s *Server) handleInvoke(w http.ResponseWriter, r *http.Request) {
 		RestoreMS:    float64(st.Cleanup) / 1e6,
 		Restored:     st.Restored,
 		PreRestoreMS: float64(st.PreRestore) / 1e6,
-		VirtualTime:  dep.platform.Engine.Now().String(),
+		ColdStartMS:  float64(deployCold) / 1e6,
+		VirtualTime:  st.Completed.String(), // InvokeOnce ran the deployment's clock up to it
+	})
+}
+
+// invoke is the one request path, shared by the control plane's /invoke and
+// the data plane's Handle.Invoke: deploy the platform on first use, re-pool
+// an empty deployment (crash-drained or reaped to zero) with a fresh cold
+// start, run the request, count it. deployCold is the deploy pipeline's cost
+// on the request that built the platform, zero afterwards. Transient
+// failures (injected crashes, exhausted cold-start retries) propagate for
+// the caller to map to 503 + Retry-After.
+func (s *Server) invoke(dep *deployment, caller string) (st faas.RequestStats, deployCold sim.Duration, err error) {
+	dep.mu.Lock()
+	defer dep.mu.Unlock()
+	if dep.gone {
+		return st, 0, ErrGone
 	}
-	if fresh {
-		// A platform can reach zero containers (keep-alive expiry via
-		// RemoveContainer); report a zero cold start rather than panicking.
-		if cs := dep.platform.Containers(); len(cs) > 0 {
-			resp.ColdStartMS = float64(cs[0].ColdStart().Total) / 1e6
+	if dep.platform == nil {
+		if err = dep.deploy(); err != nil {
+			// Drop the record, so the next invocation retries, /deployments
+			// never lists a dead entry and cached handles see ErrGone. s.mu
+			// under dep.mu is the one lock order: nothing locks a deployment
+			// while holding s.mu.
+			s.mu.Lock()
+			delete(s.deployments, dep.fn+"|"+string(dep.mode))
+			s.mu.Unlock()
+			dep.gone = true
+			return st, 0, err
+		}
+		deployCold = dep.platform.Containers()[0].ColdStart().Total
+	}
+	pl := dep.platform
+	if len(pl.Containers()) == 0 {
+		// Self-heal: one scale-up attempt (the platform's own retry budget
+		// applies inside). Failure is transient — the next request tries
+		// again.
+		if _, err = pl.AddContainer(); err != nil {
+			return st, 0, err
 		}
 	}
-	writeJSON(w, http.StatusOK, resp)
+	if st, err = pl.InvokeOnce(caller); err != nil {
+		return st, 0, err
+	}
+	dep.record(st)
+	return st, deployCold, nil
 }
 
 // deployment returns (registering if needed) the deployment record for
@@ -317,45 +293,24 @@ func (s *Server) deployment(fn string, mode isolation.Mode) (*deployment, error)
 	if err != nil {
 		return nil, err
 	}
-	// Least-loaded placement (by deployment count, lowest host ID on ties):
-	// the simple spreading baseline — deployments never migrate, so the
-	// choice is permanent for the deployment's lifetime.
-	host := s.hosts[0]
-	for _, h := range s.hosts[1:] {
-		if h.load < host.load {
-			host = h
-		}
-	}
-	host.load++
-	dep := &deployment{
-		fn: fn, mode: mode, prof: entry.Prof,
-		host: host, seed: s.seed, trust: s.trust,
-	}
+	dep := &deployment{fn: fn, mode: mode, prof: entry.Prof, seed: s.seed, trust: s.trust}
 	s.deployments[key] = dep
 	return dep, nil
 }
 
-// undeploy removes a deployment whose platform construction failed, so the
-// next invocation retries and /deployments never lists a dead entry. The
-// caller holds dep.mu; lock ordering stays acyclic because no code path
-// acquires a deployment lock while holding s.mu.
-func (s *Server) undeploy(dep *deployment) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	dep.host.load--
-	delete(s.deployments, dep.fn+"|"+string(dep.mode))
-}
+// deployError marks a failed platform construction — a function × mode
+// that cannot be built (fork on a multi-threaded runtime) — which the
+// control plane answers with 400 rather than 500.
+type deployError struct{ error }
 
-// deploy constructs the platform (the cold start) on the deployment's host:
-// its own virtual timeline, but the host's shared kernel, so colocated
-// deployments compete for (and share the accounting of) one physical-memory
-// pool. Caller holds d.mu; lock order is d.mu → d.host.mu.
+func (e deployError) Unwrap() error { return e.error }
+
+// deploy constructs the platform (the cold start) with its own virtual
+// timeline, kernel and physical-memory pool. Caller holds d.mu.
 func (d *deployment) deploy() error {
-	d.host.mu.Lock()
-	defer d.host.mu.Unlock()
-	pl, err := faas.NewPlatformOn(sim.NewEngine(), d.host.kern, d.prof, d.mode, 1, d.seed)
+	pl, err := faas.NewPlatform(kernel.Default(), d.prof, d.mode, 1, d.seed)
 	if err != nil {
-		return fmt.Errorf("deploy %s under %s on host %d: %w", d.fn, d.mode, d.host.id, err)
+		return deployError{fmt.Errorf("deploy %s under %s: %w", d.fn, d.mode, err)}
 	}
 	pl.TrustSameCaller = d.trust
 	d.platform = pl
@@ -375,13 +330,7 @@ type DeploymentInfo struct {
 	Invoked    int    `json:"invoked"`
 	Restored   int    `json:"restored"`
 	Containers int    `json:"containers"`
-	// Host is the simulated machine this deployment was placed on;
-	// HostFramesInUse is that machine's whole physical-memory pool, summed
-	// over every colocated deployment (FramesInUse reports the same shared
-	// pool, kept for compatibility — per-deployment residency is
-	// ResidentPages).
-	Host             int     `json:"host"`
-	HostFramesInUse  int     `json:"host_frames_in_use"`
+
 	ColdStartMS      float64 `json:"cold_start_ms"`
 	StateStoreBytes  int     `json:"state_store_bytes"`
 	ResidentPages    int     `json:"resident_pages"`
@@ -434,7 +383,6 @@ func (dep *deployment) describe() DeploymentInfo {
 		Mode:     string(dep.mode),
 		Invoked:  dep.invoked,
 		Restored: dep.restored,
-		Host:     dep.host.id,
 	}
 	if dep.platform == nil {
 		return info
@@ -448,15 +396,10 @@ func (dep *deployment) describe() DeploymentInfo {
 		info.ColdStartMS = float64(cs[0].ColdStart().Total) / 1e6
 	}
 	info.Containers = len(cs)
-	// The host lock covers the kernel reads: a colocated deployment could
-	// be allocating frames on the shared pool concurrently.
-	dep.host.mu.Lock()
 	mem := pl.Memory()
-	dep.host.mu.Unlock()
 	info.StateStoreBytes = mem.StateStoreBytes
 	info.ResidentPages = mem.ResidentPages
 	info.FramesInUse = mem.FramesInUse
-	info.HostFramesInUse = mem.FramesInUse
 	info.SharedFramePages = mem.SharedFramePages
 	info.VirtualTime = now.String()
 

@@ -173,68 +173,6 @@ func TestChargeToNilIsSafe(t *testing.T) {
 	}
 }
 
-func TestResourceGrantsUpToCapacity(t *testing.T) {
-	r := NewResource(2)
-	granted := 0
-	r.Acquire(func() { granted++ })
-	r.Acquire(func() { granted++ })
-	r.Acquire(func() { granted++ })
-	if granted != 2 {
-		t.Fatalf("granted %d immediately, want 2", granted)
-	}
-	if r.QueueLen() != 1 {
-		t.Fatalf("queue = %d, want 1", r.QueueLen())
-	}
-	r.Release()
-	if granted != 3 {
-		t.Fatalf("release did not hand slot to waiter: granted=%d", granted)
-	}
-	if r.InUse() != 2 {
-		t.Fatalf("inUse = %d after handoff, want 2", r.InUse())
-	}
-}
-
-func TestResourceFIFOOrder(t *testing.T) {
-	r := NewResource(1)
-	var order []int
-	r.Acquire(func() {}) // occupy
-	for i := 1; i <= 5; i++ {
-		i := i
-		r.Acquire(func() { order = append(order, i) })
-	}
-	for i := 0; i < 5; i++ {
-		r.Release()
-	}
-	for i, v := range order {
-		if v != i+1 {
-			t.Fatalf("waiters served out of order: %v", order)
-		}
-	}
-}
-
-func TestResourceTryAcquire(t *testing.T) {
-	r := NewResource(1)
-	if !r.TryAcquire() {
-		t.Fatal("TryAcquire failed on free resource")
-	}
-	if r.TryAcquire() {
-		t.Fatal("TryAcquire succeeded on busy resource")
-	}
-	r.Release()
-	if !r.TryAcquire() {
-		t.Fatal("TryAcquire failed after release")
-	}
-}
-
-func TestResourceReleaseIdlePanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Error("releasing idle resource did not panic")
-		}
-	}()
-	NewResource(1).Release()
-}
-
 func TestRandDeterminism(t *testing.T) {
 	a, b := NewRand(42), NewRand(42)
 	for i := 0; i < 1000; i++ {

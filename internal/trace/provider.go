@@ -38,23 +38,10 @@ import (
 //     the provider's pools sit on; the Dispatcher samples it at policy ticks
 //     (MeanFrames, the sampled peak) and reads it after the drain and after
 //     Teardown.
-//   - RearmsPoolWake: a dispatch pass that found no free container and added
-//     none waits on the pools' earliest Ready(). When it reports true, a pass
-//     that did add containers re-arms that wake-up as well. Every container
-//     already has a wake-up at its own Ready(), so the re-armed one is a
-//     duplicate whose only effect is a second dispatch pass at that instant —
-//     under a one-container-per-pass policy with requests still queued, one
-//     more scale-up. The Fleet has never done this and the cluster always
-//     has; both behaviors are pinned byte-for-byte by committed baselines
-//     (BENCH_policy/BENCH_faults vs BENCH_cluster), so the difference is
-//     stated here rather than silently normalized. Disarmed runs at the
-//     tested operating points do not depend on it
-//     (cluster.TestOneHostClusterMatchesFleet).
 type Provider interface {
 	Deploy(fn int, prof runtimes.Profile, seed uint64) ([]*faas.Platform, error)
 	ScaleUp(fn int, now sim.Time) (*faas.Container, error)
 	FramesInUse() int
-	RearmsPoolWake() bool
 }
 
 // ErrNoCapacity is the transient error a Provider's ScaleUp wraps when there
@@ -96,8 +83,6 @@ func (h *oneHost) ScaleUp(fn int, _ sim.Time) (*faas.Container, error) {
 
 func (h *oneHost) FramesInUse() int { return h.kern.Phys.InUse() }
 
-func (h *oneHost) RearmsPoolWake() bool { return false }
-
 // Fleet is the Dispatcher on one simulated host: every deployed function
 // shares one kernel (and so one physical memory and one fault injector) and
 // has a single pool on it.
@@ -131,6 +116,3 @@ func (f *Fleet) Run() (*Result, error) {
 	res.PeakFrames = f.kern.Phys.Peak()
 	return res, nil
 }
-
-// Kernel exposes the fleet's shared kernel (frame accounting assertions).
-func (f *Fleet) Kernel() *kernel.Kernel { return f.kern }

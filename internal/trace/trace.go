@@ -713,11 +713,6 @@ type Dispatcher struct {
 	// signal — one buffer for the whole fleet instead of a fresh
 	// slice-and-Summary pair per function per tick.
 	p95Scratch []float64
-
-	// reapOverride, when set, replaces the per-function policy step — the
-	// equivalence tests inject the legacy reaper here to pin FixedTTL
-	// bit-compatibility.
-	reapOverride func(fs *fnState, now sim.Time)
 }
 
 // NewDispatcher validates the configuration and the loads (the one load
@@ -971,12 +966,7 @@ func (d *Dispatcher) Run() (*Result, error) {
 		d.engine.At(sim.Time(ev.At), func() { d.applyEvent(ev) })
 	}
 
-	// Policy tick: sample the frame integral, then let the policy reap
-	// (or, in the equivalence tests, the injected legacy reaper).
-	step := d.reapIdle
-	if d.reapOverride != nil {
-		step = d.reapOverride
-	}
+	// Policy tick: sample the frame integral, then let the policy reap.
 	var reap func()
 	reap = func() {
 		if d.err != nil || d.engine.Now() >= deadline {
@@ -985,7 +975,7 @@ func (d *Dispatcher) Run() (*Result, error) {
 		now := d.engine.Now()
 		d.sampleFrames(now, deadline)
 		for _, fs := range d.fns {
-			step(fs, now)
+			d.reapIdle(fs, now)
 		}
 		d.engine.After(d.cfg.KeepAlive/2, reap)
 	}
@@ -1158,8 +1148,9 @@ func (d *Dispatcher) dispatch(fs *fnState) {
 		c, pl := pickReady(fs, now)
 		if c == nil {
 			// No container free right now: ask the policy how many to add
-			// (clamped to the pool's headroom), then wait for the earliest
-			// ready time.
+			// (clamped to the pool's headroom). Each added container brings
+			// its own wake-up at its Ready(); a pass that added none waits
+			// for the pools' earliest ready time — one pass per instant.
 			added := false
 			pool := fs.containers()
 			if headroom := d.cfg.MaxContainersPerFunction - pool; headroom > 0 {
@@ -1202,7 +1193,7 @@ func (d *Dispatcher) dispatch(fs *fnState) {
 					added = true
 				}
 			}
-			if !added || d.prov.RearmsPoolWake() {
+			if !added {
 				if next := earliestReady(fs); next > now {
 					d.engine.At(next, fs.redispatch)
 				}

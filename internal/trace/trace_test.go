@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"groundhog/internal/catalog"
+	"groundhog/internal/core"
 	"groundhog/internal/isolation"
 	"groundhog/internal/kernel"
 	"groundhog/internal/sim"
@@ -24,6 +25,11 @@ func testLoads(t *testing.T, rate float64) []FunctionLoad {
 	}
 	return loads
 }
+
+// bothStores is the table input of the reaper tests that free snapshot
+// memory: the copy store's arena and the CoW store's shared frames are
+// released by different code.
+var bothStores = []core.StoreKind{core.StoreCopy, core.StoreCoW}
 
 func testConfig(mode isolation.Mode) Config {
 	return Config{
@@ -255,36 +261,42 @@ func TestFleetReaperPreservesWarmFloor(t *testing.T) {
 // ranging over a pre-reap snapshot of the pool (the old bug) visited stale
 // duplicate entries and over-counted.
 func TestFleetReaperMultiReapAccounting(t *testing.T) {
-	f, err := NewFleet(testConfig(isolation.ModeBase), testLoads(t, 5)[:1])
-	if err != nil {
-		t.Fatal(err)
-	}
-	fs := f.fns[0]
-	for len(fs.pools[0].Containers()) < 3 {
-		if _, err := fs.pools[0].AddContainer(); err != nil {
-			t.Fatal(err)
-		}
-	}
-	var latest sim.Time
-	for _, c := range fs.pools[0].Containers() {
-		if c.Ready() > latest {
-			latest = c.Ready()
-		}
-	}
-	f.engine.RunUntil(latest)
-	for _, c := range fs.pools[0].Containers() {
-		if _, err := fs.pools[0].Serve(c, ""); err != nil {
-			t.Fatal(err)
-		}
-	}
-	f.engine.Run() // let completions land
+	for _, store := range bothStores {
+		t.Run(store.String(), func(t *testing.T) {
+			cfg := testConfig(isolation.ModeGH) // BASE takes no snapshot and would ignore the store
+			cfg.Store = store
+			f, err := NewFleet(cfg, testLoads(t, 5)[:1])
+			if err != nil {
+				t.Fatal(err)
+			}
+			fs := f.fns[0]
+			for len(fs.pools[0].Containers()) < 3 {
+				if _, err := fs.pools[0].AddContainer(); err != nil {
+					t.Fatal(err)
+				}
+			}
+			var latest sim.Time
+			for _, c := range fs.pools[0].Containers() {
+				if c.Ready() > latest {
+					latest = c.Ready()
+				}
+			}
+			f.engine.RunUntil(latest)
+			for _, c := range fs.pools[0].Containers() {
+				if _, err := fs.pools[0].Serve(c, ""); err != nil {
+					t.Fatal(err)
+				}
+			}
+			f.engine.Run() // let completions land
 
-	f.reapIdle(fs, f.engine.Now()+sim.Time(time.Hour))
-	if got := len(fs.pools[0].Containers()); got != 1 {
-		t.Fatalf("pool = %d containers after reap, want the warm floor of 1", got)
-	}
-	if fs.stats.Reaped != 2 {
-		t.Fatalf("reaped = %d, want exactly 2 (stale-snapshot over-count?)", fs.stats.Reaped)
+			f.reapIdle(fs, f.engine.Now()+sim.Time(time.Hour))
+			if got := len(fs.pools[0].Containers()); got != 1 {
+				t.Fatalf("pool = %d containers after reap, want the warm floor of 1", got)
+			}
+			if fs.stats.Reaped != 2 {
+				t.Fatalf("reaped = %d, want exactly 2 (stale-snapshot over-count?)", fs.stats.Reaped)
+			}
+		})
 	}
 }
 
@@ -369,40 +381,45 @@ func TestFleetQueueDrainsAfterWindow(t *testing.T) {
 // snapshot image is evicted, and every frame the deployment held returns to
 // physical memory.
 func TestFleetScaleToZeroEvictsImage(t *testing.T) {
-	cfg := testConfig(isolation.ModeGH)
-	cfg.CloneScaleOut = true
-	cfg.ScaleToZeroAfter = cfg.KeepAlive
-	f, err := NewFleet(cfg, testLoads(t, 5)[:1])
-	if err != nil {
-		t.Fatal(err)
-	}
-	fs := f.fns[0]
-	c, err := fs.pools[0].AddContainer() // clones from the warm floor donor
-	if err != nil {
-		t.Fatal(err)
-	}
-	if c.ColdStart().ClonedFrom < 0 {
-		t.Fatal("scale-up did not clone")
-	}
-	f.engine.RunUntil(c.Ready())
-	if _, err := fs.pools[0].Serve(c, ""); err != nil {
-		t.Fatal(err)
-	}
-	f.engine.Run()
-	if f.kern.Phys.InUse() == 0 {
-		t.Fatal("fleet holds no frames before the reap")
-	}
+	for _, store := range bothStores {
+		t.Run(store.String(), func(t *testing.T) {
+			cfg := testConfig(isolation.ModeGH)
+			cfg.Store = store
+			cfg.CloneScaleOut = true
+			cfg.ScaleToZeroAfter = cfg.KeepAlive
+			f, err := NewFleet(cfg, testLoads(t, 5)[:1])
+			if err != nil {
+				t.Fatal(err)
+			}
+			fs := f.fns[0]
+			c, err := fs.pools[0].AddContainer() // clones from the warm floor donor
+			if err != nil {
+				t.Fatal(err)
+			}
+			if c.ColdStart().ClonedFrom < 0 {
+				t.Fatal("scale-up did not clone")
+			}
+			f.engine.RunUntil(c.Ready())
+			if _, err := fs.pools[0].Serve(c, ""); err != nil {
+				t.Fatal(err)
+			}
+			f.engine.Run()
+			if f.kern.Phys.InUse() == 0 {
+				t.Fatal("fleet holds no frames before the reap")
+			}
 
-	f.reapIdle(fs, f.engine.Now()+sim.Time(time.Hour))
-	if got := len(fs.pools[0].Containers()); got != 0 {
-		t.Fatalf("pool = %d after scale-to-zero", got)
-	}
-	if fs.stats.ScaledToZero != 1 || fs.stats.ImagesEvicted != 1 {
-		t.Fatalf("lifecycle counters: scaledToZero=%d imagesEvicted=%d, want 1/1",
-			fs.stats.ScaledToZero, fs.stats.ImagesEvicted)
-	}
-	if got := f.kern.Phys.InUse(); got != 0 {
-		t.Fatalf("%d frames still in use after eviction; image memory not returned", got)
+			f.reapIdle(fs, f.engine.Now()+sim.Time(time.Hour))
+			if got := len(fs.pools[0].Containers()); got != 0 {
+				t.Fatalf("pool = %d after scale-to-zero", got)
+			}
+			if fs.stats.ScaledToZero != 1 || fs.stats.ImagesEvicted != 1 {
+				t.Fatalf("lifecycle counters: scaledToZero=%d imagesEvicted=%d, want 1/1",
+					fs.stats.ScaledToZero, fs.stats.ImagesEvicted)
+			}
+			if got := f.kern.Phys.InUse(); got != 0 {
+				t.Fatalf("%d frames still in use after eviction; image memory not returned", got)
+			}
+		})
 	}
 }
 

@@ -149,9 +149,6 @@ func (as *AddressSpace) SetUffdTracking(on bool) {
 	as.uffd = on
 }
 
-// UffdTracking reports whether UFFD tracking is selected.
-func (as *AddressSpace) UffdTracking() bool { return as.uffd }
-
 // charge is the nil-safe meter helper.
 func (as *AddressSpace) charge(d sim.Duration) { sim.ChargeTo(as.meter, d) }
 
@@ -551,15 +548,6 @@ func (as *AddressSpace) ShareFrameCoW(vpn uint64) (mem.FrameID, bool) {
 	as.phys.Ref(pte.Frame)
 	pte.cow = true
 	return pte.Frame, true
-}
-
-// PokePageFromFrame overwrites page vpn with the contents of src (a frame
-// owned by the caller, e.g. a CoW state store). Like PokePage it is a
-// kernel-side write: no fault accounting, soft-dirty hygiene left to the
-// caller.
-func (as *AddressSpace) PokePageFromFrame(vpn uint64, src mem.FrameID) {
-	pte := as.pokePTE(vpn)
-	as.phys.Copy(pte.Frame, src)
 }
 
 // DropPage removes the backing frame for vpn if resident (madvise DONTNEED
