@@ -34,9 +34,15 @@
 // page metadata is scanned one VMA at a time (procfs.PagemapRange) instead of
 // materializing a full-address-space flag slice, the dirty list is merged
 // against the sorted VPN index with linear scans, and maximal runs of
-// contiguous pages are copied back with single batched pokes
-// (vm.AddressSpace.PokePageRun / PokeFrameRun over mem.PhysMem.RestoreRun /
-// CopyRun) straight out of the arena. After the first restore has sized the
+// contiguous pages are rolled back with single batched pokes
+// (vm.AddressSpace.PokePageRun / PokeFrameRun) straight out of the arena.
+// The virtual charge is a whole-page copy per page, as in the paper; the
+// host copies only each page's soft-dirty extent (vm.PTE.Extent over
+// mem.PhysMem.RestoreExtent / CopyExtent) — the byte range vm.WriteWord
+// widened since the last ClearSoftDirty, or the whole page if the page got
+// its frame during the epoch. Bytes outside the extent were not written and
+// equal the snapshot already: the argument the soft-dirty bit itself rests
+// on, one level down. After the first restore has sized the
 // manager's scratch buffers, rolling back a request that dirtied pages
 // without changing the memory layout performs zero heap allocations — a
 // property pinned by TestRestoreSteadyStateZeroAllocs (both state stores);

@@ -2,9 +2,7 @@ package core
 
 import (
 	"testing"
-	"testing/quick"
 
-	"groundhog/internal/kernel"
 	"groundhog/internal/mem"
 	"groundhog/internal/sim"
 	"groundhog/internal/vm"
@@ -120,44 +118,5 @@ func TestCoWStoreReleasedOnResnapshot(t *testing.T) {
 	// frames again.
 	if k.Phys.InUse() > before {
 		t.Fatalf("re-snapshot leaked frames: %d -> %d", before, k.Phys.InUse())
-	}
-}
-
-// The decisive test: the arbitrary-mutation property holds under the CoW
-// store exactly as under the eager store.
-func TestCoWStoreUndoesArbitraryMutations(t *testing.T) {
-	f := func(muts []mutation) bool {
-		k := kernel.New(kernel.Default())
-		p, err := k.Spawn(kernel.ExecSpec{TextPages: 4, DataPages: 2, Threads: 2})
-		if err != nil {
-			return false
-		}
-		heap := p.AS.HeapBase()
-		if _, err := p.AS.Brk(heap + 32*mem.PageSize); err != nil {
-			return false
-		}
-		for i := 0; i < 32; i++ {
-			p.AS.WriteWord(heap+vm.Addr(i*mem.PageSize), 0xFEED0000+uint64(i))
-		}
-		m, err := NewManager(k, p, cowOptions())
-		if err != nil {
-			return false
-		}
-		if _, err := m.TakeSnapshot(); err != nil {
-			return false
-		}
-		applyMutations(p, muts)
-		if _, err := m.Restore(); err != nil {
-			t.Logf("restore failed: %v", err)
-			return false
-		}
-		if err := m.Verify(); err != nil {
-			t.Logf("verify failed: %v", err)
-			return false
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
-		t.Fatal(err)
 	}
 }

@@ -101,6 +101,12 @@ func (sc *diffScratch) diff(cur, snap []vm.VMA) layoutDiff {
 				break // heap shrinkage: reversed by the brk injection
 			}
 			sc.remap = appendRun(sc.remap, vm.VMA{Start: lo, End: hi, Prot: s.Prot, Kind: s.Kind, Name: s.Name})
+		case cok && sok && s.Kind != vm.KindHeap && (c.Kind != s.Kind || c.Name != s.Name):
+			// Another region now covers a snapshot region's range (the
+			// request unmapped part of it and something else grew or was
+			// mapped there): unmap the impostor, map the original back.
+			sc.unmap = appendRun(sc.unmap, vm.VMA{Start: lo, End: hi, Prot: c.Prot, Kind: c.Kind, Name: c.Name})
+			sc.remap = appendRun(sc.remap, vm.VMA{Start: lo, End: hi, Prot: s.Prot, Kind: s.Kind, Name: s.Name})
 		case cok && sok && (c.Prot != s.Prot):
 			sc.reprotect = appendRun(sc.reprotect, vm.VMA{Start: lo, End: hi, Prot: s.Prot, Kind: s.Kind, Name: s.Name})
 		}
@@ -240,7 +246,12 @@ func (m *Manager) Restore() (RestoreStats, error) {
 	// the pagemap; only the simulator stops re-deriving what it knows.
 	// Layout churn (python/node mmap cycles), mremap moves, and tracking
 	// switches all disarm the gate and fall back to the exact walk below.
-	fast := as.DirtyLogArmed() && as.FreshLogArmed() &&
+	//
+	// A disarmed fresh log also means the request may have dropped resident
+	// pages (vm.DropPage disarms it), which is what the restore set below
+	// needs to know; the restorer's own drops come later and do not count.
+	dropped := !as.FreshLogArmed()
+	fast := as.DirtyLogArmed() && !dropped &&
 		as.BrkValue() == m.snap.brk && layoutsEqual(curLayout, m.snap.layout)
 
 	// 3. Scan page metadata: which pages are resident, which are dirty.
@@ -384,14 +395,13 @@ func (m *Manager) Restore() (RestoreStats, error) {
 	stats.DroppedPages = len(sc.fresh)
 
 	// 7. Restore memory contents: every snapshot page that is dirty, or
-	// that lost its frame (madvised away or in a re-created region), gets
-	// its recorded contents back. The dirty list, the resident set, and the
-	// store's VPN index are all sorted, so one three-way linear merge finds
-	// the restore set — the resident check never touches the page table
-	// (the injected syscalls between the scan and here only drop pages
-	// *outside* the snapshot store, so sc.present is still authoritative
-	// for every store VPN); runs of contiguous pages then copy back in
-	// single batched pokes.
+	// that lost its frame (madvised away or in a re-created region) — even
+	// if a read has since faulted a zero frame back in — gets its recorded
+	// contents back. The dirty list, the resident set, and the store's VPN
+	// index are all sorted, so one three-way linear merge finds the restore
+	// set; runs of contiguous pages then copy back in single batched pokes.
+	// The pokes move only each page's soft-dirty extent (see vm.PTE); the
+	// charges stay whole pages.
 	meter.BeginPhase(PhaseRestoreMem)
 	phys := m.kern.Phys
 	sc.restore = sc.restore[:0]
@@ -399,11 +409,9 @@ func (m *Manager) Restore() (RestoreStats, error) {
 		// In a fast epoch the restore set is exactly the dirty store pages.
 		// The slow path's second clause — non-resident pages with real
 		// content — is empty here: the previous restore re-poked every such
-		// page (leaving non-resident store pages zero-in-snapshot only),
-		// the layout never changed, and the one thing that drops pages
-		// mid-request (the instance's own madvise) marks them dirty again
-		// when it rewrites them. So the merge runs over the dirty list, not
-		// the store.
+		// page (leaving non-resident store pages zero-in-snapshot only), and
+		// a request that drops a resident page disarms the gate. So the
+		// merge runs over the dirty list, not the store.
 		ri := 0
 		for _, vpn := range sc.dirty {
 			for ri < len(st.vpns) && st.vpns[ri] < vpn {
@@ -423,14 +431,23 @@ func (m *Manager) Restore() (RestoreStats, error) {
 				sc.restore = append(sc.restore, i)
 				continue
 			}
-			// Page content lives only in the snapshot: re-poke if it is no
-			// longer resident and has real content. (Zero pages refault to
-			// zero on demand; no copy needed.)
+			// Page content lives only in the snapshot: re-poke if it has
+			// real content and the frame the snapshot saw is gone. (Zero
+			// pages refault to zero on demand; no copy needed.) A page the
+			// scan did not find resident has lost it. One it did find may
+			// have too, but only if the request dropped pages: a read can
+			// have faulted a zero frame back in, or the page sat in a region
+			// the munmap phase above just removed. Then, and only then, the
+			// page table is asked; otherwise the scan is authoritative (the
+			// injected syscalls drop nothing else inside the store).
 			for pi < len(sc.present) && sc.present[pi] < vpn {
 				pi++
 			}
 			resident := pi < len(sc.present) && sc.present[pi] == vpn
-			if !resident && !st.zeroAt(i, phys) {
+			if resident && !(dropped && lostFrame(as, vpn)) {
+				continue
+			}
+			if !st.zeroAt(i, phys) {
 				sc.restore = append(sc.restore, i)
 			}
 		}
@@ -488,6 +505,16 @@ func (m *Manager) Restore() (RestoreStats, error) {
 		stats.PhaseDurations[i] = meter.Phase(ph)
 	}
 	return stats, nil
+}
+
+// lostFrame reports whether clean page vpn is no longer on the frame it had
+// at the last clear: it is not resident, or it carries a soft-dirty extent —
+// which a page that is not soft-dirty only does when it became resident
+// since (a page born during the epoch carries the whole page).
+func lostFrame(as *vm.AddressSpace, vpn uint64) bool {
+	pte, ok := as.PTEAt(vpn)
+	lo, hi := pte.Extent()
+	return !ok || hi > lo
 }
 
 // restoreRun copies the recorded pages at store indices [lo, hi) — a run of

@@ -259,6 +259,13 @@ func TestDiffLayoutsTable(t *testing.T) {
 			snap:  []vm.VMA{rw(0x1000, 0x3000)},
 			unmap: 1, firstUnmap: 0x3000,
 		},
+		{
+			name:  "region replaced at the same range is unmapped and mapped back",
+			cur:   []vm.VMA{rw(0x1000, 0x2000), {Start: 0x2000, End: 0x3000, Prot: vm.ProtRW, Kind: vm.KindFile, Name: "req"}},
+			snap:  []vm.VMA{rw(0x1000, 0x3000)},
+			unmap: 1, firstUnmap: 0x2000,
+			remap: 1, firstRemapLo: 0x2000,
+		},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

@@ -257,40 +257,64 @@ func (p *PhysMem) Snapshot(id FrameID) []byte {
 // RestoreInto overwrites the frame's contents with a snapshot previously
 // returned by Snapshot (nil means all-zero).
 func (p *PhysMem) RestoreInto(id FrameID, snap []byte) {
-	f := p.get(id)
-	if snap == nil {
-		p.release(f)
-		return
-	}
-	copy(p.materializeRaw(f), snap)
+	p.RestoreExtent(id, snap, 0, PageSize)
 }
 
-// RestoreRun overwrites a run of frames in one call: frame ids[i] receives
-// data[i*PageSize:(i+1)*PageSize]. A nil data zeroes every frame in the run.
-// This is the batch half of the run-based restore path: the caller hands one
-// contiguous arena slice covering the whole run instead of one buffer per
-// page, so the copy loop stays in this package and allocates nothing.
-func (p *PhysMem) RestoreRun(ids []FrameID, data []byte) {
-	if data == nil {
-		for _, id := range ids {
-			p.release(p.get(id))
-		}
-		return
+// RestoreExtent makes the frame equal to snap (one page of bytes; nil means
+// all-zero) given that it already equals snap outside the byte range
+// [lo, hi): only snap[lo:hi] is copied. This is the copy half of the
+// soft-dirty extent (vm.PTE): the restorer knows which bytes of a page were
+// written since the snapshot and undoes those, not the 4 KiB frame around
+// them. An empty extent is a no-op; a zero snap releases the frame (the rest
+// of it is zero already, by the caller's guarantee); a lazily-zero frame is
+// zero-materialized first. An extent outside the frame panics.
+func (p *PhysMem) RestoreExtent(id FrameID, snap []byte, lo, hi int) {
+	p.undo(p.get(id), snap, lo, hi)
+}
+
+// CopyExtent is RestoreExtent with a frame as the source: dst, already equal
+// to src outside [lo, hi), receives src's bytes inside it. A lazily-zero src
+// propagates as a lazy zero, as with Copy.
+func (p *PhysMem) CopyExtent(dst, src FrameID, lo, hi int) {
+	s := p.get(src)
+	p.undo(p.get(dst), s.data, lo, hi)
+}
+
+// undo is the one copy loop behind every restore-side write: f, equal to src
+// outside [lo, hi), is made equal to it everywhere.
+func (p *PhysMem) undo(f *frame, src []byte, lo, hi int) {
+	if lo < 0 || lo > hi || hi > PageSize {
+		panic(fmt.Sprintf("mem: extent [%d,%d) outside frame", lo, hi))
 	}
-	if len(data) != len(ids)*PageSize {
+	switch {
+	case lo == hi:
+	case src == nil:
+		p.release(f)
+	case hi-lo == PageSize:
+		copy(p.materializeRaw(f), src)
+	default:
+		copy(p.materialize(f)[lo:hi], src[lo:hi])
+	}
+}
+
+// RestoreRun overwrites a run of whole frames in one call: frame ids[i]
+// receives data[i*PageSize:(i+1)*PageSize]. A nil data zeroes every frame in
+// the run.
+func (p *PhysMem) RestoreRun(ids []FrameID, data []byte) {
+	if data != nil && len(data) != len(ids)*PageSize {
 		panic(fmt.Sprintf("mem: RestoreRun of %d frames with %d bytes", len(ids), len(data)))
 	}
 	for i, id := range ids {
-		copy(p.materializeRaw(p.get(id)), data[i*PageSize:(i+1)*PageSize])
+		var page []byte
+		if data != nil {
+			page = data[i*PageSize : (i+1)*PageSize]
+		}
+		p.RestoreInto(id, page)
 	}
 }
 
-// CopyRun overwrites frame dst[i] with the contents of src[i] for the whole
-// run in one call — the batch half of the frame-based restore path (the CoW
-// state store's PokeFrameRun): the caller hands one coalesced run of
-// destination and source frames, modeling a single kernel-side copy over the
-// span instead of one call per page. Lazily-zero sources propagate as lazy
-// zeros, as with Copy.
+// CopyRun overwrites frame dst[i] with the whole contents of src[i] for every
+// frame of the run. Lazily-zero sources propagate as lazy zeros, as with Copy.
 func (p *PhysMem) CopyRun(dst, src []FrameID) {
 	if len(dst) != len(src) {
 		panic(fmt.Sprintf("mem: CopyRun of %d dst frames with %d src frames", len(dst), len(src)))
@@ -302,13 +326,7 @@ func (p *PhysMem) CopyRun(dst, src []FrameID) {
 
 // Copy overwrites dst's contents with src's.
 func (p *PhysMem) Copy(dst, src FrameID) {
-	s := p.get(src)
-	d := p.get(dst)
-	if s.data == nil {
-		p.release(d)
-		return
-	}
-	copy(p.materializeRaw(d), s.data)
+	p.CopyExtent(dst, src, 0, PageSize)
 }
 
 // Bytes reports the materialized size of a frame: 0 while it is lazily

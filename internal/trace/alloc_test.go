@@ -89,7 +89,9 @@ func TestFleetSteadyStateAllocsPerRequest(t *testing.T) {
 		t.Fatalf("windows produced %d and %d requests; need the longer run to serve more", shortReq, longReq)
 	}
 
-	mallocsPerReq := float64(longMallocs-shortMallocs) / float64(extra)
+	// Signed: with nothing allocated per request the two counts differ by a
+	// few background mallocs either way.
+	mallocsPerReq := float64(int64(longMallocs)-int64(shortMallocs)) / float64(extra)
 	if mallocsPerReq > 1.0 {
 		t.Errorf("fleet steady state allocated %.3f mallocs/request (short %d, long %d over %d extra requests), want < 1",
 			mallocsPerReq, shortMallocs, longMallocs, extra)

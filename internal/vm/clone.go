@@ -65,6 +65,8 @@ func (as *AddressSpace) MapFrameCoW(vpn uint64, frame mem.FrameID) error {
 	}
 	as.phys.Ref(frame)
 	as.logFresh(vpn)
-	as.pages.set(vpn, PTE{Frame: frame, cow: true, tlbCold: true})
+	pte := bornPTE(frame)
+	pte.cow, pte.tlbCold = true, true
+	as.pages.set(vpn, pte)
 	return nil
 }

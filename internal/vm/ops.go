@@ -149,19 +149,9 @@ func (as *AddressSpace) Madvise(start Addr, bytes int) error {
 	end := start + Addr(PageCeil(bytes))
 	pages := 0
 	for vpn := start.PageNum(); vpn < end.PageNum(); vpn++ {
-		if pte, ok := as.pages.delete(vpn); ok {
-			as.phys.Unref(pte.Frame)
+		if as.DropPage(vpn) {
 			pages++
 		}
-	}
-	if pages > 0 {
-		// Dropping resident pages silently diverges memory from the
-		// snapshot without marking anything dirty; the restore fast path
-		// cannot see it, so disarm the fresh log and force the next restore
-		// through the exact walk. ClearSoftDirty re-arms for the epoch
-		// after (the restorer's own drops land between its gate check and
-		// its re-arm, so steady-state epochs stay on the fast path).
-		as.freshLogArmed = false
 	}
 	as.chargeSyscall(pages)
 	return nil

@@ -228,15 +228,22 @@ func (pt *pageTable) appendRange(lo, hi uint64, dst []PagemapEntry) []PagemapEnt
 	return dst
 }
 
-// clearSoftDirty clears every resident entry's soft-dirty bit and arms its
-// write protection, returning the number of entries walked.
+// clearSoftDirty starts a new epoch for one entry: soft-dirty bit off, extent
+// empty, write protection armed.
+func (p *PTE) clearSoftDirty() {
+	p.SoftDirty = false
+	p.lo, p.hi = 0, 0
+	p.wpArmed = true
+}
+
+// clearSoftDirty clears every resident entry's soft-dirty bit and extent and
+// arms its write protection, returning the number of entries walked.
 func (pt *pageTable) clearSoftDirty() int {
 	for _, c := range pt.chunks {
 		for w, word := range c.bitmap {
 			for ; word != 0; word &= word - 1 {
 				i := uint64(w<<6) + uint64(bits.TrailingZeros64(word))
-				c.entries[i].SoftDirty = false
-				c.entries[i].wpArmed = true
+				c.entries[i].clearSoftDirty()
 			}
 		}
 	}

@@ -39,10 +39,43 @@ type PTE struct {
 	// tlbCold means this address space has not touched the page since a
 	// fork, so the first access pays the FirstTouch cost.
 	tlbCold bool
+	// lo and hi refine the soft-dirty bit to a soft-dirty extent: every byte
+	// of the page written since the last ClearSoftDirty lies in [lo, hi), so
+	// the bytes outside it still equal what the page held at that clear.
+	// WriteWord widens the extent; a PTE born during the epoch (demand-zero
+	// fault, poke of a non-resident page, MapFrameCoW, a CoW break inside a
+	// poke) carries the whole page, because nothing relates its frame to the
+	// page's earlier contents; ClearSoftDirty empties it (hi == 0). The two
+	// fields sit in what was the struct's padding: a PTE stays 16 bytes.
+	lo, hi uint16
 }
 
 // CoW reports whether the entry currently shares its frame copy-on-write.
 func (p PTE) CoW() bool { return p.cow }
+
+// Extent returns the page's soft-dirty extent: the byte range [lo, hi) that
+// may differ from the page's contents at the last ClearSoftDirty. lo == hi
+// means nothing has been written. A page can carry an extent without its
+// SoftDirty bit: it became resident during the epoch and was only read.
+func (p PTE) Extent() (lo, hi int) { return int(p.lo), int(p.hi) }
+
+// widen grows the extent to cover [lo, hi).
+func (p *PTE) widen(lo, hi int) {
+	if p.hi == 0 {
+		p.lo, p.hi = uint16(lo), uint16(hi)
+		return
+	}
+	if uint16(lo) < p.lo {
+		p.lo = uint16(lo)
+	}
+	if uint16(hi) > p.hi {
+		p.hi = uint16(hi)
+	}
+}
+
+// bornPTE is the entry of a page that becomes resident on frame: its extent
+// is the whole page.
+func bornPTE(frame mem.FrameID) PTE { return PTE{Frame: frame, hi: mem.PageSize} }
 
 // AddressSpace is one process's virtual memory: a sorted list of VMAs and a
 // sparse page table. It is not safe for concurrent use.
@@ -67,11 +100,6 @@ type AddressSpace struct {
 
 	faults FaultStats
 
-	// runFrames is the reusable frame scratch for PokePageRun and
-	// PokeFrameRun, so the steady-state restore path performs no heap
-	// allocations.
-	runFrames []mem.FrameID
-
 	// dirtyLog is the incremental dirty set: every write fault that turns a
 	// page's soft-dirty bit on appends the page number here. Under UFFD
 	// tracking it is the simulated equivalent of the user-space fault
@@ -93,7 +121,9 @@ type AddressSpace struct {
 
 	// freshLog is the dirty log's residency twin: every page that
 	// transitions from absent to resident (demand-zero faults, restore
-	// pokes, CoW frame mappings) appends its page number here. The restore
+	// pokes, CoW frame mappings) appends its page number here, and so does
+	// a resident page a poke moves to a new frame (a CoW break) — between
+	// them, every entry born with a whole-page extent. The restore
 	// fast path reads it to find pages mapped in since the last epoch —
 	// the candidates for the madvise drop set — without walking the
 	// resident set it is charging for. Armed and truncated by
@@ -308,12 +338,13 @@ func (as *AddressSpace) resolve(a Addr, write bool) VMA {
 }
 
 // fault ensures a resident, writable-as-needed PTE for vpn, charging fault
-// costs. It implements the demand-zero, CoW and soft-dirty fault paths.
-func (as *AddressSpace) fault(vpn uint64, write bool) PTE {
+// costs, and returns the live entry (valid until the page is dropped). It
+// implements the demand-zero, CoW and soft-dirty fault paths.
+func (as *AddressSpace) fault(vpn uint64, write bool) *PTE {
 	pte := as.pages.ref(vpn)
 	if pte == nil {
 		// Demand-zero minor fault.
-		pte = as.pages.set(vpn, PTE{Frame: as.phys.Alloc()})
+		pte = as.pages.set(vpn, bornPTE(as.phys.Alloc()))
 		as.faults.Minor++
 		as.charge(as.costs.MinorFault)
 		as.logFresh(vpn)
@@ -355,7 +386,7 @@ func (as *AddressSpace) fault(vpn uint64, write bool) PTE {
 		}
 		pte.SoftDirty = true
 	}
-	return *pte
+	return pte
 }
 
 // logDirty appends vpn to the dirty log, tracking whether insertion order
@@ -388,12 +419,17 @@ func (as *AddressSpace) ReadWord(a Addr) uint64 {
 	return as.phys.ReadWord(pte.Frame, a.PageOff())
 }
 
-// WriteWord stores the 8-byte word v at a, taking faults as needed.
+// WriteWord stores the 8-byte word v at a, taking faults as needed, and
+// widens the page's soft-dirty extent over the word. It is the only
+// function-side write to frame bytes, which is what lets the extent stand
+// for "every byte written since the last ClearSoftDirty".
 func (as *AddressSpace) WriteWord(a Addr, v uint64) {
 	as.resolve(a, true)
 	pte := as.fault(a.PageNum(), true)
 	as.charge(as.costs.WriteWord)
-	as.phys.WriteWord(pte.Frame, a.PageOff(), v)
+	off := a.PageOff()
+	as.phys.WriteWord(pte.Frame, off, v)
+	pte.widen(off, off+mem.WordSize)
 }
 
 // TouchPage reads one byte's worth of a page (used by workloads that scan
@@ -477,62 +513,70 @@ func (as *AddressSpace) PeekPageInto(vpn uint64, buf []byte) (zero, ok bool) {
 
 // pokePTE ensures vpn has a privately owned frame the restorer may overwrite:
 // it allocates one for non-resident pages and breaks CoW sharing for shared
-// ones, returning a pointer to the live (already stored) entry.
+// ones, returning a pointer to the live (already stored) entry. In both
+// cases the page has a new frame, so its extent becomes the whole page and
+// the fresh log records it for the next ClearSoftDirty; a resident private
+// page is returned as it is.
 func (as *AddressSpace) pokePTE(vpn uint64) *PTE {
 	pte := as.pages.ref(vpn)
 	if pte == nil {
 		as.logFresh(vpn)
-		return as.pages.set(vpn, PTE{Frame: as.phys.Alloc()})
+		return as.pages.set(vpn, bornPTE(as.phys.Alloc()))
 	}
 	if pte.cow && as.phys.Refs(pte.Frame) > 1 {
 		f := as.phys.Clone(pte.Frame)
 		as.phys.Unref(pte.Frame)
 		pte.Frame = f
+		pte.lo, pte.hi = 0, mem.PageSize
+		as.logFresh(vpn)
 	}
 	pte.cow = false
 	return pte
 }
 
 // PokePage overwrites page vpn with data (nil means all-zero), materializing
-// a private frame if needed. This is the kernel-side write used by the
-// restorer; it breaks CoW sharing without charging function-side fault costs
-// (the restorer accounts for its own copy costs) and leaves soft-dirty state
-// to the caller, which clears it afterwards exactly as Groundhog does.
+// a private frame if needed. This is ptrace's arbitrary kernel-side write: a
+// whole-page copy whatever the page's extent. It breaks CoW sharing without
+// charging function-side fault costs and leaves soft-dirty state — bit and
+// extent — to the caller.
 func (as *AddressSpace) PokePage(vpn uint64, data []byte) {
 	pte := as.pokePTE(vpn)
 	as.phys.RestoreInto(pte.Frame, data)
 }
 
-// PokePageRun overwrites the n consecutive pages starting at startVPN with
-// data, one contiguous buffer of n*mem.PageSize bytes (nil zeroes the run).
-// It is the batch form of PokePage used by the run-based restore path: one
-// call per coalesced run of dirty pages, modeling a single process_vm_writev
-// covering the run, with no per-page buffer handling and no allocation in
-// steady state (resident, privately-owned pages).
+// PokePageRun rolls the n consecutive pages starting at startVPN back to
+// data, one contiguous buffer of n*mem.PageSize bytes holding what the pages
+// contained at the last ClearSoftDirty (nil: all-zero). It is the restorer's
+// write — one call per coalesced run of pages, modeling a single
+// process_vm_writev covering the run — and it copies, per page, only the
+// soft-dirty extent: the bytes outside it were not written since that clear
+// and equal data already. The simulated kernel still copies (and the caller
+// still charges) whole pages; the simulator stops re-copying bytes it knows
+// are equal. Pages that became resident during the epoch carry the whole
+// page as their extent, so they are copied in full. No allocation in steady
+// state (resident, privately-owned pages).
 func (as *AddressSpace) PokePageRun(startVPN uint64, n int, data []byte) {
 	if data != nil && len(data) != n*mem.PageSize {
 		panic(fmt.Sprintf("vm: PokePageRun of %d pages with %d bytes", n, len(data)))
 	}
-	frames := as.runFrames[:0]
 	for i := 0; i < n; i++ {
-		frames = append(frames, as.pokePTE(startVPN+uint64(i)).Frame)
+		pte := as.pokePTE(startVPN + uint64(i))
+		var page []byte
+		if data != nil {
+			page = data[i*mem.PageSize : (i+1)*mem.PageSize]
+		}
+		as.phys.RestoreExtent(pte.Frame, page, int(pte.lo), int(pte.hi))
 	}
-	as.phys.RestoreRun(frames, data)
-	as.runFrames = frames[:0]
 }
 
-// PokeFrameRun overwrites the consecutive pages starting at startVPN with the
-// contents of the caller-owned frames in src (the CoW state store's batch
-// restore). Like PokePageRun it is one kernel-side call per run: destination
-// frames are gathered into the reusable run scratch and handed to PhysMem as
-// one batched CopyRun over the whole coalesced span.
+// PokeFrameRun is PokePageRun with the caller-owned frames in src as the
+// source (the CoW state store's restore): page startVPN+i receives the bytes
+// of src[i] that lie inside its soft-dirty extent.
 func (as *AddressSpace) PokeFrameRun(startVPN uint64, src []mem.FrameID) {
-	frames := as.runFrames[:0]
-	for i := range src {
-		frames = append(frames, as.pokePTE(startVPN+uint64(i)).Frame)
+	for i, f := range src {
+		pte := as.pokePTE(startVPN + uint64(i))
+		as.phys.CopyExtent(pte.Frame, f, int(pte.lo), int(pte.hi))
 	}
-	as.phys.CopyRun(frames, src)
-	as.runFrames = frames[:0]
 }
 
 // ShareFrameCoW hands the caller a reference to vpn's backing frame and
@@ -551,19 +595,33 @@ func (as *AddressSpace) ShareFrameCoW(vpn uint64) (mem.FrameID, bool) {
 }
 
 // DropPage removes the backing frame for vpn if resident (madvise DONTNEED
-// semantics: the next touch demand-zero faults).
-func (as *AddressSpace) DropPage(vpn uint64) {
-	if pte, ok := as.pages.delete(vpn); ok {
+// semantics: the next touch demand-zero faults) and reports whether it was.
+//
+// Dropping a resident page silently diverges memory from the snapshot
+// without marking anything dirty; the restore fast path cannot see it, so
+// the drop disarms the fresh log and forces the next restore through the
+// exact walk — whichever syscall dropped the page (madvise, munmap, a brk
+// shrink) and whether or not the layout ends the request as it began.
+// ClearSoftDirty re-arms for the epoch after (the restorer's own drops land
+// between its gate check and its re-arm, so steady-state epochs stay on the
+// fast path).
+func (as *AddressSpace) DropPage(vpn uint64) bool {
+	pte, ok := as.pages.delete(vpn)
+	if ok {
 		as.phys.Unref(pte.Frame)
+		as.freshLogArmed = false
 	}
+	return ok
 }
 
 // --- soft-dirty tracking ---------------------------------------------------
 
-// ClearSoftDirty clears every resident page's soft-dirty bit and write-
-// protects it so the next write faults and re-records the bit. It returns
-// the number of entries walked. This models writing "4" to
-// /proc/pid/clear_refs. It also arms the dirty and fresh logs: the faults
+// ClearSoftDirty clears every resident page's soft-dirty bit, empties its
+// soft-dirty extent, and write-protects it so the next write faults and
+// re-records the bit. It returns the number of entries walked. This models
+// writing "4" to /proc/pid/clear_refs, and it starts an epoch: what the
+// pages hold now is what "bytes outside the extent" will be compared to. It
+// also arms the dirty and fresh logs: the faults
 // taken from here on accumulate the next epoch's dirty and newly-resident
 // sets incrementally, so reading them back never walks the page table.
 // (Under UFFD tracking the dirty log is also the cost model — the
@@ -575,21 +633,21 @@ func (as *AddressSpace) ClearSoftDirty() int {
 		// Logged epoch: the full page-table walk is redundant. Only pages
 		// written this epoch carry a soft-dirty bit (they are in the dirty
 		// log), and the only resident pages whose write protection is
-		// disarmed are those same written pages plus the pages that became
-		// resident this epoch (fresh log — demand-zero and poked PTEs are
-		// born unarmed). Everything else was armed by the previous clear
+		// disarmed or whose extent is not empty are those same written
+		// pages plus the pages that got a frame this epoch (fresh log —
+		// demand-zero and poked PTEs are born unarmed, with the whole page
+		// as their extent). Everything else was reset by the previous clear
 		// and untouched since. The modeled clear_refs write still walks,
 		// which is why the caller's ClearRefsPerPage charge uses the full
 		// resident count either way.
 		for _, vpn := range as.dirtyLog {
 			if pte := as.pages.ref(vpn); pte != nil {
-				pte.SoftDirty = false
-				pte.wpArmed = true
+				pte.clearSoftDirty()
 			}
 		}
 		for _, vpn := range as.freshLog {
 			if pte := as.pages.ref(vpn); pte != nil {
-				pte.wpArmed = true
+				pte.clearSoftDirty()
 			}
 		}
 	} else {
