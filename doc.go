@@ -7,13 +7,26 @@
 // platform, the fork/FAASM/no-op baselines, the paper's 58-benchmark
 // catalog, and a harness that regenerates every evaluation table and figure.
 //
-// Start with ARCHITECTURE.md for the package map, the three data paths
-// (restore fast path, UFFD dirty log, clone), and the table of invariants
-// with the tests that pin them; bench/README.md documents the benchmark
-// JSONs and the re-baseline workflow, and examples/ holds runnable
+// Start with ARCHITECTURE.md for the package map, the data paths (the
+// request, the restore fast path, the UFFD dirty log, clone), and the table
+// of invariants with the tests that pin them; bench/README.md documents the
+// benchmark JSONs and the re-baseline workflow, and examples/ holds runnable
 // walkthroughs. The figures come from the CLI (-quick for reduced scale):
 //
 //	go run ./cmd/ghbench -e all
+//
+// # The request
+//
+// A request's page accesses are a pure function of the warm layout and the
+// function's profile, so runtimes compiles them once per warm image into an
+// immutable access plan — drop window, read set, write set, stack scribble,
+// each a page list in address order — and Instance.InvokeOn replays it
+// through vm.AddressSpace.TouchPages / WriteWords: one access loop that
+// resolves a region once per run of pages inside it, takes the fault path
+// only for an entry that needs it, and charges the list at once. Clones and
+// fork children share the donor's plan. Virtual time is the same as page by
+// page — charges are integer sums and a page faults once whatever the order
+// — which is what bench/e2e's runtimes.invoke_on.ns rung is free to shrink.
 //
 // # The restore fast path
 //
@@ -38,9 +51,10 @@
 // (vm.AddressSpace.PokePageRun / PokeFrameRun) straight out of the arena.
 // The virtual charge is a whole-page copy per page, as in the paper; the
 // host copies only each page's soft-dirty extent (vm.PTE.Extent over
-// mem.PhysMem.RestoreExtent / CopyExtent) — the byte range vm.WriteWord
-// widened since the last ClearSoftDirty, or the whole page if the page got
-// its frame during the epoch. Bytes outside the extent were not written and
+// mem.PhysMem.RestoreExtent / CopyExtent) — the byte range vm's access
+// loop widened since the last ClearSoftDirty (WriteWords and its one-page
+// form WriteWord: the only function-side writer of frame bytes), or the
+// whole page if the page got its frame during the epoch. Bytes outside the extent were not written and
 // equal the snapshot already: the argument the soft-dirty bit itself rests
 // on, one level down. After the first restore has sized the
 // manager's scratch buffers, rolling back a request that dirtied pages

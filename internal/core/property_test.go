@@ -30,12 +30,14 @@ func wordOff(b uint16) vm.Addr {
 }
 
 // applyMutations plays an arbitrary request against the process: heap
-// writes at arbitrary word offsets, stack writes, register tampering,
-// mmap/munmap, brk movement, madvise, mprotect, demand-faulting reads of the
-// stack and the heap, mremap growth and moves (of request mappings and of
-// the six-page snapshot mapping at snapMap), and forked children that write.
-// It returns the children still alive: they share the parent's frames, so a
-// restore under them has to break copy-on-write inside its pokes.
+// writes at arbitrary word offsets (one page, or a batched list that crosses
+// into the snapshot mapping), stack writes, register tampering, mmap/munmap,
+// brk movement, madvise, mprotect, demand-faulting reads of the stack and the
+// heap (one page or batched), mremap growth and moves (of request mappings
+// and of the six-page snapshot mapping at snapMap), and forked children that
+// write. It returns the children still alive: they share the parent's
+// frames, so a restore under them has to break copy-on-write inside its
+// pokes.
 func applyMutations(p *kernel.Process, snapMap vm.Addr, muts []mutation) (children []*vm.AddressSpace) {
 	as := p.AS
 	heap := as.HeapBase()
@@ -46,15 +48,21 @@ func applyMutations(p *kernel.Process, snapMap vm.Addr, muts []mutation) (childr
 		}
 		return heap + vm.Addr(int(a)%int((brk-heap)/mem.PageSize)*mem.PageSize), true
 	}
+	// Writes are skipped if an earlier step unmapped the page or made it
+	// read-only.
+	writableIn := func(as *vm.AddressSpace, addr vm.Addr) bool {
+		r, ok := as.FindVMA(addr)
+		return ok && r.Prot&vm.ProtWrite != 0
+	}
+	writable := func(addr vm.Addr) bool { return writableIn(as, addr) }
 	write := func(as *vm.AddressSpace, addr vm.Addr, v uint64) {
-		// Skipped if an earlier step unmapped the page or made it read-only.
-		if r, ok := as.FindVMA(addr); ok && r.Prot&vm.ProtWrite != 0 {
+		if writableIn(as, addr) {
 			as.WriteWord(addr, v)
 		}
 	}
 	var mapped []vm.Addr
 	for _, mu := range muts {
-		switch mu.Op % 13 {
+		switch mu.Op % 15 {
 		case 0: // heap write
 			if page, ok := heapPage(mu.A); ok {
 				write(as, page+wordOff(mu.B), mu.V)
@@ -116,6 +124,25 @@ func applyMutations(p *kernel.Process, snapMap vm.Addr, muts []mutation) (childr
 			} else {
 				child.Release()
 			}
+		case 13: // batched write: heap pages (duplicates as drawn) and the snapshot mapping, one offset
+			var vpns []uint64
+			for j := uint16(0); j <= mu.B%5; j++ {
+				if page, ok := heapPage(mu.A + j*(mu.B%3)); ok && writable(page) {
+					vpns = append(vpns, page.PageNum())
+				}
+			}
+			if m := snapMap + vm.Addr(mu.A%6)*mem.PageSize; writable(m) {
+				vpns = append(vpns, m.PageNum())
+			}
+			as.WriteWords(vpns, int(wordOff(mu.B)), mu.V)
+		case 14: // batched read: heap pages (faulting dropped ones back in) and a stack page
+			var vpns []uint64
+			for j := uint16(0); j <= mu.B%5; j++ {
+				if page, ok := heapPage(mu.A + j); ok {
+					vpns = append(vpns, page.PageNum())
+				}
+			}
+			as.TouchPages(append(vpns, (vm.StackTop - vm.Addr(mu.A%1000+1)*mem.PageSize).PageNum()))
 		}
 	}
 	return children

@@ -2,7 +2,7 @@ package runtimes
 
 import (
 	"fmt"
-	"sort"
+	"strconv"
 
 	"groundhog/internal/kernel"
 	"groundhog/internal/mem"
@@ -21,15 +21,11 @@ type Instance struct {
 	kern *kernel.Kernel
 	rng  *sim.Rand
 
-	heapStart vm.Addr
-	heapPages int
-	arenas    []vm.VMA // large warm regions where reads/writes land
+	// plan is the request's compiled page accesses: immutable, shared with
+	// every instance cloned from this one's image.
+	plan *accessPlan
 
 	churn []vm.Addr // regions mapped by the previous request
-
-	// dirtySet is the stable per-request write set under UniformDirty
-	// profiles, chosen once at instance creation.
-	dirtySet []uint64
 
 	leakedRequests int // requests since last rollback (drives LeakSlowdown)
 	justRestored   bool
@@ -91,14 +87,14 @@ func NewInstance(k *kernel.Kernel, prof Profile, seed uint64) (*Instance, error)
 	}
 	as := p.AS
 
-	in.heapStart = as.HeapBase()
-	in.heapPages = heapPages
-	if _, err := as.Brk(in.heapStart + vm.Addr(heapPages*mem.PageSize)); err != nil {
+	heapStart := as.HeapBase()
+	if _, err := as.Brk(heapStart + vm.Addr(heapPages*mem.PageSize)); err != nil {
 		return nil, err
 	}
 
 	// Library / runtime arena regions, in a few named chunks so layout
 	// diffs look like real maps files.
+	var arenas []pageSpan // large warm regions where reads/writes land
 	chunk := arenaPages / 4
 	for i := 0; i < 4; i++ {
 		n := chunk
@@ -113,9 +109,9 @@ func NewInstance(k *kernel.Kernel, prof Profile, seed uint64) (*Instance, error)
 		if err != nil {
 			return nil, err
 		}
-		v, _ := as.FindVMA(a)
-		in.arenas = append(in.arenas, v)
+		arenas = append(arenas, pageSpan{a.PageNum(), n})
 	}
+	in.plan = compilePlan(prof, heapStart, heapPages, arenas)
 	return in, nil
 }
 
@@ -144,13 +140,19 @@ func (in *Instance) WarmUp(meter *sim.Meter) {
 
 	// Touch every page of every segment: lazy class loading, module
 	// imports, model downloads — whatever the runtime does, it is resident
-	// before the snapshot.
+	// before the snapshot. The pages go through the batched access a window
+	// at a time, so a cold start builds no footprint-sized list.
+	var window [512]uint64
 	for _, v := range as.VMAs() {
 		if v.Prot&vm.ProtRead == 0 {
 			continue
 		}
-		for vpn := v.Start.PageNum(); vpn < v.End.PageNum(); vpn++ {
-			as.TouchPage(vpn)
+		for vpn, end := v.Start.PageNum(), v.End.PageNum(); vpn < end; {
+			n := 0
+			for ; n < len(window) && vpn < end; n, vpn = n+1, vpn+1 {
+				window[n] = vpn
+			}
+			as.TouchPages(window[:n])
 		}
 	}
 	// The dummy request triggers application-level initialization too. It
@@ -172,7 +174,7 @@ func (in *Instance) WarmUp(meter *sim.Meter) {
 // (GC clocks, lazily rebuilt caches) will re-warm during the next request.
 func (in *Instance) NotifyRestored() {
 	in.leakedRequests = 0
-	in.churn = nil // the churn regions were unmapped by the rollback
+	in.churn = in.churn[:0] // the churn regions were unmapped by the rollback
 	in.justRestored = true
 }
 
@@ -183,7 +185,7 @@ func (in *Instance) NotifyRestored() {
 // disappears.
 func (in *Instance) NotifyRestoredVirtualized() {
 	in.leakedRequests = 0
-	in.churn = nil
+	in.churn = in.churn[:0]
 	in.justRestored = false
 }
 
@@ -199,9 +201,11 @@ func (in *Instance) Invoke(req Request, meter *sim.Meter) Response {
 // The request body: reads its working set, writes its dirty set, performs
 // the runtime's layout churn, releases DropPages, grows any leak, scribbles
 // on the stack, and taints the thread registers — everything a real request
-// does that restoration must undo.
+// does that restoration must undo. The page accesses replay the instance's
+// accessPlan, one batched vm call per list.
 func (in *Instance) InvokeOn(proc *kernel.Process, req Request, meter *sim.Meter) Response {
 	prof := in.Prof
+	plan := in.plan
 	ephemeral := proc != in.Proc
 	as := proc.AS
 	saved := as.Meter()
@@ -249,46 +253,13 @@ func (in *Instance) InvokeOn(proc *kernel.Process, req Request, meter *sim.Meter
 	// pages are freshly mapped, so no soft-dirty arming fault), yet leave
 	// the pages dirty — which is how Table 3 rows like heat-3d(c) and
 	// primes(n) restore far more pages than they soft-dirty fault on.
-	if prof.DropPages > 0 {
-		_ = as.Madvise(in.heapStart, prof.DropPages*mem.PageSize)
-		for i := 0; i < prof.DropPages; i++ {
-			as.DirtyPage(in.heapStart.PageNum()+uint64(i), 0)
-		}
+	if len(plan.drop) > 0 {
+		_ = as.Madvise(vm.PageAddr(plan.drop[0]), len(plan.drop)*mem.PageSize)
+		as.WriteWords(plan.drop, 0, 0)
 	}
 
-	// Read working set: touches spread across heap and arenas.
-	reads := prof.ReadPages()
-	for i := 0; i < reads; i++ {
-		as.TouchPage(in.pickPage(uint64(i) * 2654435761))
-	}
-
-	// Write set. The positions are stable across requests — functions
-	// rewrite the same buffers — so that without restoration (BASE,
-	// GH-NOP) arming faults do not recur. Under UniformDirty the set is a
-	// uniform page subset (precomputed); otherwise small clusters of
-	// adjacent pages at pseudo-random positions.
-	if prof.UniformDirty {
-		for _, vpn := range in.uniformDirtySet() {
-			as.DirtyPage(vpn, req.Secret)
-		}
-	} else {
-		runLen := prof.WriteRunLen
-		if runLen <= 0 {
-			runLen = 2
-		}
-		written := 0
-		for written < prof.DirtyPages {
-			run := runLen
-			if rem := prof.DirtyPages - written; rem < run {
-				run = rem
-			}
-			base := in.pickRun(uint64(written)*0x9E3779B9, run)
-			for j := 0; j < run; j++ {
-				as.DirtyPage(base+uint64(j), req.Secret)
-				written++
-			}
-		}
-	}
+	as.TouchPages(plan.reads)
+	as.WriteWords(plan.writes, 0, req.Secret)
 
 	// Layout churn: unmap the previous request's scratch regions, map
 	// fresh ones. In an ephemeral (forked) process the churn list is not
@@ -297,37 +268,37 @@ func (in *Instance) InvokeOn(proc *kernel.Process, req Request, meter *sim.Meter
 	for _, a := range in.churn {
 		_ = as.Munmap(a, churnRegionPages*mem.PageSize)
 	}
-	var churn []vm.Addr
 	if !ephemeral {
 		// The previous request's list was fully consumed above; reuse its
 		// storage. (An ephemeral child must not touch the parent's list —
 		// every child re-unmaps the same inherited regions.)
-		churn = in.churn[:0]
+		in.churn = in.churn[:0]
 	}
+	// Region names are distinct per request and per region: that is what
+	// stops insertVMA merging adjacent scratch regions.
+	var name [48]byte
 	for i := 0; i < prof.Lang.LayoutChurnOps(); i++ {
-		name := fmt.Sprintf("churn:%d:%d", req.ID, i)
-		if a, err := as.Mmap(churnRegionPages*mem.PageSize, vm.ProtRW, vm.KindFile, name); err == nil {
-			as.DirtyPage(a.PageNum(), req.ID)
-			churn = append(churn, a)
+		b := strconv.AppendUint(append(name[:0], "churn:"...), req.ID, 10)
+		b = strconv.AppendUint(append(b, ':'), uint64(i), 10)
+		if a, err := as.Mmap(churnRegionPages*mem.PageSize, vm.ProtRW, vm.KindFile, string(b)); err == nil {
+			as.WriteWord(a, req.ID)
+			if !ephemeral {
+				in.churn = append(in.churn, a)
+			}
 		}
-	}
-	if !ephemeral {
-		in.churn = churn
 	}
 
 	// Leak (the logging(p) bug): pages mapped and never freed.
 	if prof.LeakPages > 0 {
-		name := fmt.Sprintf("leak:%d", req.ID)
-		if a, err := as.Mmap(prof.LeakPages*mem.PageSize, vm.ProtRW, vm.KindFile, name); err == nil {
-			as.DirtyPage(a.PageNum(), 0)
+		b := strconv.AppendUint(append(name[:0], "leak:"...), req.ID, 10)
+		if a, err := as.Mmap(prof.LeakPages*mem.PageSize, vm.ProtRW, vm.KindFile, string(b)); err == nil {
+			as.WriteWord(a, 0)
 		}
 		in.leakedRequests++
 	}
 
 	// Stack frames and registers carry request-derived values.
-	for i := 0; i < stackSlack; i++ {
-		as.WriteWord(vm.StackTop-vm.Addr(i+1)*mem.PageSize+8, req.ID^req.Secret)
-	}
+	as.WriteWords(plan.stack, 8, req.ID^req.Secret)
 	for _, th := range proc.Threads {
 		th.Regs.GP[0] = req.ID
 		th.Regs.GP[1] = req.Secret
@@ -341,95 +312,6 @@ const churnRegionPages = 24
 
 // warmupSecret is the dummy request's nonzero payload marker (see WarmUp).
 const warmupSecret = 0x57A7E5EED
-
-// uniformDirtySet lazily selects a uniformly random subset of the heap as
-// the stable write set: DirtyPages pages drawn without replacement, in
-// address order. Run lengths follow the geometric distribution of uniform
-// density, which is what the restorer's copy coalescing responds to.
-func (in *Instance) uniformDirtySet() []uint64 {
-	if in.dirtySet != nil || in.Prof.DirtyPages == 0 {
-		return in.dirtySet
-	}
-	pool := in.heapPages - in.Prof.DropPages
-	for _, v := range in.arenas {
-		pool += v.Pages()
-	}
-	want := in.Prof.DirtyPages
-	if want > pool {
-		want = pool
-	}
-	rng := sim.NewRand(hashName(in.Prof.Name) ^ 0xD1274)
-	set := make([]uint64, 0, want)
-	seen := 0
-	for idx := 0; idx < pool && seen < want; idx++ {
-		if rng.Intn(pool-idx) < want-seen {
-			set = append(set, in.poolPage(idx))
-			seen++
-		}
-	}
-	// Pool index order interleaves heap (low addresses) and arenas (high,
-	// descending); sort by page number so adjacency reflects addresses.
-	sort.Slice(set, func(i, j int) bool { return set[i] < set[j] })
-	in.dirtySet = set
-	return set
-}
-
-// poolPage maps a pool index onto a page number (heap above the drop
-// window, then the arenas).
-func (in *Instance) poolPage(idx int) uint64 {
-	window := in.Prof.DropPages
-	heapUsable := in.heapPages - window
-	if idx < heapUsable {
-		return in.heapStart.PageNum() + uint64(window+idx)
-	}
-	idx -= heapUsable
-	for _, v := range in.arenas {
-		if idx < v.Pages() {
-			return v.Start.PageNum() + uint64(idx)
-		}
-		idx -= v.Pages()
-	}
-	return in.heapStart.PageNum() + uint64(window)
-}
-
-// pickPage maps a pseudo-random salt onto a warm page (heap or arenas),
-// avoiding text (read-only) and stack.
-func (in *Instance) pickPage(salt uint64) uint64 { return in.pickRun(salt, 1) }
-
-// pickRun is pickPage with the guarantee that `run` consecutive pages
-// starting at the returned page all lie within one warm region.
-func (in *Instance) pickRun(salt uint64, run int) uint64 {
-	total := in.heapPages
-	for _, v := range in.arenas {
-		total += v.Pages()
-	}
-	// The drop window at the bottom of the heap is excluded: it has its
-	// own per-request lifecycle.
-	window := in.Prof.DropPages
-	heapUsable := in.heapPages - window
-	total -= window
-	idx := int((salt*0x2545F4914F6CDD1D ^ salt>>17) % uint64(total))
-	clamp := func(start uint64, pages, idx int) uint64 {
-		if idx > pages-run {
-			idx = pages - run
-			if idx < 0 {
-				idx = 0
-			}
-		}
-		return start + uint64(idx)
-	}
-	if idx < heapUsable {
-		return clamp(in.heapStart.PageNum()+uint64(window), heapUsable, idx)
-	}
-	idx -= heapUsable
-	for _, v := range in.arenas {
-		if idx < v.Pages() {
-			return clamp(v.Start.PageNum(), v.Pages(), idx)
-		}
-		idx -= v.Pages()
-	}
-	return in.heapStart.PageNum()
-}
 
 // drawStateOps draws one request's operation count around a mean: the
 // integer part always happens, the fractional part is a Bernoulli draw on
@@ -451,33 +333,27 @@ func (in *Instance) StateOps() (gets, puts int) { return in.stateGets, in.stateP
 func (in *Instance) ResidentPages() int { return in.Proc.AS.ResidentPages() }
 
 // ImageState is the warm-instance bookkeeping captured alongside a memory
-// snapshot: the layout anchors, the scratch regions the snapshot-time state
-// holds, and the stable dirty set. A container cloned from a snapshot image
-// pairs the cloned process with NewInstanceFromState so its requests behave
-// exactly like a fully-initialized sibling's — the functional half of the
-// clone-equivalence guarantee.
+// snapshot: the access plan compiled for the image's layout and the scratch
+// regions the snapshot-time state holds. A container cloned from a snapshot
+// image pairs the cloned process with NewInstanceFromState so its requests
+// behave exactly like a fully-initialized sibling's — the functional half of
+// the clone-equivalence guarantee.
 type ImageState struct {
-	prof      Profile
-	heapStart vm.Addr
-	heapPages int
-	arenas    []vm.VMA
-	churn     []vm.Addr
-	dirtySet  []uint64
-	wasm      bool
+	prof  Profile
+	plan  *accessPlan
+	churn []vm.Addr
+	wasm  bool
 }
 
-// CaptureState deep-copies the instance's warm bookkeeping. Capture it at
-// the same moment the memory snapshot is taken (right after strategy Init),
-// while the instance is pristine.
+// CaptureState copies the instance's warm bookkeeping (the plan is immutable
+// and shared). Capture it at the same moment the memory snapshot is taken
+// (right after strategy Init), while the instance is pristine.
 func (in *Instance) CaptureState() ImageState {
 	return ImageState{
-		prof:      in.Prof,
-		heapStart: in.heapStart,
-		heapPages: in.heapPages,
-		arenas:    append([]vm.VMA(nil), in.arenas...),
-		churn:     append([]vm.Addr(nil), in.churn...),
-		dirtySet:  append([]uint64(nil), in.dirtySet...),
-		wasm:      in.Wasm,
+		prof:  in.Prof,
+		plan:  in.plan,
+		churn: append([]vm.Addr(nil), in.churn...),
+		wasm:  in.Wasm,
 	}
 }
 
@@ -488,16 +364,13 @@ func (in *Instance) CaptureState() ImageState {
 // post-initialization request on the donor.
 func NewInstanceFromState(k *kernel.Kernel, proc *kernel.Process, st ImageState, seed uint64) *Instance {
 	return &Instance{
-		Prof:      st.prof,
-		Proc:      proc,
-		kern:      k,
-		rng:       sim.NewRand(seed ^ hashName(st.prof.Name)),
-		heapStart: st.heapStart,
-		heapPages: st.heapPages,
-		arenas:    append([]vm.VMA(nil), st.arenas...),
-		churn:     append([]vm.Addr(nil), st.churn...),
-		dirtySet:  append([]uint64(nil), st.dirtySet...),
-		warm:      true,
-		Wasm:      st.wasm,
+		Prof:  st.prof,
+		Proc:  proc,
+		kern:  k,
+		rng:   sim.NewRand(seed ^ hashName(st.prof.Name)),
+		plan:  st.plan,
+		churn: append([]vm.Addr(nil), st.churn...),
+		warm:  true,
+		Wasm:  st.wasm,
 	}
 }

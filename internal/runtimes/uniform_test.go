@@ -18,12 +18,12 @@ func uniformProfile(total, dirty int) Profile {
 
 func TestUniformDirtySetSizeAndStability(t *testing.T) {
 	_, in := warmInstance(t, uniformProfile(4000, 300))
-	set1 := in.uniformDirtySet()
+	set1 := in.plan.writes
 	if len(set1) != 300 {
 		t.Fatalf("dirty set = %d pages, want 300", len(set1))
 	}
-	set2 := in.uniformDirtySet()
-	if &set1[0] != &set2[0] {
+	in.Invoke(Request{ID: 1}, nil)
+	if set2 := in.plan.writes; &set1[0] != &set2[0] {
 		t.Fatal("dirty set recomputed; must be stable per instance")
 	}
 	for i := 1; i < len(set1); i++ {
@@ -37,7 +37,7 @@ func TestUniformDirtySetDensityDrivesRuns(t *testing.T) {
 	runs := func(dirty int) int {
 		prof := uniformProfile(2000, dirty)
 		_, in := warmInstance(t, prof)
-		set := in.uniformDirtySet()
+		set := in.plan.writes
 		n := 0
 		for i, v := range set {
 			if i == 0 || set[i-1]+1 != v {
@@ -61,7 +61,7 @@ func TestUniformDirtyInvokeMarksExactlySet(t *testing.T) {
 	in.Invoke(Request{ID: 5}, nil)
 	dirty := as.SoftDirtyVPNs()
 	want := map[uint64]bool{}
-	for _, vpn := range in.uniformDirtySet() {
+	for _, vpn := range in.plan.writes {
 		want[vpn] = true
 	}
 	found := 0
@@ -90,7 +90,7 @@ func TestUniformDirtyClampedToPool(t *testing.T) {
 	// More dirty pages requested than the writable pool holds.
 	prof := uniformProfile(600, 590)
 	_, in := warmInstance(t, prof)
-	set := in.uniformDirtySet()
+	set := in.plan.writes
 	if len(set) == 0 || len(set) > 600 {
 		t.Fatalf("clamped set = %d", len(set))
 	}

@@ -226,8 +226,9 @@ type extentOp struct {
 // the page held at the last ClearSoftDirty; a page that was not resident
 // then carries the whole page; and rolling a page back with PokePageRun
 // makes it equal to those contents in full. Checked after every step of a
-// random sequence of writes, reads, drops, clears (logged and walking),
-// forks, mremap growth and moves, under both trackers.
+// random sequence of writes and reads (one page or a batched list), drops,
+// clears (logged and walking), forks, mremap growth and moves, under both
+// trackers.
 func TestExtentBoundsEveryWrittenByte(t *testing.T) {
 	const maxPages = 12
 	f := func(uffd bool, ops []extentOp) bool {
@@ -288,7 +289,7 @@ func TestExtentBoundsEveryWrittenByte(t *testing.T) {
 		for step, op := range ops {
 			i := int(op.Page) % pages
 			vpn := start.PageNum() + uint64(i)
-			switch op.Op % 9 {
+			switch op.Op % 11 {
 			case 0, 1, 2: // word write; offsets 0 and 4088 included
 				as.WriteWord(PageAddr(vpn)+Addr(op.Off%512*8), op.V)
 			case 3:
@@ -334,6 +335,11 @@ func TestExtentBoundsEveryWrittenByte(t *testing.T) {
 					t.Logf("step %d: page %d differs from the poked contents after PokePageRun", step, i)
 					return false
 				}
+			case 9: // batched write: a list with a duplicate, one offset for all
+				other := start.PageNum() + op.V%uint64(pages)
+				as.WriteWords([]uint64{vpn, other, vpn}, int(op.Off%512*8), op.V)
+			case 10: // batched read
+				as.TouchPages([]uint64{vpn, start.PageNum() + op.V%uint64(pages)})
 			}
 			if !holds(step) {
 				return false

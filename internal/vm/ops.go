@@ -275,8 +275,7 @@ func (as *AddressSpace) Fork() *AddressSpace {
 				i := uint64(w<<6) + uint64(bits.TrailingZeros64(word))
 				pte := &c.entries[i]
 				as.phys.Ref(pte.Frame)
-				v, _ := as.FindVMA(PageAddr(c.base + i))
-				if v.Prot&ProtWrite != 0 {
+				if r := as.findVMA(PageAddr(c.base + i)); r >= 0 && as.vmas[r].Prot&ProtWrite != 0 {
 					pte.cow = true
 				}
 				// Parent keeps its TLB state; the child starts cold.

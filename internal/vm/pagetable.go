@@ -43,6 +43,11 @@ type pageTable struct {
 	chunks []*pageChunk // sorted by base, no two sharing a base
 	total  int          // resident pages across all chunks
 	cache  *pageChunk   // last chunk hit (nil after its removal)
+	// spare is the last chunk emptied (all entries and bits zero, as delete
+	// leaves them), kept for the next addChunk: a request that maps and
+	// writes a scratch region the rollback then unmaps would otherwise
+	// allocate a chunk per request.
+	spare *pageChunk
 }
 
 // chunkFor returns the chunk covering vpn, or nil.
@@ -105,7 +110,12 @@ func (pt *pageTable) set(vpn uint64, pte PTE) *PTE {
 
 // addChunk inserts an empty chunk at base, keeping the list sorted.
 func (pt *pageTable) addChunk(base uint64) *pageChunk {
-	c := &pageChunk{base: base}
+	c := pt.spare
+	if c == nil {
+		c = &pageChunk{}
+	}
+	pt.spare = nil
+	c.base = base
 	lo, hi := 0, len(pt.chunks)
 	for lo < hi {
 		mid := int(uint(lo+hi) >> 1)
@@ -154,6 +164,7 @@ func (pt *pageTable) removeChunk(c *pageChunk) {
 	if pt.cache == c {
 		pt.cache = nil
 	}
+	pt.spare = c
 }
 
 // len returns the number of resident pages.
@@ -164,6 +175,7 @@ func (pt *pageTable) reset() {
 	pt.chunks = nil
 	pt.total = 0
 	pt.cache = nil
+	pt.spare = nil
 }
 
 // appendVPNs appends every resident page number to dst in sorted order.

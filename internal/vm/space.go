@@ -201,20 +201,30 @@ func (as *AddressSpace) AppendVMAs(buf []VMA) []VMA {
 // NumVMAs returns the number of regions.
 func (as *AddressSpace) NumVMAs() int { return len(as.vmas) }
 
-// FindVMA returns the region containing a, if any. A last-hit index makes
-// the repeated lookups of a workload touching one region (every word access
-// resolves its VMA) a single bounds check; the cache self-validates with
-// Contains, so region-list mutations need no invalidation hook.
+// FindVMA returns a copy of the region containing a, if any. It is the
+// inspection form, for callers that want the region's attributes; the access
+// path uses findVMA's index and never copies a VMA.
 func (as *AddressSpace) FindVMA(a Addr) (VMA, bool) {
-	if i := as.lastVMA; i < len(as.vmas) && as.vmas[i].Contains(a) {
+	if i := as.findVMA(a); i >= 0 {
 		return as.vmas[i], true
+	}
+	return VMA{}, false
+}
+
+// findVMA returns the index in as.vmas of the region containing a, or -1. A
+// last-hit index makes the repeated lookups of a workload touching one region
+// a single bounds check; the cache self-validates with Contains, so
+// region-list mutations need no invalidation hook.
+func (as *AddressSpace) findVMA(a Addr) int {
+	if i := as.lastVMA; i < len(as.vmas) && as.vmas[i].Contains(a) {
+		return i
 	}
 	i := sort.Search(len(as.vmas), func(i int) bool { return as.vmas[i].End > a })
 	if i < len(as.vmas) && as.vmas[i].Contains(a) {
 		as.lastVMA = i
-		return as.vmas[i], true
+		return i
 	}
-	return VMA{}, false
+	return -1
 }
 
 // insertVMA adds a region, keeping the list sorted. It fails if the region
@@ -320,28 +330,11 @@ func (e SegfaultError) Error() string {
 	return fmt.Sprintf("vm: segfault on %s at %s", op, e.Addr)
 }
 
-// resolve returns the VMA for an access, panicking with SegfaultError on
-// violation.
-func (as *AddressSpace) resolve(a Addr, write bool) VMA {
-	v, ok := as.FindVMA(a)
-	if !ok {
-		panic(SegfaultError{Addr: a, Write: write})
-	}
-	need := ProtRead
-	if write {
-		need = ProtWrite
-	}
-	if v.Prot&need == 0 {
-		panic(SegfaultError{Addr: a, Write: write})
-	}
-	return v
-}
-
 // fault ensures a resident, writable-as-needed PTE for vpn, charging fault
-// costs, and returns the live entry (valid until the page is dropped). It
-// implements the demand-zero, CoW and soft-dirty fault paths.
-func (as *AddressSpace) fault(vpn uint64, write bool) *PTE {
-	pte := as.pages.ref(vpn)
+// costs, and returns the live entry (valid until the page is dropped). pte is
+// vpn's current entry, nil if the page is not resident. It implements the
+// demand-zero, CoW and soft-dirty fault paths.
+func (as *AddressSpace) fault(vpn uint64, pte *PTE, write bool) *PTE {
 	if pte == nil {
 		// Demand-zero minor fault.
 		pte = as.pages.set(vpn, bornPTE(as.phys.Alloc()))
@@ -411,35 +404,88 @@ func (as *AddressSpace) logFresh(vpn uint64) {
 	as.freshLog = append(as.freshLog, vpn)
 }
 
+// access is the function-side access loop: every load and store a function
+// makes goes through it, as a list (TouchPages, WriteWords) or as one page
+// (ReadWord, WriteWord, TouchPage, DirtyPage). For each page of vpns, in the
+// order given, it
+//
+//   - resolves the region, once per run of pages inside the same one and by
+//     index (no VMA is copied): a page outside every region, or in one whose
+//     protection forbids the access, panics with SegfaultError at that
+//     page's byte off, after the pages before it were accessed and charged;
+//   - takes the fault path, unless the entry is resident, TLB-warm and — for a
+//     write — already soft-dirty, disarmed and privately owned, which is the
+//     state fault would leave it in;
+//   - for a write, stores v at byte offset off and widens the page's
+//     soft-dirty extent over the word. This is the only function-side write
+//     to frame bytes, which is what lets the extent stand for "every byte
+//     written since the last ClearSoftDirty".
+//
+// The per-access charge (ReadWord or WriteWord) is made once for the list:
+// charges are integer sums, so the total is that of len(vpns) single
+// accesses. It returns the last page's live entry (nil for an empty list).
+func (as *AddressSpace) access(vpns []uint64, write bool, off int, v uint64) *PTE {
+	need, cost := ProtRead, as.costs.ReadWord
+	if write {
+		need, cost = ProtWrite, as.costs.WriteWord
+	}
+	var pte *PTE
+	var lo, hi uint64 // page span of the region resolved last
+	for i, vpn := range vpns {
+		if vpn < lo || vpn >= hi {
+			a := PageAddr(vpn) + Addr(off)
+			r := as.findVMA(a)
+			if r < 0 || as.vmas[r].Prot&need == 0 {
+				as.charge(sim.Duration(i) * cost)
+				panic(SegfaultError{Addr: a, Write: write})
+			}
+			lo, hi = as.vmas[r].Start.PageNum(), as.vmas[r].End.PageNum()
+		}
+		pte = as.pages.ref(vpn)
+		if pte == nil || pte.tlbCold || write && (!pte.SoftDirty || pte.wpArmed || pte.cow) {
+			pte = as.fault(vpn, pte, write)
+		}
+		if write {
+			as.phys.WriteWord(pte.Frame, off, v)
+			pte.widen(off, off+mem.WordSize)
+		}
+	}
+	as.charge(sim.Duration(len(vpns)) * cost)
+	return pte
+}
+
+// TouchPages reads each page of vpns (in the order given, duplicates
+// allowed): the read fault path per page and one ReadWord charge per page,
+// exactly as len(vpns) TouchPage calls, resolved a region at a time.
+func (as *AddressSpace) TouchPages(vpns []uint64) { as.access(vpns, false, 0, 0) }
+
+// WriteWords stores v at byte offset off of each page of vpns (in the order
+// given, duplicates allowed), exactly as len(vpns) WriteWord calls, resolved
+// a region at a time.
+func (as *AddressSpace) WriteWords(vpns []uint64, off int, v uint64) {
+	as.access(vpns, true, off, v)
+}
+
 // ReadWord loads the 8-byte word at a, taking faults as needed.
 func (as *AddressSpace) ReadWord(a Addr) uint64 {
-	as.resolve(a, false)
-	pte := as.fault(a.PageNum(), false)
-	as.charge(as.costs.ReadWord)
+	vpn := [1]uint64{a.PageNum()}
+	pte := as.access(vpn[:], false, a.PageOff(), 0)
 	return as.phys.ReadWord(pte.Frame, a.PageOff())
 }
 
 // WriteWord stores the 8-byte word v at a, taking faults as needed, and
-// widens the page's soft-dirty extent over the word. It is the only
-// function-side write to frame bytes, which is what lets the extent stand
-// for "every byte written since the last ClearSoftDirty".
+// widens the page's soft-dirty extent over the word: the one-page form of
+// WriteWords.
 func (as *AddressSpace) WriteWord(a Addr, v uint64) {
-	as.resolve(a, true)
-	pte := as.fault(a.PageNum(), true)
-	as.charge(as.costs.WriteWord)
-	off := a.PageOff()
-	as.phys.WriteWord(pte.Frame, off, v)
-	pte.widen(off, off+mem.WordSize)
+	vpn := [1]uint64{a.PageNum()}
+	as.access(vpn[:], true, a.PageOff(), v)
 }
 
 // TouchPage reads one byte's worth of a page (used by workloads that scan
-// their address space); it takes the read fault path without the per-word
-// charge being repeated.
+// their address space): the one-page form of TouchPages.
 func (as *AddressSpace) TouchPage(vpn uint64) {
-	a := PageAddr(vpn)
-	as.resolve(a, false)
-	as.fault(vpn, false)
-	as.charge(as.costs.ReadWord)
+	one := [1]uint64{vpn}
+	as.access(one[:], false, 0, 0)
 }
 
 // DirtyPage writes one word at the start of a page (the microbenchmark's

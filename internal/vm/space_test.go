@@ -428,3 +428,21 @@ func TestReleaseFreesAllFrames(t *testing.T) {
 		t.Fatalf("Release leaked %d frames", as.Phys().InUse())
 	}
 }
+
+// A page table that loses its only page in a chunk and gains one again — a
+// request's scratch region, unmapped by the rollback — reuses the emptied
+// chunk instead of allocating one per request.
+func TestEmptiedPageTableChunkIsReused(t *testing.T) {
+	as := runTestSpace(t, 4)
+	vpn := Addr(0x100000).PageNum()
+	allocs := testing.AllocsPerRun(100, func() {
+		as.DirtyPage(vpn, 0)
+		as.DropPage(vpn)
+	})
+	if allocs != 0 {
+		t.Fatalf("fault + drop of a chunk's only page allocated %.1f times, want 0", allocs)
+	}
+	if err := as.CheckInvariants(); err != nil {
+		t.Fatal(err)
+	}
+}

@@ -123,7 +123,8 @@ func ParseKind(s string) (Kind, error) {
 
 // VMA is a virtual memory area: a half-open, page-aligned address range with
 // uniform protection. VMAs are values; the address space owns the canonical
-// sorted list.
+// sorted list, and its access path refers to a region by index into that
+// list — a VMA is copied out only for inspection (FindVMA, VMAs).
 type VMA struct {
 	Start Addr
 	End   Addr
