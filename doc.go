@@ -44,9 +44,10 @@
 //
 // Restore itself is run-oriented and allocation-free at steady state: the
 // current layout is read into a reusable region buffer (procfs.MapsRegions),
-// page metadata is scanned one VMA at a time (procfs.PagemapRange) instead of
-// materializing a full-address-space flag slice, the dirty list is merged
-// against the sorted VPN index with linear scans, and maximal runs of
+// the dirty and resident sets come out of the address space's own indexes in
+// one scan (the pagemap read is charged per region and per mapped page, not
+// re-performed), one walk merges them against the sorted VPN index into the
+// madvise set and the restore set, and maximal runs of
 // contiguous pages are rolled back with single batched pokes
 // (vm.AddressSpace.PokePageRun / PokeFrameRun) straight out of the arena.
 // The virtual charge is a whole-page copy per page, as in the paper; the
@@ -62,15 +63,15 @@
 // property pinned by TestRestoreSteadyStateZeroAllocs (both state stores);
 // what the path costs the host is bench/e2e's core.restore.ns rung.
 //
-// The UFFD tracker (the §4.3 ablation the paper rejected) holds the same
-// bar by a different route: each write-protect fault appends the page to the
-// address space's incremental sorted dirty log (the simulated equivalent of
-// the user-space fault handler accumulating the dirty set), ClearSoftDirty
-// re-arms the log, and the restore reads it back — plus the resident set —
-// through the append-style accessors vm.AddressSpace.AppendSoftDirtyVPNs and
-// AppendResidentVPNs into the same scratch buffers, so the dirty set is read
-// without a page-table walk (the resident check still walks the page map,
-// charged per resident page). Its scan phase is charged honestly: per dirty
+// The UFFD tracker (the §4.3 ablation the paper rejected) runs the same code
+// and differs in what the scan is charged: each write-protect fault appends
+// the page to the address space's incremental sorted dirty log (the simulated
+// equivalent of the user-space fault handler accumulating the dirty set),
+// ClearSoftDirty re-arms the log, and the restore reads it back — plus the
+// resident set — through the append-style accessors
+// vm.AddressSpace.AppendSoftDirtyVPNs and AppendResidentVPNs (AppendFreshVPNs
+// on the fast path) into the same scratch buffers, under either tracker. The
+// UFFD scan phase is charged honestly: per dirty
 // page for the log read, plus the mincore-style
 // kernel.CostModel.ResidentScanPerPage per resident page for the paged-in
 // check — or full pagemap-scan prices when the log was invalidated (an

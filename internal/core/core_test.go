@@ -310,6 +310,33 @@ func TestRestorePhaseBreakdownSumsToTotal(t *testing.T) {
 	}
 }
 
+// Restore takes its scan's data from the address space's indexes but charges
+// what the scan costs the real system: under soft-dirty tracking, exactly
+// what reading the pagemap of every region through procfs would be charged —
+// on the fast path and, with a new mapping in the layout, on the exact walk.
+func TestRestoreScanChargeIsThePagemapRead(t *testing.T) {
+	_, p, m := newManagedProcess(t, 1, 32, DefaultOptions())
+	for _, churn := range []bool{false, true} {
+		p.AS.WriteWord(p.AS.HeapBase()+3*mem.PageSize, 9)
+		if churn {
+			if _, err := p.AS.Mmap(100*mem.PageSize, vm.ProtRW, vm.KindAnon, "scratch"); err != nil {
+				t.Fatal(err)
+			}
+		}
+		read := sim.NewMeter()
+		for _, v := range p.AS.VMAs() {
+			m.fs.PagemapRangePresent(p, v.Start, v.End, read, nil)
+		}
+		st, err := m.Restore()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := st.PhaseDurations.Of(PhaseScanPages); got != read.Total() || got == 0 {
+			t.Fatalf("churn=%v: scan phase charged %v, reading every region's pagemap costs %v", churn, got, read.Total())
+		}
+	}
+}
+
 func TestRestoreCostProportionalToDirtyPages(t *testing.T) {
 	_, p, m := newManagedProcess(t, 1, 256, DefaultOptions())
 	heap := p.AS.HeapBase()
@@ -429,7 +456,7 @@ func TestDiffLayoutsMergesAdjacentChanges(t *testing.T) {
 		{Start: 0x30000, End: 0x40000, Prot: vm.ProtRW, Kind: vm.KindAnon},
 		{Start: 0x40000, End: 0x50000, Prot: vm.ProtRW, Kind: vm.KindAnon},
 	}
-	d := diffLayouts(cur, base)
+	d := (&diffScratch{}).diff(cur, base)
 	if len(d.unmap) != 1 || d.unmap[0].Start != 0x30000 || d.unmap[0].End != 0x50000 {
 		t.Fatalf("unmap runs = %+v, want one merged [0x30000,0x50000)", d.unmap)
 	}
@@ -439,7 +466,7 @@ func TestDiffLayoutsMergesAdjacentChanges(t *testing.T) {
 }
 
 func TestRunsOf(t *testing.T) {
-	runs := runsOf([]uint64{1, 2, 3, 7, 9, 10})
+	runs := appendRuns(nil, []uint64{1, 2, 3, 7, 9, 10})
 	want := []vpnRun{{1, 3}, {7, 1}, {9, 2}}
 	if len(runs) != len(want) {
 		t.Fatalf("runs = %+v", runs)
@@ -449,7 +476,7 @@ func TestRunsOf(t *testing.T) {
 			t.Fatalf("runs = %+v, want %+v", runs, want)
 		}
 	}
-	if runsOf(nil) != nil {
-		t.Fatal("runsOf(nil) not nil")
+	if appendRuns(nil, nil) != nil {
+		t.Fatal("appendRuns(nil, nil) not nil")
 	}
 }

@@ -82,7 +82,7 @@ func (sc *diffScratch) diff(cur, snap []vm.VMA) layoutDiff {
 		sc.cuts = append(sc.cuts, v.Start, v.End)
 	}
 	slices.Sort(sc.cuts)
-	cuts := dedupAddrs(sc.cuts)
+	cuts := slices.Compact(sc.cuts)
 
 	var d layoutDiff
 	sc.unmap, sc.remap, sc.reprotect = sc.unmap[:0], sc.remap[:0], sc.reprotect[:0]
@@ -115,40 +115,6 @@ func (sc *diffScratch) diff(cur, snap []vm.VMA) layoutDiff {
 	return d
 }
 
-// diffLayouts is the standalone form of diffScratch.diff, kept for tests and
-// one-shot callers.
-func diffLayouts(cur, snap []vm.VMA) layoutDiff {
-	var sc diffScratch
-	return sc.diff(cur, snap)
-}
-
-// layoutsEqual reports whether two sorted region lists are identical —
-// every VMA equal in range, protection, kind, and name. This is the
-// steady-state gate: a request that performed no mmap/munmap/mprotect/brk
-// growth leaves the layout exactly as the snapshot recorded it, and the
-// restore can skip the diff's work (though never its charges).
-func layoutsEqual(cur, snap []vm.VMA) bool {
-	if len(cur) != len(snap) {
-		return false
-	}
-	for i := range cur {
-		if cur[i] != snap[i] {
-			return false
-		}
-	}
-	return true
-}
-
-func dedupAddrs(in []vm.Addr) []vm.Addr {
-	out := in[:0]
-	for i, a := range in {
-		if i == 0 || a != out[len(out)-1] {
-			out = append(out, a)
-		}
-	}
-	return out
-}
-
 // vpnRun is a maximal run of consecutive page numbers.
 type vpnRun struct {
 	start uint64
@@ -168,25 +134,18 @@ func appendRuns(dst []vpnRun, vpns []uint64) []vpnRun {
 	return dst
 }
 
-// runsOf groups a sorted vpn list into maximal consecutive runs.
-func runsOf(vpns []uint64) []vpnRun {
-	return appendRuns(nil, vpns)
-}
-
 // restoreScratch holds every buffer the restore and snapshot paths reuse
 // across calls. After the first Restore has sized them, steady-state
 // restores (requests that dirty pages without changing the memory layout)
-// perform zero heap allocations under both trackers: the soft-dirty path
-// scans the pagemap into reused buffers, and the UFFD path reads the address
-// space's incremental dirty log and resident set through the append-style
-// accessors — the properties pinned by TestRestoreSteadyStateZeroAllocs and
-// TestRestoreUffdSteadyStateZeroAllocs.
+// perform zero heap allocations under both trackers: every set below is read
+// through the address space's append-style accessors — the properties pinned
+// by TestRestoreSteadyStateZeroAllocs and TestRestoreUffdSteadyStateZeroAllocs.
 type restoreScratch struct {
 	meter   *sim.Meter
 	layout  []vm.VMA          // current memory map
-	pm      []vm.PagemapEntry // one VMA's present pagemap entries at a time
+	pm      []vm.PagemapEntry // TakeSnapshot: one VMA's pagemap entries at a time
 	dirty   []uint64          // sorted soft-dirty VPNs
-	present []uint64          // sorted resident VPNs
+	present []uint64          // sorted resident VPNs (fast path: the fresh log's only)
 	fresh   []uint64          // resident, not in snapshot, inside surviving regions
 	restore []int             // store indices whose contents must be copied back
 	runs    []vpnRun          // coalesced madvise runs
@@ -198,10 +157,13 @@ type restoreScratch struct {
 // response and is quiescent. The returned stats carry the per-phase
 // breakdown plotted in Fig. 8.
 //
-// The data path is run-oriented: sorted-slice merges against the snapshot's
-// VPN index replace hash-map membership tests, and contiguous dirty runs are
-// copied back with single batched pokes straight out of the StateStore arena.
-// All intermediate state lives in the manager's reusable scratch buffers.
+// It is the paper's sequence, one function per step: scan the page metadata,
+// diff the layouts, reverse the layout changes, plan and apply the content
+// rollback (madvise, copy), re-arm tracking. The data path is run-oriented:
+// sorted-slice merges against the snapshot's VPN index replace hash-map
+// membership tests, and contiguous dirty runs are copied back with single
+// batched pokes straight out of the StateStore arena. All intermediate state
+// lives in the manager's reusable scratch buffers.
 func (m *Manager) Restore() (RestoreStats, error) {
 	if m.snap == nil {
 		return RestoreStats{}, fmt.Errorf("core: restore before snapshot")
@@ -222,18 +184,16 @@ func (m *Manager) Restore() (RestoreStats, error) {
 	defer m.tracer.SetMeter(nil)
 	as := m.proc.AS
 
-	// 1. Interrupt every thread.
 	meter.BeginPhase(PhaseInterrupt)
 	if err := m.tracer.InterruptAll(); err != nil {
 		return RestoreStats{}, err
 	}
 
-	// 2. Read the current memory map (binary fast path into the reusable
-	// layout buffer; costs and contents identical to parsing the text form,
-	// as the procfs tests assert).
+	// Read the current memory map (binary fast path into the reusable layout
+	// buffer; costs and contents identical to parsing the text form, as the
+	// procfs tests assert).
 	meter.BeginPhase(PhaseReadMaps)
 	sc.layout = m.fs.MapsRegions(m.proc, meter, sc.layout[:0])
-	curLayout := sc.layout
 
 	// Steady-state fast path: if the request left the layout (and brk)
 	// exactly as the snapshot recorded it and both incremental logs cover
@@ -245,266 +205,270 @@ func (m *Manager) Restore() (RestoreStats, error) {
 	// virtual costs of the scans it skips: the simulated kernel still reads
 	// the pagemap; only the simulator stops re-deriving what it knows.
 	// Layout churn (python/node mmap cycles), mremap moves, and tracking
-	// switches all disarm the gate and fall back to the exact walk below.
+	// switches all disarm the gate and fall back to the exact walk.
 	//
 	// A disarmed fresh log also means the request may have dropped resident
-	// pages (vm.DropPage disarms it), which is what the restore set below
-	// needs to know; the restorer's own drops come later and do not count.
+	// pages (vm.DropPage disarms it), which is what plan needs to know; the
+	// restorer's own drops come later and do not count.
 	dropped := !as.FreshLogArmed()
 	fast := as.DirtyLogArmed() && !dropped &&
-		as.BrkValue() == m.snap.brk && layoutsEqual(curLayout, m.snap.layout)
+		as.BrkValue() == m.snap.brk && slices.Equal(sc.layout, m.snap.layout)
 
-	// 3. Scan page metadata: which pages are resident, which are dirty.
-	// Under soft-dirty tracking this reads the pagemap one mapped region at
-	// a time (never materializing a full-address-space flag slice); under
-	// UFFD the dirty set was accumulated by the fault handler during the
-	// request (the address space's dirty log), so reading it costs per
-	// dirty page — but the resident set still has to be checked for newly
-	// paged-in pages, a mincore-style walk charged per resident page.
-	//
-	// On the fast path sc.present holds only the fresh candidates — the
-	// pages that became resident this epoch — because the previous restore
-	// dropped every resident page outside the store, so those candidates
-	// are the only resident pages the madvise phase can possibly need.
-	meter.BeginPhase(PhaseScanPages)
-	sc.dirty, sc.present = sc.dirty[:0], sc.present[:0]
-	var mappedPages int
-	switch {
-	case fast && m.opts.Tracker == TrackUffd:
-		sc.dirty = as.AppendSoftDirtyVPNs(sc.dirty)
-		sc.present = as.AppendFreshVPNs(sc.present)
-		mappedPages = as.MappedPages()
-		sim.ChargeTo(meter, m.kern.Cost.PagemapPerPage*sim.Duration(len(sc.dirty)))
-		sim.ChargeTo(meter, m.kern.Cost.ResidentScanPerPage*sim.Duration(as.ResidentPages()))
-	case fast:
-		sc.dirty = as.AppendSoftDirtyVPNs(sc.dirty)
-		sc.present = as.AppendFreshVPNs(sc.present)
-		for _, v := range curLayout {
-			mappedPages += v.Pages()
-			sim.ChargeTo(meter, m.kern.Cost.PagemapRangeBase+m.kern.Cost.PagemapPerPage*sim.Duration(v.Pages()))
-		}
-	case m.opts.Tracker == TrackUffd:
-		logged := as.DirtyLogArmed()
-		sc.dirty = as.AppendSoftDirtyVPNs(sc.dirty)
-		sc.present = as.AppendResidentVPNs(sc.present)
-		mappedPages = as.MappedPages()
-		if logged {
-			sim.ChargeTo(meter, m.kern.Cost.PagemapPerPage*sim.Duration(len(sc.dirty)))
-			sim.ChargeTo(meter, m.kern.Cost.ResidentScanPerPage*sim.Duration(len(sc.present)))
-		} else {
-			// The log was invalidated (an mremap move relocated PTEs, or
-			// tracking was switched): the dirty set came from a fallback
-			// page-table walk, priced like the full pagemap scan it stands
-			// in for (which also covers the resident check).
-			sim.ChargeTo(meter, m.kern.Cost.PagemapPerPage*sim.Duration(mappedPages))
-		}
-	default:
-		for _, v := range curLayout {
-			sc.pm = m.fs.PagemapRangePresent(m.proc, v.Start, v.End, meter, sc.pm[:0])
-			mappedPages += v.Pages()
-			for _, pf := range sc.pm {
-				sc.present = append(sc.present, pf.VPN)
-				if pf.SoftDirty {
-					sc.dirty = append(sc.dirty, pf.VPN)
-				}
-			}
-		}
+	mapped := m.scan(fast)
+	diff := m.diffLayout(fast)
+	if err := m.applyLayout(diff); err != nil {
+		return RestoreStats{}, err
 	}
-
-	// 4. Diff the memory layouts. On the fast path the gate already proved
-	// the layouts (and brk) identical, so the diff is empty by
-	// construction; the simulated diff work is charged all the same.
-	meter.BeginPhase(PhaseDiff)
-	var diff layoutDiff
-	if !fast {
-		diff = sc.diff.diff(curLayout, m.snap.layout)
-		curBrk, err := as.Brk(0)
-		if err != nil {
-			return RestoreStats{}, err
-		}
-		diff.brkDelta = curBrk != m.snap.brk
+	m.plan(fast, dropped)
+	if err := m.applyContent(); err != nil {
+		return RestoreStats{}, err
 	}
-	sim.ChargeTo(meter, m.kern.Cost.DiffPerVMA*sim.Duration(len(curLayout)+len(m.snap.layout)))
+	if err := m.rearm(); err != nil {
+		return RestoreStats{}, err
+	}
+	meter.BeginPhase("")
 
 	stats := RestoreStats{
-		MappedPages: mappedPages,
-		DirtyPages:  len(sc.dirty),
+		Total:         meter.Total(),
+		MappedPages:   mapped,
+		DirtyPages:    len(sc.dirty),
+		RestoredPages: len(sc.restore),
+		DroppedPages:  len(sc.fresh),
+		LayoutOps:     diff.ops() + len(sc.runs),
 	}
+	for i, ph := range Phases {
+		stats.PhaseDurations[i] = meter.Phase(ph)
+	}
+	return stats, nil
+}
 
-	// 5. Reverse layout changes by injecting syscalls.
+// scan reads the page metadata into sc.dirty and sc.present and returns the
+// number of mapped pages. The data comes from the address space's own index
+// — the dirty set from the dirty log (or the PTE-bit walk when it is
+// disarmed), the resident set from the page table, or on the fast path just
+// the epoch's fresh pages: the previous restore dropped every resident page
+// outside the store, so those are the only ones plan can need. The charge is
+// what the real scan costs. Soft-dirty tracking reads the pagemap one mapped
+// region at a time: a seek per region, an entry per mapped page, whatever is
+// resident. Under UFFD the fault handler accumulated the dirty set during the
+// request, so reading it costs per dirty page, plus a mincore-style check of
+// the resident set for newly paged-in pages — unless the log was invalidated
+// (an mremap move relocated PTEs, or tracking was switched): then the dirty
+// set came from a fallback page-table walk, priced like the full pagemap scan
+// it stands in for (which also covers the resident check).
+func (m *Manager) scan(fast bool) int {
+	sc, as, cost := &m.scratch, m.proc.AS, &m.kern.Cost
+	sc.meter.BeginPhase(PhaseScanPages)
+	logged := as.DirtyLogArmed()
+	sc.dirty = as.AppendSoftDirtyVPNs(sc.dirty[:0])
+	if fast {
+		sc.present = as.AppendFreshVPNs(sc.present[:0])
+	} else {
+		sc.present = as.AppendResidentVPNs(sc.present[:0])
+	}
+	mapped := as.MappedPages()
+	switch {
+	case m.opts.Tracker != TrackUffd:
+		sim.ChargeTo(sc.meter, cost.PagemapRangeBase*sim.Duration(len(sc.layout))+cost.PagemapPerPage*sim.Duration(mapped))
+	case logged:
+		sim.ChargeTo(sc.meter, cost.PagemapPerPage*sim.Duration(len(sc.dirty))+cost.ResidentScanPerPage*sim.Duration(as.ResidentPages()))
+	default:
+		sim.ChargeTo(sc.meter, cost.PagemapPerPage*sim.Duration(mapped))
+	}
+	return mapped
+}
+
+// diffLayout diffs the current layout against the snapshot's. On the fast
+// path the gate already proved the layouts (and brk) identical, so the diff
+// is empty by construction; the simulated diff work is charged all the same.
+func (m *Manager) diffLayout(fast bool) layoutDiff {
+	sc := &m.scratch
+	sc.meter.BeginPhase(PhaseDiff)
+	var d layoutDiff
+	if !fast {
+		d = sc.diff.diff(sc.layout, m.snap.layout)
+		d.brkDelta = m.proc.AS.BrkValue() != m.snap.brk
+	}
+	sim.ChargeTo(sc.meter, m.kern.Cost.DiffPerVMA*sim.Duration(len(sc.layout)+len(m.snap.layout)))
+	return d
+}
+
+// applyLayout reverses the layout changes by injecting syscalls.
+func (m *Manager) applyLayout(d layoutDiff) error {
+	meter := m.scratch.meter
 	meter.BeginPhase(PhaseBrk)
-	if diff.brkDelta {
+	if d.brkDelta {
 		if err := m.tracer.InjectBrk(m.snap.brk); err != nil {
-			return RestoreStats{}, fmt.Errorf("core: restore brk: %w", err)
+			return fmt.Errorf("core: restore brk: %w", err)
 		}
-		stats.LayoutOps++
 	}
 	meter.BeginPhase(PhaseMunmap)
-	for _, v := range diff.unmap {
+	for _, v := range d.unmap {
 		if err := m.tracer.InjectMunmap(v.Start, v.Len()); err != nil {
-			return RestoreStats{}, fmt.Errorf("core: restore munmap %v: %w", v, err)
+			return fmt.Errorf("core: restore munmap %v: %w", v, err)
 		}
-		stats.LayoutOps++
 	}
 	meter.BeginPhase(PhaseMmap)
-	for _, v := range diff.remap {
+	for _, v := range d.remap {
 		if err := m.tracer.InjectMmapFixed(v.Start, v.Len(), v.Prot, v.Kind, v.Name); err != nil {
-			return RestoreStats{}, fmt.Errorf("core: restore mmap %v: %w", v, err)
+			return fmt.Errorf("core: restore mmap %v: %w", v, err)
 		}
-		stats.LayoutOps++
 	}
 	meter.BeginPhase(PhaseMprotect)
-	for _, v := range diff.reprotect {
+	for _, v := range d.reprotect {
 		if err := m.tracer.InjectMprotect(v.Start, v.Len(), v.Prot); err != nil {
-			return RestoreStats{}, fmt.Errorf("core: restore mprotect %v: %w", v, err)
+			return fmt.Errorf("core: restore mprotect %v: %w", v, err)
 		}
-		stats.LayoutOps++
 	}
+	return nil
+}
 
-	// 6. Madvise newly paged pages: resident now, absent from the snapshot,
-	// inside regions that survive. (Pages in removed regions are already
-	// gone with their munmap.) sc.present and the store's VPN index are both
-	// sorted, so one linear merge finds the fresh set — no per-page
-	// membership search — and the runs coalesce directly. The same merge
-	// serves the fast path, where sc.present holds only the epoch's fresh
-	// candidates: the previous restore dropped every resident page outside
-	// the store, so pages the fresh log never saw cannot be in this set.
-	meter.BeginPhase(PhaseMadvise)
-	snapLayout := m.snap.layout
-	st := &m.snap.store
-	sc.fresh = sc.fresh[:0]
-	si := 0
-	for _, vpn := range sc.present {
-		for si < len(st.vpns) && st.vpns[si] < vpn {
-			si++
+// seek advances cursor i over the sorted vpns to the first entry not below
+// vpn and reports whether that entry is vpn.
+func seek(vpns []uint64, i int, vpn uint64) (int, bool) {
+	for i < len(vpns) && vpns[i] < vpn {
+		i++
+	}
+	return i, i < len(vpns) && vpns[i] == vpn
+}
+
+// plan computes the two sets of the content rollback, after the layout is
+// back in place and before anything is dropped or copied:
+//
+//   - sc.fresh, the madvise set: pages resident now, absent from the snapshot,
+//     inside regions that survive (pages in removed regions went with their
+//     munmap);
+//   - sc.restore, the copy set, as store indices: every snapshot page that is
+//     dirty, or that has real content and lost the frame the snapshot saw
+//     (madvised away or in a re-created region) even if a read has since
+//     faulted a zero frame back in. Zero pages refault to zero on demand and
+//     need no copy.
+//
+// The dirty list, the resident list and the store's VPN index are all
+// sorted, so the exact walk is one linear three-way merge over the store.
+func (m *Manager) plan(fast, dropped bool) {
+	sc, st := &m.scratch, &m.snap.store
+	sc.fresh, sc.restore = sc.fresh[:0], sc.restore[:0]
+	if fast {
+		// In a fast epoch the restore set is exactly the dirty store pages
+		// and sc.present holds only the epoch's fresh pages. The walk's
+		// other clause — non-resident pages with real content — is empty: the
+		// previous restore re-poked every such page (leaving non-resident
+		// store pages zero-in-snapshot only), and a request that drops a
+		// resident page disarms the gate. So the merges run over the two
+		// short lists, never the store.
+		si, hit := 0, false
+		for _, vpn := range sc.dirty {
+			if si, hit = seek(st.vpns, si, vpn); hit {
+				sc.restore = append(sc.restore, si)
+			}
 		}
-		if si < len(st.vpns) && st.vpns[si] == vpn {
-			continue
+		si = 0
+		for _, vpn := range sc.present {
+			if si, hit = seek(st.vpns, si, vpn); !hit {
+				m.addFresh(vpn)
+			}
 		}
-		if _, ok := lookupVMA(snapLayout, vm.PageAddr(vpn)); ok {
-			sc.fresh = append(sc.fresh, vpn)
+		return
+	}
+	as, phys := m.proc.AS, m.kern.Phys
+	pi, di := 0, 0
+	for i, vpn := range st.vpns {
+		for ; pi < len(sc.present) && sc.present[pi] < vpn; pi++ {
+			m.addFresh(sc.present[pi])
+		}
+		resident := pi < len(sc.present) && sc.present[pi] == vpn
+		if resident {
+			pi++
+		}
+		var isDirty bool
+		di, isDirty = seek(sc.dirty, di, vpn)
+		switch {
+		case isDirty:
+			sc.restore = append(sc.restore, i)
+		case resident && !(dropped && lostFrame(as, vpn)):
+			// Clean and still on the snapshot's frame. A page the scan found
+			// resident may have lost it, but only if the request dropped
+			// pages: a read can have faulted a zero frame back in, or the
+			// page sat in a region applyLayout just removed. Then, and only
+			// then, the page table is asked; otherwise the scan is
+			// authoritative (the injected syscalls drop nothing else inside
+			// the store).
+		case !st.zeroAt(i, phys):
+			sc.restore = append(sc.restore, i)
 		}
 	}
+	for _, vpn := range sc.present[pi:] {
+		m.addFresh(vpn)
+	}
+}
+
+// addFresh puts a resident page the store does not hold into the madvise set
+// if its region survives the restore.
+func (m *Manager) addFresh(vpn uint64) {
+	if _, ok := lookupVMA(m.snap.layout, vm.PageAddr(vpn)); ok {
+		m.scratch.fresh = append(m.scratch.fresh, vpn)
+	}
+}
+
+// applyContent carries out plan: one injected madvise per run of fresh pages,
+// then one batched poke per run of contiguous restore pages. The pokes move
+// only each page's soft-dirty extent (see vm.PTE); the charges stay whole
+// pages.
+func (m *Manager) applyContent() error {
+	sc, st, cost := &m.scratch, &m.snap.store, &m.kern.Cost
+	sc.meter.BeginPhase(PhaseMadvise)
 	sc.runs = appendRuns(sc.runs[:0], sc.fresh)
 	for _, r := range sc.runs {
 		if err := m.tracer.InjectMadvise(vm.PageAddr(r.start), r.n*mem.PageSize); err != nil {
-			return RestoreStats{}, fmt.Errorf("core: restore madvise: %w", err)
-		}
-		stats.LayoutOps++
-	}
-	stats.DroppedPages = len(sc.fresh)
-
-	// 7. Restore memory contents: every snapshot page that is dirty, or
-	// that lost its frame (madvised away or in a re-created region) — even
-	// if a read has since faulted a zero frame back in — gets its recorded
-	// contents back. The dirty list, the resident set, and the store's VPN
-	// index are all sorted, so one three-way linear merge finds the restore
-	// set; runs of contiguous pages then copy back in single batched pokes.
-	// The pokes move only each page's soft-dirty extent (see vm.PTE); the
-	// charges stay whole pages.
-	meter.BeginPhase(PhaseRestoreMem)
-	phys := m.kern.Phys
-	sc.restore = sc.restore[:0]
-	if fast {
-		// In a fast epoch the restore set is exactly the dirty store pages.
-		// The slow path's second clause — non-resident pages with real
-		// content — is empty here: the previous restore re-poked every such
-		// page (leaving non-resident store pages zero-in-snapshot only), and
-		// a request that drops a resident page disarms the gate. So the
-		// merge runs over the dirty list, not the store.
-		ri := 0
-		for _, vpn := range sc.dirty {
-			for ri < len(st.vpns) && st.vpns[ri] < vpn {
-				ri++
-			}
-			if ri < len(st.vpns) && st.vpns[ri] == vpn {
-				sc.restore = append(sc.restore, ri)
-			}
-		}
-	} else {
-		di, pi := 0, 0
-		for i, vpn := range st.vpns {
-			for di < len(sc.dirty) && sc.dirty[di] < vpn {
-				di++
-			}
-			if di < len(sc.dirty) && sc.dirty[di] == vpn {
-				sc.restore = append(sc.restore, i)
-				continue
-			}
-			// Page content lives only in the snapshot: re-poke if it has
-			// real content and the frame the snapshot saw is gone. (Zero
-			// pages refault to zero on demand; no copy needed.) A page the
-			// scan did not find resident has lost it. One it did find may
-			// have too, but only if the request dropped pages: a read can
-			// have faulted a zero frame back in, or the page sat in a region
-			// the munmap phase above just removed. Then, and only then, the
-			// page table is asked; otherwise the scan is authoritative (the
-			// injected syscalls drop nothing else inside the store).
-			for pi < len(sc.present) && sc.present[pi] < vpn {
-				pi++
-			}
-			resident := pi < len(sc.present) && sc.present[pi] == vpn
-			if resident && !(dropped && lostFrame(as, vpn)) {
-				continue
-			}
-			if !st.zeroAt(i, phys) {
-				sc.restore = append(sc.restore, i)
-			}
+			return fmt.Errorf("core: restore madvise: %w", err)
 		}
 	}
+	sc.meter.BeginPhase(PhaseRestoreMem)
 	for i := 0; i < len(sc.restore); {
 		j := i + 1
 		for j < len(sc.restore) && sc.restore[j] == sc.restore[j-1]+1 &&
 			st.vpns[sc.restore[j]] == st.vpns[sc.restore[j-1]]+1 {
 			j++
 		}
-		m.restoreRun(as, st, sc.restore[i], sc.restore[j-1]+1)
+		m.restoreRun(m.proc.AS, st, sc.restore[i], sc.restore[j-1]+1)
 		n := j - i
-		sim.ChargeTo(meter, m.kern.Cost.RestoreRunSetup)
+		sim.ChargeTo(sc.meter, cost.RestoreRunSetup)
 		if m.opts.Coalesce {
-			sim.ChargeTo(meter, m.kern.Cost.PageCopy+m.kern.Cost.PageCopyTail*sim.Duration(n-1))
+			sim.ChargeTo(sc.meter, cost.PageCopy+cost.PageCopyTail*sim.Duration(n-1))
 		} else {
-			sim.ChargeTo(meter, m.kern.Cost.PageCopy*sim.Duration(n))
+			sim.ChargeTo(sc.meter, cost.PageCopy*sim.Duration(n))
 		}
 		i = j
 	}
-	stats.RestoredPages = len(sc.restore)
+	return nil
+}
 
-	// 8. Clear the soft-dirty bits (or re-arm UFFD write protection on the
-	// pages that faulted).
-	meter.BeginPhase(PhaseClearSD)
+// rearm starts the next epoch: clear the soft-dirty bits (or re-arm UFFD
+// write protection on the pages that faulted), put every thread's registers
+// back, and release the stop (the manager stays seized).
+func (m *Manager) rearm() error {
+	sc, cost := &m.scratch, &m.kern.Cost
+	sc.meter.BeginPhase(PhaseClearSD)
 	if m.opts.Tracker == TrackUffd {
-		as.ClearSoftDirty()
-		sim.ChargeTo(meter, m.kern.Cost.ClearRefsPerPage*sim.Duration(len(sc.dirty)))
+		m.proc.AS.ClearSoftDirty()
+		sim.ChargeTo(sc.meter, cost.ClearRefsPerPage*sim.Duration(len(sc.dirty)))
 	} else {
-		m.fs.ClearRefs(m.proc, meter)
+		m.fs.ClearRefs(m.proc, sc.meter)
 	}
-
-	// 9. Restore registers of all threads.
-	meter.BeginPhase(PhaseRestoreRegs)
+	sc.meter.BeginPhase(PhaseRestoreRegs)
 	for _, th := range m.proc.Threads {
 		regs, ok := m.snap.regs[th.TID]
 		if !ok {
-			return RestoreStats{}, fmt.Errorf("core: thread %d appeared after snapshot", th.TID)
+			return fmt.Errorf("core: thread %d appeared after snapshot", th.TID)
 		}
 		if err := m.tracer.SetRegs(th.TID, regs); err != nil {
-			return RestoreStats{}, err
+			return err
 		}
 	}
-
-	// 10. Detach (release the stop; the manager stays seized).
-	meter.BeginPhase(PhaseDetach)
-	sim.ChargeTo(meter, m.kern.Cost.PtraceDetachPerThread*sim.Duration(len(m.proc.Threads)))
-	if err := m.tracer.Resume(); err != nil {
-		return RestoreStats{}, err
-	}
-	meter.BeginPhase("")
-
-	stats.Total = meter.Total()
-	for i, ph := range Phases {
-		stats.PhaseDurations[i] = meter.Phase(ph)
-	}
-	return stats, nil
+	sc.meter.BeginPhase(PhaseDetach)
+	sim.ChargeTo(sc.meter, cost.PtraceDetachPerThread*sim.Duration(len(m.proc.Threads)))
+	return m.tracer.Resume()
 }
 
 // lostFrame reports whether clean page vpn is no longer on the frame it had

@@ -6,6 +6,8 @@ import (
 	"groundhog/internal/benchscenario"
 	"groundhog/internal/core"
 	"groundhog/internal/kernel"
+	"groundhog/internal/mem"
+	"groundhog/internal/vm"
 )
 
 // steadyStateManager wraps the shared scenario (internal/benchscenario) used
@@ -80,5 +82,69 @@ func TestRestoreSteadyStateZeroAllocsLargeSpace(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Fatalf("steady-state restore allocates: %.1f allocs/op, want 0", allocs)
+	}
+}
+
+// TestFastAndSlowRestoreAgree runs one request sequence down both restore
+// paths and requires the same answer from each. Twin managers serve the
+// steady-state scenario, each request also writing a stack page the snapshot
+// never saw (so the madvise set is not empty); the slow twin's request
+// additionally maps a scratch region, writes it and unmaps it again, which
+// leaves the layout as the snapshot recorded it but drops a page and so
+// disarms the fresh log: its restores take the exact walk. Every restore must
+// report the same RestoreStats — page counts, Total and each phase — on both
+// twins, and both must verify clean, under both trackers and both stores.
+func TestFastAndSlowRestoreAgree(t *testing.T) {
+	for _, tracker := range []core.TrackerKind{core.TrackSoftDirty, core.TrackUffd} {
+		for _, store := range []core.StoreKind{core.StoreCopy, core.StoreCoW} {
+			opts := core.Options{Tracker: tracker, Coalesce: true, Store: store}
+			type twin struct {
+				p       *kernel.Process
+				m       *core.Manager
+				request func()
+			}
+			var fast, slow twin
+			for _, tw := range []*twin{&fast, &slow} {
+				var err error
+				if tw.p, tw.m, tw.request, err = benchscenario.SteadyState(kernel.Default(), 256, 64, opts); err != nil {
+					t.Fatal(err)
+				}
+			}
+			for cycle := 0; cycle < 4; cycle++ {
+				var stats [2]core.RestoreStats
+				for i, tw := range []*twin{&fast, &slow} {
+					as := tw.p.AS
+					tw.request()
+					as.WriteWord(vm.StackTop-vm.Addr((64+cycle)*mem.PageSize), 7)
+					if tw == &slow {
+						scratch, err := as.Mmap(4*mem.PageSize, vm.ProtRW, vm.KindAnon, "")
+						if err != nil {
+							t.Fatal(err)
+						}
+						as.WriteWord(scratch+mem.PageSize, 1)
+						if err := as.Munmap(scratch, 4*mem.PageSize); err != nil {
+							t.Fatal(err)
+						}
+					}
+					if armed := as.FreshLogArmed(); armed != (tw == &fast) {
+						t.Fatalf("%v/%v cycle %d: twin %d has its fresh log armed=%v", tracker, store, cycle, i, armed)
+					}
+					var err error
+					if stats[i], err = tw.m.Restore(); err != nil {
+						t.Fatal(err)
+					}
+					if err := tw.m.Verify(); err != nil {
+						t.Fatalf("%v/%v cycle %d twin %d: %v", tracker, store, cycle, i, err)
+					}
+				}
+				if stats[0] != stats[1] {
+					t.Fatalf("%v/%v cycle %d: fast path reports\n%+v\nexact walk reports\n%+v", tracker, store, cycle, stats[0], stats[1])
+				}
+				if stats[0].RestoredPages != 64 || stats[0].DroppedPages != 1 {
+					t.Fatalf("%v/%v cycle %d: restored %d, dropped %d pages; the request dirties 64 and faults in 1",
+						tracker, store, cycle, stats[0].RestoredPages, stats[0].DroppedPages)
+				}
+			}
+		}
 	}
 }

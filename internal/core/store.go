@@ -71,14 +71,6 @@ func (s *stateStore) contentAt(i int, phys *mem.PhysMem) []byte {
 	return s.arena[s.off[i] : s.off[i]+mem.PageSize]
 }
 
-// content returns the recorded bytes of page vpn (nil = all-zero or absent).
-func (s *stateStore) content(vpn uint64, phys *mem.PhysMem) []byte {
-	if i := s.index(vpn); i >= 0 {
-		return s.contentAt(i, phys)
-	}
-	return nil
-}
-
 // recycle drops the store's frame references (StoreCoW) and returns its
 // buffers truncated for reuse: the manager keeps them as its store pool so a
 // re-snapshot fills the same arena and index slices instead of reallocating.

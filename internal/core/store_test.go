@@ -99,7 +99,7 @@ func TestArenaStoreRestoresByteIdenticalToMapStore(t *testing.T) {
 				p.AS.ReadWord(vm.StackTop - 256*1024 + vm.Addr(i*mem.PageSize))
 			}
 
-			wantDirty := len(p.AS.SoftDirtyVPNs())
+			wantDirty := len(p.AS.AppendSoftDirtyVPNs(nil))
 			wantMapped := p.AS.MappedPages()
 
 			st, err := m.Restore()
@@ -269,7 +269,7 @@ func TestDiffLayoutsTable(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			d := diffLayouts(tc.cur, tc.snap)
+			d := (&diffScratch{}).diff(tc.cur, tc.snap)
 			if len(d.unmap) != tc.unmap || len(d.remap) != tc.remap || len(d.reprotect) != tc.reprotect {
 				t.Fatalf("diff = unmap:%d remap:%d reprotect:%d, want %d/%d/%d\n%+v",
 					len(d.unmap), len(d.remap), len(d.reprotect),
@@ -300,7 +300,7 @@ func TestDiffScratchReuse(t *testing.T) {
 	}
 	for i, in := range inputs {
 		got := sc.diff(in[0], in[1])
-		want := diffLayouts(in[0], in[1])
+		want := (&diffScratch{}).diff(in[0], in[1])
 		if len(got.unmap) != len(want.unmap) || len(got.remap) != len(want.remap) ||
 			len(got.reprotect) != len(want.reprotect) {
 			t.Fatalf("input %d: reused scratch diff %+v != fresh diff %+v", i, got, want)
@@ -333,20 +333,20 @@ func TestRunsOfEdgeCases(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			got := runsOf(tc.in)
+			got := appendRuns(nil, tc.in)
 			if len(got) != len(tc.want) {
-				t.Fatalf("runsOf(%v) = %+v, want %+v", tc.in, got, tc.want)
+				t.Fatalf("appendRuns(nil, %v) = %+v, want %+v", tc.in, got, tc.want)
 			}
 			for i := range tc.want {
 				if got[i] != tc.want[i] {
-					t.Fatalf("runsOf(%v) = %+v, want %+v", tc.in, got, tc.want)
+					t.Fatalf("appendRuns(nil, %v) = %+v, want %+v", tc.in, got, tc.want)
 				}
 			}
 		})
 	}
 }
 
-// TestAppendRunsReusesBuffer pins the scratch-reuse contract runsOf is built
+// TestAppendRunsReusesBuffer pins the scratch-reuse contract the restore path is built
 // on: appending into a recycled buffer must not retain stale state.
 func TestAppendRunsReusesBuffer(t *testing.T) {
 	buf := appendRuns(nil, []uint64{1, 2, 3})

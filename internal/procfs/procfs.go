@@ -4,6 +4,11 @@
 // file. Groundhog's manager consumes exactly these three interfaces (§4.2,
 // §4.3 of the paper).
 //
+// PagemapRangePresent is the one pagemap reader: core.TakeSnapshot enumerates
+// the resident pages with it, a region at a time. core.Restore charges the
+// same per-region, per-mapped-page price for its scan but takes the data from
+// the address space's own indexes instead of reading the file again.
+//
 // Maps is rendered to (and parsed from) real text in the /proc/pid/maps
 // format: the snapshotter works from the parsed text, not from privileged
 // pointers into the kernel, mirroring the userspace boundary the real system
@@ -95,83 +100,19 @@ func ParseMaps(text string) ([]vm.VMA, error) {
 	return out, sc.Err()
 }
 
-// PageFlags is one pagemap entry: the per-page bits Groundhog consumes.
-type PageFlags struct {
-	VPN       uint64
-	Present   bool
-	SoftDirty bool
-}
-
-// Pagemap scans the pagemap entries for every page mapped by p's VMAs, in
-// address order, charging the per-page scan cost. This models reading
-// /proc/pid/pagemap across the whole address space — the reason restore cost
-// grows with address-space size even at a fixed write-set size (Fig. 3
-// right, §5.2.2).
-func (fs *FS) Pagemap(p *kernel.Process, meter *sim.Meter) []PageFlags {
-	var out []PageFlags
-	scanned := 0
-	for _, v := range p.AS.VMAs() {
-		for vpn := v.Start.PageNum(); vpn < v.End.PageNum(); vpn++ {
-			scanned++
-			pf := PageFlags{VPN: vpn}
-			if pte, ok := p.AS.PTEAt(vpn); ok {
-				pf.Present = true
-				pf.SoftDirty = pte.SoftDirty
-			}
-			out = append(out, pf)
-		}
-	}
-	sim.ChargeTo(meter, fs.kern.Cost.PagemapPerPage*sim.Duration(scanned))
-	return out
-}
-
-// PagemapRange scans the pagemap entries for the pages of [start, end) only,
-// appending one PageFlags per page to buf and returning the extended slice.
-// This is the VMA-scoped form of Pagemap: the snapshot and restore paths call
-// it once per mapped region, reusing one buffer sized to the largest VMA,
-// instead of synthesizing a flag slice for the whole address space. Each
-// ranged read charges PagemapRangeBase (the seek to the range's file offset)
-// plus the usual per-page cost.
-func (fs *FS) PagemapRange(p *kernel.Process, start, end vm.Addr, meter *sim.Meter, buf []PageFlags) []PageFlags {
-	scanned := 0
-	for vpn := start.PageNum(); vpn < end.PageNum(); vpn++ {
-		scanned++
-		pf := PageFlags{VPN: vpn}
-		if pte, ok := p.AS.PTEAt(vpn); ok {
-			pf.Present = true
-			pf.SoftDirty = pte.SoftDirty
-		}
-		buf = append(buf, pf)
-	}
-	sim.ChargeTo(meter, fs.kern.Cost.PagemapRangeBase)
-	sim.ChargeTo(meter, fs.kern.Cost.PagemapPerPage*sim.Duration(scanned))
-	return buf
-}
-
-// PagemapRangePresent scans the pagemap entries for [start, end) like
-// PagemapRange but appends only the present pages' entries — the form the
-// snapshot and restore hot paths consume, walking the page table's resident
-// chunks instead of testing every page of the span. The charge is identical
-// to PagemapRange's: reading the range still costs PagemapRangeBase plus the
-// per-page cost over every page of the span, present or not.
+// PagemapRangePresent reads the pagemap entries for [start, end), appending
+// one vm.PagemapEntry (page number and soft-dirty bit) per present page to buf
+// and returning the extended slice, so a caller that reuses buf allocates
+// nothing. It walks the page table's resident chunks instead of testing every
+// page of the span, but the charge is the file read's: PagemapRangeBase (the
+// seek to the range's offset) plus PagemapPerPage for every page of the span,
+// present or not — the reason scan cost grows with address-space size even at
+// a fixed write-set size (Fig. 3 right, §5.2.2).
 func (fs *FS) PagemapRangePresent(p *kernel.Process, start, end vm.Addr, meter *sim.Meter, buf []vm.PagemapEntry) []vm.PagemapEntry {
 	buf = p.AS.AppendPagemapRange(start.PageNum(), end.PageNum(), buf)
 	sim.ChargeTo(meter, fs.kern.Cost.PagemapRangeBase)
 	sim.ChargeTo(meter, fs.kern.Cost.PagemapPerPage*sim.Duration(end.PageNum()-start.PageNum()))
 	return buf
-}
-
-// SoftDirtyVPNs scans the pagemap and returns only the present, soft-dirty
-// page numbers (sorted). The full scan cost is still charged: identifying
-// the dirty set requires reading every entry.
-func (fs *FS) SoftDirtyVPNs(p *kernel.Process, meter *sim.Meter) []uint64 {
-	var dirty []uint64
-	for _, pf := range fs.Pagemap(p, meter) {
-		if pf.Present && pf.SoftDirty {
-			dirty = append(dirty, pf.VPN)
-		}
-	}
-	return dirty
 }
 
 // ClearRefs models writing "4" to /proc/pid/clear_refs: every resident

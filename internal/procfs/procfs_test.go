@@ -2,6 +2,7 @@ package procfs
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 	"testing"
 
@@ -101,39 +102,54 @@ func TestPagemapFlags(t *testing.T) {
 	}
 	p.AS.WriteWord(heap, 1)
 	p.AS.WriteWord(heap+2*mem.PageSize, 1)
-	flags := fs.Pagemap(p, nil)
-	byVPN := map[uint64]PageFlags{}
-	for _, f := range flags {
-		byVPN[f.VPN] = f
+	p.AS.ReadWord(heap + 3*mem.PageSize)
+	got := fs.PagemapRangePresent(p, heap, heap+4*mem.PageSize, nil, nil)
+	want := []vm.PagemapEntry{
+		{VPN: heap.PageNum(), SoftDirty: true},
+		{VPN: heap.PageNum() + 2, SoftDirty: true},
+		{VPN: heap.PageNum() + 3}, // read only: present, clean
 	}
-	h0 := byVPN[heap.PageNum()]
-	if !h0.Present || !h0.SoftDirty {
-		t.Fatalf("page 0 flags = %+v, want present+dirty", h0)
-	}
-	h1 := byVPN[(heap + mem.PageSize).PageNum()]
-	if h1.Present {
-		t.Fatalf("untouched page present: %+v", h1)
+	if !slices.Equal(got, want) { // the untouched page 1 has no entry
+		t.Fatalf("heap entries = %+v, want %+v", got, want)
 	}
 }
 
+// Stitched over the regions, the scan sees every resident page and pays for
+// every mapped one.
 func TestPagemapCoversWholeMappedSpace(t *testing.T) {
-	_, p, fs := newProc(t)
-	flags := fs.Pagemap(p, nil)
-	if len(flags) != p.AS.MappedPages() {
-		t.Fatalf("pagemap entries = %d, want %d", len(flags), p.AS.MappedPages())
+	k, p, fs := newProc(t)
+	m := sim.NewMeter()
+	entries := scanAll(fs, p, m)
+	var vpns []uint64
+	for _, e := range entries {
+		vpns = append(vpns, e.VPN)
+	}
+	if !slices.Equal(vpns, p.AS.ResidentVPNs()) {
+		t.Fatalf("pagemap entries %x, resident set %x", vpns, p.AS.ResidentVPNs())
+	}
+	want := k.Cost.PagemapRangeBase*sim.Duration(p.AS.NumVMAs()) +
+		k.Cost.PagemapPerPage*sim.Duration(p.AS.MappedPages())
+	if m.Total() != want {
+		t.Fatalf("scan cost = %v, want %v for %d regions, %d mapped pages", m.Total(), want, p.AS.NumVMAs(), p.AS.MappedPages())
 	}
 }
 
 func TestPagemapScanCostProportionalToAddressSpace(t *testing.T) {
 	k, p, fs := newProc(t)
 	m1 := sim.NewMeter()
-	fs.Pagemap(p, m1)
+	before := len(scanAll(fs, p, m1))
+	regions := p.AS.NumVMAs()
 	if _, err := p.AS.Mmap(1000*mem.PageSize, vm.ProtRW, vm.KindAnon, ""); err != nil {
 		t.Fatal(err)
 	}
 	m2 := sim.NewMeter()
-	fs.Pagemap(p, m2)
-	wantDelta := k.Cost.PagemapPerPage * 1000
+	after := len(scanAll(fs, p, m2))
+	if after != before {
+		t.Fatalf("an untouched mapping changed the entry count: %d -> %d", before, after)
+	}
+	// 1000 pages nobody touched still cost 1000 entries' worth of reading
+	// (plus the new region's seek).
+	wantDelta := k.Cost.PagemapPerPage*1000 + k.Cost.PagemapRangeBase*sim.Duration(p.AS.NumVMAs()-regions)
 	if m2.Total()-m1.Total() != wantDelta {
 		t.Fatalf("scan cost delta = %v, want %v", m2.Total()-m1.Total(), wantDelta)
 	}
@@ -148,13 +164,27 @@ func TestSoftDirtyLifecycle(t *testing.T) {
 	for i := 0; i < 8; i++ {
 		p.AS.WriteWord(heap+vm.Addr(i*mem.PageSize), 1)
 	}
+	dirty := func() []uint64 {
+		var d []uint64
+		for _, e := range fs.PagemapRangePresent(p, heap, heap+8*mem.PageSize, nil, nil) {
+			if e.SoftDirty {
+				d = append(d, e.VPN)
+			}
+		}
+		return d
+	}
+	if d := dirty(); len(d) != 8 {
+		t.Fatalf("dirty before clear: %v, want all 8 pages", d)
+	}
 	fs.ClearRefs(p, nil)
-	if d := fs.SoftDirtyVPNs(p, nil); len(d) != 0 {
+	if d := dirty(); len(d) != 0 {
 		t.Fatalf("dirty after clear: %v", d)
 	}
+	if n := len(fs.PagemapRangePresent(p, heap, heap+8*mem.PageSize, nil, nil)); n != 8 {
+		t.Fatalf("clear_refs changed residency: %d entries, want 8", n)
+	}
 	p.AS.WriteWord(heap+5*mem.PageSize, 2)
-	d := fs.SoftDirtyVPNs(p, nil)
-	if len(d) != 1 || d[0] != (heap+5*mem.PageSize).PageNum() {
+	if d := dirty(); len(d) != 1 || d[0] != (heap+5*mem.PageSize).PageNum() {
 		t.Fatalf("dirty = %v", d)
 	}
 }

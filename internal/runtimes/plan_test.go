@@ -245,7 +245,7 @@ func TestPlanSharedByClonesAndForkChildren(t *testing.T) {
 	}
 	child.AS.ClearSoftDirty()
 	clone.InvokeOn(child, Request{ID: 1, Secret: 7}, nil)
-	dirty := child.AS.SoftDirtyVPNs()
+	dirty := child.AS.AppendSoftDirtyVPNs(nil)
 	for _, list := range [][]uint64{in.plan.drop, in.plan.writes, in.plan.stack} {
 		for _, vpn := range list {
 			if _, found := slices.BinarySearch(dirty, vpn); !found {

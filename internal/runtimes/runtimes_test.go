@@ -149,7 +149,7 @@ func TestInvokeDirtiesProfiledPages(t *testing.T) {
 	in.Proc.AS.ClearSoftDirty()
 	in.Proc.AS.ResetFaults()
 	in.Invoke(Request{ID: 2}, nil)
-	dirty := len(in.Proc.AS.SoftDirtyVPNs())
+	dirty := len(in.Proc.AS.AppendSoftDirtyVPNs(nil))
 	// Dirty set: profiled writes + churn scratch + stack scribbles.
 	if dirty < prof.DirtyPages {
 		t.Fatalf("dirty = %d, want >= %d", dirty, prof.DirtyPages)
@@ -170,7 +170,7 @@ func TestDropWindowRecycledEachRequest(t *testing.T) {
 	as.ClearSoftDirty()
 	as.ResetFaults()
 	in.Invoke(Request{ID: 3}, nil)
-	dirty := len(as.SoftDirtyVPNs())
+	dirty := len(as.AppendSoftDirtyVPNs(nil))
 	if dirty < prof.DirtyPages+prof.DropPages {
 		t.Fatalf("dirty = %d, want >= %d", dirty, prof.DirtyPages+prof.DropPages)
 	}

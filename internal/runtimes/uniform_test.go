@@ -59,7 +59,7 @@ func TestUniformDirtyInvokeMarksExactlySet(t *testing.T) {
 	as := in.Proc.AS
 	as.ClearSoftDirty()
 	in.Invoke(Request{ID: 5}, nil)
-	dirty := as.SoftDirtyVPNs()
+	dirty := as.AppendSoftDirtyVPNs(nil)
 	want := map[uint64]bool{}
 	for _, vpn := range in.plan.writes {
 		want[vpn] = true

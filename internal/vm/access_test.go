@@ -174,7 +174,7 @@ func sameAccessState(t *testing.T, got, ref *AddressSpace) bool {
 	if b, s := got.Meter().Total(), ref.Meter().Total(); b != s {
 		fail("meter: got %v, reference %v", b, s)
 	}
-	if b, s := got.SoftDirtyVPNs(), ref.SoftDirtyVPNs(); !slices.Equal(b, s) {
+	if b, s := got.AppendSoftDirtyVPNs(nil), ref.AppendSoftDirtyVPNs(nil); !slices.Equal(b, s) {
 		fail("soft-dirty pages: got %x, reference %x", b, s)
 	}
 	if got.DirtyLogArmed() != ref.DirtyLogArmed() || got.FreshLogArmed() != ref.FreshLogArmed() {
@@ -184,8 +184,8 @@ func sameAccessState(t *testing.T, got, ref *AddressSpace) bool {
 			fail("fresh pages: got %x, reference %x", b, s)
 		}
 	}
-	if !slices.Equal(got.dirtyLog, ref.dirtyLog) || !slices.Equal(got.freshLog, ref.freshLog) {
-		fail("raw logs differ: dirty %x / %x, fresh %x / %x", got.dirtyLog, ref.dirtyLog, got.freshLog, ref.freshLog)
+	if !slices.Equal(got.dirty.vpns, ref.dirty.vpns) || !slices.Equal(got.fresh.vpns, ref.fresh.vpns) {
+		fail("raw logs differ: dirty %x / %x, fresh %x / %x", got.dirty.vpns, ref.dirty.vpns, got.fresh.vpns, ref.fresh.vpns)
 	}
 	resident := got.ResidentVPNs()
 	if s := ref.ResidentVPNs(); !slices.Equal(resident, s) {
@@ -299,7 +299,7 @@ func TestBatchedAccessSegfaultsAfterPrefix(t *testing.T) {
 	if want := (SegfaultError{Addr: PageAddr(base+16) + 8, Write: true}); p != want {
 		t.Fatalf("panic %v, want %v", p, want)
 	}
-	if got := as.SoftDirtyVPNs(); !slices.Equal(got, []uint64{base, base + 9}) {
+	if got := as.AppendSoftDirtyVPNs(nil); !slices.Equal(got, []uint64{base, base + 9}) {
 		t.Fatalf("written pages %x, want the two before the hole", got)
 	}
 	if got, want := as.Meter().Total(), 2*(accessCosts.MinorFault+accessCosts.WriteWord); got != want {
@@ -317,14 +317,14 @@ func TestSortedWritesKeepDirtyLogSorted(t *testing.T) {
 	base := accessBase.PageNum()
 	as.ClearSoftDirty()
 	as.WriteWords([]uint64{base + 1, base + 1, base + 9, base + 20}, 0, 1)
-	if !as.dirtyLogSorted {
+	if !as.dirty.sorted {
 		t.Fatal("ascending writes left the dirty log unsorted")
 	}
 	as.WriteWords([]uint64{base + 3}, 0, 1)
-	if as.dirtyLogSorted {
+	if as.dirty.sorted {
 		t.Fatal("a write below the log's last page must mark it unsorted")
 	}
-	if got := as.SoftDirtyVPNs(); !slices.Equal(got, []uint64{base + 1, base + 3, base + 9, base + 20}) {
+	if got := as.AppendSoftDirtyVPNs(nil); !slices.Equal(got, []uint64{base + 1, base + 3, base + 9, base + 20}) {
 		t.Fatalf("dirty set %x", got)
 	}
 }

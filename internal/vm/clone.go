@@ -64,7 +64,7 @@ func (as *AddressSpace) MapFrameCoW(vpn uint64, frame mem.FrameID) error {
 		return fmt.Errorf("vm: MapFrameCoW of already-resident page %#x", vpn)
 	}
 	as.phys.Ref(frame)
-	as.logFresh(vpn)
+	as.fresh.add(vpn)
 	pte := bornPTE(frame)
 	pte.cow, pte.tlbCold = true, true
 	as.pages.set(vpn, pte)

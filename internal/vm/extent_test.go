@@ -2,6 +2,7 @@ package vm
 
 import (
 	"bytes"
+	"slices"
 	"testing"
 	"testing/quick"
 	"unsafe"
@@ -282,6 +283,27 @@ func TestExtentBoundsEveryWrittenByte(t *testing.T) {
 					t.Logf("step %d: page %d differs from its contents at the last clear outside [%d,%d)", step, i, lo, hi)
 					return false
 				}
+			}
+			// The slow restore trusts the indexes instead of reading each
+			// region's pagemap: the resident list must be the regions'
+			// pagemap entries laid end to end, and the dirty log, while
+			// armed, exactly the entries whose soft-dirty bit is set.
+			var resident, dirty []uint64
+			for _, v := range as.VMAs() {
+				for _, e := range as.AppendPagemapRange(v.Start.PageNum(), v.End.PageNum(), nil) {
+					resident = append(resident, e.VPN)
+					if e.SoftDirty {
+						dirty = append(dirty, e.VPN)
+					}
+				}
+			}
+			if got := as.AppendResidentVPNs(nil); !slices.Equal(got, resident) {
+				t.Logf("step %d: resident list %x, pagemap of the regions %x", step, got, resident)
+				return false
+			}
+			if got := as.AppendSoftDirtyVPNs(nil); as.DirtyLogArmed() && !slices.Equal(got, dirty) {
+				t.Logf("step %d: dirty log reads %x, PTE soft-dirty bits %x", step, got, dirty)
+				return false
 			}
 			return true
 		}

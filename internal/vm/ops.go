@@ -223,8 +223,7 @@ func (as *AddressSpace) Mremap(start Addr, oldBytes, newBytes int) (Addr, error)
 	// Relocating PTEs carries soft-dirty bits — and residency — to new page
 	// numbers the incremental logs cannot know about; disarm both so reads
 	// fall back to the exact page-table walk until ClearSoftDirty re-arms.
-	as.dirtyLogArmed = false
-	as.freshLogArmed = false
+	as.dirty.armed, as.fresh.armed = false, false
 	for vpn := start.PageNum(); vpn < (start + Addr(oldSize)).PageNum(); vpn++ {
 		pte, ok := as.pages.delete(vpn)
 		if !ok {

@@ -100,8 +100,8 @@ type AddressSpace struct {
 
 	faults FaultStats
 
-	// dirtyLog is the incremental dirty set: every write fault that turns a
-	// page's soft-dirty bit on appends the page number here. Under UFFD
+	// dirty is the incremental dirty set: every write fault that turns a
+	// page's soft-dirty bit on logs the page number here. Under UFFD
 	// tracking it is the simulated equivalent of the user-space fault
 	// handler accumulating the dirty set during the request (which is why
 	// UFFD dirty-set reads cost per dirty page instead of a pagemap scan);
@@ -109,30 +109,66 @@ type AddressSpace struct {
 	// the traced process still pays full pagemap-scan prices — but it lets
 	// the simulator's restore data path skip the O(resident) walk whose
 	// virtual cost it charges, which is what makes million-request fleet
-	// runs wall-clock feasible. ClearSoftDirty arms (and truncates) the
-	// log; AppendSoftDirtyVPNs reads it, sorting lazily and validating
-	// entries against the page table so dropped pages and
-	// drop-then-redirty duplicates never leak into the result. Page-table
-	// surgery that relocates PTEs (mremap's move path) disarms the log,
-	// falling back to the exact map walk until the next re-arm.
-	dirtyLog       []uint64
-	dirtyLogSorted bool
-	dirtyLogArmed  bool
+	// runs wall-clock feasible. Page-table surgery that relocates PTEs
+	// (mremap's move path) disarms the log, falling back to the exact map
+	// walk until the next re-arm.
+	dirty epochLog
 
-	// freshLog is the dirty log's residency twin: every page that
-	// transitions from absent to resident (demand-zero faults, restore
-	// pokes, CoW frame mappings) appends its page number here, and so does
-	// a resident page a poke moves to a new frame (a CoW break) — between
-	// them, every entry born with a whole-page extent. The restore
-	// fast path reads it to find pages mapped in since the last epoch —
-	// the candidates for the madvise drop set — without walking the
-	// resident set it is charging for. Armed and truncated by
-	// ClearSoftDirty, invalidated by the same PTE surgery that disarms the
-	// dirty log; entries are validated against the page table at read time
-	// (a fresh page dropped again within the epoch must not resurface).
-	freshLog       []uint64
-	freshLogSorted bool
-	freshLogArmed  bool
+	// fresh is the dirty log's residency twin: every page that transitions
+	// from absent to resident (demand-zero faults, restore pokes, CoW frame
+	// mappings) is logged here, and so is a resident page a poke moves to a
+	// new frame (a CoW break) — between them, every entry born with a
+	// whole-page extent. The restore fast path reads it to find pages mapped
+	// in since the last epoch — the candidates for the madvise drop set —
+	// without walking the resident set it is charging for. Disarmed by the
+	// same PTE surgery as the dirty log, and by DropPage.
+	fresh epochLog
+}
+
+// epochLog is a set of page numbers accumulated since the last
+// ClearSoftDirty, which arms (and truncates) it. Entries are appended in
+// fault order, sorted lazily at read time, and validated against the page
+// table on the way out, so dropped pages and drop-then-refault duplicates
+// never leak into a result. A disarmed log does not cover its epoch and
+// records nothing.
+type epochLog struct {
+	vpns   []uint64
+	sorted bool
+	armed  bool
+}
+
+// add logs vpn while the log is armed, tracking whether insertion order has
+// stayed sorted (sequential access patterns keep it sorted for free).
+func (l *epochLog) add(vpn uint64) {
+	if !l.armed {
+		return
+	}
+	if n := len(l.vpns); n > 0 && vpn < l.vpns[n-1] {
+		l.sorted = false
+	}
+	l.vpns = append(l.vpns, vpn)
+}
+
+// arm empties the log and starts a new epoch.
+func (l *epochLog) arm() { l.vpns, l.sorted, l.armed = l.vpns[:0], true, true }
+
+// appendLive appends to dst, sorted and duplicate-free, the logged pages that
+// are still resident and, with dirtyOnly, still soft-dirty.
+func (l *epochLog) appendLive(dst []uint64, pt *pageTable, dirtyOnly bool) []uint64 {
+	if !l.sorted {
+		slices.Sort(l.vpns)
+		l.sorted = true
+	}
+	start := len(dst)
+	for _, vpn := range l.vpns {
+		if n := len(dst); n > start && dst[n-1] == vpn {
+			continue // logged twice: dropped and faulted back in within the epoch
+		}
+		if pte := pt.ref(vpn); pte != nil && (pte.SoftDirty || !dirtyOnly) {
+			dst = append(dst, vpn)
+		}
+	}
+	return dst
 }
 
 // New returns an empty address space backed by phys with the given cost
@@ -171,10 +207,7 @@ func (as *AddressSpace) ResetFaults() { as.faults = FaultStats{} }
 // covers faults taken while the user-space handler was registered.
 func (as *AddressSpace) SetUffdTracking(on bool) {
 	if on != as.uffd {
-		as.dirtyLog = as.dirtyLog[:0]
-		as.dirtyLogArmed = false
-		as.freshLog = as.freshLog[:0]
-		as.freshLogArmed = false
+		as.dirty, as.fresh = epochLog{}, epochLog{}
 	}
 	as.uffd = on
 }
@@ -340,7 +373,7 @@ func (as *AddressSpace) fault(vpn uint64, pte *PTE, write bool) *PTE {
 		pte = as.pages.set(vpn, bornPTE(as.phys.Alloc()))
 		as.faults.Minor++
 		as.charge(as.costs.MinorFault)
-		as.logFresh(vpn)
+		as.fresh.add(vpn)
 	}
 	if pte.tlbCold {
 		as.faults.FirstTouch++
@@ -374,34 +407,12 @@ func (as *AddressSpace) fault(vpn uint64, pte *PTE, write bool) *PTE {
 			}
 			pte.wpArmed = false
 		}
-		if !pte.SoftDirty && as.dirtyLogArmed {
-			as.logDirty(vpn)
+		if !pte.SoftDirty {
+			as.dirty.add(vpn)
 		}
 		pte.SoftDirty = true
 	}
 	return pte
-}
-
-// logDirty appends vpn to the dirty log, tracking whether insertion order
-// has stayed sorted (sequential write patterns keep it sorted for free; the
-// occasional out-of-order epoch is sorted lazily at read time).
-func (as *AddressSpace) logDirty(vpn uint64) {
-	if n := len(as.dirtyLog); n > 0 && vpn < as.dirtyLog[n-1] {
-		as.dirtyLogSorted = false
-	}
-	as.dirtyLog = append(as.dirtyLog, vpn)
-}
-
-// logFresh appends a newly resident page to the fresh log (see freshLog),
-// with the same lazy-sort bookkeeping as logDirty.
-func (as *AddressSpace) logFresh(vpn uint64) {
-	if !as.freshLogArmed {
-		return
-	}
-	if n := len(as.freshLog); n > 0 && vpn < as.freshLog[n-1] {
-		as.freshLogSorted = false
-	}
-	as.freshLog = append(as.freshLog, vpn)
 }
 
 // access is the function-side access loop: every load and store a function
@@ -566,7 +577,7 @@ func (as *AddressSpace) PeekPageInto(vpn uint64, buf []byte) (zero, ok bool) {
 func (as *AddressSpace) pokePTE(vpn uint64) *PTE {
 	pte := as.pages.ref(vpn)
 	if pte == nil {
-		as.logFresh(vpn)
+		as.fresh.add(vpn)
 		return as.pages.set(vpn, bornPTE(as.phys.Alloc()))
 	}
 	if pte.cow && as.phys.Refs(pte.Frame) > 1 {
@@ -574,7 +585,7 @@ func (as *AddressSpace) pokePTE(vpn uint64) *PTE {
 		as.phys.Unref(pte.Frame)
 		pte.Frame = f
 		pte.lo, pte.hi = 0, mem.PageSize
-		as.logFresh(vpn)
+		as.fresh.add(vpn)
 	}
 	pte.cow = false
 	return pte
@@ -655,7 +666,7 @@ func (as *AddressSpace) DropPage(vpn uint64) bool {
 	pte, ok := as.pages.delete(vpn)
 	if ok {
 		as.phys.Unref(pte.Frame)
-		as.freshLogArmed = false
+		as.fresh.armed = false
 	}
 	return ok
 }
@@ -675,7 +686,7 @@ func (as *AddressSpace) DropPage(vpn uint64) bool {
 // is a simulator-internal index and the pagemap-scan prices still apply.)
 func (as *AddressSpace) ClearSoftDirty() int {
 	n := as.pages.len()
-	if as.dirtyLogArmed && as.freshLogArmed {
+	if as.dirty.armed && as.fresh.armed {
 		// Logged epoch: the full page-table walk is redundant. Only pages
 		// written this epoch carry a soft-dirty bit (they are in the dirty
 		// log), and the only resident pages whose write protection is
@@ -686,25 +697,18 @@ func (as *AddressSpace) ClearSoftDirty() int {
 		// and untouched since. The modeled clear_refs write still walks,
 		// which is why the caller's ClearRefsPerPage charge uses the full
 		// resident count either way.
-		for _, vpn := range as.dirtyLog {
-			if pte := as.pages.ref(vpn); pte != nil {
-				pte.clearSoftDirty()
-			}
-		}
-		for _, vpn := range as.freshLog {
-			if pte := as.pages.ref(vpn); pte != nil {
-				pte.clearSoftDirty()
+		for _, log := range [][]uint64{as.dirty.vpns, as.fresh.vpns} {
+			for _, vpn := range log {
+				if pte := as.pages.ref(vpn); pte != nil {
+					pte.clearSoftDirty()
+				}
 			}
 		}
 	} else {
 		n = as.pages.clearSoftDirty()
 	}
-	as.dirtyLog = as.dirtyLog[:0]
-	as.dirtyLogSorted = true
-	as.dirtyLogArmed = true
-	as.freshLog = as.freshLog[:0]
-	as.freshLogSorted = true
-	as.freshLogArmed = true
+	as.dirty.arm()
+	as.fresh.arm()
 	return n
 }
 
@@ -713,47 +717,26 @@ func (as *AddressSpace) ClearSoftDirty() int {
 // table walk. The manager uses this to charge the UFFD scan phase honestly:
 // per dirty page while the log holds, pagemap-scan prices after something
 // (an mremap move, a tracking switch) invalidated it.
-func (as *AddressSpace) DirtyLogArmed() bool { return as.dirtyLogArmed }
-
-// SoftDirtyVPNs returns the sorted page numbers whose soft-dirty bit is set.
-func (as *AddressSpace) SoftDirtyVPNs() []uint64 {
-	return as.AppendSoftDirtyVPNs(nil)
-}
+func (as *AddressSpace) DirtyLogArmed() bool { return as.dirty.armed }
 
 // AppendSoftDirtyVPNs appends the sorted page numbers whose soft-dirty bit
-// is set to dst and returns the extended slice. When the dirty log is armed
-// (UFFD tracking, since the last ClearSoftDirty) the result comes from the
-// log — cost proportional to the dirty set, never a page-table walk;
-// otherwise it falls back to the exact page-table walk (linear over the
-// chunked table, sorted by construction). Either way the appended region is
-// sorted and duplicate-free, and callers that reuse dst across calls read
-// the dirty set without allocating.
+// is set to dst and returns the extended slice. While the dirty log is armed
+// the result comes from the log — cost proportional to the dirty set, never
+// a page-table walk; otherwise it falls back to the exact page-table walk
+// (linear over the chunked table, sorted by construction). Either way the
+// appended region is sorted and duplicate-free, and callers that reuse dst
+// across calls read the dirty set without allocating.
 func (as *AddressSpace) AppendSoftDirtyVPNs(dst []uint64) []uint64 {
-	start := len(dst)
-	if !as.dirtyLogArmed {
+	if !as.dirty.armed {
 		return as.pages.appendSoftDirtyVPNs(dst)
 	}
-	if !as.dirtyLogSorted {
-		slices.Sort(as.dirtyLog)
-		as.dirtyLogSorted = true
-	}
-	for _, vpn := range as.dirtyLog {
-		if n := len(dst); n > start && dst[n-1] == vpn {
-			continue // logged twice: dropped and re-dirtied within the epoch
-		}
-		// A logged page may have been dropped (madvise DONTNEED) since the
-		// fault; only pages still resident and dirty count.
-		if pte, ok := as.pages.get(vpn); ok && pte.SoftDirty {
-			dst = append(dst, vpn)
-		}
-	}
-	return dst
+	return as.dirty.appendLive(dst, &as.pages, true)
 }
 
 // FreshLogArmed reports whether the fresh log covers the current epoch,
 // i.e. AppendFreshVPNs returns exactly the pages mapped in since the last
 // ClearSoftDirty.
-func (as *AddressSpace) FreshLogArmed() bool { return as.freshLogArmed }
+func (as *AddressSpace) FreshLogArmed() bool { return as.fresh.armed }
 
 // AppendFreshVPNs appends the sorted, duplicate-free page numbers that
 // became resident since the last ClearSoftDirty and still are, to dst. It
@@ -761,23 +744,10 @@ func (as *AddressSpace) FreshLogArmed() bool { return as.freshLogArmed }
 // restore fast path uses it to find madvise candidates without walking the
 // resident set.
 func (as *AddressSpace) AppendFreshVPNs(dst []uint64) []uint64 {
-	if !as.freshLogArmed {
+	if !as.fresh.armed {
 		panic("vm: AppendFreshVPNs with the fresh log disarmed")
 	}
-	if !as.freshLogSorted {
-		slices.Sort(as.freshLog)
-		as.freshLogSorted = true
-	}
-	start := len(dst)
-	for _, vpn := range as.freshLog {
-		if n := len(dst); n > start && dst[n-1] == vpn {
-			continue // dropped and re-faulted within the epoch
-		}
-		if _, ok := as.pages.get(vpn); ok {
-			dst = append(dst, vpn)
-		}
-	}
-	return dst
+	return as.fresh.appendLive(dst, &as.pages, false)
 }
 
 // --- invariants -------------------------------------------------------------

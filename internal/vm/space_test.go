@@ -130,7 +130,7 @@ func TestSoftDirtyTracking(t *testing.T) {
 	if walked != 4 {
 		t.Fatalf("ClearSoftDirty walked %d entries, want 4", walked)
 	}
-	if got := as.SoftDirtyVPNs(); len(got) != 0 {
+	if got := as.AppendSoftDirtyVPNs(nil); len(got) != 0 {
 		t.Fatalf("dirty set after clear: %v", got)
 	}
 	as.ResetFaults()
@@ -138,7 +138,7 @@ func TestSoftDirtyTracking(t *testing.T) {
 	as.WriteWord(heap+1*mem.PageSize, 9)
 	as.WriteWord(heap+3*mem.PageSize+8, 9)
 	as.ReadWord(heap)
-	dirty := as.SoftDirtyVPNs()
+	dirty := as.AppendSoftDirtyVPNs(nil)
 	want := []uint64{(heap + 1*mem.PageSize).PageNum(), (heap + 3*mem.PageSize).PageNum()}
 	if len(dirty) != 2 || dirty[0] != want[0] || dirty[1] != want[1] {
 		t.Fatalf("dirty = %v, want %v", dirty, want)
@@ -158,7 +158,7 @@ func TestSoftDirtySetOnFreshPages(t *testing.T) {
 	heap := Addr(0x01000000)
 	mustBrk(t, as, heap+mem.PageSize)
 	as.WriteWord(heap, 1)
-	if d := as.SoftDirtyVPNs(); len(d) != 1 {
+	if d := as.AppendSoftDirtyVPNs(nil); len(d) != 1 {
 		t.Fatalf("fresh write not recorded dirty: %v", d)
 	}
 }
