@@ -13,16 +13,38 @@
 //	curl -s -X POST --data-binary 'payload' 'localhost:8080/fn/get-time%20(p)'
 //	curl -s localhost:8080/deployments
 //	go run ./cmd/ghload -url http://localhost:8080 -duration 5s
+//
+// SIGINT or SIGTERM shuts it down in order: the HTTP listener stops accepting
+// and in-flight requests get drainTimeout to finish, the binary listener and
+// its connections close, every deployment is torn down, and the exit code is
+// 1 if a torn-down deployment's kernel still counts frames in use, 0
+// otherwise.
 package main
 
 import (
+	"context"
+	"errors"
 	"flag"
 	"log"
 	"net"
 	"net/http"
+	"os"
+	"os/signal"
+	"syscall"
+	"time"
 
 	"groundhog/internal/gateway"
 	"groundhog/internal/server"
+)
+
+// The HTTP listener's patience: a peer gets readHeaderTimeout to send its
+// request headers and idleTimeout between keep-alive requests, so a silent or
+// trickling connection cannot hold a goroutine forever; shutdown waits
+// drainTimeout for in-flight requests.
+const (
+	readHeaderTimeout = 5 * time.Second
+	idleTimeout       = 60 * time.Second
+	drainTimeout      = 3 * time.Second
 )
 
 func main() {
@@ -33,6 +55,8 @@ func main() {
 		queueDepth = flag.Int("queue-depth", gateway.DefaultQueueDepth, "per-deployment admission queue bound")
 	)
 	flag.Parse()
+	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
+	defer stop()
 
 	s := server.New()
 	s.SetTrustSameCaller(*trust)
@@ -49,10 +73,32 @@ func main() {
 			}
 		}()
 	}
+	srv := &http.Server{
+		Addr:              *addr,
+		Handler:           g.Handler(),
+		ReadHeaderTimeout: readHeaderTimeout,
+		IdleTimeout:       idleTimeout,
+	}
 	log.Printf("ghserve: simulated FaaS platform listening on %s", *addr)
 	log.Printf("ghserve: try  curl -s -X POST '%s/invoke?fn=get-time%%20(p)&mode=gh'", *addr)
 	log.Printf("ghserve: or   curl -s -X POST --data-binary hi '%s/fn/get-time%%20(p)'", *addr)
-	if err := http.ListenAndServe(*addr, g.Handler()); err != nil {
-		log.Fatal(err)
+	go func() {
+		if err := srv.ListenAndServe(); !errors.Is(err, http.ErrServerClosed) {
+			log.Fatal(err)
+		}
+	}()
+
+	<-ctx.Done()
+	stop() // a second signal kills the process the default way
+	log.Printf("ghserve: shutting down")
+	drain, cancel := context.WithTimeout(context.Background(), drainTimeout)
+	defer cancel()
+	if err := srv.Shutdown(drain); err != nil {
+		log.Printf("ghserve: http drain: %v", err)
+	}
+	_ = g.Close()
+	if leaked := s.Shutdown(); leaked != 0 {
+		log.Printf("ghserve: %d frames leaked", leaked)
+		os.Exit(1)
 	}
 }

@@ -132,7 +132,7 @@
 // summed virtual cold-start bill — and the keep-alive reaper gains a second
 // tier: with ScaleToZeroAfter set, a pool whose last container has idled
 // past the longer TTL scales to zero, and faas.Platform.EvictImage releases
-// the deployment's snapshot image (core.SnapshotImage is holder-refcounted;
+// the deployment's snapshot image (core.SnapshotImage has one holder;
 // frames return to PhysMem once no clone references them — pinned by
 // TestEvictImageReturnsFrames and TestFleetScaleToZeroEvictsImage). The next
 // scale-up re-runs the full pipeline and re-exports lazily. The fleet

@@ -431,7 +431,7 @@ func (cl *Cluster) eligibleHosts(ds *depState) []trace.HostView {
 			}
 			v.Free = v.Pool - v.Busy
 			if !v.PullInFlight {
-				_, _, v.HasImage = pl.ExportedImage()
+				v.HasImage = pl.HasImage()
 				v.CloneReady = pl.CloneSourceReady()
 			}
 		}
@@ -452,7 +452,7 @@ func (cl *Cluster) findSource(ds *depState) *faas.Platform {
 		if !h.alive() || pl == nil {
 			continue
 		}
-		if _, _, ok := pl.ExportedImage(); ok {
+		if pl.HasImage() {
 			return pl
 		}
 		if donor == nil && pl.CloneSourceReady() {
@@ -518,7 +518,7 @@ func (cl *Cluster) Run() (*Result, error) {
 		hs.PeakFrames, hs.EndFrames = h.kern.Phys.Peak(), h.kern.Phys.InUse()
 		for _, ds := range cl.deps {
 			if pl := ds.pools[id]; pl != nil {
-				if _, _, ok := pl.ExportedImage(); ok {
+				if pl.HasImage() {
 					hs.ImagesHeld++
 				}
 			}

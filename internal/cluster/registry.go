@@ -11,10 +11,10 @@ import (
 
 // Registry tracks cross-host snapshot-image distribution. Image *presence*
 // is never stored here: a host holds a deployment's image exactly when its
-// platform reports a live exported image (faas.Platform.ExportedImage), so
-// presence rides the PR 4 refcount lifecycle directly — evicting the last
-// holder deregisters the host, re-exporting after a scale-from-zero
-// re-registers it, and there is no separate bit to go stale. What the
+// platform reports a live exported image (faas.Platform.HasImage), so
+// presence rides the image's own lifecycle directly — evicting it
+// deregisters the host, re-exporting after a scale-from-zero re-registers
+// it, and there is no separate bit to go stale. What the
 // registry does own is the pull bookkeeping: which transfers are in flight
 // to which hosts (so concurrent scale-ups on one host dedup onto a single
 // transfer charge) and the cumulative transfer counters.

@@ -75,7 +75,7 @@ func TestPullTransfersImageAndRecordsWindow(t *testing.T) {
 	if delay <= 0 {
 		t.Fatalf("transfer delay = %v, want > 0 (base + per-frame charges)", delay)
 	}
-	if _, _, ok := rig.pools[1].ExportedImage(); !ok {
+	if !rig.pools[1].HasImage() {
 		t.Fatal("destination holds no live image after a successful pull")
 	}
 	if rig.kerns[1].Phys.InUse() == 0 {
@@ -140,7 +140,7 @@ func TestTwoHostsPullConcurrently(t *testing.T) {
 		t.Fatalf("stats = %+v, want 2 independent transfers", st)
 	}
 	for host := 1; host <= 2; host++ {
-		if _, _, ok := rig.pools[host].ExportedImage(); !ok {
+		if !rig.pools[host].HasImage() {
 			t.Fatalf("host %d holds no live image", host)
 		}
 	}
@@ -174,7 +174,7 @@ func TestEvictImageMidTransfer(t *testing.T) {
 	if _, err := rig.reg.Pull("fn", 1, rig.pools[0], rig.pools[1], rig.kerns[1], rig.eng.Now()); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, ok := rig.pools[1].ExportedImage(); !ok {
+	if !rig.pools[1].HasImage() {
 		t.Fatal("re-pull after eviction left no live image")
 	}
 	rig.teardown(t)
@@ -219,7 +219,7 @@ func TestReRegistrationAfterLastHolderReleases(t *testing.T) {
 	if _, _, err := rig.pools[0].EnsureExportedImage(m); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, ok := rig.pools[0].ExportedImage(); !ok {
+	if !rig.pools[0].HasImage() {
 		t.Fatal("source image not registered after export")
 	}
 	// Release the last holder: remove the donor and evict the image.
@@ -229,7 +229,7 @@ func TestReRegistrationAfterLastHolderReleases(t *testing.T) {
 	if !rig.pools[0].EvictImage() {
 		t.Fatal("nothing to evict on the source")
 	}
-	if _, _, ok := rig.pools[0].ExportedImage(); ok {
+	if rig.pools[0].HasImage() {
 		t.Fatal("image still registered after the last holder released")
 	}
 	if _, err := rig.reg.Pull("fn", 1, rig.pools[0], rig.pools[1], rig.kerns[1], rig.eng.Now()); err == nil {
@@ -242,7 +242,7 @@ func TestReRegistrationAfterLastHolderReleases(t *testing.T) {
 	if _, _, err := rig.pools[0].EnsureExportedImage(sim.NewMeter()); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, ok := rig.pools[0].ExportedImage(); !ok {
+	if !rig.pools[0].HasImage() {
 		t.Fatal("image not re-registered after a fresh export")
 	}
 	if _, err := rig.reg.Pull("fn", 1, rig.pools[0], rig.pools[1], rig.kerns[1], rig.eng.Now()); err != nil {

@@ -165,7 +165,7 @@ type snapshot struct {
 	// time, recorded so that a container cloned from this snapshot places
 	// future mappings exactly where the donor would have.
 	mmapBase vm.Addr
-	regs     map[int]kernel.Regs // by TID
+	regs     []kernel.Regs // one per thread, in Process.Threads order (append-only)
 	store    stateStore
 	stats    SnapshotStats
 }
@@ -197,7 +197,13 @@ type Manager struct {
 // be fully initialized (runtime started, dummy request executed) before
 // TakeSnapshot is called.
 func NewManager(k *kernel.Kernel, p *kernel.Process, opts Options) (*Manager, error) {
-	tr, err := ptrace.Seize(k, p, nil)
+	return attach(k, p, opts, nil)
+}
+
+// attach seizes p and selects its write tracker, charging the seize to meter:
+// the step a manager of a warm process and a manager of a cloned one share.
+func attach(k *kernel.Kernel, p *kernel.Process, opts Options, meter *sim.Meter) (*Manager, error) {
+	tr, err := ptrace.Seize(k, p, meter)
 	if err != nil {
 		return nil, err
 	}
@@ -261,7 +267,7 @@ func (m *Manager) TakeSnapshot() (SnapshotStats, error) {
 	// land in the pooled arena recycled from the previous snapshot.
 	snap := &snapshot{
 		layout: layout,
-		regs:   make(map[int]kernel.Regs),
+		regs:   make([]kernel.Regs, 0, len(m.proc.Threads)),
 	}
 	sim.ChargeTo(meter, m.kern.Cost.SnapshotBase)
 	sc := &m.scratch
@@ -325,7 +331,7 @@ func (m *Manager) TakeSnapshot() (SnapshotStats, error) {
 		if err != nil {
 			return SnapshotStats{}, err
 		}
-		snap.regs[th.TID] = regs
+		snap.regs = append(snap.regs, regs)
 	}
 	if snap.brk, err = m.proc.AS.Brk(0); err != nil {
 		return SnapshotStats{}, err

@@ -2,40 +2,29 @@ package core
 
 import (
 	"fmt"
+	"slices"
 
 	"groundhog/internal/faults"
 	"groundhog/internal/kernel"
 	"groundhog/internal/mem"
-	"groundhog/internal/procfs"
-	"groundhog/internal/ptrace"
 	"groundhog/internal/sim"
-	"groundhog/internal/vm"
 )
 
 // SnapshotImage is a self-contained, shareable copy of a manager's snapshot:
-// the memory layout and anchors, per-thread registers, and one frame per
-// recorded page, held copy-on-write. Sibling containers of the same function
-// are spawned from it (NewManagerFromSnapshot) without re-running
-// environment, runtime, or data initialization — and every clone maps the
-// image's frames CoW, so a fleet's physical memory grows with the pages
-// containers actually dirty, not with the container count.
+// the kernel.ProcessImage a sibling is spawned from — layout and anchors,
+// per-thread registers, one frame per recorded page — plus ownership of those
+// frames. Sibling containers of the same function are spawned from it
+// (NewManagerFromSnapshot) without re-running environment, runtime, or data
+// initialization — and every clone maps the image's frames CoW, so a fleet's
+// physical memory grows with the pages containers actually dirty, not with
+// the container count.
 //
-// The image owns one reference per frame entry and is itself reference
-// counted: ExportImage hands it out with one holder reference, Retain adds
-// one per additional holder (a second platform sharing the same warm image),
-// and Release drops one — the frame references return to PhysMem only when
-// the last holder releases. It stays valid after the donor container (and
-// even its manager) is gone.
+// The image owns one reference per frame entry until its one holder calls
+// Release. It stays valid after the donor container (and even its manager)
+// is gone.
 type SnapshotImage struct {
+	desc     kernel.ProcessImage
 	phys     *mem.PhysMem
-	layout   []vm.VMA
-	brkBase  vm.Addr
-	brk      vm.Addr
-	mmapBase vm.Addr
-	regs     []kernel.Regs
-	vpns     []uint64
-	frames   []mem.FrameID
-	refs     int
 	released bool
 
 	// sum is the integrity checksum over the image's page identities and
@@ -49,17 +38,11 @@ type SnapshotImage struct {
 }
 
 // Pages reports the number of recorded pages in the image.
-func (img *SnapshotImage) Pages() int { return len(img.vpns) }
+func (img *SnapshotImage) Pages() int { return len(img.desc.VPNs) }
 
 // Released reports whether the image's frames have already been returned to
-// physical memory (last holder released / image evicted).
+// physical memory (image released / evicted).
 func (img *SnapshotImage) Released() bool { return img.released }
-
-// Frames returns a copy of the image's backing frame IDs. Tests use it to
-// corrupt frame bytes in place and assert the integrity check notices.
-func (img *SnapshotImage) Frames() []mem.FrameID {
-	return append([]mem.FrameID(nil), img.frames...)
-}
 
 // MarkCorrupted flags the image as having suffered frame corruption — the
 // simulator's stand-in for bit-rot or a torn write. Detection and recovery
@@ -79,7 +62,7 @@ func (img *SnapshotImage) Verify(perPage sim.Duration, meter *sim.Meter) bool {
 	if !img.summed {
 		return true
 	}
-	sim.ChargeTo(meter, perPage*sim.Duration(len(img.frames)))
+	sim.ChargeTo(meter, perPage*sim.Duration(len(img.desc.Frames)))
 	return img.computeSum() == img.sum
 }
 
@@ -98,44 +81,36 @@ func mixSum(h, v uint64) uint64 {
 // computeSum hashes the image's page identities and frame contents.
 func (img *SnapshotImage) computeSum() uint64 {
 	h := uint64(1469598103934665603)
-	for i, vpn := range img.vpns {
+	for i, vpn := range img.desc.VPNs {
 		h = mixSum(h, vpn)
-		h = mixSum(h, img.phys.Checksum(img.frames[i]))
+		h = mixSum(h, img.phys.Checksum(img.desc.Frames[i]))
 	}
 	return h
 }
 
-// VMAs reports the number of memory regions in the image.
-func (img *SnapshotImage) VMAs() int { return len(img.layout) }
-
-// Retain adds a holder reference; the matching Release will not free the
-// image's frames. Retaining a released image is a lifetime bug and panics.
-func (img *SnapshotImage) Retain() {
-	if img.released {
-		panic("core: Retain on released snapshot image")
-	}
-	img.refs++
-}
-
-// Release drops one holder reference; when the last holder releases, the
-// image's frame references return to physical memory (a frame whose only
-// remaining reference was the image's is freed — eviction on scale-to-zero).
-// Processes already spawned from the image keep their own references and are
-// unaffected. Release on an already-released image is a no-op.
+// Release returns the image's frame references to physical memory (a frame
+// whose only remaining reference was the image's is freed — eviction on
+// scale-to-zero). Processes already spawned from the image keep their own
+// references and are unaffected. Release on an already-released image is a
+// no-op.
 func (img *SnapshotImage) Release() {
 	if img.released {
 		return
 	}
-	if img.refs > 1 {
-		img.refs--
-		return
-	}
-	img.refs = 0
 	img.released = true
-	for _, f := range img.frames {
+	for _, f := range img.desc.Frames {
 		img.phys.Unref(f)
 	}
-	img.frames = nil
+	img.desc.Frames = nil
+}
+
+// unwind gives back what a partially built image holds after an injected
+// fault cut its frame loop short, so the frame pool stays balanced (no
+// holder, no leak), and reports how far the loop got.
+func (img *SnapshotImage) unwind(what string, cause error) error {
+	n := len(img.desc.Frames)
+	img.Release()
+	return fmt.Errorf("core: %s aborted after %d pages: %w", what, n, cause)
 }
 
 // ExportImage copies the manager's snapshot into a shareable SnapshotImage.
@@ -146,109 +121,72 @@ func (img *SnapshotImage) Release() {
 // in the manager's arena, not in frames, so the export materializes one frame
 // per non-zero page (SnapshotPerPage each — a one-time, per-deployment cost
 // amortized across every subsequent clone); all-zero pages share a single
-// lazily-zero frame, the moral equivalent of the kernel zero page.
+// lazily-zero frame, the moral equivalent of the kernel zero page, charged
+// like a CoW reference (the refcount bump is the same work whether the frame
+// holds content or not).
 func (m *Manager) ExportImage(meter *sim.Meter) (*SnapshotImage, error) {
 	if m.snap == nil {
 		return nil, fmt.Errorf("core: export before snapshot")
 	}
-	snap := m.snap
-	phys := m.kern.Phys
-	img := &SnapshotImage{
-		phys:     phys,
-		layout:   append([]vm.VMA(nil), snap.layout...),
-		brkBase:  m.proc.AS.HeapBase(),
-		brk:      snap.brk,
-		mmapBase: snap.mmapBase,
-		vpns:     append([]uint64(nil), snap.store.vpns...),
-		frames:   make([]mem.FrameID, 0, len(snap.store.vpns)),
-		refs:     1,
+	snap, st, phys, cost := m.snap, &m.snap.store, m.kern.Phys, &m.kern.Cost
+	if len(m.proc.Threads) != len(snap.regs) {
+		return nil, fmt.Errorf("core: export: %d threads, snapshot had %d", len(m.proc.Threads), len(snap.regs))
 	}
-	for _, th := range m.proc.Threads {
-		regs, ok := snap.regs[th.TID]
-		if !ok {
-			return nil, fmt.Errorf("core: export: thread %d not in snapshot", th.TID)
-		}
-		img.regs = append(img.regs, regs)
-	}
+	img := &SnapshotImage{phys: phys, desc: kernel.ProcessImage{
+		Layout:   slices.Clone(snap.layout),
+		BrkBase:  m.proc.AS.HeapBase(),
+		Brk:      snap.brk,
+		MmapBase: snap.mmapBase,
+		VPNs:     slices.Clone(st.vpns),
+		Frames:   make([]mem.FrameID, 0, st.len()),
+		Regs:     slices.Clone(snap.regs),
+	}}
 
-	// An armed fault plan can abort the export partway through its frame
-	// loop; the partial image's frame references are unwound so the frame
-	// pool stays balanced (no holder, no leak).
+	// An armed fault plan can abort the export before any page, between two,
+	// or after the last.
 	failAt := -1
-	var exportFault error
-	if ferr := m.kern.Faults.Fire(faults.SiteSnapshotExport); ferr != nil {
-		failAt = m.kern.Faults.Cut(faults.SiteSnapshotExport, len(snap.store.vpns)+1)
-		exportFault = ferr
+	var fault error
+	if fault = m.kern.Faults.Fire(faults.SiteSnapshotExport); fault != nil {
+		failAt = m.kern.Faults.Cut(faults.SiteSnapshotExport, st.len()+1)
 	}
-
-	st := &snap.store
-	if st.frames != nil {
-		for i, f := range st.frames {
-			if i == failAt {
-				return nil, m.abortExport(img, exportFault)
-			}
-			phys.Ref(f)
-			img.frames = append(img.frames, f)
-			sim.ChargeTo(meter, m.kern.Cost.SnapshotCoWPerPage)
-		}
-		if failAt == len(st.frames) {
-			return nil, m.abortExport(img, exportFault)
-		}
-		m.finishChecksum(img, meter)
-		return img, nil
-	}
-	var zeroFrame mem.FrameID
-	for i := range st.vpns {
+	zeroFrame := mem.NoFrame
+	for i := 0; ; i++ {
 		if i == failAt {
-			return nil, m.abortExport(img, exportFault)
+			return nil, img.unwind("snapshot export", fault)
 		}
-		if st.off[i] < 0 {
-			// All-zero page: every such page shares one lazily-zero frame,
-			// charged like a CoW reference (the refcount bump is the same
-			// work whether the frame holds content or not).
-			if zeroFrame == mem.NoFrame {
-				zeroFrame = phys.Alloc()
-			} else {
-				phys.Ref(zeroFrame)
-			}
-			img.frames = append(img.frames, zeroFrame)
-			sim.ChargeTo(meter, m.kern.Cost.SnapshotCoWPerPage)
-			continue
+		if i == st.len() {
+			break
 		}
-		f := phys.Alloc()
-		phys.RestoreInto(f, st.arena[st.off[i]:st.off[i]+mem.PageSize])
-		img.frames = append(img.frames, f)
-		sim.ChargeTo(meter, m.kern.Cost.SnapshotPerPage)
+		var f mem.FrameID
+		charge := cost.SnapshotCoWPerPage
+		switch {
+		case st.frames != nil:
+			f = st.frames[i]
+			phys.Ref(f)
+		case st.off[i] >= 0:
+			f = phys.Alloc()
+			phys.RestoreInto(f, st.arena[st.off[i]:st.off[i]+mem.PageSize])
+			charge = cost.SnapshotPerPage
+		case zeroFrame == mem.NoFrame:
+			zeroFrame = phys.Alloc()
+			f = zeroFrame
+		default:
+			f = zeroFrame
+			phys.Ref(f)
+		}
+		img.desc.Frames = append(img.desc.Frames, f)
+		sim.ChargeTo(meter, charge)
 	}
-	if failAt == len(st.vpns) {
-		return nil, m.abortExport(img, exportFault)
+
+	// The integrity checksum is recorded on fault-armed platforms only
+	// (charging ChecksumPerPage per page); disarmed platforms skip it
+	// entirely, keeping the export byte-identical to a build without seams.
+	if m.kern.Faults.Armed() {
+		img.sum = img.computeSum()
+		img.summed = true
+		sim.ChargeTo(meter, cost.ChecksumPerPage*sim.Duration(st.len()))
 	}
-	m.finishChecksum(img, meter)
 	return img, nil
-}
-
-// abortExport unwinds a partially-built image after an injected export
-// fault: every frame reference the loop acquired is released.
-func (m *Manager) abortExport(img *SnapshotImage, cause error) error {
-	n := len(img.frames)
-	for _, f := range img.frames {
-		m.kern.Phys.Unref(f)
-	}
-	img.frames = nil
-	img.released = true
-	return fmt.Errorf("core: snapshot export aborted after %d pages: %w", n, cause)
-}
-
-// finishChecksum records the image's integrity checksum on fault-armed
-// platforms (charging ChecksumPerPage per page); disarmed platforms skip it
-// entirely, keeping the export byte-identical to a build without seams.
-func (m *Manager) finishChecksum(img *SnapshotImage, meter *sim.Meter) {
-	if !m.kern.Faults.Armed() {
-		return
-	}
-	img.sum = img.computeSum()
-	img.summed = true
-	sim.ChargeTo(meter, m.kern.Cost.ChecksumPerPage*sim.Duration(len(img.frames)))
 }
 
 // CopyImageTo replicates a snapshot image into another kernel's physical
@@ -256,78 +194,55 @@ func (m *Manager) finishChecksum(img *SnapshotImage, meter *sim.Meter) {
 // the destination host (one per *distinct* source frame: pages sharing a
 // frame, like the all-zero pages riding the lazily-zero frame, share the
 // copy too, so the destination's frame sharing mirrors the source's) and
-// carries the layout, registers, checksum, and corruption state unchanged —
-// the checksum is content-based, so a clean transfer still verifies on the
+// carries the description, checksum, and corruption state unchanged — the
+// checksum is content-based, so a clean transfer still verifies on the
 // destination. The transfer is charged to meter as ImageTransferBase plus
 // ImageTransferPerFrame per distinct frame shipped.
 //
-// The returned image holds one holder reference on the destination kernel
-// and is independent of the source: evicting either side afterwards leaves
-// the other untouched. An armed SiteImageTransfer fault on the destination
-// kernel aborts the copy partway through; the partial copy's frames are
-// unwound so the destination's frame pool stays balanced.
+// The returned image is the destination's to Release and is independent of
+// the source: evicting either side afterwards leaves the other untouched. An
+// armed SiteImageTransfer fault on the destination kernel aborts the copy
+// partway through; the partial copy's frames are unwound so the
+// destination's frame pool stays balanced.
 func CopyImageTo(dst *kernel.Kernel, img *SnapshotImage, meter *sim.Meter) (*SnapshotImage, error) {
 	if img == nil || img.released {
 		return nil, fmt.Errorf("core: transfer of released snapshot image")
 	}
-	cost := dst.Cost
-	sim.ChargeTo(meter, cost.ImageTransferBase)
-	out := &SnapshotImage{
-		phys:      dst.Phys,
-		layout:    append([]vm.VMA(nil), img.layout...),
-		brkBase:   img.brkBase,
-		brk:       img.brk,
-		mmapBase:  img.mmapBase,
-		regs:      append([]kernel.Regs(nil), img.regs...),
-		vpns:      append([]uint64(nil), img.vpns...),
-		frames:    make([]mem.FrameID, 0, len(img.frames)),
-		refs:      1,
-		sum:       img.sum,
-		summed:    img.summed,
-		corrupted: img.corrupted,
-	}
+	src := img.desc.Frames
+	sim.ChargeTo(meter, dst.Cost.ImageTransferBase)
+	// Layout, page numbers and registers never change once exported, so the
+	// copy shares them; only the frames are re-homed.
+	out := *img
+	out.phys = dst.Phys
+	out.desc.Frames = make([]mem.FrameID, 0, len(src))
 
 	failAt := -1
-	var transferFault error
-	if ferr := dst.Faults.Fire(faults.SiteImageTransfer); ferr != nil {
-		failAt = dst.Faults.Cut(faults.SiteImageTransfer, len(img.frames)+1)
-		transferFault = ferr
+	var fault error
+	if fault = dst.Faults.Fire(faults.SiteImageTransfer); fault != nil {
+		failAt = dst.Faults.Cut(faults.SiteImageTransfer, len(src)+1)
 	}
-
-	copied := make(map[mem.FrameID]mem.FrameID, len(img.frames))
-	for i, f := range img.frames {
+	copied := make(map[mem.FrameID]mem.FrameID, len(src))
+	for i := 0; ; i++ {
 		if i == failAt {
-			return nil, abortTransfer(dst, out, transferFault)
+			return nil, out.unwind("image transfer", fault)
 		}
-		if nf, ok := copied[f]; ok {
+		if i == len(src) {
+			break
+		}
+		nf, ok := copied[src[i]]
+		if ok {
 			dst.Phys.Ref(nf)
-			out.frames = append(out.frames, nf)
-			continue
+		} else {
+			nf = dst.Phys.Alloc()
+			if !img.phys.IsZero(src[i]) {
+				dst.Phys.RestoreInto(nf, img.phys.Snapshot(src[i]))
+			}
+			copied[src[i]] = nf
+			sim.ChargeTo(meter, dst.Cost.ImageTransferPerFrame)
 		}
-		nf := dst.Phys.Alloc()
-		if !img.phys.IsZero(f) {
-			dst.Phys.RestoreInto(nf, img.phys.Snapshot(f))
-		}
-		copied[f] = nf
-		out.frames = append(out.frames, nf)
-		sim.ChargeTo(meter, cost.ImageTransferPerFrame)
+		out.desc.Frames = append(out.desc.Frames, nf)
 	}
-	if failAt == len(img.frames) {
-		return nil, abortTransfer(dst, out, transferFault)
-	}
-	return out, nil
-}
-
-// abortTransfer unwinds a partially copied image after an injected transfer
-// fault: every destination frame reference the loop acquired is released.
-func abortTransfer(dst *kernel.Kernel, out *SnapshotImage, cause error) error {
-	n := len(out.frames)
-	for _, f := range out.frames {
-		dst.Phys.Unref(f)
-	}
-	out.frames = nil
-	out.released = true
-	return fmt.Errorf("core: image transfer aborted after %d pages: %w", n, cause)
+	return &out, nil
 }
 
 // NewManagerFromSnapshot is the snapshot-clone cold start: it spawns a fresh
@@ -342,49 +257,32 @@ func NewManagerFromSnapshot(k *kernel.Kernel, img *SnapshotImage, opts Options, 
 	if img == nil || img.released {
 		return nil, fmt.Errorf("core: clone from released snapshot image")
 	}
-	proc, err := k.SpawnFromImage(kernel.ProcessImage{
-		Layout:   img.layout,
-		BrkBase:  img.brkBase,
-		Brk:      img.brk,
-		MmapBase: img.mmapBase,
-		VPNs:     img.vpns,
-		Frames:   img.frames,
-		Regs:     img.regs,
-	}, meter)
+	d := &img.desc
+	proc, err := k.SpawnFromImage(*d, meter)
 	if err != nil {
 		return nil, err
 	}
-	tr, err := ptrace.Seize(k, proc, meter)
+	m, err := attach(k, proc, opts, meter)
 	if err != nil {
 		k.Exit(proc)
 		return nil, err
 	}
-	if opts.Tracker == TrackUffd {
-		proc.AS.SetUffdTracking(true)
-	}
-	m := &Manager{kern: k, fs: procfs.New(k), proc: proc, opts: opts, tracer: tr}
 
 	// The clone's state store shares the image frames too (its own refs), so
 	// restoring a clone copies from the same physical pages every sibling
-	// snapshot reads — no per-container snapshot arena at all.
-	snap := &snapshot{
-		layout:   append([]vm.VMA(nil), img.layout...),
-		brk:      img.brk,
-		mmapBase: img.mmapBase,
-		regs:     make(map[int]kernel.Regs, len(proc.Threads)),
+	// snapshot reads — no per-container snapshot arena at all. The slices are
+	// the clone's own: a manager recycles its store's buffers.
+	m.snap = &snapshot{
+		layout:   slices.Clone(d.Layout),
+		brk:      d.Brk,
+		mmapBase: d.MmapBase,
+		regs:     slices.Clone(d.Regs),
+		store:    stateStore{vpns: slices.Clone(d.VPNs), frames: slices.Clone(d.Frames)},
+		stats:    SnapshotStats{Pages: len(d.VPNs), VMAs: len(d.Layout)},
 	}
-	st := &snap.store
-	st.vpns = append([]uint64(nil), img.vpns...)
-	st.frames = make([]mem.FrameID, 0, len(img.frames))
-	for _, f := range img.frames {
+	for _, f := range d.Frames {
 		k.Phys.Ref(f)
-		st.frames = append(st.frames, f)
 	}
-	for i, th := range proc.Threads {
-		snap.regs[th.TID] = img.regs[i]
-	}
-	snap.stats = SnapshotStats{Pages: st.len(), VMAs: len(img.layout)}
-	m.snap = snap
 
 	// Arm write tracking, exactly as TakeSnapshot does after recording.
 	m.fs.ClearRefs(proc, meter)

@@ -1,10 +1,13 @@
 package core_test
 
 import (
+	"errors"
 	"fmt"
 	"testing"
+	"testing/quick"
 
 	"groundhog/internal/core"
+	"groundhog/internal/faults"
 	"groundhog/internal/kernel"
 	"groundhog/internal/mem"
 	"groundhog/internal/sim"
@@ -234,10 +237,11 @@ func TestExportBeforeSnapshotRejected(t *testing.T) {
 	}
 }
 
-// TestImageRetainRelease pins the holder refcount: a retained image survives
-// the first Release (a second platform may still clone from it) and frees
-// its frames only on the last, returning them to physical memory.
-func TestImageRetainRelease(t *testing.T) {
+// TestImageReleaseUnderLiveClone pins the image's way back: releasing it under
+// a live clone frees nothing (the clone holds its own references), a released
+// image refuses to clone, tearing the clone down returns physical memory to
+// its pre-export count, and Release is idempotent.
+func TestImageReleaseUnderLiveClone(t *testing.T) {
 	k, _, donor := cloneDonor(t, core.DefaultOptions(), 32)
 	before := k.Phys.InUse()
 	img, err := donor.ExportImage(nil)
@@ -248,22 +252,20 @@ func TestImageRetainRelease(t *testing.T) {
 	if exported <= before {
 		t.Fatalf("copy-store export materialized no frames (%d -> %d)", before, exported)
 	}
-	img.Retain()
-	img.Release()
 	clone, err := core.NewManagerFromSnapshot(k, img, core.DefaultOptions(), nil)
 	if err != nil {
-		t.Fatalf("retained image unusable after one Release: %v", err)
+		t.Fatal(err)
 	}
 	withClone := k.Phys.InUse() // the clone's store and PTEs share the frames
 	img.Release()
-	// The clone still references every image frame, so the final holder
-	// Release frees nothing yet — it only drops the image's refcounts.
+	// The clone still references every image frame, so Release frees
+	// nothing yet — it only drops the image's refcounts.
 	if k.Phys.InUse() != withClone {
 		t.Fatalf("image Release freed %d frames out from under a live clone",
 			withClone-k.Phys.InUse())
 	}
 	if _, err := core.NewManagerFromSnapshot(k, img, core.DefaultOptions(), nil); err == nil {
-		t.Fatal("clone from fully released image accepted")
+		t.Fatal("clone from released image accepted")
 	}
 	// Tearing the clone down frees the frames the image and clone shared.
 	k.Exit(clone.Process())
@@ -271,7 +273,7 @@ func TestImageRetainRelease(t *testing.T) {
 	if got := k.Phys.InUse(); got != before {
 		t.Fatalf("%d frames in use after image and clone teardown, want %d", got, before)
 	}
-	img.Release() // idempotent after the last holder
+	img.Release() // idempotent
 }
 
 // TestManagerReleaseFreesCoWStore: releasing a CoW-store manager returns the
@@ -290,4 +292,169 @@ func TestManagerReleaseFreesCoWStore(t *testing.T) {
 		t.Fatalf("%d frames leaked after manager release", got)
 	}
 	m.Release() // idempotent
+}
+
+// TestExportImageChargesAndCuts pins the export loop per store: the copy store
+// pays SnapshotPerPage for each page with content (a materialised frame) and
+// SnapshotCoWPerPage for each zero page (a reference on the shared zero
+// frame), the CoW store SnapshotCoWPerPage for every page; and an injected
+// export fault, cut before the first page, between two and after the last,
+// wraps faults.ErrInjected and leaves no frame behind.
+func TestExportImageChargesAndCuts(t *testing.T) {
+	for _, store := range []core.StoreKind{core.StoreCopy, core.StoreCoW} {
+		t.Run(store.String(), func(t *testing.T) {
+			opts := core.DefaultOptions()
+			opts.Store = store
+			k, p, m := cloneDonor(t, opts, 24)
+			var zero, content sim.Duration
+			for _, vpn := range p.AS.ResidentVPNs() {
+				if p.AS.PeekPage(vpn) == nil {
+					zero++
+				} else {
+					content++
+				}
+			}
+			if zero == 0 || content == 0 {
+				t.Fatalf("donor has %d zero and %d content pages; the table needs both", zero, content)
+			}
+			want := k.Cost.SnapshotPerPage*content + k.Cost.SnapshotCoWPerPage*zero
+			if store == core.StoreCoW {
+				want = k.Cost.SnapshotCoWPerPage * (content + zero)
+			}
+			before := k.Phys.InUse()
+			meter := sim.NewMeter()
+			img, err := m.ExportImage(meter)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if meter.Total() != want {
+				t.Fatalf("export of %d content + %d zero pages charged %v, want %v", content, zero, meter.Total(), want)
+			}
+			img.Release()
+			if got := k.Phys.InUse(); got != before {
+				t.Fatalf("%d frames in use after export and release, want %d", got, before)
+			}
+
+			pages := int(zero + content)
+			var first, mid, last bool
+			for seed := uint64(0); seed < 4000 && !(first && mid && last); seed++ {
+				k.Faults = faults.New(faults.Plan{Seed: seed, Schedule: map[faults.Site][]uint64{faults.SiteSnapshotExport: {1}}})
+				_, err := m.ExportImage(nil)
+				if !errors.Is(err, faults.ErrInjected) {
+					t.Fatalf("seed %d: scheduled export fault returned %v", seed, err)
+				}
+				var n int
+				if _, serr := fmt.Sscanf(err.Error(), "core: snapshot export aborted after %d pages", &n); serr != nil {
+					t.Fatalf("seed %d: %q does not say how far the export got", seed, err)
+				}
+				first, mid, last = first || n == 0, mid || (n > 0 && n < pages), last || n == pages
+				if got := k.Phys.InUse(); got != before {
+					t.Fatalf("seed %d: export cut after %d of %d pages left %d frames, want %d", seed, n, pages, got, before)
+				}
+			}
+			if !(first && mid && last) {
+				t.Fatalf("cuts never landed everywhere: before the first page %v, mid-run %v, after the last %v", first, mid, last)
+			}
+		})
+	}
+}
+
+// TestImageLifecycleBalancesFrames is the ownership property of the clone
+// path: an image is exported, cloned k times, copied to a second kernel (a
+// transfer fault aborting the first attempt in half the cases) and cloned
+// there; image, copy and clones are then given back in random order. Part way
+// through, every clone still standing serves a request and restores to a
+// state Verify accepts — whatever has been released around it — and at the
+// end both kernels hold exactly the frames they held before the export.
+func TestImageLifecycleBalancesFrames(t *testing.T) {
+	f := func(seed uint64, clones uint8, cow, transferFault bool) bool {
+		opts := core.DefaultOptions()
+		if cow {
+			opts.Store = core.StoreCoW
+		}
+		src, _, donor := cloneDonor(t, opts, 48)
+		dst := kernel.New(kernel.Default())
+		srcBefore, dstBefore := src.Phys.InUse(), dst.Phys.InUse()
+		img, err := donor.ExportImage(nil)
+		if err != nil {
+			t.Error(err)
+			return false
+		}
+		if transferFault {
+			dst.Faults = faults.New(faults.Plan{Seed: seed, Schedule: map[faults.Site][]uint64{faults.SiteImageTransfer: {1}}})
+			if _, err := core.CopyImageTo(dst, img, nil); !errors.Is(err, faults.ErrInjected) {
+				t.Errorf("scheduled transfer fault returned %v", err)
+				return false
+			}
+			if got := dst.Phys.InUse(); got != dstBefore {
+				t.Errorf("aborted transfer left %d frames on the destination, want %d", got, dstBefore)
+				return false
+			}
+		}
+		remote, err := core.CopyImageTo(dst, img, nil)
+		if err != nil {
+			t.Error(err)
+			return false
+		}
+
+		// standing maps each clone still alive to its kernel; giveBack holds
+		// one release per holder of frames: the image, the copy, every clone.
+		standing := map[*core.Manager]*kernel.Kernel{}
+		giveBack := []func(){img.Release, remote.Release}
+		for i := 0; i < 1+int(clones%4); i++ {
+			k, from := src, img
+			if i%2 == 1 {
+				k, from = dst, remote
+			}
+			c, err := core.NewManagerFromSnapshot(k, from, opts, nil)
+			if err != nil {
+				t.Error(err)
+				return false
+			}
+			standing[c] = k
+			giveBack = append(giveBack, func() {
+				k.Exit(c.Process())
+				c.Release()
+				delete(standing, c)
+			})
+		}
+		rng := sim.NewRand(seed)
+		for i := len(giveBack) - 1; i > 0; i-- {
+			j := rng.Intn(i + 1)
+			giveBack[i], giveBack[j] = giveBack[j], giveBack[i]
+		}
+		serveAt := rng.Intn(len(giveBack) + 1)
+		for i := 0; ; i++ {
+			if i == serveAt {
+				for c := range standing {
+					var churn vm.Addr
+					cloneRequest(t, c.Process(), seed|1, &churn)
+					if _, err := c.Restore(); err != nil {
+						t.Error(err)
+						return false
+					}
+					if err := c.Verify(); err != nil {
+						t.Errorf("clone after %d of %d releases: %v", i, len(giveBack), err)
+						return false
+					}
+				}
+			}
+			if i == len(giveBack) {
+				break
+			}
+			giveBack[i]()
+		}
+		if got := src.Phys.InUse(); got != srcBefore {
+			t.Errorf("source kernel holds %d frames after every release, want %d", got, srcBefore)
+			return false
+		}
+		if got := dst.Phys.InUse(); got != dstBefore {
+			t.Errorf("destination kernel holds %d frames after every release, want %d", got, dstBefore)
+			return false
+		}
+		return true
+	}
+	if err := quick.Check(f, nil); err != nil {
+		t.Fatal(err)
+	}
 }

@@ -457,12 +457,11 @@ func (m *Manager) rearm() error {
 		m.fs.ClearRefs(m.proc, sc.meter)
 	}
 	sc.meter.BeginPhase(PhaseRestoreRegs)
-	for _, th := range m.proc.Threads {
-		regs, ok := m.snap.regs[th.TID]
-		if !ok {
-			return fmt.Errorf("core: thread %d appeared after snapshot", th.TID)
-		}
-		if err := m.tracer.SetRegs(th.TID, regs); err != nil {
+	if len(m.proc.Threads) != len(m.snap.regs) {
+		return fmt.Errorf("core: %d threads, snapshot had %d", len(m.proc.Threads), len(m.snap.regs))
+	}
+	for i, th := range m.proc.Threads {
+		if err := m.tracer.SetRegs(th.TID, m.snap.regs[i]); err != nil {
 			return err
 		}
 	}

@@ -44,12 +44,11 @@ func (m *Manager) Verify() error {
 	}
 
 	// Registers.
-	for _, th := range m.proc.Threads {
-		want, ok := m.snap.regs[th.TID]
-		if !ok {
-			return fmt.Errorf("core: verify: thread %d not in snapshot", th.TID)
-		}
-		if th.Regs != want {
+	if len(m.proc.Threads) != len(m.snap.regs) {
+		return fmt.Errorf("core: verify: %d threads, snapshot had %d", len(m.proc.Threads), len(m.snap.regs))
+	}
+	for i, th := range m.proc.Threads {
+		if th.Regs != m.snap.regs[i] {
 			return fmt.Errorf("core: verify: thread %d registers diverged", th.TID)
 		}
 	}

@@ -27,12 +27,6 @@ type RestoreBenchResult struct {
 	RestoredPages   int     `json:"restored_pages"`
 }
 
-// RestoreBench runs the steady-state restore scenario under the default
-// (soft-dirty) tracker; see RestoreBenchOpts.
-func RestoreBench(cfg Config, heapPages, dirtyPages, iters int) (RestoreBenchResult, error) {
-	return RestoreBenchOpts(cfg, heapPages, dirtyPages, iters, core.DefaultOptions())
-}
-
 // RestoreBenchOpts runs the steady-state restore scenario (fixed dirty set,
 // stable memory layout — the regime of Fig. 3 left; the exact workload is
 // internal/benchscenario, shared with the core package's allocation guards)

@@ -16,6 +16,7 @@ package faas
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"time"
 
 	"groundhog/internal/core"
@@ -256,12 +257,13 @@ func (pl *Platform) Recovery() RecoveryStats { return pl.recovery }
 const RemoteDonorID = 1 << 20
 
 // cloneTemplate is the donor material for snapshot-clone cold starts: the
-// strategy whose snapshot will be exported, the donor instance's warm
-// bookkeeping (captured while pristine, immediately after strategy Init),
-// and the lazily-exported image shared by all clones.
+// manager whose snapshot will be exported (nil once it has been, and for an
+// adopted template), the donor instance's warm bookkeeping (captured while
+// pristine, immediately after strategy Init), and the lazily-exported image
+// shared by all clones.
 type cloneTemplate struct {
 	donorID int
-	strat   isolation.Cloneable
+	donor   *core.Manager
 	state   runtimes.ImageState
 	image   *core.SnapshotImage
 	// failures counts clone attempts this template has failed; at
@@ -371,17 +373,15 @@ func (pl *Platform) AddContainer() (*Container, error) {
 
 // RemoveContainer shuts a container down (keep-alive expiry), terminating
 // its function process and releasing its memory — both the address space
-// (kernel exit) and the strategy's snapshot frame references (CoW and
-// clone-shared stores), so a removed clone's share of the image frames goes
-// back to the pool. A strategy currently held as the deployment's
-// not-yet-exported clone template is kept alive: its snapshot is the donor
-// material future clones are exported from.
+// (kernel exit) and whatever the strategy holds (snapshot frame references of
+// CoW and clone-shared stores, a fork child orphaned mid-request), so a
+// removed clone's share of the image frames goes back to the pool. A manager
+// currently held as the deployment's not-yet-exported clone template is kept
+// alive: its snapshot is the donor material future clones are exported from.
 func (pl *Platform) RemoveContainer(c *Container) {
 	pl.Kern.Exit(c.inst.Proc)
-	if pl.template == nil || any(pl.template.strat) != any(c.strat) {
-		if r, ok := c.strat.(isolation.Releaser); ok {
-			r.Release()
-		}
+	if t := pl.template; t == nil || t.donor == nil || t.donor != c.strat.Manager() {
+		c.strat.Release()
 	}
 	for i, x := range pl.containers {
 		if x == c {
@@ -410,25 +410,14 @@ func (pl *Platform) EvictImage() bool {
 		t.image.Release()
 		evicted = true
 	}
-	// A template captured but never exported pins the donor strategy's
+	// A template captured but never exported pins the donor manager's
 	// snapshot. If the donor container is gone, nothing else will release
 	// it; if it is still pooled, its own RemoveContainer does.
-	if t.strat != nil && !pl.ownsStrategy(t.strat) {
-		if r, ok := t.strat.(isolation.Releaser); ok {
-			r.Release()
-		}
+	isDonor := func(c *Container) bool { return c.strat.Manager() == t.donor }
+	if t.donor != nil && !slices.ContainsFunc(pl.containers, isDonor) {
+		t.donor.Release()
 	}
 	return evicted
-}
-
-// ownsStrategy reports whether a pooled container currently uses strat.
-func (pl *Platform) ownsStrategy(strat isolation.Cloneable) bool {
-	for _, c := range pl.containers {
-		if any(c.strat) == any(strat) {
-			return true
-		}
-	}
-	return false
 }
 
 // Serve executes one request from the given caller on container c at the
@@ -545,7 +534,7 @@ func (pl *Platform) cloneSource() *cloneTemplate {
 	}
 	pl.template = &cloneTemplate{
 		donorID: donor.ID,
-		strat:   donor.strat.(isolation.Cloneable),
+		donor:   donor.strat.Manager(),
 		state:   donor.inst.CaptureState(),
 	}
 	return pl.template
@@ -559,8 +548,8 @@ func (pl *Platform) findDonor() *Container {
 		if c.tainted || pl.quarantined[c.ID] {
 			continue
 		}
-		if _, ok := c.strat.(isolation.Cloneable); !ok {
-			continue
+		if c.strat.Manager() == nil {
+			continue // BASE and fork record no snapshot to clone from
 		}
 		if c.requests == 0 {
 			return c
@@ -648,33 +637,29 @@ func (pl *Platform) cloneStart(id int, seed uint64, tmpl *cloneTemplate) (*Conta
 
 // exportTemplate materializes the template's snapshot image if it has not
 // been exported yet, charging the export to meter. Once exported the donor
-// strategy reference is dropped: it was only needed for the export, and
-// releasing it lets a removed donor's manager (and its snapshot store) be
+// manager reference is dropped: it was only needed for the export, and
+// dropping it lets a removed donor's manager (and its snapshot store) be
 // reclaimed while the image lives on.
 func (pl *Platform) exportTemplate(tmpl *cloneTemplate, m *sim.Meter) error {
 	if tmpl.image != nil {
 		return nil
 	}
-	img, err := tmpl.strat.ExportImage(m)
+	img, err := tmpl.donor.ExportImage(m)
 	if err != nil {
 		return fmt.Errorf("faas: clone export from container %d: %w", tmpl.donorID, err)
 	}
 	tmpl.image = img
-	tmpl.strat = nil
+	tmpl.donor = nil
 	return nil
 }
 
-// ExportedImage returns the deployment's exported snapshot image and the
-// donor instance state clones are built from, when one exists and is still
-// live. Cluster registries read it to derive per-host image presence from
-// the refcount lifecycle itself — there is no separate presence bit to go
-// stale.
-func (pl *Platform) ExportedImage() (*core.SnapshotImage, runtimes.ImageState, bool) {
+// HasImage reports whether the deployment holds an exported snapshot image
+// that is still live. Cluster registries read it to derive per-host image
+// presence from the image's own lifecycle — there is no separate presence
+// bit to go stale.
+func (pl *Platform) HasImage() bool {
 	t := pl.template
-	if t == nil || t.image == nil || t.image.Released() {
-		return nil, runtimes.ImageState{}, false
-	}
-	return t.image, t.state, true
+	return t != nil && t.image != nil && !t.image.Released()
 }
 
 // EnsureExportedImage captures the deployment's clone template if needed and
@@ -703,11 +688,11 @@ func (pl *Platform) EnsureExportedImage(m *sim.Meter) (*core.SnapshotImage, runt
 
 // AdoptTemplate installs a transferred snapshot image as the deployment's
 // clone template — the destination side of a cross-host image pull. The
-// platform takes ownership of one holder reference on img (the one
-// core.CopyImageTo returned); EvictImage releases it like any locally
-// exported image. Subsequent AddContainer calls clone from the adopted
-// image with ClonedFrom = RemoteDonorID. A template already present is
-// evicted first, so adopting never leaks the previous image's frames.
+// platform takes ownership of img (the copy core.CopyImageTo returned);
+// EvictImage releases it like any locally exported image. Subsequent
+// AddContainer calls clone from the adopted image with ClonedFrom =
+// RemoteDonorID. A template already present is evicted first, so adopting
+// never leaks the previous image's frames.
 func (pl *Platform) AdoptTemplate(img *core.SnapshotImage, state runtimes.ImageState) error {
 	if img == nil || img.Released() {
 		return fmt.Errorf("faas: adopt released snapshot image: %w", ErrImageEvicted)
@@ -786,20 +771,6 @@ func (pl *Platform) CorruptImage() bool {
 	return true
 }
 
-// CaptureCloneTemplate captures the deployment's clone template immediately,
-// distinguishing the failure kinds EnsureCloneTemplate folds into false:
-// ErrNoDonor when no eligible donor is pooled, a plain error when clone
-// scale-out is off.
-func (pl *Platform) CaptureCloneTemplate() error {
-	if !pl.CloneScaleOut {
-		return fmt.Errorf("faas: clone scale-out disabled")
-	}
-	if pl.cloneSource() == nil {
-		return fmt.Errorf("faas: capture clone template: %w", ErrNoDonor)
-	}
-	return nil
-}
-
 // ColdStartSummary is the deployment's cumulative scale-up bill: how many
 // containers ran the full Fig. 1 pipeline vs. the snapshot-clone fast path
 // (pre-warmed constructor containers count as full — they did run the
@@ -864,8 +835,8 @@ func (pl *Platform) Memory() MemoryStats {
 	phys := pl.Kern.Phys
 	var vpns []uint64
 	for _, c := range pl.containers {
-		if ss, ok := c.strat.(isolation.StateStorer); ok {
-			st.StateStoreBytes += ss.StateStoreBytes()
+		if m := c.strat.Manager(); m != nil {
+			st.StateStoreBytes += m.StateStoreBytes()
 		}
 		as := c.inst.Proc.AS
 		vpns = as.AppendResidentVPNs(vpns[:0])

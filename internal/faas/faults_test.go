@@ -54,16 +54,16 @@ func TestInvokeOnceNoContainersSentinel(t *testing.T) {
 	}
 }
 
-func TestCaptureCloneTemplateNoDonor(t *testing.T) {
+func TestEnsureExportedImageNoDonor(t *testing.T) {
 	pl := newPlatform(t, isolation.ModeFork, 1)
 	pl.CloneScaleOut = true
-	err := pl.CaptureCloneTemplate()
+	_, _, err := pl.EnsureExportedImage(nil)
 	if !errors.Is(err, ErrNoDonor) {
-		t.Fatalf("fork pool capture = %v, want ErrNoDonor", err)
+		t.Fatalf("fork pool export = %v, want ErrNoDonor", err)
 	}
 	gh := clonePlatform(t, isolation.ModeGH)
-	if err := gh.CaptureCloneTemplate(); err != nil {
-		t.Fatalf("GH pool capture failed: %v", err)
+	if _, _, err := gh.EnsureExportedImage(nil); err != nil {
+		t.Fatalf("GH pool export failed: %v", err)
 	}
 }
 
@@ -204,7 +204,8 @@ func TestChecksumDetectsRealFrameCorruption(t *testing.T) {
 	pl := armedPlatform(t, isolation.ModeGH, faults.Plan{
 		Rates: map[faults.Site]float64{faults.SiteImageCorrupt: 0.0},
 	})
-	if _, err := pl.AddContainer(); err != nil {
+	clone, err := pl.AddContainer()
+	if err != nil {
 		t.Fatal(err)
 	}
 	img := pl.template.image
@@ -214,20 +215,18 @@ func TestChecksumDetectsRealFrameCorruption(t *testing.T) {
 	if !img.Verify(0, nil) {
 		t.Fatal("pristine image failed verification")
 	}
-	frames := pl.Kern.Phys
-	// Corrupt one materialized image frame in place.
-	var buf [8]byte
-	corrupted := false
-	for _, f := range img.Frames() {
-		frames.ReadAt(f, 0, buf[:])
-		buf[0] ^= 0xFF
-		frames.WriteAt(f, 0, buf[:])
-		corrupted = true
-		break
-	}
-	if !corrupted {
+	// Corrupt one image frame in place, reached through the fresh clone's
+	// page table: every page of it still maps the image's frame.
+	as := clone.Instance().Proc.AS
+	pte, ok := as.PTEAt(as.ResidentVPNs()[0])
+	if !ok {
 		t.Fatal("no frame to corrupt")
 	}
+	frames := pl.Kern.Phys
+	var buf [8]byte
+	frames.ReadAt(pte.Frame, 0, buf[:])
+	buf[0] ^= 0xFF
+	frames.WriteAt(pte.Frame, 0, buf[:])
 	if img.Verify(0, nil) {
 		t.Fatal("verification passed over corrupted frame bytes")
 	}

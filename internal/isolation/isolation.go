@@ -71,42 +71,22 @@ type Strategy interface {
 	// callers (§4.4's optimization). Fork-based isolation cannot: its
 	// per-request child must be reaped regardless of trust.
 	CanSkipCleanup() bool
-}
-
-// Cloneable is implemented by strategies whose recorded snapshot can seed
-// sibling containers (snapshot-clone cold starts): ExportImage hands out a
-// self-contained copy-on-write image of the snapshot, and NewCloned spawns
-// a fresh strategy-plus-process from such an image.
-type Cloneable interface {
-	ExportImage(meter *sim.Meter) (*core.SnapshotImage, error)
-}
-
-// StateStorer is implemented by strategies that hold a Groundhog state
-// store; StateStoreBytes reports its materialized memory (the per-container
-// snapshot overhead of §5.5).
-type StateStorer interface {
-	StateStoreBytes() int
-}
-
-// Releaser is implemented by strategies that hold kernel resources beyond
-// the function process itself — snapshot frame references in a CoW or
-// clone-shared state store. Release returns them to physical memory; the
-// platform calls it when the container is torn down (the process's own
-// memory is freed separately by the kernel's exit).
-type Releaser interface {
+	// Manager returns the Groundhog manager behind the strategy — the holder
+	// of the snapshot sibling containers are cloned from and of the state
+	// store §5.5 sizes — or nil for BASE and fork, which have neither.
+	Manager() *core.Manager
+	// Release returns whatever the strategy holds beyond the function process
+	// itself to the kernel: the manager's snapshot frame references, or a
+	// fork child orphaned mid-request. The platform calls it when the
+	// container is torn down (the process's own memory is freed separately by
+	// the kernel's exit).
 	Release()
 }
 
-// CanClone reports whether mode's strategy records a snapshot that sibling
-// containers can be cloned from. BASE has no snapshot and fork-based
-// isolation re-forks from the warm parent per request, so neither supports
-// cloning.
-func CanClone(mode Mode) bool {
-	switch mode {
-	case ModeGH, ModeGHNop, ModeFaasm:
-		return true
-	}
-	return false
+// managed reports whether mode runs on a core.Manager. BASE has no snapshot
+// and fork-based isolation re-forks from the warm parent per request.
+func (m Mode) managed() bool {
+	return m == ModeGH || m == ModeGHNop || m == ModeFaasm
 }
 
 // NewCloned constructs the strategy for mode over a fresh process cloned
@@ -115,18 +95,14 @@ func CanClone(mode Mode) bool {
 // container is serve-ready at a small fraction of the full cold-start cost.
 // Clone charges (spawn-from-image, seize, tracking re-arm) go to meter.
 func NewCloned(mode Mode, k *kernel.Kernel, img *core.SnapshotImage, meter *sim.Meter) (Strategy, *kernel.Process, error) {
-	if !CanClone(mode) {
+	if !mode.managed() {
 		return nil, nil, fmt.Errorf("isolation: mode %q does not support snapshot cloning", mode)
 	}
 	m, err := core.NewManagerFromSnapshot(k, img, core.DefaultOptions(), meter)
 	if err != nil {
 		return nil, nil, err
 	}
-	p := m.Process()
-	if mode == ModeFaasm {
-		return &faasmStrategy{kern: k, manager: m, proc: p}, p, nil
-	}
-	return &groundhogStrategy{kern: k, manager: m, proc: p, restore: mode == ModeGH}, p, nil
+	return &managedStrategy{mode: mode, kern: k, manager: m}, m.Process(), nil
 }
 
 // New constructs the strategy for mode over the warm function process p,
@@ -139,19 +115,19 @@ func New(mode Mode, k *kernel.Kernel, p *kernel.Process) (Strategy, error) {
 // the snapshotting strategies (GH, GH-NOP, FAASM); BASE and fork take no
 // snapshot and ignore it.
 func NewWithStore(mode Mode, k *kernel.Kernel, p *kernel.Process, store core.StoreKind) (Strategy, error) {
-	opts := core.DefaultOptions()
-	opts.Store = store
-	switch mode {
-	case ModeBase:
+	switch {
+	case mode == ModeBase:
 		return &baseStrategy{proc: p}, nil
-	case ModeGH:
-		return newGroundhog(k, p, true, opts)
-	case ModeGHNop:
-		return newGroundhog(k, p, false, opts)
-	case ModeFork:
+	case mode == ModeFork:
 		return newForkStrategy(k, p)
-	case ModeFaasm:
-		return newFaasm(k, p, opts)
+	case mode.managed():
+		opts := core.DefaultOptions()
+		opts.Store = store
+		m, err := core.NewManager(k, p, opts)
+		if err != nil {
+			return nil, err
+		}
+		return &managedStrategy{mode: mode, kern: k, manager: m}, nil
 	default:
 		return nil, fmt.Errorf("isolation: unknown mode %q", mode)
 	}
@@ -166,6 +142,8 @@ func (s *baseStrategy) Mode() Mode                  { return ModeBase }
 func (s *baseStrategy) CanSkipCleanup() bool        { return true }
 func (s *baseStrategy) Init() (sim.Duration, error) { return 0, nil }
 func (s *baseStrategy) Interposes() bool            { return false }
+func (s *baseStrategy) Manager() *core.Manager      { return nil }
+func (s *baseStrategy) Release()                    {}
 
 func (s *baseStrategy) BeginRequest(*sim.Meter) (*kernel.Process, error) {
 	return s.proc, nil
@@ -175,37 +153,31 @@ func (s *baseStrategy) EndRequest() (CleanupResult, error) {
 	return CleanupResult{}, nil
 }
 
-// groundhogStrategy wraps a core.Manager. With restore=false it is the
-// GH-NOP configuration: the snapshot is taken and requests are proxied, but
-// state is never rolled back — appropriate when consecutive callers mutually
-// trust each other (§4.4), and useful to separate tracking cost from
-// restoration cost (§5.1).
-type groundhogStrategy struct {
+// managedStrategy is a core.Manager behind the Strategy interface, three ways
+// by mode. GH restores after every request. GH-NOP takes the snapshot and
+// proxies requests but never rolls state back — appropriate when consecutive
+// callers mutually trust each other (§4.4), and useful to separate tracking
+// cost from restoration cost (§5.1). FAASM models the Faaslet reset: the
+// function's linear memory is remapped copy-on-write to a checkpointed state
+// between requests. Its functional rollback is Groundhog's (the state store
+// is the simulated equivalent of the checkpointed heap); its price is FAASM's
+// — a cheap base remap plus a per-dirty-page repair, with no full pagemap
+// scan — and requests are not proxied through the manager. Execution-speed
+// differences (native vs WebAssembly) are applied by the runtime layer, not
+// here.
+type managedStrategy struct {
+	mode    Mode
 	kern    *kernel.Kernel
 	manager *core.Manager
-	proc    *kernel.Process
-	restore bool
 }
 
-func newGroundhog(k *kernel.Kernel, p *kernel.Process, restore bool, opts core.Options) (*groundhogStrategy, error) {
-	m, err := core.NewManager(k, p, opts)
-	if err != nil {
-		return nil, err
-	}
-	return &groundhogStrategy{kern: k, manager: m, proc: p, restore: restore}, nil
-}
+func (s *managedStrategy) Mode() Mode             { return s.mode }
+func (s *managedStrategy) Interposes() bool       { return s.mode != ModeFaasm }
+func (s *managedStrategy) CanSkipCleanup() bool   { return true }
+func (s *managedStrategy) Manager() *core.Manager { return s.manager }
+func (s *managedStrategy) Release()               { s.manager.Release() }
 
-func (s *groundhogStrategy) Mode() Mode {
-	if s.restore {
-		return ModeGH
-	}
-	return ModeGHNop
-}
-
-func (s *groundhogStrategy) Interposes() bool     { return true }
-func (s *groundhogStrategy) CanSkipCleanup() bool { return true }
-
-func (s *groundhogStrategy) Init() (sim.Duration, error) {
+func (s *managedStrategy) Init() (sim.Duration, error) {
 	stats, err := s.manager.TakeSnapshot()
 	if err != nil {
 		return 0, err
@@ -213,35 +185,26 @@ func (s *groundhogStrategy) Init() (sim.Duration, error) {
 	return stats.Duration, nil
 }
 
-func (s *groundhogStrategy) Manager() *core.Manager { return s.manager }
-
-// ExportImage hands out a shareable copy-on-write image of the snapshot for
-// sibling-container cloning.
-func (s *groundhogStrategy) ExportImage(meter *sim.Meter) (*core.SnapshotImage, error) {
-	return s.manager.ExportImage(meter)
-}
-
-// StateStoreBytes reports the manager's state-store memory.
-func (s *groundhogStrategy) StateStoreBytes() int { return s.manager.StateStoreBytes() }
-
-// Release returns the manager's snapshot frame references to physical memory
-// (container teardown).
-func (s *groundhogStrategy) Release() { s.manager.Release() }
-
-func (s *groundhogStrategy) BeginRequest(*sim.Meter) (*kernel.Process, error) {
+func (s *managedStrategy) BeginRequest(*sim.Meter) (*kernel.Process, error) {
 	if !s.manager.HasSnapshot() {
-		return nil, fmt.Errorf("isolation: groundhog request before Init")
+		return nil, fmt.Errorf("isolation: %s request before Init", s.mode)
 	}
-	return s.proc, nil
+	return s.manager.Process(), nil
 }
 
-func (s *groundhogStrategy) EndRequest() (CleanupResult, error) {
-	if !s.restore {
+func (s *managedStrategy) EndRequest() (CleanupResult, error) {
+	if s.mode == ModeGHNop {
 		return CleanupResult{}, nil
 	}
 	st, err := s.manager.Restore()
 	if err != nil {
 		return CleanupResult{}, err
+	}
+	if s.mode == ModeFaasm {
+		// Replace Groundhog's metered cost with the Faaslet reset model: the
+		// functional rollback is identical, the price is not.
+		st.Total = s.kern.Cost.FaasmResetBase +
+			s.kern.Cost.FaasmResetPerPage*sim.Duration(st.RestoredPages)
 	}
 	return CleanupResult{Duration: st.Total, Restore: st, Restored: true}, nil
 }
@@ -267,6 +230,7 @@ func (s *forkStrategy) Mode() Mode                  { return ModeFork }
 func (s *forkStrategy) Init() (sim.Duration, error) { return 0, nil }
 func (s *forkStrategy) Interposes() bool            { return true }
 func (s *forkStrategy) CanSkipCleanup() bool        { return false }
+func (s *forkStrategy) Manager() *core.Manager      { return nil }
 
 func (s *forkStrategy) BeginRequest(meter *sim.Meter) (*kernel.Process, error) {
 	if s.child != nil {
@@ -302,69 +266,3 @@ func (s *forkStrategy) EndRequest() (CleanupResult, error) {
 
 // forkTeardown is the cost of reaping the per-request child.
 const forkTeardown = 50 * time.Microsecond
-
-// faasmStrategy models FAASM's Faaslet reset: the function's linear memory
-// is remapped copy-on-write to a checkpointed state between requests. The
-// functional rollback reuses Groundhog's state store (the simulated
-// equivalent of the checkpointed heap); the cost model is FAASM's — a cheap
-// base remap plus a per-dirty-page repair, with no full pagemap scan.
-// Execution-speed differences (native vs WebAssembly) are applied by the
-// runtime layer, not here.
-type faasmStrategy struct {
-	kern    *kernel.Kernel
-	manager *core.Manager
-	proc    *kernel.Process
-}
-
-func newFaasm(k *kernel.Kernel, p *kernel.Process, opts core.Options) (*faasmStrategy, error) {
-	m, err := core.NewManager(k, p, opts)
-	if err != nil {
-		return nil, err
-	}
-	return &faasmStrategy{kern: k, manager: m, proc: p}, nil
-}
-
-func (s *faasmStrategy) Mode() Mode           { return ModeFaasm }
-func (s *faasmStrategy) CanSkipCleanup() bool { return true }
-func (s *faasmStrategy) Interposes() bool     { return false }
-
-func (s *faasmStrategy) Init() (sim.Duration, error) {
-	stats, err := s.manager.TakeSnapshot()
-	if err != nil {
-		return 0, err
-	}
-	return stats.Duration, nil
-}
-
-// ExportImage hands out a shareable copy-on-write image of the checkpoint
-// for sibling-Faaslet cloning.
-func (s *faasmStrategy) ExportImage(meter *sim.Meter) (*core.SnapshotImage, error) {
-	return s.manager.ExportImage(meter)
-}
-
-// StateStoreBytes reports the checkpoint's state-store memory.
-func (s *faasmStrategy) StateStoreBytes() int { return s.manager.StateStoreBytes() }
-
-// Release returns the checkpoint's frame references to physical memory
-// (Faaslet teardown).
-func (s *faasmStrategy) Release() { s.manager.Release() }
-
-func (s *faasmStrategy) BeginRequest(*sim.Meter) (*kernel.Process, error) {
-	if !s.manager.HasSnapshot() {
-		return nil, fmt.Errorf("isolation: faasm request before Init")
-	}
-	return s.proc, nil
-}
-
-func (s *faasmStrategy) EndRequest() (CleanupResult, error) {
-	st, err := s.manager.Restore()
-	if err != nil {
-		return CleanupResult{}, err
-	}
-	// Replace Groundhog's metered cost with the Faaslet reset model: the
-	// functional rollback is identical, the price is not.
-	cost := s.kern.Cost.FaasmResetBase +
-		s.kern.Cost.FaasmResetPerPage*sim.Duration(st.RestoredPages)
-	st.Total = cost
-	return CleanupResult{Duration: cost, Restore: st, Restored: true}, nil
-}

@@ -1,10 +1,6 @@
 package isolation
 
-import (
-	"testing"
-
-	"groundhog/internal/core"
-)
+import "testing"
 
 func TestModeAndSkipFlags(t *testing.T) {
 	k, p := warmProcess(t, 1)
@@ -29,14 +25,17 @@ func TestModeAndSkipFlags(t *testing.T) {
 	}
 }
 
+// TestGroundhogManagerAccessor: exactly the snapshotting modes run on a manager.
 func TestGroundhogManagerAccessor(t *testing.T) {
 	k, p := warmProcess(t, 1)
-	s, err := newGroundhog(k, p, true, core.DefaultOptions())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if s.Manager() == nil {
-		t.Fatal("nil manager")
+	for _, mode := range Modes {
+		s, err := New(mode, k, p)
+		if err != nil {
+			t.Fatalf("%v: %v", mode, err)
+		}
+		if got, want := s.Manager() != nil, mode.managed(); got != want {
+			t.Fatalf("%v: has manager = %v, want %v", mode, got, want)
+		}
 	}
 }
 

@@ -44,9 +44,6 @@ func (t *Tracer) SetMeter(m *sim.Meter) { t.meter = m }
 // Process returns the traced process.
 func (t *Tracer) Process() *kernel.Process { return t.proc }
 
-// Stopped reports whether the tracee's threads are currently stopped.
-func (t *Tracer) Stopped() bool { return t.stopped }
-
 func (t *Tracer) check(needStopped bool) error {
 	if t.done {
 		return fmt.Errorf("ptrace: use after detach from %d", t.proc.PID)
@@ -147,11 +144,6 @@ func (t *Tracer) PokePage(vpn uint64, data []byte) error {
 	sim.ChargeTo(t.meter, t.kern.Cost.PtracePokePerPage)
 	t.proc.AS.PokePage(vpn, data)
 	return nil
-}
-
-// ZeroPage clears one page of tracee memory (used to scrub the stack).
-func (t *Tracer) ZeroPage(vpn uint64) error {
-	return t.PokePage(vpn, nil)
 }
 
 // injected wraps a memory-management call executed inside the tracee: it

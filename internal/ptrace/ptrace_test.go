@@ -115,7 +115,7 @@ func TestPeekPokePages(t *testing.T) {
 	if data == nil {
 		t.Fatal("PeekPage of written page returned nil")
 	}
-	if err := tr.ZeroPage(vpn); err != nil {
+	if err := tr.PokePage(vpn, nil); err != nil { // nil data zeroes the page
 		t.Fatal(err)
 	}
 	if err := tr.PokePage(vpn, data); err != nil {

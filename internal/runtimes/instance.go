@@ -69,6 +69,20 @@ func NewInstance(k *kernel.Kernel, prof Profile, seed uint64) (*Instance, error)
 		return nil, fmt.Errorf("runtimes: %s: drop window (%d pages) exceeds heap budget", prof.Name, prof.DropPages)
 	}
 	arenaPages := remaining - heapPages
+	// A write run lands whole inside one span of the warm pool — the heap
+	// above the drop window, or an arena (a quarter of arenaPages each; one
+	// arena of all of them when there are under four). Were the shortest span
+	// shorter than the run, the run would walk off its end into the
+	// neighbouring region or, from the topmost arena, past MmapTop.
+	shortest := heapPages - prof.DropPages
+	if arenaPages >= 4 {
+		shortest = min(shortest, arenaPages/4)
+	} else if arenaPages > 0 {
+		shortest = min(shortest, arenaPages)
+	}
+	if run := prof.writeRun(); run > shortest {
+		return nil, fmt.Errorf("runtimes: %s: %d-page write runs do not fit a %d-page warm region", prof.Name, run, shortest)
+	}
 
 	p, err := k.Spawn(kernel.ExecSpec{
 		TextPages:  text,

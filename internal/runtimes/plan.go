@@ -53,11 +53,25 @@ func (p warmPool) locate(idx int) (pageSpan, int) {
 }
 
 // pickRun maps a pseudo-random salt onto a warm page such that `run`
-// consecutive pages starting there all lie within one span (given a span at
-// least that long: the layout's arenas are, for every catalog footprint).
+// consecutive pages starting there all lie within one span. Every span is at
+// least that long: NewInstance rejects the footprints where one is not.
 func (p warmPool) pickRun(salt uint64, run int) uint64 {
 	s, idx := p.locate(int((salt*0x2545F4914F6CDD1D ^ salt>>17) % uint64(p.total)))
-	return s.start + uint64(min(idx, max(s.pages-run, 0)))
+	return s.start + uint64(min(idx, s.pages-run))
+}
+
+// writeRun is the length of the clusters of adjacent pages the profile's
+// write set is made of (the last may be shorter); 0 under UniformDirty, whose
+// write set is drawn page by page.
+func (p Profile) writeRun() int {
+	if p.UniformDirty {
+		return 0
+	}
+	run := p.WriteRunLen
+	if run <= 0 {
+		run = 2
+	}
+	return min(run, p.DirtyPages)
 }
 
 // compilePlan derives the profile's access plan from the warm layout: the
@@ -109,10 +123,7 @@ func compilePlan(prof Profile, heapStart vm.Addr, heapPages int, arenas []pageSp
 			}
 		}
 	} else {
-		runLen := prof.WriteRunLen
-		if runLen <= 0 {
-			runLen = 2
-		}
+		runLen := prof.writeRun()
 		for written := 0; written < prof.DirtyPages; {
 			run := min(runLen, prof.DirtyPages-written)
 			base := pool.pickRun(uint64(written)*0x9E3779B9, run)

@@ -155,9 +155,7 @@ func (l refLayout) accesses() (drop, reads, writes, stack []uint64) {
 // TestPlanMatchesPerRequestLoops: over random profiles, each list of the
 // compiled plan is sorted, equals what the per-request loops produced as a
 // multiset, and — reads and writes — stays inside the warm regions and
-// outside the drop window. (A write run longer than an arena runs off its
-// end, in the plan as in the loops; such layouts — a footprint that leaves
-// the arenas a page or two each — are not held to the pool.)
+// outside the drop window, for every layout NewInstance accepts.
 func TestPlanMatchesPerRequestLoops(t *testing.T) {
 	f := func(total uint16, dirty, drop uint16, lang, runLen uint8, uniform bool, readAll bool) bool {
 		prof := Profile{
@@ -176,7 +174,7 @@ func TestPlanMatchesPerRequestLoops(t *testing.T) {
 		k := kernel.New(kernel.Default())
 		in, err := NewInstance(k, prof, 1)
 		if err != nil {
-			return true // the layout budget does not fit: nothing to plan
+			return true // the footprint cannot be laid out: nothing to plan
 		}
 		defer k.Exit(in.Proc)
 		l := layoutOf(t, in)
@@ -197,7 +195,7 @@ func TestPlanMatchesPerRequestLoops(t *testing.T) {
 				t.Errorf("%+v: plan.%s is not the loops' pages in address order (%d vs %d pages)", prof, c.name, len(c.got), len(c.want))
 				ok = false
 			}
-			if !c.pooled || slices.ContainsFunc(l.arenas, func(v vm.VMA) bool { return v.Pages() < max(prof.WriteRunLen, 2) }) {
+			if !c.pooled {
 				continue
 			}
 			for _, vpn := range c.got {
@@ -221,6 +219,40 @@ func TestPlanMatchesPerRequestLoops(t *testing.T) {
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestWriteRunLongerThanAnArenaRejected: a footprint whose arenas come out
+// shorter than the write run used to lay out and then segfault in WarmUp
+// (the run walked off arena 0, past MmapTop). NewInstance refuses it; the
+// smallest footprint of the same shape whose arenas fit the run warms up.
+func TestWriteRunLongerThanAnArenaRejected(t *testing.T) {
+	prof := Profile{Name: "overrun", Lang: LangC, Exec: time.Millisecond,
+		TotalPages: 92, DirtyPages: 64, WriteRunLen: 2}
+	k := kernel.New(kernel.Default())
+	if in, err := NewInstance(k, prof, 1); err == nil {
+		t.Fatalf("accepted a layout with arenas %v shorter than the write run", layoutOf(t, in).arenas)
+	}
+	if k.Phys.InUse() != 0 {
+		t.Fatalf("rejected layout left %d frames behind", k.Phys.InUse())
+	}
+	prof.UniformDirty = true // no runs: the same footprint is fine
+	if _, err := NewInstance(k, prof, 1); err != nil {
+		t.Fatalf("uniform write set rejected: %v", err)
+	}
+	prof.UniformDirty = false
+	for prof.TotalPages++; ; prof.TotalPages++ {
+		in, err := NewInstance(k, prof, 1)
+		if err != nil {
+			continue
+		}
+		for _, v := range layoutOf(t, in).arenas {
+			if v.Pages() < prof.WriteRunLen {
+				t.Fatalf("accepted %d pages with a %d-page arena", prof.TotalPages, v.Pages())
+			}
+		}
+		in.WarmUp(nil)
+		return
 	}
 }
 

@@ -109,10 +109,3 @@ func ChargeTo(m *Meter, d Duration) {
 		m.Charge(d)
 	}
 }
-
-// ChargePhaseTo is a nil-safe phase charge helper.
-func ChargePhaseTo(m *Meter, phase string, d Duration) {
-	if m != nil {
-		m.ChargePhase(phase, d)
-	}
-}
