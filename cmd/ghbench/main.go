@@ -13,6 +13,7 @@
 //	ghbench -e bench-restore        # one suite: table + ./BENCH_restore.json
 //	ghbench -e bench-all -out DIR   # every suite at its baseline's scale, as CI runs them
 //	ghbench -list                   # enumerate experiments
+//	ghbench -e all -quick -cpuprofile cpu.out -memprofile mem.out
 package main
 
 import (
@@ -20,6 +21,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"runtime/pprof"
 
 	"groundhog/internal/experiments"
 	"groundhog/internal/metrics"
@@ -33,6 +35,9 @@ func main() {
 		seed  = flag.Uint64("seed", 1, "simulation seed")
 		list  = flag.Bool("list", false, "list experiments and exit")
 		out   = flag.String("out", ".", "directory the bench-* suites write their BENCH_*.json into")
+
+		cpuprofile = flag.String("cpuprofile", "", "write a CPU profile of the whole run to this file")
+		memprofile = flag.String("memprofile", "", "write an allocation profile at exit to this file")
 	)
 	flag.Parse()
 
@@ -56,10 +61,54 @@ func main() {
 	if *max > 0 {
 		cfg.MaxBenchmarks = *max
 	}
-	if err := run(cfg, *exp, *quick, *out); err != nil {
+	stop, err := startProfiles(*cpuprofile, *memprofile)
+	if err == nil {
+		err = run(cfg, *exp, *quick, *out)
+		if perr := stop(); err == nil {
+			err = perr
+		}
+	}
+	if err != nil {
 		fmt.Fprintf(os.Stderr, "ghbench: %v\n", err)
 		os.Exit(1)
 	}
+}
+
+// startProfiles starts a CPU profile into cpuPath and returns the function
+// that ends it and writes the allocation profile (every allocation since the
+// process started, live or not) into memPath. An empty path skips that
+// profile.
+func startProfiles(cpuPath, memPath string) (stop func() error, err error) {
+	var cpu *os.File
+	if cpuPath != "" {
+		if cpu, err = os.Create(cpuPath); err != nil {
+			return nil, err
+		}
+		if err := pprof.StartCPUProfile(cpu); err != nil {
+			cpu.Close()
+			return nil, err
+		}
+	}
+	return func() error {
+		if cpu != nil {
+			pprof.StopCPUProfile()
+			if err := cpu.Close(); err != nil {
+				return err
+			}
+		}
+		if memPath == "" {
+			return nil
+		}
+		f, err := os.Create(memPath)
+		if err != nil {
+			return err
+		}
+		if err := pprof.Lookup("allocs").WriteTo(f, 0); err != nil {
+			f.Close()
+			return err
+		}
+		return f.Close()
+	}, nil
 }
 
 // run executes the named experiment, every experiment ("all") or every suite

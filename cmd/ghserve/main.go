@@ -40,7 +40,9 @@ import (
 // The HTTP listener's patience: a peer gets readHeaderTimeout to send its
 // request headers and idleTimeout between keep-alive requests, so a silent or
 // trickling connection cannot hold a goroutine forever; shutdown waits
-// drainTimeout for in-flight requests.
+// drainTimeout for in-flight requests. The binary listener's counterpart of
+// both read timeouts is gateway.BinaryIdleTimeout (a complete frame every 60 s),
+// which the gateway applies to every connection it serves.
 const (
 	readHeaderTimeout = 5 * time.Second
 	idleTimeout       = 60 * time.Second

@@ -234,11 +234,17 @@ func (m *Manager) SnapshotStats() SnapshotStats {
 //
 // Page contents land in one contiguous arena (or, for StoreCoW, a frame
 // reference slice) indexed by a sorted VPN list, and the pagemap is read one
-// VMA at a time rather than as a single full-address-space flag slice — so a
-// snapshot of an 85k-page runtime costs a handful of allocations rather than
-// one per page. Re-snapshots reuse the previous snapshot's recycled arena
-// and index slices (the manager's store pool), so refreshing a snapshot at
-// an unchanged scale allocates nothing for page contents.
+// VMA at a time rather than as a single full-address-space flag slice. Every
+// buffer is sized before the copy loop, from counts the address space already
+// holds: the index slices and the resident scratch list from ResidentPages,
+// the arena from MaterializedPages — the pages that take arena bytes; a
+// runtime's resident set is mostly lazily-zero frames (598 of Node's 156,766
+// resident pages hold bytes), so sizing the arena by residency would allocate
+// hundreds of megabytes to keep two. A first snapshot therefore allocates
+// what it keeps, once each, instead of growing the arena a page at a time.
+// Re-snapshots reuse the previous snapshot's recycled arena and index slices
+// (the manager's store pool), so refreshing a snapshot at an unchanged scale
+// allocates nothing for page contents.
 func (m *Manager) TakeSnapshot() (SnapshotStats, error) {
 	meter := sim.NewMeter()
 	m.tracer.SetMeter(meter)
@@ -271,7 +277,8 @@ func (m *Manager) TakeSnapshot() (SnapshotStats, error) {
 	}
 	sim.ChargeTo(meter, m.kern.Cost.SnapshotBase)
 	sc := &m.scratch
-	sc.present = sc.present[:0]
+	resident := m.proc.AS.ResidentPages()
+	sc.present = slices.Grow(sc.present[:0], resident)
 	if m.opts.Tracker == TrackUffd {
 		sc.present = m.proc.AS.AppendResidentVPNs(sc.present)
 		sim.ChargeTo(meter, m.kern.Cost.ResidentScanPerPage*sim.Duration(len(sc.present)))
@@ -286,15 +293,11 @@ func (m *Manager) TakeSnapshot() (SnapshotStats, error) {
 
 	st := &snap.store
 	*st, m.storePool = m.storePool, stateStore{}
-	if st.vpns == nil {
-		st.vpns = make([]uint64, 0, len(sc.present))
-	}
+	st.vpns = slices.Grow(st.vpns, resident)
 	switch m.opts.Store {
 	case StoreCoW:
 		st.off, st.arena = nil, nil
-		if st.frames == nil {
-			st.frames = make([]mem.FrameID, 0, len(sc.present))
-		}
+		st.frames = slices.Grow(st.frames, resident)
 		for _, vpn := range sc.present {
 			f, ok := m.proc.AS.ShareFrameCoW(vpn)
 			if !ok {
@@ -306,17 +309,26 @@ func (m *Manager) TakeSnapshot() (SnapshotStats, error) {
 		}
 	default:
 		st.frames = nil
+		st.off = slices.Grow(st.off, resident)
+		// The one growth of the arena, to the size the loop will leave it at
+		// (the tracee is stopped, so the count holds); a pooled arena that is
+		// large enough is kept, one that is not is dropped without copying
+		// its dead contents over.
+		if need := m.proc.AS.MaterializedPages() * mem.PageSize; cap(st.arena) < need {
+			st.arena = make([]byte, 0, need)
+		}
 		for _, vpn := range sc.present {
 			off := len(st.arena)
-			st.arena = slices.Grow(st.arena, mem.PageSize)[:off+mem.PageSize]
-			zero, ok, err := m.tracer.PeekPageInto(vpn, st.arena[off:])
+			// The page is read into the arena's spare capacity and kept only
+			// if it holds bytes: all-zero (or vanished) pages take none, so
+			// past the last materialised page the spare may be empty.
+			zero, ok, err := m.tracer.PeekPageInto(vpn, st.arena[off:cap(st.arena)])
 			if err != nil {
 				return SnapshotStats{}, err
 			}
-			if !ok || zero {
-				// All-zero (or vanished) pages take no arena bytes; the
-				// old map-based store recorded them as nil the same way.
-				st.arena = st.arena[:off]
+			if ok && !zero {
+				st.arena = st.arena[:off+mem.PageSize]
+			} else {
 				off = -1
 			}
 			st.vpns = append(st.vpns, vpn)

@@ -85,6 +85,43 @@ func TestRestoreSteadyStateZeroAllocsLargeSpace(t *testing.T) {
 	}
 }
 
+// TestRestoreSlowPathZeroAllocs is the slow-path twin of the guards above: the
+// request also maps a scratch region, writes it and leaves it mapped — what a
+// Python or Node request's allocator churn does — so the restore diffs the
+// layouts, injects a munmap (vm.carve on the region list, page-table chunk
+// dropped and respared) and takes the exact walk. Once the scratch buffers
+// have their sizes that allocates nothing either.
+func TestRestoreSlowPathZeroAllocs(t *testing.T) {
+	p, m, request, err := benchscenario.SteadyState(kernel.Default(), 256, 64, core.DefaultOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	var layoutOps int
+	cycle := func() {
+		request()
+		scratch, err := p.AS.Mmap(4*mem.PageSize, vm.ProtRW, vm.KindAnon, "")
+		if err != nil {
+			t.Fatal(err)
+		}
+		p.AS.WriteWord(scratch+mem.PageSize, 1)
+		st, err := m.Restore()
+		if err != nil {
+			t.Fatal(err)
+		}
+		layoutOps = st.LayoutOps
+	}
+	cycle()
+	if allocs := testing.AllocsPerRun(50, cycle); allocs != 0 {
+		t.Fatalf("slow-path restore allocates: %.1f allocs/op, want 0", allocs)
+	}
+	if layoutOps == 0 {
+		t.Fatal("the restore reversed no layout change; the test is not on the slow path")
+	}
+	if err := m.Verify(); err != nil {
+		t.Fatal(err)
+	}
+}
+
 // TestFastAndSlowRestoreAgree runs one request sequence down both restore
 // paths and requires the same answer from each. Twin managers serve the
 // steady-state scenario, each request also writing a stack page the snapshot

@@ -355,3 +355,56 @@ func TestAppendRunsReusesBuffer(t *testing.T) {
 		t.Fatalf("reused buffer = %+v, want [{7 1}]", buf)
 	}
 }
+
+// TestFirstSnapshotSizesItsBuffersOnce: a first snapshot allocates its arena
+// at the size the copy loop leaves it — one page per resident page that holds
+// bytes, none for the lazily-zero ones, including when those are the last
+// pages visited and the arena has no spare capacity left to read into — and
+// its index at the resident count, under both trackers.
+func TestFirstSnapshotSizesItsBuffersOnce(t *testing.T) {
+	for _, tracker := range []TrackerKind{TrackSoftDirty, TrackUffd} {
+		opts := DefaultOptions()
+		opts.Tracker = tracker
+		k := kernel.New(kernel.Default())
+		p, err := k.Spawn(kernel.ExecSpec{TextPages: 8, DataPages: 4, Threads: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		heap := p.AS.HeapBase()
+		if _, err := p.AS.Brk(heap + 64*mem.PageSize); err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < 64; i++ {
+			if i%4 == 0 {
+				p.AS.WriteWord(heap+vm.Addr(i*mem.PageSize), 0x1000+uint64(i))
+			} else {
+				p.AS.TouchPage((heap + vm.Addr(i*mem.PageSize)).PageNum())
+			}
+		}
+		// The highest resident pages are the stack's; make sure they are
+		// resident and zero, so the walk ends on pages that take no bytes.
+		p.AS.TouchPage((vm.StackTop - mem.PageSize).PageNum())
+		m, err := NewManager(k, p, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := m.TakeSnapshot(); err != nil {
+			t.Fatal(err)
+		}
+		if err := m.Verify(); err != nil {
+			t.Fatal(err)
+		}
+		st := &m.snap.store
+		resident, holding := p.AS.ResidentPages(), p.AS.MaterializedPages()
+		if holding == 0 || holding == resident {
+			t.Fatalf("tracker %v: %d of %d resident pages hold bytes; the test needs both kinds", tracker, holding, resident)
+		}
+		if len(st.arena) != holding*mem.PageSize || cap(st.arena) != len(st.arena) {
+			t.Errorf("tracker %v: arena len %d cap %d, want both %d (%d pages holding bytes)",
+				tracker, len(st.arena), cap(st.arena), holding*mem.PageSize, holding)
+		}
+		if st.len() != resident || len(st.off) != resident {
+			t.Errorf("tracker %v: index holds %d pages, %d offsets; %d resident", tracker, st.len(), len(st.off), resident)
+		}
+	}
+}

@@ -31,6 +31,7 @@ import (
 	"errors"
 	"io"
 	"net"
+	"time"
 
 	"groundhog/internal/faas"
 	"groundhog/internal/isolation"
@@ -65,6 +66,13 @@ const frameOverhead = 512
 // Flags bits in an invoke response.
 const flagRestored byte = 1 << 0
 
+// BinaryIdleTimeout is how long a binary connection may go without
+// delivering a complete frame before the gateway closes it — the binary
+// listener's counterpart of the HTTP server's IdleTimeout and
+// ReadHeaderTimeout (cmd/ghserve), so a silent peer, or one trickling a frame
+// a byte at a time, cannot hold a goroutine until shutdown.
+const BinaryIdleTimeout = 60 * time.Second
+
 // ServeBinary accepts connections on ln and serves the binary protocol on
 // each until Close (or a listener error). Blocks; run in a goroutine.
 func (g *Gateway) ServeBinary(ln net.Listener) error {
@@ -89,8 +97,9 @@ func (g *Gateway) ServeBinary(ln net.Listener) error {
 }
 
 // ServeBinaryConn serves one binary-protocol connection until EOF, a
-// framing error, or gateway Close. Exported so tests and in-process clients
-// can drive the protocol over net.Pipe without a listener.
+// framing error, BinaryIdleTimeout without a complete frame, or gateway
+// Close. Exported so tests and in-process clients can drive the protocol over
+// net.Pipe without a listener.
 func (g *Gateway) ServeBinaryConn(conn net.Conn) error {
 	g.connMu.Lock()
 	if g.closed.Load() {
@@ -113,7 +122,20 @@ func (g *Gateway) ServeBinaryConn(conn net.Conn) error {
 	// into rbuf, builds the response in wbuf, and allocates nothing.
 	rbuf := make([]byte, 0, 4096)
 	wbuf := make([]byte, 0, 4096)
+	// The read deadline is armed only here, about to wait for a frame, and it
+	// covers the whole frame: header and body must arrive within idle of the
+	// arming. Setting a deadline moves a timer, so a busy connection re-arms
+	// every idle/60 (once a second) rather than per request — the hot loop
+	// pays one clock read — and an idle one is closed idle/60 early at most.
+	idle := g.binaryIdle
+	var armed time.Time
 	for {
+		if now := time.Now(); now.Sub(armed) >= idle/60 {
+			if err := conn.SetReadDeadline(now.Add(idle)); err != nil {
+				return err
+			}
+			armed = now
+		}
 		if _, err := io.ReadFull(conn, hdr[:]); err != nil {
 			if errors.Is(err, io.EOF) {
 				return nil

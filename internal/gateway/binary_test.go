@@ -6,6 +6,7 @@ import (
 	"io"
 	"net"
 	"net/http"
+	"os"
 	"sync"
 	"testing"
 	"time"
@@ -313,5 +314,82 @@ func TestBinaryOverTCPAndClose(t *testing.T) {
 	var one [1]byte
 	if _, err := c.Read(one[:]); err == nil {
 		t.Fatal("connection still open after Close")
+	}
+}
+
+// TestBinaryIdleDeadline: a binary connection that stops delivering complete
+// frames is closed within the idle timeout — silent from the start, or
+// trickling a frame a byte at a time so every single read succeeds — while
+// one that keeps invoking for several timeouts on end is served throughout,
+// and closed in its turn once it falls silent. Over net.Pipe and over TCP
+// loopback: the two net.Conn deadline implementations the listener meets.
+func TestBinaryIdleDeadline(t *testing.T) {
+	const idle = 150 * time.Millisecond
+	dialers := map[string]func(*testing.T, *Gateway) net.Conn{
+		"pipe": startConn,
+		"tcp": func(t *testing.T, g *Gateway) net.Conn {
+			ln, err := net.Listen("tcp", "127.0.0.1:0")
+			if err != nil {
+				t.Fatal(err)
+			}
+			go func() { _ = g.ServeBinary(ln) }()
+			c, err := net.Dial("tcp", ln.Addr().String())
+			if err != nil {
+				t.Fatal(err)
+			}
+			t.Cleanup(func() { c.Close() })
+			return c
+		},
+	}
+	// closedWithin reads until the server's close surfaces and fails if that
+	// takes longer than the timeout plus scheduling slack (or if the server
+	// answers instead).
+	closedWithin := func(t *testing.T, c net.Conn, since time.Time) {
+		t.Helper()
+		c.SetReadDeadline(since.Add(idle + 2*time.Second))
+		var one [1]byte
+		if _, err := c.Read(one[:]); err == nil || errors.Is(err, os.ErrDeadlineExceeded) {
+			t.Fatalf("connection not closed %v after its last complete frame (read: %v)", time.Since(since), err)
+		}
+	}
+	for name, dial := range dialers {
+		t.Run(name, func(t *testing.T) {
+			_, g := newGateway(t, Config{})
+			g.binaryIdle = idle
+
+			t.Run("idle", func(t *testing.T) {
+				start := time.Now()
+				closedWithin(t, dial(t, g), start)
+			})
+			t.Run("dribble", func(t *testing.T) {
+				c := dial(t, g)
+				start := time.Now()
+				// A well-formed frame, one byte every idle/5: no read ever
+				// waits long, the frame would take fifty timeouts to complete.
+				go func() {
+					for _, b := range frame(opInvoke, make([]byte, 250)) {
+						if _, err := c.Write([]byte{b}); err != nil {
+							return
+						}
+						time.Sleep(idle / 5)
+					}
+				}()
+				closedWithin(t, c, start)
+			})
+			t.Run("busy", func(t *testing.T) {
+				c := dial(t, g)
+				id := resolveID(t, c, modeDefault, "get-time (p)")
+				req := frame(opInvoke, invokePayload(id, "", []byte("tick")))
+				for end := time.Now().Add(4 * idle); time.Now().Before(end); time.Sleep(idle / 5) {
+					if _, err := c.Write(req); err != nil {
+						t.Fatalf("busy connection closed: %v", err)
+					}
+					if op, _ := readFrame(t, c); op != opInvoke {
+						t.Fatalf("busy connection answered op %d", op)
+					}
+				}
+				closedWithin(t, c, time.Now())
+			})
+		})
 	}
 }

@@ -45,6 +45,7 @@ import (
 	"strings"
 	"sync"
 	"sync/atomic"
+	"time"
 
 	"groundhog/internal/faas"
 	"groundhog/internal/isolation"
@@ -110,6 +111,10 @@ type Gateway struct {
 	closed atomic.Bool
 	connMu sync.Mutex
 	conns  map[io.Closer]struct{}
+
+	// binaryIdle is BinaryIdleTimeout; a field so the deadline tests need not
+	// wait a minute.
+	binaryIdle time.Duration
 
 	// testHookAdmitted, when armed (atomic.Value of func(*route)), runs
 	// after a request is admitted to a queue slot and before the invoke —
@@ -189,6 +194,8 @@ func New(s *server.Server, cfg Config) *Gateway {
 		routes:  make(map[string]*routeSet),
 		e2e:     metrics.Locked(metrics.NewSketch(metrics.DefaultSketchAlpha)),
 		conns:   make(map[io.Closer]struct{}),
+
+		binaryIdle: BinaryIdleTimeout,
 	}
 }
 

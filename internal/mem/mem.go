@@ -6,12 +6,18 @@
 // security argument: snapshot/restore correctness is verified by comparing
 // page contents byte-for-byte, so an information leak across requests would
 // be observable in tests rather than merely asserted away.
+//
+// The bytes live in page buffers carved from slabs and recycled, unscrubbed,
+// through a free list; a frame that takes a recycled buffer zeroes it unless
+// it overwrites the whole page (see PhysMem). That a recycled frame shows
+// nothing of its last owner is a tested property, not a convention.
 package mem
 
 import (
 	"bytes"
 	"encoding/binary"
 	"fmt"
+	"slices"
 )
 
 const (
@@ -48,17 +54,36 @@ type frame struct {
 // (LIFO), so allocation order — and therefore every simulated outcome — is
 // unchanged run to run. Freed page buffers are kept for reuse so the
 // steady-state fault/free churn of a long simulation does not touch the Go
-// heap.
+// heap. Fresh ones are carved a page at a time from slabs this PhysMem
+// allocates (takeBuf), not made one by one: a cold start or a run of CoW
+// breaks first-touches thousands of frames that then stay live, and one heap
+// object per frame made the allocator and the sweeper a third of a cluster
+// simulation's CPU. A slab is slabPages(buffers carved so far) pages — it
+// grows with the pool, so a PhysMem that only ever holds a few dozen frames (a
+// live gateway's whole stack) wastes at most a few pages of slack while one
+// holding tens of thousands allocates by the megabyte. InUse and Peak count
+// live frames, whatever the slabs hold.
 //
 // PhysMem is not safe for concurrent use. The simulation is single-threaded
 // by design (see internal/sim).
 type PhysMem struct {
 	frames []frame   // slot 0 is NoFrame and never used
 	free   []FrameID // freed slots, reused LIFO
-	bufs   [][]byte  // released page buffers, reused by materialize
+	bufs   [][]byte  // released page buffers, contents intact, reused by takeBuf
+	slab   []byte    // the newest slab's uncarved tail
+	carved int       // page buffers carved from slabs so far
 	// stats
 	inUse int
 	peak  int
+}
+
+// slabPages is the size, in pages, of the next slab given the page buffers
+// carved so far: a thirty-second of them, at least 4 and at most 256 (1 MiB).
+// Proportional rather than fixed because the slack — the newest slab's
+// uncarved tail — is heap the simulator holds for nothing: 3 % of a large
+// pool at most, 16 KiB of a small one.
+func slabPages(carved int) int {
+	return min(max(carved/32, 4), 256)
 }
 
 // New returns an empty physical memory pool.
@@ -73,6 +98,13 @@ func (p *PhysMem) Alloc() FrameID {
 		id = p.free[n-1]
 		p.free = p.free[:n-1]
 	} else {
+		if len(p.frames) == cap(p.frames) {
+			// Double, rather than leave it to append: a runtime's first
+			// request takes 150,000 frames one Alloc at a time, and append's
+			// 1.25× steps for large slices allocate and copy five tables to
+			// keep one (28 MB of a Node cold start's 44 MB).
+			p.frames = slices.Grow(p.frames, len(p.frames))
+		}
 		p.frames = append(p.frames, frame{})
 		id = FrameID(len(p.frames) - 1)
 	}
@@ -133,11 +165,10 @@ func (p *PhysMem) Clone(src FrameID) FrameID {
 	return dst
 }
 
-// materialize gives f a real (all-zero) page buffer, drawing from the reuse
-// pool when possible.
+// materialize gives f a real (all-zero) page buffer.
 func (p *PhysMem) materialize(f *frame) []byte {
 	if f.data == nil {
-		clear(p.materializeRaw(f))
+		p.takeBuf(f, true)
 	}
 	return f.data
 }
@@ -146,14 +177,36 @@ func (p *PhysMem) materialize(f *frame) []byte {
 // contents — only for callers about to overwrite the entire page.
 func (p *PhysMem) materializeRaw(f *frame) []byte {
 	if f.data == nil {
-		if n := len(p.bufs); n > 0 {
-			f.data = p.bufs[n-1]
-			p.bufs = p.bufs[:n-1]
-		} else {
-			f.data = make([]byte, PageSize)
-		}
+		p.takeBuf(f, false)
 	}
 	return f.data
+}
+
+// takeBuf hands f, which has none, a page buffer: the slow path of the two
+// materialize forms, kept out of line (the compiler would inline it into
+// them, and they would then be too large to inline into WriteWord and undo,
+// whose common case is a frame that already has its buffer). A released
+// buffer is reused first; it still holds its last frame's bytes and is
+// cleared here, on reuse, if the taker asks for zeros. With none, the next
+// page of the current slab is carved off — zero as the runtime allocated it,
+// capacity clipped to the page so no frame can reach its neighbour's bytes —
+// and a new slab allocated when that one is used up.
+//
+//go:noinline
+func (p *PhysMem) takeBuf(f *frame, zero bool) {
+	if n := len(p.bufs); n > 0 {
+		f.data = p.bufs[n-1]
+		p.bufs = p.bufs[:n-1]
+		if zero {
+			clear(f.data)
+		}
+		return
+	}
+	if len(p.slab) == 0 {
+		p.slab = make([]byte, slabPages(p.carved)*PageSize)
+	}
+	f.data, p.slab = p.slab[:PageSize:PageSize], p.slab[PageSize:]
+	p.carved++
 }
 
 // checkOffset validates an intra-frame offset for an access of size n.

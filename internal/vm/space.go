@@ -85,6 +85,7 @@ type AddressSpace struct {
 	meter *sim.Meter
 
 	vmas    []VMA     // sorted by Start, non-overlapping
+	carved  []VMA     // carve's result scratch: the sub-regions it removed last
 	lastVMA int       // index of the last FindVMA hit (self-validating cache)
 	pages   pageTable // sparse chunked page table (see pagetable.go)
 
@@ -252,12 +253,18 @@ func (as *AddressSpace) findVMA(a Addr) int {
 	if i := as.lastVMA; i < len(as.vmas) && as.vmas[i].Contains(a) {
 		return i
 	}
-	i := sort.Search(len(as.vmas), func(i int) bool { return as.vmas[i].End > a })
+	i := as.searchVMA(a)
 	if i < len(as.vmas) && as.vmas[i].Contains(a) {
 		as.lastVMA = i
 		return i
 	}
 	return -1
+}
+
+// searchVMA returns the index of the first region ending above a — the one
+// containing a, if any does — or len(as.vmas).
+func (as *AddressSpace) searchVMA(a Addr) int {
+	return sort.Search(len(as.vmas), func(i int) bool { return as.vmas[i].End > a })
 }
 
 // insertVMA adds a region, keeping the list sorted. It fails if the region
@@ -297,38 +304,38 @@ func (as *AddressSpace) insertVMA(v VMA) error {
 }
 
 // carve removes [start, end) from the region list, splitting any VMAs that
-// straddle the boundary. It returns the removed sub-regions. Unmapped gaps
-// inside the range are permitted (as with munmap).
+// straddle the boundary. It returns the removed sub-regions, in a scratch
+// slice that is valid until the next carve. Unmapped gaps inside the range
+// are permitted (as with munmap). The list is spliced in place: the regions
+// overlapping the range are one contiguous run [i, j) of it, replaced by what
+// the first one keeps below start and the last one above end, so a munmap or
+// mprotect on a warm address space allocates nothing.
 func (as *AddressSpace) carve(start, end Addr) []VMA {
-	var removed []VMA
-	var kept []VMA
-	for _, v := range as.vmas {
-		switch {
-		case v.End <= start || v.Start >= end:
-			kept = append(kept, v)
-		default:
-			// Overlapping: keep the parts outside [start, end).
-			if v.Start < start {
-				left := v
-				left.End = start
-				kept = append(kept, left)
-			}
-			if v.End > end {
-				right := v
-				right.Start = end
-				kept = append(kept, right)
-			}
-			mid := v
-			if mid.Start < start {
-				mid.Start = start
-			}
-			if mid.End > end {
-				mid.End = end
-			}
-			removed = append(removed, mid)
-		}
+	removed := as.carved[:0]
+	i := as.searchVMA(start)
+	j := i
+	for ; j < len(as.vmas) && as.vmas[j].Start < end; j++ {
+		mid := as.vmas[j]
+		mid.Start, mid.End = max(mid.Start, start), min(mid.End, end)
+		removed = append(removed, mid)
 	}
-	as.vmas = kept
+	as.carved = removed
+	if i == j {
+		return removed
+	}
+	var keep [2]VMA
+	n := 0
+	if left := as.vmas[i]; left.Start < start {
+		left.End = start
+		keep[n] = left
+		n++
+	}
+	if right := as.vmas[j-1]; right.End > end {
+		right.Start = end
+		keep[n] = right
+		n++
+	}
+	as.vmas = slices.Replace(as.vmas, i, j, keep[:n]...)
 	return removed
 }
 
@@ -344,6 +351,25 @@ func (as *AddressSpace) MappedPages() int {
 
 // ResidentPages returns the number of pages with a backing frame (RSS).
 func (as *AddressSpace) ResidentPages() int { return as.pages.len() }
+
+// MaterializedPages returns the number of resident pages whose frame holds
+// real bytes (mem.PhysMem.Bytes is not 0): the pages PeekPageInto copies
+// rather than reporting zero. The snapshotter sizes its arena with it. One
+// linear walk of the chunks, no per-page lookup.
+func (as *AddressSpace) MaterializedPages() int {
+	n := 0
+	for _, c := range as.pages.chunks {
+		for w, word := range c.bitmap {
+			for ; word != 0; word &= word - 1 {
+				i := w<<6 + bits.TrailingZeros64(word)
+				if as.phys.Bytes(c.entries[i].Frame) != 0 {
+					n++
+				}
+			}
+		}
+	}
+	return n
+}
 
 // --- access path ----------------------------------------------------------
 

@@ -1,6 +1,7 @@
 package vm
 
 import (
+	"slices"
 	"testing"
 
 	"groundhog/internal/mem"
@@ -441,6 +442,46 @@ func TestEmptiedPageTableChunkIsReused(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Fatalf("fault + drop of a chunk's only page allocated %.1f times, want 0", allocs)
+	}
+	if err := as.CheckInvariants(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// Region-list surgery on a warm address space happens in place: a request's
+// scratch mapping unmapped by the rollback, and an mprotect split the rollback
+// merges back, allocate nothing once the list and carve's scratch have their
+// capacity.
+func TestLayoutOpsOnWarmSpaceAllocateNothing(t *testing.T) {
+	as := newTestSpace(t)
+	heap := as.HeapBase()
+	mustBrk(t, as, heap+16*mem.PageSize)
+	want := as.VMAs()
+	cycle := func() {
+		a, err := as.Mmap(4*mem.PageSize, ProtRW, KindAnon, "")
+		if err != nil {
+			t.Fatal(err)
+		}
+		as.WriteWord(a+mem.PageSize, 1)
+		if err := as.Munmap(a, 4*mem.PageSize); err != nil {
+			t.Fatal(err)
+		}
+		if err := as.Mprotect(heap+4*mem.PageSize, 4*mem.PageSize, ProtRead); err != nil {
+			t.Fatal(err)
+		}
+		if as.NumVMAs() != len(want)+2 {
+			t.Fatalf("mprotect of the heap's middle left %d regions, want %d", as.NumVMAs(), len(want)+2)
+		}
+		if err := as.Mprotect(heap+4*mem.PageSize, 4*mem.PageSize, ProtRW); err != nil {
+			t.Fatal(err)
+		}
+	}
+	cycle()
+	if allocs := testing.AllocsPerRun(100, cycle); allocs != 0 {
+		t.Fatalf("mmap/munmap + mprotect split/merge allocated %.1f times per cycle, want 0", allocs)
+	}
+	if got := as.VMAs(); !slices.Equal(got, want) {
+		t.Fatalf("layout after the cycles:\n%v\nwant\n%v", got, want)
 	}
 	if err := as.CheckInvariants(); err != nil {
 		t.Fatal(err)
