@@ -44,12 +44,23 @@
 //
 // Restore itself is run-oriented and allocation-free at steady state: the
 // current layout is read into a reusable region buffer (procfs.MapsRegions),
-// the dirty and resident sets come out of the address space's own indexes in
-// one scan (the pagemap read is charged per region and per mapped page, not
-// re-performed), one walk merges them against the sorted VPN index into the
-// madvise set and the restore set, and maximal runs of
-// contiguous pages are rolled back with single batched pokes
-// (vm.AddressSpace.PokePageRun / PokeFrameRun) straight out of the arena.
+// and what the request changed comes out of three logs the address space
+// keeps since the last ClearSoftDirty — the pages written (dirty), the pages
+// that became resident (fresh) and the pages a drop released a frame from
+// (lost: madvise, munmap, a brk shrink, the restorer's own munmap) — not out
+// of a walk of the resident set; the pagemap read is charged per region and
+// per mapped page, not re-performed. One merge of dirty ∪ lost against the
+// sorted VPN index gives the restore set (a dirty page; a lost one that was
+// not zero in the snapshot), one of the fresh list the madvise set, and
+// maximal runs of contiguous pages are rolled back with single batched pokes
+// (vm.AddressSpace.PokePageRun / PokeFrameRun) straight out of the arena. So
+// a Python or Node request, which maps and unmaps scratch regions every
+// time, costs the host what it dirtied, faulted in and dropped, like a C one.
+// Only what the logs cannot describe — an mremap that moves a mapping, a
+// tracker switch — disarms them for the epoch; that restore walks the page
+// table and merges the whole store index (the exact walk), reports the same
+// RestoreStats and leaves the same bytes (TestFastAndSlowRestoreAgree,
+// TestLoggedAndExactRestoreAgreeOnRandomRequests, TestRestoreAfterDrops).
 // The virtual charge is a whole-page copy per page, as in the paper; the
 // host copies only each page's soft-dirty extent (vm.PTE.Extent over
 // mem.PhysMem.RestoreExtent / CopyExtent) — the byte range vm's access
@@ -58,10 +69,11 @@
 // whole page if the page got its frame during the epoch. Bytes outside the extent were not written and
 // equal the snapshot already: the argument the soft-dirty bit itself rests
 // on, one level down. After the first restore has sized the
-// manager's scratch buffers, rolling back a request that dirtied pages
-// without changing the memory layout performs zero heap allocations — a
-// property pinned by TestRestoreSteadyStateZeroAllocs (both state stores);
-// what the path costs the host is bench/e2e's core.restore.ns rung.
+// manager's scratch buffers, rolling back a request performs zero heap
+// allocations — pinned by TestRestoreSteadyStateZeroAllocs (both state
+// stores), TestRestoreLeftoverMappingZeroAllocs (a scratch mapping left
+// behind) and TestRestoreExactWalkZeroAllocs (the fallback); what the path
+// costs the host is bench/e2e's core.restore.ns rung.
 //
 // The UFFD tracker (the §4.3 ablation the paper rejected) runs the same code
 // and differs in what the scan is charged: each write-protect fault appends
@@ -69,8 +81,9 @@
 // equivalent of the user-space fault handler accumulating the dirty set),
 // ClearSoftDirty re-arms the log, and the restore reads it back — plus the
 // resident set — through the append-style accessors
-// vm.AddressSpace.AppendSoftDirtyVPNs and AppendResidentVPNs (AppendFreshVPNs
-// on the fast path) into the same scratch buffers, under either tracker. The
+// vm.AddressSpace.AppendSoftDirtyVPNs and AppendFreshVPNs / AppendLostVPNs
+// (AppendResidentVPNs on the exact walk) into the same scratch buffers, under
+// either tracker. The
 // UFFD scan phase is charged honestly: per dirty
 // page for the log read, plus the mincore-style
 // kernel.CostModel.ResidentScanPerPage per resident page for the paged-in

@@ -313,15 +313,25 @@ func TestRestorePhaseBreakdownSumsToTotal(t *testing.T) {
 // Restore takes its scan's data from the address space's indexes but charges
 // what the scan costs the real system: under soft-dirty tracking, exactly
 // what reading the pagemap of every region through procfs would be charged —
-// on the fast path and, with a new mapping in the layout, on the exact walk.
+// on the logged path, with and without a new mapping in the layout, and on
+// the exact walk (the request's mremap moved a mapping).
 func TestRestoreScanChargeIsThePagemapRead(t *testing.T) {
 	_, p, m := newManagedProcess(t, 1, 32, DefaultOptions())
-	for _, churn := range []bool{false, true} {
+	for _, c := range []struct {
+		name         string
+		churn, exact bool
+	}{{"steady", false, false}, {"churn", true, false}, {"churn, exact walk", true, true}} {
 		p.AS.WriteWord(p.AS.HeapBase()+3*mem.PageSize, 9)
-		if churn {
+		if c.churn {
 			if _, err := p.AS.Mmap(100*mem.PageSize, vm.ProtRW, vm.KindAnon, "scratch"); err != nil {
 				t.Fatal(err)
 			}
+		}
+		if c.exact {
+			ScratchCycle(t, p.AS, true)
+		}
+		if logged := p.AS.DirtyLogArmed() && p.AS.FreshLogArmed(); logged == c.exact {
+			t.Fatalf("%s: logs armed=%v going into the restore", c.name, logged)
 		}
 		read := sim.NewMeter()
 		for _, v := range p.AS.VMAs() {
@@ -332,7 +342,7 @@ func TestRestoreScanChargeIsThePagemapRead(t *testing.T) {
 			t.Fatal(err)
 		}
 		if got := st.PhaseDurations.Of(PhaseScanPages); got != read.Total() || got == 0 {
-			t.Fatalf("churn=%v: scan phase charged %v, reading every region's pagemap costs %v", churn, got, read.Total())
+			t.Fatalf("%s: scan phase charged %v, reading every region's pagemap costs %v", c.name, got, read.Total())
 		}
 	}
 }

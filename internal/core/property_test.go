@@ -1,6 +1,8 @@
 package core
 
 import (
+	"slices"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -34,13 +36,15 @@ func wordOff(b uint16) vm.Addr {
 // into the snapshot mapping), stack writes, register tampering, mmap/munmap,
 // brk movement, madvise, mprotect, demand-faulting reads of the stack and the
 // heap (one page or batched), mremap growth and moves (of request mappings
-// and of the six-page snapshot mapping at snapMap), and forked children that
-// write. It returns the children still alive: they share the parent's
-// frames, so a restore under them has to break copy-on-write inside its
-// pokes.
+// and of the six-page snapshot mapping at snapMap), munmaps that bite into
+// the snapshot mapping and file mappings placed over the range it left, and
+// forked children that write. It returns the children still alive: they share
+// the parent's frames, so a restore under them has to break copy-on-write
+// inside its pokes.
 func applyMutations(p *kernel.Process, snapMap vm.Addr, muts []mutation) (children []*vm.AddressSpace) {
 	as := p.AS
 	heap := as.HeapBase()
+	snapRange := snapMap // where the snapshot recorded the mapping, wherever it moves
 	heapPage := func(a uint16) (vm.Addr, bool) {
 		brk, _ := as.Brk(0)
 		if brk <= heap {
@@ -62,7 +66,7 @@ func applyMutations(p *kernel.Process, snapMap vm.Addr, muts []mutation) (childr
 	}
 	var mapped []vm.Addr
 	for _, mu := range muts {
-		switch mu.Op % 15 {
+		switch mu.Op % numMutationOps {
 		case 0: // heap write
 			if page, ok := heapPage(mu.A); ok {
 				write(as, page+wordOff(mu.B), mu.V)
@@ -143,15 +147,86 @@ func applyMutations(p *kernel.Process, snapMap vm.Addr, muts []mutation) (childr
 				}
 			}
 			as.TouchPages(append(vpns, (vm.StackTop - vm.Addr(mu.A%1000+1)*mem.PageSize).PageNum()))
+		case 15: // unmap part of the snapshot mapping, wherever it is now
+			_ = as.Munmap(snapMap+vm.Addr(mu.A%6)*mem.PageSize, (int(mu.B%3)+1)*mem.PageSize)
+		case 16: // another region over part of the snapshot mapping's range, if free; read or written
+			a := snapRange + vm.Addr(mu.A%6)*mem.PageSize
+			if as.MmapFixed(a, (int(mu.B%2)+1)*mem.PageSize, vm.ProtRW, vm.KindFile, "req") == nil {
+				if mu.V%2 == 0 {
+					as.TouchPage(a.PageNum())
+				} else {
+					as.WriteWord(a+wordOff(mu.B), mu.V)
+				}
+			}
 		}
 	}
 	return children
 }
 
+// numMutationOps is the number of request steps applyMutations knows;
+// mremapOp is the one that can move a mapping and so disarm the epoch logs.
+const (
+	numMutationOps = 17
+	mremapOp       = 11
+)
+
+// ScratchCycle is the tail of a request whose scratch memory comes and goes: a
+// one-page mapping, boxed in from above by another, is written, grown and
+// unmapped again with its box, which leaves the layout as it was and one
+// dropped page behind. With move the growth is an mremap to two pages, which
+// has to move the mapping — onto the two pages below it — and so disarms the
+// address space's three logs: the restore that follows takes the exact walk.
+// Without, those two pages are mapped beside it and the logs stay armed.
+// Either way four pages of the mmap area are used up, so twin processes that
+// differ only in move place their next mapping at the same address.
+func ScratchCycle(t testing.TB, as *vm.AddressSpace, move bool) {
+	t.Helper()
+	if _, err := as.Mmap(mem.PageSize, vm.ProtRW, vm.KindAnon, "scratch-box"); err != nil {
+		t.Fatal(err)
+	}
+	scratch, err := as.Mmap(mem.PageSize, vm.ProtRW, vm.KindAnon, "scratch")
+	if err != nil {
+		t.Fatal(err)
+	}
+	as.WriteWord(scratch, 1)
+	if move {
+		_, err = as.Mremap(scratch, mem.PageSize, 2*mem.PageSize)
+	} else {
+		_, err = as.Mmap(2*mem.PageSize, vm.ProtRW, vm.KindAnon, "scratch")
+	}
+	if err == nil {
+		err = as.Munmap(scratch-2*mem.PageSize, 4*mem.PageSize)
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+	if move && (as.DirtyLogArmed() || as.FreshLogArmed()) {
+		t.Fatal("the boxed-in mremap did not move the mapping: the logs are still armed")
+	}
+}
+
+// SameRestore reports whether a restore on the logged path and one on the
+// exact walk charged and counted the same, field for field. One charge is
+// meant to differ, and is left out under UFFD tracking: the scan phase, which
+// a handler that still has its dirty log pays per dirty and per resident
+// page, and one that lost it (the move that forces the walk disarms that log
+// too) at pagemap prices per mapped page.
+func SameRestore(tracker TrackerKind, logged, exact RestoreStats) bool {
+	if tracker == TrackUffd {
+		for _, st := range []*RestoreStats{&logged, &exact} {
+			st.Total -= st.PhaseDurations.Of(PhaseScanPages)
+			st.PhaseDurations[slices.Index(Phases[:], PhaseScanPages)] = 0
+		}
+	}
+	return logged == exact
+}
+
 // snapshotFixture spawns the process the restore properties run against and
-// snapshots it: 32 heap pages with content at both ends and in the middle of
-// every page, and a six-page anonymous mapping (four pages written, two
-// never touched) boxed in from above so that growing it moves it.
+// snapshots it: 32 heap pages, all but the last with content at both ends and
+// in the middle of the page, and a six-page anonymous mapping (four pages
+// written, one never touched) boxed in from above so that growing it moves
+// it. The last heap page and the mapping's fifth were only read: resident and
+// recorded, zero in the snapshot.
 func snapshotFixture(t testing.TB, opts Options) (*kernel.Kernel, *Manager, vm.Addr) {
 	t.Helper()
 	k := kernel.New(kernel.Default())
@@ -164,12 +239,13 @@ func snapshotFixture(t testing.TB, opts Options) (*kernel.Kernel, *Manager, vm.A
 	if _, err := as.Brk(heap + 32*mem.PageSize); err != nil {
 		t.Fatal(err)
 	}
-	for i := 0; i < 32; i++ {
+	for i := 0; i < 31; i++ {
 		page := heap + vm.Addr(i*mem.PageSize)
 		as.WriteWord(page, 0xBEEF0000+uint64(i))
 		as.WriteWord(page+2048, 0xFEED0000+uint64(i))
 		as.WriteWord(page+mem.PageSize-mem.WordSize, 0xCAFE0000+uint64(i))
 	}
+	as.TouchPage(heap.PageNum() + 31)
 	if _, err := as.Mmap(mem.PageSize, vm.ProtRW, vm.KindFile, "box"); err != nil {
 		t.Fatal(err)
 	}
@@ -180,6 +256,7 @@ func snapshotFixture(t testing.TB, opts Options) (*kernel.Kernel, *Manager, vm.A
 	for i := 0; i < 4; i++ {
 		as.WriteWord(snapMap+vm.Addr(i*mem.PageSize)+64, 0xD00D0000+uint64(i))
 	}
+	as.TouchPage(snapMap.PageNum() + 4)
 	m, err := NewManager(k, p, opts)
 	if err != nil {
 		t.Fatal(err)
@@ -347,6 +424,203 @@ func TestRestoreRefillsPagesDroppedThenRead(t *testing.T) {
 						t.Fatal(err)
 					}
 				})
+			}
+		}
+	}
+}
+
+// Property: the logged path and the exact walk are one restore. Twin managers
+// on twin processes play the same random requests — every step applyMutations
+// knows but the mremap, which would disarm both — and the exact twin ends each
+// request with a boxed-in mremap that moves a scratch mapping, so its logs do
+// not cover the epoch and its restore walks the page table. Every restore must
+// report the same RestoreStats on both (page counts, Total and each phase; see
+// SameRestore for the one UFFD charge that is meant to differ) and both must
+// verify clean, over five consecutive requests, trackers × stores.
+func TestLoggedAndExactRestoreAgreeOnRandomRequests(t *testing.T) {
+	for _, tracker := range []TrackerKind{TrackSoftDirty, TrackUffd} {
+		for _, store := range []StoreKind{StoreCopy, StoreCoW} {
+			opts := Options{Tracker: tracker, Coalesce: true, Store: store}
+			t.Run(tracker.String()+"/"+store.String(), func(t *testing.T) {
+				f := func(requests [5][]mutation) bool {
+					var twins [2]*Manager // logged, exact
+					var snapMap vm.Addr
+					for i := range twins {
+						_, twins[i], snapMap = snapshotFixture(t, opts)
+					}
+					for r, muts := range requests {
+						for j := range muts {
+							if muts[j].Op%numMutationOps == mremapOp {
+								muts[j].Op++
+							}
+						}
+						var stats [2]RestoreStats
+						for i, m := range twins {
+							as := m.Process().AS
+							children := applyMutations(m.Process(), snapMap, muts)
+							ScratchCycle(t, as, i == 1)
+							if !as.FreshLogArmed() && i == 0 {
+								t.Logf("request %d: the logged twin's fresh log is disarmed", r)
+								return false
+							}
+							var err error
+							if stats[i], err = m.Restore(); err == nil {
+								err = m.Verify()
+							}
+							for _, c := range children {
+								c.Release()
+							}
+							if err != nil {
+								t.Logf("request %d, twin %d: %v", r, i, err)
+								return false
+							}
+						}
+						if !SameRestore(tracker, stats[0], stats[1]) {
+							t.Logf("request %d: logged path reports\n%+v\nexact walk reports\n%+v", r, stats[0], stats[1])
+							return false
+						}
+					}
+					return true
+				}
+				if err := quick.Check(f, nil); err != nil {
+					t.Fatal(err)
+				}
+			})
+		}
+	}
+}
+
+// TestRestoreAfterDrops names every route by which a snapshot page loses the
+// frame the snapshot saw — dropped and left alone, read back in, written, gone
+// with its region, under another region — for a page with content and for one
+// that was zero in the snapshot. None of them disarms a log: each
+// restore runs on the logged path, must leave the process byte-identical to
+// the snapshot, and must copy, drop and inject exactly what the exact walk
+// does for the same request (a twin forced onto it by ScratchCycle's move).
+// A plain request afterwards restores on the logged path again.
+func TestRestoreAfterDrops(t *testing.T) {
+	type target struct {
+		page, snapMap vm.Addr
+	}
+	must := func(t *testing.T, err error) {
+		t.Helper()
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	routes := []struct {
+		name      string
+		inMapping bool // the page is the snapshot mapping's, not the heap's
+		drop      func(t *testing.T, as *vm.AddressSpace, at target)
+	}{
+		{"madvised", false, func(t *testing.T, as *vm.AddressSpace, at target) {
+			must(t, as.Madvise(at.page, mem.PageSize))
+		}},
+		{"madvised then read", false, func(t *testing.T, as *vm.AddressSpace, at target) {
+			must(t, as.Madvise(at.page, mem.PageSize))
+			as.TouchPage(at.page.PageNum())
+		}},
+		{"madvised then written", false, func(t *testing.T, as *vm.AddressSpace, at target) {
+			must(t, as.Madvise(at.page, mem.PageSize))
+			as.WriteWord(at.page+64, 0xBAD)
+		}},
+		{"region munmapped", true, func(t *testing.T, as *vm.AddressSpace, at target) {
+			must(t, as.Munmap(at.snapMap, 6*mem.PageSize))
+		}},
+		{"region munmapped and another mapped over it", true, func(t *testing.T, as *vm.AddressSpace, at target) {
+			must(t, as.Munmap(at.snapMap, 6*mem.PageSize))
+			must(t, as.MmapFixed(at.snapMap, 6*mem.PageSize, vm.ProtRW, vm.KindFile, "req"))
+			as.TouchPage(at.page.PageNum())
+			as.TouchPage(at.snapMap.PageNum() + 5) // never resident before: only the restorer's munmap drops it
+		}},
+		{"above a brk shrink", false, func(t *testing.T, as *vm.AddressSpace, at target) {
+			_, err := as.Brk(as.HeapBase() + 30*mem.PageSize)
+			must(t, err)
+		}},
+		// The two that leave the layout as the snapshot recorded it, so the
+		// restore has no diff to sweep and nothing but the log to go by.
+		{"region munmapped and mapped back", true, func(t *testing.T, as *vm.AddressSpace, at target) {
+			must(t, as.Munmap(at.snapMap, 6*mem.PageSize))
+			must(t, as.MmapFixed(at.snapMap, 6*mem.PageSize, vm.ProtRW, vm.KindAnon, ""))
+		}},
+		{"above a brk shrink, grown back and read", false, func(t *testing.T, as *vm.AddressSpace, at target) {
+			for _, pages := range []int{30, 32} {
+				_, err := as.Brk(as.HeapBase() + vm.Addr(pages*mem.PageSize))
+				must(t, err)
+			}
+			as.TouchPage(at.page.PageNum())
+		}},
+	}
+	for _, route := range routes {
+		for _, zero := range []bool{false, true} {
+			for _, tracker := range []TrackerKind{TrackSoftDirty, TrackUffd} {
+				for _, store := range []StoreKind{StoreCopy, StoreCoW} {
+					name := route.name + "/content/"
+					if zero {
+						name = route.name + "/zero/"
+					}
+					t.Run(name+tracker.String()+"/"+store.String(), func(t *testing.T) {
+						var stats [2]RestoreStats // logged, exact
+						for i := range stats {
+							_, m, snapMap := snapshotFixture(t, Options{Tracker: tracker, Coalesce: true, Store: store})
+							as := m.Process().AS
+							// The fixture's last heap page and the mapping's
+							// fifth are the zero ones; their lower neighbours
+							// have content.
+							at := target{page: as.HeapBase() + 30*mem.PageSize, snapMap: snapMap}
+							if route.inMapping {
+								at.page = snapMap + 3*mem.PageSize
+							}
+							if zero {
+								at.page += mem.PageSize
+							}
+							if !m.snap.store.has(at.page.PageNum()) || m.snap.store.zeroAt(m.snap.store.index(at.page.PageNum()), m.kern.Phys) != zero {
+								t.Fatalf("fixture: page %v is not a recorded page with zero=%v", at.page, zero)
+							}
+							route.drop(t, as, at)
+							if i == 1 {
+								ScratchCycle(t, as, true)
+							}
+							if armed := as.DirtyLogArmed() && as.FreshLogArmed(); armed != (i == 0) {
+								t.Fatalf("twin %d goes into its restore with logs armed=%v", i, armed)
+							}
+							var err error
+							if stats[i], err = m.Restore(); err != nil {
+								t.Fatal(err)
+							}
+							must(t, m.Verify())
+							// plan reads the lost log after applyLayout. No store
+							// page can show the order today — a region is only
+							// replaced after a munmap that drops (and logs) its
+							// pages — so it is held where it does show: a page
+							// first faulted in under the impostor is dropped by
+							// the restorer's munmap alone.
+							if under := snapMap.PageNum() + 5; i == 0 && strings.HasSuffix(route.name, "mapped over it") && !slices.Contains(m.scratch.lost, under) {
+								t.Fatalf("plan read the lost log %x before applyLayout unmapped the impostor over page %x", m.scratch.lost, under)
+							}
+
+							as.WriteWord(as.HeapBase()+3*mem.PageSize+8, 0xBAD)
+							if !as.DirtyLogArmed() || !as.FreshLogArmed() {
+								t.Fatal("the restore left a log disarmed: the next request is off the logged path")
+							}
+							st, err := m.Restore()
+							must(t, err)
+							must(t, m.Verify())
+							if st.RestoredPages != 1 || st.DroppedPages != 0 || st.LayoutOps != 0 {
+								t.Fatalf("a one-word request after it restored %d, dropped %d pages in %d layout ops, want 1, 0, 0",
+									st.RestoredPages, st.DroppedPages, st.LayoutOps)
+							}
+						}
+						l, e := stats[0], stats[1]
+						if l.RestoredPages != e.RestoredPages || l.DroppedPages != e.DroppedPages || l.LayoutOps != e.LayoutOps {
+							t.Fatalf("logged path restored %d, dropped %d pages in %d layout ops; the exact walk %d, %d, %d",
+								l.RestoredPages, l.DroppedPages, l.LayoutOps, e.RestoredPages, e.DroppedPages, e.LayoutOps)
+						}
+						if !SameRestore(tracker, l, e) {
+							t.Fatalf("logged path reports\n%+v\nexact walk reports\n%+v", l, e)
+						}
+					})
+				}
 			}
 		}
 	}

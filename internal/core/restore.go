@@ -145,7 +145,8 @@ type restoreScratch struct {
 	layout  []vm.VMA          // current memory map
 	pm      []vm.PagemapEntry // TakeSnapshot: one VMA's pagemap entries at a time
 	dirty   []uint64          // sorted soft-dirty VPNs
-	present []uint64          // sorted resident VPNs (fast path: the fresh log's only)
+	present []uint64          // sorted resident VPNs (logged path: the fresh log's only)
+	lost    []uint64          // logged path: sorted VPNs dropped this epoch, the restorer's munmaps included
 	fresh   []uint64          // resident, not in snapshot, inside surviving regions
 	restore []int             // store indices whose contents must be copied back
 	runs    []vpnRun          // coalesced madvise runs
@@ -195,31 +196,28 @@ func (m *Manager) Restore() (RestoreStats, error) {
 	meter.BeginPhase(PhaseReadMaps)
 	sc.layout = m.fs.MapsRegions(m.proc, meter, sc.layout[:0])
 
-	// Steady-state fast path: if the request left the layout (and brk)
-	// exactly as the snapshot recorded it and both incremental logs cover
-	// the epoch, everything the remaining phases need is already known —
-	// the diff is empty, the dirty set is in the dirty log, and the only
-	// resident pages that can lie outside the snapshot store are the ones
-	// the fresh log recorded coming in. The fast path exploits that to run
-	// O(dirty + fresh) instead of O(resident), while charging the exact
-	// virtual costs of the scans it skips: the simulated kernel still reads
-	// the pagemap; only the simulator stops re-deriving what it knows.
-	// Layout churn (python/node mmap cycles), mremap moves, and tracking
-	// switches all disarm the gate and fall back to the exact walk.
-	//
-	// A disarmed fresh log also means the request may have dropped resident
-	// pages (vm.DropPage disarms it), which is what plan needs to know; the
-	// restorer's own drops come later and do not count.
-	dropped := !as.FreshLogArmed()
-	fast := as.DirtyLogArmed() && !dropped &&
-		as.BrkValue() == m.snap.brk && slices.Equal(sc.layout, m.snap.layout)
+	// Logged path: while both incremental logs cover the epoch, everything
+	// the remaining phases need is already known — the dirty set is in the
+	// dirty log, the only resident pages that can lie outside the snapshot
+	// store are the ones the fresh log recorded coming in, and the only store
+	// pages off the frame the snapshot saw are the dirty ones and the ones the
+	// lost log recorded going out. Restore then runs O(dirty + fresh + lost)
+	// instead of O(resident), whatever the request did to the layout (Python
+	// and Node map and unmap scratch regions in every request), while
+	// charging the exact virtual costs of the scans it skips: the simulated
+	// kernel still reads the pagemap; only the simulator stops re-deriving
+	// what it knows. What disarms a log — an mremap move, a tracking switch —
+	// falls back to the exact walk. Whether the layout (and brk) ended the
+	// request as the snapshot recorded it only decides if the diff sweeps.
+	logged := as.DirtyLogArmed() && as.FreshLogArmed()
+	same := as.BrkValue() == m.snap.brk && slices.Equal(sc.layout, m.snap.layout)
 
-	mapped := m.scan(fast)
-	diff := m.diffLayout(fast)
+	mapped := m.scan(logged)
+	diff := m.diffLayout(same)
 	if err := m.applyLayout(diff); err != nil {
 		return RestoreStats{}, err
 	}
-	m.plan(fast, dropped)
+	m.plan(logged)
 	if err := m.applyContent(); err != nil {
 		return RestoreStats{}, err
 	}
@@ -245,7 +243,7 @@ func (m *Manager) Restore() (RestoreStats, error) {
 // scan reads the page metadata into sc.dirty and sc.present and returns the
 // number of mapped pages. The data comes from the address space's own index
 // — the dirty set from the dirty log (or the PTE-bit walk when it is
-// disarmed), the resident set from the page table, or on the fast path just
+// disarmed), the resident set from the page table, or on the logged path just
 // the epoch's fresh pages: the previous restore dropped every resident page
 // outside the store, so those are the only ones plan can need. The charge is
 // what the real scan costs. Soft-dirty tracking reads the pagemap one mapped
@@ -256,12 +254,11 @@ func (m *Manager) Restore() (RestoreStats, error) {
 // (an mremap move relocated PTEs, or tracking was switched): then the dirty
 // set came from a fallback page-table walk, priced like the full pagemap scan
 // it stands in for (which also covers the resident check).
-func (m *Manager) scan(fast bool) int {
+func (m *Manager) scan(logged bool) int {
 	sc, as, cost := &m.scratch, m.proc.AS, &m.kern.Cost
 	sc.meter.BeginPhase(PhaseScanPages)
-	logged := as.DirtyLogArmed()
 	sc.dirty = as.AppendSoftDirtyVPNs(sc.dirty[:0])
-	if fast {
+	if logged {
 		sc.present = as.AppendFreshVPNs(sc.present[:0])
 	} else {
 		sc.present = as.AppendResidentVPNs(sc.present[:0])
@@ -270,7 +267,7 @@ func (m *Manager) scan(fast bool) int {
 	switch {
 	case m.opts.Tracker != TrackUffd:
 		sim.ChargeTo(sc.meter, cost.PagemapRangeBase*sim.Duration(len(sc.layout))+cost.PagemapPerPage*sim.Duration(mapped))
-	case logged:
+	case as.DirtyLogArmed():
 		sim.ChargeTo(sc.meter, cost.PagemapPerPage*sim.Duration(len(sc.dirty))+cost.ResidentScanPerPage*sim.Duration(as.ResidentPages()))
 	default:
 		sim.ChargeTo(sc.meter, cost.PagemapPerPage*sim.Duration(mapped))
@@ -278,14 +275,14 @@ func (m *Manager) scan(fast bool) int {
 	return mapped
 }
 
-// diffLayout diffs the current layout against the snapshot's. On the fast
-// path the gate already proved the layouts (and brk) identical, so the diff
-// is empty by construction; the simulated diff work is charged all the same.
-func (m *Manager) diffLayout(fast bool) layoutDiff {
+// diffLayout diffs the current layout against the snapshot's. When the
+// caller already found the layouts (and brk) identical the diff is empty by
+// construction; the simulated diff work is charged all the same.
+func (m *Manager) diffLayout(same bool) layoutDiff {
 	sc := &m.scratch
 	sc.meter.BeginPhase(PhaseDiff)
 	var d layoutDiff
-	if !fast {
+	if !same {
 		d = sc.diff.diff(sc.layout, m.snap.layout)
 		d.brkDelta = m.proc.AS.BrkValue() != m.snap.brk
 	}
@@ -324,10 +321,22 @@ func (m *Manager) applyLayout(d layoutDiff) error {
 }
 
 // seek advances cursor i over the sorted vpns to the first entry not below
-// vpn and reports whether that entry is vpn.
+// vpn and reports whether that entry is vpn. It gallops — probes at distance
+// 0, 1, 3, 7, … from the cursor, then a binary search between the last probe
+// below vpn and the first not below — so a neighbouring page costs what a
+// single step would and a short list merged against the whole store index
+// its own length times a logarithm.
 func seek(vpns []uint64, i int, vpn uint64) (int, bool) {
-	for i < len(vpns) && vpns[i] < vpn {
-		i++
+	probe, step := i, 1
+	for probe < len(vpns) && vpns[probe] < vpn {
+		i, probe, step = probe+1, probe+step, step<<1
+	}
+	for hi := min(probe, len(vpns)); i < hi; {
+		if mid := int(uint(i+hi) >> 1); vpns[mid] < vpn {
+			i = mid + 1
+		} else {
+			hi = mid
+		}
 	}
 	return i, i < len(vpns) && vpns[i] == vpn
 }
@@ -346,20 +355,31 @@ func seek(vpns []uint64, i int, vpn uint64) (int, bool) {
 //
 // The dirty list, the resident list and the store's VPN index are all
 // sorted, so the exact walk is one linear three-way merge over the store.
-func (m *Manager) plan(fast, dropped bool) {
+func (m *Manager) plan(logged bool) {
 	sc, st := &m.scratch, &m.snap.store
 	sc.fresh, sc.restore = sc.fresh[:0], sc.restore[:0]
-	if fast {
-		// In a fast epoch the restore set is exactly the dirty store pages
-		// and sc.present holds only the epoch's fresh pages. The walk's
-		// other clause — non-resident pages with real content — is empty: the
-		// previous restore re-poked every such page (leaving non-resident
-		// store pages zero-in-snapshot only), and a request that drops a
-		// resident page disarms the gate. So the merges run over the two
-		// short lists, never the store.
-		si, hit := 0, false
-		for _, vpn := range sc.dirty {
-			if si, hit = seek(st.vpns, si, vpn); hit {
+	if logged {
+		// The logs say what the walk would find. A store page is off the
+		// frame the snapshot saw only if it was written (dirty log) or
+		// dropped (lost log, read here, after applyLayout, so that the
+		// restorer's own munmaps are in it) — the previous restore left
+		// every other store page with content resident on it — and
+		// sc.present holds only the epoch's fresh pages. So the merges run
+		// over the short lists, dirty ∪ lost in page order, never the store.
+		sc.lost = m.proc.AS.AppendLostVPNs(sc.lost[:0])
+		di, li, si, hit := 0, 0, 0, false
+		for di < len(sc.dirty) || li < len(sc.lost) {
+			isDirty := li == len(sc.lost) || di < len(sc.dirty) && sc.dirty[di] <= sc.lost[li]
+			vpn := uint64(0)
+			if isDirty {
+				vpn, di = sc.dirty[di], di+1
+			} else {
+				vpn = sc.lost[li]
+			}
+			if li < len(sc.lost) && sc.lost[li] == vpn {
+				li++
+			}
+			if si, hit = seek(st.vpns, si, vpn); hit && (isDirty || !st.zeroAt(si, m.kern.Phys)) {
 				sc.restore = append(sc.restore, si)
 			}
 		}
@@ -386,14 +406,12 @@ func (m *Manager) plan(fast, dropped bool) {
 		switch {
 		case isDirty:
 			sc.restore = append(sc.restore, i)
-		case resident && !(dropped && lostFrame(as, vpn)):
+		case resident && !lostFrame(as, vpn):
 			// Clean and still on the snapshot's frame. A page the scan found
-			// resident may have lost it, but only if the request dropped
-			// pages: a read can have faulted a zero frame back in, or the
-			// page sat in a region applyLayout just removed. Then, and only
-			// then, the page table is asked; otherwise the scan is
-			// authoritative (the injected syscalls drop nothing else inside
-			// the store).
+			// resident may have lost it: a read can have faulted a zero frame
+			// back in after a drop, or the page sat in a region applyLayout
+			// just removed. The walk has no log to say which, so the page
+			// table is asked for every such page.
 		case !st.zeroAt(i, phys):
 			sc.restore = append(sc.restore, i)
 		}

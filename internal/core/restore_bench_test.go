@@ -1,12 +1,14 @@
 package core_test
 
 import (
+	"runtime"
 	"testing"
 
 	"groundhog/internal/benchscenario"
 	"groundhog/internal/core"
 	"groundhog/internal/kernel"
 	"groundhog/internal/mem"
+	"groundhog/internal/sim"
 	"groundhog/internal/vm"
 )
 
@@ -85,37 +87,61 @@ func TestRestoreSteadyStateZeroAllocsLargeSpace(t *testing.T) {
 	}
 }
 
-// TestRestoreSlowPathZeroAllocs is the slow-path twin of the guards above: the
-// request also maps a scratch region, writes it and leaves it mapped — what a
-// Python or Node request's allocator churn does — so the restore diffs the
-// layouts, injects a munmap (vm.carve on the region list, page-table chunk
-// dropped and respared) and takes the exact walk. Once the scratch buffers
-// have their sizes that allocates nothing either.
-func TestRestoreSlowPathZeroAllocs(t *testing.T) {
+// TestRestoreLeftoverMappingZeroAllocs is the guards' twin for a request that
+// leaves a scratch mapping behind — what a Python or Node request's allocator
+// churn does: it maps a region, writes it and returns, so the restore diffs
+// the layouts and injects a munmap (vm.carve on the region list, page-table
+// chunk dropped and respared, the drop logged) on the logged path. Once the
+// scratch buffers have their sizes that allocates nothing either.
+func TestRestoreLeftoverMappingZeroAllocs(t *testing.T) { leftoverMappingZeroAllocs(t, false) }
+
+// TestRestoreExactWalkZeroAllocs is the same request ending in ScratchCycle's
+// mremap move, which disarms the logs: the same restore over the exact walk,
+// the fallback no benchmark workload takes. The request's own mremap
+// allocates (the failed in-place attempt formats an error), so the mallocs
+// are counted across Restore alone.
+func TestRestoreExactWalkZeroAllocs(t *testing.T) { leftoverMappingZeroAllocs(t, true) }
+
+func leftoverMappingZeroAllocs(t *testing.T, exact bool) {
 	p, m, request, err := benchscenario.SteadyState(kernel.Default(), 256, 64, core.DefaultOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	var layoutOps int
-	cycle := func() {
+	cycle := func() (mallocs uint64) {
 		request()
 		scratch, err := p.AS.Mmap(4*mem.PageSize, vm.ProtRW, vm.KindAnon, "")
 		if err != nil {
 			t.Fatal(err)
 		}
 		p.AS.WriteWord(scratch+mem.PageSize, 1)
+		if exact {
+			core.ScratchCycle(t, p.AS, true)
+		}
+		if logged := p.AS.DirtyLogArmed() && p.AS.FreshLogArmed(); logged == exact {
+			t.Fatalf("logs armed=%v going into the restore; the test is not on the path it names", logged)
+		}
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
 		st, err := m.Restore()
+		runtime.ReadMemStats(&after)
 		if err != nil {
 			t.Fatal(err)
 		}
 		layoutOps = st.LayoutOps
+		return after.Mallocs - before.Mallocs
 	}
 	cycle()
-	if allocs := testing.AllocsPerRun(50, cycle); allocs != 0 {
-		t.Fatalf("slow-path restore allocates: %.1f allocs/op, want 0", allocs)
+	var mallocs uint64
+	for i := 0; i < 50; i++ {
+		mallocs += cycle()
+	}
+	if mallocs != 0 {
+		t.Fatalf("restore of a leftover mapping (exact walk: %v) allocated %d times in 50 restores, want 0", exact, mallocs)
 	}
 	if layoutOps == 0 {
-		t.Fatal("the restore reversed no layout change; the test is not on the slow path")
+		t.Fatal("the restore reversed no layout change")
 	}
 	if err := m.Verify(); err != nil {
 		t.Fatal(err)
@@ -125,13 +151,17 @@ func TestRestoreSlowPathZeroAllocs(t *testing.T) {
 // TestFastAndSlowRestoreAgree runs one request sequence down both restore
 // paths and requires the same answer from each. Twin managers serve the
 // steady-state scenario, each request also writing a stack page the snapshot
-// never saw (so the madvise set is not empty); the slow twin's request
-// additionally maps a scratch region, writes it and unmaps it again, which
-// leaves the layout as the snapshot recorded it but drops a page and so
-// disarms the fresh log: its restores take the exact walk. Every restore must
-// report the same RestoreStats — page counts, Total and each phase — on both
-// twins, and both must verify clean, under both trackers and both stores.
+// never saw (so the madvise set is not empty) and ending in a ScratchCycle — a
+// scratch mapping written, grown and unmapped, which leaves the layout as the
+// snapshot recorded it and a dropped page in the lost log. The slow twin's
+// growth is an mremap that has to move the mapping, which disarms the logs:
+// its restores take the exact walk. (A drop alone no longer does.) Every
+// restore must report the same RestoreStats — page counts, Total and each
+// phase — on both twins, and both must verify clean, under both trackers and
+// both stores. Under UFFD the scan phase is held to its two prices instead:
+// per dirty and resident page with the handler's log, per mapped page without.
 func TestFastAndSlowRestoreAgree(t *testing.T) {
+	cost := kernel.Default()
 	for _, tracker := range []core.TrackerKind{core.TrackSoftDirty, core.TrackUffd} {
 		for _, store := range []core.StoreKind{core.StoreCopy, core.StoreCoW} {
 			opts := core.Options{Tracker: tracker, Coalesce: true, Store: store}
@@ -143,29 +173,22 @@ func TestFastAndSlowRestoreAgree(t *testing.T) {
 			var fast, slow twin
 			for _, tw := range []*twin{&fast, &slow} {
 				var err error
-				if tw.p, tw.m, tw.request, err = benchscenario.SteadyState(kernel.Default(), 256, 64, opts); err != nil {
+				if tw.p, tw.m, tw.request, err = benchscenario.SteadyState(cost, 256, 64, opts); err != nil {
 					t.Fatal(err)
 				}
 			}
 			for cycle := 0; cycle < 4; cycle++ {
 				var stats [2]core.RestoreStats
+				var resident int
 				for i, tw := range []*twin{&fast, &slow} {
 					as := tw.p.AS
 					tw.request()
 					as.WriteWord(vm.StackTop-vm.Addr((64+cycle)*mem.PageSize), 7)
-					if tw == &slow {
-						scratch, err := as.Mmap(4*mem.PageSize, vm.ProtRW, vm.KindAnon, "")
-						if err != nil {
-							t.Fatal(err)
-						}
-						as.WriteWord(scratch+mem.PageSize, 1)
-						if err := as.Munmap(scratch, 4*mem.PageSize); err != nil {
-							t.Fatal(err)
-						}
+					core.ScratchCycle(t, as, tw == &slow)
+					if armed := as.DirtyLogArmed() && as.FreshLogArmed(); armed != (tw == &fast) {
+						t.Fatalf("%v/%v cycle %d: twin %d has its logs armed=%v", tracker, store, cycle, i, armed)
 					}
-					if armed := as.FreshLogArmed(); armed != (tw == &fast) {
-						t.Fatalf("%v/%v cycle %d: twin %d has its fresh log armed=%v", tracker, store, cycle, i, armed)
-					}
+					resident = as.ResidentPages()
 					var err error
 					if stats[i], err = tw.m.Restore(); err != nil {
 						t.Fatal(err)
@@ -174,8 +197,15 @@ func TestFastAndSlowRestoreAgree(t *testing.T) {
 						t.Fatalf("%v/%v cycle %d twin %d: %v", tracker, store, cycle, i, err)
 					}
 				}
-				if stats[0] != stats[1] {
-					t.Fatalf("%v/%v cycle %d: fast path reports\n%+v\nexact walk reports\n%+v", tracker, store, cycle, stats[0], stats[1])
+				if !core.SameRestore(tracker, stats[0], stats[1]) {
+					t.Fatalf("%v/%v cycle %d: logged path reports\n%+v\nexact walk reports\n%+v", tracker, store, cycle, stats[0], stats[1])
+				}
+				if tracker == core.TrackUffd {
+					withLog := cost.PagemapPerPage*sim.Duration(stats[0].DirtyPages) + cost.ResidentScanPerPage*sim.Duration(resident)
+					without := cost.PagemapPerPage * sim.Duration(stats[1].MappedPages)
+					if got := [2]sim.Duration{stats[0].PhaseDurations.Of(core.PhaseScanPages), stats[1].PhaseDurations.Of(core.PhaseScanPages)}; got != [2]sim.Duration{withLog, without} {
+						t.Fatalf("%v/%v cycle %d: UFFD scan charged %v, want %v with the dirty log and %v without", tracker, store, cycle, got, withLog, without)
+					}
 				}
 				if stats[0].RestoredPages != 64 || stats[0].DroppedPages != 1 {
 					t.Fatalf("%v/%v cycle %d: restored %d, dropped %d pages; the request dirties 64 and faults in 1",

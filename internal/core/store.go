@@ -58,12 +58,16 @@ func (s *stateStore) zeroAt(i int, phys *mem.PhysMem) bool {
 }
 
 // contentAt returns the recorded bytes of page i (nil = all-zero). For the
-// copy store this is a zero-copy view into the arena; for the CoW store it
-// materializes a copy, which is acceptable in its only callers (verification
-// and debugging).
-func (s *stateStore) contentAt(i int, phys *mem.PhysMem) []byte {
+// copy store this is a zero-copy view into the arena; for the CoW store the
+// frame is read into buf (at least a page long), so verification allocates
+// nothing per page.
+func (s *stateStore) contentAt(i int, phys *mem.PhysMem, buf []byte) []byte {
 	if s.frames != nil {
-		return phys.Snapshot(s.frames[i])
+		if s.zeroAt(i, phys) {
+			return nil
+		}
+		phys.ReadAt(s.frames[i], 0, buf[:mem.PageSize])
+		return buf[:mem.PageSize]
 	}
 	if s.off[i] < 0 {
 		return nil

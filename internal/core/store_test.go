@@ -1,7 +1,9 @@
 package core
 
 import (
+	"slices"
 	"testing"
+	"testing/quick"
 
 	"groundhog/internal/kernel"
 	"groundhog/internal/mem"
@@ -171,6 +173,30 @@ func TestArenaStoreRestoresUnmappedRegionContents(t *testing.T) {
 	}
 	checkAgainstRef(t, p.AS, ref)
 	if err := m.Verify(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestSeekMatchesLinearScan holds plan's galloping cursor to the one-step
+// cursor it replaced: from any position in any sorted list, the first entry
+// not below the page sought, and whether it is that page.
+func TestSeekMatchesLinearScan(t *testing.T) {
+	f := func(raw []uint16, from uint8, vpn uint16) bool {
+		vpns := make([]uint64, len(raw))
+		for i, v := range raw {
+			vpns[i] = uint64(v)
+		}
+		slices.Sort(vpns)
+		vpns = slices.Compact(vpns)
+		i := int(from) % (len(vpns) + 1)
+		want := i
+		for want < len(vpns) && vpns[want] < uint64(vpn) {
+			want++
+		}
+		got, hit := seek(vpns, i, uint64(vpn))
+		return got == want && hit == (want < len(vpns) && vpns[want] == uint64(vpn))
+	}
+	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 
+	"groundhog/internal/mem"
 	"groundhog/internal/vm"
 )
 
@@ -58,9 +59,13 @@ func (m *Manager) Verify() error {
 	// snapshot had no content there).
 	phys := as.Phys()
 	st := &m.snap.store
+	var buf, want [mem.PageSize]byte
 	for i, vpn := range st.vpns {
-		got := as.PeekPage(vpn)
-		if !pagesEqual(got, st.contentAt(i, phys)) {
+		var got []byte // nil: not resident, or all-zero
+		if zero, ok := as.PeekPageInto(vpn, buf[:]); ok && !zero {
+			got = buf[:]
+		}
+		if !pagesEqual(got, st.contentAt(i, phys, want[:])) {
 			return fmt.Errorf("core: verify: page %#x (%v) differs from snapshot",
 				vpn, vm.PageAddr(vpn))
 		}

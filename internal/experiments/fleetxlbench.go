@@ -19,7 +19,8 @@ import (
 // heads are dominated by functions far smaller than any of them, and at a
 // million requests the engine's scalability story is told by exactly this
 // class. LangC keeps the layout stable (no per-request mmap churn), so
-// these requests exercise the steady-state restore fast path end to end.
+// these requests exercise the steady-state restore (empty layout diff) end
+// to end.
 func microProfile(name string, totalPages, dirtyPages int, execMS float64) runtimes.Profile {
 	return runtimes.Profile{
 		Name:         name,
@@ -38,8 +39,8 @@ func microProfile(name string, totalPages, dirtyPages int, execMS float64) runti
 // write sets, the cheapest real restores). Tier 2 staggers diurnal peaks
 // across the window so the fleet's aggregate rate breathes instead of
 // holding a flat plateau. Tier 3 is the long tail: Python and Node
-// functions whose per-request layout churn forces the restore slow path
-// and whose low rates keep the reaper, scale-to-zero, and clone-eviction
+// functions whose per-request layout churn makes every restore diff and
+// reverse the layout and whose low rates keep the reaper, scale-to-zero, and clone-eviction
 // machinery busy without dominating volume. Rates are per-second of
 // simulated time; the window is sized so the sum comfortably clears a
 // million requests.

@@ -67,10 +67,11 @@ const frameOverhead = 512
 const flagRestored byte = 1 << 0
 
 // BinaryIdleTimeout is how long a binary connection may go without
-// delivering a complete frame before the gateway closes it — the binary
-// listener's counterpart of the HTTP server's IdleTimeout and
-// ReadHeaderTimeout (cmd/ghserve), so a silent peer, or one trickling a frame
-// a byte at a time, cannot hold a goroutine until shutdown.
+// delivering a complete frame, or without taking the reply to one, before the
+// gateway closes it — the binary listener's counterpart of the HTTP server's
+// IdleTimeout and ReadHeaderTimeout (cmd/ghserve), so a silent peer, one
+// trickling a frame a byte at a time, or one that sends frames and never
+// reads cannot hold a goroutine until shutdown.
 const BinaryIdleTimeout = 60 * time.Second
 
 // ServeBinary accepts connections on ln and serves the binary protocol on
@@ -97,9 +98,9 @@ func (g *Gateway) ServeBinary(ln net.Listener) error {
 }
 
 // ServeBinaryConn serves one binary-protocol connection until EOF, a
-// framing error, BinaryIdleTimeout without a complete frame, or gateway
-// Close. Exported so tests and in-process clients can drive the protocol over
-// net.Pipe without a listener.
+// framing error, BinaryIdleTimeout without a complete frame or with a reply
+// the peer will not read, or gateway Close. Exported so tests and in-process
+// clients can drive the protocol over net.Pipe without a listener.
 func (g *Gateway) ServeBinaryConn(conn net.Conn) error {
 	g.connMu.Lock()
 	if g.closed.Load() {
@@ -122,16 +123,18 @@ func (g *Gateway) ServeBinaryConn(conn net.Conn) error {
 	// into rbuf, builds the response in wbuf, and allocates nothing.
 	rbuf := make([]byte, 0, 4096)
 	wbuf := make([]byte, 0, 4096)
-	// The read deadline is armed only here, about to wait for a frame, and it
-	// covers the whole frame: header and body must arrive within idle of the
-	// arming. Setting a deadline moves a timer, so a busy connection re-arms
+	// The deadline is armed only here, about to wait for a frame, and it
+	// covers the whole exchange, reads and the write: header and body must
+	// arrive, and the reply be taken, within idle of the arming — a peer that
+	// stopped reading parks this goroutine in conn.Write until then, not for
+	// good. Setting a deadline moves a timer, so a busy connection re-arms
 	// every idle/60 (once a second) rather than per request — the hot loop
 	// pays one clock read — and an idle one is closed idle/60 early at most.
 	idle := g.binaryIdle
 	var armed time.Time
 	for {
 		if now := time.Now(); now.Sub(armed) >= idle/60 {
-			if err := conn.SetReadDeadline(now.Add(idle)); err != nil {
+			if err := conn.SetDeadline(now.Add(idle)); err != nil {
 				return err
 			}
 			armed = now

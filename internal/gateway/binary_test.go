@@ -319,9 +319,11 @@ func TestBinaryOverTCPAndClose(t *testing.T) {
 
 // TestBinaryIdleDeadline: a binary connection that stops delivering complete
 // frames is closed within the idle timeout — silent from the start, or
-// trickling a frame a byte at a time so every single read succeeds — while
-// one that keeps invoking for several timeouts on end is served throughout,
-// and closed in its turn once it falls silent. Over net.Pipe and over TCP
+// trickling a frame a byte at a time so every single read succeeds — and so
+// is one that keeps sending invokes and never reads a reply, which would
+// otherwise park its goroutine in conn.Write; while one that keeps invoking
+// for several timeouts on end is served throughout, and closed in its turn
+// once it falls silent. Over net.Pipe and over TCP
 // loopback: the two net.Conn deadline implementations the listener meets.
 func TestBinaryIdleDeadline(t *testing.T) {
 	const idle = 150 * time.Millisecond
@@ -389,6 +391,23 @@ func TestBinaryIdleDeadline(t *testing.T) {
 					}
 				}
 				closedWithin(t, c, time.Now())
+			})
+			t.Run("never reads", func(t *testing.T) {
+				c := dial(t, g)
+				id := resolveID(t, c, modeDefault, "get-time (p)")
+				// A reply echoes the body, so 64 KiB a frame fills a loopback
+				// socket's buffers within a few dozen invokes (a pipe has
+				// none): from then on the server waits in Write, not Read,
+				// and this side's writes stall behind it.
+				req := frame(opInvoke, invokePayload(id, "", make([]byte, 64<<10)))
+				for last := time.Now(); ; last = time.Now() {
+					c.SetWriteDeadline(last.Add(idle + 2*time.Second))
+					if _, err := c.Write(req); errors.Is(err, os.ErrDeadlineExceeded) {
+						t.Fatalf("connection not closed %v after the last frame it took", time.Since(last))
+					} else if err != nil {
+						return // closed by the server
+					}
+				}
 			})
 		})
 	}

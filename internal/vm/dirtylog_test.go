@@ -155,7 +155,9 @@ func TestAppendSoftDirtyVPNsFallsBackWithoutUffd(t *testing.T) {
 
 // TestDirtyLogSurvivesMremapMove: relocating PTEs (mremap's move path)
 // carries soft-dirty bits to page numbers the log never saw; the log must
-// disarm so reads fall back to the exact walk.
+// disarm so reads fall back to the exact walk — and the fresh and lost logs
+// with it: the move makes pages resident, and takes pages out of the table,
+// without a fault or a drop.
 func TestDirtyLogSurvivesMremapMove(t *testing.T) {
 	as, base := dirtyLogSpace(t, 2)
 	// A differently-named neighbor blocks in-place growth without merging.
@@ -176,6 +178,23 @@ func TestDirtyLogSurvivesMremapMove(t *testing.T) {
 	}
 	if ref := mapWalkSoftDirty(as); !slices.Equal(got, ref) {
 		t.Fatalf("log result %v diverges from page-table walk %v", got, ref)
+	}
+	if as.DirtyLogArmed() || as.FreshLogArmed() {
+		t.Fatalf("after the move: dirty log armed=%v, fresh log armed=%v, want neither", as.DirtyLogArmed(), as.FreshLogArmed())
+	}
+	for name, read := range map[string]func([]uint64) []uint64{"AppendFreshVPNs": as.AppendFreshVPNs, "AppendLostVPNs": as.AppendLostVPNs} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Fatalf("%s answered for an epoch its log does not cover", name)
+				}
+			}()
+			read(nil)
+		}()
+	}
+	as.ClearSoftDirty()
+	if !as.DirtyLogArmed() || !as.FreshLogArmed() || len(as.AppendLostVPNs(nil)) != 0 {
+		t.Fatal("ClearSoftDirty did not re-arm the three logs empty")
 	}
 }
 

@@ -2,6 +2,7 @@ package vm
 
 import (
 	"bytes"
+	"maps"
 	"slices"
 	"testing"
 	"testing/quick"
@@ -137,7 +138,8 @@ func TestExtentWholeOnEveryBirthPath(t *testing.T) {
 }
 
 // Both ClearSoftDirty paths — the logged one and the page-table walk — empty
-// every extent, however it came to be.
+// every extent, however it came to be. A drop does not decide which runs (it
+// is logged); an mremap move does, by disarming the logs.
 func TestExtentEmptiedByClearSoftDirty(t *testing.T) {
 	dirtyAll := func(as *AddressSpace, base uint64) *AddressSpace {
 		as.WriteWord(PageAddr(base)+64, 1) // written
@@ -162,11 +164,36 @@ func TestExtentEmptiedByClearSoftDirty(t *testing.T) {
 	t.Run("walk", func(t *testing.T) {
 		as, base := extentSpace(t, 4)
 		defer dirtyAll(as, base).Release()
-		if as.FreshLogArmed() {
-			t.Fatal("a drop left the fresh log armed; this case must take the walk")
+		// A differently-named neighbor blocks in-place growth, so the
+		// four pages move, extents and all, and the logs stop covering
+		// the epoch.
+		if err := as.MmapFixed(PageAddr(base+4), mem.PageSize, ProtRW, KindAnon, "blocker"); err != nil {
+			t.Fatal(err)
+		}
+		dst, err := as.Mremap(PageAddr(base), 4*mem.PageSize, 5*mem.PageSize)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if as.DirtyLogArmed() || as.FreshLogArmed() {
+			t.Fatal("an mremap move left a log armed; this case must take the walk")
+		}
+		as.ClearSoftDirty()
+		check(t, as, dst.PageNum())
+	})
+	t.Run("logged after a drop", func(t *testing.T) {
+		as, base := extentSpace(t, 4)
+		defer dirtyAll(as, base).Release()
+		if !as.DirtyLogArmed() || !as.FreshLogArmed() {
+			t.Fatal("a drop disarmed a log; this case must take the logged path")
+		}
+		if got := as.AppendLostVPNs(nil); !slices.Equal(got, []uint64{base + 1, base + 2}) {
+			t.Fatalf("lost log reads %x, want the two dropped pages", got)
 		}
 		as.ClearSoftDirty()
 		check(t, as, base)
+		if got := as.AppendLostVPNs(nil); len(got) != 0 {
+			t.Fatalf("lost log reads %x after the clear", got)
+		}
 	})
 	t.Run("logged", func(t *testing.T) {
 		as, base := extentSpace(t, 4)
@@ -229,7 +256,9 @@ type extentOp struct {
 // makes it equal to those contents in full. Checked after every step of a
 // random sequence of writes and reads (one page or a batched list), drops,
 // clears (logged and walking), forks, mremap growth and moves, under both
-// trackers.
+// trackers. Beside it, the three logs are held to plain models: the resident
+// list and the dirty log to the regions' pagemap entries, the lost log to a
+// map of the pages whose frame was released since the last clear.
 func TestExtentBoundsEveryWrittenByte(t *testing.T) {
 	const maxPages = 12
 	f := func(uffd bool, ops []extentOp) bool {
@@ -253,6 +282,9 @@ func TestExtentBoundsEveryWrittenByte(t *testing.T) {
 		// atClear[i] is page i's contents at the last clear; absent if the
 		// page was not resident then (or there has been no clear yet).
 		atClear := map[int][]byte{}
+		// lost holds the pages whose frame was released since the last
+		// clear, whatever became of them afterwards.
+		lost := map[uint64]bool{}
 		content := func(i int) []byte {
 			if b := as.PeekPage(start.PageNum() + uint64(i)); b != nil {
 				return b
@@ -305,6 +337,12 @@ func TestExtentBoundsEveryWrittenByte(t *testing.T) {
 				t.Logf("step %d: dirty log reads %x, PTE soft-dirty bits %x", step, got, dirty)
 				return false
 			}
+			if as.FreshLogArmed() {
+				if got, want := as.AppendLostVPNs(nil), slices.Sorted(maps.Keys(lost)); !slices.Equal(got, want) {
+					t.Logf("step %d: lost log reads %x, frames were released from %x", step, got, want)
+					return false
+				}
+			}
 			return true
 		}
 
@@ -316,11 +354,22 @@ func TestExtentBoundsEveryWrittenByte(t *testing.T) {
 				as.WriteWord(PageAddr(vpn)+Addr(op.Off%512*8), op.V)
 			case 3:
 				as.TouchPage(vpn)
-			case 4:
-				as.DropPage(vpn)
+			case 4: // drop: the page alone, or an madvise over it and its neighbour
+				n := uint64(1 + op.Off%2)
+				for v := vpn; v < vpn+n; v++ {
+					if _, ok := as.PTEAt(v); ok {
+						lost[v] = true
+					}
+				}
+				if n == 1 {
+					as.DropPage(vpn)
+				} else if err := as.Madvise(PageAddr(vpn), int(n)*mem.PageSize); err != nil {
+					return false
+				}
 			case 5: // new epoch
 				as.ClearSoftDirty()
 				clear(atClear)
+				clear(lost)
 				for j := 0; j < pages; j++ {
 					pte, ok := as.PTEAt(start.PageNum() + uint64(j))
 					if !ok {

@@ -221,9 +221,10 @@ func (as *AddressSpace) Mremap(start Addr, oldBytes, newBytes int) (Addr, error)
 	}
 	as.mmapNext = dst
 	// Relocating PTEs carries soft-dirty bits — and residency — to new page
-	// numbers the incremental logs cannot know about; disarm both so reads
-	// fall back to the exact page-table walk until ClearSoftDirty re-arms.
-	as.dirty.armed, as.fresh.armed = false, false
+	// numbers the incremental logs cannot know about, and takes them away
+	// from the old ones without a drop; disarm all three so reads fall back
+	// to the exact page-table walk until ClearSoftDirty re-arms.
+	as.dirty.armed, as.fresh.armed, as.lost.armed = false, false, false
 	for vpn := start.PageNum(); vpn < (start + Addr(oldSize)).PageNum(); vpn++ {
 		pte, ok := as.pages.delete(vpn)
 		if !ok {

@@ -119,19 +119,32 @@ type AddressSpace struct {
 	// from absent to resident (demand-zero faults, restore pokes, CoW frame
 	// mappings) is logged here, and so is a resident page a poke moves to a
 	// new frame (a CoW break) — between them, every entry born with a
-	// whole-page extent. The restore fast path reads it to find pages mapped
+	// whole-page extent. The restore's logged path reads it to find pages mapped
 	// in since the last epoch — the candidates for the madvise drop set —
 	// without walking the resident set it is charging for. Disarmed by the
-	// same PTE surgery as the dirty log, and by DropPage.
+	// same PTE surgery as the dirty log. A drop does not disarm it: the page
+	// leaves the table, appendLive filters it out, and lost records it.
 	fresh epochLog
+
+	// lost is the fresh log's opposite: every page whose frame DropPage
+	// released since the last ClearSoftDirty, whichever syscall dropped it
+	// (madvise, munmap, a brk shrink, the restorer's own injected munmap) and
+	// whatever happened to the page afterwards. Dropping a resident page
+	// diverges memory from the snapshot without marking anything dirty; the
+	// restorer reads this log, after it has put the layout back, to find the
+	// snapshot pages that lost the frame the snapshot saw. Armed and disarmed
+	// with fresh: the mremap move takes pages out of the table without
+	// dropping them.
+	lost epochLog
 }
 
 // epochLog is a set of page numbers accumulated since the last
 // ClearSoftDirty, which arms (and truncates) it. Entries are appended in
-// fault order, sorted lazily at read time, and validated against the page
-// table on the way out, so dropped pages and drop-then-refault duplicates
-// never leak into a result. A disarmed log does not cover its epoch and
-// records nothing.
+// event order and sorted lazily at read time; the dirty and fresh logs are
+// validated against the page table on the way out (appendLive), so dropped
+// pages and drop-then-refault duplicates never leak into a result, the lost
+// log is read as it is (appendAll). A disarmed log does not cover its epoch
+// and records nothing.
 type epochLog struct {
 	vpns   []uint64
 	sorted bool
@@ -153,13 +166,18 @@ func (l *epochLog) add(vpn uint64) {
 // arm empties the log and starts a new epoch.
 func (l *epochLog) arm() { l.vpns, l.sorted, l.armed = l.vpns[:0], true, true }
 
-// appendLive appends to dst, sorted and duplicate-free, the logged pages that
-// are still resident and, with dirtyOnly, still soft-dirty.
-func (l *epochLog) appendLive(dst []uint64, pt *pageTable, dirtyOnly bool) []uint64 {
+// sort puts the log in page order, once per run of out-of-order adds.
+func (l *epochLog) sort() {
 	if !l.sorted {
 		slices.Sort(l.vpns)
 		l.sorted = true
 	}
+}
+
+// appendLive appends to dst, sorted and duplicate-free, the logged pages that
+// are still resident and, with dirtyOnly, still soft-dirty.
+func (l *epochLog) appendLive(dst []uint64, pt *pageTable, dirtyOnly bool) []uint64 {
+	l.sort()
 	start := len(dst)
 	for _, vpn := range l.vpns {
 		if n := len(dst); n > start && dst[n-1] == vpn {
@@ -170,6 +188,17 @@ func (l *epochLog) appendLive(dst []uint64, pt *pageTable, dirtyOnly bool) []uin
 		}
 	}
 	return dst
+}
+
+// appendAll appends to dst, sorted and duplicate-free, every logged page,
+// resident or not. The log is a set, so it is compacted where it lies.
+func (l *epochLog) appendAll(dst []uint64) []uint64 {
+	if len(l.vpns) == 0 {
+		return dst // the common epoch: nothing was dropped
+	}
+	l.sort()
+	l.vpns = slices.Compact(l.vpns)
+	return append(dst, l.vpns...)
 }
 
 // New returns an empty address space backed by phys with the given cost
@@ -208,7 +237,7 @@ func (as *AddressSpace) ResetFaults() { as.faults = FaultStats{} }
 // covers faults taken while the user-space handler was registered.
 func (as *AddressSpace) SetUffdTracking(on bool) {
 	if on != as.uffd {
-		as.dirty, as.fresh = epochLog{}, epochLog{}
+		as.dirty, as.fresh, as.lost = epochLog{}, epochLog{}, epochLog{}
 	}
 	as.uffd = on
 }
@@ -681,18 +710,18 @@ func (as *AddressSpace) ShareFrameCoW(vpn uint64) (mem.FrameID, bool) {
 // semantics: the next touch demand-zero faults) and reports whether it was.
 //
 // Dropping a resident page silently diverges memory from the snapshot
-// without marking anything dirty; the restore fast path cannot see it, so
-// the drop disarms the fresh log and forces the next restore through the
-// exact walk — whichever syscall dropped the page (madvise, munmap, a brk
-// shrink) and whether or not the layout ends the request as it began.
-// ClearSoftDirty re-arms for the epoch after (the restorer's own drops land
-// between its gate check and its re-arm, so steady-state epochs stay on the
-// fast path).
+// without marking anything dirty, so the drop is recorded in the lost log —
+// whichever syscall dropped the page (madvise, munmap, a brk shrink) and
+// whether or not the layout ends the request as it began. Every drop comes
+// through here (Madvise, Munmap and a Brk shrink call it page by page), which
+// is what lets AppendLostVPNs stand for "every page that lost its frame this
+// epoch". No log is disarmed: the restore stays on its logged path and merges
+// the lost pages into its plan.
 func (as *AddressSpace) DropPage(vpn uint64) bool {
 	pte, ok := as.pages.delete(vpn)
 	if ok {
 		as.phys.Unref(pte.Frame)
-		as.fresh.armed = false
+		as.lost.add(vpn)
 	}
 	return ok
 }
@@ -704,9 +733,9 @@ func (as *AddressSpace) DropPage(vpn uint64) bool {
 // re-records the bit. It returns the number of entries walked. This models
 // writing "4" to /proc/pid/clear_refs, and it starts an epoch: what the
 // pages hold now is what "bytes outside the extent" will be compared to. It
-// also arms the dirty and fresh logs: the faults
-// taken from here on accumulate the next epoch's dirty and newly-resident
-// sets incrementally, so reading them back never walks the page table.
+// also arms the dirty, fresh and lost logs: the faults and drops from here on
+// accumulate the next epoch's dirty, newly-resident and lost-frame sets
+// incrementally, so reading them back never walks the page table.
 // (Under UFFD tracking the dirty log is also the cost model — the
 // user-space handler really does accumulate the set; under soft-dirty it
 // is a simulator-internal index and the pagemap-scan prices still apply.)
@@ -720,7 +749,9 @@ func (as *AddressSpace) ClearSoftDirty() int {
 		// pages plus the pages that got a frame this epoch (fresh log —
 		// demand-zero and poked PTEs are born unarmed, with the whole page
 		// as their extent). Everything else was reset by the previous clear
-		// and untouched since. The modeled clear_refs write still walks,
+		// and untouched since; a dropped page has no entry left to reset, so
+		// a request that drops pages takes this branch too. The modeled
+		// clear_refs write still walks,
 		// which is why the caller's ClearRefsPerPage charge uses the full
 		// resident count either way.
 		for _, log := range [][]uint64{as.dirty.vpns, as.fresh.vpns} {
@@ -735,6 +766,7 @@ func (as *AddressSpace) ClearSoftDirty() int {
 	}
 	as.dirty.arm()
 	as.fresh.arm()
+	as.lost.arm()
 	return n
 }
 
@@ -767,13 +799,26 @@ func (as *AddressSpace) FreshLogArmed() bool { return as.fresh.armed }
 // AppendFreshVPNs appends the sorted, duplicate-free page numbers that
 // became resident since the last ClearSoftDirty and still are, to dst. It
 // must only be called while the fresh log is armed (FreshLogArmed); the
-// restore fast path uses it to find madvise candidates without walking the
-// resident set.
+// restore's logged path uses it to find madvise candidates without walking
+// the resident set.
 func (as *AddressSpace) AppendFreshVPNs(dst []uint64) []uint64 {
 	if !as.fresh.armed {
 		panic("vm: AppendFreshVPNs with the fresh log disarmed")
 	}
 	return as.fresh.appendLive(dst, &as.pages, false)
+}
+
+// AppendLostVPNs appends the sorted, duplicate-free page numbers DropPage
+// released a frame from since the last ClearSoftDirty to dst. Unlike the
+// other two logs it is not filtered by residency: a page dropped and faulted
+// back in sits on a zero frame, a page dropped and left alone on none, and
+// the restorer has to refill both. It shares the fresh log's epoch and must
+// only be called while that log is armed (FreshLogArmed).
+func (as *AddressSpace) AppendLostVPNs(dst []uint64) []uint64 {
+	if !as.lost.armed {
+		panic("vm: AppendLostVPNs with the lost log disarmed")
+	}
+	return as.lost.appendAll(dst)
 }
 
 // --- invariants -------------------------------------------------------------

@@ -451,12 +451,15 @@ func TestEmptiedPageTableChunkIsReused(t *testing.T) {
 // Region-list surgery on a warm address space happens in place: a request's
 // scratch mapping unmapped by the rollback, and an mprotect split the rollback
 // merges back, allocate nothing once the list and carve's scratch have their
-// capacity.
+// capacity — with the epoch logs armed, so the munmap's drop is logged, read
+// back and truncated by the clear every cycle.
 func TestLayoutOpsOnWarmSpaceAllocateNothing(t *testing.T) {
 	as := newTestSpace(t)
 	heap := as.HeapBase()
 	mustBrk(t, as, heap+16*mem.PageSize)
 	want := as.VMAs()
+	as.ClearSoftDirty()
+	var lost []uint64
 	cycle := func() {
 		a, err := as.Mmap(4*mem.PageSize, ProtRW, KindAnon, "")
 		if err != nil {
@@ -475,6 +478,10 @@ func TestLayoutOpsOnWarmSpaceAllocateNothing(t *testing.T) {
 		if err := as.Mprotect(heap+4*mem.PageSize, 4*mem.PageSize, ProtRW); err != nil {
 			t.Fatal(err)
 		}
+		if lost = as.AppendLostVPNs(lost[:0]); len(lost) != 1 || lost[0] != (a+mem.PageSize).PageNum() {
+			t.Fatalf("lost log reads %x, want the scratch mapping's written page %x", lost, (a + mem.PageSize).PageNum())
+		}
+		as.ClearSoftDirty()
 	}
 	cycle()
 	if allocs := testing.AllocsPerRun(100, cycle); allocs != 0 {
