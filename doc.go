@@ -46,9 +46,9 @@
 // current layout is read into a reusable region buffer (procfs.MapsRegions),
 // and what the request changed comes out of three logs the address space
 // keeps since the last ClearSoftDirty — the pages written (dirty), the pages
-// that became resident (fresh) and the pages a drop released a frame from
-// (lost: madvise, munmap, a brk shrink, the restorer's own munmap) — not out
-// of a walk of the resident set; the pagemap read is charged per region and
+// that became resident (fresh) and the pages that lost their frame (lost:
+// madvise, munmap, a brk shrink, the restorer's own munmap, an mremap move
+// away) — not out of a walk of the resident set; the pagemap read is charged per region and
 // per mapped page, not re-performed. One merge of dirty ∪ lost against the
 // sorted VPN index gives the restore set (a dirty page; a lost one that was
 // not zero in the snapshot), one of the fresh list the madvise set, and
@@ -56,39 +56,42 @@
 // (vm.AddressSpace.PokePageRun / PokeFrameRun) straight out of the arena. So
 // a Python or Node request, which maps and unmaps scratch regions every
 // time, costs the host what it dirtied, faulted in and dropped, like a C one.
-// Only what the logs cannot describe — an mremap that moves a mapping, a
-// tracker switch — disarms them for the epoch; that restore walks the page
-// table and merges the whole store index (the exact walk), reports the same
-// RestoreStats and leaves the same bytes (TestFastAndSlowRestoreAgree,
+// There is one restore path: nothing disarms the logs. An mremap move is
+// logged as Linux reports it — the pages it takes away in lost, the pages it
+// brings to new numbers in fresh and dirty, soft-dirty as the kernel marks a
+// moved PTE — and the tracker is fixed before the first ClearSoftDirty. The
+// exact page-table walk the logs replace is the tests' reference restore
+// (internal/core/exact_test.go): twin managers serve one request, one
+// restored each way, and must report the same RestoreStats and leave the
+// same bytes (TestFastAndSlowRestoreAgree,
 // TestLoggedAndExactRestoreAgreeOnRandomRequests, TestRestoreAfterDrops).
 // The virtual charge is a whole-page copy per page, as in the paper; the
 // host copies only each page's soft-dirty extent (vm.PTE.Extent over
 // mem.PhysMem.RestoreExtent / CopyExtent) — the byte range vm's access
 // loop widened since the last ClearSoftDirty (WriteWords and its one-page
 // form WriteWord: the only function-side writer of frame bytes), or the
-// whole page if the page got its frame during the epoch. Bytes outside the extent were not written and
+// whole page if the page got its frame (or, moved, its number) during the
+// epoch. Bytes outside the extent were not written and
 // equal the snapshot already: the argument the soft-dirty bit itself rests
 // on, one level down. After the first restore has sized the
 // manager's scratch buffers, rolling back a request performs zero heap
 // allocations — pinned by TestRestoreSteadyStateZeroAllocs (both state
 // stores), TestRestoreLeftoverMappingZeroAllocs (a scratch mapping left
-// behind) and TestRestoreExactWalkZeroAllocs (the fallback); what the path
+// behind) and TestRestoreMovedMappingZeroAllocs (a mapping moved); what the path
 // costs the host is bench/e2e's core.restore.ns rung.
 //
 // The UFFD tracker (the §4.3 ablation the paper rejected) runs the same code
 // and differs in what the scan is charged: each write-protect fault appends
 // the page to the address space's incremental sorted dirty log (the simulated
 // equivalent of the user-space fault handler accumulating the dirty set),
-// ClearSoftDirty re-arms the log, and the restore reads it back — plus the
-// resident set — through the append-style accessors
+// ClearSoftDirty empties the log, an mremap move adds the pages it moves in
+// (the handler's UFFD_EVENT_REMAP), and the restore reads it back — plus the
+// fresh and lost sets — through the append-style accessors
 // vm.AddressSpace.AppendSoftDirtyVPNs and AppendFreshVPNs / AppendLostVPNs
-// (AppendResidentVPNs on the exact walk) into the same scratch buffers, under
-// either tracker. The
-// UFFD scan phase is charged honestly: per dirty
-// page for the log read, plus the mincore-style
-// kernel.CostModel.ResidentScanPerPage per resident page for the paged-in
-// check — or full pagemap-scan prices when the log was invalidated (an
-// mremap move relocated PTEs). TestRestoreUffdSteadyStateZeroAllocs
+// into the same scratch buffers, under either tracker. The UFFD scan phase
+// is charged honestly: per dirty page for the log read, plus the
+// mincore-style kernel.CostModel.ResidentScanPerPage per resident page for
+// the paged-in check. TestRestoreUffdSteadyStateZeroAllocs
 // pins this path at zero allocations too, and re-snapshots recycle the
 // previous snapshot's arena through a manager-level store pool instead of
 // reallocating it.

@@ -163,62 +163,41 @@ func applyMutations(p *kernel.Process, snapMap vm.Addr, muts []mutation) (childr
 	return children
 }
 
-// numMutationOps is the number of request steps applyMutations knows;
-// mremapOp is the one that can move a mapping and so disarm the epoch logs.
-const (
-	numMutationOps = 17
-	mremapOp       = 11
-)
+// numMutationOps is the number of request steps applyMutations knows.
+const numMutationOps = 17
 
 // ScratchCycle is the tail of a request whose scratch memory comes and goes: a
-// one-page mapping, boxed in from above by another, is written, grown and
-// unmapped again with its box, which leaves the layout as it was and one
-// dropped page behind. With move the growth is an mremap to two pages, which
-// has to move the mapping — onto the two pages below it — and so disarms the
-// address space's three logs: the restore that follows takes the exact walk.
-// Without, those two pages are mapped beside it and the logs stay armed.
-// Either way four pages of the mmap area are used up, so twin processes that
-// differ only in move place their next mapping at the same address.
-func ScratchCycle(t testing.TB, as *vm.AddressSpace, move bool) {
+// one-page mapping is written and unmapped again, which leaves the layout as
+// it was and one dropped page behind.
+func ScratchCycle(t testing.TB, as *vm.AddressSpace) {
 	t.Helper()
-	if _, err := as.Mmap(mem.PageSize, vm.ProtRW, vm.KindAnon, "scratch-box"); err != nil {
-		t.Fatal(err)
-	}
 	scratch, err := as.Mmap(mem.PageSize, vm.ProtRW, vm.KindAnon, "scratch")
 	if err != nil {
 		t.Fatal(err)
 	}
 	as.WriteWord(scratch, 1)
-	if move {
-		_, err = as.Mremap(scratch, mem.PageSize, 2*mem.PageSize)
-	} else {
-		_, err = as.Mmap(2*mem.PageSize, vm.ProtRW, vm.KindAnon, "scratch")
-	}
-	if err == nil {
-		err = as.Munmap(scratch-2*mem.PageSize, 4*mem.PageSize)
-	}
-	if err != nil {
+	if err := as.Munmap(scratch, mem.PageSize); err != nil {
 		t.Fatal(err)
-	}
-	if move && (as.DirtyLogArmed() || as.FreshLogArmed()) {
-		t.Fatal("the boxed-in mremap did not move the mapping: the logs are still armed")
 	}
 }
 
-// SameRestore reports whether a restore on the logged path and one on the
-// exact walk charged and counted the same, field for field. One charge is
-// meant to differ, and is left out under UFFD tracking: the scan phase, which
-// a handler that still has its dirty log pays per dirty and per resident
-// page, and one that lost it (the move that forces the walk disarms that log
-// too) at pagemap prices per mapped page.
-func SameRestore(tracker TrackerKind, logged, exact RestoreStats) bool {
-	if tracker == TrackUffd {
-		for _, st := range []*RestoreStats{&logged, &exact} {
-			st.Total -= st.PhaseDurations.Of(PhaseScanPages)
-			st.PhaseDurations[slices.Index(Phases[:], PhaseScanPages)] = 0
-		}
+// MoveMapping is a request step that moves a mapping: a one-page mapping,
+// boxed in from above by another, is written and grown by mremap to two
+// pages, which has to move it. Both mappings are left for the restore to
+// undo.
+func MoveMapping(t testing.TB, as *vm.AddressSpace) {
+	t.Helper()
+	if _, err := as.Mmap(mem.PageSize, vm.ProtRW, vm.KindAnon, "box"); err != nil {
+		t.Fatal(err)
 	}
-	return logged == exact
+	a, err := as.Mmap(mem.PageSize, vm.ProtRW, vm.KindAnon, "moved")
+	if err != nil {
+		t.Fatal(err)
+	}
+	as.WriteWord(a, 1)
+	if dst, err := as.Mremap(a, mem.PageSize, 2*mem.PageSize); err != nil || dst == a {
+		t.Fatalf("mremap of a boxed-in mapping returned %v, %v; want a move", dst, err)
+	}
 }
 
 // snapshotFixture spawns the process the restore properties run against and
@@ -429,14 +408,13 @@ func TestRestoreRefillsPagesDroppedThenRead(t *testing.T) {
 	}
 }
 
-// Property: the logged path and the exact walk are one restore. Twin managers
-// on twin processes play the same random requests — every step applyMutations
-// knows but the mremap, which would disarm both — and the exact twin ends each
-// request with a boxed-in mremap that moves a scratch mapping, so its logs do
-// not cover the epoch and its restore walks the page table. Every restore must
-// report the same RestoreStats on both (page counts, Total and each phase; see
-// SameRestore for the one UFFD charge that is meant to differ) and both must
-// verify clean, over five consecutive requests, trackers × stores.
+// Property: Restore and the reference restore (exactRestore) are one restore.
+// Twin managers on twin processes play the same random requests — every step
+// applyMutations knows, mremap moves included — each ending in a
+// ScratchCycle; one twin restores with Restore, the other with the reference.
+// Every restore must report the same RestoreStats on both (page counts, Total
+// and each phase, under either tracker) and both must verify clean, over five
+// consecutive requests, trackers × stores.
 func TestLoggedAndExactRestoreAgreeOnRandomRequests(t *testing.T) {
 	for _, tracker := range []TrackerKind{TrackSoftDirty, TrackUffd} {
 		for _, store := range []StoreKind{StoreCopy, StoreCoW} {
@@ -449,22 +427,16 @@ func TestLoggedAndExactRestoreAgreeOnRandomRequests(t *testing.T) {
 						_, twins[i], snapMap = snapshotFixture(t, opts)
 					}
 					for r, muts := range requests {
-						for j := range muts {
-							if muts[j].Op%numMutationOps == mremapOp {
-								muts[j].Op++
-							}
-						}
 						var stats [2]RestoreStats
 						for i, m := range twins {
-							as := m.Process().AS
 							children := applyMutations(m.Process(), snapMap, muts)
-							ScratchCycle(t, as, i == 1)
-							if !as.FreshLogArmed() && i == 0 {
-								t.Logf("request %d: the logged twin's fresh log is disarmed", r)
-								return false
+							ScratchCycle(t, m.Process().AS)
+							restore := m.Restore
+							if i == 1 {
+								restore = m.exactRestore
 							}
 							var err error
-							if stats[i], err = m.Restore(); err == nil {
+							if stats[i], err = restore(); err == nil {
 								err = m.Verify()
 							}
 							for _, c := range children {
@@ -475,8 +447,8 @@ func TestLoggedAndExactRestoreAgreeOnRandomRequests(t *testing.T) {
 								return false
 							}
 						}
-						if !SameRestore(tracker, stats[0], stats[1]) {
-							t.Logf("request %d: logged path reports\n%+v\nexact walk reports\n%+v", r, stats[0], stats[1])
+						if stats[0] != stats[1] {
+							t.Logf("request %d: Restore reports\n%+v\nthe reference reports\n%+v", r, stats[0], stats[1])
 							return false
 						}
 					}
@@ -492,12 +464,11 @@ func TestLoggedAndExactRestoreAgreeOnRandomRequests(t *testing.T) {
 
 // TestRestoreAfterDrops names every route by which a snapshot page loses the
 // frame the snapshot saw — dropped and left alone, read back in, written, gone
-// with its region, under another region — for a page with content and for one
-// that was zero in the snapshot. None of them disarms a log: each
-// restore runs on the logged path, must leave the process byte-identical to
-// the snapshot, and must copy, drop and inject exactly what the exact walk
-// does for the same request (a twin forced onto it by ScratchCycle's move).
-// A plain request afterwards restores on the logged path again.
+// with its region, under another region, moved away by mremap — for a page
+// with content and for one that was zero in the snapshot. Each restore must
+// leave the process byte-identical to the snapshot and report the same
+// RestoreStats as the reference restore of a twin that served the same
+// request. A plain request afterwards restores as little as it wrote.
 func TestRestoreAfterDrops(t *testing.T) {
 	type target struct {
 		page, snapMap vm.Addr
@@ -550,6 +521,30 @@ func TestRestoreAfterDrops(t *testing.T) {
 			}
 			as.TouchPage(at.page.PageNum())
 		}},
+		// The mapping is boxed in from above, so growing it moves it: its
+		// pages leave their numbers without a drop.
+		{"mremap-moved away", true, func(t *testing.T, as *vm.AddressSpace, at target) {
+			dst, err := as.Mremap(at.snapMap, 6*mem.PageSize, 7*mem.PageSize)
+			must(t, err)
+			if dst == at.snapMap {
+				t.Fatal("the boxed-in snapshot mapping grew in place")
+			}
+		}},
+		// The moved mapping lands just below the range it left, so growing
+		// it again extends it in place over that range: an anonymous region
+		// like the snapshot's covers it, and only the lost log says its
+		// pages are not the snapshot's.
+		{"moved, then grown back over its old range", true, func(t *testing.T, as *vm.AddressSpace, at target) {
+			dst, err := as.Mremap(at.snapMap, 6*mem.PageSize, 7*mem.PageSize)
+			must(t, err)
+			if dst+7*mem.PageSize != at.snapMap {
+				t.Fatalf("the mapping moved to %v, not just below %v", dst, at.snapMap)
+			}
+			if got, err := as.Mremap(dst, 7*mem.PageSize, 13*mem.PageSize); err != nil || got != dst {
+				t.Fatalf("growing the moved mapping back returned %v, %v; want it in place", got, err)
+			}
+			as.TouchPage(at.page.PageNum())
+		}},
 	}
 	for _, route := range routes {
 		for _, zero := range []bool{false, true} {
@@ -560,7 +555,7 @@ func TestRestoreAfterDrops(t *testing.T) {
 						name = route.name + "/zero/"
 					}
 					t.Run(name+tracker.String()+"/"+store.String(), func(t *testing.T) {
-						var stats [2]RestoreStats // logged, exact
+						var stats [2]RestoreStats // Restore, the reference
 						for i := range stats {
 							_, m, snapMap := snapshotFixture(t, Options{Tracker: tracker, Coalesce: true, Store: store})
 							as := m.Process().AS
@@ -578,14 +573,12 @@ func TestRestoreAfterDrops(t *testing.T) {
 								t.Fatalf("fixture: page %v is not a recorded page with zero=%v", at.page, zero)
 							}
 							route.drop(t, as, at)
+							restore := m.Restore
 							if i == 1 {
-								ScratchCycle(t, as, true)
-							}
-							if armed := as.DirtyLogArmed() && as.FreshLogArmed(); armed != (i == 0) {
-								t.Fatalf("twin %d goes into its restore with logs armed=%v", i, armed)
+								restore = m.exactRestore
 							}
 							var err error
-							if stats[i], err = m.Restore(); err != nil {
+							if stats[i], err = restore(); err != nil {
 								t.Fatal(err)
 							}
 							must(t, m.Verify())
@@ -600,9 +593,6 @@ func TestRestoreAfterDrops(t *testing.T) {
 							}
 
 							as.WriteWord(as.HeapBase()+3*mem.PageSize+8, 0xBAD)
-							if !as.DirtyLogArmed() || !as.FreshLogArmed() {
-								t.Fatal("the restore left a log disarmed: the next request is off the logged path")
-							}
 							st, err := m.Restore()
 							must(t, err)
 							must(t, m.Verify())
@@ -611,13 +601,8 @@ func TestRestoreAfterDrops(t *testing.T) {
 									st.RestoredPages, st.DroppedPages, st.LayoutOps)
 							}
 						}
-						l, e := stats[0], stats[1]
-						if l.RestoredPages != e.RestoredPages || l.DroppedPages != e.DroppedPages || l.LayoutOps != e.LayoutOps {
-							t.Fatalf("logged path restored %d, dropped %d pages in %d layout ops; the exact walk %d, %d, %d",
-								l.RestoredPages, l.DroppedPages, l.LayoutOps, e.RestoredPages, e.DroppedPages, e.LayoutOps)
-						}
-						if !SameRestore(tracker, l, e) {
-							t.Fatalf("logged path reports\n%+v\nexact walk reports\n%+v", l, e)
+						if stats[0] != stats[1] {
+							t.Fatalf("Restore reports\n%+v\nthe reference reports\n%+v", stats[0], stats[1])
 						}
 					})
 				}

@@ -145,8 +145,8 @@ type restoreScratch struct {
 	layout  []vm.VMA          // current memory map
 	pm      []vm.PagemapEntry // TakeSnapshot: one VMA's pagemap entries at a time
 	dirty   []uint64          // sorted soft-dirty VPNs
-	present []uint64          // sorted resident VPNs (logged path: the fresh log's only)
-	lost    []uint64          // logged path: sorted VPNs dropped this epoch, the restorer's munmaps included
+	present []uint64          // sorted VPNs made resident this epoch (TakeSnapshot: every resident VPN)
+	lost    []uint64          // sorted VPNs that lost their frame this epoch, the restorer's munmaps included
 	fresh   []uint64          // resident, not in snapshot, inside surviving regions
 	restore []int             // store indices whose contents must be copied back
 	runs    []vpnRun          // coalesced madvise runs
@@ -196,38 +196,31 @@ func (m *Manager) Restore() (RestoreStats, error) {
 	meter.BeginPhase(PhaseReadMaps)
 	sc.layout = m.fs.MapsRegions(m.proc, meter, sc.layout[:0])
 
-	// Logged path: while both incremental logs cover the epoch, everything
-	// the remaining phases need is already known — the dirty set is in the
-	// dirty log, the only resident pages that can lie outside the snapshot
-	// store are the ones the fresh log recorded coming in, and the only store
-	// pages off the frame the snapshot saw are the dirty ones and the ones the
-	// lost log recorded going out. Restore then runs O(dirty + fresh + lost)
-	// instead of O(resident), whatever the request did to the layout (Python
-	// and Node map and unmap scratch regions in every request), while
-	// charging the exact virtual costs of the scans it skips: the simulated
-	// kernel still reads the pagemap; only the simulator stops re-deriving
-	// what it knows. What disarms a log — an mremap move, a tracking switch —
-	// falls back to the exact walk. Whether the layout (and brk) ended the
-	// request as the snapshot recorded it only decides if the diff sweeps.
-	logged := as.DirtyLogArmed() && as.FreshLogArmed()
+	// Whether the layout (and brk) ended the request as the snapshot recorded
+	// it only decides if the diff sweeps.
 	same := as.BrkValue() == m.snap.brk && slices.Equal(sc.layout, m.snap.layout)
 
-	mapped := m.scan(logged)
+	mapped := m.scan()
 	diff := m.diffLayout(same)
 	if err := m.applyLayout(diff); err != nil {
 		return RestoreStats{}, err
 	}
-	m.plan(logged)
+	m.plan()
 	if err := m.applyContent(); err != nil {
 		return RestoreStats{}, err
 	}
 	if err := m.rearm(); err != nil {
 		return RestoreStats{}, err
 	}
-	meter.BeginPhase("")
+	return m.restoreStats(mapped, diff), nil
+}
 
+// restoreStats closes the restore's meter and reports what the phases did.
+func (m *Manager) restoreStats(mapped int, diff layoutDiff) RestoreStats {
+	sc := &m.scratch
+	sc.meter.BeginPhase("")
 	stats := RestoreStats{
-		Total:         meter.Total(),
+		Total:         sc.meter.Total(),
 		MappedPages:   mapped,
 		DirtyPages:    len(sc.dirty),
 		RestoredPages: len(sc.restore),
@@ -235,42 +228,34 @@ func (m *Manager) Restore() (RestoreStats, error) {
 		LayoutOps:     diff.ops() + len(sc.runs),
 	}
 	for i, ph := range Phases {
-		stats.PhaseDurations[i] = meter.Phase(ph)
+		stats.PhaseDurations[i] = sc.meter.Phase(ph)
 	}
-	return stats, nil
+	return stats
 }
 
 // scan reads the page metadata into sc.dirty and sc.present and returns the
-// number of mapped pages. The data comes from the address space's own index
-// — the dirty set from the dirty log (or the PTE-bit walk when it is
-// disarmed), the resident set from the page table, or on the logged path just
-// the epoch's fresh pages: the previous restore dropped every resident page
-// outside the store, so those are the only ones plan can need. The charge is
-// what the real scan costs. Soft-dirty tracking reads the pagemap one mapped
-// region at a time: a seek per region, an entry per mapped page, whatever is
-// resident. Under UFFD the fault handler accumulated the dirty set during the
-// request, so reading it costs per dirty page, plus a mincore-style check of
-// the resident set for newly paged-in pages — unless the log was invalidated
-// (an mremap move relocated PTEs, or tracking was switched): then the dirty
-// set came from a fallback page-table walk, priced like the full pagemap scan
-// it stands in for (which also covers the resident check).
-func (m *Manager) scan(logged bool) int {
+// number of mapped pages. The data comes from the address space's epoch logs
+// — the dirty set from the dirty log, and of the resident set just the
+// epoch's fresh pages: the previous restore dropped every resident page
+// outside the store, so those are the only ones plan can need. Restore then
+// runs O(dirty + fresh + lost) instead of O(resident), whatever the request
+// did to the layout, while charging what the real scan costs: the simulated
+// kernel still reads the pagemap; only the simulator stops re-deriving what
+// it knows. Soft-dirty tracking reads the pagemap one mapped region at a
+// time: a seek per region, an entry per mapped page, whatever is resident.
+// Under UFFD the fault handler accumulated the dirty set during the request,
+// so reading it costs per dirty page, plus a mincore-style check of the
+// resident set for newly paged-in pages.
+func (m *Manager) scan() int {
 	sc, as, cost := &m.scratch, m.proc.AS, &m.kern.Cost
 	sc.meter.BeginPhase(PhaseScanPages)
 	sc.dirty = as.AppendSoftDirtyVPNs(sc.dirty[:0])
-	if logged {
-		sc.present = as.AppendFreshVPNs(sc.present[:0])
-	} else {
-		sc.present = as.AppendResidentVPNs(sc.present[:0])
-	}
+	sc.present = as.AppendFreshVPNs(sc.present[:0])
 	mapped := as.MappedPages()
-	switch {
-	case m.opts.Tracker != TrackUffd:
-		sim.ChargeTo(sc.meter, cost.PagemapRangeBase*sim.Duration(len(sc.layout))+cost.PagemapPerPage*sim.Duration(mapped))
-	case as.DirtyLogArmed():
+	if m.opts.Tracker == TrackUffd {
 		sim.ChargeTo(sc.meter, cost.PagemapPerPage*sim.Duration(len(sc.dirty))+cost.ResidentScanPerPage*sim.Duration(as.ResidentPages()))
-	default:
-		sim.ChargeTo(sc.meter, cost.PagemapPerPage*sim.Duration(mapped))
+	} else {
+		sim.ChargeTo(sc.meter, cost.PagemapRangeBase*sim.Duration(len(sc.layout))+cost.PagemapPerPage*sim.Duration(mapped))
 	}
 	return mapped
 }
@@ -349,75 +334,42 @@ func seek(vpns []uint64, i int, vpn uint64) (int, bool) {
 //     munmap);
 //   - sc.restore, the copy set, as store indices: every snapshot page that is
 //     dirty, or that has real content and lost the frame the snapshot saw
-//     (madvised away or in a re-created region) even if a read has since
-//     faulted a zero frame back in. Zero pages refault to zero on demand and
-//     need no copy.
+//     (madvised away, moved away or in a re-created region) even if a read
+//     has since faulted a zero frame back in. Zero pages refault to zero on
+//     demand and need no copy.
 //
-// The dirty list, the resident list and the store's VPN index are all
-// sorted, so the exact walk is one linear three-way merge over the store.
-func (m *Manager) plan(logged bool) {
+// The logs say what a walk of the page table would find. A store page is off
+// the frame the snapshot saw only if it was written (dirty log) or lost its
+// frame (lost log, read here, after applyLayout, so that the restorer's own
+// munmaps are in it) — the previous restore left every other store page with
+// content resident on it — and sc.present holds only the epoch's fresh
+// pages. So the merges run over the short lists, dirty ∪ lost in page order,
+// never the store.
+func (m *Manager) plan() {
 	sc, st := &m.scratch, &m.snap.store
 	sc.fresh, sc.restore = sc.fresh[:0], sc.restore[:0]
-	if logged {
-		// The logs say what the walk would find. A store page is off the
-		// frame the snapshot saw only if it was written (dirty log) or
-		// dropped (lost log, read here, after applyLayout, so that the
-		// restorer's own munmaps are in it) — the previous restore left
-		// every other store page with content resident on it — and
-		// sc.present holds only the epoch's fresh pages. So the merges run
-		// over the short lists, dirty ∪ lost in page order, never the store.
-		sc.lost = m.proc.AS.AppendLostVPNs(sc.lost[:0])
-		di, li, si, hit := 0, 0, 0, false
-		for di < len(sc.dirty) || li < len(sc.lost) {
-			isDirty := li == len(sc.lost) || di < len(sc.dirty) && sc.dirty[di] <= sc.lost[li]
-			vpn := uint64(0)
-			if isDirty {
-				vpn, di = sc.dirty[di], di+1
-			} else {
-				vpn = sc.lost[li]
-			}
-			if li < len(sc.lost) && sc.lost[li] == vpn {
-				li++
-			}
-			if si, hit = seek(st.vpns, si, vpn); hit && (isDirty || !st.zeroAt(si, m.kern.Phys)) {
-				sc.restore = append(sc.restore, si)
-			}
+	sc.lost = m.proc.AS.AppendLostVPNs(sc.lost[:0])
+	di, li, si, hit := 0, 0, 0, false
+	for di < len(sc.dirty) || li < len(sc.lost) {
+		isDirty := li == len(sc.lost) || di < len(sc.dirty) && sc.dirty[di] <= sc.lost[li]
+		vpn := uint64(0)
+		if isDirty {
+			vpn, di = sc.dirty[di], di+1
+		} else {
+			vpn = sc.lost[li]
 		}
-		si = 0
-		for _, vpn := range sc.present {
-			if si, hit = seek(st.vpns, si, vpn); !hit {
-				m.addFresh(vpn)
-			}
+		if li < len(sc.lost) && sc.lost[li] == vpn {
+			li++
 		}
-		return
-	}
-	as, phys := m.proc.AS, m.kern.Phys
-	pi, di := 0, 0
-	for i, vpn := range st.vpns {
-		for ; pi < len(sc.present) && sc.present[pi] < vpn; pi++ {
-			m.addFresh(sc.present[pi])
-		}
-		resident := pi < len(sc.present) && sc.present[pi] == vpn
-		if resident {
-			pi++
-		}
-		var isDirty bool
-		di, isDirty = seek(sc.dirty, di, vpn)
-		switch {
-		case isDirty:
-			sc.restore = append(sc.restore, i)
-		case resident && !lostFrame(as, vpn):
-			// Clean and still on the snapshot's frame. A page the scan found
-			// resident may have lost it: a read can have faulted a zero frame
-			// back in after a drop, or the page sat in a region applyLayout
-			// just removed. The walk has no log to say which, so the page
-			// table is asked for every such page.
-		case !st.zeroAt(i, phys):
-			sc.restore = append(sc.restore, i)
+		if si, hit = seek(st.vpns, si, vpn); hit && (isDirty || !st.zeroAt(si, m.kern.Phys)) {
+			sc.restore = append(sc.restore, si)
 		}
 	}
-	for _, vpn := range sc.present[pi:] {
-		m.addFresh(vpn)
+	si = 0
+	for _, vpn := range sc.present {
+		if si, hit = seek(st.vpns, si, vpn); !hit {
+			m.addFresh(vpn)
+		}
 	}
 }
 
@@ -486,16 +438,6 @@ func (m *Manager) rearm() error {
 	sc.meter.BeginPhase(PhaseDetach)
 	sim.ChargeTo(sc.meter, cost.PtraceDetachPerThread*sim.Duration(len(m.proc.Threads)))
 	return m.tracer.Resume()
-}
-
-// lostFrame reports whether clean page vpn is no longer on the frame it had
-// at the last clear: it is not resident, or it carries a soft-dirty extent —
-// which a page that is not soft-dirty only does when it became resident
-// since (a page born during the epoch carries the whole page).
-func lostFrame(as *vm.AddressSpace, vpn uint64) bool {
-	pte, ok := as.PTEAt(vpn)
-	lo, hi := pte.Extent()
-	return !ok || hi > lo
 }
 
 // restoreRun copies the recorded pages at store indices [lo, hi) — a run of

@@ -91,18 +91,19 @@ func TestRestoreSteadyStateZeroAllocsLargeSpace(t *testing.T) {
 // leaves a scratch mapping behind — what a Python or Node request's allocator
 // churn does: it maps a region, writes it and returns, so the restore diffs
 // the layouts and injects a munmap (vm.carve on the region list, page-table
-// chunk dropped and respared, the drop logged) on the logged path. Once the
-// scratch buffers have their sizes that allocates nothing either.
+// chunk dropped and respared, the drop logged). Once the scratch buffers have
+// their sizes that allocates nothing either.
 func TestRestoreLeftoverMappingZeroAllocs(t *testing.T) { leftoverMappingZeroAllocs(t, false) }
 
-// TestRestoreExactWalkZeroAllocs is the same request ending in ScratchCycle's
-// mremap move, which disarms the logs: the same restore over the exact walk,
-// the fallback no benchmark workload takes. The request's own mremap
-// allocates (the failed in-place attempt formats an error), so the mallocs
+// TestRestoreMovedMappingZeroAllocs is the same request ending in
+// MoveMapping's mremap move, logged like any other epoch event: the restore
+// unmaps the moved mapping and its box, and still allocates nothing. The
+// request's own mremap allocates (the failed in-place attempt formats an
+// error, and the page table grows a chunk at the new address), so the mallocs
 // are counted across Restore alone.
-func TestRestoreExactWalkZeroAllocs(t *testing.T) { leftoverMappingZeroAllocs(t, true) }
+func TestRestoreMovedMappingZeroAllocs(t *testing.T) { leftoverMappingZeroAllocs(t, true) }
 
-func leftoverMappingZeroAllocs(t *testing.T, exact bool) {
+func leftoverMappingZeroAllocs(t *testing.T, move bool) {
 	p, m, request, err := benchscenario.SteadyState(kernel.Default(), 256, 64, core.DefaultOptions())
 	if err != nil {
 		t.Fatal(err)
@@ -116,11 +117,8 @@ func leftoverMappingZeroAllocs(t *testing.T, exact bool) {
 			t.Fatal(err)
 		}
 		p.AS.WriteWord(scratch+mem.PageSize, 1)
-		if exact {
-			core.ScratchCycle(t, p.AS, true)
-		}
-		if logged := p.AS.DirtyLogArmed() && p.AS.FreshLogArmed(); logged == exact {
-			t.Fatalf("logs armed=%v going into the restore; the test is not on the path it names", logged)
+		if move {
+			core.MoveMapping(t, p.AS)
 		}
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
@@ -138,7 +136,7 @@ func leftoverMappingZeroAllocs(t *testing.T, exact bool) {
 		mallocs += cycle()
 	}
 	if mallocs != 0 {
-		t.Fatalf("restore of a leftover mapping (exact walk: %v) allocated %d times in 50 restores, want 0", exact, mallocs)
+		t.Fatalf("restore of a leftover mapping (moved: %v) allocated %d times in 50 restores, want 0", move, mallocs)
 	}
 	if layoutOps == 0 {
 		t.Fatal("the restore reversed no layout change")
@@ -148,18 +146,16 @@ func leftoverMappingZeroAllocs(t *testing.T, exact bool) {
 	}
 }
 
-// TestFastAndSlowRestoreAgree runs one request sequence down both restore
-// paths and requires the same answer from each. Twin managers serve the
-// steady-state scenario, each request also writing a stack page the snapshot
-// never saw (so the madvise set is not empty) and ending in a ScratchCycle — a
-// scratch mapping written, grown and unmapped, which leaves the layout as the
-// snapshot recorded it and a dropped page in the lost log. The slow twin's
-// growth is an mremap that has to move the mapping, which disarms the logs:
-// its restores take the exact walk. (A drop alone no longer does.) Every
+// TestFastAndSlowRestoreAgree runs one request sequence down Restore and the
+// reference restore (core.ExactRestore, the page-table walk) and requires the
+// same answer from each. Twin managers serve the steady-state scenario, each
+// request also writing a stack page the snapshot never saw (so the madvise set
+// is not empty), moving a mapping with mremap on every other cycle, and
+// ending in a ScratchCycle, which leaves a dropped page in the lost log. Every
 // restore must report the same RestoreStats — page counts, Total and each
 // phase — on both twins, and both must verify clean, under both trackers and
-// both stores. Under UFFD the scan phase is held to its two prices instead:
-// per dirty and resident page with the handler's log, per mapped page without.
+// both stores. Under UFFD the scan phase is also held to its price: per dirty
+// and per resident page.
 func TestFastAndSlowRestoreAgree(t *testing.T) {
 	cost := kernel.Default()
 	for _, tracker := range []core.TrackerKind{core.TrackSoftDirty, core.TrackUffd} {
@@ -169,8 +165,9 @@ func TestFastAndSlowRestoreAgree(t *testing.T) {
 				p       *kernel.Process
 				m       *core.Manager
 				request func()
+				restore func(*core.Manager) (core.RestoreStats, error)
 			}
-			var fast, slow twin
+			fast, slow := twin{restore: (*core.Manager).Restore}, twin{restore: core.ExactRestore}
 			for _, tw := range []*twin{&fast, &slow} {
 				var err error
 				if tw.p, tw.m, tw.request, err = benchscenario.SteadyState(cost, 256, 64, opts); err != nil {
@@ -184,27 +181,26 @@ func TestFastAndSlowRestoreAgree(t *testing.T) {
 					as := tw.p.AS
 					tw.request()
 					as.WriteWord(vm.StackTop-vm.Addr((64+cycle)*mem.PageSize), 7)
-					core.ScratchCycle(t, as, tw == &slow)
-					if armed := as.DirtyLogArmed() && as.FreshLogArmed(); armed != (tw == &fast) {
-						t.Fatalf("%v/%v cycle %d: twin %d has its logs armed=%v", tracker, store, cycle, i, armed)
+					if cycle%2 == 1 {
+						core.MoveMapping(t, as)
 					}
+					core.ScratchCycle(t, as)
 					resident = as.ResidentPages()
 					var err error
-					if stats[i], err = tw.m.Restore(); err != nil {
+					if stats[i], err = tw.restore(tw.m); err != nil {
 						t.Fatal(err)
 					}
 					if err := tw.m.Verify(); err != nil {
 						t.Fatalf("%v/%v cycle %d twin %d: %v", tracker, store, cycle, i, err)
 					}
 				}
-				if !core.SameRestore(tracker, stats[0], stats[1]) {
-					t.Fatalf("%v/%v cycle %d: logged path reports\n%+v\nexact walk reports\n%+v", tracker, store, cycle, stats[0], stats[1])
+				if stats[0] != stats[1] {
+					t.Fatalf("%v/%v cycle %d: Restore reports\n%+v\nthe reference reports\n%+v", tracker, store, cycle, stats[0], stats[1])
 				}
 				if tracker == core.TrackUffd {
-					withLog := cost.PagemapPerPage*sim.Duration(stats[0].DirtyPages) + cost.ResidentScanPerPage*sim.Duration(resident)
-					without := cost.PagemapPerPage * sim.Duration(stats[1].MappedPages)
-					if got := [2]sim.Duration{stats[0].PhaseDurations.Of(core.PhaseScanPages), stats[1].PhaseDurations.Of(core.PhaseScanPages)}; got != [2]sim.Duration{withLog, without} {
-						t.Fatalf("%v/%v cycle %d: UFFD scan charged %v, want %v with the dirty log and %v without", tracker, store, cycle, got, withLog, without)
+					want := cost.PagemapPerPage*sim.Duration(stats[0].DirtyPages) + cost.ResidentScanPerPage*sim.Duration(resident)
+					if got := stats[0].PhaseDurations.Of(core.PhaseScanPages); got != want {
+						t.Fatalf("%v/%v cycle %d: UFFD scan charged %v, want %v", tracker, store, cycle, got, want)
 					}
 				}
 				if stats[0].RestoredPages != 64 || stats[0].DroppedPages != 1 {

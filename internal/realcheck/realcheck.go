@@ -77,29 +77,9 @@ func Run(pages int, writeSet []int) (*Result, error) {
 	snapshot := make([]byte, len(region))
 	copy(snapshot, region)
 
-	// Capability probe: freshly written anonymous pages must carry the
-	// soft-dirty bit. A kernel without CONFIG_MEM_SOFT_DIRTY accepts the
-	// clear_refs write silently but reports bit 55 as permanently zero —
-	// detect that before relying on the mechanism.
 	base := regionBase(region)
-	probe, err := readSoftDirty(base, pages)
-	if err != nil {
+	if err := clearSoftDirty(base, pages); err != nil {
 		return nil, err
-	}
-	if len(probe) == 0 {
-		return nil, fmt.Errorf("%w (bit 55 never set)", ErrUnsupported)
-	}
-
-	// Clear soft-dirty bits: echo 4 > /proc/self/clear_refs.
-	if err := os.WriteFile("/proc/self/clear_refs", []byte("4"), 0); err != nil {
-		return nil, fmt.Errorf("%w (clear_refs: %v)", ErrUnsupported, err)
-	}
-	// After clearing, the region must read clean; a kernel with bits stuck
-	// at 1 is equally unusable.
-	if cleared, err := readSoftDirty(base, pages); err != nil {
-		return nil, err
-	} else if len(cleared) == pages {
-		return nil, fmt.Errorf("%w (clear_refs has no effect)", ErrUnsupported)
 	}
 
 	// The "request": dirty the chosen subset.
@@ -143,6 +123,33 @@ func Run(pages int, writeSet []int) (*Result, error) {
 	return res, nil
 }
 
+// clearSoftDirty clears the soft-dirty bits of the process
+// (echo 4 > /proc/self/clear_refs), given a region of `pages` pages at base
+// that were all just written. It returns ErrUnsupported (wrapped) unless the
+// kernel tracks soft-dirty bits: freshly written anonymous pages must carry
+// bit 55 first — a kernel without CONFIG_MEM_SOFT_DIRTY accepts the
+// clear_refs write silently but reports the bit as permanently zero — and
+// the region must not read all dirty after the clear — a kernel with bits
+// stuck at 1 is equally unusable.
+func clearSoftDirty(base uintptr, pages int) error {
+	probe, err := readSoftDirty(base, pages)
+	if err != nil {
+		return err
+	}
+	if len(probe) == 0 {
+		return fmt.Errorf("%w (bit 55 never set)", ErrUnsupported)
+	}
+	if err := os.WriteFile("/proc/self/clear_refs", []byte("4"), 0); err != nil {
+		return fmt.Errorf("%w (clear_refs: %v)", ErrUnsupported, err)
+	}
+	if cleared, err := readSoftDirty(base, pages); err != nil {
+		return err
+	} else if len(cleared) == pages {
+		return fmt.Errorf("%w (clear_refs has no effect)", ErrUnsupported)
+	}
+	return nil
+}
+
 // regionBase returns the region's starting virtual address. This is the
 // package's single use of unsafe, and only to name an address the kernel
 // already gave us (the mmap result).
@@ -153,6 +160,22 @@ func regionBase(region []byte) uintptr {
 // readSoftDirty returns the page indices (relative to base) whose pagemap
 // entries have the soft-dirty bit set, over `pages` pages.
 func readSoftDirty(base uintptr, pages int) ([]int, error) {
+	entries, err := readPagemap(base, pages)
+	if err != nil {
+		return nil, err
+	}
+	var dirty []int
+	for i, entry := range entries {
+		if entry&presentBit != 0 && entry&softDirtyBit != 0 {
+			dirty = append(dirty, i)
+		}
+	}
+	return dirty, nil
+}
+
+// readPagemap returns the raw /proc/self/pagemap entries of the `pages`
+// pages starting at base.
+func readPagemap(base uintptr, pages int) ([]uint64, error) {
 	f, err := os.Open("/proc/self/pagemap")
 	if err != nil {
 		return nil, fmt.Errorf("%w (pagemap: %v)", ErrUnsupported, err)
@@ -164,12 +187,9 @@ func readSoftDirty(base uintptr, pages int) ([]int, error) {
 	if _, err := f.ReadAt(buf, offset); err != nil {
 		return nil, fmt.Errorf("realcheck: pagemap read: %w", err)
 	}
-	var dirty []int
-	for i := 0; i < pages; i++ {
-		entry := binary.LittleEndian.Uint64(buf[i*8:])
-		if entry&presentBit != 0 && entry&softDirtyBit != 0 {
-			dirty = append(dirty, i)
-		}
+	entries := make([]uint64, pages)
+	for i := range entries {
+		entries[i] = binary.LittleEndian.Uint64(buf[i*8:])
 	}
-	return dirty, nil
+	return entries, nil
 }

@@ -12,7 +12,8 @@ import (
 
 // The layout the access tests run on, in pages from accessBase: two adjacent
 // writable regions (a list can cross from one into the other), a read-only
-// one, a hole, and a third writable region.
+// one, a hole, and a third writable region, boxed in from above so that
+// growing it moves it.
 const accessBase = Addr(0x100000)
 
 var accessLayout = []struct {
@@ -25,6 +26,7 @@ var accessLayout = []struct {
 	{14, 2, ProtRead, "ro"},
 	// pages 16 and 17 are unmapped
 	{18, 4, ProtRW, "c"},
+	{22, 1, ProtRead, "box"},
 }
 
 // accessCosts prices every fault and access differently, so two meters agree
@@ -86,10 +88,12 @@ type accessCase struct {
 func accessTwin(t testing.TB, c accessCase) (*AddressSpace, []uint64, func()) {
 	as := accessSpace(t, c.Uffd)
 	base := accessBase.PageNum()
+	// "c" is wherever the last move took it.
+	cStart, cPages := PageAddr(base+18), 4
 	writable := func(p uint8) uint64 { // pages of "a", "b" and "c"
 		i := uint64(p) % 18
 		if i >= 14 {
-			i += 4
+			return cStart.PageNum() + i - 14
 		}
 		return base + i
 	}
@@ -97,7 +101,7 @@ func accessTwin(t testing.TB, c accessCase) (*AddressSpace, []uint64, func()) {
 	var children []*AddressSpace
 	for _, op := range c.Prep {
 		vpn := writable(op.Page)
-		switch op.Op % 8 {
+		switch op.Op % 9 {
 		case 0, 1:
 			as.WriteWord(PageAddr(vpn)+Addr(accessOff(op.Off)), op.V)
 		case 2:
@@ -113,6 +117,10 @@ func accessTwin(t testing.TB, c accessCase) (*AddressSpace, []uint64, func()) {
 		case 7: // a live fork child shares every frame
 			if len(children) < 2 {
 				children = append(children, as.Fork())
+			}
+		case 8: // grow "c" by a page: a move the first time, in place after
+			if got, err := as.Mremap(cStart, cPages*mem.PageSize, (cPages+1)*mem.PageSize); err == nil {
+				cStart, cPages = got, cPages+1
 			}
 		}
 	}
@@ -160,6 +168,8 @@ func trapped(f func()) (p any) {
 // fault counters, meter, dirty and fresh sets and the raw logs behind them,
 // every page-table entry (frame numbers included: each twin has its own
 // physical memory and allocates in the same order) and every page's bytes.
+// Once an epoch has started the dirty set must also be the page table's
+// soft-dirty bits, whatever the history moved.
 func sameAccessState(t *testing.T, got, ref *AddressSpace) bool {
 	t.Helper()
 	ok := true
@@ -177,15 +187,19 @@ func sameAccessState(t *testing.T, got, ref *AddressSpace) bool {
 	if b, s := got.AppendSoftDirtyVPNs(nil), ref.AppendSoftDirtyVPNs(nil); !slices.Equal(b, s) {
 		fail("soft-dirty pages: got %x, reference %x", b, s)
 	}
-	if got.DirtyLogArmed() != ref.DirtyLogArmed() || got.FreshLogArmed() != ref.FreshLogArmed() {
-		fail("log arming differs")
-	} else if got.FreshLogArmed() {
+	if got.dirty.armed != ref.dirty.armed {
+		fail("one twin has started an epoch, the other not")
+	} else if got.dirty.armed {
 		if b, s := got.AppendFreshVPNs(nil), ref.AppendFreshVPNs(nil); !slices.Equal(b, s) {
 			fail("fresh pages: got %x, reference %x", b, s)
 		}
+		if b, w := got.AppendSoftDirtyVPNs(nil), mapWalkSoftDirty(got); !slices.Equal(b, w) {
+			fail("dirty log %x, page-table walk %x", b, w)
+		}
 	}
-	if !slices.Equal(got.dirty.vpns, ref.dirty.vpns) || !slices.Equal(got.fresh.vpns, ref.fresh.vpns) {
-		fail("raw logs differ: dirty %x / %x, fresh %x / %x", got.dirty.vpns, ref.dirty.vpns, got.fresh.vpns, ref.fresh.vpns)
+	if !slices.Equal(got.dirty.vpns, ref.dirty.vpns) || !slices.Equal(got.fresh.vpns, ref.fresh.vpns) || !slices.Equal(got.lost.vpns, ref.lost.vpns) {
+		fail("raw logs differ: dirty %x / %x, fresh %x / %x, lost %x / %x",
+			got.dirty.vpns, ref.dirty.vpns, got.fresh.vpns, ref.fresh.vpns, got.lost.vpns, ref.lost.vpns)
 	}
 	resident := got.ResidentVPNs()
 	if s := ref.ResidentVPNs(); !slices.Equal(resident, s) {

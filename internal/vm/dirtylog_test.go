@@ -136,66 +136,90 @@ func TestAppendSoftDirtyVPNsReusesBuffer(t *testing.T) {
 	}
 }
 
-// TestAppendSoftDirtyVPNsFallsBackWithoutUffd checks the exact page-table
-// walk is used when the log is not armed (soft-dirty tracking).
+// TestAppendSoftDirtyVPNsFallsBackWithoutUffd checks the page-table walk
+// answers before the first ClearSoftDirty (here under soft-dirty tracking),
+// while the logs record nothing: a runtime's warm-up does not fill them.
 func TestAppendSoftDirtyVPNsFallsBackWithoutUffd(t *testing.T) {
 	as := New(mem.New(), Costs{})
 	if err := as.MmapFixed(0x100000, 8*mem.PageSize, ProtRW, KindAnon, ""); err != nil {
 		t.Fatal(err)
 	}
 	base := Addr(0x100000).PageNum()
-	as.ClearSoftDirty()
 	as.DirtyPage(base+3, 0xD)
 	as.DirtyPage(base+1, 0xD)
 	got := as.AppendSoftDirtyVPNs(nil)
 	if want := []uint64{base + 1, base + 3}; !slices.Equal(got, want) {
 		t.Fatalf("fallback walk = %v, want %v", got, want)
 	}
+	if n := len(as.dirty.vpns) + len(as.fresh.vpns) + len(as.lost.vpns); n != 0 {
+		t.Fatalf("the logs recorded %d pages before any epoch started", n)
+	}
 }
 
-// TestDirtyLogSurvivesMremapMove: relocating PTEs (mremap's move path)
-// carries soft-dirty bits to page numbers the log never saw; the log must
-// disarm so reads fall back to the exact walk — and the fresh and lost logs
-// with it: the move makes pages resident, and takes pages out of the table,
-// without a fault or a drop.
+// TestDirtyLogSurvivesMremapMove: relocating PTEs (mremap's move path) is an
+// epoch event like a fault or a drop, logged as Linux reports it. Every page
+// that left its number is lost, every page that arrived at a new one is fresh
+// and, soft-dirty as the kernel marks a moved PTE, dirty — each log checked
+// against a walk of the page table before and after the move.
 func TestDirtyLogSurvivesMremapMove(t *testing.T) {
-	as, base := dirtyLogSpace(t, 2)
+	as, base := dirtyLogSpace(t, 3)
 	// A differently-named neighbor blocks in-place growth without merging.
-	if err := as.MmapFixed(0x100000+2*mem.PageSize, mem.PageSize, ProtRW, KindAnon, "blocker"); err != nil {
+	if err := as.MmapFixed(0x100000+3*mem.PageSize, mem.PageSize, ProtRW, KindAnon, "blocker"); err != nil {
 		t.Fatal(err)
 	}
-	as.DirtyPage(base, 0xD)
-	dst, err := as.Mremap(0x100000, 2*mem.PageSize, 4*mem.PageSize)
+	as.DirtyPage(base, 0xD) // dirty before the move
+	as.TouchPage(base + 1)  // clean
+	as.TouchPage(base + 2)
+	as.DropPage(base + 2) // not resident: nothing of it moves
+	resident := as.ResidentVPNs()
+	if want := []uint64{base, base + 1}; !slices.Equal(resident, want) {
+		t.Fatalf("resident before the move: %x, want %x", resident, want)
+	}
+	dst, err := as.Mremap(0x100000, 3*mem.PageSize, 4*mem.PageSize)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if dst == 0x100000 {
 		t.Fatal("mremap did not move despite the blocking neighbor")
 	}
-	got := as.AppendSoftDirtyVPNs(nil)
-	if want := []uint64{dst.PageNum()}; !slices.Equal(got, want) {
-		t.Fatalf("dirty set after mremap move = %v, want %v", got, want)
+	moved := []uint64{dst.PageNum(), dst.PageNum() + 1}
+	if got := as.ResidentVPNs(); !slices.Equal(got, moved) {
+		t.Fatalf("page table after the move: %x, want %x", got, moved)
 	}
-	if ref := mapWalkSoftDirty(as); !slices.Equal(got, ref) {
-		t.Fatalf("log result %v diverges from page-table walk %v", got, ref)
+	if got, walk := as.AppendSoftDirtyVPNs(nil), mapWalkSoftDirty(as); !slices.Equal(got, moved) || !slices.Equal(walk, moved) {
+		t.Fatalf("dirty log %x, page-table walk %x, want both the moved pages %x", got, walk, moved)
 	}
-	if as.DirtyLogArmed() || as.FreshLogArmed() {
-		t.Fatalf("after the move: dirty log armed=%v, fresh log armed=%v, want neither", as.DirtyLogArmed(), as.FreshLogArmed())
+	if got := as.AppendFreshVPNs(nil); !slices.Equal(got, moved) {
+		t.Fatalf("fresh log %x, want the moved pages %x", got, moved)
 	}
-	for name, read := range map[string]func([]uint64) []uint64{"AppendFreshVPNs": as.AppendFreshVPNs, "AppendLostVPNs": as.AppendLostVPNs} {
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Fatalf("%s answered for an epoch its log does not cover", name)
-				}
-			}()
-			read(nil)
-		}()
+	if got, want := as.AppendLostVPNs(nil), []uint64{base, base + 1, base + 2}; !slices.Equal(got, want) {
+		t.Fatalf("lost log %x, want the pages moved away and the one dropped before %x", got, want)
+	}
+	for _, vpn := range moved {
+		if pte, _ := as.PTEAt(vpn); !pte.SoftDirty {
+			t.Fatalf("moved page %#x is not soft-dirty", vpn)
+		}
 	}
 	as.ClearSoftDirty()
-	if !as.DirtyLogArmed() || !as.FreshLogArmed() || len(as.AppendLostVPNs(nil)) != 0 {
-		t.Fatal("ClearSoftDirty did not re-arm the three logs empty")
+	if d, f, l := as.AppendSoftDirtyVPNs(nil), as.AppendFreshVPNs(nil), as.AppendLostVPNs(nil); len(d)+len(f)+len(l) != 0 || len(mapWalkSoftDirty(as)) != 0 {
+		t.Fatalf("after the clear: dirty %x, fresh %x, lost %x, soft-dirty bits %x", d, f, l, mapWalkSoftDirty(as))
 	}
+}
+
+// TestTrackerFixedOnceAnEpochStarts: the tracker may be chosen (and chosen
+// again) until the first ClearSoftDirty; switching it afterwards panics.
+func TestTrackerFixedOnceAnEpochStarts(t *testing.T) {
+	as := New(mem.New(), Costs{})
+	as.SetUffdTracking(true)
+	as.SetUffdTracking(false)
+	as.ClearSoftDirty()
+	as.SetUffdTracking(false) // not a switch
+	defer func() {
+		if recover() == nil {
+			t.Fatal("SetUffdTracking switched the tracker after the first ClearSoftDirty")
+		}
+	}()
+	as.SetUffdTracking(true)
 }
 
 // TestAppendResidentVPNsSortedAndReuses covers the resident-set accessor:

@@ -137,9 +137,10 @@ func TestExtentWholeOnEveryBirthPath(t *testing.T) {
 	})
 }
 
-// Both ClearSoftDirty paths — the logged one and the page-table walk — empty
-// every extent, however it came to be. A drop does not decide which runs (it
-// is logged); an mremap move does, by disarming the logs.
+// Both ClearSoftDirty paths — the page-table walk of the first clear and the
+// logged one of every later clear — empty every extent, however it came to
+// be: a drop and an mremap move are logged, so the logged clear finds their
+// pages too.
 func TestExtentEmptiedByClearSoftDirty(t *testing.T) {
 	dirtyAll := func(as *AddressSpace, base uint64) *AddressSpace {
 		as.WriteWord(PageAddr(base)+64, 1) // written
@@ -162,11 +163,24 @@ func TestExtentEmptiedByClearSoftDirty(t *testing.T) {
 		}
 	}
 	t.Run("walk", func(t *testing.T) {
+		// No clear yet: the first one walks the page table.
+		as := runTestSpace(t, 4)
+		base := Addr(0x100000).PageNum()
+		for i := uint64(0); i < 4; i++ {
+			as.WriteWord(PageAddr(base+i)+512, 0xC0DE)
+		}
+		defer dirtyAll(as, base).Release()
+		if as.dirty.armed {
+			t.Fatal("an epoch started without a clear; this case must take the walk")
+		}
+		as.ClearSoftDirty()
+		check(t, as, base)
+	})
+	t.Run("logged after a move", func(t *testing.T) {
 		as, base := extentSpace(t, 4)
 		defer dirtyAll(as, base).Release()
-		// A differently-named neighbor blocks in-place growth, so the
-		// four pages move, extents and all, and the logs stop covering
-		// the epoch.
+		// A differently-named neighbor blocks in-place growth, so the four
+		// pages move, and arrive with whole-page extents.
 		if err := as.MmapFixed(PageAddr(base+4), mem.PageSize, ProtRW, KindAnon, "blocker"); err != nil {
 			t.Fatal(err)
 		}
@@ -174,8 +188,8 @@ func TestExtentEmptiedByClearSoftDirty(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if as.DirtyLogArmed() || as.FreshLogArmed() {
-			t.Fatal("an mremap move left a log armed; this case must take the walk")
+		if dst == PageAddr(base) {
+			t.Fatal("mremap did not move despite the blocking neighbor")
 		}
 		as.ClearSoftDirty()
 		check(t, as, dst.PageNum())
@@ -183,9 +197,6 @@ func TestExtentEmptiedByClearSoftDirty(t *testing.T) {
 	t.Run("logged after a drop", func(t *testing.T) {
 		as, base := extentSpace(t, 4)
 		defer dirtyAll(as, base).Release()
-		if !as.DirtyLogArmed() || !as.FreshLogArmed() {
-			t.Fatal("a drop disarmed a log; this case must take the logged path")
-		}
 		if got := as.AppendLostVPNs(nil); !slices.Equal(got, []uint64{base + 1, base + 2}) {
 			t.Fatalf("lost log reads %x, want the two dropped pages", got)
 		}
@@ -207,9 +218,6 @@ func TestExtentEmptiedByClearSoftDirty(t *testing.T) {
 		as.PokePageRun(base+3, 1, nil) // whole again, by a poke's CoW break
 		as.PokePageRun(base+1, 1, nil) // clean shared page: whole by the poke alone
 		wantExtent(t, as, base+1, 0, mem.PageSize)
-		if !as.DirtyLogArmed() || !as.FreshLogArmed() {
-			t.Fatal("logs disarmed; this case must take the logged path")
-		}
 		as.ClearSoftDirty()
 		check(t, as, base)
 	})
@@ -237,8 +245,10 @@ func TestExtentCarriedByForkAndMremapMove(t *testing.T) {
 	if dst == 0x100000 {
 		t.Fatal("mremap did not move despite the blocking neighbor")
 	}
-	wantExtent(t, as, dst.PageNum(), 64, 72)
-	wantExtent(t, as, dst.PageNum()+1, 0, 0)
+	// A move is not carried: the bytes outside [64, 72) equal what the old
+	// address held at the clear, which says nothing of the new one.
+	wantExtent(t, as, dst.PageNum(), 0, mem.PageSize)
+	wantExtent(t, as, dst.PageNum()+1, 0, mem.PageSize)
 }
 
 // extentOp is one step of TestExtentBoundsEveryWrittenByte.
@@ -255,10 +265,12 @@ type extentOp struct {
 // then carries the whole page; and rolling a page back with PokePageRun
 // makes it equal to those contents in full. Checked after every step of a
 // random sequence of writes and reads (one page or a batched list), drops,
-// clears (logged and walking), forks, mremap growth and moves, under both
-// trackers. Beside it, the three logs are held to plain models: the resident
-// list and the dirty log to the regions' pagemap entries, the lost log to a
-// map of the pages whose frame was released since the last clear.
+// clears (the first walking, the rest logged), forks, mremap growth and
+// moves, under both trackers; a move is a birth at the new page numbers.
+// Beside it, once the first clear has started an epoch, the three logs are
+// held to plain models: the resident list and the dirty log to the regions'
+// pagemap entries, the lost log to a map of the pages whose frame was
+// released or moved away since the last clear.
 func TestExtentBoundsEveryWrittenByte(t *testing.T) {
 	const maxPages = 12
 	f := func(uffd bool, ops []extentOp) bool {
@@ -282,9 +294,10 @@ func TestExtentBoundsEveryWrittenByte(t *testing.T) {
 		// atClear[i] is page i's contents at the last clear; absent if the
 		// page was not resident then (or there has been no clear yet).
 		atClear := map[int][]byte{}
-		// lost holds the pages whose frame was released since the last
-		// clear, whatever became of them afterwards.
+		// lost holds the pages whose frame was released or moved away since
+		// the last clear, whatever became of them afterwards.
 		lost := map[uint64]bool{}
+		epoch := false // a clear has run
 		content := func(i int) []byte {
 			if b := as.PeekPage(start.PageNum() + uint64(i)); b != nil {
 				return b
@@ -333,11 +346,11 @@ func TestExtentBoundsEveryWrittenByte(t *testing.T) {
 				t.Logf("step %d: resident list %x, pagemap of the regions %x", step, got, resident)
 				return false
 			}
-			if got := as.AppendSoftDirtyVPNs(nil); as.DirtyLogArmed() && !slices.Equal(got, dirty) {
+			if got := as.AppendSoftDirtyVPNs(nil); !slices.Equal(got, dirty) {
 				t.Logf("step %d: dirty log reads %x, PTE soft-dirty bits %x", step, got, dirty)
 				return false
 			}
-			if as.FreshLogArmed() {
+			if epoch {
 				if got, want := as.AppendLostVPNs(nil), slices.Sorted(maps.Keys(lost)); !slices.Equal(got, want) {
 					t.Logf("step %d: lost log reads %x, frames were released from %x", step, got, want)
 					return false
@@ -368,6 +381,7 @@ func TestExtentBoundsEveryWrittenByte(t *testing.T) {
 				}
 			case 5: // new epoch
 				as.ClearSoftDirty()
+				epoch = true
 				clear(atClear)
 				clear(lost)
 				for j := 0; j < pages; j++ {
@@ -393,6 +407,16 @@ func TestExtentBoundsEveryWrittenByte(t *testing.T) {
 					if err != nil {
 						t.Logf("step %d: mremap: %v", step, err)
 						return false
+					}
+					if got != start {
+						// The resident pages left their numbers, and no page
+						// at the new ones was resident at the clear.
+						for j := 0; j < pages; j++ {
+							if _, ok := as.PTEAt(got.PageNum() + uint64(j)); ok {
+								lost[start.PageNum()+uint64(j)] = true
+							}
+						}
+						clear(atClear)
 					}
 					start, pages = got, pages+1
 				}

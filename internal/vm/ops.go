@@ -186,7 +186,9 @@ func (as *AddressSpace) Mprotect(start Addr, bytes int, prot Prot) error {
 //
 // Restoration handles both outcomes with its ordinary layout diff: an
 // extension or a moved copy appears as a new range to munmap plus a missing
-// range to re-create (§4.4's "grown, shrunk, merged, split" regions).
+// range to re-create (§4.4's "grown, shrunk, merged, split" regions). A move
+// is logged like any other epoch event (see the loop below), so the restore
+// that follows stays on the epoch logs.
 func (as *AddressSpace) Mremap(start Addr, oldBytes, newBytes int) (Addr, error) {
 	if !start.Aligned() || oldBytes <= 0 || newBytes <= 0 {
 		return 0, fmt.Errorf("vm: bad mremap %v %d->%d", start, oldBytes, newBytes)
@@ -220,17 +222,22 @@ func (as *AddressSpace) Mremap(start Addr, oldBytes, newBytes int) (Addr, error)
 		return 0, err
 	}
 	as.mmapNext = dst
-	// Relocating PTEs carries soft-dirty bits — and residency — to new page
-	// numbers the incremental logs cannot know about, and takes them away
-	// from the old ones without a drop; disarm all three so reads fall back
-	// to the exact page-table walk until ClearSoftDirty re-arms.
-	as.dirty.armed, as.fresh.armed, as.lost.armed = false, false, false
+	// A moved page leaves its old number without a drop (lost) and arrives
+	// at a new one as if born this epoch (fresh), soft-dirty as Linux marks
+	// a moved PTE (move_soft_dirty_pte) and so dirty as well. Its extent
+	// becomes the whole page: the bytes outside a carried extent would equal
+	// the old address's contents at the last clear, not the new one's.
 	for vpn := start.PageNum(); vpn < (start + Addr(oldSize)).PageNum(); vpn++ {
 		pte, ok := as.pages.delete(vpn)
 		if !ok {
 			continue
 		}
-		as.pages.set(dst.PageNum()+(vpn-start.PageNum()), pte)
+		to := dst.PageNum() + (vpn - start.PageNum())
+		as.lost.add(vpn)
+		as.fresh.add(to)
+		as.dirty.add(to)
+		pte.SoftDirty, pte.lo, pte.hi = true, 0, mem.PageSize
+		as.pages.set(to, pte)
 	}
 	as.carve(start, start+Addr(oldSize))
 	as.chargeSyscall(oldSize / mem.PageSize)

@@ -44,9 +44,10 @@ type PTE struct {
 	// the bytes outside it still equal what the page held at that clear.
 	// WriteWord widens the extent; a PTE born during the epoch (demand-zero
 	// fault, poke of a non-resident page, MapFrameCoW, a CoW break inside a
-	// poke) carries the whole page, because nothing relates its frame to the
-	// page's earlier contents; ClearSoftDirty empties it (hi == 0). The two
-	// fields sit in what was the struct's padding: a PTE stays 16 bytes.
+	// poke, an mremap move to a new page number) carries the whole page,
+	// because nothing relates its frame to the page's earlier contents;
+	// ClearSoftDirty empties it (hi == 0). The two fields sit in what was
+	// the struct's padding: a PTE stays 16 bytes.
 	lo, hi uint16
 }
 
@@ -110,31 +111,29 @@ type AddressSpace struct {
 	// the traced process still pays full pagemap-scan prices — but it lets
 	// the simulator's restore data path skip the O(resident) walk whose
 	// virtual cost it charges, which is what makes million-request fleet
-	// runs wall-clock feasible. Page-table surgery that relocates PTEs
-	// (mremap's move path) disarms the log, falling back to the exact map
-	// walk until the next re-arm.
+	// runs wall-clock feasible. An mremap move logs the pages it moves in,
+	// which it marks soft-dirty.
 	dirty epochLog
 
 	// fresh is the dirty log's residency twin: every page that transitions
 	// from absent to resident (demand-zero faults, restore pokes, CoW frame
-	// mappings) is logged here, and so is a resident page a poke moves to a
-	// new frame (a CoW break) — between them, every entry born with a
-	// whole-page extent. The restore's logged path reads it to find pages mapped
-	// in since the last epoch — the candidates for the madvise drop set —
-	// without walking the resident set it is charging for. Disarmed by the
-	// same PTE surgery as the dirty log. A drop does not disarm it: the page
-	// leaves the table, appendLive filters it out, and lost records it.
+	// mappings, an mremap move's destination pages) is logged here, and so
+	// is a resident page a poke moves to a new frame (a CoW break) — between
+	// them, every entry born with a whole-page extent. The restore reads it
+	// to find pages mapped in since the last epoch — the candidates for the
+	// madvise drop set — without walking the resident set it is charging
+	// for. A page dropped again leaves the table, appendLive filters it out,
+	// and lost records it.
 	fresh epochLog
 
-	// lost is the fresh log's opposite: every page whose frame DropPage
-	// released since the last ClearSoftDirty, whichever syscall dropped it
-	// (madvise, munmap, a brk shrink, the restorer's own injected munmap) and
-	// whatever happened to the page afterwards. Dropping a resident page
-	// diverges memory from the snapshot without marking anything dirty; the
-	// restorer reads this log, after it has put the layout back, to find the
-	// snapshot pages that lost the frame the snapshot saw. Armed and disarmed
-	// with fresh: the mremap move takes pages out of the table without
-	// dropping them.
+	// lost is the fresh log's opposite: every page that left the table since
+	// the last ClearSoftDirty, whichever syscall dropped it (madvise, munmap,
+	// a brk shrink, the restorer's own injected munmap) or moved it away (an
+	// mremap move), and whatever happened to the page afterwards. Losing a
+	// resident page diverges memory from the snapshot without marking
+	// anything dirty; the restorer reads this log, after it has put the
+	// layout back, to find the snapshot pages that lost the frame the
+	// snapshot saw.
 	lost epochLog
 }
 
@@ -143,8 +142,10 @@ type AddressSpace struct {
 // event order and sorted lazily at read time; the dirty and fresh logs are
 // validated against the page table on the way out (appendLive), so dropped
 // pages and drop-then-refault duplicates never leak into a result, the lost
-// log is read as it is (appendAll). A disarmed log does not cover its epoch
-// and records nothing.
+// log is read as it is (appendAll). armed means an epoch has started: the
+// first ClearSoftDirty sets it and nothing clears it. Before that a log
+// records nothing, so a runtime's warm-up does not fill it with every page
+// it faults in.
 type epochLog struct {
 	vpns   []uint64
 	sorted bool
@@ -232,12 +233,13 @@ func (as *AddressSpace) ResetFaults() { as.faults = FaultStats{} }
 
 // SetUffdTracking selects userfaultfd-style write tracking (see
 // Costs.UffdFault). Soft-dirty bookkeeping is unchanged; only the per-fault
-// cost and the manager's collection strategy differ. Switching invalidates
-// the dirty log until the next ClearSoftDirty re-arms it, since the log only
-// covers faults taken while the user-space handler was registered.
+// cost and the manager's collection strategy differ. The tracker is chosen
+// before the first ClearSoftDirty: an epoch's dirty log stands for the
+// faults its handler saw, so a switch once an epoch has started is a
+// programming error and panics.
 func (as *AddressSpace) SetUffdTracking(on bool) {
-	if on != as.uffd {
-		as.dirty, as.fresh, as.lost = epochLog{}, epochLog{}, epochLog{}
+	if on != as.uffd && as.dirty.armed {
+		panic("vm: SetUffdTracking after the first ClearSoftDirty")
 	}
 	as.uffd = on
 }
@@ -714,9 +716,8 @@ func (as *AddressSpace) ShareFrameCoW(vpn uint64) (mem.FrameID, bool) {
 // whichever syscall dropped the page (madvise, munmap, a brk shrink) and
 // whether or not the layout ends the request as it began. Every drop comes
 // through here (Madvise, Munmap and a Brk shrink call it page by page), which
-// is what lets AppendLostVPNs stand for "every page that lost its frame this
-// epoch". No log is disarmed: the restore stays on its logged path and merges
-// the lost pages into its plan.
+// is what lets AppendLostVPNs, with the moves Mremap logs, stand for "every
+// page that lost its frame this epoch"; the restore merges them into its plan.
 func (as *AddressSpace) DropPage(vpn uint64) bool {
 	pte, ok := as.pages.delete(vpn)
 	if ok {
@@ -733,27 +734,27 @@ func (as *AddressSpace) DropPage(vpn uint64) bool {
 // re-records the bit. It returns the number of entries walked. This models
 // writing "4" to /proc/pid/clear_refs, and it starts an epoch: what the
 // pages hold now is what "bytes outside the extent" will be compared to. It
-// also arms the dirty, fresh and lost logs: the faults and drops from here on
-// accumulate the next epoch's dirty, newly-resident and lost-frame sets
-// incrementally, so reading them back never walks the page table.
+// also empties the dirty, fresh and lost logs (the first call arms them): the
+// faults, drops and moves from here on accumulate the next epoch's dirty,
+// newly-resident and lost-frame sets incrementally, so reading them back
+// never walks the page table.
 // (Under UFFD tracking the dirty log is also the cost model — the
 // user-space handler really does accumulate the set; under soft-dirty it
 // is a simulator-internal index and the pagemap-scan prices still apply.)
 func (as *AddressSpace) ClearSoftDirty() int {
 	n := as.pages.len()
-	if as.dirty.armed && as.fresh.armed {
-		// Logged epoch: the full page-table walk is redundant. Only pages
-		// written this epoch carry a soft-dirty bit (they are in the dirty
-		// log), and the only resident pages whose write protection is
-		// disarmed or whose extent is not empty are those same written
-		// pages plus the pages that got a frame this epoch (fresh log —
-		// demand-zero and poked PTEs are born unarmed, with the whole page
-		// as their extent). Everything else was reset by the previous clear
-		// and untouched since; a dropped page has no entry left to reset, so
-		// a request that drops pages takes this branch too. The modeled
-		// clear_refs write still walks,
-		// which is why the caller's ClearRefsPerPage charge uses the full
-		// resident count either way.
+	if as.dirty.armed {
+		// Every clear but the first: the full page-table walk is redundant.
+		// Only pages written this epoch carry a soft-dirty bit (they are in
+		// the dirty log), and the only resident pages whose write protection
+		// is disarmed or whose extent is not empty are those same written
+		// pages plus the pages that got a frame or a new number this epoch
+		// (fresh log — demand-zero, poked and moved PTEs carry the whole
+		// page as their extent). Everything else was reset by the previous
+		// clear and untouched since; a dropped page has no entry left to
+		// reset. The modeled clear_refs write still walks, which is why the
+		// caller's ClearRefsPerPage charge uses the full resident count
+		// either way.
 		for _, log := range [][]uint64{as.dirty.vpns, as.fresh.vpns} {
 			for _, vpn := range log {
 				if pte := as.pages.ref(vpn); pte != nil {
@@ -770,20 +771,13 @@ func (as *AddressSpace) ClearSoftDirty() int {
 	return n
 }
 
-// DirtyLogArmed reports whether the dirty log covers the current epoch, i.e.
-// AppendSoftDirtyVPNs will read the log rather than fall back to the page-
-// table walk. The manager uses this to charge the UFFD scan phase honestly:
-// per dirty page while the log holds, pagemap-scan prices after something
-// (an mremap move, a tracking switch) invalidated it.
-func (as *AddressSpace) DirtyLogArmed() bool { return as.dirty.armed }
-
 // AppendSoftDirtyVPNs appends the sorted page numbers whose soft-dirty bit
-// is set to dst and returns the extended slice. While the dirty log is armed
-// the result comes from the log — cost proportional to the dirty set, never
-// a page-table walk; otherwise it falls back to the exact page-table walk
-// (linear over the chunked table, sorted by construction). Either way the
-// appended region is sorted and duplicate-free, and callers that reuse dst
-// across calls read the dirty set without allocating.
+// is set to dst and returns the extended slice. Once an epoch has started
+// the result comes from the dirty log — cost proportional to the dirty set,
+// never a page-table walk; before the first ClearSoftDirty it is the
+// page-table walk (linear over the chunked table, sorted by construction).
+// Either way the appended region is sorted and duplicate-free, and callers
+// that reuse dst across calls read the dirty set without allocating.
 func (as *AddressSpace) AppendSoftDirtyVPNs(dst []uint64) []uint64 {
 	if !as.dirty.armed {
 		return as.pages.appendSoftDirtyVPNs(dst)
@@ -791,32 +785,26 @@ func (as *AddressSpace) AppendSoftDirtyVPNs(dst []uint64) []uint64 {
 	return as.dirty.appendLive(dst, &as.pages, true)
 }
 
-// FreshLogArmed reports whether the fresh log covers the current epoch,
-// i.e. AppendFreshVPNs returns exactly the pages mapped in since the last
-// ClearSoftDirty.
-func (as *AddressSpace) FreshLogArmed() bool { return as.fresh.armed }
-
 // AppendFreshVPNs appends the sorted, duplicate-free page numbers that
-// became resident since the last ClearSoftDirty and still are, to dst. It
-// must only be called while the fresh log is armed (FreshLogArmed); the
-// restore's logged path uses it to find madvise candidates without walking
-// the resident set.
+// became resident (or were moved to) since the last ClearSoftDirty and still
+// are, to dst. It panics before the first ClearSoftDirty; the restore uses
+// it to find madvise candidates without walking the resident set.
 func (as *AddressSpace) AppendFreshVPNs(dst []uint64) []uint64 {
 	if !as.fresh.armed {
-		panic("vm: AppendFreshVPNs with the fresh log disarmed")
+		panic("vm: AppendFreshVPNs before the first ClearSoftDirty")
 	}
 	return as.fresh.appendLive(dst, &as.pages, false)
 }
 
-// AppendLostVPNs appends the sorted, duplicate-free page numbers DropPage
-// released a frame from since the last ClearSoftDirty to dst. Unlike the
-// other two logs it is not filtered by residency: a page dropped and faulted
-// back in sits on a zero frame, a page dropped and left alone on none, and
-// the restorer has to refill both. It shares the fresh log's epoch and must
-// only be called while that log is armed (FreshLogArmed).
+// AppendLostVPNs appends the sorted, duplicate-free page numbers that lost
+// their frame since the last ClearSoftDirty — released by DropPage or moved
+// away by Mremap — to dst. Unlike the other two logs it is not filtered by
+// residency: a page dropped and faulted back in sits on a zero frame, a page
+// dropped and left alone on none, and the restorer has to refill both. It
+// panics before the first ClearSoftDirty.
 func (as *AddressSpace) AppendLostVPNs(dst []uint64) []uint64 {
 	if !as.lost.armed {
-		panic("vm: AppendLostVPNs with the lost log disarmed")
+		panic("vm: AppendLostVPNs before the first ClearSoftDirty")
 	}
 	return as.lost.appendAll(dst)
 }
