@@ -32,7 +32,6 @@ import (
 	"errors"
 	"fmt"
 
-	"groundhog/internal/core"
 	"groundhog/internal/faas"
 	"groundhog/internal/faults"
 	"groundhog/internal/isolation"
@@ -54,9 +53,6 @@ type Config struct {
 
 	// MaxContainersPerFunction caps each deployment's pool cluster-wide.
 	MaxContainersPerFunction int
-	// HostCapacity caps one host's total container count across all
-	// deployments (0 = unlimited); a full host is ineligible for placement.
-	HostCapacity int
 
 	// KeepAlive is the idle TTL after which a warm container is reaped; it
 	// also sets the policy tick cadence (KeepAlive/2), as in trace.
@@ -76,9 +72,6 @@ type Config struct {
 
 	// SLOTargetMs is the fleet-wide p95 target for SLO-aware policies.
 	SLOTargetMs float64
-
-	// Store selects the StateStore kind for every deployment.
-	Store core.StoreKind
 
 	// Faults arms deterministic fault injection. Each host gets its own
 	// injector with the plan's seed perturbed by the host ID, so per-host
@@ -116,7 +109,7 @@ type Event struct {
 
 // dispatcher is the part of the configuration trace.Dispatcher reads (and
 // validates): pool cap, TTLs, window, policy, SLO target, seed. Placement-
-// side fields (Cost, Mode, Store) stay with the cluster's own pools; Faults
+// side fields (Cost, Mode) stay with the cluster's own pools; Faults
 // rides along for its validation only — each host arms its own injector.
 func (c Config) dispatcher() trace.Config {
 	return trace.Config{
@@ -136,9 +129,6 @@ func (c Config) dispatcher() trace.Config {
 func (c Config) Validate() error {
 	if c.Hosts < 1 {
 		return fmt.Errorf("cluster: need at least one host")
-	}
-	if c.HostCapacity < 0 {
-		return fmt.Errorf("cluster: negative host capacity")
 	}
 	if err := c.dispatcher().Validate(); err != nil {
 		return err
@@ -336,14 +326,11 @@ func New(cfg Config, loads []trace.FunctionLoad) (*Cluster, error) {
 		return nil, err
 	}
 	cl.disp = disp
-	// Pre-warm one container per deployment, placed by the policy under
-	// test — only now, because the placer reads the dispatcher's signals.
+	// Pre-warm one container per deployment, placed by the placer under
+	// test; every host is live before Run.
 	for _, ds := range cl.deps {
-		views := cl.eligibleHosts(ds)
-		if len(views) == 0 {
-			return nil, fmt.Errorf("cluster: no eligible host for %s's warm floor", ds.stats.Name)
-		}
-		hid := views[cl.placer.Place(disp.Signals(ds.fn, 0), views)].Host
+		views := cl.liveHosts(ds)
+		hid := views[cl.placer.Place(views)].Host
 		pl, err := cl.pool(ds, hid)
 		if err != nil {
 			return nil, err
@@ -384,54 +371,29 @@ func (cl *Cluster) pool(ds *depState, hostID int) (*faas.Platform, error) {
 	if err != nil {
 		return nil, err
 	}
-	pl.Store = cl.cfg.Store
 	pl.CloneScaleOut = true
 	ds.pools[hostID] = pl
 	return pl, nil
 }
 
-// hostContainers is a host's total container count across all deployments.
-func (cl *Cluster) hostContainers(hostID int) int {
-	n := 0
-	for _, ds := range cl.deps {
-		if pl := ds.pools[hostID]; pl != nil {
-			n += len(pl.Containers())
-		}
-	}
-	return n
-}
-
-// eligibleHosts builds the placement views for one deployment: live hosts
-// with capacity headroom, in host-ID order (HostView.Host maps a view back
-// to its host).
-func (cl *Cluster) eligibleHosts(ds *depState) []trace.HostView {
+// liveHosts builds the placement views for one deployment: every live host,
+// in host-ID order (HostView.Host maps a view back to its host).
+func (cl *Cluster) liveHosts(ds *depState) []trace.HostView {
 	now := cl.engine.Now()
 	var views []trace.HostView
 	for id, h := range cl.hosts {
 		if !h.alive() {
 			continue
 		}
-		total := cl.hostContainers(id)
-		if cl.cfg.HostCapacity > 0 && total >= cl.cfg.HostCapacity {
-			continue
-		}
-		v := trace.HostView{
-			Host:        id,
-			Containers:  total,
-			FramesInUse: h.kern.Phys.InUse(),
-		}
+		v := trace.HostView{Host: id}
 		_, v.PullInFlight = cl.registry.PendingPull(ds.stats.Name, id, now)
 		if pl := ds.pools[id]; pl != nil {
-			cs := pl.Containers()
-			v.Pool = len(cs)
-			for _, c := range cs {
+			for _, c := range pl.Containers() {
 				if c.Ready() > now {
 					v.Busy++
 				}
 			}
-			v.Free = v.Pool - v.Busy
 			if !v.PullInFlight {
-				v.HasImage = pl.HasImage()
 				v.CloneReady = pl.CloneSourceReady()
 			}
 		}
@@ -545,17 +507,11 @@ func (cl *Cluster) FramesInUse() int {
 // start before handing it to the dispatcher.
 func (cl *Cluster) ScaleUp(fn int, now sim.Time) (*faas.Container, error) {
 	ds := cl.deps[fn]
-	views := cl.eligibleHosts(ds)
+	views := cl.liveHosts(ds)
 	if len(views) == 0 {
-		for _, h := range cl.hosts {
-			if h.alive() {
-				// Every live host is at capacity: the dispatcher backs off.
-				return nil, fmt.Errorf("cluster: %s: every live host is full: %w", ds.stats.Name, trace.ErrNoCapacity)
-			}
-		}
 		return nil, fmt.Errorf("cluster: %s: no live hosts left", ds.stats.Name)
 	}
-	hid := views[cl.placer.Place(cl.disp.Signals(fn, now), views)].Host
+	hid := views[cl.placer.Place(views)].Host
 	pl, err := cl.pool(ds, hid)
 	if err != nil {
 		return nil, err

@@ -119,7 +119,7 @@ func TestPlacersSurviveFailureAndDrain(t *testing.T) {
 	}
 }
 
-// TestPackFirstPacks: with every host eligible, pack-first never leaves
+// TestPackFirstPacks: with every host live, pack-first never leaves
 // host 0.
 func TestPackFirstPacks(t *testing.T) {
 	cfg := testConfig()
@@ -135,23 +135,6 @@ func TestPackFirstPacks(t *testing.T) {
 	}
 	if res.Registry.Transfers != 0 {
 		t.Fatalf("pack-first on one host paid %d transfers", res.Registry.Transfers)
-	}
-	checkNoLostWork(t, cl, res)
-}
-
-// TestPackFirstSpillsAtCapacity: a 1-container host cap forces pack-first
-// off host 0 once it is full.
-func TestPackFirstSpillsAtCapacity(t *testing.T) {
-	cfg := testConfig()
-	cfg.Placer = PackFirst{}
-	cfg.HostCapacity = 2
-	cl, res := runCluster(t, cfg, 30)
-	spilled := 0
-	for _, hs := range res.PerHost[1:] {
-		spilled += hs.Placements
-	}
-	if spilled == 0 {
-		t.Fatal("capacity cap never forced a spill off host 0")
 	}
 	checkNoLostWork(t, cl, res)
 }

@@ -14,7 +14,7 @@ import (
 // with clone scale-out on (the cluster's is always on).
 func fleetConfig(cfg Config) trace.Config {
 	tc := cfg.dispatcher()
-	tc.Cost, tc.Mode, tc.Store, tc.CloneScaleOut = cfg.Cost, cfg.Mode, cfg.Store, true
+	tc.Cost, tc.Mode, tc.CloneScaleOut = cfg.Cost, cfg.Mode, true
 	return tc
 }
 

@@ -20,7 +20,7 @@ type LocalityAware struct{}
 func (LocalityAware) Name() string { return "locality" }
 
 // Place implements trace.Placer.
-func (LocalityAware) Place(_ trace.Signals, hosts []trace.HostView) int {
+func (LocalityAware) Place(hosts []trace.HostView) int {
 	best, bestClass, bestBusy := 0, placementClass(hosts[0]), hosts[0].Busy
 	for i := 1; i < len(hosts); i++ {
 		c := placementClass(hosts[i])
@@ -44,7 +44,7 @@ func placementClass(h trace.HostView) int {
 	}
 }
 
-// RoundRobin cycles placements across the eligible hosts regardless of
+// RoundRobin cycles placements across the live hosts regardless of
 // image locality — the spread-maximizing strawman. After a pull lands on
 // every host it behaves like locality (everyone clones), so its cost is
 // front-loaded into N transfers.
@@ -56,24 +56,24 @@ type RoundRobin struct {
 func (*RoundRobin) Name() string { return "round-robin" }
 
 // Place implements trace.Placer.
-func (rr *RoundRobin) Place(_ trace.Signals, hosts []trace.HostView) int {
+func (rr *RoundRobin) Place(hosts []trace.HostView) int {
 	i := rr.next % len(hosts)
 	rr.next++
 	return i
 }
 
-// PackFirst fills the lowest-ID eligible host before spilling to the next —
-// the consolidation-maximizing policy (fewest hosts touched, so the fewest
+// PackFirst places every scale-up on the lowest-ID live host — the
+// consolidation-maximizing policy (fewest hosts touched, so the fewest
 // images materialized, at the price of no spare warm capacity elsewhere
-// when that host fails). Eligibility filtering has already applied the
-// per-host capacity cap, so index 0 is always the fullest allowed choice.
+// when that host fails). It moves to the next host only when that one
+// fails or drains.
 type PackFirst struct{}
 
 // Name implements trace.Placer.
 func (PackFirst) Name() string { return "pack-first" }
 
 // Place implements trace.Placer.
-func (PackFirst) Place(_ trace.Signals, hosts []trace.HostView) int { return 0 }
+func (PackFirst) Place([]trace.HostView) int { return 0 }
 
 // Placers returns fresh instances of the three built-in placers, in the
 // order the cluster benchmark compares them.

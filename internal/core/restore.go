@@ -403,7 +403,6 @@ func (m *Manager) applyContent() error {
 		}
 		m.restoreRun(m.proc.AS, st, sc.restore[i], sc.restore[j-1]+1)
 		n := j - i
-		sim.ChargeTo(sc.meter, cost.RestoreRunSetup)
 		if m.opts.Coalesce {
 			sim.ChargeTo(sc.meter, cost.PageCopy+cost.PageCopyTail*sim.Duration(n-1))
 		} else {

@@ -8,7 +8,6 @@ import (
 	"groundhog/internal/faas"
 	"groundhog/internal/isolation"
 	"groundhog/internal/metrics"
-	"groundhog/internal/runtimes"
 	"groundhog/internal/sim"
 )
 
@@ -153,6 +152,3 @@ var phaseOrder = core.Phases
 
 // ms converts a duration to float milliseconds.
 func ms(d sim.Duration) float64 { return float64(d) / 1e6 }
-
-// displayProfile is a convenience for renderers.
-func displayProfile(e catalog.Entry) runtimes.Profile { return e.Prof }

@@ -169,12 +169,6 @@ type Platform struct {
 	// changes, so isolation across callers is preserved.
 	TrustSameCaller bool
 
-	// DirectReturn enables the §4.5 design option (2): the function
-	// returns its response directly to the platform and only signals the
-	// manager, eliminating the output copy through the proxy. The input
-	// path is still gated by the manager.
-	DirectReturn bool
-
 	// VirtualizeTime enables the §5.3.1 future-work fix: restoration also
 	// resets the process's notion of time to the snapshot's, so
 	// time-driven runtime machinery (Node's GC) does not re-warm after
@@ -410,14 +404,19 @@ func (pl *Platform) EvictImage() bool {
 		t.image.Release()
 		evicted = true
 	}
-	// A template captured but never exported pins the donor manager's
-	// snapshot. If the donor container is gone, nothing else will release
-	// it; if it is still pooled, its own RemoveContainer does.
+	pl.dropDonor(t)
+	return evicted
+}
+
+// dropDonor ends a template's hold on its donor manager. A donor container
+// removed during the hold skipped its release in RemoveContainer, so its
+// snapshot is released here; a donor still pooled releases its own later.
+func (pl *Platform) dropDonor(t *cloneTemplate) {
 	isDonor := func(c *Container) bool { return c.strat.Manager() == t.donor }
 	if t.donor != nil && !slices.ContainsFunc(pl.containers, isDonor) {
 		t.donor.Release()
 	}
-	return evicted
+	t.donor = nil
 }
 
 // Serve executes one request from the given caller on container c at the
@@ -637,9 +636,9 @@ func (pl *Platform) cloneStart(id int, seed uint64, tmpl *cloneTemplate) (*Conta
 
 // exportTemplate materializes the template's snapshot image if it has not
 // been exported yet, charging the export to meter. Once exported the donor
-// manager reference is dropped: it was only needed for the export, and
-// dropping it lets a removed donor's manager (and its snapshot store) be
-// reclaimed while the image lives on.
+// manager is dropped: it was only needed for the export, and a removed
+// donor's snapshot (the CoW store's frame references) goes back to the
+// pool while the image lives on.
 func (pl *Platform) exportTemplate(tmpl *cloneTemplate, m *sim.Meter) error {
 	if tmpl.image != nil {
 		return nil
@@ -649,7 +648,7 @@ func (pl *Platform) exportTemplate(tmpl *cloneTemplate, m *sim.Meter) error {
 		return fmt.Errorf("faas: clone export from container %d: %w", tmpl.donorID, err)
 	}
 	tmpl.image = img
-	tmpl.donor = nil
+	pl.dropDonor(tmpl)
 	return nil
 }
 
@@ -945,12 +944,11 @@ func (pl *Platform) serveAs(c *Container, reqID uint64, caller string) (RequestS
 	gets, puts := c.inst.StateOps()
 	gets, puts = gets-getsBefore, puts-putsBefore
 
-	// Output path. With DirectReturn (§4.5 option 2) the function hands the
-	// response straight to the platform and merely signals the manager, so
-	// the proxy-side output copy disappears.
+	// Output path: interposing strategies relay the response back through
+	// the manager too.
 	c.respBox = resp
 	outMsg := kernel.Message{Payload: &c.respBox, Size: resp.SizeKB * 1024}
-	if c.strat.Interposes() && !pl.DirectReturn {
+	if c.strat.Interposes() {
 		c.stdout.Send(outMsg, m)
 		if _, err := c.stdout.Recv(m); err != nil {
 			return RequestStats{}, err

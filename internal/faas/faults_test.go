@@ -4,6 +4,7 @@ import (
 	"errors"
 	"testing"
 
+	"groundhog/internal/core"
 	"groundhog/internal/faults"
 	"groundhog/internal/isolation"
 	"groundhog/internal/kernel"
@@ -316,6 +317,68 @@ func TestPostResponseRestoreFaultLosesContainerNotRequest(t *testing.T) {
 	}
 	if got := pl.Kern.Phys.InUse(); got != 0 {
 		t.Fatalf("teardown leaked %d frames", got)
+	}
+}
+
+// TestFramesBalanceUnderRandomFaultPlans holds both StateStore kinds, with
+// clone scale-out on, to the frame balance under seeded random fault plans:
+// a random sequence of scale-ups, requests, removals and image evictions,
+// then a teardown, gives back every frame the deployment took. The plans
+// arm random subsets of the sites at up to 20%, so failed pipelines, clone
+// fallbacks, corrupted images, crashes and lost containers are all torn
+// down along the way. A failure reproduces from its logged seed.
+func TestFramesBalanceUnderRandomFaultPlans(t *testing.T) {
+	for _, store := range []core.StoreKind{core.StoreCopy, core.StoreCoW} {
+		clones, recoveries := 0, 0
+		for seed := uint64(1); seed <= 8; seed++ {
+			gen := sim.NewRand(seed * 0x9E3779B97F4A7C15)
+			plan := faults.Plan{Seed: gen.Uint64(), Rates: map[faults.Site]float64{}}
+			for _, site := range faults.Sites {
+				if gen.Float64() < 0.5 {
+					plan.Rates[site] = gen.Float64() * 0.2
+				}
+			}
+			pl := emptyArmedPlatform(t, isolation.ModeGH, plan)
+			before := pl.Kern.Phys.InUse() // nothing deployed yet
+			pl.Store = store
+			pl.CloneScaleOut = true
+			for op := 0; op < 40; op++ {
+				cs := pl.Containers()
+				switch k := gen.Intn(10); {
+				case k < 3 || len(cs) == 0:
+					c, err := pl.AddContainer()
+					if err != nil && !IsTransient(err) {
+						t.Fatalf("store %v seed %d op %d: AddContainer: %v", store, seed, op, err)
+					}
+					if err == nil && c.ColdStart().ClonedFrom >= 0 {
+						clones++
+					}
+				case k < 7:
+					c := cs[gen.Intn(len(cs))]
+					pl.Engine.RunUntil(c.Ready())
+					if _, err := pl.Serve(c, ""); err != nil && !errors.Is(err, ErrContainerCrashed) {
+						t.Fatalf("store %v seed %d op %d: Serve: %v", store, seed, op, err)
+					}
+				case k < 9:
+					pl.RemoveContainer(cs[gen.Intn(len(cs))])
+				default:
+					pl.EvictImage()
+				}
+			}
+			rec := pl.Recovery()
+			recoveries += rec.ColdStartRetries + rec.CloneFallbacks + rec.Crashes + rec.RestoreFaults
+			for len(pl.Containers()) > 0 {
+				pl.RemoveContainer(pl.Containers()[0])
+			}
+			pl.EvictImage()
+			if got := pl.Kern.Phys.InUse(); got != before {
+				t.Fatalf("store %v seed %d: %d frames in use after teardown, want %d (plan %+v)",
+					store, seed, got, before, plan)
+			}
+		}
+		if clones == 0 || recoveries == 0 {
+			t.Fatalf("store %v: %d clones and %d recoveries over all seeds; the sequences reach neither path", store, clones, recoveries)
+		}
 	}
 }
 

@@ -6,7 +6,6 @@ import (
 
 	"groundhog/internal/isolation"
 	"groundhog/internal/kernel"
-	"groundhog/internal/sim"
 )
 
 func TestTrustedCallersSkipRestores(t *testing.T) {
@@ -92,31 +91,6 @@ func TestForkNeverSkipsCleanup(t *testing.T) {
 	// All children reaped despite trust: only the warm parent remains.
 	if n := pl.Kern.NumProcesses(); n != 1 {
 		t.Fatalf("processes = %d after trusted fork run, want 1", n)
-	}
-}
-
-func TestDirectReturnCheapensLargeOutputs(t *testing.T) {
-	prof := testProfile()
-	prof.OutputKB = 256
-	invoker := func(direct bool) sim.Duration {
-		pl, err := NewPlatform(kernel.Default(), prof, isolation.ModeGH, 1, 9)
-		if err != nil {
-			t.Fatal(err)
-		}
-		pl.DirectReturn = direct
-		stats, err := pl.RunClosedLoop(6, 30*time.Millisecond)
-		if err != nil {
-			t.Fatal(err)
-		}
-		var sum sim.Duration
-		for _, st := range stats {
-			sum += st.Invoker
-		}
-		return sum
-	}
-	proxied, direct := invoker(false), invoker(true)
-	if direct >= proxied {
-		t.Fatalf("direct return %v not cheaper than proxied %v", direct, proxied)
 	}
 }
 

@@ -16,47 +16,19 @@ import (
 //
 // One unrecorded warm-up request precedes the measurement: the first request
 // after a snapshot pays the full set of one-time soft-dirty arming faults,
-// which the paper's 1,200-invocation averages amortize away.
+// which the paper's 1,200-invocation averages amortize away. The loop is
+// RunCallers' with one anonymous caller per request, warm-up included.
 func (pl *Platform) RunClosedLoop(requests int, think sim.Duration) ([]RequestStats, error) {
 	if len(pl.containers) < 1 {
 		return nil, ErrNoContainers
 	}
-	c := pl.containers[0]
-	out := make([]RequestStats, 0, requests)
-	var err error
-	var id uint64
-	warmed := false
-
-	var submit func()
-	submit = func() {
-		if err != nil || len(out) >= requests {
-			return
-		}
-		// Gate: wait for the container to be clean.
-		wait := sim.Duration(0)
-		if c.ready > pl.Engine.Now() {
-			wait = c.ready.Sub(pl.Engine.Now())
-		}
-		pl.Engine.After(wait, func() {
-			id++
-			st, serr := pl.serve(c, id)
-			if serr != nil {
-				err = serr
-				pl.Engine.Stop()
-				return
-			}
-			if warmed {
-				st.E2E += wait // buffered time is part of the client's latency
-				out = append(out, st)
-			} else {
-				warmed = true
-			}
-			// Next request `think` after this response returns.
-			pl.Engine.At(st.Completed.Add(think), submit)
-		})
+	if requests <= 0 {
+		return nil, nil
 	}
-	pl.Engine.After(0, submit)
-	pl.Engine.Run()
+	out, err := pl.RunCallers(make([]string, requests+1), think)
+	if len(out) > 0 {
+		out = out[1:] // the warm-up
+	}
 	return out, err
 }
 

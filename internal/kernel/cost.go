@@ -38,7 +38,6 @@ import (
 //	DiffPerVMA                manager-side layout diff per region                 seed   500 ns
 //	PageCopy                  restore copy, first page of a run                   seed   4200 ns
 //	PageCopyTail              restore copy, subsequent run pages                  seed   2100 ns
-//	RestoreRunSetup           one batched run-copy call setup                     PR 1   0
 //	SnapshotBase              snapshot fixed cost (§4.2)                          seed   900 µs
 //	SnapshotPerPage           eager page copy into the StateStore                 seed   1400 ns
 //	SnapshotCoWPerPage        CoW frame reference + write-protect (§5.5)          seed   180 ns
@@ -97,14 +96,10 @@ type CostModel struct {
 	// restored with one large copy: the first page of a run costs
 	// PageCopy; subsequent pages in the same run cost PageCopyTail. This
 	// produces the slope change near 60% dirtying in Fig. 3 (left), where
-	// random dirty sets become dense enough to form long runs.
-	// RestoreRunSetup is the additional fixed cost of issuing one batched
-	// run copy (the process_vm_writev call setup); it defaults to zero so
-	// the calibrated PageCopy/PageCopyTail split keeps modeling the whole
-	// run cost, but gives experiments a knob for per-call overhead.
-	PageCopy        sim.Duration
-	PageCopyTail    sim.Duration
-	RestoreRunSetup sim.Duration
+	// random dirty sets become dense enough to form long runs; the split
+	// models the whole run cost, call setup included.
+	PageCopy     sim.Duration
+	PageCopyTail sim.Duration
 
 	// Snapshotting (one-time, §5.5). SnapshotCoWPerPage is the far cheaper
 	// per-page cost of the copy-on-write state store (reference + PTE

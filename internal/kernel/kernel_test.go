@@ -1,6 +1,7 @@
 package kernel
 
 import (
+	"reflect"
 	"testing"
 
 	"groundhog/internal/mem"
@@ -181,7 +182,19 @@ func TestDefaultCostModelSanity(t *testing.T) {
 	if c.PageCopyTail >= c.PageCopy {
 		t.Fatal("coalesced tail copies should be cheaper than run-head copies")
 	}
-	if c.VM.ReadWord <= 0 || c.PagemapPerPage <= 0 || c.SnapshotPerPage <= 0 {
-		t.Fatal("cost model has zero entries")
+	// Every knob is charged somewhere, so a zero default is a dead knob: one
+	// nothing calibrates and nothing sets.
+	var walk func(prefix string, v reflect.Value)
+	walk = func(prefix string, v reflect.Value) {
+		for i := 0; i < v.NumField(); i++ {
+			f, name := v.Field(i), prefix+v.Type().Field(i).Name
+			switch {
+			case f.Kind() == reflect.Struct:
+				walk(name+".", f)
+			case f.Type() == reflect.TypeOf(sim.Duration(0)) && f.Int() == 0:
+				t.Errorf("Default().%s is zero", name)
+			}
+		}
 	}
+	walk("", reflect.ValueOf(c))
 }

@@ -60,6 +60,10 @@ func (p warmPool) pickRun(salt uint64, run int) uint64 {
 	return s.start + uint64(min(idx, s.pages-run))
 }
 
+// writeRunLen is the cluster length of the write pattern: managed-heap
+// writes touch small clusters of adjacent pages.
+const writeRunLen = 2
+
 // writeRun is the length of the clusters of adjacent pages the profile's
 // write set is made of (the last may be shorter); 0 under UniformDirty, whose
 // write set is drawn page by page.
@@ -67,11 +71,7 @@ func (p Profile) writeRun() int {
 	if p.UniformDirty {
 		return 0
 	}
-	run := p.WriteRunLen
-	if run <= 0 {
-		run = 2
-	}
-	return min(run, p.DirtyPages)
+	return min(writeRunLen, p.DirtyPages)
 }
 
 // compilePlan derives the profile's access plan from the warm layout: the

@@ -129,13 +129,9 @@ func (l refLayout) accesses() (drop, reads, writes, stack []uint64) {
 	if prof.UniformDirty {
 		writes = l.uniformDirtySet()
 	} else {
-		runLen := prof.WriteRunLen
-		if runLen <= 0 {
-			runLen = 2
-		}
 		written := 0
 		for written < prof.DirtyPages {
-			run := runLen
+			run := writeRunLen
 			if rem := prof.DirtyPages - written; rem < run {
 				run = rem
 			}
@@ -157,14 +153,13 @@ func (l refLayout) accesses() (drop, reads, writes, stack []uint64) {
 // multiset, and — reads and writes — stays inside the warm regions and
 // outside the drop window, for every layout NewInstance accepts.
 func TestPlanMatchesPerRequestLoops(t *testing.T) {
-	f := func(total uint16, dirty, drop uint16, lang, runLen uint8, uniform bool, readAll bool) bool {
+	f := func(total uint16, dirty, drop uint16, lang uint8, uniform bool, readAll bool) bool {
 		prof := Profile{
 			Name:         "plan-fn",
 			Lang:         Language(lang % 3),
 			Exec:         time.Millisecond,
 			TotalPages:   64 + int(total)%6000,
 			UniformDirty: uniform,
-			WriteRunLen:  int(runLen % 6),
 		}
 		prof.DirtyPages = int(dirty) % (prof.TotalPages / 2)
 		prof.DropPages = int(drop) % (prof.TotalPages / 4)
@@ -228,7 +223,7 @@ func TestPlanMatchesPerRequestLoops(t *testing.T) {
 // smallest footprint of the same shape whose arenas fit the run warms up.
 func TestWriteRunLongerThanAnArenaRejected(t *testing.T) {
 	prof := Profile{Name: "overrun", Lang: LangC, Exec: time.Millisecond,
-		TotalPages: 92, DirtyPages: 64, WriteRunLen: 2}
+		TotalPages: 92, DirtyPages: 64}
 	k := kernel.New(kernel.Default())
 	if in, err := NewInstance(k, prof, 1); err == nil {
 		t.Fatalf("accepted a layout with arenas %v shorter than the write run", layoutOf(t, in).arenas)
@@ -247,7 +242,7 @@ func TestWriteRunLongerThanAnArenaRejected(t *testing.T) {
 			continue
 		}
 		for _, v := range layoutOf(t, in).arenas {
-			if v.Pages() < prof.WriteRunLen {
+			if v.Pages() < writeRunLen {
 				t.Fatalf("accepted %d pages with a %d-page arena", prof.TotalPages, v.Pages())
 			}
 		}

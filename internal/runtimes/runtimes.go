@@ -150,12 +150,10 @@ type Profile struct {
 	// exactly (the §5.2 microbenchmark reads every mapped page).
 	ReadPagesOverride int
 
-	// WriteRunLen is the cluster length of the write pattern: managed-heap
-	// writes touch small clusters of adjacent pages (default 2). The
-	// microbenchmark instead sets UniformDirty, choosing a uniformly random
-	// page subset whose natural run lengths grow with density — the effect
-	// behind the restore-coalescing slope change in Fig. 3 (left).
-	WriteRunLen  int
+	// UniformDirty replaces the write pattern's clusters of writeRunLen
+	// adjacent pages with a uniformly random page subset whose natural run
+	// lengths grow with density — the microbenchmark's pattern, and the
+	// effect behind the restore-coalescing slope change in Fig. 3 (left).
 	UniformDirty bool
 
 	// LeakPages and LeakSlowdown model the logging(p) memory-leak bug: the

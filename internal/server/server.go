@@ -435,11 +435,8 @@ func (dep *deployment) describe() DeploymentInfo {
 	// unavailable separately), and no SLO target is configured — so the
 	// advice shows each policy's leanings, not a bit-exact fleet decision.
 	sig := trace.Signals{
-		Now:        now,
 		PoolSize:   len(cs),
-		Requests:   dep.invoked,
 		CloneReady: info.CloneColdStartReady,
-		MeanE2EMs:  info.E2EMeanMS,
 		P95E2EMs:   info.E2EP95MS,
 		Memory:     trace.StaticMemory(mem),
 	}

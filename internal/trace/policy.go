@@ -17,8 +17,6 @@ import (
 // simulation's own measurements — a policy never sees configuration the
 // provider would not have.
 type Signals struct {
-	// Now is the decision's virtual time.
-	Now sim.Time
 	// QueueDepth is the number of requests waiting for a container.
 	QueueDepth int
 	// PoolSize is the current container count.
@@ -27,8 +25,6 @@ type Signals struct {
 	// ready or served) — scale-up capacity already in flight that a
 	// ScaleUp answer should not re-add for the same queue.
 	Warming int
-	// Requests is the number of requests served so far.
-	Requests int
 	// ArrivalRatePerSec estimates the function's current arrival rate:
 	// the recent arrival window's population over its span to now, so the
 	// estimate decays once traffic stops (0 before the first arrival).
@@ -42,26 +38,17 @@ type Signals struct {
 	// snapshot-clone fast path (an exported image, a captured template, or
 	// an eligible donor in the pool).
 	CloneReady bool
-	// MeanE2EMs and P95E2EMs summarize recent end-to-end latency
-	// (including queueing) in milliseconds, over a sliding window of the
-	// last latencyWindow responses so breaches and calm spells both age
-	// out; 0 before the first response. MeanServiceMs is the same window's
-	// mean invoker (service) time — queueing excluded — the Little's-law
-	// multiplicand for warm-floor sizing.
-	MeanE2EMs     float64
+	// P95E2EMs summarizes recent end-to-end latency (including queueing) in
+	// milliseconds, over a sliding window of the last latencyWindow
+	// responses so breaches and calm spells both age out; 0 before the
+	// first response. MeanServiceMs is the same window's mean invoker
+	// (service) time — queueing excluded — the Little's-law multiplicand for
+	// warm-floor sizing.
 	P95E2EMs      float64
 	MeanServiceMs float64
 	// SLOTargetMs is the function's p95 E2E target (FunctionLoad.SLOTargetMs,
 	// falling back to Config.SLOTargetMs; 0 = no target configured).
 	SLOTargetMs float64
-	// Crashes is the cumulative count of this function's container failures
-	// so far — mid-request crashes plus event-driven crash waves. Cheap to
-	// maintain, so SignalFree policies see it too.
-	Crashes int
-	// CrashRatePerSec estimates the recent container-crash rate over the
-	// crash observation ring (0 with no recent crashes). A spike tells an
-	// adaptive policy to over-provision while a failure burst lasts.
-	CrashRatePerSec float64
 	// Memory lazily reports the deployment's current memory accounting
 	// (FramesInUse is host-wide on shared-kernel fleets). Computing the
 	// stats costs a walk over every resident page, so the signal is a
@@ -147,8 +134,8 @@ type Policy interface {
 // SignalFree is an optional Policy refinement: implementing it declares
 // that every decision ignores the observed signals, letting the fleet skip
 // the expensive parts of assembling them (the Memory page walk, the p95
-// copy-and-sort) on the dispatch hot path. Scheduling-only fields (Now,
-// QueueDepth, PoolSize, Requests, SLOTargetMs) are still populated.
+// copy-and-sort) on the dispatch hot path. Scheduling-only fields
+// (QueueDepth, PoolSize, Warming, SLOTargetMs) are still populated.
 type SignalFree interface {
 	SignalFree()
 }
@@ -408,29 +395,19 @@ func DefaultPolicies() []Policy {
 // HostView is one host's placement-relevant state as the cluster scheduler
 // sees it at a scale-up decision: image locality (the tentpole signal — a
 // host with the image clones in ~1 ms, one without it pays a transfer or the
-// full pipeline), pool occupancy, and memory pressure. The cluster builds
-// one HostView per eligible host (failed and draining hosts are filtered
-// out before placement) and hands the slice to a Placer.
+// full pipeline) and the deployment's load there. The cluster builds one
+// HostView per live host (failed and draining hosts are filtered out before
+// placement) and hands the slice to a Placer.
 type HostView struct {
 	// Host is the host's cluster-wide ID.
 	Host int
-	// HasImage reports whether the deployment's snapshot image is resident
-	// on this host (its platform holds a live exported image).
-	HasImage bool
 	// CloneReady reports whether a scale-up on this host would take the
 	// clone fast path right now — an image is resident or an eligible donor
 	// is pooled (faas.Platform.CloneSourceReady).
 	CloneReady bool
-	// Pool is the deployment's container count on this host; Busy is how
-	// many of those are mid-request, Free = Pool − Busy.
-	Pool int
+	// Busy is how many of the deployment's containers on this host cannot
+	// serve right now (mid-request, restoring or still cold-starting).
 	Busy int
-	Free int
-	// Containers is the host's total container count across all
-	// deployments — the packing signal.
-	Containers int
-	// FramesInUse is the host's physical-memory occupancy in frames.
-	FramesInUse int
 	// PullInFlight reports whether an image transfer to this host is
 	// already underway for this deployment; placing here joins that pull
 	// (dedup) instead of starting a second one.
@@ -438,16 +415,15 @@ type HostView struct {
 }
 
 // Placer decides where a cluster scale-up lands. Place returns an index
-// into hosts — which is never empty and contains only eligible hosts — and
+// into hosts — which is never empty and contains only live hosts — and
 // must be deterministic given its inputs plus the placer's own state (a
 // round-robin cursor is state; a clock or RNG is not), so cluster runs
 // reproduce byte-identically.
 type Placer interface {
 	// Name identifies the placer in results and benchmark output.
 	Name() string
-	// Place picks hosts[i] for the next container of the deployment
-	// described by sig.
-	Place(sig Signals, hosts []HostView) int
+	// Place picks hosts[i] for the deployment's next container.
+	Place(hosts []HostView) int
 }
 
 // Advice is one policy's decision set against an observed signal snapshot —

@@ -36,7 +36,7 @@ func TestFixedTTLDecisions(t *testing.T) {
 func TestSLOAwareProtectsSLO(t *testing.T) {
 	p := SLOAware{}
 	over := Signals{P95E2EMs: 150, SLOTargetMs: 100, QueueDepth: 5,
-		ArrivalRatePerSec: 50, MeanE2EMs: 90, MeanServiceMs: 60,
+		ArrivalRatePerSec: 50, MeanServiceMs: 60,
 		MeanCloneColdMs: 1, CloneReady: true}
 	if p.Reap(over, time.Hour, false) || p.Reap(over, time.Hour, true) {
 		t.Fatal("reaped while the p95 was over target")
@@ -44,8 +44,8 @@ func TestSLOAwareProtectsSLO(t *testing.T) {
 	if got := p.ScaleUp(over); got != 5 {
 		t.Fatalf("ScaleUp over target = %d, want the whole queue (5)", got)
 	}
-	// Offered load 50/s x 60ms service (not the 90ms E2E, which would
-	// feed queueing back into the floor) = 3 containers.
+	// Offered load 50/s x 60ms service (not E2E, which would feed
+	// queueing back into the floor) = 3 containers.
 	if got := p.WarmFloor(over); got != 3 {
 		t.Fatalf("WarmFloor over target = %d, want 3", got)
 	}

@@ -1,8 +1,6 @@
 package trace
 
 import (
-	"errors"
-
 	"groundhog/internal/faas"
 	"groundhog/internal/faults"
 	"groundhog/internal/kernel"
@@ -31,9 +29,9 @@ import (
 //     provider-side charge already applied to its ColdStart() and Ready().
 //     The Dispatcher records the cold start in the function's stats,
 //     schedules the wake-up at the container's Ready(), and never adds a
-//     container any other way. An error that faas.IsTransient accepts, or
-//     that wraps ErrNoCapacity, means "not now": the queue is held and
-//     re-dispatched after a backoff. Any other error ends the run.
+//     container any other way. An error that faas.IsTransient accepts means
+//     "not now": the queue is held and re-dispatched after a backoff. Any
+//     other error ends the run.
 //   - FramesInUse is the live frame count summed over every physical memory
 //     the provider's pools sit on; the Dispatcher samples it at policy ticks
 //     (MeanFrames, the sampled peak) and reads it after the drain and after
@@ -43,12 +41,6 @@ type Provider interface {
 	ScaleUp(fn int, now sim.Time) (*faas.Container, error)
 	FramesInUse() int
 }
-
-// ErrNoCapacity is the transient error a Provider's ScaleUp wraps when there
-// is nowhere to put a container right now (every live host is full) but
-// there will be: the Dispatcher backs off and retries instead of failing
-// the run.
-var ErrNoCapacity = errors.New("trace: no capacity for a scale-up right now")
 
 // oneHost is the Fleet's Provider, the seam's trivial instance: every
 // function has exactly one pool on the one shared kernel, created at
@@ -62,13 +54,12 @@ type oneHost struct {
 }
 
 func (h *oneHost) Deploy(fn int, prof runtimes.Profile, seed uint64) ([]*faas.Platform, error) {
-	// Zero constructor containers so the store kind can be set first; the
+	// Zero constructor containers so clone scale-out can be set first; the
 	// warm floor is added explicitly (pre-warmed, like the constructor path).
 	pl, err := faas.NewPlatformOn(h.engine, h.kern, prof, h.cfg.Mode, 0, seed)
 	if err != nil {
 		return nil, err
 	}
-	pl.Store = h.cfg.Store
 	pl.CloneScaleOut = h.cfg.CloneScaleOut
 	if _, err := pl.AddWarmContainer(); err != nil {
 		return nil, err

@@ -26,7 +26,6 @@ import (
 	"time"
 
 	"groundhog/internal/catalog"
-	"groundhog/internal/core"
 	"groundhog/internal/faas"
 	"groundhog/internal/faults"
 	"groundhog/internal/isolation"
@@ -120,11 +119,6 @@ type Config struct {
 	// SLO-aware policies aim for (FunctionLoad.SLOTargetMs overrides it
 	// per function; 0 = no target).
 	SLOTargetMs float64
-
-	// Store selects the StateStore kind (§5.5) for every deployment's
-	// snapshotting strategy; the zero value is the paper's eager copy
-	// store.
-	Store core.StoreKind
 
 	// SketchStats selects bounded-memory percentile sketches
 	// (metrics.Sketch, 1% relative accuracy) for the per-function latency
@@ -273,8 +267,10 @@ func (c Config) Validate() error {
 	if c.Window <= 0 {
 		return fmt.Errorf("trace: non-positive window")
 	}
-	if c.KeepAlive <= 0 {
-		return fmt.Errorf("trace: non-positive keep-alive")
+	if c.KeepAlive/2 <= 0 {
+		// The policy tick recurs every KeepAlive/2; a zero period would
+		// re-fire at one instant forever.
+		return fmt.Errorf("trace: keep-alive %v leaves no policy tick period", c.KeepAlive)
 	}
 	if c.ScaleToZeroAfter < 0 {
 		return fmt.Errorf("trace: negative scale-to-zero TTL")
@@ -447,9 +443,6 @@ func (r *Result) Chain(name string) (*ChainStats, bool) {
 const (
 	arrivalWindow = 64
 	latencyWindow = 128
-	// crashWindow bounds the crash-timestamp ring behind
-	// Signals.CrashRatePerSec.
-	crashWindow = 32
 )
 
 // dispatchRetryBase and dispatchRetryMax bound the dispatcher's backoff when
@@ -521,9 +514,6 @@ type fnState struct {
 	// the windowed latency signals.
 	recentE2E []float64
 	recentSvc []float64
-	// crashTimes is a drop-oldest ring of recent container-crash timestamps
-	// backing the policy's crash-rate signal.
-	crashTimes []sim.Time
 	// coldFailStreak counts consecutive failed scale-ups; it drives the
 	// dispatcher's backoff and resets on the first success.
 	coldFailStreak int
@@ -541,11 +531,6 @@ func (fs *fnState) observeArrival(t sim.Time) {
 func (fs *fnState) observeLatency(e2eMs, svcMs float64) {
 	fs.recentE2E = metrics.PushBounded(fs.recentE2E, e2eMs, latencyWindow)
 	fs.recentSvc = metrics.PushBounded(fs.recentSvc, svcMs, latencyWindow)
-}
-
-// observeCrash records one container crash in the crash-rate ring.
-func (fs *fnState) observeCrash(t sim.Time) {
-	fs.crashTimes = metrics.PushBounded(fs.crashTimes, t, crashWindow)
 }
 
 // queueDepth reports the number of requests waiting for a container.
@@ -846,11 +831,6 @@ func (d *Dispatcher) setPolicy(p Policy) {
 	}
 }
 
-// Signals is the observation set for function fn (its index in the loads)
-// at virtual time now — what its policy would be shown. The cluster's
-// placer reads it at every placement.
-func (d *Dispatcher) Signals(fn int, now sim.Time) Signals { return d.signals(d.fns[fn], now) }
-
 // signals assembles the policy's observation set for one function at the
 // current virtual time, over all of its pools: pool size and warming count
 // sum, CloneReady holds if any pool can clone, Memory aggregates every pool.
@@ -860,9 +840,7 @@ func (d *Dispatcher) Signals(fn int, now sim.Time) Signals { return d.signals(d.
 // skipped: the decisions ignore them anyway.
 func (d *Dispatcher) signals(fs *fnState, now sim.Time) Signals {
 	sig := Signals{
-		Now:         now,
 		QueueDepth:  fs.queueDepth(),
-		Requests:    fs.stats.Requests,
 		SLOTargetMs: fs.sloTargetMs,
 	}
 	for _, pl := range fs.pools {
@@ -877,14 +855,8 @@ func (d *Dispatcher) signals(fs *fnState, now sim.Time) Signals {
 			}
 		}
 	}
-	sig.Crashes = fs.stats.Crashes + fs.stats.EventCrashes
 	if fs.signalFree {
 		return sig
-	}
-	if n := len(fs.crashTimes); n > 0 {
-		if span := now.Sub(fs.crashTimes[0]); span > 0 {
-			sig.CrashRatePerSec = float64(n) / span.Seconds()
-		}
 	}
 	for _, pl := range fs.pools {
 		if pl != nil && pl.CloneSourceReady() {
@@ -910,17 +882,10 @@ func (d *Dispatcher) signals(fs *fnState, now sim.Time) Signals {
 		sig.MeanCloneColdMs = fs.stats.CloneLatency.Mean()
 	}
 	if len(fs.recentE2E) > 0 {
-		// One reused scratch buffer stands in for the fresh slice-and-Summary
-		// pair this used to build per function per tick: the mean sums the
-		// copy in ring order (the same float additions Summary.Mean
-		// performed), then the sort and interpolation reproduce
+		// One reused scratch buffer stands in for a fresh slice-and-Summary
+		// pair per function per tick: the sort and interpolation reproduce
 		// Summary.Percentile exactly (PercentileSorted is its implementation).
 		d.p95Scratch = append(d.p95Scratch[:0], fs.recentE2E...)
-		var sum float64
-		for _, v := range d.p95Scratch {
-			sum += v
-		}
-		sig.MeanE2EMs = sum / float64(len(d.p95Scratch))
 		sort.Float64s(d.p95Scratch)
 		sig.P95E2EMs = metrics.PercentileSorted(d.p95Scratch, 95)
 		var svc float64
@@ -1164,12 +1129,11 @@ func (d *Dispatcher) dispatch(fs *fnState) {
 				for i := 0; i < n; i++ {
 					nc, err := d.prov.ScaleUp(fs.index, now)
 					if err != nil {
-						if faas.IsTransient(err) || errors.Is(err, ErrNoCapacity) {
+						if faas.IsTransient(err) {
 							// The platform's own retry budget is already
-							// spent (or no host has room); hold the queue and
-							// re-dispatch after a backoff instead of killing
-							// the fleet — faults delay requests, they must
-							// not drop them.
+							// spent; hold the queue and re-dispatch after a
+							// backoff instead of killing the fleet — faults
+							// delay requests, they must not drop them.
 							fs.coldFailStreak++
 							d.engine.After(retryDispatchDelay(fs.coldFailStreak), fs.redispatch)
 							return
@@ -1208,9 +1172,6 @@ func (d *Dispatcher) dispatch(fs *fnState) {
 		if err != nil {
 			if errors.Is(err, faas.ErrContainerCrashed) {
 				fs.stats.Crashes++
-				if !fs.signalFree {
-					fs.observeCrash(now)
-				}
 				continue
 			}
 			d.err = err
@@ -1253,18 +1214,13 @@ func (d *Dispatcher) DispatchAll() {
 }
 
 // emptyPool removes every container of one of fs's pools, accounting them
-// as crashed (EventCrashes, feeding the crash-rate signal) or drained.
-func (d *Dispatcher) emptyPool(fs *fnState, pl *faas.Platform, crashed bool) {
+// as crashed (EventCrashes) or drained.
+func emptyPool(fs *fnState, pl *faas.Platform, crashed bool) {
 	n := removeAll(pl)
-	if !crashed {
+	if crashed {
+		fs.stats.EventCrashes += n
+	} else {
 		fs.stats.Drained += n
-		return
-	}
-	fs.stats.EventCrashes += n
-	if !fs.signalFree {
-		for range n {
-			fs.observeCrash(d.engine.Now())
-		}
 	}
 }
 
@@ -1285,7 +1241,7 @@ func removeAll(pl *faas.Platform) int {
 // draining host, then calls DispatchAll.
 func (d *Dispatcher) EvacuatePool(fn int, pl *faas.Platform, crashed bool) {
 	fs := d.fns[fn]
-	d.emptyPool(fs, pl, crashed)
+	emptyPool(fs, pl, crashed)
 	fs.evictImage(pl)
 }
 
@@ -1306,11 +1262,11 @@ func (d *Dispatcher) applyEvent(ev Event) {
 			}
 			switch ev.Kind {
 			case EventCrashWave:
-				d.emptyPool(fs, pl, true)
+				emptyPool(fs, pl, true)
 			case EventCorruptImage:
 				pl.CorruptImage()
 			case EventDrain:
-				d.emptyPool(fs, pl, false)
+				emptyPool(fs, pl, false)
 				fs.evictImage(pl)
 			}
 		}

@@ -26,11 +26,6 @@ func testLoads(t *testing.T, rate float64) []FunctionLoad {
 	return loads
 }
 
-// bothStores is the table input of the reaper tests that free snapshot
-// memory: the copy store's arena and the CoW store's shared frames are
-// released by different code.
-var bothStores = []core.StoreKind{core.StoreCopy, core.StoreCoW}
-
 func testConfig(mode isolation.Mode) Config {
 	return Config{
 		Cost:                     kernel.Default(),
@@ -167,6 +162,12 @@ func TestFleetConfigValidation(t *testing.T) {
 	if _, err := NewFleet(cfg, loads); err == nil {
 		t.Fatal("zero rate accepted")
 	}
+	// A 1 ns keep-alive used to be accepted, and its policy tick (every
+	// KeepAlive/2 = 0) then re-fired at one instant forever.
+	cfg.KeepAlive = 1
+	if _, err := NewFleet(cfg, testLoads(t, 1)); err == nil {
+		t.Fatal("keep-alive without a policy tick period accepted")
+	}
 }
 
 func TestFleetResultLookup(t *testing.T) {
@@ -260,44 +261,45 @@ func TestFleetReaperPreservesWarmFloor(t *testing.T) {
 // removes exactly the two above the warm floor and counts exactly two —
 // ranging over a pre-reap snapshot of the pool (the old bug) visited stale
 // duplicate entries and over-counted.
+//
+// The subtest is named for the store fleet pools use, the zero-value copy
+// store; faas.TestFramesBalanceUnderRandomFaultPlans holds both stores'
+// release.
 func TestFleetReaperMultiReapAccounting(t *testing.T) {
-	for _, store := range bothStores {
-		t.Run(store.String(), func(t *testing.T) {
-			cfg := testConfig(isolation.ModeGH) // BASE takes no snapshot and would ignore the store
-			cfg.Store = store
-			f, err := NewFleet(cfg, testLoads(t, 5)[:1])
-			if err != nil {
+	t.Run(core.StoreCopy.String(), func(t *testing.T) {
+		cfg := testConfig(isolation.ModeGH) // BASE takes no snapshot to release
+		f, err := NewFleet(cfg, testLoads(t, 5)[:1])
+		if err != nil {
+			t.Fatal(err)
+		}
+		fs := f.fns[0]
+		for len(fs.pools[0].Containers()) < 3 {
+			if _, err := fs.pools[0].AddContainer(); err != nil {
 				t.Fatal(err)
 			}
-			fs := f.fns[0]
-			for len(fs.pools[0].Containers()) < 3 {
-				if _, err := fs.pools[0].AddContainer(); err != nil {
-					t.Fatal(err)
-				}
+		}
+		var latest sim.Time
+		for _, c := range fs.pools[0].Containers() {
+			if c.Ready() > latest {
+				latest = c.Ready()
 			}
-			var latest sim.Time
-			for _, c := range fs.pools[0].Containers() {
-				if c.Ready() > latest {
-					latest = c.Ready()
-				}
+		}
+		f.engine.RunUntil(latest)
+		for _, c := range fs.pools[0].Containers() {
+			if _, err := fs.pools[0].Serve(c, ""); err != nil {
+				t.Fatal(err)
 			}
-			f.engine.RunUntil(latest)
-			for _, c := range fs.pools[0].Containers() {
-				if _, err := fs.pools[0].Serve(c, ""); err != nil {
-					t.Fatal(err)
-				}
-			}
-			f.engine.Run() // let completions land
+		}
+		f.engine.Run() // let completions land
 
-			f.reapIdle(fs, f.engine.Now()+sim.Time(time.Hour))
-			if got := len(fs.pools[0].Containers()); got != 1 {
-				t.Fatalf("pool = %d containers after reap, want the warm floor of 1", got)
-			}
-			if fs.stats.Reaped != 2 {
-				t.Fatalf("reaped = %d, want exactly 2 (stale-snapshot over-count?)", fs.stats.Reaped)
-			}
-		})
-	}
+		f.reapIdle(fs, f.engine.Now()+sim.Time(time.Hour))
+		if got := len(fs.pools[0].Containers()); got != 1 {
+			t.Fatalf("pool = %d containers after reap, want the warm floor of 1", got)
+		}
+		if fs.stats.Reaped != 2 {
+			t.Fatalf("reaped = %d, want exactly 2 (stale-snapshot over-count?)", fs.stats.Reaped)
+		}
+	})
 }
 
 // TestFleetReapWhileBusy: a container whose restore gate is still closed
@@ -379,48 +381,46 @@ func TestFleetQueueDrainsAfterWindow(t *testing.T) {
 // TestFleetScaleToZeroEvictsImage is the trace-level half of the eviction
 // acceptance pin: after the long idle TTL the pool drops to zero, the
 // snapshot image is evicted, and every frame the deployment held returns to
-// physical memory.
+// physical memory. The subtest names the fleet's one store, as in
+// TestFleetReaperMultiReapAccounting.
 func TestFleetScaleToZeroEvictsImage(t *testing.T) {
-	for _, store := range bothStores {
-		t.Run(store.String(), func(t *testing.T) {
-			cfg := testConfig(isolation.ModeGH)
-			cfg.Store = store
-			cfg.CloneScaleOut = true
-			cfg.ScaleToZeroAfter = cfg.KeepAlive
-			f, err := NewFleet(cfg, testLoads(t, 5)[:1])
-			if err != nil {
-				t.Fatal(err)
-			}
-			fs := f.fns[0]
-			c, err := fs.pools[0].AddContainer() // clones from the warm floor donor
-			if err != nil {
-				t.Fatal(err)
-			}
-			if c.ColdStart().ClonedFrom < 0 {
-				t.Fatal("scale-up did not clone")
-			}
-			f.engine.RunUntil(c.Ready())
-			if _, err := fs.pools[0].Serve(c, ""); err != nil {
-				t.Fatal(err)
-			}
-			f.engine.Run()
-			if f.kern.Phys.InUse() == 0 {
-				t.Fatal("fleet holds no frames before the reap")
-			}
+	t.Run(core.StoreCopy.String(), func(t *testing.T) {
+		cfg := testConfig(isolation.ModeGH)
+		cfg.CloneScaleOut = true
+		cfg.ScaleToZeroAfter = cfg.KeepAlive
+		f, err := NewFleet(cfg, testLoads(t, 5)[:1])
+		if err != nil {
+			t.Fatal(err)
+		}
+		fs := f.fns[0]
+		c, err := fs.pools[0].AddContainer() // clones from the warm floor donor
+		if err != nil {
+			t.Fatal(err)
+		}
+		if c.ColdStart().ClonedFrom < 0 {
+			t.Fatal("scale-up did not clone")
+		}
+		f.engine.RunUntil(c.Ready())
+		if _, err := fs.pools[0].Serve(c, ""); err != nil {
+			t.Fatal(err)
+		}
+		f.engine.Run()
+		if f.kern.Phys.InUse() == 0 {
+			t.Fatal("fleet holds no frames before the reap")
+		}
 
-			f.reapIdle(fs, f.engine.Now()+sim.Time(time.Hour))
-			if got := len(fs.pools[0].Containers()); got != 0 {
-				t.Fatalf("pool = %d after scale-to-zero", got)
-			}
-			if fs.stats.ScaledToZero != 1 || fs.stats.ImagesEvicted != 1 {
-				t.Fatalf("lifecycle counters: scaledToZero=%d imagesEvicted=%d, want 1/1",
-					fs.stats.ScaledToZero, fs.stats.ImagesEvicted)
-			}
-			if got := f.kern.Phys.InUse(); got != 0 {
-				t.Fatalf("%d frames still in use after eviction; image memory not returned", got)
-			}
-		})
-	}
+		f.reapIdle(fs, f.engine.Now()+sim.Time(time.Hour))
+		if got := len(fs.pools[0].Containers()); got != 0 {
+			t.Fatalf("pool = %d after scale-to-zero", got)
+		}
+		if fs.stats.ScaledToZero != 1 || fs.stats.ImagesEvicted != 1 {
+			t.Fatalf("lifecycle counters: scaledToZero=%d imagesEvicted=%d, want 1/1",
+				fs.stats.ScaledToZero, fs.stats.ImagesEvicted)
+		}
+		if got := f.kern.Phys.InUse(); got != 0 {
+			t.Fatalf("%d frames still in use after eviction; image memory not returned", got)
+		}
+	})
 }
 
 // TestFleetScaleToZeroConfigValidation: the longer TTL must not undercut
