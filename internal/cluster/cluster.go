@@ -596,6 +596,3 @@ func (cl *Cluster) applyEvent(ev Event) {
 // then reports the cluster's remaining in-use frame count — 0 on a
 // leak-free run, whatever the fault plan and event schedule did.
 func (cl *Cluster) Teardown() int { return cl.disp.Teardown() }
-
-// Registry exposes the cluster's image registry (tests and benchmarks).
-func (cl *Cluster) Registry() *Registry { return cl.registry }

@@ -45,11 +45,29 @@ const (
 	PhaseDetach      = "detaching"
 )
 
+// The phases' indices in Phases and PhaseBreakdown.
+const (
+	phInterrupt = iota
+	phReadMaps
+	phScanPages
+	phDiff
+	phBrk
+	phMmap
+	phMunmap
+	phMadvise
+	phMprotect
+	phRestoreMem
+	phClearSD
+	phRestoreRegs
+	phDetach
+)
+
 // Phases lists the restore phases in execution (and Fig. 8 legend) order.
 var Phases = [...]string{
-	PhaseInterrupt, PhaseReadMaps, PhaseScanPages, PhaseDiff,
-	PhaseBrk, PhaseMmap, PhaseMunmap, PhaseMadvise, PhaseMprotect,
-	PhaseRestoreMem, PhaseClearSD, PhaseRestoreRegs, PhaseDetach,
+	phInterrupt: PhaseInterrupt, phReadMaps: PhaseReadMaps, phScanPages: PhaseScanPages,
+	phDiff: PhaseDiff, phBrk: PhaseBrk, phMmap: PhaseMmap, phMunmap: PhaseMunmap,
+	phMadvise: PhaseMadvise, phMprotect: PhaseMprotect, phRestoreMem: PhaseRestoreMem,
+	phClearSD: PhaseClearSD, phRestoreRegs: PhaseRestoreRegs, phDetach: PhaseDetach,
 }
 
 // PhaseBreakdown carries one duration per Phases entry, in the same order.

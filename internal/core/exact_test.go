@@ -4,7 +4,6 @@ import (
 	"math"
 	"slices"
 
-	"groundhog/internal/sim"
 	"groundhog/internal/vm"
 )
 
@@ -24,19 +23,16 @@ var ExactRestore = (*Manager).exactRestore
 // exactPlan in place of plan. The scan still charges what Restore's does.
 func (m *Manager) exactRestore() (RestoreStats, error) {
 	sc, as := &m.scratch, m.proc.AS
-	if sc.meter == nil {
-		sc.meter = sim.NewMeter()
-	}
-	sc.meter.Reset()
-	m.tracer.SetMeter(sc.meter)
+	sc.begin()
+	m.tracer.SetMeter(&sc.meter)
 	defer m.tracer.SetMeter(nil)
 
-	sc.meter.BeginPhase(PhaseInterrupt)
+	sc.meter.Attribute(&sc.phases[phInterrupt])
 	if err := m.tracer.InterruptAll(); err != nil {
 		return RestoreStats{}, err
 	}
-	sc.meter.BeginPhase(PhaseReadMaps)
-	sc.layout = m.fs.MapsRegions(m.proc, sc.meter, sc.layout[:0])
+	sc.meter.Attribute(&sc.phases[phReadMaps])
+	sc.layout = m.fs.MapsRegions(m.proc, &sc.meter, sc.layout[:0])
 	same := as.BrkValue() == m.snap.brk && slices.Equal(sc.layout, m.snap.layout)
 
 	mapped := m.scan()

@@ -141,7 +141,8 @@ func appendRuns(dst []vpnRun, vpns []uint64) []vpnRun {
 // through the address space's append-style accessors — the properties pinned
 // by TestRestoreSteadyStateZeroAllocs and TestRestoreUffdSteadyStateZeroAllocs.
 type restoreScratch struct {
-	meter   *sim.Meter
+	meter   sim.Meter         // the restore's meter, attributing into phases
+	phases  PhaseBreakdown    // the restore's per-phase costs
 	layout  []vm.VMA          // current memory map
 	pm      []vm.PagemapEntry // TakeSnapshot: one VMA's pagemap entries at a time
 	dirty   []uint64          // sorted soft-dirty VPNs
@@ -175,17 +176,12 @@ func (m *Manager) Restore() (RestoreStats, error) {
 	if ferr := m.kern.Faults.Fire(faults.SiteRestore); ferr != nil {
 		return RestoreStats{}, fmt.Errorf("core: restore: %w", ferr)
 	}
-	sc := &m.scratch
-	if sc.meter == nil {
-		sc.meter = sim.NewMeter()
-	}
-	meter := sc.meter
-	meter.Reset()
-	m.tracer.SetMeter(meter)
+	sc, as := &m.scratch, m.proc.AS
+	sc.begin()
+	m.tracer.SetMeter(&sc.meter)
 	defer m.tracer.SetMeter(nil)
-	as := m.proc.AS
 
-	meter.BeginPhase(PhaseInterrupt)
+	sc.meter.Attribute(&sc.phases[phInterrupt])
 	if err := m.tracer.InterruptAll(); err != nil {
 		return RestoreStats{}, err
 	}
@@ -193,8 +189,8 @@ func (m *Manager) Restore() (RestoreStats, error) {
 	// Read the current memory map (binary fast path into the reusable layout
 	// buffer; costs and contents identical to parsing the text form, as the
 	// procfs tests assert).
-	meter.BeginPhase(PhaseReadMaps)
-	sc.layout = m.fs.MapsRegions(m.proc, meter, sc.layout[:0])
+	sc.meter.Attribute(&sc.phases[phReadMaps])
+	sc.layout = m.fs.MapsRegions(m.proc, &sc.meter, sc.layout[:0])
 
 	// Whether the layout (and brk) ended the request as the snapshot recorded
 	// it only decides if the diff sweeps.
@@ -215,22 +211,25 @@ func (m *Manager) Restore() (RestoreStats, error) {
 	return m.restoreStats(mapped, diff), nil
 }
 
+// begin empties the meter and the breakdown for one restore.
+func (sc *restoreScratch) begin() {
+	sc.meter.Reset()
+	sc.phases = PhaseBreakdown{}
+}
+
 // restoreStats closes the restore's meter and reports what the phases did.
 func (m *Manager) restoreStats(mapped int, diff layoutDiff) RestoreStats {
 	sc := &m.scratch
-	sc.meter.BeginPhase("")
-	stats := RestoreStats{
-		Total:         sc.meter.Total(),
-		MappedPages:   mapped,
-		DirtyPages:    len(sc.dirty),
-		RestoredPages: len(sc.restore),
-		DroppedPages:  len(sc.fresh),
-		LayoutOps:     diff.ops() + len(sc.runs),
+	sc.meter.Attribute(nil)
+	return RestoreStats{
+		Total:          sc.meter.Total(),
+		PhaseDurations: sc.phases,
+		MappedPages:    mapped,
+		DirtyPages:     len(sc.dirty),
+		RestoredPages:  len(sc.restore),
+		DroppedPages:   len(sc.fresh),
+		LayoutOps:      diff.ops() + len(sc.runs),
 	}
-	for i, ph := range Phases {
-		stats.PhaseDurations[i] = sc.meter.Phase(ph)
-	}
-	return stats
 }
 
 // scan reads the page metadata into sc.dirty and sc.present and returns the
@@ -248,14 +247,14 @@ func (m *Manager) restoreStats(mapped int, diff layoutDiff) RestoreStats {
 // resident set for newly paged-in pages.
 func (m *Manager) scan() int {
 	sc, as, cost := &m.scratch, m.proc.AS, &m.kern.Cost
-	sc.meter.BeginPhase(PhaseScanPages)
+	sc.meter.Attribute(&sc.phases[phScanPages])
 	sc.dirty = as.AppendSoftDirtyVPNs(sc.dirty[:0])
 	sc.present = as.AppendFreshVPNs(sc.present[:0])
 	mapped := as.MappedPages()
 	if m.opts.Tracker == TrackUffd {
-		sim.ChargeTo(sc.meter, cost.PagemapPerPage*sim.Duration(len(sc.dirty))+cost.ResidentScanPerPage*sim.Duration(as.ResidentPages()))
+		sc.meter.Charge(cost.PagemapPerPage*sim.Duration(len(sc.dirty)) + cost.ResidentScanPerPage*sim.Duration(as.ResidentPages()))
 	} else {
-		sim.ChargeTo(sc.meter, cost.PagemapRangeBase*sim.Duration(len(sc.layout))+cost.PagemapPerPage*sim.Duration(mapped))
+		sc.meter.Charge(cost.PagemapRangeBase*sim.Duration(len(sc.layout)) + cost.PagemapPerPage*sim.Duration(mapped))
 	}
 	return mapped
 }
@@ -265,38 +264,38 @@ func (m *Manager) scan() int {
 // construction; the simulated diff work is charged all the same.
 func (m *Manager) diffLayout(same bool) layoutDiff {
 	sc := &m.scratch
-	sc.meter.BeginPhase(PhaseDiff)
+	sc.meter.Attribute(&sc.phases[phDiff])
 	var d layoutDiff
 	if !same {
 		d = sc.diff.diff(sc.layout, m.snap.layout)
 		d.brkDelta = m.proc.AS.BrkValue() != m.snap.brk
 	}
-	sim.ChargeTo(sc.meter, m.kern.Cost.DiffPerVMA*sim.Duration(len(sc.layout)+len(m.snap.layout)))
+	sc.meter.Charge(m.kern.Cost.DiffPerVMA * sim.Duration(len(sc.layout)+len(m.snap.layout)))
 	return d
 }
 
 // applyLayout reverses the layout changes by injecting syscalls.
 func (m *Manager) applyLayout(d layoutDiff) error {
-	meter := m.scratch.meter
-	meter.BeginPhase(PhaseBrk)
+	sc := &m.scratch
+	sc.meter.Attribute(&sc.phases[phBrk])
 	if d.brkDelta {
 		if err := m.tracer.InjectBrk(m.snap.brk); err != nil {
 			return fmt.Errorf("core: restore brk: %w", err)
 		}
 	}
-	meter.BeginPhase(PhaseMunmap)
+	sc.meter.Attribute(&sc.phases[phMunmap])
 	for _, v := range d.unmap {
 		if err := m.tracer.InjectMunmap(v.Start, v.Len()); err != nil {
 			return fmt.Errorf("core: restore munmap %v: %w", v, err)
 		}
 	}
-	meter.BeginPhase(PhaseMmap)
+	sc.meter.Attribute(&sc.phases[phMmap])
 	for _, v := range d.remap {
 		if err := m.tracer.InjectMmapFixed(v.Start, v.Len(), v.Prot, v.Kind, v.Name); err != nil {
 			return fmt.Errorf("core: restore mmap %v: %w", v, err)
 		}
 	}
-	meter.BeginPhase(PhaseMprotect)
+	sc.meter.Attribute(&sc.phases[phMprotect])
 	for _, v := range d.reprotect {
 		if err := m.tracer.InjectMprotect(v.Start, v.Len(), v.Prot); err != nil {
 			return fmt.Errorf("core: restore mprotect %v: %w", v, err)
@@ -387,14 +386,14 @@ func (m *Manager) addFresh(vpn uint64) {
 // pages.
 func (m *Manager) applyContent() error {
 	sc, st, cost := &m.scratch, &m.snap.store, &m.kern.Cost
-	sc.meter.BeginPhase(PhaseMadvise)
+	sc.meter.Attribute(&sc.phases[phMadvise])
 	sc.runs = appendRuns(sc.runs[:0], sc.fresh)
 	for _, r := range sc.runs {
 		if err := m.tracer.InjectMadvise(vm.PageAddr(r.start), r.n*mem.PageSize); err != nil {
 			return fmt.Errorf("core: restore madvise: %w", err)
 		}
 	}
-	sc.meter.BeginPhase(PhaseRestoreMem)
+	sc.meter.Attribute(&sc.phases[phRestoreMem])
 	for i := 0; i < len(sc.restore); {
 		j := i + 1
 		for j < len(sc.restore) && sc.restore[j] == sc.restore[j-1]+1 &&
@@ -404,9 +403,9 @@ func (m *Manager) applyContent() error {
 		m.restoreRun(m.proc.AS, st, sc.restore[i], sc.restore[j-1]+1)
 		n := j - i
 		if m.opts.Coalesce {
-			sim.ChargeTo(sc.meter, cost.PageCopy+cost.PageCopyTail*sim.Duration(n-1))
+			sc.meter.Charge(cost.PageCopy + cost.PageCopyTail*sim.Duration(n-1))
 		} else {
-			sim.ChargeTo(sc.meter, cost.PageCopy*sim.Duration(n))
+			sc.meter.Charge(cost.PageCopy * sim.Duration(n))
 		}
 		i = j
 	}
@@ -418,14 +417,14 @@ func (m *Manager) applyContent() error {
 // back, and release the stop (the manager stays seized).
 func (m *Manager) rearm() error {
 	sc, cost := &m.scratch, &m.kern.Cost
-	sc.meter.BeginPhase(PhaseClearSD)
+	sc.meter.Attribute(&sc.phases[phClearSD])
 	if m.opts.Tracker == TrackUffd {
 		m.proc.AS.ClearSoftDirty()
-		sim.ChargeTo(sc.meter, cost.ClearRefsPerPage*sim.Duration(len(sc.dirty)))
+		sc.meter.Charge(cost.ClearRefsPerPage * sim.Duration(len(sc.dirty)))
 	} else {
-		m.fs.ClearRefs(m.proc, sc.meter)
+		m.fs.ClearRefs(m.proc, &sc.meter)
 	}
-	sc.meter.BeginPhase(PhaseRestoreRegs)
+	sc.meter.Attribute(&sc.phases[phRestoreRegs])
 	if len(m.proc.Threads) != len(m.snap.regs) {
 		return fmt.Errorf("core: %d threads, snapshot had %d", len(m.proc.Threads), len(m.snap.regs))
 	}
@@ -434,8 +433,8 @@ func (m *Manager) rearm() error {
 			return err
 		}
 	}
-	sc.meter.BeginPhase(PhaseDetach)
-	sim.ChargeTo(sc.meter, cost.PtraceDetachPerThread*sim.Duration(len(m.proc.Threads)))
+	sc.meter.Attribute(&sc.phases[phDetach])
+	sc.meter.Charge(cost.PtraceDetachPerThread * sim.Duration(len(m.proc.Threads)))
 	return m.tracer.Resume()
 }
 

@@ -8,6 +8,7 @@ import (
 	"groundhog/internal/faas"
 	"groundhog/internal/isolation"
 	"groundhog/internal/metrics"
+	"groundhog/internal/trace"
 )
 
 // LoadSweep backs the paper's load argument (§2, §4: "Groundhog restores
@@ -18,6 +19,10 @@ import (
 // GH's mean E2E tracks BASE until utilization approaches the point where
 // exec+restore saturates the container, after which GH's queueing delay
 // grows first.
+//
+// Each (load, mode) point is a one-function fleet capped at one container
+// that is never reaped within the window, so BASE and GH see the same
+// arrival trace and the fleet's FIFO queue does the rest.
 func LoadSweep(cfg Config) (*metrics.Table, error) {
 	e, err := catalog.Lookup("sentiment (p)")
 	if err != nil {
@@ -46,17 +51,25 @@ func LoadSweep(cfg Config) (*metrics.Table, error) {
 		row := []string{fmt.Sprintf("%d", pct)}
 		var ghQueue float64
 		for _, mode := range []isolation.Mode{isolation.ModeBase, isolation.ModeGH} {
-			pl, err := faas.NewPlatform(cfg.Cost, prof, mode, 1, cfg.Seed+uint64(pct))
+			fl, err := trace.NewFleet(trace.Config{
+				Cost:                     cfg.Cost,
+				Mode:                     mode,
+				Seed:                     cfg.Seed + uint64(pct),
+				MaxContainersPerFunction: 1,
+				KeepAlive:                window,
+				Window:                   window,
+			}, []trace.FunctionLoad{{Entry: e, RatePerSec: rate, Burstiness: 1}})
 			if err != nil {
 				return nil, err
 			}
-			res, err := pl.RunOpenLoop(rate, window)
+			res, err := fl.Run()
 			if err != nil {
 				return nil, err
 			}
-			row = append(row, fmt.Sprintf("%.2f", res.MeanE2EMS), fmt.Sprintf("%.2f", res.P95E2EMS))
+			st := res.PerFunction[0]
+			row = append(row, fmt.Sprintf("%.2f", st.E2E.Mean()), fmt.Sprintf("%.2f", st.E2E.Percentile(95)))
 			if mode == isolation.ModeGH {
-				ghQueue = res.MeanQueueMS
+				ghQueue = st.Queue.Mean()
 			}
 		}
 		row = append(row, fmt.Sprintf("%.2f", ghQueue))

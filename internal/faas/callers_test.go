@@ -94,46 +94,8 @@ func TestForkNeverSkipsCleanup(t *testing.T) {
 	}
 }
 
-func TestOpenLoopLowLoadHidesRestore(t *testing.T) {
-	lat := func(mode isolation.Mode) float64 {
-		pl := newPlatform(t, mode, 1)
-		res, err := pl.RunOpenLoop(5, 3*time.Second) // ~5 req/s, far from saturation
-		if err != nil {
-			t.Fatal(err)
-		}
-		if res.Completed < 5 {
-			t.Fatalf("only %d completions", res.Completed)
-		}
-		return res.MeanE2EMS
-	}
-	base, gh := lat(isolation.ModeBase), lat(isolation.ModeGH)
-	// At low load the restore hides between requests: GH's mean E2E stays
-	// within a few percent of BASE (tracking faults only).
-	if gh > base*1.15 {
-		t.Fatalf("low-load GH E2E %.2fms far above BASE %.2fms", gh, base)
-	}
-}
-
-func TestOpenLoopSaturationQueuesRequests(t *testing.T) {
-	pl := newPlatform(t, isolation.ModeGH, 1)
-	// testProfile executes in ~8ms + ~2ms restore: ~100 req/s capacity.
-	res, err := pl.RunOpenLoop(300, 1*time.Second)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.MeanQueueMS <= 1 {
-		t.Fatalf("saturating load queued only %.2fms on average", res.MeanQueueMS)
-	}
-}
-
-func TestOpenLoopRejectsBadParams(t *testing.T) {
+func TestRunCallersRejectsEmptySequence(t *testing.T) {
 	pl := newPlatform(t, isolation.ModeBase, 1)
-	if _, err := pl.RunOpenLoop(0, time.Second); err == nil {
-		t.Fatal("zero rate accepted")
-	}
-	if _, err := pl.RunOpenLoop(10, 0); err == nil {
-		t.Fatal("zero window accepted")
-	}
 	if _, err := pl.RunCallers(nil, 0); err == nil {
 		t.Fatal("empty caller sequence accepted")
 	}

@@ -3,8 +3,11 @@
 // actionloop-style stdin/stdout proxying, container cold starts with the
 // Fig. 1 phases (environment instantiation, runtime initialization, data
 // initialization, snapshot), and the two workload drivers of §5 — a
-// closed-loop low-load client for latency and a saturating driver for peak
-// throughput.
+// closed-loop low-load client for latency (RunClosedLoop, and RunCallers for
+// the trusted-caller optimization) and a saturating driver for peak
+// throughput (RunSaturated). Open-loop arrivals are not driven here: a
+// Platform is a container pool under internal/trace's dispatcher, which owns
+// arrivals, queueing and scaling.
 //
 // One Platform instance evaluates one function in one configuration
 // (isolation mode, container count), exactly like the paper's per-benchmark

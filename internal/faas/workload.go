@@ -32,6 +32,52 @@ func (pl *Platform) RunClosedLoop(requests int, think sim.Duration) ([]RequestSt
 	return out, err
 }
 
+// RunCallers drives the first container with a closed-loop client whose
+// requests carry the given sequence of security principals, cycling through
+// `callers` request by request. It exercises the trusted-caller optimization
+// (§4.4): with Platform.TrustSameCaller set, consecutive requests from the
+// same principal skip the rollback, and a change of principal pays the
+// deferred restore before executing.
+func (pl *Platform) RunCallers(callers []string, think sim.Duration) ([]RequestStats, error) {
+	if len(pl.containers) < 1 {
+		return nil, ErrNoContainers
+	}
+	if len(callers) == 0 {
+		return nil, fmt.Errorf("faas: empty caller sequence")
+	}
+	c := pl.containers[0]
+	out := make([]RequestStats, 0, len(callers))
+	var err error
+	idx := 0
+
+	var submit func()
+	submit = func() {
+		if err != nil || idx >= len(callers) {
+			return
+		}
+		wait := sim.Duration(0)
+		if c.ready > pl.Engine.Now() {
+			wait = c.ready.Sub(pl.Engine.Now())
+		}
+		pl.Engine.After(wait, func() {
+			caller := callers[idx]
+			idx++
+			st, serr := pl.serveAs(c, uint64(idx), caller)
+			if serr != nil {
+				err = serr
+				pl.Engine.Stop()
+				return
+			}
+			st.E2E += wait
+			out = append(out, st)
+			pl.Engine.At(st.Completed.Add(think), submit)
+		})
+	}
+	pl.Engine.After(0, submit)
+	pl.Engine.Run()
+	return out, err
+}
+
 // ThroughputResult reports a saturation run.
 type ThroughputResult struct {
 	// RequestsPerSec is the sustained completion rate over the measured

@@ -123,7 +123,7 @@ func (p Plan) Validate() error {
 		if !known(site) {
 			return fmt.Errorf("faults: unknown site %q in rates", site)
 		}
-		if r < 0 || r >= 1 {
+		if !(r >= 0 && r < 1) { // written so that NaN fails too
 			return fmt.Errorf("faults: site %q rate %v outside [0, 1)", site, r)
 		}
 	}

@@ -3,6 +3,7 @@ package faults
 import (
 	"errors"
 	"fmt"
+	"math"
 	"testing"
 )
 
@@ -161,6 +162,7 @@ func TestValidate(t *testing.T) {
 		{"good schedule", Plan{Schedule: map[Site][]uint64{SiteRestore: {1, 2}}}, true},
 		{"rate one", Plan{Rates: map[Site]float64{SiteColdStart: 1.0}}, false},
 		{"rate negative", Plan{Rates: map[Site]float64{SiteColdStart: -0.1}}, false},
+		{"rate NaN", Plan{Rates: map[Site]float64{SiteColdStart: math.NaN()}}, false},
 		{"unknown rate site", Plan{Rates: map[Site]float64{"bogus": 0.1}}, false},
 		{"unknown schedule site", Plan{Schedule: map[Site][]uint64{"bogus": {1}}}, false},
 		{"zero ordinal", Plan{Schedule: map[Site][]uint64{SiteRestore: {0}}}, false},

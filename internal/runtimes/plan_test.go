@@ -1,6 +1,7 @@
 package runtimes
 
 import (
+	"math"
 	"runtime"
 	"slices"
 	"sort"
@@ -292,6 +293,11 @@ func TestPlanSharedByClonesAndForkChildren(t *testing.T) {
 // (invoke, restore, NotifyRestored): none for a C function, and for a Python
 // function only the name of the one scratch region it maps per request — the
 // churn list is reused across restores and the page accesses replay the plan.
+//
+// The process-wide malloc counter also sees whatever the runtime and the test
+// framework allocate meanwhile. The body allocates the same on every request,
+// so those strays only ever add: the test measures several independent
+// windows and judges the quietest.
 func TestInvokeOnAllocs(t *testing.T) {
 	for _, c := range []struct {
 		lang Language
@@ -308,25 +314,36 @@ func TestInvokeOnAllocs(t *testing.T) {
 		}
 		meter := sim.NewMeter()
 		var id uint64
-		var total uint64
-		const rounds = 50
-		for i := 0; i < rounds+5; i++ {
+		// request serves one request, restores, and reports the mallocs
+		// counted across the request body.
+		request := func() uint64 {
 			id++
 			meter.Reset()
 			var a, b runtime.MemStats
 			runtime.ReadMemStats(&a)
 			in.Invoke(Request{ID: id}, meter)
 			runtime.ReadMemStats(&b)
-			if i >= 5 { // the first requests size the dirty log and the region list
-				total += b.Mallocs - a.Mallocs
-			}
 			if _, err := mgr.Restore(); err != nil {
 				t.Fatal(err)
 			}
 			in.NotifyRestored()
+			return b.Mallocs - a.Mallocs
 		}
-		if got := float64(total) / rounds; got > c.max {
-			t.Errorf("%v: InvokeOn allocated %.2f per request, want <= %v", c.lang, got, c.max)
+		for i := 0; i < 5; i++ { // the first requests size the dirty log and the region list
+			request()
+		}
+		const windows, rounds = 5, 20
+		best := uint64(math.MaxUint64)
+		for w := 0; w < windows; w++ {
+			var total uint64
+			for i := 0; i < rounds; i++ {
+				total += request()
+			}
+			best = min(best, total)
+		}
+		if got := float64(best) / rounds; got > c.max {
+			t.Errorf("%v: InvokeOn allocated %.2f per request in the quietest of %d windows, want <= %v",
+				c.lang, got, windows, c.max)
 		}
 	}
 }

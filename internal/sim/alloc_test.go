@@ -29,21 +29,19 @@ func TestEngineSteadyStateZeroAllocs(t *testing.T) {
 	}
 }
 
-// TestMeterSteadyStateZeroAllocs pins metering at zero allocations once the
-// phase accounts exist: Charge on the fault and restore paths runs millions
+// TestMeterSteadyStateZeroAllocs pins metering at zero allocations, phase
+// attribution included: Charge on the fault and restore paths runs millions
 // of times per simulated second.
 func TestMeterSteadyStateZeroAllocs(t *testing.T) {
-	m := NewMeter()
-	m.BeginPhase("a")
-	m.Charge(time.Microsecond)
-	m.ChargePhase("b", time.Microsecond)
-
+	var m Meter
+	var phases [2]Duration
 	allocs := testing.AllocsPerRun(1000, func() {
 		m.Reset()
-		m.BeginPhase("a")
+		m.Attribute(&phases[0])
 		m.Charge(time.Microsecond)
-		m.ChargePhase("b", time.Microsecond)
-		m.BeginPhase("")
+		m.Attribute(&phases[1])
+		m.Charge(time.Microsecond)
+		m.Attribute(nil)
 		m.Charge(time.Microsecond)
 	})
 	if allocs != 0 {
@@ -51,38 +49,34 @@ func TestMeterSteadyStateZeroAllocs(t *testing.T) {
 	}
 }
 
-// TestMeterPhaseAccounting covers the slice-backed phase accounts against
-// the behavior the map-backed meter had: attribution follows BeginPhase,
-// ChargePhase leaves the current phase alone, and Reset zeroes but keeps
-// the accounts.
+// TestMeterPhaseAccounting: attribution follows Attribute, charges outside
+// any phase reach only the total, and Reset ends attribution — a charge
+// after it never lands in a phase the caller has moved on from.
 func TestMeterPhaseAccounting(t *testing.T) {
-	m := NewMeter()
+	var m Meter // the zero value is usable
+	var x, y Duration
 	m.Charge(1) // unattributed
-	m.BeginPhase("x")
+	m.Attribute(&x)
 	m.Charge(2)
-	m.ChargePhase("y", 5)
+	m.Attribute(&y)
+	m.Charge(5)
+	m.Attribute(&x)
 	m.Charge(3)
-	m.BeginPhase("")
+	m.Attribute(nil)
 	m.Charge(7)
 	if got := m.Total(); got != 18 {
 		t.Fatalf("Total = %v, want 18", got)
 	}
-	if got := m.Phase("x"); got != 5 {
-		t.Fatalf("Phase(x) = %v, want 5", got)
+	if x != 5 || y != 5 {
+		t.Fatalf("phases x=%v y=%v, want 5 and 5", x, y)
 	}
-	if got := m.Phase("y"); got != 5 {
-		t.Fatalf("Phase(y) = %v, want 5", got)
-	}
-	if got := m.Phase("nope"); got != 0 {
-		t.Fatalf("Phase(nope) = %v, want 0", got)
-	}
+	m.Attribute(&x)
 	m.Reset()
-	if m.Total() != 0 || m.Phase("x") != 0 || len(m.Phases()) != 0 {
-		t.Fatalf("Reset left state behind: total=%v x=%v phases=%v", m.Total(), m.Phase("x"), m.Phases())
+	if m.Total() != 0 {
+		t.Fatalf("Reset left total %v", m.Total())
 	}
-	// Post-reset charges are unattributed until a new BeginPhase.
 	m.Charge(4)
-	if got := m.Phase("x"); got != 0 {
-		t.Fatalf("post-Reset Charge attributed to stale phase: %v", got)
+	if x != 5 {
+		t.Fatalf("post-Reset Charge attributed to stale phase: x=%v", x)
 	}
 }

@@ -125,31 +125,31 @@ func TestEngineNestedScheduling(t *testing.T) {
 
 func TestMeterTotalAndPhases(t *testing.T) {
 	m := NewMeter()
-	m.BeginPhase("scan")
+	var scan, copied Duration
+	m.Attribute(&scan)
 	m.Charge(10)
 	m.Charge(5)
-	m.BeginPhase("copy")
+	m.Attribute(&copied)
 	m.Charge(7)
-	m.BeginPhase("")
+	m.Attribute(nil)
 	m.Charge(3)
 	if m.Total() != 25 {
 		t.Fatalf("total = %v, want 25", m.Total())
 	}
-	if m.Phase("scan") != 15 || m.Phase("copy") != 7 {
-		t.Fatalf("phases wrong: scan=%v copy=%v", m.Phase("scan"), m.Phase("copy"))
-	}
-	names := m.Phases()
-	if len(names) != 2 || names[0] != "copy" || names[1] != "scan" {
-		t.Fatalf("phase names = %v", names)
+	if scan != 15 || copied != 7 {
+		t.Fatalf("phases wrong: scan=%v copy=%v", scan, copied)
 	}
 }
 
 func TestMeterReset(t *testing.T) {
 	m := NewMeter()
-	m.ChargePhase("x", 9)
+	var x Duration
+	m.Attribute(&x)
+	m.Charge(9)
 	m.Reset()
-	if m.Total() != 0 || m.Phase("x") != 0 {
-		t.Fatal("Reset did not clear meter")
+	m.Charge(1)
+	if m.Total() != 1 || x != 9 {
+		t.Fatalf("Reset did not clear meter: total=%v x=%v", m.Total(), x)
 	}
 }
 

@@ -165,11 +165,12 @@ func TestAdviseCoversAllPolicies(t *testing.T) {
 // bit-compatibility of the FixedTTL path depends on signal reads being
 // side-effect free, and repeated reads must agree.
 func TestSignalsDoNotMutateStats(t *testing.T) {
-	f, err := NewFleet(testConfig(isolation.ModeBase), testLoads(t, 5)[:1])
+	cfg := testConfig(isolation.ModeBase)
+	cfg.Policy = SLOAware{} // a signal-reading policy: the default FixedTTL skips p95
+	f, err := NewFleet(cfg, testLoads(t, 5)[:1])
 	if err != nil {
 		t.Fatal(err)
 	}
-	f.setPolicy(SLOAware{}) // a signal-reading policy: the default FixedTTL skips p95
 	fs := f.fns[0]
 	for _, v := range []float64{5, 1, 4, 2, 3} {
 		fs.stats.E2E.Add(v)
@@ -201,11 +202,12 @@ func TestSignalsDoNotMutateStats(t *testing.T) {
 // windows — an early SLO breach (or an old traffic burst) ages out instead
 // of latching the policy for the rest of the run.
 func TestSignalsWindowAgesOut(t *testing.T) {
-	f, err := NewFleet(testConfig(isolation.ModeBase), testLoads(t, 5)[:1])
+	cfg := testConfig(isolation.ModeBase)
+	cfg.Policy = SLOAware{}
+	f, err := NewFleet(cfg, testLoads(t, 5)[:1])
 	if err != nil {
 		t.Fatal(err)
 	}
-	f.setPolicy(SLOAware{})
 	fs := f.fns[0]
 	// A terrible early period...
 	for i := 0; i < latencyWindow; i++ {
@@ -314,11 +316,11 @@ func TestFleetMeanFramesIntegral(t *testing.T) {
 func TestFleetScaleUpBatch(t *testing.T) {
 	cfg := testConfig(isolation.ModeGH)
 	cfg.CloneScaleOut = true
+	cfg.Policy = SLOAware{}
 	f, err := NewFleet(cfg, testLoads(t, 5)[:1])
 	if err != nil {
 		t.Fatal(err)
 	}
-	f.setPolicy(SLOAware{})
 	fs := f.fns[0]
 	// Saturate the single warm container, then queue three arrivals.
 	now := f.engine.Now()
@@ -343,11 +345,11 @@ func TestFleetPolicyKeepsImageOnScaleToZero(t *testing.T) {
 	cfg := testConfig(isolation.ModeGH)
 	cfg.CloneScaleOut = true
 	cfg.SLOTargetMs = 100
+	cfg.Policy = SLOAware{}
 	f, err := NewFleet(cfg, testLoads(t, 5)[:1])
 	if err != nil {
 		t.Fatal(err)
 	}
-	f.setPolicy(SLOAware{})
 	fs := f.fns[0]
 	// Serve once so latency signals exist, then scale up to observe a
 	// clone cold start (the reap TTL derives from it).

@@ -9,14 +9,18 @@
 // costs a *provider* — latency distributions, cold-start rates, restore
 // counts, and memory — rather than a single benchmark container.
 //
-// The package owns the repository's only dispatcher. Dispatcher is the loop
-// itself — arrival processes, the per-function queue ring, peek-serve-pop
-// dispatch, the policy-driven reaper, the observation signals, chains —
-// written over a function's scan-ordered set of faas.Platform pools. Where
-// those pools live and how one more container is obtained is the one thing
-// it delegates, to a Provider (provider.go). Fleet is the Dispatcher on one
-// shared kernel (one pool per function); internal/cluster is the same
-// Dispatcher with one pool per host behind a placer and an image registry.
+// The package owns the repository's only dispatcher: every run in which
+// requests arrive on their own and queue for containers — fleets, clusters,
+// the single-container load sweep of internal/experiments — goes through it
+// (faas keeps only per-container drivers that never queue). Dispatcher is
+// the loop itself — arrival processes, the per-function queue ring,
+// peek-serve-pop dispatch, the policy-driven reaper, the observation
+// signals, chains — written over a function's scan-ordered set of
+// faas.Platform pools. Where those pools live and how one more container is
+// obtained is the one thing it delegates, to a Provider (provider.go). Fleet
+// is the Dispatcher on one shared kernel (one pool per function);
+// internal/cluster is the same Dispatcher with one pool per host behind a
+// placer and an image registry.
 package trace
 
 import (
@@ -677,10 +681,7 @@ func (d *Dispatcher) chainStepDone(run *chainRun) {
 // outcomes. Fleet wraps it for the one-kernel case; internal/cluster drives
 // it over N hosts.
 type Dispatcher struct {
-	cfg Config
-	// policy is the fleet-wide default; each fnState resolves its own
-	// (FunctionLoad.Policy overrides it per function).
-	policy Policy
+	cfg    Config
 	engine *sim.Engine
 	prov   Provider
 	fns    []*fnState
@@ -711,14 +712,11 @@ func NewDispatcher(engine *sim.Engine, cfg Config, loads []FunctionLoad, prov Pr
 	if len(loads) == 0 {
 		return nil, fmt.Errorf("trace: no functions")
 	}
-	d := &Dispatcher{
-		cfg:    cfg,
-		policy: cfg.Policy,
-		engine: engine,
-		prov:   prov,
-	}
-	if d.policy == nil {
-		d.policy = FixedTTL{KeepAlive: cfg.KeepAlive, ScaleToZeroAfter: cfg.ScaleToZeroAfter}
+	d := &Dispatcher{cfg: cfg, engine: engine, prov: prov}
+	// The fleet-wide default policy; a load's own Policy overrides it.
+	fleetPolicy := cfg.Policy
+	if fleetPolicy == nil {
+		fleetPolicy = FixedTTL{KeepAlive: cfg.KeepAlive, ScaleToZeroAfter: cfg.ScaleToZeroAfter}
 	}
 	// chainFed marks functions referenced by a chain stage: they may omit
 	// their own open-loop arrival process (RatePerSec == 0).
@@ -761,11 +759,15 @@ func NewDispatcher(engine *sim.Engine, cfg Config, loads []FunctionLoad, prov Pr
 			index:       i,
 			load:        load,
 			pools:       pools,
+			policy:      fleetPolicy,
 			stats:       newFunctionStats(name, cfg.SketchStats),
 			rng:         sim.NewRand(cfg.Seed ^ uint64(i)*0x9E3779B97F4A7C15),
 			sloTargetMs: target,
 		}
-		fs.setPolicy(d.policy)
+		if load.Policy != nil {
+			fs.policy = load.Policy
+		}
+		_, fs.signalFree = fs.policy.(SignalFree)
 		fs.redispatch = func() { d.dispatch(fs) }
 		d.fns = append(d.fns, fs)
 	}
@@ -808,27 +810,6 @@ func (d *Dispatcher) fn(name string) *fnState {
 		}
 	}
 	return nil
-}
-
-// setPolicy installs one function's scaling policy, preferring the load's
-// override and refreshing the cached signal-free flag the dispatcher's ring
-// maintenance keys off.
-func (fs *fnState) setPolicy(fleetDefault Policy) {
-	fs.policy = fleetDefault
-	if fs.load.Policy != nil {
-		fs.policy = fs.load.Policy
-	}
-	_, fs.signalFree = fs.policy.(SignalFree)
-}
-
-// setPolicy swaps the fleet-wide policy, re-resolving every function that
-// has no per-load override (the policy tests drive a built fleet through
-// several policies this way).
-func (d *Dispatcher) setPolicy(p Policy) {
-	d.policy = p
-	for _, fs := range d.fns {
-		fs.setPolicy(p)
-	}
 }
 
 // signals assembles the policy's observation set for one function at the

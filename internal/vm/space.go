@@ -51,9 +51,6 @@ type PTE struct {
 	lo, hi uint16
 }
 
-// CoW reports whether the entry currently shares its frame copy-on-write.
-func (p PTE) CoW() bool { return p.cow }
-
 // Extent returns the page's soft-dirty extent: the byte range [lo, hi) that
 // may differ from the page's contents at the last ClearSoftDirty. lo == hi
 // means nothing has been written. A page can carry an extent without its
@@ -221,9 +218,6 @@ func (as *AddressSpace) SetMeter(m *sim.Meter) { as.meter = m }
 
 // Meter returns the attached cost meter (possibly nil).
 func (as *AddressSpace) Meter() *sim.Meter { return as.meter }
-
-// Costs returns the active cost table.
-func (as *AddressSpace) Costs() Costs { return as.costs }
 
 // Faults returns the cumulative fault counters.
 func (as *AddressSpace) Faults() FaultStats { return as.faults }
