@@ -272,14 +272,9 @@ func (m *Manager) TakeSnapshot() (SnapshotStats, error) {
 		return SnapshotStats{}, err
 	}
 
-	// (b) scan /proc: memory regions. The one-time snapshot keeps the
-	// render-and-parse text path, exercising the same userspace boundary
-	// the real system reads /proc/pid/maps through.
-	mapsText := m.fs.Maps(m.proc, meter)
-	layout, err := procfs.ParseMaps(mapsText)
-	if err != nil {
-		return SnapshotStats{}, fmt.Errorf("core: snapshot maps: %w", err)
-	}
+	// (b) scan /proc: memory regions, read the way every Restore reads them,
+	// into a slice of the snapshot's own (never the restore's scratch).
+	layout := m.fs.MapsRegions(m.proc, meter, nil)
 
 	// (c) record resident pages in the StateStore: eager copies into the
 	// arena, or CoW frame shares (§5.5) that defer the copy to the
@@ -363,9 +358,11 @@ func (m *Manager) TakeSnapshot() (SnapshotStats, error) {
 		}
 		snap.regs = append(snap.regs, regs)
 	}
-	if snap.brk, err = m.proc.AS.Brk(0); err != nil {
+	brk, err := m.proc.AS.Brk(0)
+	if err != nil {
 		return SnapshotStats{}, err
 	}
+	snap.brk = brk
 	snap.mmapBase = m.proc.AS.MmapBase()
 
 	// (d) reset write tracking, then resume.

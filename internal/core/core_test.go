@@ -180,6 +180,50 @@ func TestRestoreRecreatesRemovedMappings(t *testing.T) {
 	}
 }
 
+// TestSnapshotKeepsNamedAnonymousMapping: the snapshot records a named
+// anonymous region as anonymous, so a request that never touches it leaves
+// the restore nothing to do there — no layout syscall, no page copy — and the
+// region keeps its kind.
+func TestSnapshotKeepsNamedAnonymousMapping(t *testing.T) {
+	for _, tracker := range []TrackerKind{TrackSoftDirty, TrackUffd} {
+		t.Run(tracker.String(), func(t *testing.T) {
+			k := kernel.New(kernel.Default())
+			p, err := k.Spawn(kernel.ExecSpec{TextPages: 4, Threads: 1})
+			if err != nil {
+				t.Fatal(err)
+			}
+			a, err := p.AS.Mmap(4*mem.PageSize, vm.ProtRW, vm.KindAnon, "named-anon")
+			if err != nil {
+				t.Fatal(err)
+			}
+			p.AS.WriteWord(a+8, 0xCAFE)
+			opts := DefaultOptions()
+			opts.Tracker = tracker
+			m, err := NewManager(k, p, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := m.TakeSnapshot(); err != nil {
+				t.Fatal(err)
+			}
+			st, err := m.Restore() // after a request that left the region alone
+			if err != nil {
+				t.Fatal(err)
+			}
+			if st.LayoutOps != 0 || st.RestoredPages != 0 {
+				t.Fatalf("layout ops = %d, restored pages = %d; want 0, 0", st.LayoutOps, st.RestoredPages)
+			}
+			v, ok := p.AS.FindVMA(a)
+			if !ok || v.Kind != vm.KindAnon || v.Name != "named-anon" {
+				t.Fatalf("region after restore = %+v (found %v), want [anon] named-anon", v, ok)
+			}
+			if err := m.Verify(); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+}
+
 func TestRestoreRevertsBrk(t *testing.T) {
 	_, p, m := newManagedProcess(t, 1, 4, DefaultOptions())
 	heap := p.AS.HeapBase()

@@ -186,9 +186,8 @@ func (m *Manager) Restore() (RestoreStats, error) {
 		return RestoreStats{}, err
 	}
 
-	// Read the current memory map (binary fast path into the reusable layout
-	// buffer; costs and contents identical to parsing the text form, as the
-	// procfs tests assert).
+	// Read the current memory map into the reusable layout buffer, the way
+	// TakeSnapshot read the one it recorded.
 	sc.meter.Attribute(&sc.phases[phReadMaps])
 	sc.layout = m.fs.MapsRegions(m.proc, &sc.meter, sc.layout[:0])
 

@@ -23,7 +23,7 @@ type Cell struct {
 	Throughput float64 // requests/second
 
 	RestoreMeanMS float64
-	RestorePhases map[string]float64 // mean ms per core.Phases entry
+	RestorePhases [len(core.Phases)]float64 // mean ms per phase, in core.Phases order
 	SnapshotMS    float64
 
 	MappedPagesK   float64
@@ -73,7 +73,7 @@ func (cfg Config) benchmarks() []catalog.Entry {
 // measureCell runs the latency and throughput workloads for one
 // (benchmark, mode) pair.
 func (cfg Config) measureCell(e catalog.Entry, mode isolation.Mode) (*Cell, error) {
-	cell := &Cell{Mode: mode, RestorePhases: map[string]float64{}}
+	cell := &Cell{Mode: mode}
 
 	// Latency: one single-core container, closed-loop low load.
 	pl, err := faas.NewPlatform(cfg.Cost, e.Prof, mode, 1, cfg.Seed)
@@ -97,7 +97,7 @@ func (cfg Config) measureCell(e catalog.Entry, mode isolation.Mode) (*Cell, erro
 			cell.RestoredPagesK = float64(st.Restore.RestoredPages) / 1000
 			cell.DirtyPagesK = float64(st.Restore.DirtyPages) / 1000
 			for i, d := range st.Restore.PhaseDurations {
-				cell.RestorePhases[core.Phases[i]] += ms(d)
+				cell.RestorePhases[i] += ms(d)
 			}
 		}
 	}
@@ -105,8 +105,8 @@ func (cfg Config) measureCell(e catalog.Entry, mode isolation.Mode) (*Cell, erro
 	cell.InvMeanMS, cell.InvStdMS = inv.Mean(), inv.Std()
 	cell.RestoreMeanMS = restore.Mean()
 	if nRestores > 0 {
-		for ph := range cell.RestorePhases {
-			cell.RestorePhases[ph] /= float64(nRestores)
+		for i := range cell.RestorePhases {
+			cell.RestorePhases[i] /= float64(nRestores)
 		}
 	}
 
@@ -146,9 +146,6 @@ func RunFull(cfg Config) (*Dataset, error) {
 func (cfg Config) restoreBreakdown(e catalog.Entry) (*Cell, error) {
 	return cfg.measureCell(e, isolation.ModeGH)
 }
-
-// phaseOrder re-exports the restore phases for renderers.
-var phaseOrder = core.Phases
 
 // ms converts a duration to float milliseconds.
 func ms(d sim.Duration) float64 { return float64(d) / 1e6 }

@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"groundhog/internal/catalog"
+	"groundhog/internal/core"
 	"groundhog/internal/faas"
 	"groundhog/internal/isolation"
 	"groundhog/internal/metrics"
@@ -87,7 +88,7 @@ func (cfg Config) representatives() []catalog.Entry {
 // visible mainly for the multi-threaded Node runtimes.
 func Fig8(cfg Config) (*metrics.Table, error) {
 	header := []string{"benchmark", "restore(ms)", "pagesK", "restoredK", "snapshot(ms)"}
-	for _, ph := range phaseOrder {
+	for _, ph := range core.Phases {
 		header = append(header, ph+"%")
 	}
 	t := metrics.NewTable("Fig. 8: restoration breakdown and snapshot cost", header...)
@@ -103,10 +104,10 @@ func Fig8(cfg Config) (*metrics.Table, error) {
 			fmt.Sprintf("%.2f", cell.RestoredPagesK),
 			fmt.Sprintf("%.1f", cell.SnapshotMS),
 		}
-		for _, ph := range phaseOrder {
+		for _, phMS := range cell.RestorePhases {
 			pct := 0.0
 			if cell.RestoreMeanMS > 0 {
-				pct = 100 * cell.RestorePhases[ph] / cell.RestoreMeanMS
+				pct = 100 * phMS / cell.RestoreMeanMS
 			}
 			row = append(row, fmt.Sprintf("%.1f", pct))
 		}

@@ -10,16 +10,15 @@ import (
 )
 
 // TestServeSteadyStateZeroAllocs pins the platform's request-serving path —
-// deferred-rollback check, pipe interposition, invoke, restore-based cleanup
-// — at zero heap allocations per request once the container is warm. This is
-// the per-request cost the million-request fleet benchmark multiplies by:
-// the meter is the platform's reused scratch, pipe payloads box into
-// per-container scratch structs, and the restore path reuses its own
-// buffers (TestRestoreSteadyStateZeroAllocs).
+// deferred-rollback check, the manager's relay charge, invoke, restore-based
+// cleanup — at zero heap allocations per request once the container is warm.
+// This is the per-request cost the million-request fleet benchmark multiplies
+// by: the meter is the platform's reused scratch, and the restore path reuses
+// its own buffers (TestRestoreSteadyStateZeroAllocs).
 func TestServeSteadyStateZeroAllocs(t *testing.T) {
 	// A churn-free profile (LangC performs no per-request mmap/munmap layout
 	// churn, and the uniform dirty set is precomputed): what remains is the
-	// engine itself — metering, pipes, faults, restore — which must be free.
+	// engine itself — metering, the relay, faults, restore — which must be free.
 	// Churny languages pay for their per-request region naming by design.
 	prof := runtimes.Profile{
 		Name:         "alloc-guard",
@@ -36,8 +35,8 @@ func TestServeSteadyStateZeroAllocs(t *testing.T) {
 				t.Fatal(err)
 			}
 			c := pl.Containers()[0]
-			// Warm the path: first requests grow the restore scratch, pipe
-			// queues, and meter accounts to their working sizes.
+			// Warm the path: first requests grow the restore scratch and
+			// meter accounts to their working sizes.
 			for i := 0; i < 8; i++ {
 				if _, err := pl.Serve(c, "caller"); err != nil {
 					t.Fatal(err)

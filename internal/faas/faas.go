@@ -105,9 +105,6 @@ type Container struct {
 	inst  *runtimes.Instance
 	strat isolation.Strategy
 
-	stdin  *kernel.Pipe
-	stdout *kernel.Pipe
-
 	cold ColdStartStats
 
 	// ready is when the container can accept the next request (it gates
@@ -126,13 +123,6 @@ type Container struct {
 
 	requests    uint64
 	requestsSeq uint64 // ID source for InvokeOnce and Serve
-
-	// reqBox and respBox are the container's in-flight request and response,
-	// boxed once per container instead of once per message: a pipe payload
-	// is an interface value, and wrapping the structs directly would heap-
-	// allocate a copy on every request the fleet serves.
-	reqBox  runtimes.Request
-	respBox runtimes.Response
 }
 
 // notifyRestored routes the rollback notification according to the
@@ -496,11 +486,9 @@ func (pl *Platform) coldStart(id int, seed uint64) (*Container, error) {
 	sim.ChargeTo(m, stratInit)
 
 	c := &Container{
-		ID:     id,
-		inst:   inst,
-		strat:  strat,
-		stdin:  kernel.NewPipe(fmt.Sprintf("c%d-stdin", id), cost.PipePerKB),
-		stdout: kernel.NewPipe(fmt.Sprintf("c%d-stdout", id), cost.PipePerKB),
+		ID:    id,
+		inst:  inst,
+		strat: strat,
 		cold: ColdStartStats{
 			EnvInstantiation: env,
 			RuntimeInit:      cost.SpawnProcess + warmMeter.Total(),
@@ -622,11 +610,9 @@ func (pl *Platform) cloneStart(id int, seed uint64, tmpl *cloneTemplate) (*Conta
 	inst := runtimes.NewInstanceFromState(pl.Kern, proc, tmpl.state, seed)
 
 	c := &Container{
-		ID:     id,
-		inst:   inst,
-		strat:  strat,
-		stdin:  kernel.NewPipe(fmt.Sprintf("c%d-stdin", id), cost.PipePerKB),
-		stdout: kernel.NewPipe(fmt.Sprintf("c%d-stdout", id), cost.PipePerKB),
+		ID:    id,
+		inst:  inst,
+		strat: strat,
 		cold: ColdStartStats{
 			Clone:      m.Total(),
 			ClonedFrom: tmpl.donorID,
@@ -852,12 +838,6 @@ func (pl *Platform) Memory() MemoryStats {
 	return st
 }
 
-// serve executes one request synchronously against container c and returns
-// its stats. The caller is responsible for scheduling: c must be ready.
-func (pl *Platform) serve(c *Container, reqID uint64) (RequestStats, error) {
-	return pl.serveAs(c, reqID, "")
-}
-
 // InvokeOnce executes a single request from the given caller on the first
 // container, advancing virtual time past any in-progress restoration first
 // (the request-gating rule of §4.5). It is the entry point for interactive
@@ -879,10 +859,12 @@ func (pl *Platform) InvokeOnce(caller string) (RequestStats, error) {
 	return st, nil
 }
 
-// serveAs is serve with an explicit security principal. Under the
-// trusted-caller optimization, consecutive requests from the same principal
-// skip the rollback between them; a change of principal forces the deferred
-// rollback before the new request executes (§4.4).
+// serveAs executes one request from the given security principal
+// synchronously against container c and returns its stats. The caller is
+// responsible for scheduling: c must be ready. Under the trusted-caller
+// optimization, consecutive requests from the same principal skip the
+// rollback between them; a change of principal forces the deferred rollback
+// before the new request executes (§4.4).
 func (pl *Platform) serveAs(c *Container, reqID uint64, caller string) (RequestStats, error) {
 	cost := pl.Kern.Cost
 	m := pl.serveMeter
@@ -917,14 +899,8 @@ func (pl *Platform) serveAs(c *Container, reqID uint64, caller string) (RequestS
 
 	// Input path. Interposing strategies (Groundhog, fork) relay the
 	// request through the manager: an extra copy in and out (§4.5).
-	c.reqBox = req
-	inMsg := kernel.Message{Payload: &c.reqBox, Size: pl.prof.InputKB * 1024}
 	if c.strat.Interposes() {
-		sim.ChargeTo(m, cost.ProxyPerRequest)
-		c.stdin.Send(inMsg, m)
-		if _, err := c.stdin.Recv(m); err != nil {
-			return RequestStats{}, err
-		}
+		sim.ChargeTo(m, cost.ProxyPerRequest+relay(cost.PipePerKB, pl.prof.InputKB))
 	}
 
 	proc, err := c.strat.BeginRequest(m)
@@ -949,13 +925,8 @@ func (pl *Platform) serveAs(c *Container, reqID uint64, caller string) (RequestS
 
 	// Output path: interposing strategies relay the response back through
 	// the manager too.
-	c.respBox = resp
-	outMsg := kernel.Message{Payload: &c.respBox, Size: resp.SizeKB * 1024}
 	if c.strat.Interposes() {
-		c.stdout.Send(outMsg, m)
-		if _, err := c.stdout.Recv(m); err != nil {
-			return RequestStats{}, err
-		}
+		sim.ChargeTo(m, relay(cost.PipePerKB, resp.SizeKB))
 	}
 
 	// The response is now back at the invoker; cleanup happens after —
@@ -1007,6 +978,16 @@ func (pl *Platform) serveAs(c *Container, reqID uint64, caller string) (RequestS
 		StateGets:     gets,
 		StatePuts:     puts,
 	}, nil
+}
+
+// relay is the pipe copy of a kb-KB message the manager passes between the
+// platform and the function (§4.5): perKB on the send and again on the
+// receive. An empty message copies nothing.
+func relay(perKB sim.Duration, kb int) sim.Duration {
+	if kb <= 0 {
+		return 0
+	}
+	return 2 * perKB * sim.Duration(kb)
 }
 
 // crash tears down a container that died before its request produced a

@@ -212,6 +212,25 @@ func TestInterposingCostsShowForLargeInputs(t *testing.T) {
 	}
 }
 
+// The relay copies a message into the manager and out again: an empty one
+// is free, and n KB costs the per-KB copy twice.
+func TestRelayChargesSendAndReceive(t *testing.T) {
+	perKB := kernel.Default().PipePerKB
+	for _, tc := range []struct {
+		kb   int
+		want sim.Duration
+	}{
+		{-1, 0},
+		{0, 0},
+		{1, 2 * perKB},
+		{200, 400 * perKB},
+	} {
+		if got := relay(perKB, tc.kb); got != tc.want {
+			t.Errorf("relay(%d KB) = %v, want %v", tc.kb, got, tc.want)
+		}
+	}
+}
+
 func TestRequestsRejectedWithoutContainers(t *testing.T) {
 	if _, err := NewPlatform(kernel.Default(), testProfile(), isolation.ModeBase, 0, 1); err == nil {
 		t.Fatal("platform with zero containers accepted")

@@ -126,7 +126,7 @@ func (pl *Platform) RunSaturated(perContainer int) (ThroughputResult, error) {
 			}
 			pl.Engine.After(wait, func() {
 				id++
-				st, serr := pl.serve(c, id)
+				st, serr := pl.serveAs(c, id, "")
 				if serr != nil {
 					err = serr
 					pl.Engine.Stop()

@@ -231,9 +231,6 @@ func (g *Gateway) binInvoke(b, p []byte) []byte {
 		g.rejected.Add(1)
 		return appendError(b, CodeQueueFull, retrySecsU16(rt), "deployment queue full")
 	}
-	if hook := g.testHookAdmitted.Load(); hook != nil {
-		hook.(func(*route))(rt)
-	}
 	caller := ""
 	if callerLen > 0 {
 		caller = string(p[5 : 5+callerLen])

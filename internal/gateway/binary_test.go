@@ -7,7 +7,6 @@ import (
 	"net"
 	"net/http"
 	"os"
-	"sync"
 	"testing"
 	"time"
 )
@@ -193,49 +192,38 @@ func TestBinaryBadLengthCloses(t *testing.T) {
 // Retry-After the HTTP plane would send.
 func TestBinaryQueueFullFrame(t *testing.T) {
 	_, g := newGateway(t, Config{QueueDepth: 1})
-	c1 := startConn(t, g)
-	c2 := startConn(t, g)
+	c := startConn(t, g)
 	fn := "get-time (p)"
-	id := resolveID(t, c1, modeDefault, fn)
+	id := resolveID(t, c, modeDefault, fn)
 
-	// Warm through c1 so the parked request below isn't the cold start.
-	if _, err := c1.Write(frame(opInvoke, invokePayload(id, "", nil))); err != nil {
+	// Warm up, so the Retry-After hint comes from an observed cold start.
+	if _, err := c.Write(frame(opInvoke, invokePayload(id, "", nil))); err != nil {
 		t.Fatal(err)
 	}
-	if op, _ := readFrame(t, c1); op != opInvoke {
+	if op, _ := readFrame(t, c); op != opInvoke {
 		t.Fatal("warmup invoke failed")
 	}
 
-	release := parkRoute(g, fn)
-	defer release()
 	rt, err := g.route(fn, ghModeIdx)
 	if err != nil {
 		t.Fatal(err)
 	}
-	var parked sync.WaitGroup
-	parked.Add(1)
-	go func() {
-		defer parked.Done()
-		c1.Write(frame(opInvoke, invokePayload(id, "", nil)))
-		readFrame(t, c1)
-	}()
-	waitUntil(t, "slot held", func() bool { return len(rt.slots) == 1 })
+	drain := fillSlots(rt)
 
-	if _, err := c2.Write(frame(opInvoke, invokePayload(id, "", nil))); err != nil {
+	if _, err := c.Write(frame(opInvoke, invokePayload(id, "", nil))); err != nil {
 		t.Fatal(err)
 	}
-	op, p := readFrame(t, c2)
+	op, p := readFrame(t, c)
 	code, retry, _ := errFrame(t, op, p)
 	if code != CodeQueueFull || retry < 1 {
 		t.Fatalf("code=%d retry=%d, want CodeQueueFull with retry >= 1", code, retry)
 	}
 
-	release()
-	parked.Wait()
-	if _, err := c2.Write(frame(opInvoke, invokePayload(id, "", nil))); err != nil {
+	drain()
+	if _, err := c.Write(frame(opInvoke, invokePayload(id, "", nil))); err != nil {
 		t.Fatal(err)
 	}
-	if op, _ := readFrame(t, c2); op != opInvoke {
+	if op, _ := readFrame(t, c); op != opInvoke {
 		t.Fatal("invoke after drain failed")
 	}
 }

@@ -115,12 +115,6 @@ type Gateway struct {
 	// binaryIdle is BinaryIdleTimeout; a field so the deadline tests need not
 	// wait a minute.
 	binaryIdle time.Duration
-
-	// testHookAdmitted, when armed (atomic.Value of func(*route)), runs
-	// after a request is admitted to a queue slot and before the invoke —
-	// the backpressure tests park requests here to fill queues
-	// deterministically.
-	testHookAdmitted atomic.Value
 }
 
 // routeSet is one function's routes across isolation modes, indexed by
@@ -358,9 +352,6 @@ func (g *Gateway) handleFn(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set("Retry-After", rt.retryAfter())
 		http.Error(w, "deployment queue full", http.StatusTooManyRequests)
 		return
-	}
-	if hook := g.testHookAdmitted.Load(); hook != nil {
-		hook.(func(*route))(rt)
 	}
 
 	j := jobPool.Get().(*job)

@@ -249,17 +249,18 @@ func TestGatewayConcurrentServingWithUndeploy(t *testing.T) {
 	}
 }
 
-// parkRoute arms the admitted-hook to park requests for fn (only) until the
-// returned release func runs.
-func parkRoute(g *Gateway, fn string) (release func()) {
-	block := make(chan struct{})
-	g.testHookAdmitted.Store(func(rt *route) {
-		if rt.name == fn {
-			<-block
+// fillSlots takes every free admission slot of rt, as requests in flight
+// would, and returns the func that gives them back.
+func fillSlots(rt *route) (drain func()) {
+	n := cap(rt.slots) - len(rt.slots)
+	for i := 0; i < n; i++ {
+		rt.slots <- struct{}{}
+	}
+	return func() {
+		for i := 0; i < n; i++ {
+			<-rt.slots
 		}
-	})
-	var once sync.Once
-	return func() { once.Do(func() { close(block) }) }
+	}
 }
 
 // TestGatewayBackpressure429AndDrain: filling a deployment's admission
@@ -274,24 +275,11 @@ func TestGatewayBackpressure429AndDrain(t *testing.T) {
 		t.Fatal("warmup failed")
 	}
 
-	release := parkRoute(g, fn)
-	defer release()
 	rt, err := g.route(fn, ghModeIdx)
 	if err != nil {
 		t.Fatal(err)
 	}
-	var parked sync.WaitGroup
-	for i := 0; i < 2; i++ {
-		parked.Add(1)
-		go func() {
-			defer parked.Done()
-			status, _, _ := postFn(t, u, "parked")
-			if status != http.StatusOK {
-				t.Errorf("parked request: status %d, want 200 after drain", status)
-			}
-		}()
-	}
-	waitUntil(t, "queue to fill", func() bool { return len(rt.slots) == 2 })
+	drain := fillSlots(rt)
 
 	status, body, hdr := postFn(t, u, "shed")
 	if status != http.StatusTooManyRequests {
@@ -308,8 +296,7 @@ func TestGatewayBackpressure429AndDrain(t *testing.T) {
 		t.Fatal("rejected counter not bumped")
 	}
 
-	release()
-	parked.Wait()
+	drain()
 	if status, _, _ := postFn(t, u, "resumed"); status != http.StatusOK {
 		t.Fatalf("after drain: status %d, want 200", status)
 	}
@@ -327,19 +314,11 @@ func TestGatewayQueueIsolation(t *testing.T) {
 		}
 	}
 
-	release := parkRoute(g, hot)
-	defer release()
 	rt, err := g.route(hot, ghModeIdx)
 	if err != nil {
 		t.Fatal(err)
 	}
-	var parked sync.WaitGroup
-	parked.Add(1)
-	go func() {
-		defer parked.Done()
-		postFn(t, fnURL(ts.URL, hot), "parked")
-	}()
-	waitUntil(t, "hot queue to fill", func() bool { return len(rt.slots) == 1 })
+	drain := fillSlots(rt)
 
 	if status, _, _ := postFn(t, fnURL(ts.URL, hot), "shed"); status != http.StatusTooManyRequests {
 		t.Fatalf("hot fn: status %d, want 429", status)
@@ -349,8 +328,10 @@ func TestGatewayQueueIsolation(t *testing.T) {
 			t.Fatalf("cold fn while hot saturated: status %d, want 200", status)
 		}
 	}
-	release()
-	parked.Wait()
+	drain()
+	if status, _, _ := postFn(t, fnURL(ts.URL, hot), "resumed"); status != http.StatusOK {
+		t.Fatalf("hot fn after drain: status %d, want 200", status)
+	}
 }
 
 // TestGatewayFaultInjection: the PR 6 invariants hold over real HTTP. A

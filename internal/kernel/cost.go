@@ -28,7 +28,6 @@ import (
 //	PtraceSyscallInject       one injected syscall (excl. its own work)           seed   15 µs
 //	PtraceDetachPerThread     PTRACE_DETACH per thread                            seed   14 µs
 //	PtracePeekPerPage         process_vm_readv of one tracee page                 seed   600 ns
-//	PtracePokePerPage         process_vm_writev of one tracee page                seed   700 ns
 //	ReadMapsBase              open+parse /proc/pid/maps                           seed   90 µs
 //	ReadMapsPerVMA            one maps line                                       seed   900 ns
 //	PagemapPerPage            pagemap soft-dirty read per PTE                     seed   60 ns
@@ -72,7 +71,6 @@ type CostModel struct {
 	PtraceSyscallInject      sim.Duration // one injected syscall, excluding its own work
 	PtraceDetachPerThread    sim.Duration
 	PtracePeekPerPage        sim.Duration // reading a page of tracee memory
-	PtracePokePerPage        sim.Duration // writing a page of tracee memory
 
 	// procfs costs ("reading maps", "scanning page metadata", "clearing
 	// soft-dirty bits" in Fig. 8).
@@ -123,8 +121,8 @@ type CostModel struct {
 	CloneFromSnapshotBase sim.Duration
 	ClonePTEPerPage       sim.Duration
 
-	// Pipe copy cost for proxied request/response bytes (§4.5: the
-	// interposition overhead on large inputs).
+	// Pipe copy cost per KB of a proxied request or response (§4.5: the
+	// interposition overhead on large inputs), paid on send and on receive.
 	PipePerKB sim.Duration
 	// ProxyPerRequest is the fixed cost of Groundhog's manager relaying one
 	// request and its response between the platform and the function.
@@ -193,7 +191,6 @@ func Default() CostModel {
 		PtraceSyscallInject:      15 * time.Microsecond,
 		PtraceDetachPerThread:    14 * time.Microsecond,
 		PtracePeekPerPage:        600 * time.Nanosecond,
-		PtracePokePerPage:        700 * time.Nanosecond,
 
 		ReadMapsBase:        90 * time.Microsecond,
 		ReadMapsPerVMA:      900 * time.Nanosecond,

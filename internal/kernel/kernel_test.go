@@ -140,40 +140,6 @@ func TestThreadLookup(t *testing.T) {
 	}
 }
 
-func TestPipeFIFOAndCost(t *testing.T) {
-	p := NewPipe("stdin", 1000)
-	m := sim.NewMeter()
-	p.Send(Message{Payload: "a", Size: 100}, m)
-	p.Send(Message{Payload: "b", Size: 2048}, m)
-	if p.Len() != 2 {
-		t.Fatalf("len = %d", p.Len())
-	}
-	// 100B rounds to 1KB, 2048B is 2KB: send cost 3 units.
-	if m.Total() != 3000 {
-		t.Fatalf("send cost = %v, want 3000", m.Total())
-	}
-	first, err := p.Recv(m)
-	if err != nil || first.Payload != "a" {
-		t.Fatalf("recv = %v, %v", first, err)
-	}
-	second, _ := p.Recv(m)
-	if second.Payload != "b" {
-		t.Fatal("pipe not FIFO")
-	}
-	if _, err := p.Recv(m); err == nil {
-		t.Fatal("recv on empty pipe succeeded")
-	}
-}
-
-func TestPipeZeroSizeFree(t *testing.T) {
-	p := NewPipe("x", 1000)
-	m := sim.NewMeter()
-	p.Send(Message{Size: 0}, m)
-	if m.Total() != 0 {
-		t.Fatalf("zero-size message charged %v", m.Total())
-	}
-}
-
 func TestDefaultCostModelSanity(t *testing.T) {
 	c := Default()
 	if c.VM.SoftDirtyFault >= c.VM.CoWFault {

@@ -9,17 +9,12 @@
 // same per-region, per-mapped-page price for its scan but takes the data from
 // the address space's own indexes instead of reading the file again.
 //
-// Maps is rendered to (and parsed from) real text in the /proc/pid/maps
-// format: the snapshotter works from the parsed text, not from privileged
-// pointers into the kernel, mirroring the userspace boundary the real system
-// has to respect.
+// MapsRegions is the one maps reader: core.TakeSnapshot records the layout
+// with it and core.Restore reads the current layout with it, at the same
+// price — the cost of opening /proc/pid/maps plus one line per region.
 package procfs
 
 import (
-	"bufio"
-	"fmt"
-	"strings"
-
 	"groundhog/internal/kernel"
 	"groundhog/internal/sim"
 	"groundhog/internal/vm"
@@ -33,71 +28,14 @@ type FS struct {
 // New returns a /proc view over k.
 func New(k *kernel.Kernel) *FS { return &FS{kern: k} }
 
-// Maps renders /proc/pid/maps for p, charging the read cost to meter.
-func (fs *FS) Maps(p *kernel.Process, meter *sim.Meter) string {
-	vmas := p.AS.VMAs()
-	sim.ChargeTo(meter, fs.kern.Cost.ReadMapsBase)
-	sim.ChargeTo(meter, fs.kern.Cost.ReadMapsPerVMA*sim.Duration(len(vmas)))
-	var b strings.Builder
-	for _, v := range vmas {
-		name := v.Name
-		if name == "" {
-			name = "[" + v.Kind.String() + "]"
-		}
-		fmt.Fprintf(&b, "%012x-%012x %s 00000000 00:00 0 %s\n",
-			uint64(v.Start), uint64(v.End), v.Prot, name)
-	}
-	return b.String()
-}
-
-// MapsRegions reads p's memory layout directly into buf (appending, so a
-// caller that reuses buf across calls allocates nothing) and returns the
-// extended slice. It charges exactly the costs of Maps: this is the same
-// /proc/pid/maps read, parsed into a preallocated region buffer instead of
-// through an intermediate string. Equivalence with ParseMaps(Maps(...)) is
-// asserted by tests; the restore hot path uses this form.
+// MapsRegions reads p's memory layout, one region per /proc/pid/maps line,
+// appending to buf (so a caller that reuses buf across calls allocates
+// nothing) and returning the extended slice. It charges ReadMapsBase plus
+// ReadMapsPerVMA per region.
 func (fs *FS) MapsRegions(p *kernel.Process, meter *sim.Meter, buf []vm.VMA) []vm.VMA {
 	sim.ChargeTo(meter, fs.kern.Cost.ReadMapsBase)
 	sim.ChargeTo(meter, fs.kern.Cost.ReadMapsPerVMA*sim.Duration(p.AS.NumVMAs()))
 	return p.AS.AppendVMAs(buf)
-}
-
-// ParseMaps parses text in the format produced by Maps back into regions.
-func ParseMaps(text string) ([]vm.VMA, error) {
-	var out []vm.VMA
-	sc := bufio.NewScanner(strings.NewReader(text))
-	for sc.Scan() {
-		line := strings.TrimSpace(sc.Text())
-		if line == "" {
-			continue
-		}
-		fields := strings.Fields(line)
-		if len(fields) < 6 {
-			return nil, fmt.Errorf("procfs: short maps line %q", line)
-		}
-		var start, end uint64
-		if _, err := fmt.Sscanf(fields[0], "%x-%x", &start, &end); err != nil {
-			return nil, fmt.Errorf("procfs: bad range in %q: %v", line, err)
-		}
-		prot, err := vm.ParseProt(fields[1])
-		if err != nil {
-			return nil, err
-		}
-		name := strings.Join(fields[5:], " ")
-		v := vm.VMA{Start: vm.Addr(start), End: vm.Addr(end), Prot: prot}
-		if strings.HasPrefix(name, "[") && strings.HasSuffix(name, "]") {
-			kind, err := vm.ParseKind(name[1 : len(name)-1])
-			if err != nil {
-				return nil, err
-			}
-			v.Kind = kind
-		} else {
-			v.Kind = vm.KindFile
-			v.Name = name
-		}
-		out = append(out, v)
-	}
-	return out, sc.Err()
 }
 
 // PagemapRangePresent reads the pagemap entries for [start, end), appending

@@ -3,7 +3,6 @@ package procfs
 import (
 	"fmt"
 	"slices"
-	"strings"
 	"testing"
 
 	"groundhog/internal/kernel"
@@ -22,64 +21,42 @@ func newProc(t *testing.T) (*kernel.Kernel, *kernel.Process, *FS) {
 	return k, p, New(k)
 }
 
-func TestMapsRenderAndParseRoundTrip(t *testing.T) {
-	_, p, fs := newProc(t)
-	if _, err := p.AS.Brk(p.AS.HeapBase() + 3*mem.PageSize); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := p.AS.Mmap(2*mem.PageSize, vm.ProtRead, vm.KindFile, "/lib/libfoo.so"); err != nil {
-		t.Fatal(err)
-	}
-	text := fs.Maps(p, nil)
-	parsed, err := ParseMaps(text)
-	if err != nil {
-		t.Fatalf("ParseMaps: %v\n%s", err, text)
-	}
-	want := p.AS.VMAs()
-	if len(parsed) != len(want) {
-		t.Fatalf("parsed %d regions, want %d\n%s", len(parsed), len(want), text)
-	}
-	for i := range want {
-		if parsed[i].Start != want[i].Start || parsed[i].End != want[i].End ||
-			parsed[i].Prot != want[i].Prot || parsed[i].Kind != want[i].Kind ||
-			parsed[i].Name != want[i].Name {
-			t.Fatalf("region %d: parsed %+v, want %+v", i, parsed[i], want[i])
-		}
-	}
-}
-
+// The read keeps what /proc/pid/maps shows of a region: its name, and
+// whether it is anonymous, even when it has a name.
 func TestMapsIncludesNamedFile(t *testing.T) {
 	_, p, fs := newProc(t)
-	if _, err := p.AS.Mmap(mem.PageSize, vm.ProtRead, vm.KindFile, "/usr/lib/python3.8"); err != nil {
+	lib, err := p.AS.Mmap(mem.PageSize, vm.ProtRead, vm.KindFile, "/usr/lib/python3.8")
+	if err != nil {
 		t.Fatal(err)
 	}
-	if !strings.Contains(fs.Maps(p, nil), "/usr/lib/python3.8") {
-		t.Fatal("maps missing file name")
+	anon, err := p.AS.Mmap(mem.PageSize, vm.ProtRW, vm.KindAnon, "named-anon")
+	if err != nil {
+		t.Fatal(err)
 	}
-}
-
-func TestParseMapsRejectsGarbage(t *testing.T) {
-	for _, bad := range []string{
-		"not a maps line at all x y",
-		"zzzz-qqqq rw-p 00000000 00:00 0 [heap]",
-	} {
-		if _, err := ParseMaps(bad); err == nil {
-			t.Fatalf("ParseMaps accepted %q", bad)
+	want := map[vm.Addr]vm.VMA{
+		lib:  {Start: lib, End: lib + mem.PageSize, Prot: vm.ProtRead, Kind: vm.KindFile, Name: "/usr/lib/python3.8"},
+		anon: {Start: anon, End: anon + mem.PageSize, Prot: vm.ProtRW, Kind: vm.KindAnon, Name: "named-anon"},
+	}
+	for _, v := range fs.MapsRegions(p, nil, nil) {
+		if w, ok := want[v.Start]; ok {
+			if v != w {
+				t.Fatalf("maps reads %+v, want %+v", v, w)
+			}
+			delete(want, v.Start)
 		}
 	}
-}
-
-func TestParseMapsSkipsBlankLines(t *testing.T) {
-	got, err := ParseMaps("\n\n")
-	if err != nil || len(got) != 0 {
-		t.Fatalf("blank input: %v, %v", got, err)
+	if len(want) != 0 {
+		t.Fatalf("maps missing regions %+v", want)
 	}
 }
 
 func TestMapsCostScalesWithVMAs(t *testing.T) {
 	k, p, fs := newProc(t)
 	m1 := sim.NewMeter()
-	fs.Maps(p, m1)
+	fs.MapsRegions(p, m1, nil)
+	if want := k.Cost.ReadMapsBase + k.Cost.ReadMapsPerVMA*sim.Duration(p.AS.NumVMAs()); m1.Total() != want {
+		t.Fatalf("cost = %v, want %v", m1.Total(), want)
+	}
 	for i := 0; i < 10; i++ {
 		// Distinct names prevent the mm from merging adjacent regions.
 		if _, err := p.AS.Mmap(mem.PageSize, vm.ProtRW, vm.KindFile, fmt.Sprintf("/lib/l%d.so", i)); err != nil {
@@ -87,7 +64,7 @@ func TestMapsCostScalesWithVMAs(t *testing.T) {
 		}
 	}
 	m2 := sim.NewMeter()
-	fs.Maps(p, m2)
+	fs.MapsRegions(p, m2, nil)
 	wantDelta := k.Cost.ReadMapsPerVMA * 10
 	if m2.Total()-m1.Total() != wantDelta {
 		t.Fatalf("cost delta = %v, want %v", m2.Total()-m1.Total(), wantDelta)

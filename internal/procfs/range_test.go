@@ -101,30 +101,3 @@ func TestPagemapRangeReusesBuffer(t *testing.T) {
 		t.Fatal("PagemapRangePresent reallocated despite sufficient capacity")
 	}
 }
-
-// TestMapsRegionsEquivalentToTextPath asserts the binary maps fast path
-// returns exactly what rendering and re-parsing the text form does, at the
-// same metered cost.
-func TestMapsRegionsEquivalentToTextPath(t *testing.T) {
-	_, p, fs := rangeTestProcess(t)
-
-	mText := sim.NewMeter()
-	parsed, err := ParseMaps(fs.Maps(p, mText))
-	if err != nil {
-		t.Fatal(err)
-	}
-	mBin := sim.NewMeter()
-	direct := fs.MapsRegions(p, mBin, nil)
-
-	if len(direct) != len(parsed) {
-		t.Fatalf("binary path %d regions, text path %d", len(direct), len(parsed))
-	}
-	for i := range parsed {
-		if direct[i] != parsed[i] {
-			t.Fatalf("region %d: binary %+v != text %+v", i, direct[i], parsed[i])
-		}
-	}
-	if mBin.Total() != mText.Total() {
-		t.Fatalf("binary path cost %v, text path %v", mBin.Total(), mText.Total())
-	}
-}

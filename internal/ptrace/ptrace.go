@@ -111,20 +111,10 @@ func (t *Tracer) SetRegs(tid int, regs kernel.Regs) error {
 	return nil
 }
 
-// PeekPage reads one page of tracee memory (process_vm_readv granularity).
-// A nil result means the page is not resident or is all-zero.
-func (t *Tracer) PeekPage(vpn uint64) ([]byte, error) {
-	if err := t.check(true); err != nil {
-		return nil, err
-	}
-	sim.ChargeTo(t.meter, t.kern.Cost.PtracePeekPerPage)
-	return t.proc.AS.PeekPage(vpn), nil
-}
-
-// PeekPageInto reads one page of tracee memory into buf (at least one page),
-// avoiding the per-page allocation of PeekPage: ok=false means the page is
-// not resident, zero=true that it is all-zero (buf untouched). The snapshot
-// fast path uses this to fill its arena in place.
+// PeekPageInto reads one page of tracee memory (process_vm_readv
+// granularity) into buf (at least one page): ok=false means the page is not
+// resident, zero=true that it is all-zero (buf untouched). The snapshot uses
+// this to fill its arena in place.
 func (t *Tracer) PeekPageInto(vpn uint64, buf []byte) (zero, ok bool, err error) {
 	if err := t.check(true); err != nil {
 		return false, false, err
@@ -132,18 +122,6 @@ func (t *Tracer) PeekPageInto(vpn uint64, buf []byte) (zero, ok bool, err error)
 	sim.ChargeTo(t.meter, t.kern.Cost.PtracePeekPerPage)
 	zero, ok = t.proc.AS.PeekPageInto(vpn, buf)
 	return zero, ok, nil
-}
-
-// PokePage writes one page of tracee memory (nil data zeroes the page). It
-// bypasses the tracee's fault accounting, as kernel-mediated writes do; the
-// caller is responsible for soft-dirty hygiene afterwards.
-func (t *Tracer) PokePage(vpn uint64, data []byte) error {
-	if err := t.check(true); err != nil {
-		return err
-	}
-	sim.ChargeTo(t.meter, t.kern.Cost.PtracePokePerPage)
-	t.proc.AS.PokePage(vpn, data)
-	return nil
 }
 
 // injected wraps a memory-management call executed inside the tracee: it

@@ -70,8 +70,8 @@ func TestOperationsRequireStop(t *testing.T) {
 	if err := tr.InjectBrk(p.AS.HeapBase()); err == nil {
 		t.Fatal("inject succeeded on running tracee")
 	}
-	if _, err := tr.PeekPage(0); err == nil {
-		t.Fatal("PeekPage succeeded on running tracee")
+	if _, _, err := tr.PeekPageInto(0, make([]byte, mem.PageSize)); err == nil {
+		t.Fatal("PeekPageInto succeeded on running tracee")
 	}
 }
 
@@ -96,36 +96,6 @@ func TestRegsRoundTrip(t *testing.T) {
 	}
 	if _, err := tr.GetRegs(-5); err == nil {
 		t.Fatal("GetRegs of bogus TID succeeded")
-	}
-}
-
-func TestPeekPokePages(t *testing.T) {
-	k, p := newTracee(t, 1)
-	heap := p.AS.HeapBase()
-	p.AS.WriteWord(heap, 1234)
-	tr, _ := Seize(k, p, nil)
-	if err := tr.InterruptAll(); err != nil {
-		t.Fatal(err)
-	}
-	vpn := heap.PageNum()
-	data, err := tr.PeekPage(vpn)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if data == nil {
-		t.Fatal("PeekPage of written page returned nil")
-	}
-	if err := tr.PokePage(vpn, nil); err != nil { // nil data zeroes the page
-		t.Fatal(err)
-	}
-	if err := tr.PokePage(vpn, data); err != nil {
-		t.Fatal(err)
-	}
-	if err := tr.Detach(); err != nil {
-		t.Fatal(err)
-	}
-	if got := p.AS.ReadWord(heap); got != 1234 {
-		t.Fatalf("restored word = %d, want 1234", got)
 	}
 }
 

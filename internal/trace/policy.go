@@ -187,35 +187,30 @@ func (FixedTTL) EvictImage(Signals) bool { return true }
 // observed cold-start path — about ten times a ~1 ms clone, so pools
 // collapse between bursts — and keeps the snapshot image so the next burst
 // revives the pool at clone cost. It never drops the last container while
-// revival would cost a full pipeline.
-type SLOAware struct {
-	// TargetP95Ms overrides the per-function target from the signals
-	// (FunctionLoad/Config); 0 uses Signals.SLOTargetMs. With neither set
-	// the policy treats the SLO as met and optimizes memory only.
-	TargetP95Ms float64
-	// ReapAfterColdMultiple scales the idle TTL: a container is reaped
-	// once idle longer than this multiple of the cheapest observed
-	// cold-start path (default 10; the scale-to-zero tier uses 4x that).
-	ReapAfterColdMultiple float64
-	// EvictBelowRatePerSec is the arrival rate under which scale-to-zero
-	// also evicts the snapshot image (default 0.1/s — effectively only
-	// deployments whose traffic has stopped).
-	EvictBelowRatePerSec float64
-}
+// revival would cost a full pipeline. The target is the function's
+// Signals.SLOTargetMs; with none set the policy treats the SLO as met and
+// optimizes memory only.
+type SLOAware struct{}
+
+const (
+	// reapAfterColdMultiple scales SLOAware's idle TTL: a container is
+	// reaped once idle longer than this multiple of the cheapest observed
+	// cold-start path (the scale-to-zero tier uses 4x that).
+	reapAfterColdMultiple = 10
+	// evictBelowRatePerSec is the arrival rate under which SLOAware's
+	// scale-to-zero also evicts the snapshot image — effectively only
+	// deployments whose traffic has stopped.
+	evictBelowRatePerSec = 0.1
+	// frameRentUsPerPageSec is CostMinimizing's price of memory: virtual
+	// microseconds of cost per resident page held per second.
+	frameRentUsPerPageSec = 100
+)
 
 // Name implements Policy.
 func (SLOAware) Name() string { return "slo-aware" }
 
-func (p SLOAware) target(sig Signals) float64 {
-	if p.TargetP95Ms > 0 {
-		return p.TargetP95Ms
-	}
-	return sig.SLOTargetMs
-}
-
-func (p SLOAware) overTarget(sig Signals) bool {
-	t := p.target(sig)
-	return t > 0 && sig.P95E2EMs > t
+func (SLOAware) overTarget(sig Signals) bool {
+	return sig.SLOTargetMs > 0 && sig.P95E2EMs > sig.SLOTargetMs
 }
 
 // ScaleUp implements Policy: when the SLO is at risk — or clones make
@@ -263,11 +258,7 @@ func (p SLOAware) Reap(sig Signals, idle sim.Duration, last bool) bool {
 	if coldMs <= 0 {
 		return false // no cold start observed yet: revival cost unknown
 	}
-	mult := p.ReapAfterColdMultiple
-	if mult <= 0 {
-		mult = 10
-	}
-	ttl := sim.Duration(coldMs * mult * float64(time.Millisecond))
+	ttl := sim.Duration(coldMs * reapAfterColdMultiple * float64(time.Millisecond))
 	if last {
 		if !sig.CloneReady {
 			return false // reviving from zero would replay the pipeline
@@ -279,12 +270,8 @@ func (p SLOAware) Reap(sig Signals, idle sim.Duration, last bool) bool {
 
 // EvictImage implements Policy: the image is what makes scale-to-zero
 // cheap to undo, so it is kept unless traffic has effectively stopped.
-func (p SLOAware) EvictImage(sig Signals) bool {
-	thr := p.EvictBelowRatePerSec
-	if thr <= 0 {
-		thr = 0.1
-	}
-	return sig.ArrivalRatePerSec < thr
+func (SLOAware) EvictImage(sig Signals) bool {
+	return sig.ArrivalRatePerSec < evictBelowRatePerSec
 }
 
 // CostMinimizing greedily minimizes the provider's bill, pricing physical
@@ -293,21 +280,10 @@ func (p SLOAware) EvictImage(sig Signals) bool {
 // snapshot image survives scale-to-zero only while holding it until the
 // expected next arrival is cheaper than replaying the pipeline. It ignores
 // latency entirely — the benchmark's third frontier point.
-type CostMinimizing struct {
-	// FrameRentUsPerPageSec prices memory: virtual microseconds of cost
-	// per resident page held per second (default 100).
-	FrameRentUsPerPageSec float64
-}
+type CostMinimizing struct{}
 
 // Name implements Policy.
 func (CostMinimizing) Name() string { return "cost-min" }
-
-func (p CostMinimizing) rent() float64 {
-	if p.FrameRentUsPerPageSec > 0 {
-		return p.FrameRentUsPerPageSec
-	}
-	return 100
-}
 
 // ScaleUp implements Policy: queueing costs the provider nothing, so scale
 // one container at a time.
@@ -319,7 +295,7 @@ func (CostMinimizing) WarmFloor(Signals) int { return 1 }
 // breakEven returns the idle duration beyond which a warm container's rent
 // exceeds the cold start that would replace it, or 0 when no cold-start
 // cost has been observed yet.
-func (p CostMinimizing) breakEven(sig Signals) sim.Duration {
+func (CostMinimizing) breakEven(sig Signals) sim.Duration {
 	pool := sig.PoolSize
 	if pool < 1 {
 		pool = 1
@@ -335,7 +311,7 @@ func (p CostMinimizing) breakEven(sig Signals) sim.Duration {
 	if coldUs <= 0 {
 		return 0
 	}
-	secs := coldUs / (float64(pages) * p.rent())
+	secs := coldUs / (float64(pages) * frameRentUsPerPageSec)
 	return sim.Duration(secs * float64(time.Second))
 }
 
@@ -354,7 +330,7 @@ func (p CostMinimizing) Reap(sig Signals, idle sim.Duration, last bool) bool {
 // fleets never replayed it) keeps the image — the replay this eviction
 // would re-impose is of unknown (and known-to-be-large) cost, mirroring
 // Reap's unknown-cost guard.
-func (p CostMinimizing) EvictImage(sig Signals) bool {
+func (CostMinimizing) EvictImage(sig Signals) bool {
 	if sig.ArrivalRatePerSec <= 0 {
 		return true // no observed traffic: the image rents for nothing
 	}
@@ -366,7 +342,7 @@ func (p CostMinimizing) EvictImage(sig Signals) bool {
 		pages = 1
 	}
 	gapSec := 1 / sig.ArrivalRatePerSec
-	holdUs := float64(pages) * p.rent() * gapSec
+	holdUs := float64(pages) * frameRentUsPerPageSec * gapSec
 	savingUs := (sig.MeanFullColdMs - sig.MeanCloneColdMs) * 1e3
 	return holdUs > savingUs
 }
@@ -382,7 +358,7 @@ const (
 
 // DefaultPolicies returns the three built-in policies at the policy
 // benchmark's operating point: FixedTTL on the Default TTLs above, and the
-// adaptive policies on their documented defaults. The policy benchmark and
+// adaptive policies, which have no settings. The policy benchmark and
 // the server's /deployments advice both use this list.
 func DefaultPolicies() []Policy {
 	return []Policy{

@@ -106,7 +106,7 @@ func TestSLOAwareNeverStrandsRevival(t *testing.T) {
 }
 
 func TestCostMinimizingBreakEven(t *testing.T) {
-	p := CostMinimizing{} // default rent: 100 virtual µs per page-second
+	p := CostMinimizing{} // rent: 100 virtual µs per page-second
 	// 2000 resident pages over 2 containers, full cold start 600ms =
 	// 600000 µs: break-even = 600000 / (1000 x 100) = 6s.
 	sig := Signals{PoolSize: 2, MeanFullColdMs: 600,

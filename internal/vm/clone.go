@@ -21,7 +21,7 @@ func (as *AddressSpace) MmapBase() Addr { return as.mmapNext }
 // NewFromLayout constructs an address space that reproduces a recorded
 // layout in one step: the given regions, heap anchors, and mmap placement
 // cursor, with an empty page table. The layout must be sorted and
-// non-overlapping (as vm.VMAs and parsed /proc maps always are). Callers
+// non-overlapping (as vm.VMAs and a /proc maps read always are). Callers
 // populate pages afterwards, typically with MapFrameCoW against a donor
 // snapshot's frames.
 func NewFromLayout(phys *mem.PhysMem, costs Costs, layout []VMA, brkBase, brk, mmapBase Addr) (*AddressSpace, error) {

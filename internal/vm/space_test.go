@@ -51,24 +51,6 @@ func TestAddrHelpers(t *testing.T) {
 	}
 }
 
-func TestProtRoundTrip(t *testing.T) {
-	for _, p := range []Prot{0, ProtRead, ProtRW, ProtRead | ProtExec, ProtRW | ProtExec} {
-		got, err := ParseProt(p.String())
-		if err != nil || got != p {
-			t.Fatalf("ParseProt(%q) = %v, %v", p.String(), got, err)
-		}
-	}
-}
-
-func TestKindRoundTrip(t *testing.T) {
-	for k := KindAnon; k <= KindFile; k++ {
-		got, err := ParseKind(k.String())
-		if err != nil || got != k {
-			t.Fatalf("ParseKind(%q) = %v, %v", k.String(), got, err)
-		}
-	}
-}
-
 func TestHeapWriteReadBack(t *testing.T) {
 	as := newTestSpace(t)
 	mustBrk(t, as, 0x01000000+64*mem.PageSize)

@@ -68,25 +68,6 @@ func (p Prot) String() string {
 	return string(b)
 }
 
-// ParseProt parses the maps-style permission string produced by
-// Prot.String.
-func ParseProt(s string) (Prot, error) {
-	if len(s) < 3 {
-		return 0, fmt.Errorf("vm: bad prot %q", s)
-	}
-	var p Prot
-	if s[0] == 'r' {
-		p |= ProtRead
-	}
-	if s[1] == 'w' {
-		p |= ProtWrite
-	}
-	if s[2] == 'x' {
-		p |= ProtExec
-	}
-	return p, nil
-}
-
 // Kind classifies a region for layout bookkeeping and reporting. It stands
 // in for the pathname column of /proc/pid/maps.
 type Kind uint8
@@ -109,16 +90,6 @@ func (k Kind) String() string {
 		return kindNames[k]
 	}
 	return fmt.Sprintf("kind(%d)", uint8(k))
-}
-
-// ParseKind parses the string form produced by Kind.String.
-func ParseKind(s string) (Kind, error) {
-	for i, n := range kindNames {
-		if n == s {
-			return Kind(i), nil
-		}
-	}
-	return 0, fmt.Errorf("vm: bad kind %q", s)
 }
 
 // VMA is a virtual memory area: a half-open, page-aligned address range with
