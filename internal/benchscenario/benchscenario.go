@@ -1,9 +1,9 @@
 // Package benchscenario defines the canonical steady-state restore scenarios
 // shared by the core package's zero-allocation guard tests/benchmarks and the
 // experiments layer's BENCH_restore.json microbenchmark, so the two always
-// measure the same workload. SteadyState parameterizes over core.Options
-// (the bench-restore experiment runs it once per tracker), and
-// SteadyStateUffd names the UFFD variant the core guards pin.
+// measure the same workload. SteadyState parameterizes over core.Options:
+// the bench-restore experiment runs it once per tracker, and the core guards
+// pin each tracker and store they cover.
 package benchscenario
 
 import (
@@ -56,15 +56,4 @@ func SteadyState(cost kernel.CostModel, heapPages, dirtyPages int, opts core.Opt
 		return nil, nil, nil, err
 	}
 	return p, m, request, nil
-}
-
-// SteadyStateUffd is SteadyState under the UFFD tracker (the §4.3 ablation
-// variant): the same workload with the dirty set accumulated incrementally
-// by the write-fault handler instead of a pagemap scan. Steady-state
-// restores on this path are also zero-allocation — the property
-// TestRestoreUffdSteadyStateZeroAllocs pins on exactly this scenario.
-func SteadyStateUffd(cost kernel.CostModel, heapPages, dirtyPages int) (*kernel.Process, *core.Manager, func(), error) {
-	opts := core.DefaultOptions()
-	opts.Tracker = core.TrackUffd
-	return SteadyState(cost, heapPages, dirtyPages, opts)
 }

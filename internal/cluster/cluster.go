@@ -63,15 +63,9 @@ type Config struct {
 	// Window is the simulated duration.
 	Window sim.Duration
 
-	// Policy is the scaling policy (how many containers, when to reap);
-	// nil selects FixedTTL{KeepAlive, ScaleToZeroAfter}.
-	Policy trace.Policy
 	// Placer decides which host each scale-up lands on; nil selects
 	// LocalityAware.
 	Placer trace.Placer
-
-	// SLOTargetMs is the fleet-wide p95 target for SLO-aware policies.
-	SLOTargetMs float64
 
 	// Faults arms deterministic fault injection. Each host gets its own
 	// injector with the plan's seed perturbed by the host ID, so per-host
@@ -108,9 +102,11 @@ type Event struct {
 }
 
 // dispatcher is the part of the configuration trace.Dispatcher reads (and
-// validates): pool cap, TTLs, window, policy, SLO target, seed. Placement-
-// side fields (Cost, Mode) stay with the cluster's own pools; Faults
-// rides along for its validation only — each host arms its own injector.
+// validates): pool cap, TTLs, window, seed. The scaling policy is the
+// dispatcher's default, FixedTTL{KeepAlive, ScaleToZeroAfter}, unless a
+// load sets its own. Placement-side fields (Cost, Mode) stay with the
+// cluster's own pools; Faults rides along for its validation only — each
+// host arms its own injector.
 func (c Config) dispatcher() trace.Config {
 	return trace.Config{
 		Seed:                     c.Seed,
@@ -118,8 +114,6 @@ func (c Config) dispatcher() trace.Config {
 		KeepAlive:                c.KeepAlive,
 		ScaleToZeroAfter:         c.ScaleToZeroAfter,
 		Window:                   c.Window,
-		Policy:                   c.Policy,
-		SLOTargetMs:              c.SLOTargetMs,
 		Faults:                   c.Faults,
 	}
 }
@@ -161,8 +155,8 @@ func (c Config) Validate() error {
 // per-function accounting (embedded — Arrived, Requests, the latency
 // recorders, reaper and recovery counters, all summed over the deployment's
 // per-host pools) plus what only a cluster has — the clone cold starts split
-// by where the image came from, the registry's per-deployment transfer
-// accounting, and placements by host.
+// by where the image came from and the registry's per-deployment transfer
+// accounting.
 //
 // Arrived == Requests after the drain is the no-request-lost invariant —
 // host failures re-dispatch requests, they never drop them. EventCrashes and
@@ -187,10 +181,6 @@ type Stats struct {
 	Transfers      int
 	TransferDedups int
 	TransferFaults int
-
-	// PlacementsPerHost counts this deployment's container placements by
-	// host ID.
-	PlacementsPerHost []int
 }
 
 // HostStats is one host's view of the run.
@@ -199,18 +189,12 @@ type HostStats struct {
 	Failed  bool
 	Drained bool
 	// Placements counts containers placed on this host across all
-	// deployments; the three-way split partitions them by cold-start path.
-	Placements       int
-	FullStarts       int
-	TransferStarts   int
-	LocalCloneStarts int
+	// deployments.
+	Placements int
 	// PeakFrames and EndFrames are this host's physical-memory high-water
 	// mark and post-drain residue (exact, from its own PhysMem).
 	PeakFrames int
 	EndFrames  int
-	// ImagesHeld counts deployments whose snapshot image is resident on
-	// this host at the end of the run.
-	ImagesHeld int
 }
 
 // Result is a cluster run's outcome.
@@ -250,7 +234,7 @@ func (r *Result) LostRequests() int {
 
 // host is one simulated machine: its own physical memory and kernel (and
 // so its own fault-injection streams), plus its running HostStats — the
-// placement counters and the liveness flags. Failed and Drained take the
+// placement counter and the liveness flags. Failed and Drained take the
 // host out of the placement rotation permanently; failed hosts crashed
 // (EventCrashes), drained hosts were emptied gracefully (Drained).
 type host struct {
@@ -338,9 +322,7 @@ func New(cfg Config, loads []trace.FunctionLoad) (*Cluster, error) {
 		if _, err := pl.AddWarmContainer(); err != nil {
 			return nil, err
 		}
-		// Pre-warmed containers ran the full pipeline off the clock, as in
-		// the faas constructor path; classify them with the full starts.
-		cl.notePlacement(ds, hid, placeFull)
+		cl.hosts[hid].stats.Placements++
 	}
 	return cl, nil
 }
@@ -354,7 +336,7 @@ func (cl *Cluster) Deploy(fn int, prof runtimes.Profile, seed uint64) ([]*faas.P
 		prof:  prof,
 		seed:  seed,
 		pools: make([]*faas.Platform, cl.cfg.Hosts),
-		stats: &Stats{PlacementsPerHost: make([]int, cl.cfg.Hosts)},
+		stats: &Stats{},
 	}
 	ds.stats.Name = prof.DisplayName()
 	cl.deps = append(cl.deps, ds)
@@ -424,31 +406,6 @@ func (cl *Cluster) findSource(ds *depState) *faas.Platform {
 	return donor
 }
 
-// placementKind classifies one scale-up's cold-start path.
-type placementKind int
-
-const (
-	placeFull placementKind = iota
-	placeTransfer
-	placeLocalClone
-)
-
-// notePlacement records one placement in the per-deployment and per-host
-// counters.
-func (cl *Cluster) notePlacement(ds *depState, hostID int, kind placementKind) {
-	hs := &cl.hosts[hostID].stats
-	hs.Placements++
-	ds.stats.PlacementsPerHost[hostID]++
-	switch kind {
-	case placeFull:
-		hs.FullStarts++
-	case placeTransfer:
-		hs.TransferStarts++
-	case placeLocalClone:
-		hs.LocalCloneStarts++
-	}
-}
-
 // Run executes the configured window and returns the results.
 func (cl *Cluster) Run() (*Result, error) {
 	for _, ev := range cl.cfg.Events {
@@ -475,16 +432,9 @@ func (cl *Cluster) Run() (*Result, error) {
 			}
 		}
 	}
-	for id, h := range cl.hosts {
+	for _, h := range cl.hosts {
 		hs := h.stats
 		hs.PeakFrames, hs.EndFrames = h.kern.Phys.Peak(), h.kern.Phys.InUse()
-		for _, ds := range cl.deps {
-			if pl := ds.pools[id]; pl != nil {
-				if pl.HasImage() {
-					hs.ImagesHeld++
-				}
-			}
-		}
 		res.PerHost = append(res.PerHost, hs)
 	}
 	return res, nil
@@ -553,22 +503,18 @@ func (cl *Cluster) ScaleUp(fn int, now sim.Time) (*faas.Container, error) {
 	pl.ChargeColdStartDelay(c, extraDelay+wasted, transfer)
 
 	cold := c.ColdStart()
-	kind := placeFull
 	switch {
 	case cold.ClonedFrom < 0: // the full pipeline, or a clone that fell back to it
 	case transfer:
-		kind = placeTransfer
 		ds.stats.TransferColdStarts++
 		ds.stats.TransferCost += cold.Transfer
 	default:
-		kind = placeLocalClone
 		ds.stats.LocalCloneColdStarts++
 		if dedup {
 			ds.stats.TransferDedups++
-			cl.registry.NoteDedup()
 		}
 	}
-	cl.notePlacement(ds, hid, kind)
+	cl.hosts[hid].stats.Placements++
 	return c, nil
 }
 

@@ -132,7 +132,6 @@ func TestNewRejectsWhatNewFleetRejects(t *testing.T) {
 			l.Runtime = runtimes.RuntimeProfile{Name: "bad", WarmupExtra: -1}
 		}},
 		{"zero rate", func(l *trace.FunctionLoad) { l.RatePerSec = 0 }},
-		{"negative SLO target", func(l *trace.FunctionLoad) { l.SLOTargetMs = -1 }},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			loads := testLoads(t, 10)

@@ -13,9 +13,9 @@ import (
 )
 
 // FuzzConfigValidate maps arbitrary inputs onto a cluster configuration —
-// hosts (-1 to 4), window, both TTLs, the SLO target, one event and one
-// fault rate — and holds Validate to what it promises. Validate never
-// panics (through Config.dispatcher it runs trace.Config.Validate too). A
+// hosts (-1 to 4), window, both TTLs, one event and one fault rate — and
+// holds Validate to what it promises. Validate never panics (through
+// Config.dispatcher it runs trace.Config.Validate too). A
 // configuration it accepts builds: New deploys one small C load and
 // Teardown gives back every frame, and the only way New may still fail is
 // an injected fault outlasting the cold-start retry budget. The seed corpus
@@ -28,7 +28,7 @@ func FuzzConfigValidate(f *testing.F) {
 	loads := []trace.FunctionLoad{{Entry: entry, RatePerSec: 1, Burstiness: 1}}
 	kinds := []EventKind{"", EventHostFail, EventHostDrain, "host-reboot"}
 
-	f.Fuzz(func(t *testing.T, hosts uint8, window, keepAlive, scaleToZero int64, slo float64,
+	f.Fuzz(func(t *testing.T, hosts uint8, window, keepAlive, scaleToZero int64,
 		evKind uint8, evAt int64, evHost int8, site uint8, rate float64) {
 		cfg := Config{
 			Cost:                     kernel.Default(),
@@ -39,7 +39,6 @@ func FuzzConfigValidate(f *testing.F) {
 			Window:                   sim.Duration(window),
 			KeepAlive:                sim.Duration(keepAlive),
 			ScaleToZeroAfter:         sim.Duration(scaleToZero),
-			SLOTargetMs:              slo,
 		}
 		if kind := kinds[int(evKind)%len(kinds)]; kind != "" {
 			cfg.Events = []Event{{At: sim.Duration(evAt), Kind: kind, Host: int(evHost)}}

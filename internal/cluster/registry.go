@@ -31,21 +31,12 @@ type pullKey struct {
 	host int
 }
 
-// RegistryStats counts the registry's cumulative transfer activity.
+// RegistryStats counts the registry's cumulative transfer activity. Dedups
+// and faulted pulls are counted per deployment (Stats.TransferDedups,
+// Stats.TransferFaults).
 type RegistryStats struct {
 	// Transfers counts initiated cross-host image pulls, successful or not.
 	Transfers int
-	// DedupWaits counts scale-ups that joined a pull already in flight to
-	// their host instead of starting a second transfer.
-	DedupWaits int
-	// TransferFaults counts pulls aborted by an injected transfer fault
-	// (faults.SiteImageTransfer); the scale-up fell back to the full
-	// pipeline.
-	TransferFaults int
-	// Registrations counts images adopted onto a host by a completed pull.
-	// Local exports register implicitly (presence is derived), so this
-	// counts only transfer-driven registrations.
-	Registrations int
 }
 
 // newRegistry returns an empty registry.
@@ -67,9 +58,6 @@ func (r *Registry) PendingPull(fn string, host int, now sim.Time) (sim.Time, boo
 	}
 	return done, true
 }
-
-// NoteDedup records one scale-up joining an in-flight pull.
-func (r *Registry) NoteDedup() { r.stats.DedupWaits++ }
 
 // Pull transfers fn's image from src's host onto dst's host, charging the
 // destination kernel's transfer knobs (ImageTransferBase once, then
@@ -93,7 +81,6 @@ func (r *Registry) Pull(fn string, host int, src, dst *faas.Platform, dstKern *k
 	r.stats.Transfers++
 	copied, err := core.CopyImageTo(dstKern, img, m)
 	if err != nil {
-		r.stats.TransferFaults++
 		return m.Total(), err
 	}
 	if err := dst.AdoptTemplate(copied, state); err != nil {
@@ -102,7 +89,6 @@ func (r *Registry) Pull(fn string, host int, src, dst *faas.Platform, dstKern *k
 		copied.Release()
 		return m.Total(), err
 	}
-	r.stats.Registrations++
 	delay := m.Total()
 	r.pulls[pullKey{fn: fn, host: host}] = now.Add(delay)
 	return delay, nil

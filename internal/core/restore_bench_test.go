@@ -53,10 +53,9 @@ func TestRestoreSteadyStateZeroAllocs(t *testing.T) {
 // from the append-style accessor, both read into the manager's scratch
 // buffers.
 func TestRestoreUffdSteadyStateZeroAllocs(t *testing.T) {
-	_, m, request, err := benchscenario.SteadyStateUffd(kernel.Default(), 256, 64)
-	if err != nil {
-		t.Fatal(err)
-	}
+	opts := core.DefaultOptions()
+	opts.Tracker = core.TrackUffd
+	m, request := steadyStateManager(t, 256, 64, opts)
 	allocs := testing.AllocsPerRun(50, func() {
 		request()
 		if _, err := m.Restore(); err != nil {

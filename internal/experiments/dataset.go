@@ -141,11 +141,5 @@ func RunFull(cfg Config) (*Dataset, error) {
 	return ds, nil
 }
 
-// restoreBreakdown measures the GH restore phases for one benchmark with
-// more repetitions (Fig. 8's per-benchmark bars).
-func (cfg Config) restoreBreakdown(e catalog.Entry) (*Cell, error) {
-	return cfg.measureCell(e, isolation.ModeGH)
-}
-
 // ms converts a duration to float milliseconds.
 func ms(d sim.Duration) float64 { return float64(d) / 1e6 }

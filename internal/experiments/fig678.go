@@ -93,7 +93,7 @@ func Fig8(cfg Config) (*metrics.Table, error) {
 	}
 	t := metrics.NewTable("Fig. 8: restoration breakdown and snapshot cost", header...)
 	for _, e := range cfg.representatives() {
-		cell, err := cfg.restoreBreakdown(e)
+		cell, err := cfg.measureCell(e, isolation.ModeGH)
 		if err != nil {
 			return nil, err
 		}

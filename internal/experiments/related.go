@@ -99,7 +99,7 @@ var relatedWorkCosts = []struct {
 	onPath      sim.Duration
 	offCritical bool
 }{
-	{"cold-start per request", 0, false}, // measured from the cold-start pipeline
+	{"cold-start per request", 0, false}, // priced from the cost model in RelatedWork
 	{"CRIU (disk restore)", 2 * time.Second, false},
 	{"Catalyzer", 232 * time.Millisecond, false},
 	{"REAP", 60 * time.Millisecond, false},
@@ -151,6 +151,9 @@ func RelatedWork(cfg Config) (*metrics.Table, error) {
 	if err != nil {
 		return nil, err
 	}
+	// A language-agnostic cold start: environment, process spawn and the flat
+	// RuntimeInitBase, not the faas pipeline a catalog function's container
+	// runs (whose runtime init is its language's InitDuration + WarmupExtra).
 	coldStart := cfg.Cost.EnvInstantiation + cfg.Cost.SpawnProcess + cfg.Cost.RuntimeInitBase
 
 	t := metrics.NewTable(

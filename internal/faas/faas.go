@@ -87,15 +87,10 @@ type ColdStartStats struct {
 	// clones and full pipeline starts. A positive Transfer distinguishes the
 	// cluster's transfer+clone path from the ~1 ms local clone.
 	Transfer sim.Duration
-	Total    sim.Duration
-	// Retries counts failed attempts before this container came up; the
-	// exponential backoff they cost is folded into Total (and reported
-	// separately as RetryBackoff).
-	Retries      int
-	RetryBackoff sim.Duration
-	// CloneFallback marks a full-pipeline start that was forced by a
-	// clone-path failure (lost template, integrity failure, spawn fault).
-	CloneFallback bool
+	// Total is the whole cold start, including the exponential backoff of
+	// any failed attempts before the container came up (counted per
+	// platform in RecoveryStats).
+	Total sim.Duration
 }
 
 // Container is one warm function container: a function process (plus
@@ -277,6 +272,9 @@ func NewPlatformOn(eng *sim.Engine, kern *kernel.Kernel, prof runtimes.Profile, 
 	if containers < 0 {
 		return nil, fmt.Errorf("faas: negative container count")
 	}
+	if mode == isolation.ModeFaasm && prof.Lang.WasmFactor() == 0 {
+		return nil, fmt.Errorf("faas: %s: FAASM cannot run %v functions", prof.DisplayName(), prof.Lang)
+	}
 	pl := &Platform{
 		Engine: eng,
 		Kern:   kern,
@@ -317,7 +315,7 @@ const MaxColdStartAttempts = 4
 
 // ColdStartBackoffBase is the virtual backoff before the first retry; it
 // doubles per further attempt. The delay is folded into the container's
-// readiness time (and reported in ColdStartStats.RetryBackoff), which is how
+// readiness time (and summed in RecoveryStats.RetryBackoff), which is how
 // retried cold starts surface as recovery latency.
 const ColdStartBackoffBase = 25 * time.Millisecond
 
@@ -330,12 +328,9 @@ func (pl *Platform) AddContainer() (*Container, error) {
 	id := pl.nextContainerID
 	pl.nextContainerID++
 	var backoff sim.Duration
-	var retries int
 	for attempt := 1; ; attempt++ {
 		c, err := pl.coldStart(id, pl.rng.Uint64())
 		if err == nil {
-			c.cold.Retries = retries
-			c.cold.RetryBackoff = backoff
 			c.cold.Total += backoff
 			pl.recordColdStart(c.cold)
 			c.ready = pl.Engine.Now().Add(c.cold.Total)
@@ -352,7 +347,6 @@ func (pl *Platform) AddContainer() (*Container, error) {
 		}
 		delay := sim.Duration(ColdStartBackoffBase) << (attempt - 1)
 		backoff += delay
-		retries++
 		pl.recovery.ColdStartRetries++
 		pl.recovery.RetryBackoff += delay
 	}
@@ -432,7 +426,6 @@ func (pl *Platform) Containers() []*Container { return pl.containers }
 // fault, integrity failure, evicted image) penalizes the template and falls
 // back to the full pipeline instead of failing the scale-up.
 func (pl *Platform) coldStart(id int, seed uint64) (*Container, error) {
-	cloneFallback := false
 	if pl.CloneScaleOut {
 		if tmpl := pl.cloneSource(); tmpl != nil {
 			c, err := pl.cloneStart(id, seed, tmpl)
@@ -445,7 +438,6 @@ func (pl *Platform) coldStart(id int, seed uint64) (*Container, error) {
 			}
 			pl.noteCloneFailure(tmpl, err)
 			pl.recovery.CloneFallbacks++
-			cloneFallback = true
 		}
 	}
 	cost := pl.Kern.Cost
@@ -495,7 +487,6 @@ func (pl *Platform) coldStart(id int, seed uint64) (*Container, error) {
 			StrategyInit:     stratInit,
 			ClonedFrom:       -1,
 			Total:            m.Total(),
-			CloneFallback:    cloneFallback,
 		},
 		ready: pl.Engine.Now(),
 	}

@@ -188,6 +188,17 @@ func TestForkModeRejectsNode(t *testing.T) {
 	}
 }
 
+// TestFaasmModeRejectsNode: FAASM has no WebAssembly build of Node, so the
+// platform refuses it at construction, even with no container yet, instead
+// of the first request panicking in the runtime.
+func TestFaasmModeRejectsNode(t *testing.T) {
+	prof := testProfile()
+	prof.Lang = runtimes.LangNode
+	if _, err := NewPlatformOn(sim.NewEngine(), kernel.New(kernel.Default()), prof, isolation.ModeFaasm, 0, 1); err == nil {
+		t.Fatal("FAASM platform accepted a Node function")
+	}
+}
+
 func TestInterposingCostsShowForLargeInputs(t *testing.T) {
 	small := testProfile()
 	big := testProfile()

@@ -22,7 +22,7 @@
 // the stream offset can no longer be trusted.
 //
 // Route IDs are per-gateway and never reused; a client holding an ID for
-// an undeployed function keeps receiving CodeGone until it re-resolves.
+// a torn-down deployment keeps receiving CodeGone until it re-resolves.
 
 package gateway
 
@@ -55,7 +55,7 @@ const (
 	CodeUnknown   byte = 3 // unknown function/mode/routeID
 	CodeQueueFull byte = 4 // admission queue full; retryAfterSecs set
 	CodeTransient byte = 5 // transient invoke failure; retryAfterSecs set
-	CodeGone      byte = 6 // deployment undeployed; re-resolve
+	CodeGone      byte = 6 // deployment torn down; re-resolve
 	CodeInternal  byte = 7 // non-transient invoke failure
 )
 
@@ -117,7 +117,7 @@ func (g *Gateway) ServeBinaryConn(conn net.Conn) error {
 		conn.Close()
 	}()
 
-	maxFrame := uint32(g.cfg.MaxBody + frameOverhead)
+	maxFrame := uint32(g.maxBody + frameOverhead)
 	var hdr [4]byte
 	// Per-connection reused buffers: the steady-state invoke path reads
 	// into rbuf, builds the response in wbuf, and allocates nothing.

@@ -166,7 +166,8 @@ func TestBinarySemanticErrorsSurvive(t *testing.T) {
 // TestBinaryBadLengthCloses: a broken length prefix poisons the stream
 // offset — the gateway answers CodeBadFrame and closes the connection.
 func TestBinaryBadLengthCloses(t *testing.T) {
-	_, g := newGateway(t, Config{MaxBody: 1024})
+	_, g := newGateway(t, Config{})
+	g.maxBody = 1024
 	for name, raw := range map[string][]byte{
 		"zero length":      binary.BigEndian.AppendUint32(nil, 0),
 		"oversized length": binary.BigEndian.AppendUint32(nil, uint32(1024+frameOverhead+1)),

@@ -1,10 +1,14 @@
 package gateway
 
 import (
+	"bytes"
 	"encoding/binary"
 	"errors"
 	"io"
 	"net"
+	"net/http"
+	"net/http/httptest"
+	"strings"
 	"testing"
 	"time"
 
@@ -45,7 +49,7 @@ func expectedReplies(data []byte, maxFrame uint32) (replies int, badLength bool)
 
 // FuzzServeBinaryConn feeds arbitrary bytes to the binary frame decoder over
 // net.Pipe. Whatever arrives, the server never panics (a panic in its
-// goroutine kills the run), never sizes a read buffer past MaxBody +
+// goroutine kills the run), never sizes a read buffer past maxBody +
 // frameOverhead, answers every complete frame with exactly one well-formed
 // frame, and answers a bad length with CodeBadFrame and a closed connection.
 // The seed corpus is testdata/fuzz/FuzzServeBinaryConn; route ID 0 (the
@@ -54,7 +58,8 @@ func expectedReplies(data []byte, maxFrame uint32) (replies int, badLength bool)
 func FuzzServeBinaryConn(f *testing.F) {
 	const maxBody = 1024
 	s := server.New()
-	g := New(s, Config{MaxBody: maxBody})
+	g := New(s, Config{})
+	g.maxBody = maxBody
 	f.Cleanup(func() {
 		_ = g.Close()
 		s.Shutdown()
@@ -128,6 +133,64 @@ func FuzzServeBinaryConn(f *testing.F) {
 		<-served
 		if sized.maxRead > maxBody+frameOverhead {
 			t.Fatalf("server sized a %d-byte read buffer, cap is %d", sized.maxRead, maxBody+frameOverhead)
+		}
+	})
+}
+
+// fnStatuses are the answers the data plane may give a /fn/ request: the
+// echo, a bad mode, no such route, a method other than POST, an oversized
+// body, a full admission queue and a transient invoke failure.
+var fnStatuses = map[int]bool{
+	http.StatusOK: true, http.StatusBadRequest: true, http.StatusNotFound: true,
+	http.StatusMethodNotAllowed: true, http.StatusRequestEntityTooLarge: true,
+	http.StatusTooManyRequests: true, http.StatusServiceUnavailable: true,
+}
+
+// FuzzServeHTTP drives Gateway.ServeHTTP with an arbitrary method, path
+// (query included), X-Gh-Mode and X-Gh-Caller headers and body, on a fresh
+// server and gateway per input so every verdict reproduces from its input
+// alone. Whatever arrives, the handler never panics. A /fn/ request answers
+// one of fnStatuses; every 200 echoes the body byte for byte and carries
+// X-Gh-Stats; a body past maxBody is never served and answers 413 once it
+// gets past routing; and 413 means exactly that. Other paths fall through to
+// the control plane, which only has to not panic. Inputs that no HTTP
+// request line could carry (an invalid method or URL) are skipped. The seed
+// corpus is testdata/fuzz/FuzzServeHTTP.
+func FuzzServeHTTP(f *testing.F) {
+	const maxBody = 1024
+	f.Fuzz(func(t *testing.T, method, path, mode, caller string, body []byte) {
+		r, err := http.NewRequest(method, "http://gateway"+path, bytes.NewReader(body))
+		if err != nil {
+			return
+		}
+		r.Header.Set("X-Gh-Mode", mode)
+		r.Header.Set("X-Gh-Caller", caller)
+		s := server.New()
+		defer s.Shutdown()
+		g := New(s, Config{})
+		defer g.Close()
+		g.maxBody = maxBody
+
+		w := httptest.NewRecorder()
+		g.ServeHTTP(w, r)
+		if !strings.HasPrefix(r.URL.Path, fnPrefix) {
+			return
+		}
+		status, oversized := w.Code, len(body) > maxBody
+		switch {
+		case !fnStatuses[status]:
+			t.Fatalf("%s %q: status %d is not a data-plane answer (%s)", method, path, status, w.Body)
+		case oversized && (status == http.StatusOK || status == http.StatusServiceUnavailable):
+			t.Fatalf("%s %q: a %d-byte body past the %d-byte cap answered %d", method, path, len(body), maxBody, status)
+		case !oversized && status == http.StatusRequestEntityTooLarge:
+			t.Fatalf("%s %q: a %d-byte body within the %d-byte cap answered 413", method, path, len(body), maxBody)
+		case status == http.StatusOK:
+			if !bytes.Equal(w.Body.Bytes(), body) {
+				t.Fatalf("%s %q: echo %q, want %q", method, path, w.Body.Bytes(), body)
+			}
+			if st := w.Header().Get("X-Gh-Stats"); !statsRe.MatchString(st) {
+				t.Fatalf("%s %q: X-Gh-Stats = %q, want %s", method, path, st, statsRe)
+			}
 		}
 	})
 }

@@ -28,7 +28,7 @@
 //     Retry-After derived from the deployment's observed cold-start mean —
 //     the time a scale-up would need — instead of letting requests stack
 //     on the deployment lock. Queues are per-deployment, so one saturated
-//     (or undeployed, or crashing) function cannot wedge its neighbors.
+//     (or shut down, or crashing) function cannot wedge its neighbors.
 //
 // A second listener speaks a compact length-prefixed binary protocol next
 // to HTTP (binary.go) for clients that want the same invoke path without
@@ -66,16 +66,13 @@ type Config struct {
 	// requests a single-container deployment can have in flight while a
 	// scale-up would still beat the retry. 0 selects DefaultQueueDepth.
 	QueueDepth int
-	// MaxBody caps the request body (HTTP) and frame payload (binary) in
-	// bytes; 0 selects DefaultMaxBody.
-	MaxBody int
 }
 
 // DefaultQueueDepth is the per-deployment admission bound.
 const DefaultQueueDepth = 32
 
-// DefaultMaxBody caps request bodies at 1 MiB.
-const DefaultMaxBody = 1 << 20
+// MaxBody caps the request body (HTTP) and frame payload (binary) at 1 MiB.
+const MaxBody = 1 << 20
 
 // Stats is a point-in-time snapshot of the gateway's serving counters,
 // summed over both listeners.
@@ -112,8 +109,10 @@ type Gateway struct {
 	connMu sync.Mutex
 	conns  map[io.Closer]struct{}
 
-	// binaryIdle is BinaryIdleTimeout; a field so the deadline tests need not
+	// maxBody is MaxBody and binaryIdle is BinaryIdleTimeout; fields so the
+	// size tests need not send a mebibyte and the deadline tests need not
 	// wait a minute.
+	maxBody    int
 	binaryIdle time.Duration
 }
 
@@ -178,9 +177,6 @@ func New(s *server.Server, cfg Config) *Gateway {
 	if cfg.QueueDepth <= 0 {
 		cfg.QueueDepth = DefaultQueueDepth
 	}
-	if cfg.MaxBody <= 0 {
-		cfg.MaxBody = DefaultMaxBody
-	}
 	return &Gateway{
 		srv:     s,
 		cfg:     cfg,
@@ -189,6 +185,7 @@ func New(s *server.Server, cfg Config) *Gateway {
 		e2e:     metrics.Locked(metrics.NewSketch(metrics.DefaultSketchAlpha)),
 		conns:   make(map[io.Closer]struct{}),
 
+		maxBody:    MaxBody,
 		binaryIdle: BinaryIdleTimeout,
 	}
 }
@@ -274,19 +271,21 @@ type job struct {
 var jobPool = sync.Pool{New: func() any { return &job{} }}
 
 // readAll reads r fully into buf (reusing its capacity), failing once the
-// body exceeds max.
+// body exceeds max. The buffer grows to at most max+1 bytes: a body of
+// exactly max bytes then ends in io.EOF with room to spare, and one byte
+// more is the proof it is too large.
 func readAll(r io.Reader, buf []byte, max int) ([]byte, error) {
 	for {
+		if len(buf) > max {
+			return buf, errBodyTooLarge
+		}
 		if len(buf) == cap(buf) {
-			if len(buf) >= max {
-				return buf, errBodyTooLarge
-			}
 			grow := cap(buf)
 			if grow < 512 {
 				grow = 512
 			}
-			if cap(buf)+grow > max {
-				grow = max - cap(buf)
+			if cap(buf)+grow > max+1 {
+				grow = max + 1 - cap(buf)
 			}
 			nb := make([]byte, len(buf), cap(buf)+grow)
 			copy(nb, buf)
@@ -355,7 +354,7 @@ func (g *Gateway) handleFn(w http.ResponseWriter, r *http.Request) {
 	}
 
 	j := jobPool.Get().(*job)
-	j.body, err = readAll(r.Body, j.body[:0], g.cfg.MaxBody)
+	j.body, err = readAll(r.Body, j.body[:0], g.maxBody)
 	if err != nil {
 		<-rt.slots
 		jobPool.Put(j)

@@ -142,7 +142,8 @@ func TestGatewayModeHeaderAndControlPlane(t *testing.T) {
 
 // TestGatewayRejectsBadRequests: the edges of the routing surface.
 func TestGatewayRejectsBadRequests(t *testing.T) {
-	_, g := newGateway(t, Config{MaxBody: 1024})
+	_, g := newGateway(t, Config{})
+	g.maxBody = 1024
 	ts := serveHTTP(t, g)
 
 	if resp, err := http.Get(fnURL(ts.URL, "get-time (p)")); err != nil {
@@ -156,6 +157,20 @@ func TestGatewayRejectsBadRequests(t *testing.T) {
 	if status, _, _ := postFn(t, fnURL(ts.URL, "no-such-fn"), ""); status != http.StatusNotFound {
 		t.Fatalf("unknown fn: %d, want 404", status)
 	}
+	// A function × mode that cannot be built is no route either: fork on a
+	// multi-threaded runtime, FAASM on Node.
+	for _, mode := range []string{"fork", "faasm"} {
+		req, _ := http.NewRequest(http.MethodPost, fnURL(ts.URL, "get-time (n)"), nil)
+		req.Header.Set("X-Gh-Mode", mode)
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusNotFound {
+			t.Fatalf("%s on Node: %d, want 404", mode, resp.StatusCode)
+		}
+	}
 	big := strings.Repeat("x", 4096)
 	if status, _, _ := postFn(t, fnURL(ts.URL, "get-time (p)"), big); status != http.StatusRequestEntityTooLarge {
 		t.Fatalf("oversized body: %d, want 413", status)
@@ -167,13 +182,14 @@ func TestGatewayRejectsBadRequests(t *testing.T) {
 	}
 }
 
-// TestGatewayConcurrentServingWithUndeploy is the serving-path race test:
-// many client goroutines across three deployments while one deployment is
-// concurrently undeployed. Invariants: no panic (the -race CI step runs
-// this), every request gets exactly one response, every 200 echoes its own
-// request body, the never-undeployed functions only ever answer 200 or 429,
-// and the undeployed one only adds 404 (gone) to that set.
-func TestGatewayConcurrentServingWithUndeploy(t *testing.T) {
+// TestGatewayConcurrentServingWithShutdown is the serving-path race test:
+// many client goroutines across three deployments while the server is
+// concurrently shut down, more than once. Invariants: no panic (the -race CI
+// step runs this), every request gets exactly one response, every 200
+// echoes its own request body, the only statuses are 200, 429 and 404
+// (gone, on a route cached before a shutdown), no shutdown leaks a frame,
+// and every function serves again afterwards.
+func TestGatewayConcurrentServingWithShutdown(t *testing.T) {
 	s, g := newGateway(t, Config{QueueDepth: 2})
 	ts := serveHTTP(t, g)
 	fns := []string{"get-time (p)", "version (p)", "json (p)"}
@@ -187,8 +203,9 @@ func TestGatewayConcurrentServingWithUndeploy(t *testing.T) {
 		workers = 12
 		perW    = 40
 	)
+	const shutdowns = 5
 	var wg sync.WaitGroup
-	errs := make(chan string, workers*perW)
+	errs := make(chan string, workers*perW+shutdowns)
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
 		go func(w int) {
@@ -208,29 +225,23 @@ func TestGatewayConcurrentServingWithUndeploy(t *testing.T) {
 					if string(echo) != body {
 						errs <- fmt.Sprintf("%s: echo %q != body %q", fn, echo, body)
 					}
-				case http.StatusTooManyRequests:
-				case http.StatusNotFound:
-					if fn != fns[2] {
-						errs <- fmt.Sprintf("%s: unexpected 404", fn)
-					}
+				case http.StatusTooManyRequests, http.StatusNotFound:
 				default:
 					errs <- fmt.Sprintf("%s: status %d", fn, resp.StatusCode)
 				}
 			}
 		}(w)
 	}
-	// Concurrent undeployer: rip fns[2] out repeatedly while traffic flows.
-	// The first round must find it deployed; later rounds race with the
-	// gateway's re-registration, either outcome is legal.
+	// Concurrent shutdowns while traffic flows: each tears down whatever the
+	// gateway re-registered since the last one.
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
-		if !s.Undeploy(fns[2], isolation.ModeGH) {
-			errs <- "first undeploy found nothing deployed"
-		}
-		for i := 0; i < 4; i++ {
+		for i := 0; i < shutdowns; i++ {
+			if leaked := s.Shutdown(); leaked != 0 {
+				errs <- fmt.Sprintf("shutdown %d leaked %d frames", i, leaked)
+			}
 			time.Sleep(2 * time.Millisecond)
-			s.Undeploy(fns[2], isolation.ModeGH)
 		}
 	}()
 	wg.Wait()
@@ -238,7 +249,7 @@ func TestGatewayConcurrentServingWithUndeploy(t *testing.T) {
 	for e := range errs {
 		t.Error(e)
 	}
-	// The survivors kept serving throughout and traffic still flows after.
+	// Traffic still flows after the last shutdown.
 	for _, fn := range fns {
 		if status, _, _ := postFn(t, fnURL(ts.URL, fn), "after"); status != http.StatusOK {
 			t.Fatalf("post-race %s: %d", fn, status)
@@ -400,10 +411,10 @@ func TestGatewayFaultInjection(t *testing.T) {
 	}
 }
 
-// TestGatewayUndeployedRouteReregisters: after Undeploy, the cached route
+// TestGatewayRouteReregistersAfterShutdown: after Shutdown, the cached route
 // fails once with 404 (gone) at most, and the very next request deploys a
-// fresh platform — counters restart from zero on the control plane.
-func TestGatewayUndeployedRouteReregisters(t *testing.T) {
+// fresh platform.
+func TestGatewayRouteReregistersAfterShutdown(t *testing.T) {
 	s, g := newGateway(t, Config{})
 	ts := serveHTTP(t, g)
 	fn := "get-time (p)"
@@ -413,8 +424,8 @@ func TestGatewayUndeployedRouteReregisters(t *testing.T) {
 			t.Fatal("warmup failed")
 		}
 	}
-	if !s.Undeploy(fn, isolation.ModeGH) {
-		t.Fatal("undeploy found nothing")
+	if leaked := s.Shutdown(); leaked != 0 {
+		t.Fatalf("shutdown leaked %d frames", leaked)
 	}
 	// The stale cached route answers gone exactly once, then the gateway
 	// re-registers; sequential requests therefore see at most one 404.
@@ -426,11 +437,11 @@ func TestGatewayUndeployedRouteReregisters(t *testing.T) {
 			gones++
 		case http.StatusOK:
 		default:
-			t.Fatalf("status %d after undeploy", status)
+			t.Fatalf("status %d after shutdown", status)
 		}
 	}
 	if gones > 1 {
-		t.Fatalf("%d gone responses after a single undeploy, want <= 1", gones)
+		t.Fatalf("%d gone responses after a single shutdown, want <= 1", gones)
 	}
 	if status, _, _ := postFn(t, u, "z"); status != http.StatusOK {
 		t.Fatal("route did not re-register")

@@ -3,6 +3,7 @@ package isolation
 import (
 	"testing"
 
+	"groundhog/internal/core"
 	"groundhog/internal/kernel"
 	"groundhog/internal/mem"
 	"groundhog/internal/sim"
@@ -91,6 +92,62 @@ func TestGHNopDoesNotRestore(t *testing.T) {
 	}
 	if res.Restored || res.Duration != 0 {
 		t.Fatalf("GH-NOP reported cleanup work: %+v", res)
+	}
+}
+
+// TestClonedContainersIsolateRequests holds the wipe guarantee on both routes
+// to a cloned container: a clone of an image exported on the donor's own
+// kernel, and a clone of that image's copy on a second kernel (CopyImageTo,
+// the cluster's cross-host transfer). GH must not leak on either; GH-NOP must
+// leak on both, which shows each route reaches a live clone (BASE has no
+// snapshot to clone). Each kernel's frames return to their pre-export count
+// once the clones, the copy and the image are released.
+func TestClonedContainersIsolateRequests(t *testing.T) {
+	for _, tc := range []struct {
+		mode  Mode
+		leaks bool
+	}{{ModeGH, false}, {ModeGHNop, true}} {
+		local, p := warmProcess(t, 2)
+		donor, err := New(tc.mode, local, p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := donor.Init(); err != nil {
+			t.Fatal(err)
+		}
+		remote := kernel.New(kernel.Default())
+		base := local.Phys.InUse()
+		img, err := donor.Manager().ExportImage(nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		copied, err := core.CopyImageTo(remote, img, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, route := range []struct {
+			name string
+			kern *kernel.Kernel
+			img  *core.SnapshotImage
+		}{{"same kernel", local, img}, {"second kernel", remote, copied}} {
+			s, proc, err := NewCloned(tc.mode, route.kern, route.img, nil)
+			if err != nil {
+				t.Fatalf("%s via %s: %v", tc.mode, route.name, err)
+			}
+			if got := secretLeaks(t, s); got != tc.leaks {
+				t.Fatalf("%s via %s: secret leaked = %v, want %v", tc.mode, route.name, got, tc.leaks)
+			}
+			s.Release()
+			route.kern.Exit(proc)
+		}
+		copied.Release()
+		img.Release()
+		if got := local.Phys.InUse(); got != base {
+			t.Fatalf("%s: donor kernel holds %d frames after release, want %d", tc.mode, got, base)
+		}
+		if got := remote.Phys.InUse(); got != 0 {
+			t.Fatalf("%s: second kernel holds %d frames after release, want 0", tc.mode, got)
+		}
 	}
 }
 

@@ -51,7 +51,7 @@ import (
 //	FaasmResetPerPage         Faaslet CoW repair per dirty page                   seed   500 ns
 //	PlatformOverhead          controller+LB+invoker platform path (§5.3)          seed   24 ms
 //	EnvInstantiation          container image/cgroup/netns setup (Fig. 1)         seed   350 ms
-//	RuntimeInitBase           runtime initialization floor (Fig. 1)               seed   80 ms
+//	RuntimeInitBase           flat runtime init, related work's cold-start row    seed   80 ms
 //	ChecksumPerPage           FNV accumulation per page (image integrity)         PR 6   160 ns
 //	ImageTransferBase         cross-host image pull setup (connection+metadata)   PR 8   2 ms
 //	ImageTransferPerFrame     one 4 KiB frame shipped over the cluster network    PR 8   3 µs
@@ -139,7 +139,11 @@ type CostModel struct {
 	PlatformOverhead sim.Duration // controller+load balancer+invoker path
 	// Container cold-start phases (Fig. 1).
 	EnvInstantiation sim.Duration
-	RuntimeInitBase  sim.Duration
+	// RuntimeInitBase is a flat runtime-initialization cost charged only by
+	// the related-work table's "cold-start per request" row. No simulated
+	// cold start charges it: a container's Fig. 1 runtime init is its
+	// language's InitDuration plus the profile's WarmupExtra (runtimes).
+	RuntimeInitBase sim.Duration
 
 	// ChecksumPerPage is the per-page cost of accumulating the snapshot
 	// image integrity checksum (a fast 64-bit hash over a 4 KiB page). It

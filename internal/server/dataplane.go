@@ -2,8 +2,8 @@
 // through. The control-plane HTTP handlers (/invoke, /deployments) stay the
 // human-facing JSON surface; the gateway's hot path needs the same
 // deployment registry and per-deployment serialization without any JSON —
-// raw request in, RequestStats out — plus lifecycle operations (undeploy,
-// shutdown) a serving front end must survive mid-traffic.
+// raw request in, RequestStats out — and a shutdown a serving front end must
+// survive mid-traffic.
 
 package server
 
@@ -17,13 +17,13 @@ import (
 	"groundhog/internal/metrics"
 )
 
-// ErrGone reports an invoke against a deployment that was undeployed (or a
-// server that was shut down). The gateway maps it to 404 and drops its
+// ErrGone reports an invoke against a deployment that was torn down by
+// Shutdown or whose deploy failed. The gateway maps it to 404 and drops its
 // cached route; a later request re-registers a fresh deployment.
 var ErrGone = errors.New("server: deployment gone")
 
 // Handle is an opaque reference to one fn × mode deployment, valid until
-// the deployment is undeployed. Handles are cheap and safe to cache: all
+// the deployment is torn down. Handles are cheap and safe to cache: all
 // methods serialize on the deployment's own lock, never the server's, so
 // unrelated deployments invoke concurrently.
 type Handle struct {
@@ -31,9 +31,10 @@ type Handle struct {
 	dep *deployment
 }
 
-// DataPlane returns (registering if needed) the invoke handle for
-// fn × mode. Unknown functions and modes fail here, so the gateway's hot
-// path never re-validates.
+// DataPlane returns (registering and deploying if needed) the invoke handle
+// for fn × mode. Unknown functions and modes, and a function × mode that
+// cannot be built (fork on a multi-threaded runtime, FAASM on Node), fail
+// here, so the gateway's hot path never re-validates.
 func (s *Server) DataPlane(fn string, mode isolation.Mode) (*Handle, error) {
 	if !validMode(mode) {
 		return nil, fmt.Errorf("unknown mode %q; valid modes: %s", mode, modeList())
@@ -42,27 +43,30 @@ func (s *Server) DataPlane(fn string, mode isolation.Mode) (*Handle, error) {
 	if err != nil {
 		return nil, err
 	}
+	dep.mu.Lock()
+	_, err = s.deploy(dep)
+	dep.mu.Unlock()
+	if err != nil {
+		return nil, err
+	}
 	return &Handle{s: s, dep: dep}, nil
 }
 
 // Invoke runs one request from caller against the deployment (see
-// Server.invoke: lazy deploy, self-healing pool) and returns its stats.
+// Server.invoke: self-healing pool) and returns its stats.
 func (h *Handle) Invoke(caller string) (faas.RequestStats, error) {
 	st, _, err := h.s.invoke(h.dep, caller)
 	return st, err
 }
 
 // ColdStartMeanMs reports the deployment's observed mean cold-start cost in
-// milliseconds over every scale-up so far (full pipeline and clones
-// pooled), or 0 before the first deploy — the signal the gateway derives
+// milliseconds over every cold start so far (the deploy's, then scale-ups;
+// full pipeline and clones pooled) — the signal the gateway derives
 // Retry-After from when it sheds load.
 func (h *Handle) ColdStartMeanMs() float64 {
 	dep := h.dep
 	dep.mu.Lock()
 	defer dep.mu.Unlock()
-	if dep.platform == nil {
-		return 0
-	}
 	cold := dep.platform.ColdStarts()
 	if n := cold.Full + cold.Clone; n > 0 {
 		return float64(cold.TotalCost) / 1e6 / float64(n)
@@ -70,9 +74,9 @@ func (h *Handle) ColdStartMeanMs() float64 {
 	return 0
 }
 
-// ArmFaults arms a deterministic fault plan on the deployment's kernel
-// (deploying the platform first if needed). The kernel is the deployment's
-// own, so the blast radius is this deployment and nothing else.
+// ArmFaults arms a deterministic fault plan on the deployment's kernel. The
+// kernel is the deployment's own, so the blast radius is this deployment and
+// nothing else.
 func (h *Handle) ArmFaults(plan faults.Plan) error {
 	if err := plan.Validate(); err != nil {
 		return err
@@ -83,62 +87,31 @@ func (h *Handle) ArmFaults(plan faults.Plan) error {
 	if dep.gone {
 		return ErrGone
 	}
-	if dep.platform == nil {
-		if err := dep.deploy(); err != nil {
-			return err
-		}
-	}
 	dep.platform.Kern.Faults = faults.New(plan)
 	return nil
 }
 
-// Undeploy removes fn × mode mid-traffic: the deployment leaves the
-// registry, its containers and snapshot image are torn down, and cached
-// handles fail with ErrGone. An in-flight invoke holding the deployment lock
-// completes and delivers its response first — undeploy never loses an
-// accepted request. Returns false when no such deployment exists.
-func (s *Server) Undeploy(fn string, mode isolation.Mode) bool {
-	s.mu.Lock()
-	key := fn + "|" + string(mode)
-	dep, ok := s.deployments[key]
-	delete(s.deployments, key)
-	s.mu.Unlock()
-	if ok {
-		s.retire(dep)
-	}
-	return ok
-}
-
-// Shutdown undeploys everything and reports the frames left in use on the
-// kernel of every deployment this server ever tore down — zero when none
-// leaked memory (the serving analogue of trace.Fleet.Teardown). The server
-// keeps answering after shutdown: invokes fail with ErrGone until a new
-// deployment registers.
+// Shutdown takes every deployment out of the registry, tears each down and
+// reports the frames their kernels still hold afterwards — zero when none
+// leaked memory (the serving analogue of trace.Fleet.Teardown). An in-flight
+// invoke holding a deployment's lock completes and delivers its response
+// first — shutdown never loses an accepted request. The server keeps
+// answering after shutdown: cached handles fail with ErrGone, and a new
+// request registers a fresh deployment.
 func (s *Server) Shutdown() int {
 	s.mu.Lock()
 	deps := s.deployments
 	s.deployments = make(map[string]*deployment)
 	s.mu.Unlock()
 
+	leaked := 0
 	for _, dep := range deps {
-		s.retire(dep)
+		dep.mu.Lock()
+		dep.gone = true
+		leaked += dep.teardown()
+		dep.mu.Unlock()
 	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.leaked
-}
-
-// retire tears down a deployment already out of the registry and adds what
-// its kernel still holds to the server's leak total.
-func (s *Server) retire(dep *deployment) {
-	dep.mu.Lock()
-	dep.gone = true
-	left := dep.teardown()
-	dep.mu.Unlock()
-
-	s.mu.Lock()
-	s.leaked += left
-	s.mu.Unlock()
+	return leaked
 }
 
 // teardown releases the deployment's platform memory — every container

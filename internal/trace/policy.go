@@ -46,8 +46,8 @@ type Signals struct {
 	// warm-floor sizing.
 	P95E2EMs      float64
 	MeanServiceMs float64
-	// SLOTargetMs is the function's p95 E2E target (FunctionLoad.SLOTargetMs,
-	// falling back to Config.SLOTargetMs; 0 = no target configured).
+	// SLOTargetMs is the function's p95 E2E target (Config.SLOTargetMs;
+	// 0 = no target configured).
 	SLOTargetMs float64
 	// Memory lazily reports the deployment's current memory accounting
 	// (FramesInUse is host-wide on shared-kernel fleets). Computing the

@@ -50,10 +50,6 @@ type FunctionLoad struct {
 	// 1 is Poisson; >1 produces bursts via a hyperexponential mixture
 	// (Azure traces show highly bursty per-function arrivals [39]).
 	Burstiness float64
-	// SLOTargetMs overrides Config.SLOTargetMs for this function (0 uses
-	// the fleet-wide target). SLO-aware policies read it via
-	// Signals.SLOTargetMs.
-	SLOTargetMs float64
 
 	// DiurnalAmplitude and DiurnalPeriod modulate the arrival rate
 	// sinusoidally around RatePerSec, as production FaaS traffic swings
@@ -119,9 +115,8 @@ type Config struct {
 	// sets the policy tick cadence (KeepAlive/2) regardless of Policy.
 	Policy Policy
 
-	// SLOTargetMs is the fleet-wide p95 E2E target in milliseconds that
-	// SLO-aware policies aim for (FunctionLoad.SLOTargetMs overrides it
-	// per function; 0 = no target).
+	// SLOTargetMs is the p95 E2E target in milliseconds that SLO-aware
+	// policies aim for, the same for every function (0 = no target).
 	SLOTargetMs float64
 
 	// SketchStats selects bounded-memory percentile sketches
@@ -241,15 +236,15 @@ type EventKind string
 
 // The fleet failure events.
 const (
-	// EventCrashWave kills every targeted container at once (a host-level
+	// EventCrashWave kills every container at once (a host-level
 	// incident); queued and future requests recover through cold starts.
 	EventCrashWave EventKind = "crash-wave"
-	// EventCorruptImage marks the targeted functions' exported snapshot
-	// images corrupted; the next clone attempt detects the checksum
+	// EventCorruptImage marks every function's exported snapshot images
+	// corrupted; the next clone attempt detects the checksum
 	// mismatch, evicts the image, and falls back to the full pipeline.
 	EventCorruptImage EventKind = "corrupt-image"
-	// EventDrain gracefully removes the targeted containers and evicts
-	// their images (host maintenance); the pools rebuild on demand.
+	// EventDrain gracefully removes every container and evicts the
+	// images (host maintenance); the pools rebuild on demand.
 	EventDrain EventKind = "drain"
 )
 
@@ -257,10 +252,8 @@ const (
 type Event struct {
 	// At is the event's offset into the window (0 <= At < Window).
 	At sim.Duration
-	// Kind selects the failure.
+	// Kind selects the failure; it strikes every function.
 	Kind EventKind
-	// Function targets one function by display name; empty targets all.
-	Function string
 }
 
 // Validate checks the configuration.
@@ -521,9 +514,6 @@ type fnState struct {
 	// coldFailStreak counts consecutive failed scale-ups; it drives the
 	// dispatcher's backoff and resets on the first success.
 	coldFailStreak int
-	// sloTargetMs is the resolved per-function target (load override, then
-	// the fleet-wide default).
-	sloTargetMs float64
 }
 
 // observeArrival records one arrival timestamp in the rate ring.
@@ -733,9 +723,6 @@ func NewDispatcher(engine *sim.Engine, cfg Config, loads []FunctionLoad, prov Pr
 		if load.RatePerSec < 0 || (load.RatePerSec == 0 && !chainFed[name]) {
 			return nil, fmt.Errorf("trace: %s: non-positive rate", name)
 		}
-		if load.SLOTargetMs < 0 {
-			return nil, fmt.Errorf("trace: %s: negative SLO target", name)
-		}
 		if load.DiurnalAmplitude < 0 || load.DiurnalAmplitude >= 1 {
 			return nil, fmt.Errorf("trace: %s: diurnal amplitude %v outside [0, 1)", name, load.DiurnalAmplitude)
 		}
@@ -751,18 +738,13 @@ func NewDispatcher(engine *sim.Engine, cfg Config, loads []FunctionLoad, prov Pr
 		if err != nil {
 			return nil, err
 		}
-		target := load.SLOTargetMs
-		if target == 0 {
-			target = cfg.SLOTargetMs
-		}
 		fs := &fnState{
-			index:       i,
-			load:        load,
-			pools:       pools,
-			policy:      fleetPolicy,
-			stats:       newFunctionStats(name, cfg.SketchStats),
-			rng:         sim.NewRand(cfg.Seed ^ uint64(i)*0x9E3779B97F4A7C15),
-			sloTargetMs: target,
+			index:  i,
+			load:   load,
+			pools:  pools,
+			policy: fleetPolicy,
+			stats:  newFunctionStats(name, cfg.SketchStats),
+			rng:    sim.NewRand(cfg.Seed ^ uint64(i)*0x9E3779B97F4A7C15),
 		}
 		if load.Policy != nil {
 			fs.policy = load.Policy
@@ -770,11 +752,6 @@ func NewDispatcher(engine *sim.Engine, cfg Config, loads []FunctionLoad, prov Pr
 		_, fs.signalFree = fs.policy.(SignalFree)
 		fs.redispatch = func() { d.dispatch(fs) }
 		d.fns = append(d.fns, fs)
-	}
-	for _, ev := range cfg.Events {
-		if ev.Function != "" && d.fn(ev.Function) == nil {
-			return nil, fmt.Errorf("trace: event %q targets unknown function %q", ev.Kind, ev.Function)
-		}
 	}
 	// Resolve each chain's stage targets against the deployed functions.
 	// Chains draw arrivals on their own streams, seeded apart from the
@@ -822,7 +799,7 @@ func (d *Dispatcher) fn(name string) *fnState {
 func (d *Dispatcher) signals(fs *fnState, now sim.Time) Signals {
 	sig := Signals{
 		QueueDepth:  fs.queueDepth(),
-		SLOTargetMs: fs.sloTargetMs,
+		SLOTargetMs: d.cfg.SLOTargetMs,
 	}
 	for _, pl := range fs.pools {
 		if pl == nil {
@@ -1226,17 +1203,14 @@ func (d *Dispatcher) EvacuatePool(fn int, pl *faas.Platform, crashed bool) {
 	fs.evictImage(pl)
 }
 
-// applyEvent executes one scheduled failure event against every targeted
-// function, then re-dispatches: a crash wave's queued requests must start
+// applyEvent executes one scheduled failure event against every function,
+// then re-dispatches: a crash wave's queued requests must start
 // their recovery cold starts at the event's time, not the next arrival's.
 func (d *Dispatcher) applyEvent(ev Event) {
 	if d.err != nil {
 		return
 	}
 	for _, fs := range d.fns {
-		if ev.Function != "" && fs.stats.Name != ev.Function {
-			continue
-		}
 		for _, pl := range fs.pools {
 			if pl == nil {
 				continue
