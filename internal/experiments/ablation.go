@@ -13,7 +13,8 @@ import (
 
 // ablationProcess builds a bare process with `pages` resident heap pages and
 // a manager in the requested options, outside the FaaS stack — the ablations
-// isolate the tracking/restore mechanism itself.
+// isolate the tracking/restore mechanism itself. Releasing the manager and
+// exiting the process frees every frame of the kernel.
 func ablationProcess(cfg Config, pages int, opts core.Options) (*kernel.Kernel, *kernel.Process, *core.Manager, error) {
 	k := kernel.New(cfg.Cost)
 	p, err := k.Spawn(kernel.ExecSpec{TextPages: 16, Threads: 1})
@@ -55,7 +56,7 @@ func AblationUFFD(cfg Config) (*metrics.Table, error) {
 		for i, tracker := range []core.TrackerKind{core.TrackSoftDirty, core.TrackUffd} {
 			opts := core.DefaultOptions()
 			opts.Tracker = tracker
-			_, p, m, err := ablationProcess(cfg, pages, opts)
+			k, p, m, err := ablationProcess(cfg, pages, opts)
 			if err != nil {
 				return nil, err
 			}
@@ -75,6 +76,8 @@ func AblationUFFD(cfg Config) (*metrics.Table, error) {
 				total += meter.Total() + st.Total
 			}
 			cost[i] = ms(total) / 3
+			m.Release()
+			k.Exit(p)
 		}
 		winner := "soft-dirty"
 		if cost[1] < cost[0] {
@@ -105,7 +108,7 @@ func AblationCoalesce(cfg Config) (*metrics.Table, error) {
 		for i, coalesce := range []bool{true, false} {
 			opts := core.DefaultOptions()
 			opts.Coalesce = coalesce
-			_, p, m, err := ablationProcess(cfg, pages, opts)
+			k, p, m, err := ablationProcess(cfg, pages, opts)
 			if err != nil {
 				return nil, err
 			}
@@ -126,6 +129,8 @@ func AblationCoalesce(cfg Config) (*metrics.Table, error) {
 				return nil, err
 			}
 			cost[i] = ms(st.PhaseDurations.Of(core.PhaseRestoreMem))
+			m.Release()
+			k.Exit(p)
 		}
 		saving := 0.0
 		if cost[1] > 0 {

@@ -116,6 +116,7 @@ func ColdStartBench(cfg Config, prof runtimes.Profile, mode isolation.Mode, stor
 		res.SpeedupX = res.FullColdStartUs / res.SteadyCloneUs
 	}
 	res.ClonePages = pl.Containers()[0].Instance().ResidentPages()
+	pl.Teardown()
 	if n := len(res.Fleet); n >= 2 {
 		first, scaled, last := res.Fleet[0], res.Fleet[1], res.Fleet[n-1]
 		res.ExportFrames = scaled.FramesInUse - first.FramesInUse

@@ -85,6 +85,7 @@ func (cfg Config) measureCell(e catalog.Entry, mode isolation.Mode) (*Cell, erro
 	if err != nil {
 		return nil, fmt.Errorf("%s/%s latency: %w", e.Prof.DisplayName(), mode, err)
 	}
+	pl.Teardown()
 	var e2e, inv, restore metrics.Summary
 	nRestores := 0
 	for _, st := range stats {
@@ -119,6 +120,7 @@ func (cfg Config) measureCell(e catalog.Entry, mode isolation.Mode) (*Cell, erro
 	if err != nil {
 		return nil, fmt.Errorf("%s/%s tput: %w", e.Prof.DisplayName(), mode, err)
 	}
+	plT.Teardown()
 	cell.Throughput = res.RequestsPerSec
 	return cell, nil
 }

@@ -39,6 +39,7 @@ func LoadSweep(cfg Config) (*metrics.Table, error) {
 	if err != nil {
 		return nil, err
 	}
+	plCap.Teardown()
 	capacity := capRes.RequestsPerSec
 
 	t := metrics.NewTable(
@@ -66,6 +67,7 @@ func LoadSweep(cfg Config) (*metrics.Table, error) {
 			if err != nil {
 				return nil, err
 			}
+			fl.Teardown()
 			st := res.PerFunction[0]
 			row = append(row, fmt.Sprintf("%.2f", st.E2E.Mean()), fmt.Sprintf("%.2f", st.E2E.Percentile(95)))
 			if mode == isolation.ModeGH {
@@ -123,6 +125,7 @@ func AblationTrust(cfg Config) (*metrics.Table, error) {
 			if err != nil {
 				return nil, err
 			}
+			pl.Teardown()
 			var e2e metrics.Summary
 			restores := 0
 			for _, st := range stats {

@@ -29,6 +29,7 @@ func (cfg Config) microPoint(mapped, dirty int, mode isolation.Mode) (solid, das
 	if err != nil {
 		return 0, 0, err
 	}
+	pl.Teardown()
 	var inv metrics.Summary
 	for _, st := range stats {
 		inv.AddDuration(st.Invoker)
@@ -45,6 +46,7 @@ func (cfg Config) microPoint(mapped, dirty int, mode isolation.Mode) (solid, das
 	if err != nil {
 		return 0, 0, err
 	}
+	plH.Teardown()
 	var cycle metrics.Summary
 	for _, st := range res.Stats {
 		cycle.AddDuration(st.Invoker + st.Cleanup)

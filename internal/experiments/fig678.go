@@ -61,6 +61,7 @@ func Fig7(cfg Config) (*metrics.Table, error) {
 				if err != nil {
 					return nil, err
 				}
+				pl.Teardown()
 				row = append(row, fmt.Sprintf("%.2f", res.RequestsPerSec))
 			}
 			t.AddRow(row...)
@@ -129,6 +130,7 @@ func Fig1ColdStart(cfg Config, prof runtimes.Profile) (*metrics.Table, error) {
 			return nil, err
 		}
 		cs := pl.Containers()[0].ColdStart()
+		pl.Teardown()
 		t.AddRow(string(mode),
 			fmt.Sprintf("%.1f", ms(cs.EnvInstantiation)),
 			fmt.Sprintf("%.1f", ms(cs.RuntimeInit)),

@@ -119,6 +119,7 @@ func Fleet(cfg Config) (*metrics.Table, error) {
 				fmt.Sprintf("%.1f", fs.E2E.Percentile(95)),
 				fmt.Sprintf("%.2f", fs.Queue.Mean()))
 		}
+		fl.Teardown()
 		t.AddRow(fmt.Sprintf("(fleet peak: %d frames)", res.PeakFrames), string(mode))
 	}
 	return t, nil

@@ -131,6 +131,7 @@ func FleetBench(cfg Config, quick bool) (FleetBenchResult, error) {
 			return FleetBenchResult{}, fmt.Errorf("%s fleet: %w", variant, err)
 		}
 		v := summarizeFleet(variant, out)
+		fl.Teardown()
 		if variant == "keepalive" {
 			res.KeepAlive = v
 		} else {

@@ -170,6 +170,7 @@ func FleetXLBench(cfg Config, quick bool) (FleetXLBenchResult, error) {
 	res.QueueP95VirtualMs = queue.Percentile(95)
 
 	res.ReachedMillionRequests = res.Requests >= 1_000_000
+	fl.Teardown()
 	return res, nil
 }
 

@@ -78,6 +78,7 @@ func PolicyBench(cfg Config, quick bool) (PolicyBenchResult, error) {
 			return PolicyBenchResult{}, fmt.Errorf("%s fleet: %w", pol.Name(), err)
 		}
 		res.Policies = append(res.Policies, summarizePolicy(pol.Name(), out, PolicyBenchSLOTargetMs))
+		fl.Teardown()
 	}
 	if slo := res.variant("slo-aware"); slo != nil && slo.MeanFramesInUse > 0 {
 		if fixed := res.variant("fixed-ttl"); fixed != nil {

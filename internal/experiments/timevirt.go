@@ -40,6 +40,7 @@ func AblationTimeVirt(cfg Config) (*metrics.Table, error) {
 			if err != nil {
 				return 0, err
 			}
+			pl.Teardown()
 			var inv metrics.Summary
 			for _, st := range stats {
 				inv.AddDuration(st.Invoker)

@@ -395,6 +395,17 @@ func (pl *Platform) EvictImage() bool {
 	return evicted
 }
 
+// Teardown takes the deployment down: every container removed, then the
+// image evicted, so the platform holds no frame of its kernel. On a kernel no
+// other platform shares, a leak-free teardown frees the last frame, and the
+// kernel's page memory goes to the next platform built (see mem.PhysMem).
+func (pl *Platform) Teardown() {
+	for len(pl.containers) > 0 {
+		pl.RemoveContainer(pl.containers[0])
+	}
+	pl.EvictImage()
+}
+
 // dropDonor ends a template's hold on its donor manager. A donor container
 // removed during the hold skipped its release in RemoveContainer, so its
 // snapshot is released here; a donor still pooled releases its own later.

@@ -9,8 +9,13 @@
 //
 // The bytes live in page buffers carved from slabs and recycled, unscrubbed,
 // through a free list; a frame that takes a recycled buffer zeroes it unless
-// it overwrites the whole page (see PhysMem). That a recycled frame shows
-// nothing of its last owner is a tested property, not a convention.
+// it overwrites the whole page (see PhysMem). Slabs outlive the PhysMem that
+// carved them: one whose every frame is freed hands its slabs, whole, to a
+// process-wide spare list — the package's only shared state — and the next
+// PhysMem to run out of slab takes one from there before asking the runtime,
+// as a host's page allocator outlives the processes it serves. That a
+// recycled frame shows nothing of its last owner, in the same PhysMem or
+// another, is a tested property, not a convention.
 package mem
 
 import (
@@ -18,6 +23,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"slices"
+	"sync"
 )
 
 const (
@@ -54,27 +60,45 @@ type frame struct {
 // (LIFO), so allocation order — and therefore every simulated outcome — is
 // unchanged run to run. Freed page buffers are kept for reuse so the
 // steady-state fault/free churn of a long simulation does not touch the Go
-// heap. Fresh ones are carved a page at a time from slabs this PhysMem
-// allocates (takeBuf), not made one by one: a cold start or a run of CoW
-// breaks first-touches thousands of frames that then stay live, and one heap
-// object per frame made the allocator and the sweeper a third of a cluster
-// simulation's CPU. A slab is slabPages(buffers carved so far) pages — it
-// grows with the pool, so a PhysMem that only ever holds a few dozen frames (a
-// live gateway's whole stack) wastes at most a few pages of slack while one
-// holding tens of thousands allocates by the megabyte. InUse and Peak count
-// live frames, whatever the slabs hold.
+// heap. Fresh ones are carved a page at a time from slabs (takeBuf), not
+// made one by one: a cold start or a run of CoW breaks first-touches
+// thousands of frames that then stay live, and one heap object per frame made
+// the allocator and the sweeper a third of a cluster simulation's CPU. A slab
+// is taken from the spare list if it holds one, else made at
+// slabPages(buffers carved so far) pages — it grows with the pool, so a
+// PhysMem that only ever holds a few dozen frames (a live gateway's whole
+// stack) wastes at most a few pages of slack while one holding tens of
+// thousands allocates by the megabyte. When Unref frees the last live frame,
+// every buffer is free, so the PhysMem hands every slab it carves from back to
+// the spare list and starts over with none. It stays usable, and its frame
+// IDs, InUse and Peak (live frames, whatever the slabs hold) are untouched:
+// only backing bytes move between PhysMems.
 //
-// PhysMem is not safe for concurrent use. The simulation is single-threaded
-// by design (see internal/sim).
+// A PhysMem is not safe for concurrent use — the simulation is
+// single-threaded by design (see internal/sim) — but distinct PhysMems may be
+// used from distinct goroutines: the spare list they share is locked.
 type PhysMem struct {
 	frames []frame   // slot 0 is NoFrame and never used
 	free   []FrameID // freed slots, reused LIFO
 	bufs   [][]byte  // released page buffers, contents intact, reused by takeBuf
+	slabs  [][]byte  // every slab carved from since the last hand-back, whole
 	slab   []byte    // the newest slab's uncarved tail
-	carved int       // page buffers carved from slabs so far
+	reused bool      // the newest slab came from the spare list: its bytes are stale
+	carved int       // page buffers carved from slabs since the last hand-back
 	// stats
 	inUse int
 	peak  int
+}
+
+// spare holds the whole slabs of PhysMems whose every frame was freed, for
+// the next PhysMem that runs out of slab. It needs no bound of its own: a slab
+// is made only while it is empty, so slab bytes, live and spare together,
+// never exceed what the process once held live. Not a sync.Pool, which drops
+// its contents within two collections: a teardown is often followed by one
+// before the next platform is built.
+var spare struct {
+	sync.Mutex
+	slabs [][]byte
 }
 
 // slabPages is the size, in pages, of the next slab given the page buffers
@@ -84,6 +108,31 @@ type PhysMem struct {
 // pool at most, 16 KiB of a small one.
 func slabPages(carved int) int {
 	return min(max(carved/32, 4), 256)
+}
+
+// takeSpare pops a slab off the spare list, or returns nil if it is empty.
+func takeSpare() []byte {
+	spare.Lock()
+	defer spare.Unlock()
+	n := len(spare.slabs)
+	if n == 0 {
+		return nil
+	}
+	s := spare.slabs[n-1]
+	spare.slabs[n-1] = nil
+	spare.slabs = spare.slabs[:n-1]
+	return s
+}
+
+// handBack gives every slab to the spare list and forgets the page buffers
+// carved from them. The caller guarantees no frame holds one (InUse is 0).
+func (p *PhysMem) handBack() {
+	spare.Lock()
+	spare.slabs = append(spare.slabs, p.slabs...)
+	spare.Unlock()
+	clear(p.slabs)
+	clear(p.bufs)
+	p.slabs, p.bufs, p.slab, p.carved = p.slabs[:0], p.bufs[:0], nil, 0
 }
 
 // New returns an empty physical memory pool.
@@ -140,7 +189,7 @@ func (p *PhysMem) Ref(id FrameID) {
 }
 
 // Unref decrements the reference count and frees the frame when it reaches
-// zero.
+// zero. Freeing the last live frame hands the slabs back (see PhysMem).
 func (p *PhysMem) Unref(id FrameID) {
 	f := p.get(id)
 	f.refs--
@@ -148,6 +197,9 @@ func (p *PhysMem) Unref(id FrameID) {
 		p.release(f)
 		p.free = append(p.free, id)
 		p.inUse--
+		if p.inUse == 0 {
+			p.handBack()
+		}
 	}
 }
 
@@ -188,9 +240,11 @@ func (p *PhysMem) materializeRaw(f *frame) []byte {
 // whose common case is a frame that already has its buffer). A released
 // buffer is reused first; it still holds its last frame's bytes and is
 // cleared here, on reuse, if the taker asks for zeros. With none, the next
-// page of the current slab is carved off — zero as the runtime allocated it,
-// capacity clipped to the page so no frame can reach its neighbour's bytes —
-// and a new slab allocated when that one is used up.
+// page of the current slab is carved off, capacity clipped to the page so no
+// frame can reach its neighbour's bytes. When that slab is used up the next
+// one is a spare if there is one — its pages hold a dead PhysMem's bytes and
+// are cleared for takers that ask for zeros, as a released buffer is — and a
+// new one, zero as the runtime allocates it, only if there is none.
 //
 //go:noinline
 func (p *PhysMem) takeBuf(f *frame, zero bool) {
@@ -203,10 +257,18 @@ func (p *PhysMem) takeBuf(f *frame, zero bool) {
 		return
 	}
 	if len(p.slab) == 0 {
-		p.slab = make([]byte, slabPages(p.carved)*PageSize)
+		p.slab = takeSpare()
+		p.reused = p.slab != nil
+		if !p.reused {
+			p.slab = make([]byte, slabPages(p.carved)*PageSize)
+		}
+		p.slabs = append(p.slabs, p.slab)
 	}
 	f.data, p.slab = p.slab[:PageSize:PageSize], p.slab[PageSize:]
 	p.carved++
+	if zero && p.reused {
+		clear(f.data)
+	}
 }
 
 // checkOffset validates an intra-frame offset for an access of size n.
@@ -268,11 +330,6 @@ func (p *PhysMem) WriteAt(id FrameID, off int, buf []byte) {
 		return
 	}
 	copy(p.materialize(f)[off:], buf)
-}
-
-// Zero resets the frame to all-zero bytes.
-func (p *PhysMem) Zero(id FrameID) {
-	p.release(p.get(id))
 }
 
 // IsZero reports whether every byte of the frame is zero.

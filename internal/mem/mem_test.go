@@ -148,16 +148,6 @@ func TestRestoreNilZeroes(t *testing.T) {
 	}
 }
 
-func TestZero(t *testing.T) {
-	p := New()
-	f := p.Alloc()
-	p.WriteWord(f, 0, 1)
-	p.Zero(f)
-	if !p.IsZero(f) {
-		t.Fatal("Zero did not clear frame")
-	}
-}
-
 func TestEqualDetectsDifference(t *testing.T) {
 	p := New()
 	a, b := p.Alloc(), p.Alloc()

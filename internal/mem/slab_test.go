@@ -3,6 +3,7 @@ package mem
 import (
 	"bytes"
 	"math/rand"
+	"sync"
 	"testing"
 	"testing/quick"
 )
@@ -23,6 +24,9 @@ type slabModel struct {
 	live map[FrameID]*modelFrame
 	ids  []FrameID // the keys of live, in allocation order (deterministic picks)
 	peak int       // most page buffers ever materialised at once
+	// spared holds every slab seen on the spare list: a slab of p's outside
+	// it is one p made.
+	spared map[*byte]bool
 }
 
 func (m *slabModel) failf(format string, args ...any) bool {
@@ -106,7 +110,7 @@ func (m *slabModel) step() []FrameID {
 		return []FrameID{id}
 	case 6:
 		id := m.pick()
-		p.Zero(id)
+		p.RestoreInto(id, nil)
 		m.live[id].data = [PageSize]byte{}
 		return []FrameID{id}
 	case 7:
@@ -155,7 +159,7 @@ func (m *slabModel) step() []FrameID {
 		lo, hi := m.extent()
 		snap := make([]byte, PageSize)
 		m.rng.Read(snap[lo:hi])
-		p.Zero(id)
+		p.RestoreInto(id, nil)
 		p.RestoreExtent(id, snap, lo, hi)
 		copy(m.live[id].data[:], snap)
 		return []FrameID{id}
@@ -178,7 +182,7 @@ func (m *slabModel) allocWritten() FrameID {
 }
 
 // check holds the given frames, and the pool's counters, to the model; all
-// is a full sweep that also looks for aliased buffers.
+// also sweeps every live frame against it.
 func (m *slabModel) check(touched []FrameID, all bool) bool {
 	p := m.p
 	if p.InUse() != len(m.live) {
@@ -186,8 +190,16 @@ func (m *slabModel) check(touched []FrameID, all bool) bool {
 	}
 	mat := p.carved - len(p.bufs)
 	m.peak = max(m.peak, mat)
-	if got, limit := p.carved+len(p.slab)/PageSize, m.peak+max(4, m.peak/32); got > limit {
-		return m.failf("%d pages of slab allocated for a peak of %d materialised frames, limit %d", got, m.peak, limit)
+	// Slabs taken from the spare list may be any size; the ones this PhysMem
+	// made itself are bounded by what it ever needed at once plus one slab.
+	made := 0
+	for _, s := range p.slabs {
+		if !m.spared[&s[0]] {
+			made += len(s) / PageSize
+		}
+	}
+	if limit := m.peak + max(4, m.peak/32); made > limit {
+		return m.failf("%d pages of slab made for a peak of %d materialised frames, limit %d", made, m.peak, limit)
 	}
 	if all {
 		touched = m.ids
@@ -220,87 +232,194 @@ func (m *slabModel) check(touched []FrameID, all bool) bool {
 			return m.failf("frame %d: buffer len %d cap %d, want one page exactly", id, len(d), cap(d))
 		}
 	}
-	if !all {
-		return true
+	return true
+}
+
+// noteSpares records every slab now on the spare list, so check can tell a
+// slab a PhysMem took from there from one it made.
+func noteSpares(spared map[*byte]bool) {
+	spare.Lock()
+	defer spare.Unlock()
+	for _, s := range spare.slabs {
+		spared[&s[0]] = true
 	}
-	// Every page buffer — a live frame's or a released one awaiting reuse —
-	// is its own page: no two start at the same byte, and with cap == PageSize
-	// none can reach into the next.
-	seen := make(map[*byte]bool, p.carved)
-	live := 0
-	note := func(d []byte, what string, id int) bool {
-		if seen[&d[0]] {
-			return m.failf("%s %d shares its page buffer with another", what, id)
+}
+
+// checkOwnership is the sweep across PhysMems: every slab page is held by one
+// PhysMem or by the spare list, never two; every page buffer — a live frame's,
+// a released one awaiting reuse, an uncarved one in a slab's tail — lies in a
+// slab of its own PhysMem and is no other buffer's; and each PhysMem's
+// counters agree with the buffers its live frames hold. No page buffer is
+// reachable from two PhysMems.
+func checkOwnership(t *testing.T, ms []*slabModel) bool {
+	t.Helper()
+	const spareOwner = -1
+	owner := map[*byte]int{}
+	hold := func(s []byte, who int) bool {
+		if len(s)%PageSize != 0 {
+			t.Errorf("slab of %d bytes is not whole pages", len(s))
+			return false
 		}
-		seen[&d[0]] = true
+		for off := 0; off < len(s); off += PageSize {
+			if prev, dup := owner[&s[off]]; dup {
+				t.Errorf("slab page held by %d and by %d", prev, who)
+				return false
+			}
+			owner[&s[off]] = who
+		}
 		return true
 	}
-	for _, id := range m.ids {
-		if d := p.frames[id].data; d != nil {
-			live++
-			if !note(d, "frame", int(id)) {
+	spare.Lock()
+	spares := append([][]byte(nil), spare.slabs...)
+	spare.Unlock()
+	for _, s := range spares {
+		if !hold(s, spareOwner) {
+			return false
+		}
+	}
+	for i, m := range ms {
+		for _, s := range m.p.slabs {
+			if !hold(s, i) {
 				return false
 			}
 		}
 	}
-	for i, d := range p.bufs {
-		if cap(d) != PageSize {
-			return m.failf("released buffer %d: cap %d, want one page", i, cap(d))
+	used := map[*byte]bool{}
+	for i, m := range ms {
+		p := m.p
+		use := func(d []byte, what string) bool {
+			if cap(d) < PageSize {
+				t.Errorf("PhysMem %d: %s of cap %d, want a page", i, what, cap(d))
+				return false
+			}
+			if who, ok := owner[&d[0]]; !ok || who != i {
+				t.Errorf("PhysMem %d: %s lies outside its own slabs", i, what)
+				return false
+			}
+			if used[&d[0]] {
+				t.Errorf("PhysMem %d: %s shares its page buffer with another", i, what)
+				return false
+			}
+			used[&d[0]] = true
+			return true
 		}
-		if !note(d, "released buffer", i) {
-			return false
+		live := 0
+		for _, id := range m.ids {
+			if d := p.frames[id].data; d != nil {
+				live++
+				if !use(d, "live frame") {
+					return false
+				}
+			}
 		}
-	}
-	if live != mat {
-		return m.failf("%d live frames hold a buffer, the pool's counters say %d", live, mat)
+		for _, d := range p.bufs {
+			if cap(d) != PageSize {
+				return m.failf("PhysMem %d: released buffer of cap %d, want one page", i, cap(d))
+			}
+			if !use(d, "released buffer") {
+				return false
+			}
+		}
+		for off := 0; off < len(p.slab); off += PageSize {
+			if !use(p.slab[off:], "slab tail page") {
+				return false
+			}
+		}
+		if mat := p.carved - len(p.bufs); live != mat {
+			return m.failf("PhysMem %d: %d live frames hold a buffer, the pool's counters say %d", i, live, mat)
+		}
 	}
 	return true
 }
 
-// TestSlabMatchesReferenceModel: whatever sequence of operations runs, every
-// read equals a plain map of refcounted pages, InUse counts the map's live
-// frames (not slab capacity), every page buffer is exactly one page that no
-// other frame or released buffer shares, and the slabs allocated never exceed
-// the most buffers ever needed at once plus one slab of slack. Sequences run
-// long enough to cross dozens of slab boundaries and, in the larger cases,
-// into the proportional part of the growth rule.
+// tearDown frees every frame of m, as a platform's teardown does, and checks
+// the PhysMem handed each of its slabs to the spare list and kept none.
+func (m *slabModel) tearDown() bool {
+	held := append([][]byte(nil), m.p.slabs...)
+	for len(m.ids) > 0 {
+		id := m.ids[len(m.ids)-1]
+		for r := m.live[id].refs; r > 0; r-- {
+			m.unref(id)
+		}
+	}
+	p := m.p
+	if p.InUse() != 0 || len(p.slabs) != 0 || len(p.bufs) != 0 || len(p.slab) != 0 || p.carved != 0 {
+		return m.failf("torn down with InUse %d: kept %d slabs, %d released buffers, %d tail bytes, carved %d",
+			p.InUse(), len(p.slabs), len(p.bufs), len(p.slab), p.carved)
+	}
+	onSpare := map[*byte]bool{}
+	noteSpares(onSpare)
+	for _, s := range held {
+		if !onSpare[&s[0]] {
+			return m.failf("a torn-down PhysMem's slab is not on the spare list")
+		}
+	}
+	noteSpares(m.spared)
+	return true
+}
+
+// TestSlabMatchesReferenceModel: whatever sequence of operations runs on two
+// PhysMems, one of them torn down mid-sequence and used again, every read
+// equals a plain map of refcounted pages, InUse counts the map's live frames
+// (not slab capacity), every page buffer is exactly one page of its own
+// PhysMem's slabs that no other frame, released buffer or PhysMem shares, the
+// teardown hands every slab to the spare list, and the slab pages a PhysMem
+// makes (rather than takes spare) never exceed the most buffers it needed at
+// once plus one slab of slack. Sequences run long enough to cross dozens of
+// slab boundaries and, in the larger cases, into the proportional part of the
+// growth rule.
 func TestSlabMatchesReferenceModel(t *testing.T) {
 	prop := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
-		m := &slabModel{t: t, rng: rng, p: New(), live: map[FrameID]*modelFrame{}}
+		spared := map[*byte]bool{}
+		noteSpares(spared)
+		ms := make([]*slabModel, 2)
+		for i := range ms {
+			ms[i] = &slabModel{t: t, rng: rng, p: New(), live: map[FrameID]*modelFrame{}, spared: spared}
+		}
 		if rng.Intn(4) == 0 {
 			// A cold start's worth of frames first: past 128 carved, slabs
 			// grow with the pool.
 			for n := 150 + rng.Intn(300); n > 0; n-- {
-				m.allocWritten()
+				ms[0].allocWritten()
 			}
 		}
-		for n := 100 + rng.Intn(900); n > 0; n-- {
+		steps := 100 + rng.Intn(900)
+		teardownAt := rng.Intn(steps)
+		for n := steps; n > 0; n-- {
+			if n == teardownAt && !ms[0].tearDown() {
+				return false
+			}
+			m := ms[rng.Intn(2)]
 			touched := m.step()
-			if !m.check(touched, n%97 == 1) {
+			noteSpares(spared)
+			if !m.check(touched, n%97 == 1) || n%97 == 1 && !checkOwnership(t, ms) {
 				return false
 			}
 		}
-		for len(m.ids) > 0 {
-			id := m.ids[len(m.ids)-1]
-			for r := m.live[id].refs; r > 0; r-- {
-				m.unref(id)
+		for _, m := range ms {
+			if !m.tearDown() || !m.check(nil, true) {
+				return false
 			}
 		}
-		return m.check(nil, true) && m.p.InUse() == 0
+		return checkOwnership(t, ms)
 	}
 	if err := quick.Check(prop, nil); err != nil {
 		t.Fatal(err)
 	}
 }
 
-// TestRecycledFramesCarryNoSecret is the wipe property at the frame level:
-// frames filled with a secret and freed leave it in their recycled buffers
-// (release does not scrub — materialize does, on reuse), so every way a frame
-// can come to hold a buffer must hide it. Frames are taken back through every
-// such entry point until the recycled buffers are used up and fresh slab pages
-// are being carved, and no byte of the secret may show outside what the caller
-// itself wrote.
+// TestRecycledFramesCarryNoSecret is the wipe property at the frame level
+// and at the host level: frames filled with a secret and freed leave it in
+// their buffers (release does not scrub — materialize does, on reuse), so
+// every way a frame can come to hold a buffer must hide it. In half the cases
+// a frame of the secret's PhysMem stays live and the secret waits in its free
+// list; in the other half every frame is freed, the PhysMem hands its slabs
+// to the spare list, and a second PhysMem — the next platform on the host —
+// takes them. Frames are taken back through every entry point until the
+// recycled buffers and slabs are used up and fresh slab pages are being
+// carved, and no byte of the secret may show outside what the caller itself
+// wrote.
 func TestRecycledFramesCarryNoSecret(t *testing.T) {
 	const secret = 0xA5
 	secrets := bytes.Repeat([]byte{secret}, PageSize)
@@ -314,18 +433,31 @@ func TestRecycledFramesCarryNoSecret(t *testing.T) {
 	}
 	prop := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
-		p := New()
+		drainSpares()
+		a := New()
+		var anchor FrameID
+		if rng.Intn(2) == 0 {
+			anchor = a.Alloc()
+		}
 		n := 1 + rng.Intn(48)
 		ids := make([]FrameID, n)
 		for i := range ids {
-			ids[i] = p.Alloc()
-			p.WriteAt(ids[i], 0, secrets)
+			ids[i] = a.Alloc()
+			a.WriteAt(ids[i], 0, secrets)
 		}
 		for _, j := range rng.Perm(n) {
-			p.Unref(ids[j])
+			a.Unref(ids[j])
+		}
+		p := a
+		if anchor == NoFrame {
+			if a.InUse() != 0 || len(a.slabs) != 0 || spareLen() == 0 {
+				t.Errorf("seed %d: PhysMem with no live frame kept its slabs", seed)
+				return false
+			}
+			p = New()
 		}
 		for fresh := 8; fresh > 0; {
-			if len(p.bufs) == 0 {
+			if len(p.bufs) == 0 && spareLen() == 0 && (len(p.slab) == 0 || !p.reused) {
 				fresh--
 			}
 			want := make([]byte, PageSize)
@@ -377,4 +509,77 @@ func TestRecycledFramesCarryNoSecret(t *testing.T) {
 	if err := quick.Check(prop, nil); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// drainSpares empties the spare list, so a test sees only the slabs its own
+// PhysMems hand back.
+func drainSpares() {
+	spare.Lock()
+	spare.slabs = nil
+	spare.Unlock()
+}
+
+// spareLen reports how many slabs wait on the spare list.
+func spareLen() int {
+	spare.Lock()
+	defer spare.Unlock()
+	return len(spare.slabs)
+}
+
+// TestPhysMemsOnManyGoroutines: PhysMems on distinct goroutines share only
+// the spare list. Each goroutine runs its own through rounds of allocate,
+// write, check, free everything, so every round ends in a hand-back and
+// starts on slabs any goroutine may have handed back. No page may show a byte
+// its own frame was not given, whoever wrote the slab before; under -race the
+// run also holds the spare list's locking.
+func TestPhysMemsOnManyGoroutines(t *testing.T) {
+	const workers, rounds = 4, 25
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			rng := rand.New(rand.NewSource(int64(w)))
+			p := New()
+			mark := bytes.Repeat([]byte{byte(w + 1)}, PageSize)
+			for r := 0; r < rounds; r++ {
+				ids := make([]FrameID, 20+rng.Intn(300))
+				want := make([][]byte, len(ids))
+				for i := range ids {
+					want[i] = make([]byte, PageSize)
+					switch rng.Intn(3) {
+					case 0: // a word: the page around it must read zero
+						off := rng.Intn(PageSize/WordSize) * WordSize
+						ids[i] = p.Alloc()
+						p.WriteWord(ids[i], off, 0x0101010101010101*uint64(w+1))
+						copy(want[i][off:off+WordSize], mark)
+					case 1: // a whole page: the raw path
+						ids[i] = p.Alloc()
+						p.RestoreInto(ids[i], mark)
+						copy(want[i], mark)
+					default: // a clone of a whole page: the raw path again
+						src := p.Alloc()
+						p.RestoreInto(src, mark)
+						ids[i] = p.Clone(src)
+						p.Unref(src)
+						copy(want[i], mark)
+					}
+				}
+				for i, id := range ids {
+					if !bytes.Equal(frameBytes(p, id), want[i]) {
+						t.Errorf("worker %d round %d: frame %d differs from what was written to it", w, r, i)
+						return
+					}
+				}
+				for _, id := range ids {
+					p.Unref(id)
+				}
+				if p.InUse() != 0 || len(p.slabs) != 0 {
+					t.Errorf("worker %d round %d: InUse %d, %d slabs kept after freeing every frame", w, r, p.InUse(), len(p.slabs))
+					return
+				}
+			}
+		}(w)
+	}
+	wg.Wait()
 }

@@ -114,22 +114,14 @@ func (s *Server) Shutdown() int {
 	return leaked
 }
 
-// teardown releases the deployment's platform memory — every container
-// removed (address spaces exited, snapshot frame references released) and
-// the exported image evicted — and returns the frames its kernel still
-// counts in use afterwards: the deployment's leak. Caller holds dep.mu.
+// teardown tears the deployment's platform down and returns the frames its
+// kernel still counts in use afterwards: the deployment's leak. Caller holds
+// dep.mu.
 func (dep *deployment) teardown() int {
 	if dep.platform == nil {
 		return 0
 	}
-	for {
-		cs := dep.platform.Containers()
-		if len(cs) == 0 {
-			break
-		}
-		dep.platform.RemoveContainer(cs[0])
-	}
-	dep.platform.EvictImage()
+	dep.platform.Teardown()
 	return dep.platform.Kern.Phys.InUse()
 }
 

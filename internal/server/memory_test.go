@@ -1,9 +1,13 @@
 package server
 
 import (
+	"errors"
 	"net/http"
 	"net/url"
+	"sync"
 	"testing"
+
+	"groundhog/internal/isolation"
 )
 
 // TestDeploymentsReportMemory: after an invocation, /deployments carries the
@@ -70,6 +74,52 @@ func TestShutdownCountsUndeployedLeaks(t *testing.T) {
 	post(t, ts.URL+"/invoke?fn="+url.QueryEscape("version (p)")+"&mode=gh", nil)
 	if leaked := s.Shutdown(); leaked != 0 {
 		t.Fatalf("second Shutdown() = %d leaked frames, want 0 from the fresh deployment", leaked)
+	}
+}
+
+// TestDeployWhileShuttingDown: deployments register, deploy and serve on
+// several goroutines while another tears the server down over and over. Each
+// deployment has its own kernel, but the page memory a torn-down one frees
+// goes to whichever deploys next, on whatever goroutine; under -race this
+// holds that hand-over. Every request is served or finds its deployment gone,
+// and no teardown leaks a frame.
+func TestDeployWhileShuttingDown(t *testing.T) {
+	s := New()
+	stop := make(chan struct{})
+	shut := make(chan int)
+	go func() {
+		leaked := 0
+		for {
+			select {
+			case <-stop:
+				shut <- leaked
+				return
+			default:
+				leaked += s.Shutdown()
+			}
+		}
+	}()
+	var wg sync.WaitGroup
+	for _, fn := range []string{"bicg (c)", "heat-3d (c)", "seidel-2d (c)", "get-time (p)"} {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for r := 0; r < 6; r++ {
+				h, err := s.DataPlane(fn, isolation.ModeGH)
+				if err == nil {
+					_, err = h.Invoke("alice")
+				}
+				if err != nil && !errors.Is(err, ErrGone) {
+					t.Errorf("%s round %d: %v", fn, r, err)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	close(stop)
+	if leaked := <-shut + s.Shutdown(); leaked != 0 {
+		t.Fatalf("teardowns racing deploys leaked %d frames", leaked)
 	}
 }
 

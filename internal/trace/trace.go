@@ -1174,22 +1174,15 @@ func (d *Dispatcher) DispatchAll() {
 // emptyPool removes every container of one of fs's pools, accounting them
 // as crashed (EventCrashes) or drained.
 func emptyPool(fs *fnState, pl *faas.Platform, crashed bool) {
-	n := removeAll(pl)
+	n := len(pl.Containers())
+	for len(pl.Containers()) > 0 {
+		pl.RemoveContainer(pl.Containers()[0])
+	}
 	if crashed {
 		fs.stats.EventCrashes += n
 	} else {
 		fs.stats.Drained += n
 	}
-}
-
-// removeAll tears down every container of a pool and reports how many.
-func removeAll(pl *faas.Platform) int {
-	n := 0
-	for len(pl.Containers()) > 0 {
-		pl.RemoveContainer(pl.Containers()[0])
-		n++
-	}
-	return n
 }
 
 // EvacuatePool takes one of function fn's pools out of service at the
@@ -1229,19 +1222,17 @@ func (d *Dispatcher) applyEvent(ev Event) {
 	}
 }
 
-// Teardown removes every container and evicts every deployment's snapshot
-// image, then reports the provider's remaining in-use frame count. On a
-// leak-free fleet — any fault plan, any event schedule — the answer is the
-// kernels' baseline (0): every frame a partial or crashed operation touched
-// was released.
+// Teardown tears every pool down (faas.Platform.Teardown), then reports the
+// provider's remaining in-use frame count. On a leak-free fleet — any fault
+// plan, any event schedule — the answer is the kernels' baseline (0): every
+// frame a partial or crashed operation touched was released, and each
+// kernel's page memory is free for the next fleet or cluster built.
 func (d *Dispatcher) Teardown() int {
 	for _, fs := range d.fns {
 		for _, pl := range fs.pools {
-			if pl == nil {
-				continue
+			if pl != nil {
+				pl.Teardown()
 			}
-			removeAll(pl)
-			pl.EvictImage()
 		}
 	}
 	return d.prov.FramesInUse()
