@@ -386,7 +386,7 @@ func (cl *Cluster) liveHosts(ds *depState) []trace.HostView {
 
 // findSource returns a live host's platform that can source a transfer of
 // the deployment's image: one already holding the exported image, or —
-// failing that — one with a pooled clone donor, whose export
+// failing that — one with a clone template not yet exported, whose export
 // Registry.Pull charges into the first pull (exactly as cloneStart
 // amortizes it into the first local clone). Nil when no host can source.
 func (cl *Cluster) findSource(ds *depState) *faas.Platform {

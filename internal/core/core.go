@@ -209,6 +209,8 @@ type Manager struct {
 	// index, offsets, arena, frame slice) so re-snapshots fill one
 	// manager-level arena instead of reallocating it each time.
 	storePool stateStore
+
+	holds int // the snapshot's holders (see Retain)
 }
 
 // NewManager attaches a manager to the function process. The process should
@@ -228,7 +230,7 @@ func attach(k *kernel.Kernel, p *kernel.Process, opts Options, meter *sim.Meter)
 	if opts.Tracker == TrackUffd {
 		p.AS.SetUffdTracking(true)
 	}
-	return &Manager{kern: k, fs: procfs.New(k), proc: p, opts: opts, tracer: tr}, nil
+	return &Manager{kern: k, fs: procfs.New(k), proc: p, opts: opts, tracer: tr, holds: 1}, nil
 }
 
 // Process returns the managed function process.
@@ -393,14 +395,18 @@ func (m *Manager) StateStoreBytes() int {
 	return m.snap.store.bytes(m.kern.Phys)
 }
 
-// Release drops the manager's snapshot, returning the StateStore's frame
-// references (CoW stores, and clone stores sharing a snapshot image's
-// frames) to physical memory. Container teardown calls it alongside the
-// process's exit: the kernel frees the address space, Release frees the
-// snapshot — together a removed container's frames all return to PhysMem.
-// The manager must not snapshot or restore afterwards.
+// Retain adds a holder of the manager's snapshot, which a new manager's
+// creator holds alone: each holder calls Release once, and the last frees it.
+func (m *Manager) Retain() { m.holds++ }
+
+// Release gives back one hold; the last drops the snapshot, returning the
+// StateStore's frame references (CoW stores, and clone stores sharing a
+// snapshot image's frames) to physical memory. Container teardown calls it
+// alongside the process's exit: the kernel frees the address space, Release
+// frees the snapshot — together a removed container's frames all return to
+// PhysMem. The manager must not snapshot or restore afterwards.
 func (m *Manager) Release() {
-	if m.snap == nil {
+	if m.holds--; m.holds > 0 || m.snap == nil {
 		return
 	}
 	m.snap.store.recycle(m.kern.Phys)

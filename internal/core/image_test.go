@@ -294,6 +294,53 @@ func TestManagerReleaseFreesCoWStore(t *testing.T) {
 	m.Release() // idempotent
 }
 
+// TestRetainKeepsSnapshotUntilLastRelease: a retained manager's snapshot
+// survives the first Release whichever holder gives it back first — the
+// container, then the template exporting from it, or the template after
+// exporting, then the container — and the last Release frees it, so the
+// kernel ends with no frame in use under both stores.
+func TestRetainKeepsSnapshotUntilLastRelease(t *testing.T) {
+	for _, store := range []core.StoreKind{core.StoreCopy, core.StoreCoW} {
+		for _, containerFirst := range []bool{true, false} {
+			t.Run(fmt.Sprintf("%v/containerFirst=%v", store, containerFirst), func(t *testing.T) {
+				opts := core.DefaultOptions()
+				opts.Store = store
+				k, p, m := cloneDonor(t, opts, 32)
+				m.Retain() // the template's hold
+				removeContainer := func() {
+					k.Exit(p)
+					m.Release()
+				}
+				if containerFirst {
+					removeContainer()
+					if !m.HasSnapshot() {
+						t.Fatal("the container's Release freed a retained snapshot")
+					}
+				}
+				img, err := m.ExportImage(nil)
+				if err != nil {
+					t.Fatal(err)
+				}
+				m.Release() // the template's hold, given back after the export
+				if containerFirst == m.HasSnapshot() {
+					t.Fatalf("snapshot kept = %v after the template's Release, want %v", m.HasSnapshot(), !containerFirst)
+				}
+				if !containerFirst {
+					removeContainer()
+				}
+				if m.HasSnapshot() {
+					t.Fatal("snapshot survived its last holder")
+				}
+				img.Release()
+				if got := k.Phys.InUse(); got != 0 {
+					t.Fatalf("%d frames in use after every holder released", got)
+				}
+				m.Release() // idempotent past the last hold
+			})
+		}
+	}
+}
+
 // TestExportImageChargesAndCuts pins the export loop per store: the copy store
 // pays SnapshotPerPage for each page with content (a materialised frame) and
 // SnapshotCoWPerPage for each zero page (a reference on the shared zero

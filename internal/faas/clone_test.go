@@ -1,6 +1,7 @@
 package faas
 
 import (
+	"reflect"
 	"testing"
 
 	"groundhog/internal/core"
@@ -9,14 +10,18 @@ import (
 	"groundhog/internal/sim"
 )
 
-// clonePlatform deploys one GH container with clone scale-out enabled.
+// clonePlatform deploys one warm container of mode with clone scale-out
+// enabled before it, so its cold start captures the clone template.
 func clonePlatform(t *testing.T, mode isolation.Mode) *Platform {
 	t.Helper()
-	pl, err := NewPlatform(kernel.Default(), testProfile(), mode, 1, 42)
+	pl, err := NewPlatformOn(sim.NewEngine(), kernel.New(kernel.Default()), testProfile(), mode, 0, 42)
 	if err != nil {
 		t.Fatal(err)
 	}
 	pl.CloneScaleOut = true
+	if _, err := pl.AddWarmContainer(); err != nil {
+		t.Fatal(err)
+	}
 	return pl
 }
 
@@ -152,40 +157,36 @@ func TestCloneFleetMemorySubLinear(t *testing.T) {
 	}
 }
 
-// TestCloneDonorEligibility: a served container is a valid donor only under
-// restoring modes — gh-nop never rolls back, so its post-request bookkeeping
-// no longer matches the snapshot image and scale-out must fall back to the
-// full pipeline; a served (and therefore restored) GH container stays
-// eligible.
+// TestCloneDonorEligibility: the template is taken by the first cold start,
+// right after its snapshot, so nothing the donor serves afterwards reaches a
+// clone. A served GH-NOP deployment, whose donor never rolls back, still
+// clones; so does a served GH one; and either clone starts from the
+// instance bookkeeping the donor had before its first request.
 func TestCloneDonorEligibility(t *testing.T) {
-	nop := clonePlatform(t, isolation.ModeGHNop)
-	if _, err := nop.InvokeOnce("a"); err != nil {
-		t.Fatal(err)
-	}
-	c, err := nop.AddContainer()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if c.ColdStart().ClonedFrom != -1 {
-		t.Fatal("served gh-nop container used as clone donor; its instance state diverged from the snapshot")
-	}
-
-	gh := clonePlatform(t, isolation.ModeGH)
-	if _, err := gh.InvokeOnce("a"); err != nil {
-		t.Fatal(err)
-	}
-	donor := gh.Containers()[0]
-	gh.Engine.RunUntil(donor.Ready()) // let the post-request restore finish
-	c, err = gh.AddContainer()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if c.ColdStart().ClonedFrom != donor.ID {
-		t.Fatalf("restored GH container rejected as donor: %+v", c.ColdStart())
-	}
-	gh.Engine.RunUntil(c.Ready())
-	if _, err := gh.Serve(c, "b"); err != nil {
-		t.Fatal(err)
+	for _, mode := range []isolation.Mode{isolation.ModeGHNop, isolation.ModeGH} {
+		t.Run(string(mode), func(t *testing.T) {
+			pl := clonePlatform(t, mode)
+			donor := pl.Containers()[0]
+			pristine := donor.Instance().CaptureState()
+			if _, err := pl.InvokeOnce("a"); err != nil {
+				t.Fatal(err)
+			}
+			pl.Engine.RunUntil(donor.Ready()) // let any post-request restore finish
+			c, err := pl.AddContainer()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if c.ColdStart().ClonedFrom != donor.ID {
+				t.Fatalf("served %s deployment did not clone from its donor: %+v", mode, c.ColdStart())
+			}
+			if !reflect.DeepEqual(c.Instance().CaptureState(), pristine) {
+				t.Fatal("clone's bookkeeping is the served donor's, not the pristine template's")
+			}
+			pl.Engine.RunUntil(c.Ready())
+			if _, err := pl.Serve(c, "b"); err != nil {
+				t.Fatal(err)
+			}
+		})
 	}
 }
 
@@ -212,18 +213,42 @@ func TestCloneSurvivesDonorRemoval(t *testing.T) {
 	}
 }
 
-// TestCloneFallsBackWithoutDonor: with every container gone before any clone
-// was taken, scale-out falls back to the full pipeline instead of failing —
-// and a platform that never clones captures no template at all.
-func TestCloneFallsBackWithoutDonor(t *testing.T) {
-	pl := clonePlatform(t, isolation.ModeGH)
-	pl.RemoveContainer(pl.Containers()[0])
-	c, err := pl.AddContainer()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if cs := c.ColdStart(); cs.ClonedFrom != -1 || cs.EnvInstantiation == 0 {
-		t.Fatalf("expected full-pipeline fallback, got %+v", cs)
+// TestCloneTemplateOutlivesItsContainer: the template holds the donor's
+// snapshot itself, so removing the only container before any clone leaves
+// the next start a clone from it, and teardown still gives back every frame
+// under both stores — and a platform that never clones captures no template
+// at all.
+func TestCloneTemplateOutlivesItsContainer(t *testing.T) {
+	for _, store := range []core.StoreKind{core.StoreCopy, core.StoreCoW} {
+		t.Run(store.String(), func(t *testing.T) {
+			kern := kernel.New(kernel.Default())
+			pl, err := NewPlatformOn(sim.NewEngine(), kern, testProfile(), isolation.ModeGH, 0, 42)
+			if err != nil {
+				t.Fatal(err)
+			}
+			pl.CloneScaleOut = true
+			pl.Store = store
+			donor, err := pl.AddWarmContainer()
+			if err != nil {
+				t.Fatal(err)
+			}
+			pl.RemoveContainer(donor)
+			c, err := pl.AddContainer()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if cs := c.ColdStart(); cs.ClonedFrom != donor.ID {
+				t.Fatalf("start after the donor's removal did not clone from it: %+v", cs)
+			}
+			pl.Engine.RunUntil(c.Ready())
+			if _, err := pl.Serve(c, ""); err != nil {
+				t.Fatal(err)
+			}
+			pl.Teardown()
+			if got := kern.Phys.InUse(); got != 0 {
+				t.Fatalf("%d frames in use after teardown", got)
+			}
+		})
 	}
 
 	// A platform with CloneScaleOut off must not retain donor state: the
@@ -284,12 +309,10 @@ func TestEvictImageReturnsFrames(t *testing.T) {
 
 // TestEvictImageSafeWithLiveClones: eviction only drops the image's own
 // frame references; containers already cloned from it keep theirs and stay
-// serviceable. A surviving container then seeds the re-export — the next
-// scale-up captures a fresh template from it instead of replaying the full
-// pipeline, so the donor role migrates rather than resetting.
+// serviceable. No pooled container is recaptured: the next scale-up replays
+// the full pipeline, and that cold start captures the new template.
 func TestEvictImageSafeWithLiveClones(t *testing.T) {
 	pl := clonePlatform(t, isolation.ModeGH)
-	donor := pl.Containers()[0]
 	clone, err := pl.AddContainer()
 	if err != nil {
 		t.Fatal(err)
@@ -302,14 +325,19 @@ func TestEvictImageSafeWithLiveClones(t *testing.T) {
 		t.Fatalf("clone broken by eviction: %v", err)
 	}
 
-	// The original donor is still pooled and pristine: the re-export after
-	// eviction captures it again.
+	full, err := pl.AddContainer()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if cs := full.ColdStart(); cs.ClonedFrom != -1 || cs.EnvInstantiation == 0 {
+		t.Fatalf("start after eviction did not run the full pipeline: %+v", cs)
+	}
 	recloned, err := pl.AddContainer()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if recloned.ColdStart().ClonedFrom != donor.ID {
-		t.Fatalf("re-export after eviction failed: %+v", recloned.ColdStart())
+	if recloned.ColdStart().ClonedFrom != full.ID {
+		t.Fatalf("the full start after eviction captured no template: %+v", recloned.ColdStart())
 	}
 	pl.Engine.RunUntil(recloned.Ready())
 	if _, err := pl.Serve(recloned, ""); err != nil {

@@ -13,12 +13,8 @@ var (
 	// ErrNoContainers reports an invoke against a deployment whose pool is
 	// empty (scaled to zero, or drained by crashes).
 	ErrNoContainers = errors.New("faas: no containers")
-	// ErrNoDonor reports a clone-template capture that found no eligible
-	// donor in the pool (tainted, quarantined, or non-cloneable containers
-	// do not qualify).
-	ErrNoDonor = errors.New("faas: no clone donor available")
-	// ErrImageEvicted reports a clone attempt against a snapshot image whose
-	// frames were already released.
+	// ErrImageEvicted reports an adopted snapshot image whose frames were
+	// already released.
 	ErrImageEvicted = errors.New("faas: snapshot image evicted")
 	// ErrImageCorrupt reports a snapshot image that failed its integrity
 	// check; the platform evicts it and falls back to the full pipeline.

@@ -19,7 +19,6 @@ package faas
 import (
 	"errors"
 	"fmt"
-	"slices"
 	"time"
 
 	"groundhog/internal/core"
@@ -80,7 +79,7 @@ type ColdStartStats struct {
 	Clone sim.Duration
 	// ClonedFrom is the donor container's ID, or -1 after a full cold
 	// start. RemoteDonorID marks a clone from a template pulled from
-	// another host rather than captured from a pooled sibling.
+	// another host rather than captured by a local full cold start.
 	ClonedFrom int
 	// Transfer is the cross-host image-pull delay this container's scale-up
 	// waited for (folded into Total by ChargeColdStartDelay); zero for local
@@ -163,13 +162,14 @@ type Platform struct {
 	// every rollback.
 	VirtualizeTime bool
 
-	// CloneScaleOut enables snapshot-clone cold starts: the first container
-	// of the deployment runs the full Fig. 1 pipeline, and every later
-	// AddContainer is spawned from its snapshot image — env, runtime and
-	// data initialization are skipped, and the clone maps the donor
-	// snapshot's frames copy-on-write, so fleet memory grows with what
-	// containers dirty rather than with the container count. Off by
-	// default: the paper's experiments measure full cold starts.
+	// CloneScaleOut enables snapshot-clone cold starts: the deployment's
+	// first full Fig. 1 pipeline captures the clone template, and every
+	// later AddContainer is spawned from its snapshot image — env, runtime
+	// and data initialization are skipped, and the clone maps the image's
+	// frames copy-on-write, so fleet memory grows with what containers dirty
+	// rather than with the container count. Like Store, it must be set
+	// before the first container is created. Off by default: the paper's
+	// experiments measure full cold starts.
 	CloneScaleOut bool
 
 	// Store selects the StateStore implementation (§5.5) for the snapshotting
@@ -186,16 +186,12 @@ type Platform struct {
 	nextContainerID int
 	coldSummary     ColdStartSummary
 
-	// template is the deployment's clone source, captured lazily on the
-	// first clone request (never when CloneScaleOut is off, so disabled
-	// platforms retain no donor state). The expensive image export happens
-	// lazily too; once captured, the template stays valid even after the
-	// donor container is removed.
+	// template is the deployment's clone source, captured right after its
+	// snapshot by the full cold start that finds none (never when
+	// CloneScaleOut is off). Its image is exported lazily, by the first clone
+	// or pull; it outlives the donor container.
 	template *cloneTemplate
 
-	// quarantined holds donor container IDs banned from further clone
-	// donation after repeated clone failures (see QuarantineAfter).
-	quarantined map[int]bool
 	// recovery accumulates the deployment's failure-recovery counters.
 	recovery RecoveryStats
 
@@ -225,7 +221,7 @@ type RecoveryStats struct {
 	// ImageIntegrityFailures counts clone attempts aborted by the image
 	// checksum (the image is evicted each time).
 	ImageIntegrityFailures int
-	// DonorsQuarantined counts donors banned after repeated clone failures.
+	// DonorsQuarantined counts templates evicted after repeated failures.
 	DonorsQuarantined int
 }
 
@@ -238,18 +234,17 @@ func (pl *Platform) Recovery() RecoveryStats { return pl.recovery }
 // dispatchers test ClonedFrom >= 0, which holds.
 const RemoteDonorID = 1 << 20
 
-// cloneTemplate is the donor material for snapshot-clone cold starts: the
-// manager whose snapshot will be exported (nil once it has been, and for an
-// adopted template), the donor instance's warm bookkeeping (captured while
-// pristine, immediately after strategy Init), and the lazily-exported image
-// shared by all clones.
+// cloneTemplate is the source of snapshot-clone cold starts: the donor
+// manager, retained until its snapshot is exported (nil after, and for an
+// adopted template), the donor instance's pristine warm bookkeeping, and the
+// lazily exported image shared by all clones.
 type cloneTemplate struct {
 	donorID int
 	donor   *core.Manager
 	state   runtimes.ImageState
 	image   *core.SnapshotImage
 	// failures counts clone attempts this template has failed; at
-	// QuarantineAfter the donor is quarantined and the template dropped.
+	// QuarantineAfter it is evicted.
 	failures int
 }
 
@@ -295,7 +290,7 @@ func NewPlatformOn(eng *sim.Engine, kern *kernel.Kernel, prof runtimes.Profile, 
 
 // AddWarmContainer cold-starts one more container with constructor
 // semantics: it is ready immediately, as if pre-warmed before the
-// simulation's window opened. Fleets that must configure the platform
+// simulation's window opened. Callers that must configure the platform
 // (Store, CloneScaleOut) before the first container exists deploy with zero
 // constructor containers and call this for the warm floor.
 func (pl *Platform) AddWarmContainer() (*Container, error) {
@@ -356,14 +351,10 @@ func (pl *Platform) AddContainer() (*Container, error) {
 // its function process and releasing its memory — both the address space
 // (kernel exit) and whatever the strategy holds (snapshot frame references of
 // CoW and clone-shared stores, a fork child orphaned mid-request), so a
-// removed clone's share of the image frames goes back to the pool. A manager
-// currently held as the deployment's not-yet-exported clone template is kept
-// alive: its snapshot is the donor material future clones are exported from.
+// removed clone's share of the image frames goes back to the pool.
 func (pl *Platform) RemoveContainer(c *Container) {
 	pl.Kern.Exit(c.inst.Proc)
-	if t := pl.template; t == nil || t.donor == nil || t.donor != c.strat.Manager() {
-		c.strat.Release()
-	}
+	c.strat.Release()
 	for i, x := range pl.containers {
 		if x == c {
 			pl.containers = append(pl.containers[:i], pl.containers[i+1:]...)
@@ -376,8 +367,8 @@ func (pl *Platform) RemoveContainer(c *Container) {
 // image — the scale-to-zero policy: with no containers left, the exported
 // image's materialized frames are the deployment's only remaining physical
 // memory, and a provider reclaims them after a long-enough idle period. The
-// next scale-up runs the full Fig. 1 pipeline again and re-exports lazily on
-// the next clone. Returns true when an exported image was actually released
+// next scale-up runs the full Fig. 1 pipeline again, which captures the next
+// template. Returns true when an exported image was actually released
 // (platforms that never cloned hold no image). Safe to call at any time:
 // containers already cloned from the image keep their own frame references.
 func (pl *Platform) EvictImage() bool {
@@ -386,13 +377,14 @@ func (pl *Platform) EvictImage() bool {
 		return false
 	}
 	pl.template = nil
-	evicted := false
-	if t.image != nil {
-		t.image.Release()
-		evicted = true
+	if t.donor != nil {
+		t.donor.Release()
 	}
-	pl.dropDonor(t)
-	return evicted
+	if t.image == nil {
+		return false
+	}
+	t.image.Release()
+	return true
 }
 
 // Teardown takes the deployment down: every container removed, then the
@@ -404,17 +396,6 @@ func (pl *Platform) Teardown() {
 		pl.RemoveContainer(pl.containers[0])
 	}
 	pl.EvictImage()
-}
-
-// dropDonor ends a template's hold on its donor manager. A donor container
-// removed during the hold skipped its release in RemoveContainer, so its
-// snapshot is released here; a donor still pooled releases its own later.
-func (pl *Platform) dropDonor(t *cloneTemplate) {
-	isDonor := func(c *Container) bool { return c.strat.Manager() == t.donor }
-	if t.donor != nil && !slices.ContainsFunc(pl.containers, isDonor) {
-		t.donor.Release()
-	}
-	t.donor = nil
 }
 
 // Serve executes one request from the given caller on container c at the
@@ -431,25 +412,24 @@ func (pl *Platform) Mode() isolation.Mode { return pl.mode }
 // Containers returns the warm containers.
 func (pl *Platform) Containers() []*Container { return pl.containers }
 
-// coldStart initializes one new container: the full Fig. 1 pipeline, or —
-// when clone scale-out is enabled and a sibling snapshot exists — the
-// snapshot-clone fast path. A clone-path failure (injected spawn/export
-// fault, integrity failure, evicted image) penalizes the template and falls
-// back to the full pipeline instead of failing the scale-up.
+// coldStart initializes one new container: the snapshot-clone fast path when
+// the deployment holds a clone template, else the full Fig. 1 pipeline —
+// which, under clone scale-out with no template, captures one right after
+// its snapshot. A clone-path failure (injected spawn/export fault, integrity
+// failure) penalizes the template and falls back to the full pipeline
+// instead of failing the scale-up.
 func (pl *Platform) coldStart(id int, seed uint64) (*Container, error) {
-	if pl.CloneScaleOut {
-		if tmpl := pl.cloneSource(); tmpl != nil {
-			c, err := pl.cloneStart(id, seed, tmpl)
-			if err == nil {
-				return c, nil
-			}
-			if !errors.Is(err, faults.ErrInjected) &&
-				!errors.Is(err, ErrImageCorrupt) && !errors.Is(err, ErrImageEvicted) {
-				return nil, err
-			}
-			pl.noteCloneFailure(tmpl, err)
-			pl.recovery.CloneFallbacks++
+	if pl.CloneSourceReady() {
+		tmpl := pl.template
+		c, err := pl.cloneStart(id, seed, tmpl)
+		if err == nil {
+			return c, nil
 		}
+		if !errors.Is(err, faults.ErrInjected) && !errors.Is(err, ErrImageCorrupt) {
+			return nil, err
+		}
+		pl.noteCloneFailure(tmpl, err)
+		pl.recovery.CloneFallbacks++
 	}
 	cost := pl.Kern.Cost
 	m := sim.NewMeter()
@@ -488,6 +468,13 @@ func (pl *Platform) coldStart(id int, seed uint64) (*Container, error) {
 	}
 	sim.ChargeTo(m, stratInit)
 
+	// The snapshot just taken is the deployment's clone template if it has
+	// none: the template's hold keeps the snapshot past this container.
+	if mgr := strat.Manager(); pl.CloneScaleOut && pl.template == nil && mgr != nil {
+		mgr.Retain()
+		pl.template = &cloneTemplate{donorID: id, donor: mgr, state: inst.CaptureState()}
+	}
+
 	c := &Container{
 		ID:    id,
 		inst:  inst,
@@ -504,80 +491,12 @@ func (pl *Platform) coldStart(id int, seed uint64) (*Container, error) {
 	return c, nil
 }
 
-// cloneSource returns the deployment's clone template, capturing it from a
-// live container on first use. A pristine container (one that has served no
-// requests) is preferred: its instance bookkeeping is exactly the
-// snapshot-time state, so a clone behaves like a fully-initialized sibling
-// from its very first request. Failing that, a quiescent, untainted
-// container of a *restoring* mode works — its instance sits in the
-// post-restore state the snapshot image reproduces. Served gh-nop
-// containers never qualify: they roll nothing back, so their bookkeeping
-// (churn regions, leak counters) references state the snapshot does not
-// hold. Tainted containers (a deferred rollback under the trusted-caller
-// optimization) are never donors for the same reason. With no eligible
-// donor the caller falls back to the full pipeline.
-func (pl *Platform) cloneSource() *cloneTemplate {
-	if pl.template != nil {
-		return pl.template
-	}
-	donor := pl.findDonor()
-	if donor == nil {
-		return nil
-	}
-	pl.template = &cloneTemplate{
-		donorID: donor.ID,
-		donor:   donor.strat.Manager(),
-		state:   donor.inst.CaptureState(),
-	}
-	return pl.template
-}
-
-// findDonor scans the pool for a clone-eligible donor (see cloneSource for
-// the eligibility rules) without capturing anything.
-func (pl *Platform) findDonor() *Container {
-	var donor *Container
-	for _, c := range pl.containers {
-		if c.tainted || pl.quarantined[c.ID] {
-			continue
-		}
-		if c.strat.Manager() == nil {
-			continue // BASE and fork record no snapshot to clone from
-		}
-		if c.requests == 0 {
-			return c
-		}
-		if donor == nil && c.strat.Mode() != isolation.ModeGHNop {
-			donor = c
-		}
-	}
-	return donor
-}
-
 // CloneSourceReady reports whether a scale-up right now would take the
-// snapshot-clone fast path: clone scale-out is enabled and either the
-// template is already captured (its image outlives every container) or an
-// eligible donor sits in the pool. Read-only — unlike cloneSource it
-// captures nothing. Scheduling policies read it to decide whether scaling
-// to zero is cheap to undo.
+// snapshot-clone fast path: clone scale-out is enabled and the deployment
+// holds a clone template, which outlives every container. Scheduling
+// policies read it to decide whether scaling to zero is cheap to undo.
 func (pl *Platform) CloneSourceReady() bool {
-	if !pl.CloneScaleOut {
-		return false
-	}
-	return pl.template != nil || pl.findDonor() != nil
-}
-
-// EnsureCloneTemplate captures the deployment's clone template now, if
-// clone scale-out is enabled and a donor is available, and reports whether
-// a template exists after the call. Scale-to-zero policies that keep the
-// snapshot image call this before removing the last container: the
-// template (and the snapshot it will be exported from) survives the
-// donor's removal, so the next scale-up clones instead of replaying the
-// Fig. 1 pipeline.
-func (pl *Platform) EnsureCloneTemplate() bool {
-	if !pl.CloneScaleOut {
-		return false
-	}
-	return pl.cloneSource() != nil
+	return pl.CloneScaleOut && pl.template != nil
 }
 
 // cloneStart is the snapshot-clone cold start: spawn the container's process
@@ -591,9 +510,6 @@ func (pl *Platform) cloneStart(id int, seed uint64, tmpl *cloneTemplate) (*Conta
 
 	if err := pl.exportTemplate(tmpl, m); err != nil {
 		return nil, err
-	}
-	if tmpl.image.Released() {
-		return nil, fmt.Errorf("faas: clone from container %d: %w", tmpl.donorID, ErrImageEvicted)
 	}
 	// Injected frame corruption (bit-rot between export and clone) lands
 	// here; the integrity check below is what detects it — the same check
@@ -626,10 +542,10 @@ func (pl *Platform) cloneStart(id int, seed uint64, tmpl *cloneTemplate) (*Conta
 }
 
 // exportTemplate materializes the template's snapshot image if it has not
-// been exported yet, charging the export to meter. Once exported the donor
-// manager is dropped: it was only needed for the export, and a removed
-// donor's snapshot (the CoW store's frame references) goes back to the
-// pool while the image lives on.
+// been exported yet, charging the export to meter. Once exported the
+// template releases its hold on the donor manager: the snapshot was only
+// needed for the export, and a removed donor's snapshot (the CoW store's
+// frame references) goes back to the pool while the image lives on.
 func (pl *Platform) exportTemplate(tmpl *cloneTemplate, m *sim.Meter) error {
 	if tmpl.image != nil {
 		return nil
@@ -639,7 +555,8 @@ func (pl *Platform) exportTemplate(tmpl *cloneTemplate, m *sim.Meter) error {
 		return fmt.Errorf("faas: clone export from container %d: %w", tmpl.donorID, err)
 	}
 	tmpl.image = img
-	pl.dropDonor(tmpl)
+	tmpl.donor.Release()
+	tmpl.donor = nil
 	return nil
 }
 
@@ -649,29 +566,22 @@ func (pl *Platform) exportTemplate(tmpl *cloneTemplate, m *sim.Meter) error {
 // bit to go stale.
 func (pl *Platform) HasImage() bool {
 	t := pl.template
-	return t != nil && t.image != nil && !t.image.Released()
+	return t != nil && t.image != nil
 }
 
-// EnsureExportedImage captures the deployment's clone template if needed and
-// exports its snapshot image now, charging any export work to meter — the
+// EnsureExportedImage exports the deployment's clone template's snapshot
+// image now, if it has not been yet, charging any export work to meter — the
 // transfer-source side of a cross-host image pull, where the export cost is
 // amortized into the first pull exactly as cloneStart amortizes it into the
-// first local clone. Fails with ErrNoDonor when no eligible donor is pooled
-// and no template survives, and with a plain error when clone scale-out is
-// off.
+// first local clone. Fails when the deployment holds no template (or clone
+// scale-out is off).
 func (pl *Platform) EnsureExportedImage(m *sim.Meter) (*core.SnapshotImage, runtimes.ImageState, error) {
-	if !pl.CloneScaleOut {
-		return nil, runtimes.ImageState{}, fmt.Errorf("faas: clone scale-out disabled")
+	if !pl.CloneSourceReady() {
+		return nil, runtimes.ImageState{}, fmt.Errorf("faas: export image: no clone template")
 	}
-	tmpl := pl.cloneSource()
-	if tmpl == nil {
-		return nil, runtimes.ImageState{}, fmt.Errorf("faas: export image: %w", ErrNoDonor)
-	}
+	tmpl := pl.template
 	if err := pl.exportTemplate(tmpl, m); err != nil {
 		return nil, runtimes.ImageState{}, err
-	}
-	if tmpl.image.Released() {
-		return nil, runtimes.ImageState{}, fmt.Errorf("faas: export image: %w", ErrImageEvicted)
 	}
 	return tmpl.image, tmpl.state, nil
 }
@@ -724,26 +634,23 @@ func (pl *Platform) ChargeColdStartDelay(c *Container, d sim.Duration, transfer 
 }
 
 // QuarantineAfter is the number of clone failures a template tolerates
-// before its donor is quarantined: the donor's ID is banned from further
-// donation and the template dropped, so the next clone attempt recaptures
-// from a different (presumably healthy) container.
+// before it is quarantined: evicted, so the next scale-up replays the full
+// pipeline and that cold start captures a fresh template. A failed donor is
+// never captured again.
 const QuarantineAfter = 3
 
 // noteCloneFailure penalizes the template after a failed clone attempt. An
-// unusable image (integrity failure, eviction) is dropped immediately — the
-// next scale-up recaptures from a live donor or replays the pipeline.
-// Other failures count against the donor until it is quarantined.
+// image that fails its integrity check is evicted immediately; other
+// failures count against the template until it is quarantined. Once the
+// template is gone, the failing scale-up's fallback pipeline captures the
+// next one.
 func (pl *Platform) noteCloneFailure(tmpl *cloneTemplate, err error) {
-	if errors.Is(err, ErrImageCorrupt) || errors.Is(err, ErrImageEvicted) {
+	if errors.Is(err, ErrImageCorrupt) {
 		pl.EvictImage()
 		return
 	}
 	tmpl.failures++
 	if tmpl.failures >= QuarantineAfter {
-		if pl.quarantined == nil {
-			pl.quarantined = make(map[int]bool)
-		}
-		pl.quarantined[tmpl.donorID] = true
 		pl.recovery.DonorsQuarantined++
 		pl.EvictImage()
 	}

@@ -55,12 +55,15 @@ func TestInvokeOnceNoContainersSentinel(t *testing.T) {
 	}
 }
 
+// TestEnsureExportedImageNoDonor: a deployment without a clone template —
+// clone scale-out off, or a mode that records no snapshot — has no image to
+// export and says so with a plain error.
 func TestEnsureExportedImageNoDonor(t *testing.T) {
-	pl := newPlatform(t, isolation.ModeFork, 1)
-	pl.CloneScaleOut = true
-	_, _, err := pl.EnsureExportedImage(nil)
-	if !errors.Is(err, ErrNoDonor) {
-		t.Fatalf("fork pool export = %v, want ErrNoDonor", err)
+	if _, _, err := newPlatform(t, isolation.ModeGH, 1).EnsureExportedImage(nil); err == nil {
+		t.Fatal("export with clone scale-out off succeeded")
+	}
+	if _, _, err := clonePlatform(t, isolation.ModeFork).EnsureExportedImage(nil); err == nil {
+		t.Fatal("fork pool export succeeded")
 	}
 	gh := clonePlatform(t, isolation.ModeGH)
 	if _, _, err := gh.EnsureExportedImage(nil); err != nil {

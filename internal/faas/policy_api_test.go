@@ -51,40 +51,27 @@ func TestColdStartSummarySplitsPaths(t *testing.T) {
 	}
 }
 
-// TestCloneSourceReadyIsReadOnly: the readiness probe never captures the
-// template, and goes false when cloning is off or the pool holds no donor.
-func TestCloneSourceReadyIsReadOnly(t *testing.T) {
-	pl := newPlatform(t, isolation.ModeGH, 1)
-	if pl.CloneSourceReady() {
-		t.Fatal("ready with clone scale-out disabled")
+// TestCloneSourceReadyIffTemplate: a scale-up clones exactly when the
+// deployment holds a clone template. There is none with clone scale-out off
+// or under a mode without a snapshot; the first cold start captures one; it
+// survives scale to zero, so the revival clones; and after eviction the next
+// full cold start captures the next one.
+func TestCloneSourceReadyIffTemplate(t *testing.T) {
+	off := newPlatform(t, isolation.ModeGH, 1)
+	if off.CloneSourceReady() || off.template != nil {
+		t.Fatal("a template with clone scale-out disabled")
 	}
-	pl.CloneScaleOut = true
-	if !pl.CloneSourceReady() {
-		t.Fatal("not ready despite a pristine donor in the pool")
+	if clonePlatform(t, isolation.ModeBase).CloneSourceReady() {
+		t.Fatal("a template on a mode that records no snapshot")
 	}
-	if pl.template != nil {
-		t.Fatal("readiness probe captured the template")
-	}
-	pl.RemoveContainer(pl.Containers()[0])
-	if pl.CloneSourceReady() {
-		t.Fatal("ready with no donor and no template")
-	}
-}
 
-// TestEnsureCloneTemplateSurvivesScaleToZero is the faas-level half of the
-// image-retention policy: capturing the template before removing the last
-// container keeps the revival path a clone.
-func TestEnsureCloneTemplateSurvivesScaleToZero(t *testing.T) {
 	pl := clonePlatform(t, isolation.ModeGH)
-	if !pl.EnsureCloneTemplate() {
-		t.Fatal("no template captured despite an eligible donor")
+	if !pl.CloneSourceReady() {
+		t.Fatal("the first cold start captured no template")
 	}
 	pl.RemoveContainer(pl.Containers()[0])
-	if len(pl.Containers()) != 0 {
-		t.Fatal("pool not empty")
-	}
 	if !pl.CloneSourceReady() {
-		t.Fatal("template did not survive the donor's removal")
+		t.Fatal("template did not survive scale to zero")
 	}
 	c, err := pl.AddContainer()
 	if err != nil {
@@ -93,27 +80,14 @@ func TestEnsureCloneTemplateSurvivesScaleToZero(t *testing.T) {
 	if c.ColdStart().ClonedFrom < 0 {
 		t.Fatal("revival from zero replayed the pipeline")
 	}
-	// Without the capture, the same sequence must fall back to the full
-	// pipeline.
-	pl2 := clonePlatform(t, isolation.ModeGH)
-	pl2.RemoveContainer(pl2.Containers()[0])
-	c2, err := pl2.AddContainer()
-	if err != nil {
+	pl.EvictImage()
+	if pl.CloneSourceReady() {
+		t.Fatal("ready after eviction")
+	}
+	if c, err = pl.AddContainer(); err != nil {
 		t.Fatal(err)
 	}
-	if c2.ColdStart().ClonedFrom >= 0 {
-		t.Fatal("clone with no donor and no template")
-	}
-}
-
-// TestEnsureCloneTemplateDisabled: a no-op on platforms without clone
-// scale-out — they must retain no donor state.
-func TestEnsureCloneTemplateDisabled(t *testing.T) {
-	pl := newPlatform(t, isolation.ModeGH, 1)
-	if pl.EnsureCloneTemplate() {
-		t.Fatal("captured a template with clone scale-out disabled")
-	}
-	if pl.template != nil {
-		t.Fatal("disabled platform retained donor state")
+	if c.ColdStart().ClonedFrom >= 0 || !pl.CloneSourceReady() {
+		t.Fatalf("start after eviction: %+v, ready %v; want a full start that captures", c.ColdStart(), pl.CloneSourceReady())
 	}
 }

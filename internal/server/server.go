@@ -358,7 +358,7 @@ type DeploymentInfo struct {
 	// Recovery counters (faas.RecoveryStats): how often this deployment's
 	// failures were absorbed — cold-start retries, clone→pipeline
 	// fallbacks, crashes, post-response restore faults, integrity
-	// failures, quarantined donors. All zero on a fault-free platform.
+	// failures, quarantined templates. All zero on a fault-free platform.
 	ColdStartRetries       int `json:"cold_start_retries"`
 	CloneFallbacks         int `json:"clone_fallbacks"`
 	Crashes                int `json:"crashes"`

@@ -378,8 +378,8 @@ type HostView struct {
 	// Host is the host's cluster-wide ID.
 	Host int
 	// CloneReady reports whether a scale-up on this host would take the
-	// clone fast path right now — an image is resident or an eligible donor
-	// is pooled (faas.Platform.CloneSourceReady).
+	// clone fast path right now — the host holds a clone template
+	// (faas.Platform.CloneSourceReady).
 	CloneReady bool
 	// Busy is how many of the deployment's containers on this host cannot
 	// serve right now (mid-request, restoring or still cold-starting).

@@ -973,10 +973,9 @@ func (d *Dispatcher) sampleFrames(now, deadline sim.Time) {
 //
 // Tier two (scale-to-zero): with no queued requests, the last container is
 // removed when Policy.Reap(last=true) says so. Policy.EvictImage then
-// decides whether the deployment's snapshot images go too — on every pool;
-// a policy that keeps them has the clone template captured first on the
-// last container's pool (EnsureCloneTemplate), so the next scale-up revives
-// the function at clone cost instead of replaying the pipeline.
+// decides whether the deployment's snapshot images go too — on every pool.
+// A kept clone template outlives the last container, so the next scale-up
+// revives the function at clone cost instead of replaying the pipeline.
 //
 // In tier one a container that never served measures idleness from
 // Ready() — the time it became able to serve. An orphaned scale-up (its
@@ -1045,12 +1044,6 @@ func (d *Dispatcher) reapIdle(fs *fnState, now sim.Time) {
 		return
 	}
 	evict := fs.policy.EvictImage(sig)
-	if !evict {
-		// Keep the revival path cheap: capture the donor template before
-		// the donor disappears. The template (and its snapshot) survives
-		// the container's removal.
-		lastPool.EnsureCloneTemplate()
-	}
 	lastPool.RemoveContainer(last)
 	fs.stats.Reaped++
 	fs.stats.ScaledToZero++
