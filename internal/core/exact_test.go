@@ -2,6 +2,7 @@ package core
 
 import (
 	"math"
+	"reflect"
 	"slices"
 
 	"groundhog/internal/vm"
@@ -93,9 +94,22 @@ func (m *Manager) exactPlan() {
 // lostFrame reports whether clean page vpn is no longer on the frame it had
 // at the last clear: it is not resident, or it carries a soft-dirty extent —
 // which a page that is not soft-dirty only does when it became resident
-// since (a page born during the epoch carries the whole page).
+// since (a page born during the epoch carries the whole page). Only vm's own
+// writes read the extent, so the reference reads the entry's two fields by
+// reflection rather than through an exported accessor.
 func lostFrame(as *vm.AddressSpace, vpn uint64) bool {
 	pte, ok := as.PTEAt(vpn)
-	lo, hi := pte.Extent()
-	return !ok || hi > lo
+	e := reflect.ValueOf(pte)
+	return !ok || e.Field(pteHi).Uint() > e.Field(pteLo).Uint()
+}
+
+// pteLo and pteHi index vm.PTE's extent fields.
+var pteLo, pteHi = pteField("lo"), pteField("hi")
+
+func pteField(name string) int {
+	f, ok := reflect.TypeOf(vm.PTE{}).FieldByName(name)
+	if !ok {
+		panic("core: vm.PTE has no field " + name)
+	}
+	return f.Index[0]
 }

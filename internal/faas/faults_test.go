@@ -8,6 +8,7 @@ import (
 	"groundhog/internal/faults"
 	"groundhog/internal/isolation"
 	"groundhog/internal/kernel"
+	"groundhog/internal/mem"
 	"groundhog/internal/sim"
 )
 
@@ -219,10 +220,12 @@ func TestChecksumDetectsRealFrameCorruption(t *testing.T) {
 		t.Fatal("no frame to corrupt")
 	}
 	frames := pl.Kern.Phys
-	var buf [8]byte
-	frames.ReadAt(pte.Frame, 0, buf[:])
-	buf[0] ^= 0xFF
-	frames.WriteAt(pte.Frame, 0, buf[:])
+	page := frames.Snapshot(pte.Frame)
+	if page == nil {
+		page = make([]byte, mem.PageSize)
+	}
+	page[0] ^= 0xFF
+	frames.RestoreInto(pte.Frame, page)
 	if img.Verify(0, nil) {
 		t.Fatal("verification passed over corrupted frame bytes")
 	}

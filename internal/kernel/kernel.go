@@ -198,6 +198,3 @@ func (k *Kernel) Process(pid int) (*Process, bool) {
 	p, ok := k.procs[pid]
 	return p, ok
 }
-
-// NumProcesses reports the number of live processes.
-func (k *Kernel) NumProcesses() int { return len(k.procs) }

@@ -33,14 +33,14 @@ func TestRestoreExtentCopiesOnlyTheExtent(t *testing.T) {
 
 		p := New()
 		f, s := p.Alloc(), p.Alloc()
-		p.WriteAt(f, 0, old)
+		p.writeAt(f, 0, old)
 		p.RestoreExtent(f, src, lo, hi)
 		if !bytes.Equal(frameBytes(p, f), want) {
 			t.Errorf("RestoreExtent [%d,%d): frame is not old outside the extent and src inside it", lo, hi)
 		}
 
-		p.WriteAt(f, 0, old)
-		p.WriteAt(s, 0, src)
+		p.writeAt(f, 0, old)
+		p.writeAt(s, 0, src)
 		p.CopyExtent(f, s, lo, hi)
 		if !bytes.Equal(frameBytes(p, f), want) {
 			t.Errorf("CopyExtent [%d,%d): frame is not old outside the extent and src inside it", lo, hi)
@@ -54,7 +54,7 @@ func TestRestoreExtentCopiesOnlyTheExtent(t *testing.T) {
 func TestRestoreExtentIntoLazyZeroFrame(t *testing.T) {
 	p := New()
 	stale := p.Alloc()
-	p.WriteAt(stale, 0, patterned(0x30))
+	p.writeAt(stale, 0, patterned(0x30))
 	p.Unref(stale) // its buffer goes to the reuse pool, contents intact
 
 	f := p.Alloc()
@@ -91,7 +91,7 @@ func TestRestoreExtentEmptyIsNoOp(t *testing.T) {
 	p := New()
 	lazy, full := p.Alloc(), p.Alloc()
 	old := patterned(0x50)
-	p.WriteAt(full, 0, old)
+	p.writeAt(full, 0, old)
 	for _, off := range []int{0, 64, PageSize} {
 		p.RestoreExtent(lazy, patterned(0x60), off, off)
 		p.RestoreExtent(full, nil, off, off)
@@ -112,10 +112,10 @@ func TestFullExtentEqualsRunCopies(t *testing.T) {
 		p := New()
 		dst := []FrameID{p.Alloc(), p.Alloc(), p.Alloc()}
 		src := []FrameID{p.Alloc(), p.Alloc(), p.Alloc()}
-		p.WriteAt(dst[0], 0, patterned(1)) // content <- content
-		p.WriteAt(src[0], 0, patterned(2))
-		p.WriteAt(dst[1], 0, patterned(3)) // content <- lazily zero
-		p.WriteAt(src[2], 0, patterned(4)) // lazily zero <- content
+		p.writeAt(dst[0], 0, patterned(1)) // content <- content
+		p.writeAt(src[0], 0, patterned(2))
+		p.writeAt(dst[1], 0, patterned(3)) // content <- lazily zero
+		p.writeAt(src[2], 0, patterned(4)) // lazily zero <- content
 		return p, dst, src
 	}
 	same := func(what string, p, q *PhysMem, a, b []FrameID) {

@@ -322,16 +322,6 @@ func isZeroBytes(buf []byte) bool {
 	return bytes.Equal(buf, zeroPage[:len(buf)])
 }
 
-// WriteAt copies buf into frame bytes [off, off+len(buf)).
-func (p *PhysMem) WriteAt(id FrameID, off int, buf []byte) {
-	checkOffset(off, len(buf))
-	f := p.get(id)
-	if f.data == nil && isZeroBytes(buf) {
-		return
-	}
-	copy(p.materialize(f)[off:], buf)
-}
-
 // IsZero reports whether every byte of the frame is zero.
 func (p *PhysMem) IsZero(id FrameID) bool {
 	f := p.get(id)

@@ -105,7 +105,7 @@ func (m *slabModel) step() []FrameID {
 		id := m.pick()
 		lo, hi := m.extent()
 		buf := m.bytesIn(hi - lo)
-		p.WriteAt(id, lo, buf)
+		p.writeAt(id, lo, buf)
 		copy(m.live[id].data[lo:], buf)
 		return []FrameID{id}
 	case 6:
@@ -132,7 +132,7 @@ func (m *slabModel) step() []FrameID {
 		}
 		lo, hi := m.extent()
 		p.Copy(dst, src)
-		p.WriteAt(dst, lo, m.bytesIn(hi-lo))
+		p.writeAt(dst, lo, m.bytesIn(hi-lo))
 		p.CopyExtent(dst, src, lo, hi)
 		m.live[dst].data = m.live[src].data
 		return []FrameID{dst, src}
@@ -145,7 +145,7 @@ func (m *slabModel) step() []FrameID {
 			snap = m.bytesIn(PageSize)
 		}
 		p.RestoreInto(id, snap)
-		p.WriteAt(id, lo, m.bytesIn(hi-lo))
+		p.writeAt(id, lo, m.bytesIn(hi-lo))
 		p.RestoreExtent(id, snap, lo, hi)
 		m.live[id].data = [PageSize]byte{}
 		copy(m.live[id].data[:], snap)
@@ -443,7 +443,7 @@ func TestRecycledFramesCarryNoSecret(t *testing.T) {
 		ids := make([]FrameID, n)
 		for i := range ids {
 			ids[i] = a.Alloc()
-			a.WriteAt(ids[i], 0, secrets)
+			a.writeAt(ids[i], 0, secrets)
 		}
 		for _, j := range rng.Perm(n) {
 			a.Unref(ids[j])
@@ -472,7 +472,7 @@ func TestRecycledFramesCarryNoSecret(t *testing.T) {
 			case 1: // a partial write into a zero frame
 				id = p.Alloc()
 				copy(want[lo:hi], plain(rng, hi-lo))
-				p.WriteAt(id, lo, want[lo:hi])
+				p.writeAt(id, lo, want[lo:hi])
 			case 2: // a partial restore into a zero frame
 				id = p.Alloc()
 				copy(want[lo:hi], plain(rng, hi-lo))
@@ -488,7 +488,7 @@ func TestRecycledFramesCarryNoSecret(t *testing.T) {
 			case 5: // a clone of a written frame: the raw path again
 				src := p.Alloc()
 				copy(want[lo:hi], plain(rng, hi-lo))
-				p.WriteAt(src, lo, want[lo:hi])
+				p.writeAt(src, lo, want[lo:hi])
 				id = p.Clone(src)
 				p.Unref(src)
 			default: // nothing but a read

@@ -54,12 +54,6 @@ func (s *Summary) AddDuration(d time.Duration) {
 // N returns the number of samples.
 func (s *Summary) N() int { return len(s.samples) }
 
-// Samples returns a copy of the accumulated samples, for pooling several
-// summaries into one (fleet-wide percentiles over per-function summaries).
-func (s *Summary) Samples() []float64 {
-	return append([]float64(nil), s.samples...)
-}
-
 // Mean returns the arithmetic mean (0 for no samples).
 func (s *Summary) Mean() float64 {
 	if len(s.samples) == 0 {
@@ -85,14 +79,6 @@ func (s *Summary) Std() float64 {
 		ss += d * d
 	}
 	return math.Sqrt(ss / float64(n))
-}
-
-// CoV returns the coefficient of variation in percent.
-func (s *Summary) CoV() float64 {
-	if m := s.Mean(); m != 0 {
-		return 100 * s.Std() / m
-	}
-	return 0
 }
 
 func (s *Summary) ensureSorted() {
@@ -211,9 +197,6 @@ func (t *Table) AddRow(cells ...string) {
 func (t *Table) AddRowf(format string, cells ...interface{}) {
 	t.AddRow(strings.Split(fmt.Sprintf(format, cells...), "\t")...)
 }
-
-// NumRows returns the number of data rows.
-func (t *Table) NumRows() int { return len(t.rows) }
 
 // Render returns the aligned table as a string.
 func (t *Table) Render() string {

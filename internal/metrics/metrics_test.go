@@ -26,7 +26,7 @@ func TestSummaryBasics(t *testing.T) {
 
 func TestSummaryEmpty(t *testing.T) {
 	var s Summary
-	if s.Mean() != 0 || s.Std() != 0 || s.Median() != 0 || s.Percentile(95) != 0 || s.Min() != 0 || s.Max() != 0 || s.CoV() != 0 {
+	if s.Mean() != 0 || s.Std() != 0 || s.Median() != 0 || s.Percentile(95) != 0 || s.Min() != 0 || s.Max() != 0 {
 		t.Fatal("empty summary not all-zero")
 	}
 }
@@ -185,15 +185,6 @@ func TestAddDuration(t *testing.T) {
 	}
 }
 
-func TestCoV(t *testing.T) {
-	var s Summary
-	s.Add(10)
-	s.Add(10)
-	if s.CoV() != 0 {
-		t.Fatalf("CoV of constant = %v", s.CoV())
-	}
-}
-
 func TestRelOverheadAndRatio(t *testing.T) {
 	if got := RelOverheadPct(110, 100); math.Abs(got-10) > 1e-9 {
 		t.Fatalf("rel overhead = %v", got)
@@ -224,8 +215,8 @@ func TestTableRender(t *testing.T) {
 	if len(lines) != 5 { // title, header, separator, two rows
 		t.Fatalf("lines = %d:\n%s", len(lines), out)
 	}
-	if tb.NumRows() != 2 {
-		t.Fatalf("NumRows = %d", tb.NumRows())
+	if len(tb.rows) != 2 {
+		t.Fatalf("rows = %d", len(tb.rows))
 	}
 }
 

@@ -257,7 +257,7 @@ func TestNewSummaryDoesNotMutateCaller(t *testing.T) {
 	}
 	// Samples preserves insertion order too.
 	s.Add(2)
-	got := s.Samples()
+	got := s.samples
 	want := []float64{9, 1, 7, 3, 5, 2}
 	for i := range want {
 		if got[i] != want[i] {

@@ -49,9 +49,6 @@ var (
 	RuntimeNode   = RuntimeProfile{Name: "node", MemoryFactor: 2.5, DirtyFactor: 1.8, WarmupExtra: 300 * time.Millisecond}
 )
 
-// Zero reports whether the overlay is the zero value (no overlay).
-func (rp RuntimeProfile) Zero() bool { return rp == RuntimeProfile{} }
-
 // Validate sanity-checks the overlay's knobs.
 func (rp RuntimeProfile) Validate() error {
 	if rp.MemoryFactor < 0 || rp.DirtyFactor < 0 {

@@ -86,9 +86,6 @@ func TestRuntimeProfileZeroIsIdentity(t *testing.T) {
 	if got := RuntimeBinary.Apply(prof); got != prof {
 		t.Fatalf("binary overlay changed the profile: %+v -> %+v", prof, got)
 	}
-	if !(RuntimeProfile{}).Zero() || RuntimeBinary.Zero() {
-		t.Fatal("Zero() must distinguish the unset overlay from named ones")
-	}
 }
 
 // TestRuntimeProfileScalesFootprint: the interpreted overlays grow memory,

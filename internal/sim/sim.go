@@ -168,5 +168,3 @@ func (e *Engine) RunUntil(deadline Time) {
 // Pending events remain queued.
 func (e *Engine) Stop() { e.stopped = true }
 
-// Pending reports the number of queued events.
-func (e *Engine) Pending() int { return len(e.events) }

@@ -38,7 +38,7 @@ func wantExtent(t *testing.T, as *AddressSpace, vpn uint64, lo, hi int) {
 	if !ok {
 		t.Fatalf("page %#x not resident", vpn)
 	}
-	if gotLo, gotHi := pte.Extent(); gotLo != lo || gotHi != hi {
+	if gotLo, gotHi := pte.extent(); gotLo != lo || gotHi != hi {
 		t.Fatalf("page %#x extent = [%d,%d), want [%d,%d)", vpn, gotLo, gotHi, lo, hi)
 	}
 }
@@ -88,7 +88,7 @@ func TestExtentWholeOnEveryBirthPath(t *testing.T) {
 	})
 	t.Run("poke of a non-resident page", func(t *testing.T) {
 		for _, poke := range []func(as *AddressSpace, vpn uint64){
-			func(as *AddressSpace, vpn uint64) { as.PokePage(vpn, nil) },
+			func(as *AddressSpace, vpn uint64) { as.pokePage(vpn, nil) },
 			func(as *AddressSpace, vpn uint64) { as.PokePageRun(vpn, 1, nil) },
 			func(as *AddressSpace, vpn uint64) {
 				f := as.Phys().Alloc()
@@ -310,7 +310,7 @@ func TestExtentBoundsEveryWrittenByte(t *testing.T) {
 				if !ok {
 					continue
 				}
-				lo, hi := pte.Extent()
+				lo, hi := pte.extent()
 				if pte.SoftDirty && hi == lo {
 					t.Logf("step %d: page %d soft-dirty with an empty extent", step, i)
 					return false
@@ -389,7 +389,7 @@ func TestExtentBoundsEveryWrittenByte(t *testing.T) {
 					if !ok {
 						continue
 					}
-					if lo, hi := pte.Extent(); lo != 0 || hi != 0 || pte.SoftDirty {
+					if lo, hi := pte.extent(); lo != 0 || hi != 0 || pte.SoftDirty {
 						t.Logf("step %d: page %d not reset by ClearSoftDirty", step, j)
 						return false
 					}

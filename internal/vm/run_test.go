@@ -27,7 +27,7 @@ func TestPokePageRunMatchesPerPagePokes(t *testing.T) {
 	}
 	asRun.PokePageRun(base+2, 4, data)
 	for i := 0; i < 4; i++ {
-		asOne.PokePage(base+2+uint64(i), data[i*mem.PageSize:(i+1)*mem.PageSize])
+		asOne.pokePage(base+2+uint64(i), data[i*mem.PageSize:(i+1)*mem.PageSize])
 	}
 	for i := uint64(0); i < 8; i++ {
 		got, want := asRun.PeekPage(base+i), asOne.PeekPage(base+i)
@@ -87,7 +87,7 @@ func TestPeekPageIntoMatchesPeekPage(t *testing.T) {
 	as.WriteWord(PageAddr(base), 0xAA)  // materialized content
 	as.TouchPage(base + 1)              // resident, lazily zero
 	as.WriteWord(PageAddr(base+2), 0x1) // materialize...
-	as.PokePage(base+2, nil)            // ...then reset to lazy zero
+	as.pokePage(base+2, nil)            // ...then reset to lazy zero
 	buf := make([]byte, mem.PageSize)
 
 	zero, ok := as.PeekPageInto(base, buf)

@@ -51,12 +51,6 @@ type PTE struct {
 	lo, hi uint16
 }
 
-// Extent returns the page's soft-dirty extent: the byte range [lo, hi) that
-// may differ from the page's contents at the last ClearSoftDirty. lo == hi
-// means nothing has been written. A page can carry an extent without its
-// SoftDirty bit: it became resident during the epoch and was only read.
-func (p PTE) Extent() (lo, hi int) { return int(p.lo), int(p.hi) }
-
 // widen grows the extent to cover [lo, hi).
 func (p *PTE) widen(lo, hi int) {
 	if p.hi == 0 {
@@ -640,16 +634,6 @@ func (as *AddressSpace) pokePTE(vpn uint64) *PTE {
 	}
 	pte.cow = false
 	return pte
-}
-
-// PokePage overwrites page vpn with data (nil means all-zero), materializing
-// a private frame if needed. This is ptrace's arbitrary kernel-side write: a
-// whole-page copy whatever the page's extent. It breaks CoW sharing without
-// charging function-side fault costs and leaves soft-dirty state — bit and
-// extent — to the caller.
-func (as *AddressSpace) PokePage(vpn uint64, data []byte) {
-	pte := as.pokePTE(vpn)
-	as.phys.RestoreInto(pte.Frame, data)
 }
 
 // PokePageRun rolls the n consecutive pages starting at startVPN back to

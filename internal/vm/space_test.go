@@ -8,6 +8,21 @@ import (
 	"groundhog/internal/sim"
 )
 
+// extent returns the page's soft-dirty extent: the byte range [lo, hi) that
+// may differ from the page's contents at the last ClearSoftDirty. lo == hi
+// means nothing has been written. A page can carry an extent without its
+// SoftDirty bit: it became resident during the epoch and was only read.
+func (p PTE) extent() (lo, hi int) { return int(p.lo), int(p.hi) }
+
+// pokePage overwrites page vpn with data (nil means all-zero), materializing
+// a private frame if needed: ptrace's arbitrary kernel-side write, a
+// whole-page copy whatever the page's extent, leaving soft-dirty state — bit
+// and extent — as it was.
+func (as *AddressSpace) pokePage(vpn uint64, data []byte) {
+	pte := as.pokePTE(vpn)
+	as.phys.RestoreInto(pte.Frame, data)
+}
+
 // newTestSpace returns an address space with a text segment, a heap, and a
 // stack, using free costs.
 func newTestSpace(t *testing.T) *AddressSpace {
@@ -191,11 +206,11 @@ func TestPeekPokeBypassTracking(t *testing.T) {
 	if snap == nil {
 		t.Fatal("PeekPage returned nil for written page")
 	}
-	as.PokePage(vpn, nil) // zero it
+	as.pokePage(vpn, nil) // zero it
 	if as.ReadWord(heap) != 0 {
 		t.Fatal("PokePage(nil) did not zero")
 	}
-	as.PokePage(vpn, snap)
+	as.pokePage(vpn, snap)
 	if as.ReadWord(heap) != 77 {
 		t.Fatal("PokePage did not restore contents")
 	}
