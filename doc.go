@@ -109,7 +109,10 @@
 // environment instantiation, runtime initialization, data initialization,
 // snapshot — even though siblings of the same function end up with
 // byte-identical snapshots. Scale-out now clones instead: the deployment's
-// first container runs the pipeline once and its manager exports a
+// first container runs the pipeline once, its cold start captures the clone
+// template right after the snapshot (the manager, kept alive past the
+// container by core.Manager.Retain, and the instance's pristine
+// bookkeeping), and the first clone exports from it a
 // core.SnapshotImage (for the CoW state store, references to the already
 // frozen frames; for the copy store, frames materialized once from the
 // arena, with all-zero pages sharing a single lazily-zero frame, like the
@@ -125,8 +128,9 @@
 // actually dirty rather than with the container count.
 //
 // faas.Platform gates the path behind CloneScaleOut (the paper's experiments
-// measure full cold starts); with it enabled, AddContainer clones from the
-// sibling snapshot, ColdStartStats.ClonedFrom names the donor, and
+// measure full cold starts; set it before the first container); with it
+// enabled, AddContainer clones from the template, ColdStartStats.ClonedFrom
+// names the donor, and
 // Platform.Memory reports the fleet's state-store bytes, resident pages, and
 // cross-container shared frames (also surfaced per deployment by
 // cmd/ghserve's /deployments endpoint). The equivalence guarantee — a cloned
@@ -151,7 +155,8 @@
 // the deployment's snapshot image (core.SnapshotImage has one holder;
 // frames return to PhysMem once no clone references them — pinned by
 // TestEvictImageReturnsFrames and TestFleetScaleToZeroEvictsImage). The next
-// scale-up re-runs the full pipeline and re-exports lazily. The fleet
+// scale-up re-runs the full pipeline, which captures the next template, and
+// the first clone after it re-exports. The fleet
 // comparison — keep-alive-only vs. clone scale-out under identical bursty
 // arrivals — is exported as a benchmark that writes BENCH_fleet.json:
 //

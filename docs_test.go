@@ -1,10 +1,15 @@
 // Docs checks, run by the CI docs job: every relative markdown link must
-// resolve to a file in the repository, and every ```go fence must hold
+// resolve to a file in the repository, every Go name the reference docs put
+// in inline code must be declared, and every ```go fence must hold
 // gofmt-clean Go (a whole file, or a fragment of declarations/statements).
 package groundhog_test
 
 import (
+	"encoding/json"
+	"go/ast"
 	"go/format"
+	"go/parser"
+	"go/token"
 	"os"
 	"path/filepath"
 	"regexp"
@@ -141,6 +146,147 @@ func TestDocsBenchReferencesResolve(t *testing.T) {
 }
 
 var anyFence = regexp.MustCompile("(?s)```.*?```")
+
+// docName matches an inline-code span that names a Go declaration:
+// `pkg.Ident`, then any `.Method` or `.Field` after it.
+var docName = regexp.MustCompile(`^([a-z][a-z0-9]*)\.([A-Za-z_]\w*(?:\.[A-Za-z_]\w*)*)$`)
+
+// TestDocsNamesResolve holds the reference docs to the code: in every
+// inline-code span of ARCHITECTURE.md and bench/README.md that reads
+// pkg.Ident[.Ident…] where internal/pkg exists, Ident must be declared at
+// the top level of that package (a test or fuzz target counts), and every
+// later identifier must be a method or field declared in it. A renamed test
+// or a method that never existed fails here instead of misleading a reader.
+// The benchmark's metric names (BENCHMARK.json) share the dotted shape and
+// are not Go names.
+func TestDocsNamesResolve(t *testing.T) {
+	blob, err := os.ReadFile("BENCHMARK.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var bench struct {
+		EndToEnd []struct{ Name string } `json:"end_to_end"`
+		PerLayer []struct{ Name string } `json:"per_layer"`
+	}
+	if err := json.Unmarshal(blob, &bench); err != nil {
+		t.Fatal(err)
+	}
+	metric := map[string]bool{}
+	for _, m := range append(bench.EndToEnd, bench.PerLayer...) {
+		metric[m.Name] = true
+	}
+	pkgs := map[string]declaredNames{}
+	for _, f := range []string{"ARCHITECTURE.md", "bench/README.md"} {
+		blob, err := os.ReadFile(f)
+		if err != nil {
+			t.Fatal(err)
+		}
+		prose := anyFence.ReplaceAllString(string(blob), "")
+		for _, m := range codeSpan.FindAllStringSubmatch(prose, -1) {
+			name := docName.FindStringSubmatch(m[1])
+			if name == nil || metric[m[1]] {
+				continue
+			}
+			dir := filepath.Join("internal", name[1])
+			if fi, err := os.Stat(dir); err != nil || !fi.IsDir() {
+				continue
+			}
+			decl, ok := pkgs[dir]
+			if !ok {
+				decl = parseDeclaredNames(t, dir)
+				pkgs[dir] = decl
+			}
+			idents := strings.Split(name[2], ".")
+			if !decl.top[idents[0]] {
+				t.Errorf("%s: `%s`: %s declares no %s", f, m[1], dir, idents[0])
+			}
+			for _, id := range idents[1:] {
+				if !decl.members[id] {
+					t.Errorf("%s: `%s`: %s declares no method or field %s", f, m[1], dir, id)
+				}
+			}
+		}
+	}
+}
+
+// declaredNames is what one package declares: its top-level names, and the
+// names of the methods, struct fields and interface methods declared in it.
+type declaredNames struct{ top, members map[string]bool }
+
+// parseDeclaredNames reads dir's Go files. Of its test files only the Test
+// and Fuzz functions count: the rest is scaffolding docs do not name.
+func parseDeclaredNames(t *testing.T, dir string) declaredNames {
+	t.Helper()
+	d := declaredNames{top: map[string]bool{}, members: map[string]bool{}}
+	files, err := filepath.Glob(filepath.Join(dir, "*.go"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	fset := token.NewFileSet()
+	for _, path := range files {
+		f, err := parser.ParseFile(fset, path, nil, parser.SkipObjectResolution)
+		if err != nil {
+			t.Fatal(err)
+		}
+		test := strings.HasSuffix(path, "_test.go")
+		for _, decl := range f.Decls {
+			switch decl := decl.(type) {
+			case *ast.FuncDecl:
+				name := decl.Name.Name
+				switch {
+				case test && !strings.HasPrefix(name, "Test") && !strings.HasPrefix(name, "Fuzz"):
+				case decl.Recv != nil:
+					d.members[name] = true
+				default:
+					d.top[name] = true
+				}
+			case *ast.GenDecl:
+				if test {
+					continue
+				}
+				for _, spec := range decl.Specs {
+					switch spec := spec.(type) {
+					case *ast.TypeSpec:
+						d.top[spec.Name.Name] = true
+						switch typ := spec.Type.(type) {
+						case *ast.StructType:
+							addFieldNames(d.members, typ.Fields)
+						case *ast.InterfaceType:
+							addFieldNames(d.members, typ.Methods)
+						}
+					case *ast.ValueSpec:
+						for _, n := range spec.Names {
+							d.top[n.Name] = true
+						}
+					}
+				}
+			}
+		}
+	}
+	return d
+}
+
+// addFieldNames records a field list's names; an embedded field is named
+// by its type.
+func addFieldNames(names map[string]bool, fields *ast.FieldList) {
+	for _, f := range fields.List {
+		for _, n := range f.Names {
+			names[n.Name] = true
+		}
+		if len(f.Names) == 0 {
+			typ := f.Type
+			if star, ok := typ.(*ast.StarExpr); ok {
+				typ = star.X
+			}
+			switch typ := typ.(type) {
+			case *ast.Ident:
+				names[typ.Name] = true
+			case *ast.SelectorExpr:
+				names[typ.Sel.Name] = true
+			}
+		}
+	}
+}
 
 var goFence = regexp.MustCompile("(?s)```go\n(.*?)```")
 

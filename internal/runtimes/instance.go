@@ -186,9 +186,13 @@ func (in *Instance) WarmUp(meter *sim.Meter) {
 // NotifyRestored tells the instance its process state was rolled back to
 // the snapshot: leaked state is gone and time-dependent runtime machinery
 // (GC clocks, lazily rebuilt caches) will re-warm during the next request.
+// The rollback unmapped the request's churn regions and put back the ones
+// the warm-up mapped before the snapshot; those stay mapped but are no
+// longer tracked, so no later request unmaps them. A clone starts from the
+// pristine template, which still tracks them.
 func (in *Instance) NotifyRestored() {
 	in.leakedRequests = 0
-	in.churn = in.churn[:0] // the churn regions were unmapped by the rollback
+	in.churn = in.churn[:0]
 	in.justRestored = true
 }
 

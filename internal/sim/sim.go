@@ -167,4 +167,3 @@ func (e *Engine) RunUntil(deadline Time) {
 // Stop halts Run/RunUntil after the currently executing event returns.
 // Pending events remain queued.
 func (e *Engine) Stop() { e.stopped = true }
-
