@@ -10,8 +10,10 @@
 // a pair passes iff it is byte-identical. Nothing is tolerated and nothing
 // is ignored — an improvement needs a deliberate re-baseline exactly like a
 // regression. On a mismatch both documents are flattened into path -> leaf
-// maps (array elements by index, e.g. "[0].fleet[2].frames_in_use") and the
-// report names every leaf that moved, vanished or appeared, and by how much.
+// maps (array elements by index, e.g. "[0].fleet[2].frames_in_use"; a key
+// that is empty or holds '.', '[' or '"' is quoted; an empty array or object
+// is a leaf of its own) and the report names every leaf that moved, vanished
+// or appeared, and by how much.
 package benchdiff
 
 import (
@@ -185,17 +187,29 @@ func flattenDoc(doc []byte) (map[string]string, error) {
 	return leaves, nil
 }
 
+// flatten records v's leaves under path. Every node gets its own path, so no
+// two leaves share one and the report never depends on map order: keys the
+// path syntax could misread are quoted, and an empty container, which has
+// no leaves below it, is a leaf itself.
 func flatten(path string, v any, out map[string]string) {
 	switch x := v.(type) {
 	case map[string]any:
+		if len(x) == 0 {
+			out[path] = "{}"
+		}
 		for k, sub := range x {
-			p := k
-			if path != "" {
-				p = path + "." + k
+			if k == "" || strings.ContainsAny(k, `.["`) {
+				k = strconv.Quote(k)
 			}
-			flatten(p, sub, out)
+			if path != "" {
+				k = path + "." + k
+			}
+			flatten(k, sub, out)
 		}
 	case []any:
+		if len(x) == 0 {
+			out[path] = "[]"
+		}
 		for i, sub := range x {
 			flatten(fmt.Sprintf("%s[%d]", path, i), sub, out)
 		}

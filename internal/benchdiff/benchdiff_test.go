@@ -1,8 +1,10 @@
 package benchdiff
 
 import (
+	"bytes"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 )
@@ -133,6 +135,50 @@ func TestUnpairedFilesFail(t *testing.T) {
 	if _, err := CompareDirs(t.TempDir(), t.TempDir()); err == nil {
 		t.Error("two directories without a single BENCH_*.json compared clean")
 	}
+}
+
+// TestEveryLeafHasItsOwnPath: a key holding the path syntax's '.', and an
+// empty key under which a top-level key's name reappears, no longer make two
+// leaves share a path — the report names the one that moved — and an empty
+// array and an empty object are leaves that differ from each other.
+func TestEveryLeafHasItsOwnPath(t *testing.T) {
+	cases := []struct{ old, new, path, reason string }{
+		{`{"a.b":1,"a":{"b":2}}`, `{"a.b":1,"a":{"b":3}}`, "a.b", "moved +1"},
+		{`{"a.b":1,"a":{"b":2}}`, `{"a.b":4,"a":{"b":2}}`, `"a.b"`, "moved +3"},
+		{`{"":{"x":1},"x":2}`, `{"":{"x":5},"x":2}`, `"".x`, "moved +4"},
+		{`{"x":[]}`, `{"x":{}}`, "x", "changed"},
+		{`{"x":[]}`, `{"x":[0]}`, "x", "vanished"},
+	}
+	for _, c := range cases {
+		vs, err := Compare([]byte(c.old), []byte(c.new))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(vs) == 0 || vs[0].Path != c.path || !strings.Contains(vs[0].Reason, c.reason) {
+			t.Errorf("%s -> %s: got %v, want a violation at %s saying %q first", c.old, c.new, vs, c.path, c.reason)
+		}
+	}
+}
+
+// FuzzCompare holds Compare to its contract on arbitrary pairs: it never
+// panics; it reports neither a violation nor an error iff the documents are
+// byte-identical; and calling it again reports the same, so no report
+// depends on map iteration order. The corpus under testdata/fuzz carries
+// pairs whose paths used to collide.
+func FuzzCompare(f *testing.F) {
+	f.Add([]byte(baseline), []byte(strings.Replace(baseline, `862.28`, `862.29`, 1)))
+	f.Fuzz(func(t *testing.T, old, new []byte) {
+		vs, err := Compare(old, new)
+		if clean := err == nil && len(vs) == 0; clean != bytes.Equal(old, new) {
+			t.Fatalf("byte-identical %v, but Compare reported %v (err %v)", !clean, vs, err)
+		}
+		for i := 0; i < 8; i++ {
+			again, againErr := Compare(old, new)
+			if !reflect.DeepEqual(again, vs) || (againErr == nil) != (err == nil) {
+				t.Fatalf("call %d reported %v (err %v); the first %v (err %v)", i+2, again, againErr, vs, err)
+			}
+		}
+	})
 }
 
 func TestMalformedJSONRejected(t *testing.T) {
