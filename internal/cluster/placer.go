@@ -9,7 +9,7 @@ import (
 // host, so cluster runs reproduce byte-identically.
 
 // LocalityAware places scale-ups by start-cost class, the tentpole signal:
-// a host that can clone right now (image resident or donor pooled) beats a
+// a host that can clone right now (it holds a clone template) beats a
 // host whose pull is still in flight (joining it costs only the remaining
 // wait), which beats a host that must pay a fresh transfer or the full
 // Fig. 1 pipeline. Ties break to the host with the fewest busy containers

@@ -230,7 +230,7 @@ func (pl *Platform) Recovery() RecoveryStats { return pl.recovery }
 
 // RemoteDonorID is the ColdStartStats.ClonedFrom sentinel for containers
 // cloned from an adopted (cross-host transferred) template: there is no
-// pooled donor container to name, but the start still took the clone path —
+// local donor container to name, but the start still took the clone path —
 // dispatchers test ClonedFrom >= 0, which holds.
 const RemoteDonorID = 1 << 20
 

@@ -35,8 +35,7 @@ type Signals struct {
 	MeanFullColdMs  float64
 	MeanCloneColdMs float64
 	// CloneReady reports whether a scale-up right now would take the
-	// snapshot-clone fast path (an exported image, a captured template, or
-	// an eligible donor in the pool).
+	// snapshot-clone fast path (the deployment holds a clone template).
 	CloneReady bool
 	// P95E2EMs summarizes recent end-to-end latency (including queueing) in
 	// milliseconds, over a sliding window of the last latencyWindow

@@ -339,7 +339,7 @@ type FunctionStats struct {
 	// ColdStartRetries / RetryBackoff / CloneFallbacks / DonorsQuarantined /
 	// ImageIntegrityFailures mirror the platform's RecoveryStats: in-pipeline
 	// retries (and their summed backoff), clone attempts that fell back to
-	// the full pipeline, donors quarantined after repeated clone failures,
+	// the full pipeline, templates quarantined after repeated clone failures,
 	// and checksum mismatches detected at clone time.
 	ColdStartRetries       int
 	RetryBackoff           sim.Duration
