@@ -51,25 +51,48 @@ func TestColdStartSummarySplitsPaths(t *testing.T) {
 	}
 }
 
-// TestCloneSourceReadyIffTemplate: a scale-up clones exactly when the
-// deployment holds a clone template. There is none with clone scale-out off
-// or under a mode without a snapshot; the first cold start captures one; it
-// survives scale to zero, so the revival clones; and after eviction the next
-// full cold start captures the next one.
-func TestCloneSourceReadyIffTemplate(t *testing.T) {
-	off := newPlatform(t, isolation.ModeGH, 1)
-	if off.CloneSourceReady() || off.template != nil {
-		t.Fatal("a template with clone scale-out disabled")
-	}
-	if clonePlatform(t, isolation.ModeBase).CloneSourceReady() {
-		t.Fatal("a template on a mode that records no snapshot")
-	}
-
+// TestCloneSourceReadyIsReadOnly: CloneSourceReady is a pure query. It is
+// true exactly when the deployment holds a clone template, and asking never
+// captures one: after eviction only the next full cold start does.
+func TestCloneSourceReadyIsReadOnly(t *testing.T) {
 	pl := clonePlatform(t, isolation.ModeGH)
 	if !pl.CloneSourceReady() {
 		t.Fatal("the first cold start captured no template")
 	}
+	tmpl, cs := pl.template, pl.ColdStarts()
+	for i := 0; i < 3; i++ {
+		if !pl.CloneSourceReady() {
+			t.Fatal("readiness changed between queries")
+		}
+	}
+	if pl.template != tmpl || pl.ColdStarts() != cs {
+		t.Fatal("querying readiness changed the template or the cold-start record")
+	}
+
+	pl.EvictImage()
+	for i := 0; i < 3; i++ {
+		if pl.CloneSourceReady() || pl.template != nil {
+			t.Fatal("ready after eviction: the query captured a template")
+		}
+	}
+	c, err := pl.AddContainer()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if c.ColdStart().ClonedFrom >= 0 || !pl.CloneSourceReady() {
+		t.Fatalf("start after eviction: %+v, ready %v; want a full start that captures", c.ColdStart(), pl.CloneSourceReady())
+	}
+}
+
+// TestEnsureCloneTemplateSurvivesScaleToZero: the clone template outlives
+// every container, so a deployment scaled to zero is still clone-ready and
+// its revival clones instead of replaying the pipeline.
+func TestEnsureCloneTemplateSurvivesScaleToZero(t *testing.T) {
+	pl := clonePlatform(t, isolation.ModeGH)
 	pl.RemoveContainer(pl.Containers()[0])
+	if len(pl.Containers()) != 0 {
+		t.Fatalf("%d containers after removing the only one", len(pl.Containers()))
+	}
 	if !pl.CloneSourceReady() {
 		t.Fatal("template did not survive scale to zero")
 	}
@@ -80,14 +103,16 @@ func TestCloneSourceReadyIffTemplate(t *testing.T) {
 	if c.ColdStart().ClonedFrom < 0 {
 		t.Fatal("revival from zero replayed the pipeline")
 	}
-	pl.EvictImage()
-	if pl.CloneSourceReady() {
-		t.Fatal("ready after eviction")
+}
+
+// TestEnsureCloneTemplateDisabled: no template is captured with clone
+// scale-out off, nor under a mode that records no snapshot.
+func TestEnsureCloneTemplateDisabled(t *testing.T) {
+	off := newPlatform(t, isolation.ModeGH, 1)
+	if off.CloneSourceReady() || off.template != nil {
+		t.Fatal("a template with clone scale-out disabled")
 	}
-	if c, err = pl.AddContainer(); err != nil {
-		t.Fatal(err)
-	}
-	if c.ColdStart().ClonedFrom >= 0 || !pl.CloneSourceReady() {
-		t.Fatalf("start after eviction: %+v, ready %v; want a full start that captures", c.ColdStart(), pl.CloneSourceReady())
+	if clonePlatform(t, isolation.ModeBase).CloneSourceReady() {
+		t.Fatal("a template on a mode that records no snapshot")
 	}
 }
