@@ -43,7 +43,7 @@
 //	arena  [page0 | page2 | ...]   one contiguous allocation
 //
 // Restore itself is run-oriented and allocation-free at steady state: the
-// current layout is read into a reusable region buffer (procfs.MapsRegions),
+// current layout is read into a reusable region buffer (procfs.FS.MapsRegions),
 // and what the request changed comes out of three logs the address space
 // keeps since the last ClearSoftDirty — the pages written (dirty), the pages
 // that became resident (fresh) and the pages that lost their frame (lost:
@@ -66,9 +66,10 @@
 // same bytes (TestFastAndSlowRestoreAgree,
 // TestLoggedAndExactRestoreAgreeOnRandomRequests, TestRestoreAfterDrops).
 // The virtual charge is a whole-page copy per page, as in the paper; the
-// host copies only each page's soft-dirty extent (vm.PTE.Extent over
-// mem.PhysMem.RestoreExtent / CopyExtent) — the byte range vm's access
-// loop widened since the last ClearSoftDirty (WriteWords and its one-page
+// host copies only each page's soft-dirty extent (a range the PTE keeps, which
+// vm.AddressSpace.PokePageRun / PokeFrameRun hand to
+// mem.PhysMem.RestoreExtent / CopyExtent) — the bytes vm's access
+// loop widened it over since the last ClearSoftDirty (WriteWords and its one-page
 // form WriteWord: the only function-side writer of frame bytes), or the
 // whole page if the page got its frame (or, moved, its number) during the
 // epoch. Bytes outside the extent were not written and
@@ -92,9 +93,7 @@
 // is charged honestly: per dirty page for the log read, plus the
 // mincore-style kernel.CostModel.ResidentScanPerPage per resident page for
 // the paged-in check. TestRestoreUffdSteadyStateZeroAllocs
-// pins this path at zero allocations too, and re-snapshots recycle the
-// previous snapshot's arena through a manager-level store pool instead of
-// reallocating it.
+// pins this path at zero allocations too.
 //
 // The same scenario — in both tracker variants — is exported as a CLI
 // suite that also writes a machine-readable BENCH_restore.json (an array

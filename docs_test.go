@@ -58,6 +58,34 @@ func docFiles(t *testing.T) []string {
 	return files
 }
 
+// parseGoFiles parses every Go file in the repository, the nested bench/e2e
+// module's included, that is a test file when tests is set and a non-test
+// file otherwise, and hands each to fn with its path. Dot-directories and
+// testdata hold no code of the repository's own.
+func parseGoFiles(t *testing.T, tests bool, fn func(path string, f *ast.File)) {
+	t.Helper()
+	fset := token.NewFileSet()
+	err := filepath.WalkDir(".", func(path string, d os.DirEntry, err error) error {
+		switch {
+		case err != nil:
+			return err
+		case d.IsDir() && path != "." && (strings.HasPrefix(d.Name(), ".") || d.Name() == "testdata"):
+			return filepath.SkipDir
+		case d.IsDir() || !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") != tests:
+			return nil
+		}
+		f, err := parser.ParseFile(fset, path, nil, parser.SkipObjectResolution)
+		if err != nil {
+			return err
+		}
+		fn(path, f)
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+}
+
 var mdLink = regexp.MustCompile(`\[[^\]]*\]\(([^)\s]+)\)`)
 
 // TestDocsRelativeLinksResolve fails on markdown links to repository paths
@@ -151,11 +179,20 @@ var anyFence = regexp.MustCompile("(?s)```.*?```")
 // `pkg.Ident`, then any `.Method` or `.Field` after it.
 var docName = regexp.MustCompile(`^([a-z][a-z0-9]*)\.([A-Za-z_]\w*(?:\.[A-Za-z_]\w*)*)$`)
 
+// proseName finds the same shape in running text (doc.go's package comment),
+// where only an exported first identifier marks a Go name.
+var proseName = regexp.MustCompile(`\b([a-z][a-z0-9]*)\.([A-Z]\w*(?:\.[A-Za-z_]\w*)*)`)
+
+// testName matches an inline-code span that is a bare test or fuzz target.
+var testName = regexp.MustCompile(`^(?:Test|Fuzz)\w*$`)
+
 // TestDocsNamesResolve holds the reference docs to the code: in every
-// inline-code span of ARCHITECTURE.md and bench/README.md that reads
-// pkg.Ident[.Ident…] where internal/pkg exists, Ident must be declared at
-// the top level of that package (a test or fuzz target counts), and every
-// later identifier must be a method or field declared in it. A renamed test
+// inline-code span of ARCHITECTURE.md and bench/README.md, and in the prose
+// of doc.go's package comment, a name that reads pkg.Ident[.Ident…] where
+// internal/pkg exists must have Ident declared at the top level of that
+// package (a test or fuzz target counts), and every later identifier must be
+// a method or field declared in it; a bare `TestX` or `FuzzX` span must be a
+// test or fuzz target declared somewhere in the repository. A renamed test
 // or a method that never existed fails here instead of misleading a reader.
 // The benchmark's metric names (BENCHMARK.json) share the dotted shape and
 // are not Go names.
@@ -176,6 +213,27 @@ func TestDocsNamesResolve(t *testing.T) {
 		metric[m.Name] = true
 	}
 	pkgs := map[string]declaredNames{}
+	resolve := func(f, name, pkg, idents string) {
+		dir := filepath.Join("internal", pkg)
+		if fi, err := os.Stat(dir); metric[name] || err != nil || !fi.IsDir() {
+			return
+		}
+		decl, ok := pkgs[dir]
+		if !ok {
+			decl = parseDeclaredNames(t, dir)
+			pkgs[dir] = decl
+		}
+		ids := strings.Split(idents, ".")
+		if !decl.top[ids[0]] {
+			t.Errorf("%s: `%s`: %s declares no %s", f, name, dir, ids[0])
+		}
+		for _, id := range ids[1:] {
+			if !decl.members[id] {
+				t.Errorf("%s: `%s`: %s declares no method or field %s", f, name, dir, id)
+			}
+		}
+	}
+	tests := declaredTests(t)
 	for _, f := range []string{"ARCHITECTURE.md", "bench/README.md"} {
 		blob, err := os.ReadFile(f)
 		if err != nil {
@@ -183,30 +241,41 @@ func TestDocsNamesResolve(t *testing.T) {
 		}
 		prose := anyFence.ReplaceAllString(string(blob), "")
 		for _, m := range codeSpan.FindAllStringSubmatch(prose, -1) {
-			name := docName.FindStringSubmatch(m[1])
-			if name == nil || metric[m[1]] {
-				continue
+			if name := docName.FindStringSubmatch(m[1]); name != nil {
+				resolve(f, m[1], name[1], name[2])
 			}
-			dir := filepath.Join("internal", name[1])
-			if fi, err := os.Stat(dir); err != nil || !fi.IsDir() {
-				continue
-			}
-			decl, ok := pkgs[dir]
-			if !ok {
-				decl = parseDeclaredNames(t, dir)
-				pkgs[dir] = decl
-			}
-			idents := strings.Split(name[2], ".")
-			if !decl.top[idents[0]] {
-				t.Errorf("%s: `%s`: %s declares no %s", f, m[1], dir, idents[0])
-			}
-			for _, id := range idents[1:] {
-				if !decl.members[id] {
-					t.Errorf("%s: `%s`: %s declares no method or field %s", f, m[1], dir, id)
-				}
+			if testName.MatchString(m[1]) && !tests[m[1]] {
+				t.Errorf("%s: `%s`: no test or fuzz target of that name", f, m[1])
 			}
 		}
 	}
+	doc, err := parser.ParseFile(token.NewFileSet(), "doc.go", nil, parser.ParseComments|parser.PackageClauseOnly)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, line := range strings.Split(doc.Doc.Text(), "\n") {
+		if strings.HasPrefix(line, "\t") { // a code block, not prose
+			continue
+		}
+		for _, name := range proseName.FindAllStringSubmatch(line, -1) {
+			resolve("doc.go", name[0], name[1], name[2])
+		}
+	}
+}
+
+// declaredTests returns the names of every test and fuzz target declared in
+// the repository's test files.
+func declaredTests(t *testing.T) map[string]bool {
+	t.Helper()
+	tests := map[string]bool{}
+	parseGoFiles(t, true, func(_ string, f *ast.File) {
+		for _, decl := range f.Decls {
+			if fn, ok := decl.(*ast.FuncDecl); ok && fn.Recv == nil && testName.MatchString(fn.Name.Name) {
+				tests[fn.Name.Name] = true
+			}
+		}
+	})
+	return tests
 }
 
 // declaredNames is what one package declares: its top-level names, and the

@@ -212,16 +212,6 @@ type Result struct {
 	MeanFrames float64
 }
 
-// Function returns a deployment's stats by display name.
-func (r *Result) Function(name string) (*Stats, bool) {
-	for _, f := range r.PerFunction {
-		if f.Name == name {
-			return f, true
-		}
-	}
-	return nil, false
-}
-
 // LostRequests sums Arrived − Requests across deployments — the
 // no-request-lost invariant's residual, zero on a correct run.
 func (r *Result) LostRequests() int {

@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"slices"
 	"testing"
 	"time"
 
@@ -250,7 +251,8 @@ func TestClusterStatsCarryStateOps(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	fs, _ := res.Function(loads[0].Entry.Prof.DisplayName())
+	name := loads[0].Entry.Prof.DisplayName()
+	fs := res.PerFunction[slices.IndexFunc(res.PerFunction, func(f *Stats) bool { return f.Name == name })]
 	if fs.StateGets != 2*fs.Requests || fs.StatePuts == 0 || fs.StatePuts >= fs.Requests {
 		t.Fatalf("%d requests recorded %d gets / %d puts, want %d gets and a Bernoulli(0.5) share of puts",
 			fs.Requests, fs.StateGets, fs.StatePuts, 2*fs.Requests)

@@ -185,7 +185,6 @@ type snapshot struct {
 	mmapBase vm.Addr
 	regs     []kernel.Regs // one per thread, in Process.Threads order (append-only)
 	store    stateStore
-	stats    SnapshotStats
 }
 
 // Manager is the Groundhog manager process for one function process
@@ -204,11 +203,6 @@ type Manager struct {
 	// allocation-free; see restoreScratch. TakeSnapshot routes its page
 	// enumeration through the same buffers.
 	scratch restoreScratch
-
-	// storePool holds the previous snapshot's recycled store buffers (VPN
-	// index, offsets, arena, frame slice) so re-snapshots fill one
-	// manager-level arena instead of reallocating it each time.
-	storePool stateStore
 
 	holds int // the snapshot's holders (see Retain)
 }
@@ -239,14 +233,6 @@ func (m *Manager) Process() *kernel.Process { return m.proc }
 // HasSnapshot reports whether TakeSnapshot has completed.
 func (m *Manager) HasSnapshot() bool { return m.snap != nil }
 
-// SnapshotStats returns the stats of the recorded snapshot.
-func (m *Manager) SnapshotStats() SnapshotStats {
-	if m.snap == nil {
-		return SnapshotStats{}
-	}
-	return m.snap.stats
-}
-
 // TakeSnapshot records the process's clean state (§4.2): it interrupts all
 // threads, reads the memory map, copies every resident page into the
 // StateStore, saves registers and the program break, arms write tracking,
@@ -260,11 +246,8 @@ func (m *Manager) SnapshotStats() SnapshotStats {
 // the arena from MaterializedPages — the pages that take arena bytes; a
 // runtime's resident set is mostly lazily-zero frames (598 of Node's 156,766
 // resident pages hold bytes), so sizing the arena by residency would allocate
-// hundreds of megabytes to keep two. A first snapshot therefore allocates
-// what it keeps, once each, instead of growing the arena a page at a time.
-// Re-snapshots reuse the previous snapshot's recycled arena and index slices
-// (the manager's store pool), so refreshing a snapshot at an unchanged scale
-// allocates nothing for page contents.
+// hundreds of megabytes to keep two. A snapshot therefore allocates what it
+// keeps, once each, instead of growing the arena a page at a time.
 func (m *Manager) TakeSnapshot() (SnapshotStats, error) {
 	meter := sim.NewMeter()
 	m.tracer.SetMeter(meter)
@@ -284,8 +267,7 @@ func (m *Manager) TakeSnapshot() (SnapshotStats, error) {
 	// with VMA-scoped pagemap scans under soft-dirty tracking, or — under
 	// UFFD, whose manager never reads soft-dirty bits — with a mincore-style
 	// resident walk through the address space's append accessor. Both paths
-	// run through the manager's reusable scratch buffers, and page contents
-	// land in the pooled arena recycled from the previous snapshot.
+	// run through the manager's reusable scratch buffers.
 	snap := &snapshot{
 		layout: layout,
 		regs:   make([]kernel.Regs, 0, len(m.proc.Threads)),
@@ -307,12 +289,10 @@ func (m *Manager) TakeSnapshot() (SnapshotStats, error) {
 	}
 
 	st := &snap.store
-	*st, m.storePool = m.storePool, stateStore{}
-	st.vpns = slices.Grow(st.vpns, resident)
+	st.vpns = make([]uint64, 0, resident)
 	switch m.opts.Store {
 	case StoreCoW:
-		st.off, st.arena = nil, nil
-		st.frames = slices.Grow(st.frames, resident)
+		st.frames = make([]mem.FrameID, 0, resident)
 		for _, vpn := range sc.present {
 			f, ok := m.proc.AS.ShareFrameCoW(vpn)
 			if !ok {
@@ -323,15 +303,10 @@ func (m *Manager) TakeSnapshot() (SnapshotStats, error) {
 			sim.ChargeTo(meter, m.kern.Cost.SnapshotCoWPerPage)
 		}
 	default:
-		st.frames = nil
-		st.off = slices.Grow(st.off, resident)
-		// The one growth of the arena, to the size the loop will leave it at
-		// (the tracee is stopped, so the count holds); a pooled arena that is
-		// large enough is kept, one that is not is dropped without copying
-		// its dead contents over.
-		if need := m.proc.AS.MaterializedPages() * mem.PageSize; cap(st.arena) < need {
-			st.arena = make([]byte, 0, need)
-		}
+		st.off = make([]int, 0, resident)
+		// The arena at the size the loop will leave it at (the tracee is
+		// stopped, so the count holds).
+		st.arena = make([]byte, 0, m.proc.AS.MaterializedPages()*mem.PageSize)
 		for _, vpn := range sc.present {
 			off := len(st.arena)
 			// The page is read into the arena's spare capacity and kept only
@@ -373,16 +348,11 @@ func (m *Manager) TakeSnapshot() (SnapshotStats, error) {
 		return SnapshotStats{}, err
 	}
 
-	snap.stats = SnapshotStats{
-		Duration: meter.Total(),
-		Pages:    snap.store.len(),
-		VMAs:     len(layout),
-	}
 	if m.snap != nil {
-		m.storePool = m.snap.store.recycle(m.kern.Phys)
+		m.snap.store.release(m.kern.Phys)
 	}
 	m.snap = snap
-	return snap.stats, nil
+	return SnapshotStats{Duration: meter.Total(), Pages: snap.store.len(), VMAs: len(layout)}, nil
 }
 
 // StateStoreBytes reports the StateStore's current materialized memory. For
@@ -409,6 +379,6 @@ func (m *Manager) Release() {
 	if m.holds--; m.holds > 0 || m.snap == nil {
 		return
 	}
-	m.snap.store.recycle(m.kern.Phys)
+	m.snap.store.release(m.kern.Phys)
 	m.snap = nil
 }

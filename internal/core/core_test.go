@@ -41,7 +41,10 @@ func newManagedProcess(t *testing.T, threads, heapPages int, opts Options) (*ker
 
 func TestSnapshotStats(t *testing.T) {
 	_, p, m := newManagedProcess(t, 2, 10, DefaultOptions())
-	st := m.SnapshotStats()
+	st, err := m.TakeSnapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
 	if st.Pages != p.AS.ResidentPages() {
 		t.Fatalf("snapshot pages = %d, resident = %d", st.Pages, p.AS.ResidentPages())
 	}

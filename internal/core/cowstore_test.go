@@ -19,7 +19,11 @@ func TestCoWStoreSnapshotIsCheap(t *testing.T) {
 		opts := DefaultOptions()
 		opts.Store = store
 		_, _, m := newManagedProcess(t, 1, 512, opts)
-		return m.SnapshotStats().Duration
+		st, err := m.TakeSnapshot()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return st.Duration
 	}
 	eager, cow := mkCost(StoreCopy), mkCost(StoreCoW)
 	if cow >= eager {

@@ -33,8 +33,8 @@ func TestVerifyBeforeSnapshotFails(t *testing.T) {
 	if m.StateStoreBytes() != 0 {
 		t.Fatal("state store non-empty before snapshot")
 	}
-	if m.SnapshotStats() != (SnapshotStats{}) {
-		t.Fatal("snapshot stats non-zero before snapshot")
+	if m.HasSnapshot() {
+		t.Fatal("manager has a snapshot before TakeSnapshot")
 	}
 }
 

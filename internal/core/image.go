@@ -271,14 +271,13 @@ func NewManagerFromSnapshot(k *kernel.Kernel, img *SnapshotImage, opts Options, 
 	// The clone's state store shares the image frames too (its own refs), so
 	// restoring a clone copies from the same physical pages every sibling
 	// snapshot reads — no per-container snapshot arena at all. The slices are
-	// the clone's own: a manager recycles its store's buffers.
+	// the clone's own, apart from the image's.
 	m.snap = &snapshot{
 		layout:   slices.Clone(d.Layout),
 		brk:      d.Brk,
 		mmapBase: d.MmapBase,
 		regs:     slices.Clone(d.Regs),
 		store:    stateStore{vpns: slices.Clone(d.VPNs), frames: slices.Clone(d.Frames)},
-		stats:    SnapshotStats{Pages: len(d.VPNs), VMAs: len(d.Layout)},
 	}
 	for _, f := range d.Frames {
 		k.Phys.Ref(f)

@@ -75,14 +75,11 @@ func (s *stateStore) contentAt(i int, phys *mem.PhysMem, buf []byte) []byte {
 	return s.arena[s.off[i] : s.off[i]+mem.PageSize]
 }
 
-// recycle drops the store's frame references (StoreCoW) and returns its
-// buffers truncated for reuse: the manager keeps them as its store pool so a
-// re-snapshot fills the same arena and index slices instead of reallocating.
-func (s *stateStore) recycle(phys *mem.PhysMem) stateStore {
+// release drops the store's frame references (StoreCoW).
+func (s *stateStore) release(phys *mem.PhysMem) {
 	for _, f := range s.frames {
 		phys.Unref(f)
 	}
-	return stateStore{vpns: s.vpns[:0], off: s.off[:0], arena: s.arena[:0], frames: s.frames[:0]}
 }
 
 // bytes reports the store's materialized memory: for the copy store, the

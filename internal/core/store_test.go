@@ -77,11 +77,12 @@ func TestArenaStoreRestoresByteIdenticalToMapStore(t *testing.T) {
 				t.Fatal(err)
 			}
 			ref := captureRefStore(p.AS)
-			if _, err := m.TakeSnapshot(); err != nil {
+			snap, err := m.TakeSnapshot()
+			if err != nil {
 				t.Fatal(err)
 			}
-			if got := m.SnapshotStats().Pages; got != len(ref) {
-				t.Fatalf("snapshot pages = %d, reference holds %d", got, len(ref))
+			if snap.Pages != len(ref) {
+				t.Fatalf("snapshot pages = %d, reference holds %d", snap.Pages, len(ref))
 			}
 
 			// The request: scattered writes, one contiguous run, a fresh

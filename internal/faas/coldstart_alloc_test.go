@@ -57,21 +57,6 @@ func TestColdStartAllocatesWhatItKeeps(t *testing.T) {
 			if allocated > budget {
 				t.Errorf("cold start allocated %d KiB, more than twice what it keeps (%d KiB)", allocated>>10, budget>>10)
 			}
-
-			// The store pool is two deep (the old snapshot stays live while the
-			// new one is built): from the third snapshot on, refreshing an
-			// unchanged process allocates nothing for page contents.
-			mgr := c.strat.Manager()
-			resnap := func() {
-				if _, err := mgr.TakeSnapshot(); err != nil {
-					t.Fatal(err)
-				}
-			}
-			resnap()
-			resnap()
-			if again := totalAlloc(resnap); again > uint64(content)/100 {
-				t.Errorf("re-snapshot of an unchanged process allocated %d KiB (page contents are %d KiB)", again>>10, content>>10)
-			}
 		})
 	}
 }

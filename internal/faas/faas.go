@@ -783,7 +783,7 @@ func (pl *Platform) serveAs(c *Container, reqID uint64, caller string) (RequestS
 	} else {
 		m.Reset()
 	}
-	req := runtimes.Request{ID: reqID, Caller: caller, SizeKB: pl.prof.InputKB}
+	req := runtimes.Request{ID: reqID, SizeKB: pl.prof.InputKB}
 
 	// Deferred rollback: the container still holds the previous caller's
 	// state and this request must not see it. A failed rollback here means

@@ -140,20 +140,13 @@ func (p Plan) Validate() error {
 	return nil
 }
 
-// SiteStats counts one site's observed activity.
-type SiteStats struct {
-	// Attempts is how many times the seam was evaluated.
-	Attempts uint64
-	// Fired is how many of those attempts were failed by injection.
-	Fired uint64
-}
-
-// siteState is one site's decision stream and counters.
+// siteState is one site's decision stream and its attempt count: how many
+// times the seam was evaluated.
 type siteState struct {
 	rng      *sim.Rand
 	rate     float64
 	schedule map[uint64]bool
-	stats    SiteStats
+	attempts uint64
 }
 
 // Injector evaluates a Plan at the injection seams. A nil *Injector is the
@@ -204,19 +197,18 @@ func (inj *Injector) Fire(site Site) error {
 	if st == nil {
 		return nil
 	}
-	st.stats.Attempts++
+	st.attempts++
 	fire := false
 	if st.rate > 0 {
 		fire = st.rng.Float64() < st.rate
 	}
-	if st.schedule[st.stats.Attempts] {
+	if st.schedule[st.attempts] {
 		fire = true
 	}
 	if !fire {
 		return nil
 	}
-	st.stats.Fired++
-	return &Error{Site: site, Attempt: st.stats.Attempts}
+	return &Error{Site: site, Attempt: st.attempts}
 }
 
 // Cut returns a deterministic index in [0, n) drawn from site's stream —
@@ -232,19 +224,6 @@ func (inj *Injector) Cut(site Site, n int) int {
 		return 0
 	}
 	return st.rng.Intn(n)
-}
-
-// Stats returns the per-site observed counts. Safe on a nil receiver
-// (returns nil).
-func (inj *Injector) Stats() map[Site]SiteStats {
-	if inj == nil {
-		return nil
-	}
-	out := make(map[Site]SiteStats, len(inj.sites))
-	for site, st := range inj.sites {
-		out[site] = st.stats
-	}
-	return out
 }
 
 // siteHash is FNV-1a over the site name: a stable per-site seed perturbation

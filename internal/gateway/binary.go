@@ -251,7 +251,6 @@ func (g *Gateway) binInvoke(b, p []byte) []byte {
 	}
 	rt.updateRetry()
 	g.served.Add(1)
-	g.e2e.Add(float64(st.E2E) / 1e6)
 
 	b = binary.BigEndian.AppendUint32(b, uint32(1+8+8+1+len(body)))
 	b = append(b, opInvoke)

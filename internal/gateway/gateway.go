@@ -49,7 +49,6 @@ import (
 
 	"groundhog/internal/faas"
 	"groundhog/internal/isolation"
-	"groundhog/internal/metrics"
 	"groundhog/internal/server"
 )
 
@@ -84,9 +83,6 @@ type Stats struct {
 	// Transient counts invokes that failed transiently (503 frames):
 	// injected crashes, exhausted cold-start retries.
 	Transient uint64
-	// E2EP50Ms/E2EP95Ms/E2EP99Ms summarize served requests' simulated E2E
-	// latency (sketch-backed, 1% relative accuracy).
-	E2EP50Ms, E2EP95Ms, E2EP99Ms float64
 }
 
 // Gateway fronts a server.Server's deployments for both listeners. Create
@@ -103,7 +99,6 @@ type Gateway struct {
 	served    atomic.Uint64
 	rejected  atomic.Uint64
 	transient atomic.Uint64
-	e2e       metrics.Recorder // Locked sketch; Add is allocation-free
 
 	closed atomic.Bool
 	connMu sync.Mutex
@@ -182,7 +177,6 @@ func New(s *server.Server, cfg Config) *Gateway {
 		cfg:     cfg,
 		control: s.Handler(),
 		routes:  make(map[string]*routeSet),
-		e2e:     metrics.Locked(metrics.NewSketch(metrics.DefaultSketchAlpha)),
 		conns:   make(map[io.Closer]struct{}),
 
 		maxBody:    MaxBody,
@@ -208,17 +202,11 @@ func (g *Gateway) Handler() http.Handler { return g }
 
 // Snapshot reports the gateway's serving counters.
 func (g *Gateway) Snapshot() Stats {
-	st := Stats{
+	return Stats{
 		Served:    g.served.Load(),
 		Rejected:  g.rejected.Load(),
 		Transient: g.transient.Load(),
 	}
-	if g.e2e.N() > 0 {
-		st.E2EP50Ms = g.e2e.Median()
-		st.E2EP95Ms = g.e2e.Percentile(95)
-		st.E2EP99Ms = g.e2e.P99()
-	}
-	return st
 }
 
 // Close shuts the data plane down: binary listeners stop accepting and
@@ -375,7 +363,6 @@ func (g *Gateway) handleFn(w http.ResponseWriter, r *http.Request) {
 	}
 	rt.updateRetry()
 	g.served.Add(1)
-	g.e2e.Add(float64(st.E2E) / 1e6)
 
 	j.hdr = appendStats(j.hdr[:0], st)
 	w.Header().Set("X-Gh-Stats", string(j.hdr))

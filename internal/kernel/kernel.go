@@ -28,21 +28,10 @@ type Regs struct {
 	GP [8]uint64
 }
 
-// ThreadState tracks a thread's scheduling state.
-type ThreadState uint8
-
-// Thread states.
-const (
-	ThreadRunning ThreadState = iota
-	ThreadStopped             // stopped by a tracer
-	ThreadExited
-)
-
 // Thread is a kernel thread belonging to a process.
 type Thread struct {
-	TID   int
-	Regs  Regs
-	State ThreadState
+	TID  int
+	Regs Regs
 }
 
 // Process is a simulated OS process: one address space, one or more threads.
@@ -74,7 +63,7 @@ func (p *Process) Thread(tid int) (*Thread, bool) {
 // SpawnThread adds a thread to the process (language runtimes with worker
 // threads use this during initialization).
 func (p *Process) SpawnThread() *Thread {
-	t := &Thread{TID: p.kern.nextTID, State: ThreadRunning}
+	t := &Thread{TID: p.kern.nextTID}
 	p.kern.nextTID++
 	p.Threads = append(p.Threads, t)
 	return t
@@ -186,9 +175,6 @@ func (k *Kernel) Exit(p *Process) {
 		return
 	}
 	p.alive = false
-	for _, t := range p.Threads {
-		t.State = ThreadExited
-	}
 	p.AS.Release()
 	delete(k.procs, p.PID)
 }

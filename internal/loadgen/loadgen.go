@@ -94,7 +94,8 @@ type Result struct {
 	Lost      int           // fired but never accounted — must be 0
 	Wall      time.Duration // actual run length
 	PerSec    float64       // OK responses per wall second
-	// Client-observed latency of OK requests, milliseconds.
+	// Client-observed latency of OK requests, milliseconds: an open-loop
+	// request is timed from its arrival, a closed-loop one from its send.
 	P50Ms, P95Ms, P99Ms float64
 }
 
@@ -180,13 +181,15 @@ func Run(cfg Config) (Result, error) {
 	return res, nil
 }
 
-// fire issues one request and accounts it.
-func fire(c Client, body []byte, cnt *counters, lat metrics.Recorder) {
+// fire issues one request and accounts it, its latency timed from due: the
+// instant the request was meant to go out. An open loop's due instant is its
+// arrival, so a late pacer or a slow dial counts against the request instead
+// of vanishing from the percentiles (coordinated omission).
+func fire(c Client, body []byte, due time.Time, cnt *counters, lat metrics.Recorder) {
 	cnt.fired.Add(1)
-	t0 := time.Now()
 	cl, err := c.Do(body)
 	if cl == ClassOK {
-		lat.Add(float64(time.Since(t0)) / 1e6)
+		lat.Add(float64(time.Since(due)) / 1e6)
 	}
 	cnt.account(cl, err)
 }
@@ -206,7 +209,7 @@ func runClosed(cfg Config, deadline time.Time, cnt *counters, lat metrics.Record
 			}
 			defer c.Close()
 			for time.Now().Before(deadline) {
-				fire(c, cfg.Body, cnt, lat)
+				fire(c, cfg.Body, time.Now(), cnt, lat)
 			}
 		}()
 	}
@@ -253,7 +256,8 @@ func runOpen(cfg Config, deadline time.Time, cnt *counters, lat metrics.Recorder
 		if start.Add(elapsed).After(deadline) {
 			break
 		}
-		time.Sleep(time.Until(start.Add(elapsed)))
+		due := start.Add(elapsed)
+		time.Sleep(time.Until(due))
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
@@ -267,7 +271,7 @@ func runOpen(cfg Config, deadline time.Time, cnt *counters, lat metrics.Recorder
 					return
 				}
 			}
-			fire(c, cfg.Body, cnt, lat)
+			fire(c, cfg.Body, due, cnt, lat)
 			select {
 			case pool <- c:
 			default:

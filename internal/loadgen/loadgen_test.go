@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"groundhog/internal/gateway"
+	"groundhog/internal/metrics"
 	"groundhog/internal/server"
 )
 
@@ -104,6 +105,36 @@ func TestOpenLoopHTTP(t *testing.T) {
 	// ~300/s over 0.4s: the pacer should have fired a meaningful fraction.
 	if res.Requests < 40 {
 		t.Fatalf("open loop fired only %d requests", res.Requests)
+	}
+}
+
+// instantClient answers every request at once, served.
+type instantClient struct{}
+
+func (instantClient) Do([]byte) (Class, error) { return ClassOK, nil }
+func (instantClient) Close() error             { return nil }
+
+// TestOpenLoopTimesFromDueInstant: an open loop times each request from its
+// arrival, so the wait for a connection is the request's latency. Every dial
+// takes 50 ms and the client answers instantly; the arrivals while the first
+// dials run (most of the first 50 ms at 1000/s) each wait out a dial of
+// their own, so the p99 is the dial, to within the sketch's accuracy.
+func TestOpenLoopTimesFromDueInstant(t *testing.T) {
+	const dial = 50 * time.Millisecond
+	res, err := Run(Config{
+		Dial: func() (Client, error) {
+			time.Sleep(dial)
+			return instantClient{}, nil
+		},
+		Rate:     1000,
+		Duration: 200 * time.Millisecond,
+		Seed:     7,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := float64(dial/time.Millisecond) * (1 - metrics.DefaultSketchAlpha); res.P99Ms < want {
+		t.Fatalf("p99 = %.3f ms with %v dials, want ≥ %.1f ms: %+v", res.P99Ms, dial, want, res)
 	}
 }
 

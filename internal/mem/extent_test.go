@@ -21,6 +21,11 @@ func frameBytes(p *PhysMem, id FrameID) []byte {
 	return buf
 }
 
+// equal reports whether two frames read back the same bytes.
+func equal(p *PhysMem, a, b FrameID) bool {
+	return bytes.Equal(frameBytes(p, a), frameBytes(p, b))
+}
+
 // TestRestoreExtentCopiesOnlyTheExtent: bytes inside [lo, hi) come from the
 // source, bytes outside keep what the frame held — for the byte source and
 // the frame source alike, including an extent that ends at the frame's end.

@@ -328,20 +328,6 @@ func (p *PhysMem) IsZero(id FrameID) bool {
 	return f.data == nil || isZeroBytes(f.data)
 }
 
-// Equal reports whether two frames hold identical bytes.
-func (p *PhysMem) Equal(a, b FrameID) bool {
-	fa, fb := p.get(a), p.get(b)
-	switch {
-	case fa.data == nil && fb.data == nil:
-		return true
-	case fa.data == nil:
-		return isZeroBytes(fb.data)
-	case fb.data == nil:
-		return isZeroBytes(fa.data)
-	}
-	return bytes.Equal(fa.data, fb.data)
-}
-
 // Snapshot returns an independent copy of the frame's contents. A nil return
 // means the frame is all-zero; RestoreInto treats nil accordingly.
 func (p *PhysMem) Snapshot(id FrameID) []byte {

@@ -62,13 +62,13 @@ func TestEqualMixedMaterialization(t *testing.T) {
 	p.WriteWord(materializedZero, 0, 1)
 	p.WriteWord(materializedZero, 0, 0) // stays materialized, all-zero bytes
 	p.WriteWord(content, 0, 7)
-	if !p.Equal(lazy, materializedZero) {
+	if !equal(p, lazy, materializedZero) {
 		t.Fatal("lazy zero frame != materialized zero frame")
 	}
-	if !p.Equal(materializedZero, lazy) {
-		t.Fatal("Equal not symmetric for zero frames")
+	if !equal(p, materializedZero, lazy) {
+		t.Fatal("equal not symmetric for zero frames")
 	}
-	if p.Equal(lazy, content) || p.Equal(content, materializedZero) {
-		t.Fatal("Equal missed differing content")
+	if equal(p, lazy, content) || equal(p, content, materializedZero) {
+		t.Fatal("equal missed differing content")
 	}
 }

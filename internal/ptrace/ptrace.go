@@ -65,9 +65,6 @@ func (t *Tracer) InterruptAll() error {
 		return nil
 	}
 	sim.ChargeTo(t.meter, t.kern.Cost.PtraceInterruptPerThread*sim.Duration(len(t.proc.Threads)))
-	for _, th := range t.proc.Threads {
-		th.State = kernel.ThreadStopped
-	}
 	t.stopped = true
 	return nil
 }
@@ -76,9 +73,6 @@ func (t *Tracer) InterruptAll() error {
 func (t *Tracer) Resume() error {
 	if err := t.check(true); err != nil {
 		return err
-	}
-	for _, th := range t.proc.Threads {
-		th.State = kernel.ThreadRunning
 	}
 	t.stopped = false
 	return nil

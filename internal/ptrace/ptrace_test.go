@@ -28,20 +28,22 @@ func TestSeizeInterruptResumeDetach(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	// Every thread's registers are readable while the tracee is stopped,
+	// and none once it runs again.
 	if err := tr.InterruptAll(); err != nil {
 		t.Fatal(err)
 	}
 	for _, th := range p.Threads {
-		if th.State != kernel.ThreadStopped {
-			t.Fatalf("thread %d not stopped", th.TID)
+		if _, err := tr.GetRegs(th.TID); err != nil {
+			t.Fatalf("thread %d: regs unreadable after InterruptAll: %v", th.TID, err)
 		}
 	}
 	if err := tr.Resume(); err != nil {
 		t.Fatal(err)
 	}
 	for _, th := range p.Threads {
-		if th.State != kernel.ThreadRunning {
-			t.Fatalf("thread %d not running", th.TID)
+		if _, err := tr.GetRegs(th.TID); err == nil {
+			t.Fatalf("thread %d: regs readable after Resume", th.TID)
 		}
 	}
 	if err := tr.InterruptAll(); err != nil {
@@ -49,12 +51,6 @@ func TestSeizeInterruptResumeDetach(t *testing.T) {
 	}
 	if err := tr.Detach(); err != nil {
 		t.Fatal(err)
-	}
-	// Detach resumes stopped threads.
-	for _, th := range p.Threads {
-		if th.State != kernel.ThreadRunning {
-			t.Fatalf("thread %d stopped after detach", th.TID)
-		}
 	}
 	if err := tr.InterruptAll(); err == nil {
 		t.Fatal("tracer usable after detach")

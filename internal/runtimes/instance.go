@@ -176,7 +176,7 @@ func (in *Instance) WarmUp(meter *sim.Meter) {
 	// this only makes the snapshot (and anything derived from it, like a
 	// clone image export) carry the bytes a real runtime would.
 	in.warm = true
-	in.Invoke(Request{ID: 0, Caller: "warmup", Secret: warmupSecret}, meter)
+	in.Invoke(Request{ID: 0, Secret: warmupSecret}, meter)
 	// Whatever the dummy request churned or leaked is part of the
 	// snapshot-to-be; reset the per-request state.
 	in.leakedRequests = 0
@@ -322,7 +322,7 @@ func (in *Instance) InvokeOn(proc *kernel.Process, req Request, meter *sim.Meter
 		th.Regs.GP[1] = req.Secret
 	}
 
-	return Response{ID: req.ID, SizeKB: prof.OutputKB, Result: req.ID * 31}
+	return Response{ID: req.ID, SizeKB: prof.OutputKB}
 }
 
 // churnRegionPages is the size of each scratch region cycled per request.

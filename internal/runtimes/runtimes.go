@@ -236,7 +236,6 @@ func (p Profile) Stateful() bool { return p.StateGets > 0 || p.StatePuts > 0 }
 // Request is one function invocation's input.
 type Request struct {
 	ID     uint64
-	Caller string // security principal, for the examples
 	SizeKB int
 	Secret uint64 // planted by security tests/examples; 0 otherwise
 }
@@ -245,7 +244,6 @@ type Request struct {
 type Response struct {
 	ID     uint64
 	SizeKB int
-	Result uint64
 }
 
 // stackSlack is the portion of the stack each request scribbles on.

@@ -1,6 +1,7 @@
 package trace
 
 import (
+	"slices"
 	"testing"
 	"time"
 
@@ -27,6 +28,16 @@ func testChain(rate float64) Chain {
 
 // chainLoads returns the test functions with zero open-loop rate — legal
 // only because the chain feeds them.
+// chainStats returns testChain's stats from res.
+func chainStats(t *testing.T, res *Result) *ChainStats {
+	t.Helper()
+	i := slices.IndexFunc(res.Chains, func(c *ChainStats) bool { return c.Name == "test-chain" })
+	if i < 0 {
+		t.Fatal("chain missing from result")
+	}
+	return res.Chains[i]
+}
+
 func chainLoads(t *testing.T) []FunctionLoad {
 	t.Helper()
 	return testLoads(t, 0)
@@ -43,10 +54,7 @@ func TestChainCompletesAllStages(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cs, ok := res.Chain("test-chain")
-	if !ok {
-		t.Fatal("chain missing from result")
-	}
+	cs := chainStats(t, res)
 	if cs.Started < 15 {
 		t.Fatalf("chain started only %d times over the window", cs.Started)
 	}
@@ -138,7 +146,7 @@ func TestChainConservationUnderFaultSchedules(t *testing.T) {
 		if err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
 		}
-		cs, _ := res.Chain("test-chain")
+		cs := chainStats(t, res)
 		if cs.Started == 0 {
 			t.Fatalf("seed %d: chain never started", seed)
 		}

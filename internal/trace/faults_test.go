@@ -174,7 +174,7 @@ func TestDrainEventRecovers(t *testing.T) {
 	cfg := faultyConfig()
 	cfg.Events = []Event{{At: cfg.Window / 2, Kind: EventDrain}}
 	f, res := runFleet(t, cfg, 10)
-	fn, ok := res.Function("md2html (p)")
+	fn, ok := functionStats(res, "md2html (p)")
 	if !ok {
 		t.Fatal("md2html missing from results")
 	}

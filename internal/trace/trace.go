@@ -412,26 +412,6 @@ type Result struct {
 	MeanFrames float64
 }
 
-// Function returns a function's stats by display name.
-func (r *Result) Function(name string) (*FunctionStats, bool) {
-	for _, f := range r.PerFunction {
-		if f.Name == name {
-			return f, true
-		}
-	}
-	return nil, false
-}
-
-// Chain returns a chain's stats by name.
-func (r *Result) Chain(name string) (*ChainStats, bool) {
-	for _, c := range r.Chains {
-		if c.Name == name {
-			return c, true
-		}
-	}
-	return nil, false
-}
-
 // arrivalWindow and latencyWindow bound the policy signals' observation
 // rings: arrival timestamps for the rate estimate, latency samples for the
 // mean/p95 and service-time signals. Windowing keeps the estimators
