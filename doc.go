@@ -32,15 +32,20 @@
 //
 // Restore cost is the system's product (§4.4): it must be proportional to
 // what a request actually dirtied. The manager therefore keeps its snapshot
-// in an arena-backed StateStore — a sorted VPN index over one contiguous byte
-// arena (plus a parallel frame slice for the copy-on-write store of §5.5) —
-// so membership tests are binary searches, page contents are slice views,
-// and snapshot memory is a handful of allocations rather than one small
-// buffer per page:
+// in a StateStore of sorted, parallel slices — a VPN index and one page
+// pointer per page (a parallel frame slice for the copy-on-write store of
+// §5.5) — so membership tests are binary searches and page contents are the
+// pages themselves:
 //
 //	vpns   [v0 v1 v2 ...]          sorted page numbers (the index)
-//	off    [o0 -1 o1 ...]          arena offset per page, -1 = all-zero
-//	arena  [page0 | page2 | ...]   one contiguous allocation
+//	pages  [p0 nil p2 ...]         a page lent by mem.PhysMem, nil = all-zero
+//
+// The copy store's pages are lent by the kernel's physical memory
+// (mem.PhysMem.LendPage) from the free list and slabs its frames draw from,
+// and go back there when the snapshot is released (ReturnPage), so a
+// snapshot taken after a teardown reuses what the last container freed
+// rather than allocating; a PhysMem keeps its slabs until every lent page is
+// back, and a teardown counts pages still lent as leaked, like frames.
 //
 // Restore itself is run-oriented and allocation-free at steady state: the
 // current layout is read into a reusable region buffer (procfs.FS.MapsRegions),
@@ -53,7 +58,7 @@
 // sorted VPN index gives the restore set (a dirty page; a lost one that was
 // not zero in the snapshot), one of the fresh list the madvise set, and
 // maximal runs of contiguous pages are rolled back with single batched pokes
-// (vm.AddressSpace.PokePageRun / PokeFrameRun) straight out of the arena. So
+// (vm.AddressSpace.PokePageRun / PokeFrameRun) straight out of the store. So
 // a Python or Node request, which maps and unmaps scratch regions every
 // time, costs the host what it dirtied, faulted in and dropped, like a C one.
 // There is one restore path: nothing disarms the logs. An mremap move is
@@ -114,7 +119,7 @@
 // bookkeeping), and the first clone exports from it a
 // core.SnapshotImage (for the CoW state store, references to the already
 // frozen frames; for the copy store, frames materialized once from the
-// arena, with all-zero pages sharing a single lazily-zero frame, like the
+// lent pages, with all-zero pages sharing a single lazily-zero frame, like the
 // kernel zero page). Each further container is spawned directly from the
 // image — kernel.Kernel.SpawnFromImage builds the address space from the
 // recorded layout (vm.NewFromLayout) and maps every recorded page

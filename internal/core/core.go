@@ -175,7 +175,7 @@ type RestoreStats struct {
 // snapshot is everything needed to put the process back, held in the
 // manager's memory (never serialized to disk — the property that
 // distinguishes Groundhog from CRIU-style approaches, §6). Page contents
-// live in the arena-backed stateStore.
+// live in the stateStore.
 type snapshot struct {
 	layout []vm.VMA
 	brk    vm.Addr
@@ -238,16 +238,17 @@ func (m *Manager) HasSnapshot() bool { return m.snap != nil }
 // StateStore, saves registers and the program break, arms write tracking,
 // and resumes the process.
 //
-// Page contents land in one contiguous arena (or, for StoreCoW, a frame
-// reference slice) indexed by a sorted VPN list, and the pagemap is read one
-// VMA at a time rather than as a single full-address-space flag slice. Every
-// buffer is sized before the copy loop, from counts the address space already
-// holds: the index slices and the resident scratch list from ResidentPages,
-// the arena from MaterializedPages — the pages that take arena bytes; a
-// runtime's resident set is mostly lazily-zero frames (598 of Node's 156,766
-// resident pages hold bytes), so sizing the arena by residency would allocate
-// hundreds of megabytes to keep two. A snapshot therefore allocates what it
-// keeps, once each, instead of growing the arena a page at a time.
+// Page contents land in pages the kernel's PhysMem lends, one per page that
+// holds bytes (or, for StoreCoW, in a frame reference slice), indexed by a
+// sorted VPN list, and the pagemap is read one VMA at a time rather than as a
+// single full-address-space flag slice. The index slices and the resident
+// scratch list are sized before the copy loop from ResidentPages, so they are
+// allocated once each at their final size. A runtime's resident set is mostly
+// lazily-zero frames (598 of Node's 156,766 resident pages hold bytes), and
+// those take no page: each page is read into the lent page in hand, which is
+// kept only if the read filled it. Lent pages come from the frames' own free
+// list and slabs, so a snapshot taken after a teardown reuses the memory the
+// last container gave back rather than first-touching fresh heap.
 func (m *Manager) TakeSnapshot() (SnapshotStats, error) {
 	meter := sim.NewMeter()
 	m.tracer.SetMeter(meter)
@@ -261,8 +262,8 @@ func (m *Manager) TakeSnapshot() (SnapshotStats, error) {
 	// into a slice of the snapshot's own (never the restore's scratch).
 	layout := m.fs.MapsRegions(m.proc, meter, nil)
 
-	// (c) record resident pages in the StateStore: eager copies into the
-	// arena, or CoW frame shares (§5.5) that defer the copy to the
+	// (c) record resident pages in the StateStore: eager copies into lent
+	// pages, or CoW frame shares (§5.5) that defer the copy to the
 	// function's first write of each page. The resident set is enumerated
 	// with VMA-scoped pagemap scans under soft-dirty tracking, or — under
 	// UFFD, whose manager never reads soft-dirty bits — with a mincore-style
@@ -288,7 +289,14 @@ func (m *Manager) TakeSnapshot() (SnapshotStats, error) {
 		}
 	}
 
-	st := &snap.store
+	st, phys := &snap.store, m.kern.Phys
+	// A snapshot that fails part-way gives back what its store took.
+	kept := false
+	defer func() {
+		if !kept {
+			st.release(phys)
+		}
+	}()
 	st.vpns = make([]uint64, 0, resident)
 	switch m.opts.Store {
 	case StoreCoW:
@@ -303,27 +311,30 @@ func (m *Manager) TakeSnapshot() (SnapshotStats, error) {
 			sim.ChargeTo(meter, m.kern.Cost.SnapshotCoWPerPage)
 		}
 	default:
-		st.off = make([]int, 0, resident)
-		// The arena at the size the loop will leave it at (the tracee is
-		// stopped, so the count holds).
-		st.arena = make([]byte, 0, m.proc.AS.MaterializedPages()*mem.PageSize)
+		st.pages = make([]*[mem.PageSize]byte, 0, resident)
+		// Each page is read into the lent page in hand, kept only if it
+		// holds bytes: all-zero (or vanished) pages take none, and the page
+		// in hand at the end goes back.
+		var hand *[mem.PageSize]byte
 		for _, vpn := range sc.present {
-			off := len(st.arena)
-			// The page is read into the arena's spare capacity and kept only
-			// if it holds bytes: all-zero (or vanished) pages take none, so
-			// past the last materialised page the spare may be empty.
-			zero, ok, err := m.tracer.PeekPageInto(vpn, st.arena[off:cap(st.arena)])
+			if hand == nil {
+				hand = phys.LendPage()
+			}
+			zero, ok, err := m.tracer.PeekPageInto(vpn, hand[:])
 			if err != nil {
+				phys.ReturnPage(hand)
 				return SnapshotStats{}, err
 			}
+			var page *[mem.PageSize]byte
 			if ok && !zero {
-				st.arena = st.arena[:off+mem.PageSize]
-			} else {
-				off = -1
+				page, hand = hand, nil
 			}
 			st.vpns = append(st.vpns, vpn)
-			st.off = append(st.off, off)
+			st.pages = append(st.pages, page)
 			sim.ChargeTo(meter, m.kern.Cost.SnapshotPerPage)
+		}
+		if hand != nil {
+			phys.ReturnPage(hand)
 		}
 	}
 
@@ -349,9 +360,9 @@ func (m *Manager) TakeSnapshot() (SnapshotStats, error) {
 	}
 
 	if m.snap != nil {
-		m.snap.store.release(m.kern.Phys)
+		m.snap.store.release(phys)
 	}
-	m.snap = snap
+	m.snap, kept = snap, true
 	return SnapshotStats{Duration: meter.Total(), Pages: snap.store.len(), VMAs: len(layout)}, nil
 }
 
@@ -369,12 +380,12 @@ func (m *Manager) StateStoreBytes() int {
 // creator holds alone: each holder calls Release once, and the last frees it.
 func (m *Manager) Retain() { m.holds++ }
 
-// Release gives back one hold; the last drops the snapshot, returning the
-// StateStore's frame references (CoW stores, and clone stores sharing a
-// snapshot image's frames) to physical memory. Container teardown calls it
-// alongside the process's exit: the kernel frees the address space, Release
-// frees the snapshot — together a removed container's frames all return to
-// PhysMem. The manager must not snapshot or restore afterwards.
+// Release gives back one hold; the last drops the snapshot, returning what
+// the StateStore holds to physical memory: lent pages (copy stores) or frame
+// references (CoW stores, and clone stores sharing a snapshot image's
+// frames). Container teardown calls it alongside the process's exit: the
+// kernel frees the address space, Release frees the snapshot — together a
+// removed container's frames and pages all return to PhysMem. The manager must not snapshot or restore afterwards.
 func (m *Manager) Release() {
 	if m.holds--; m.holds > 0 || m.snap == nil {
 		return

@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"slices"
 
 	"groundhog/internal/faults"
 	"groundhog/internal/kernel"
@@ -118,12 +117,13 @@ func (img *SnapshotImage) unwind(what string, cause error) error {
 // For the CoW state store (§5.5) the export is almost free: the snapshot
 // already *is* a set of frozen frames, so the image just takes references
 // (SnapshotCoWPerPage each). For the eager copy store the page contents live
-// in the manager's arena, not in frames, so the export materializes one frame
-// per non-zero page (SnapshotPerPage each — a one-time, per-deployment cost
-// amortized across every subsequent clone); all-zero pages share a single
+// in the manager's lent pages, not in frames, so the export materializes one
+// frame per non-zero page (SnapshotPerPage each — a one-time, per-deployment
+// cost amortized across every subsequent clone); all-zero pages share a single
 // lazily-zero frame, the moral equivalent of the kernel zero page, charged
 // like a CoW reference (the refcount bump is the same work whether the frame
-// holds content or not).
+// holds content or not). The layout, page numbers and registers never change
+// once recorded, so the image shares the snapshot's slices.
 func (m *Manager) ExportImage(meter *sim.Meter) (*SnapshotImage, error) {
 	if m.snap == nil {
 		return nil, fmt.Errorf("core: export before snapshot")
@@ -133,13 +133,13 @@ func (m *Manager) ExportImage(meter *sim.Meter) (*SnapshotImage, error) {
 		return nil, fmt.Errorf("core: export: %d threads, snapshot had %d", len(m.proc.Threads), len(snap.regs))
 	}
 	img := &SnapshotImage{phys: phys, desc: kernel.ProcessImage{
-		Layout:   slices.Clone(snap.layout),
+		Layout:   snap.layout,
 		BrkBase:  m.proc.AS.HeapBase(),
 		Brk:      snap.brk,
 		MmapBase: snap.mmapBase,
-		VPNs:     slices.Clone(st.vpns),
+		VPNs:     st.vpns,
 		Frames:   make([]mem.FrameID, 0, st.len()),
-		Regs:     slices.Clone(snap.regs),
+		Regs:     snap.regs,
 	}}
 
 	// An armed fault plan can abort the export before any page, between two,
@@ -163,9 +163,9 @@ func (m *Manager) ExportImage(meter *sim.Meter) (*SnapshotImage, error) {
 		case st.frames != nil:
 			f = st.frames[i]
 			phys.Ref(f)
-		case st.off[i] >= 0:
+		case st.pages[i] != nil:
 			f = phys.Alloc()
-			phys.RestoreInto(f, st.arena[st.off[i]:st.off[i]+mem.PageSize])
+			phys.RestoreInto(f, st.pages[i][:])
 			charge = cost.SnapshotPerPage
 		case zeroFrame == mem.NoFrame:
 			zeroFrame = phys.Alloc()
@@ -270,14 +270,16 @@ func NewManagerFromSnapshot(k *kernel.Kernel, img *SnapshotImage, opts Options, 
 
 	// The clone's state store shares the image frames too (its own refs), so
 	// restoring a clone copies from the same physical pages every sibling
-	// snapshot reads — no per-container snapshot arena at all. The slices are
-	// the clone's own, apart from the image's.
+	// snapshot reads — no per-container copy of the snapshot at all. Nothing
+	// writes the image's slices once it is exported, so the snapshot shares
+	// them as well; only the references are the clone's own, taken here and
+	// dropped by its Release.
 	m.snap = &snapshot{
-		layout:   slices.Clone(d.Layout),
+		layout:   d.Layout,
 		brk:      d.Brk,
 		mmapBase: d.MmapBase,
-		regs:     slices.Clone(d.Regs),
-		store:    stateStore{vpns: slices.Clone(d.VPNs), frames: slices.Clone(d.Frames)},
+		regs:     d.Regs,
+		store:    stateStore{vpns: d.VPNs, frames: d.Frames},
 	}
 	for _, f := range d.Frames {
 		k.Phys.Ref(f)

@@ -164,7 +164,7 @@ type restoreScratch struct {
 // rollback (madvise, copy), re-arm tracking. The data path is run-oriented:
 // sorted-slice merges against the snapshot's VPN index replace hash-map
 // membership tests, and contiguous dirty runs are copied back with single
-// batched pokes straight out of the StateStore arena. All intermediate state
+// batched pokes straight out of the StateStore's pages. All intermediate state
 // lives in the manager's reusable scratch buffers.
 func (m *Manager) Restore() (RestoreStats, error) {
 	if m.snap == nil {
@@ -438,26 +438,13 @@ func (m *Manager) rearm() error {
 }
 
 // restoreRun copies the recorded pages at store indices [lo, hi) — a run of
-// consecutive VPNs — back into the address space. For the CoW store that is
-// one batched frame copy; for the arena store the run splits into maximal
-// sub-runs of uniform backing (contiguous arena bytes vs. all-zero), each
-// restored with a single PokePageRun call.
+// consecutive VPNs — back into the address space with one batched poke: of
+// the CoW store's frames, or of the copy store's lent pages (nil ones zero
+// their page).
 func (m *Manager) restoreRun(as *vm.AddressSpace, st *stateStore, lo, hi int) {
 	if st.frames != nil {
 		as.PokeFrameRun(st.vpns[lo], st.frames[lo:hi])
 		return
 	}
-	for k := lo; k < hi; {
-		zero := st.off[k] < 0
-		l := k + 1
-		for l < hi && (st.off[l] < 0) == zero {
-			l++
-		}
-		if zero {
-			as.PokePageRun(st.vpns[k], l-k, nil)
-		} else {
-			as.PokePageRun(st.vpns[k], l-k, st.arena[st.off[k]:st.off[k]+(l-k)*mem.PageSize])
-		}
-		k = l
-	}
+	as.PokePageRun(st.vpns[lo], st.pages[lo:hi])
 }

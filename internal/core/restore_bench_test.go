@@ -29,7 +29,7 @@ func steadyStateManager(t *testing.T, heapPages, dirtyPages int, opts core.Optio
 // manager's scratch buffers, rolling back a request that dirtied pages (but
 // did not change the memory layout) must not allocate at all — under the
 // default copy store and under the CoW store (§5.5), whose restores copy
-// from shared frames instead of the arena.
+// from shared frames instead of lent pages.
 func TestRestoreSteadyStateZeroAllocs(t *testing.T) {
 	for _, store := range []core.StoreKind{core.StoreCopy, core.StoreCoW} {
 		opts := core.DefaultOptions()

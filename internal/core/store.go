@@ -6,29 +6,26 @@ import (
 	"groundhog/internal/mem"
 )
 
-// stateStore is the arena-backed StateStore: the recorded contents of every
-// resident page at snapshot time, held in contiguous, sorted structures
-// instead of hash maps.
+// stateStore is the StateStore: the recorded contents of every resident page
+// at snapshot time, held in sorted, parallel slices instead of hash maps.
 //
 // Layout:
 //
 //	vpns   [v0 v1 v2 ...]          sorted virtual page numbers (the index)
-//	off    [o0 -1 o1 ...]          arena byte offset per page, -1 = all-zero
-//	arena  [page0 | page2 | ...]   one contiguous allocation of page contents
-//	frames [f0 f1 f2 ...]          CoW frame refs (StoreCoW) instead of off/arena
+//	pages  [p0 nil p2 ...]         a page lent by PhysMem per page, nil = all-zero
+//	frames [f0 f1 f2 ...]          CoW frame refs (StoreCoW) instead of pages
 //
-// Because offsets are assigned in vpns order and all-zero pages consume no
-// arena bytes, any run of consecutive store indices whose pages are non-zero
-// occupies one contiguous arena slice — which is what lets the restorer hand
-// whole coalesced runs to vm.AddressSpace.PokePageRun as a single buffer.
-// Membership tests are binary searches and content reads are slice views, so
-// the restore hot path neither hashes nor allocates; snapshot memory is one
-// arena plus three small index slices instead of tens of thousands of 4 KiB
-// map values.
+// The copy store's contents live in pages the kernel's PhysMem lends
+// (mem.PhysMem.LendPage): the same free list and slabs frames draw from, so
+// a snapshot taken after a container's teardown reuses what its store and
+// frames gave back instead of allocating, and all-zero pages take none. The
+// index costs one pointer per page, and a run of consecutive store indices
+// is handed to vm.AddressSpace.PokePageRun as it stands, zero pages and all.
+// Membership tests are binary searches and content reads are the lent pages
+// themselves, so the restore hot path neither hashes nor allocates.
 type stateStore struct {
 	vpns  []uint64
-	off   []int
-	arena []byte
+	pages []*[mem.PageSize]byte
 	// frames holds CoW-shared frame references (StoreCoW, §5.5); the store
 	// owns one reference per entry. nil for the eager copy store.
 	frames []mem.FrameID
@@ -54,11 +51,11 @@ func (s *stateStore) zeroAt(i int, phys *mem.PhysMem) bool {
 	if s.frames != nil {
 		return phys.Bytes(s.frames[i]) == 0
 	}
-	return s.off[i] < 0
+	return s.pages[i] == nil
 }
 
 // contentAt returns the recorded bytes of page i (nil = all-zero). For the
-// copy store this is a zero-copy view into the arena; for the CoW store the
+// copy store this is the lent page itself; for the CoW store the
 // frame is read into buf (at least a page long), so verification allocates
 // nothing per page.
 func (s *stateStore) contentAt(i int, phys *mem.PhysMem, buf []byte) []byte {
@@ -69,21 +66,27 @@ func (s *stateStore) contentAt(i int, phys *mem.PhysMem, buf []byte) []byte {
 		phys.ReadAt(s.frames[i], 0, buf[:mem.PageSize])
 		return buf[:mem.PageSize]
 	}
-	if s.off[i] < 0 {
+	if s.pages[i] == nil {
 		return nil
 	}
-	return s.arena[s.off[i] : s.off[i]+mem.PageSize]
+	return s.pages[i][:]
 }
 
-// release drops the store's frame references (StoreCoW).
+// release returns what the store holds to phys: the CoW store's frame
+// references, the copy store's lent pages.
 func (s *stateStore) release(phys *mem.PhysMem) {
 	for _, f := range s.frames {
 		phys.Unref(f)
 	}
+	for _, p := range s.pages {
+		if p != nil {
+			phys.ReturnPage(p)
+		}
+	}
 }
 
-// bytes reports the store's materialized memory: for the copy store, the
-// arena (all-zero pages consume nothing); for the CoW store, only frames that
+// bytes reports the store's materialized memory: for the copy store, its lent
+// pages (all-zero pages consume nothing); for the CoW store, only frames that
 // have diverged from the function, i.e. memory proportional to the pages the
 // function actually dirtied (§5.5).
 func (s *stateStore) bytes(phys *mem.PhysMem) int {
@@ -96,5 +99,11 @@ func (s *stateStore) bytes(phys *mem.PhysMem) int {
 		}
 		return total
 	}
-	return len(s.arena)
+	total := 0
+	for _, p := range s.pages {
+		if p != nil {
+			total += mem.PageSize
+		}
+	}
+	return total
 }

@@ -10,9 +10,9 @@ import (
 	"groundhog/internal/vm"
 )
 
-// refStore captures what the pre-arena, map-based StateStore held: one
+// refStore captures what the original, map-based StateStore held: one
 // independently copied buffer per resident page (nil = all-zero), keyed by
-// VPN. The equivalence tests below assert that restores driven by the arena
+// VPN. The equivalence tests below assert that restores driven by the sorted
 // store leave the process byte-identical to this reference.
 type refStore map[uint64][]byte
 
@@ -65,7 +65,7 @@ func TestArenaStoreRestoresByteIdenticalToMapStore(t *testing.T) {
 				p.AS.WriteWord(heap+vm.Addr(i*mem.PageSize), 0xAB00+uint64(i))
 			}
 			// Page 50: materialized all-zero (non-zero then zero) — the map
-			// store kept a real 4 KiB zero buffer for it, the arena store
+			// store kept a real 4 KiB zero buffer for it, the copy store
 			// must reproduce the same observable contents.
 			p.AS.WriteWord(heap+50*mem.PageSize, 7)
 			p.AS.WriteWord(heap+50*mem.PageSize, 0)
@@ -136,7 +136,7 @@ func TestArenaStoreRestoresByteIdenticalToMapStore(t *testing.T) {
 
 // TestArenaStoreRestoresUnmappedRegionContents checks the path where
 // snapshot pages lose residency entirely (the request munmapped their
-// region): the re-created region must be refilled from the arena, again
+// region): the re-created region must be refilled from the store, again
 // byte-identical to the reference.
 func TestArenaStoreRestoresUnmappedRegionContents(t *testing.T) {
 	k := kernel.New(kernel.Default())
@@ -205,8 +205,8 @@ func TestSeekMatchesLinearScan(t *testing.T) {
 // TestStateStoreIndex covers the sorted-index primitives directly.
 func TestStateStoreIndex(t *testing.T) {
 	st := stateStore{
-		vpns: []uint64{10, 11, 14, 90},
-		off:  []int{0, -1, mem.PageSize, 2 * mem.PageSize},
+		vpns:  []uint64{10, 11, 14, 90},
+		pages: []*[mem.PageSize]byte{new([mem.PageSize]byte), nil, new([mem.PageSize]byte), new([mem.PageSize]byte)},
 	}
 	for i, vpn := range st.vpns {
 		if got := st.index(vpn); got != i {
@@ -222,7 +222,7 @@ func TestStateStoreIndex(t *testing.T) {
 		}
 	}
 	if !st.zeroAt(1, nil) || st.zeroAt(0, nil) {
-		t.Fatal("zeroAt disagrees with offsets")
+		t.Fatal("zeroAt disagrees with the pages")
 	}
 }
 
@@ -383,11 +383,11 @@ func TestAppendRunsReusesBuffer(t *testing.T) {
 	}
 }
 
-// TestFirstSnapshotSizesItsBuffersOnce: a first snapshot allocates its arena
-// at the size the copy loop leaves it — one page per resident page that holds
-// bytes, none for the lazily-zero ones, including when those are the last
-// pages visited and the arena has no spare capacity left to read into — and
-// its index at the resident count, under both trackers.
+// TestFirstSnapshotSizesItsBuffersOnce: a first snapshot lends one page per
+// resident page that holds bytes and none for the lazily-zero ones,
+// including when those are the last pages visited and the page in hand goes
+// back unused, and allocates its index once, at the resident count, under
+// both trackers. Releasing the manager returns every lent page.
 func TestFirstSnapshotSizesItsBuffersOnce(t *testing.T) {
 	for _, tracker := range []TrackerKind{TrackSoftDirty, TrackUffd} {
 		opts := DefaultOptions()
@@ -422,16 +422,40 @@ func TestFirstSnapshotSizesItsBuffersOnce(t *testing.T) {
 			t.Fatal(err)
 		}
 		st := &m.snap.store
-		resident, holding := p.AS.ResidentPages(), p.AS.MaterializedPages()
+		resident, holding := p.AS.ResidentPages(), contentPages(p.AS)
 		if holding == 0 || holding == resident {
 			t.Fatalf("tracker %v: %d of %d resident pages hold bytes; the test needs both kinds", tracker, holding, resident)
 		}
-		if len(st.arena) != holding*mem.PageSize || cap(st.arena) != len(st.arena) {
-			t.Errorf("tracker %v: arena len %d cap %d, want both %d (%d pages holding bytes)",
-				tracker, len(st.arena), cap(st.arena), holding*mem.PageSize, holding)
+		kept := 0
+		for _, pg := range st.pages {
+			if pg != nil {
+				kept++
+			}
 		}
-		if st.len() != resident || len(st.off) != resident {
-			t.Errorf("tracker %v: index holds %d pages, %d offsets; %d resident", tracker, st.len(), len(st.off), resident)
+		if kept != holding || k.Phys.Lent() != holding {
+			t.Errorf("tracker %v: the store keeps %d pages, %d are lent; want both %d (pages holding bytes)",
+				tracker, kept, k.Phys.Lent(), holding)
+		}
+		if st.len() != resident || len(st.pages) != resident || cap(st.vpns) != resident || cap(st.pages) != resident {
+			t.Errorf("tracker %v: index holds %d pages, %d page pointers (caps %d, %d); %d resident",
+				tracker, st.len(), len(st.pages), cap(st.vpns), cap(st.pages), resident)
+		}
+		m.Release()
+		if k.Phys.Lent() != 0 {
+			t.Errorf("tracker %v: %d pages still lent after the manager's release", tracker, k.Phys.Lent())
 		}
 	}
+}
+
+// contentPages counts as's resident pages that hold bytes, the pages a copy
+// store keeps.
+func contentPages(as *vm.AddressSpace) int {
+	var buf [mem.PageSize]byte
+	n := 0
+	for _, vpn := range as.ResidentVPNs() {
+		if zero, ok := as.PeekPageInto(vpn, buf[:]); ok && !zero {
+			n++
+		}
+	}
+	return n
 }

@@ -33,8 +33,8 @@ type ColdStartBenchResult struct {
 	Benchmark string `json:"benchmark"`
 	Mode      string `json:"mode"`
 	// Store names the donor's StateStore implementation (§5.5): "copy"
-	// materializes the image's frames once from the snapshot arena at
-	// export; "cow" exports by referencing the already-frozen frames.
+	// materializes the image's frames once from the snapshot's lent pages
+	// at export; "cow" exports by referencing the already-frozen frames.
 	Store           string                `json:"store"`
 	FullColdStartUs float64               `json:"full_cold_start_virtual_us"`
 	FirstCloneUs    float64               `json:"first_clone_virtual_us"`

@@ -15,7 +15,9 @@
 // PhysMem to run out of slab takes one from there before asking the runtime,
 // as a host's page allocator outlives the processes it serves. That a
 // recycled frame shows nothing of its last owner, in the same PhysMem or
-// another, is a tested property, not a convention.
+// another, is a tested property, not a convention. The same buffers are lent
+// whole to hold bytes that are no frame's (a snapshot's copy of a page, see
+// LendPage), so that memory too is recycled rather than made.
 package mem
 
 import (
@@ -68,9 +70,12 @@ type frame struct {
 // slabPages(buffers carved so far) pages — it grows with the pool, so a
 // PhysMem that only ever holds a few dozen frames (a live gateway's whole
 // stack) wastes at most a few pages of slack while one holding tens of
-// thousands allocates by the megabyte. When Unref frees the last live frame,
-// every buffer is free, so the PhysMem hands every slab it carves from back to
-// the spare list and starts over with none. It stays usable, and its frame
+// thousands allocates by the megabyte. A page lent by LendPage is carved or
+// recycled the same way, and counted (Lent) until ReturnPage takes it back.
+// When Unref frees the last live frame with no page lent, or ReturnPage takes
+// the last lent page back with no frame live, every buffer is free, so the
+// PhysMem hands every slab it carves from back to the spare list and starts
+// over with none. It stays usable, and its frame
 // IDs, InUse and Peak (live frames, whatever the slabs hold) are untouched:
 // only backing bytes move between PhysMems.
 //
@@ -85,6 +90,7 @@ type PhysMem struct {
 	slab   []byte    // the newest slab's uncarved tail
 	reused bool      // the newest slab came from the spare list: its bytes are stale
 	carved int       // page buffers carved from slabs since the last hand-back
+	lent   int       // page buffers lent by LendPage and not yet returned
 	// stats
 	inUse int
 	peak  int
@@ -125,7 +131,8 @@ func takeSpare() []byte {
 }
 
 // handBack gives every slab to the spare list and forgets the page buffers
-// carved from them. The caller guarantees no frame holds one (InUse is 0).
+// carved from them. The caller guarantees no frame holds one and none is lent
+// (InUse and Lent are 0).
 func (p *PhysMem) handBack() {
 	spare.Lock()
 	spare.slabs = append(spare.slabs, p.slabs...)
@@ -189,7 +196,8 @@ func (p *PhysMem) Ref(id FrameID) {
 }
 
 // Unref decrements the reference count and frees the frame when it reaches
-// zero. Freeing the last live frame hands the slabs back (see PhysMem).
+// zero. Freeing the last live frame while no page is lent hands the slabs
+// back (see PhysMem).
 func (p *PhysMem) Unref(id FrameID) {
 	f := p.get(id)
 	f.refs--
@@ -197,11 +205,40 @@ func (p *PhysMem) Unref(id FrameID) {
 		p.release(f)
 		p.free = append(p.free, id)
 		p.inUse--
-		if p.inUse == 0 {
+		if p.inUse == 0 && p.lent == 0 {
 			p.handBack()
 		}
 	}
 }
+
+// LendPage lends the caller one page buffer from the pool frames draw from —
+// a released buffer first, then the next slab page — for bytes that belong to
+// no frame: the copy state store keeps a snapshot's page contents in lent
+// pages. Like materializeRaw, it does not clear: the page may hold what its
+// last user left, so the borrower overwrites it whole before it reads it. The
+// page is the borrower's until ReturnPage; while any page is lent the PhysMem
+// keeps its slabs, even with no frame live.
+func (p *PhysMem) LendPage() *[PageSize]byte {
+	p.lent++
+	return (*[PageSize]byte)(p.takeBuf(false))
+}
+
+// ReturnPage takes back a page LendPage lent, contents intact, for the next
+// frame or borrower to take (and clear, or overwrite whole). Returning the
+// last lent page while no frame is live hands the slabs back.
+func (p *PhysMem) ReturnPage(b *[PageSize]byte) {
+	if p.lent == 0 {
+		panic("mem: ReturnPage of a page not lent")
+	}
+	p.bufs = append(p.bufs, b[:])
+	p.lent--
+	if p.lent == 0 && p.inUse == 0 {
+		p.handBack()
+	}
+}
+
+// Lent reports the number of pages lent by LendPage and not yet returned.
+func (p *PhysMem) Lent() int { return p.lent }
 
 // Refs reports the reference count of a frame.
 func (p *PhysMem) Refs(id FrameID) int { return p.get(id).refs }
@@ -220,7 +257,7 @@ func (p *PhysMem) Clone(src FrameID) FrameID {
 // materialize gives f a real (all-zero) page buffer.
 func (p *PhysMem) materialize(f *frame) []byte {
 	if f.data == nil {
-		p.takeBuf(f, true)
+		f.data = p.takeBuf(true)
 	}
 	return f.data
 }
@@ -229,32 +266,32 @@ func (p *PhysMem) materialize(f *frame) []byte {
 // contents — only for callers about to overwrite the entire page.
 func (p *PhysMem) materializeRaw(f *frame) []byte {
 	if f.data == nil {
-		p.takeBuf(f, false)
+		f.data = p.takeBuf(false)
 	}
 	return f.data
 }
 
-// takeBuf hands f, which has none, a page buffer: the slow path of the two
-// materialize forms, kept out of line (the compiler would inline it into
-// them, and they would then be too large to inline into WriteWord and undo,
-// whose common case is a frame that already has its buffer). A released
-// buffer is reused first; it still holds its last frame's bytes and is
-// cleared here, on reuse, if the taker asks for zeros. With none, the next
-// page of the current slab is carved off, capacity clipped to the page so no
-// frame can reach its neighbour's bytes. When that slab is used up the next
+// takeBuf returns a page buffer for a frame that has none, or to lend: the
+// slow path of the two materialize forms, kept out of line (the compiler
+// would inline it into them, and they would then be too large to inline into
+// WriteWord and undo, whose common case is a frame that already has its
+// buffer). A released buffer is reused first; it still holds its last user's
+// bytes and is cleared here, on reuse, if the taker asks for zeros. With
+// none, the next page of the current slab is carved off, capacity clipped to
+// the page so no taker can reach its neighbour's bytes. When that slab is used up the next
 // one is a spare if there is one — its pages hold a dead PhysMem's bytes and
 // are cleared for takers that ask for zeros, as a released buffer is — and a
 // new one, zero as the runtime allocates it, only if there is none.
 //
 //go:noinline
-func (p *PhysMem) takeBuf(f *frame, zero bool) {
+func (p *PhysMem) takeBuf(zero bool) []byte {
 	if n := len(p.bufs); n > 0 {
-		f.data = p.bufs[n-1]
+		b := p.bufs[n-1]
 		p.bufs = p.bufs[:n-1]
 		if zero {
-			clear(f.data)
+			clear(b)
 		}
-		return
+		return b
 	}
 	if len(p.slab) == 0 {
 		p.slab = takeSpare()
@@ -264,11 +301,13 @@ func (p *PhysMem) takeBuf(f *frame, zero bool) {
 		}
 		p.slabs = append(p.slabs, p.slab)
 	}
-	f.data, p.slab = p.slab[:PageSize:PageSize], p.slab[PageSize:]
+	b := p.slab[:PageSize:PageSize]
+	p.slab = p.slab[PageSize:]
 	p.carved++
 	if zero && p.reused {
-		clear(f.data)
+		clear(b)
 	}
+	return b
 }
 
 // checkOffset validates an intra-frame offset for an access of size n.

@@ -27,6 +27,15 @@ type slabModel struct {
 	// spared holds every slab seen on the spare list: a slab of p's outside
 	// it is one p made.
 	spared map[*byte]bool
+	// lent holds the pages p has lent and the model's copy of what their
+	// borrower wrote, in lending order (deterministic picks).
+	lent []lentPage
+}
+
+// lentPage is one page LendPage lent and the bytes its borrower wrote to it.
+type lentPage struct {
+	page *[PageSize]byte
+	data [PageSize]byte
 }
 
 func (m *slabModel) failf(format string, args ...any) bool {
@@ -83,7 +92,7 @@ func (m *slabModel) step() []FrameID {
 	if len(m.ids) == 0 {
 		return []FrameID{m.allocWritten()}
 	}
-	switch op := m.rng.Intn(12); op {
+	switch op := m.rng.Intn(14); op {
 	case 0, 1:
 		return []FrameID{m.allocWritten()}
 	case 2:
@@ -150,6 +159,14 @@ func (m *slabModel) step() []FrameID {
 		m.live[id].data = [PageSize]byte{}
 		copy(m.live[id].data[:], snap)
 		return []FrameID{id}
+	case 12:
+		m.lend()
+		return nil
+	case 13:
+		if len(m.lent) > 0 {
+			m.giveBack(m.rng.Intn(len(m.lent)))
+		}
+		return nil
 	default:
 		// RestoreExtent into a lazily-zero frame: the contract holds when the
 		// snapshot is zero outside the extent, and the frame's buffer — fresh
@@ -164,6 +181,28 @@ func (m *slabModel) step() []FrameID {
 		copy(m.live[id].data[:], snap)
 		return []FrameID{id}
 	}
+}
+
+// lend borrows a page from the PhysMem and, as a borrower must, writes it
+// whole.
+func (m *slabModel) lend() {
+	l := lentPage{page: m.p.LendPage()}
+	m.rng.Read(l.data[:])
+	*l.page = l.data
+	m.lent = append(m.lent, l)
+}
+
+// giveBack returns lent page i, which must still hold what its borrower
+// wrote.
+func (m *slabModel) giveBack(i int) bool {
+	l := m.lent[i]
+	m.lent = append(m.lent[:i], m.lent[i+1:]...)
+	intact := *l.page == l.data
+	m.p.ReturnPage(l.page)
+	if !intact {
+		return m.failf("a lent page changed while its borrower held it")
+	}
+	return true
 }
 
 // allocWritten allocates a frame and, three times in four, writes a word to
@@ -188,6 +227,9 @@ func (m *slabModel) check(touched []FrameID, all bool) bool {
 	if p.InUse() != len(m.live) {
 		return m.failf("InUse() = %d, model has %d live frames", p.InUse(), len(m.live))
 	}
+	if p.Lent() != len(m.lent) {
+		return m.failf("Lent() = %d, model has %d lent pages", p.Lent(), len(m.lent))
+	}
 	mat := p.carved - len(p.bufs)
 	m.peak = max(m.peak, mat)
 	// Slabs taken from the spare list may be any size; the ones this PhysMem
@@ -203,6 +245,11 @@ func (m *slabModel) check(touched []FrameID, all bool) bool {
 	}
 	if all {
 		touched = m.ids
+		for _, l := range m.lent {
+			if *l.page != l.data {
+				return m.failf("a lent page changed while its borrower held it")
+			}
+		}
 	}
 	var buf [PageSize]byte
 	for _, id := range touched {
@@ -247,10 +294,11 @@ func noteSpares(spared map[*byte]bool) {
 
 // checkOwnership is the sweep across PhysMems: every slab page is held by one
 // PhysMem or by the spare list, never two; every page buffer — a live frame's,
-// a released one awaiting reuse, an uncarved one in a slab's tail — lies in a
-// slab of its own PhysMem and is no other buffer's; and each PhysMem's
-// counters agree with the buffers its live frames hold. No page buffer is
-// reachable from two PhysMems.
+// a lent page, a released one awaiting reuse, an uncarved one in a slab's
+// tail — lies in a slab of its own PhysMem (never on the spare list) and is
+// no other buffer's; and each PhysMem's counters agree with the buffers its
+// live frames and borrowers hold. No page buffer is reachable from two
+// PhysMems.
 func checkOwnership(t *testing.T, ms []*slabModel) bool {
 	t.Helper()
 	const spareOwner = -1
@@ -312,6 +360,11 @@ func checkOwnership(t *testing.T, ms []*slabModel) bool {
 				}
 			}
 		}
+		for _, l := range m.lent {
+			if !use(l.page[:], "lent page") {
+				return false
+			}
+		}
 		for _, d := range p.bufs {
 			if cap(d) != PageSize {
 				return m.failf("PhysMem %d: released buffer of cap %d, want one page", i, cap(d))
@@ -325,17 +378,31 @@ func checkOwnership(t *testing.T, ms []*slabModel) bool {
 				return false
 			}
 		}
-		if mat := p.carved - len(p.bufs); live != mat {
-			return m.failf("PhysMem %d: %d live frames hold a buffer, the pool's counters say %d", i, live, mat)
+		if mat := p.carved - len(p.bufs); live+len(m.lent) != mat {
+			return m.failf("PhysMem %d: %d live frames hold a buffer and %d pages are lent, the pool's counters say %d",
+				i, live, len(m.lent), mat)
 		}
 	}
 	return true
 }
 
-// tearDown frees every frame of m, as a platform's teardown does, and checks
-// the PhysMem handed each of its slabs to the spare list and kept none.
+// tearDown frees every frame of m and returns every lent page, in either
+// order, as a platform's teardown does, and checks the PhysMem kept its slabs
+// while a page was lent, then handed each of them to the spare list and kept
+// none.
 func (m *slabModel) tearDown() bool {
 	held := append([][]byte(nil), m.p.slabs...)
+	returnAll := func() bool {
+		for len(m.lent) > 0 {
+			if !m.giveBack(len(m.lent) - 1) {
+				return false
+			}
+		}
+		return true
+	}
+	if m.rng.Intn(2) == 0 && !returnAll() {
+		return false
+	}
 	for len(m.ids) > 0 {
 		id := m.ids[len(m.ids)-1]
 		for r := m.live[id].refs; r > 0; r-- {
@@ -343,6 +410,12 @@ func (m *slabModel) tearDown() bool {
 		}
 	}
 	p := m.p
+	if len(m.lent) > 0 && len(p.slabs) == 0 {
+		return m.failf("handed its slabs back with %d pages lent", len(m.lent))
+	}
+	if !returnAll() {
+		return false
+	}
 	if p.InUse() != 0 || len(p.slabs) != 0 || len(p.bufs) != 0 || len(p.slab) != 0 || p.carved != 0 {
 		return m.failf("torn down with InUse %d: kept %d slabs, %d released buffers, %d tail bytes, carved %d",
 			p.InUse(), len(p.slabs), len(p.bufs), len(p.slab), p.carved)
@@ -358,12 +431,14 @@ func (m *slabModel) tearDown() bool {
 	return true
 }
 
-// TestSlabMatchesReferenceModel: whatever sequence of operations runs on two
-// PhysMems, one of them torn down mid-sequence and used again, every read
-// equals a plain map of refcounted pages, InUse counts the map's live frames
-// (not slab capacity), every page buffer is exactly one page of its own
-// PhysMem's slabs that no other frame, released buffer or PhysMem shares, the
-// teardown hands every slab to the spare list, and the slab pages a PhysMem
+// TestSlabMatchesReferenceModel: whatever sequence of operations — lends and
+// returns of pages among them — runs on two PhysMems, one of them torn down
+// mid-sequence and used again, every read equals a plain map of refcounted
+// pages, InUse counts the map's live frames (not slab capacity) and Lent the
+// pages out, every page buffer is exactly one page of its own PhysMem's slabs
+// that no other frame, lent page, released buffer or PhysMem shares, a lent
+// page keeps what its borrower wrote, the teardown waits for every lent page
+// and then hands every slab to the spare list, and the slab pages a PhysMem
 // makes (rather than takes spare) never exceed the most buffers it needed at
 // once plus one slab of slack. Sequences run long enough to cross dozens of
 // slab boundaries and, in the larger cases, into the proportional part of the
@@ -410,9 +485,11 @@ func TestSlabMatchesReferenceModel(t *testing.T) {
 }
 
 // TestRecycledFramesCarryNoSecret is the wipe property at the frame level
-// and at the host level: frames filled with a secret and freed leave it in
-// their buffers (release does not scrub — materialize does, on reuse), so
-// every way a frame can come to hold a buffer must hide it. In half the cases
+// and at the host level: frames and lent pages filled with a secret and
+// freed or returned leave it in their buffers (release does not scrub —
+// materialize does, on reuse), so every way a frame can come to hold a
+// buffer must hide it, and a borrower, who overwrites its page whole, must
+// read back only what it wrote. In half the cases
 // a frame of the secret's PhysMem stays live and the secret waits in its free
 // list; in the other half every frame is freed, the PhysMem hands its slabs
 // to the spare list, and a second PhysMem — the next platform on the host —
@@ -445,12 +522,22 @@ func TestRecycledFramesCarryNoSecret(t *testing.T) {
 			ids[i] = a.Alloc()
 			a.writeAt(ids[i], 0, secrets)
 		}
+		// Some secrets sit in lent pages, a snapshot store's; they go back
+		// with the frames.
+		lent := make([]*[PageSize]byte, rng.Intn(16))
+		for i := range lent {
+			lent[i] = a.LendPage()
+			copy(lent[i][:], secrets)
+		}
 		for _, j := range rng.Perm(n) {
 			a.Unref(ids[j])
 		}
+		for _, b := range lent {
+			a.ReturnPage(b)
+		}
 		p := a
 		if anchor == NoFrame {
-			if a.InUse() != 0 || len(a.slabs) != 0 || spareLen() == 0 {
+			if a.InUse() != 0 || a.Lent() != 0 || len(a.slabs) != 0 || spareLen() == 0 {
 				t.Errorf("seed %d: PhysMem with no live frame kept its slabs", seed)
 				return false
 			}
@@ -464,7 +551,8 @@ func TestRecycledFramesCarryNoSecret(t *testing.T) {
 			lo := rng.Intn(PageSize - WordSize)
 			hi := lo + 1 + rng.Intn(PageSize-lo)
 			var id FrameID
-			switch rng.Intn(7) {
+			var got []byte
+			switch rng.Intn(8) {
 			case 0: // a word into a zero frame
 				id = p.Alloc()
 				p.WriteWord(id, lo, 0x0102030405060708)
@@ -491,10 +579,17 @@ func TestRecycledFramesCarryNoSecret(t *testing.T) {
 				p.writeAt(src, lo, want[lo:hi])
 				id = p.Clone(src)
 				p.Unref(src)
+			case 6: // a lent page, overwritten whole by its borrower
+				b := p.LendPage()
+				copy(want, plain(rng, PageSize))
+				copy(b[:], want)
+				got = b[:]
 			default: // nothing but a read
 				id = p.Alloc()
 			}
-			got := frameBytes(p, id)
+			if id != NoFrame {
+				got = frameBytes(p, id)
+			}
 			if i := bytes.IndexByte(got, secret); i >= 0 {
 				t.Errorf("seed %d: frame taken back holds a secret byte at offset %d", seed, i)
 				return false

@@ -108,7 +108,7 @@ func (t *Tracer) SetRegs(tid int, regs kernel.Regs) error {
 // PeekPageInto reads one page of tracee memory (process_vm_readv
 // granularity) into buf (at least one page): ok=false means the page is not
 // resident, zero=true that it is all-zero (buf untouched). The snapshot uses
-// this to fill its arena in place.
+// this to read each page into a page its kernel lends, in place.
 func (t *Tracer) PeekPageInto(vpn uint64, buf []byte) (zero, ok bool, err error) {
 	if err := t.check(true); err != nil {
 		return false, false, err

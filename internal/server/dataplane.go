@@ -92,8 +92,8 @@ func (h *Handle) ArmFaults(plan faults.Plan) error {
 }
 
 // Shutdown takes every deployment out of the registry, tears each down and
-// reports the frames their kernels still hold afterwards — zero when none
-// leaked memory (the serving analogue of trace.Fleet.Teardown). An in-flight
+// reports the frames their kernels still hold afterwards, and the pages they
+// still lend — zero when none leaked memory (the serving analogue of trace.Fleet.Teardown). An in-flight
 // invoke holding a deployment's lock completes and delivers its response
 // first — shutdown never loses an accepted request. The server keeps
 // answering after shutdown: cached handles fail with ErrGone, and a new
@@ -115,14 +115,15 @@ func (s *Server) Shutdown() int {
 }
 
 // teardown tears the deployment's platform down and returns the frames its
-// kernel still counts in use afterwards: the deployment's leak. Caller holds
-// dep.mu.
+// kernel still counts in use afterwards, plus the pages it still lends: the
+// deployment's leak. Caller holds dep.mu.
 func (dep *deployment) teardown() int {
 	if dep.platform == nil {
 		return 0
 	}
 	dep.platform.Teardown()
-	return dep.platform.Kern.Phys.InUse()
+	phys := dep.platform.Kern.Phys
+	return phys.InUse() + phys.Lent()
 }
 
 // record updates the per-deployment request counters after a served

@@ -26,6 +26,7 @@ package trace
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"time"
 
@@ -34,6 +35,7 @@ import (
 	"groundhog/internal/faults"
 	"groundhog/internal/isolation"
 	"groundhog/internal/kernel"
+	"groundhog/internal/mem"
 	"groundhog/internal/metrics"
 	"groundhog/internal/runtimes"
 	"groundhog/internal/sim"
@@ -1196,19 +1198,29 @@ func (d *Dispatcher) applyEvent(ev Event) {
 }
 
 // Teardown tears every pool down (faas.Platform.Teardown), then reports the
-// provider's remaining in-use frame count. On a leak-free fleet — any fault
-// plan, any event schedule — the answer is the kernels' baseline (0): every
-// frame a partial or crashed operation touched was released, and each
-// kernel's page memory is free for the next fleet or cluster built.
+// provider's remaining in-use frame count plus the pages the pools' kernels
+// still lend (a snapshot store that outlived its container). On a leak-free
+// fleet — any fault plan, any event schedule — the answer is the kernels'
+// baseline (0): every frame a partial or crashed operation touched was
+// released, every lent page returned, and each kernel's page memory is free
+// for the next fleet or cluster built.
 func (d *Dispatcher) Teardown() int {
+	var phys []*mem.PhysMem
 	for _, fs := range d.fns {
 		for _, pl := range fs.pools {
 			if pl != nil {
 				pl.Teardown()
+				if !slices.Contains(phys, pl.Kern.Phys) {
+					phys = append(phys, pl.Kern.Phys)
+				}
 			}
 		}
 	}
-	return d.prov.FramesInUse()
+	leaked := d.prov.FramesInUse()
+	for _, p := range phys {
+		leaked += p.Lent()
+	}
+	return leaked
 }
 
 // pickReady returns a container that can serve right now and its pool,

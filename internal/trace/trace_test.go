@@ -10,6 +10,7 @@ import (
 	"groundhog/internal/core"
 	"groundhog/internal/isolation"
 	"groundhog/internal/kernel"
+	"groundhog/internal/mem"
 	"groundhog/internal/sim"
 )
 
@@ -526,5 +527,42 @@ func TestFleetReapsOrphanedNeverServedContainer(t *testing.T) {
 	}
 	if got := f.kern.Phys.InUse(); got != 0 {
 		t.Fatalf("%d frames still in use", got)
+	}
+}
+
+// TestTeardownCountsLentPages: a copy-store snapshot that outlives its
+// platform keeps pages its kernel lent, and Teardown reports them with the
+// frames, so the leak gates that hold a teardown to 0 fail on it. Once the
+// manager is released, nothing is lent and Teardown reports 0 again.
+func TestTeardownCountsLentPages(t *testing.T) {
+	f, err := NewFleet(testConfig(isolation.ModeGH), testLoads(t, 10))
+	if err != nil {
+		t.Fatal(err)
+	}
+	p, err := f.kern.Spawn(kernel.ExecSpec{TextPages: 2, DataPages: 2, Threads: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	heap := p.AS.HeapBase()
+	if _, err := p.AS.Brk(heap + 4*mem.PageSize); err != nil {
+		t.Fatal(err)
+	}
+	p.AS.WriteWord(heap, 0x5eed)
+	m, err := core.NewManager(f.kern, p, core.DefaultOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := m.TakeSnapshot(); err != nil {
+		t.Fatal(err)
+	}
+	f.kern.Exit(p)
+	leaked := f.Teardown()
+	if lent := f.kern.Phys.Lent(); lent == 0 || leaked != lent || f.kern.Phys.InUse() != 0 {
+		t.Fatalf("teardown reported %d with %d pages lent and %d frames in use; want the lent pages, and no frame",
+			leaked, lent, f.kern.Phys.InUse())
+	}
+	m.Release()
+	if leaked := f.Teardown(); leaked != 0 || f.kern.Phys.Lent() != 0 {
+		t.Fatalf("after the manager's release teardown reports %d, %d pages lent; want 0", leaked, f.kern.Phys.Lent())
 	}
 }

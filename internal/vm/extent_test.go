@@ -89,7 +89,7 @@ func TestExtentWholeOnEveryBirthPath(t *testing.T) {
 	t.Run("poke of a non-resident page", func(t *testing.T) {
 		for _, poke := range []func(as *AddressSpace, vpn uint64){
 			func(as *AddressSpace, vpn uint64) { as.pokePage(vpn, nil) },
-			func(as *AddressSpace, vpn uint64) { as.PokePageRun(vpn, 1, nil) },
+			func(as *AddressSpace, vpn uint64) { as.PokePageRun(vpn, pageRun(1, nil)) },
 			func(as *AddressSpace, vpn uint64) {
 				f := as.Phys().Alloc()
 				defer as.Phys().Unref(f)
@@ -119,7 +119,7 @@ func TestExtentWholeOnEveryBirthPath(t *testing.T) {
 		defer child.Release()
 		data := make([]byte, mem.PageSize)
 		data[0] = 0x42
-		as.PokePageRun(base, 1, data)
+		as.PokePageRun(base, pageRun(1, data))
 		wantExtent(t, as, base, 0, mem.PageSize)
 		if got := as.ReadWord(PageAddr(base)); got != 0x42 {
 			t.Fatalf("poke through a CoW break copied %#x, want the whole source page", got)
@@ -147,10 +147,10 @@ func TestExtentEmptiedByClearSoftDirty(t *testing.T) {
 		as.DropPage(base + 1)              // born by a read...
 		as.TouchPage(base + 1)
 		as.DropPage(base + 2) // ...by a poke
-		as.PokePageRun(base+2, 1, nil)
+		as.PokePageRun(base+2, pageRun(1, nil))
 		as.WriteWord(PageAddr(base+3)+8, 2) // CoW-broken by a poke
 		child := as.Fork()
-		as.PokePageRun(base+3, 1, nil)
+		as.PokePageRun(base+3, pageRun(1, nil))
 		return child
 	}
 	check := func(t *testing.T, as *AddressSpace, base uint64) {
@@ -215,8 +215,8 @@ func TestExtentEmptiedByClearSoftDirty(t *testing.T) {
 		as.WriteWord(PageAddr(base+3)+8, 2) // CoW fault against the child
 		grand := as.Fork()
 		defer grand.Release()
-		as.PokePageRun(base+3, 1, nil) // whole again, by a poke's CoW break
-		as.PokePageRun(base+1, 1, nil) // clean shared page: whole by the poke alone
+		as.PokePageRun(base+3, pageRun(1, nil)) // whole again, by a poke's CoW break
+		as.PokePageRun(base+1, pageRun(1, nil)) // clean shared page: whole by the poke alone
 		wantExtent(t, as, base+1, 0, mem.PageSize)
 		as.ClearSoftDirty()
 		check(t, as, base)
@@ -425,7 +425,7 @@ func TestExtentBoundsEveryWrittenByte(t *testing.T) {
 				if _, ok := as.PTEAt(vpn); !ok || !known {
 					break
 				}
-				as.PokePageRun(vpn, 1, old)
+				as.PokePageRun(vpn, pageRun(1, old))
 				if !bytes.Equal(content(i), old) {
 					t.Logf("step %d: page %d differs from the poked contents after PokePageRun", step, i)
 					return false

@@ -276,7 +276,8 @@ func (as *AddressSpace) Fork() *AddressSpace {
 	child.mmapNext = as.mmapNext
 	child.pages.chunks = make([]*pageChunk, 0, len(as.pages.chunks))
 	for _, c := range as.pages.chunks {
-		cc := &pageChunk{base: c.base, n: c.n, bitmap: c.bitmap}
+		cc := chunkPool.Get().(*pageChunk)
+		cc.base, cc.n, cc.bitmap = c.base, c.n, c.bitmap
 		for w, word := range c.bitmap {
 			for ; word != 0; word &= word - 1 {
 				i := uint64(w<<6) + uint64(bits.TrailingZeros64(word))
@@ -298,16 +299,9 @@ func (as *AddressSpace) Fork() *AddressSpace {
 }
 
 // Release drops every backing frame. Call when the process exits so the
-// physical pool's accounting stays accurate.
+// physical pool's accounting stays accurate. The page table's chunks, cleared,
+// go to the process-wide pool the next address space draws from.
 func (as *AddressSpace) Release() {
-	for _, c := range as.pages.chunks {
-		for w, word := range c.bitmap {
-			for ; word != 0; word &= word - 1 {
-				i := uint64(w<<6) + uint64(bits.TrailingZeros64(word))
-				as.phys.Unref(c.entries[i].Frame)
-			}
-		}
-	}
-	as.pages.reset()
+	as.pages.release(as.phys)
 	as.vmas = nil
 }

@@ -1,6 +1,11 @@
 package vm
 
-import "math/bits"
+import (
+	"math/bits"
+	"sync"
+
+	"groundhog/internal/mem"
+)
 
 // The sparse page table behind AddressSpace. PTEs live in chunks of 512
 // entries covering aligned 512-page spans, with a presence bitmap per chunk:
@@ -36,6 +41,13 @@ func (c *pageChunk) present(i uint64) bool {
 func (c *pageChunk) setBit(i uint64)   { c.bitmap[i>>6] |= 1 << (i & 63) }
 func (c *pageChunk) clearBit(i uint64) { c.bitmap[i>>6] &^= 1 << (i & 63) }
 
+// chunkPool holds emptied chunks, every entry and bit zero, for the next
+// addChunk of any address space in the process: an exiting process's chunks
+// (Release clears them) are what the next clone maps its image into, and a
+// request that maps and writes a scratch region the rollback then unmaps
+// takes back the chunk the unmap emptied. Without it, each would allocate.
+var chunkPool = sync.Pool{New: func() any { return new(pageChunk) }}
+
 // pageTable is a sorted collection of chunks plus a one-entry lookup cache
 // (page operations are strongly local: workloads touch one region at a time
 // and scans walk addresses in order).
@@ -43,11 +55,6 @@ type pageTable struct {
 	chunks []*pageChunk // sorted by base, no two sharing a base
 	total  int          // resident pages across all chunks
 	cache  *pageChunk   // last chunk hit (nil after its removal)
-	// spare is the last chunk emptied (all entries and bits zero, as delete
-	// leaves them), kept for the next addChunk: a request that maps and
-	// writes a scratch region the rollback then unmaps would otherwise
-	// allocate a chunk per request.
-	spare *pageChunk
 }
 
 // chunkFor returns the chunk covering vpn, or nil.
@@ -110,11 +117,7 @@ func (pt *pageTable) set(vpn uint64, pte PTE) *PTE {
 
 // addChunk inserts an empty chunk at base, keeping the list sorted.
 func (pt *pageTable) addChunk(base uint64) *pageChunk {
-	c := pt.spare
-	if c == nil {
-		c = &pageChunk{}
-	}
-	pt.spare = nil
+	c := chunkPool.Get().(*pageChunk)
 	c.base = base
 	lo, hi := 0, len(pt.chunks)
 	for lo < hi {
@@ -151,7 +154,8 @@ func (pt *pageTable) delete(vpn uint64) (PTE, bool) {
 	return pte, true
 }
 
-// removeChunk drops an empty chunk from the sorted list.
+// removeChunk drops an empty chunk (all entries and bits zero, as delete
+// leaves them) from the sorted list and pools it.
 func (pt *pageTable) removeChunk(c *pageChunk) {
 	for i, x := range pt.chunks {
 		if x == c {
@@ -164,18 +168,29 @@ func (pt *pageTable) removeChunk(c *pageChunk) {
 	if pt.cache == c {
 		pt.cache = nil
 	}
-	pt.spare = c
+	chunkPool.Put(c)
 }
 
 // len returns the number of resident pages.
 func (pt *pageTable) len() int { return pt.total }
 
-// reset drops every chunk.
-func (pt *pageTable) reset() {
+// release unrefs every live entry's frame, clears the entry and its bit, and
+// pools each chunk, leaving the table empty.
+func (pt *pageTable) release(phys *mem.PhysMem) {
+	for _, c := range pt.chunks {
+		for w, word := range c.bitmap {
+			for ; word != 0; word &= word - 1 {
+				i := w<<6 + bits.TrailingZeros64(word)
+				phys.Unref(c.entries[i].Frame)
+				c.entries[i] = PTE{}
+			}
+		}
+		c.bitmap, c.n = [chunkWords]uint64{}, 0
+		chunkPool.Put(c)
+	}
 	pt.chunks = nil
 	pt.total = 0
 	pt.cache = nil
-	pt.spare = nil
 }
 
 // appendVPNs appends every resident page number to dst in sorted order.

@@ -371,25 +371,6 @@ func (as *AddressSpace) MappedPages() int {
 // ResidentPages returns the number of pages with a backing frame (RSS).
 func (as *AddressSpace) ResidentPages() int { return as.pages.len() }
 
-// MaterializedPages returns the number of resident pages whose frame holds
-// real bytes (mem.PhysMem.Bytes is not 0): the pages PeekPageInto copies
-// rather than reporting zero. The snapshotter sizes its arena with it. One
-// linear walk of the chunks, no per-page lookup.
-func (as *AddressSpace) MaterializedPages() int {
-	n := 0
-	for _, c := range as.pages.chunks {
-		for w, word := range c.bitmap {
-			for ; word != 0; word &= word - 1 {
-				i := w<<6 + bits.TrailingZeros64(word)
-				if as.phys.Bytes(c.entries[i].Frame) != 0 {
-					n++
-				}
-			}
-		}
-	}
-	return n
-}
-
 // --- access path ----------------------------------------------------------
 
 // SegfaultError describes an access outside any region or violating its
@@ -600,7 +581,8 @@ func (as *AddressSpace) PeekPage(vpn uint64) []byte {
 // PeekPageInto copies the contents of page vpn into buf (which must hold at
 // least mem.PageSize bytes). It returns ok=false if the page is not resident;
 // zero=true means the page is all-zero and buf was left untouched. Unlike
-// PeekPage it never allocates, so bulk snapshotting can reuse one arena.
+// PeekPage it never allocates: the snapshotter reads into a lent page and
+// keeps it only if the read filled it.
 func (as *AddressSpace) PeekPageInto(vpn uint64, buf []byte) (zero, ok bool) {
 	pte, resident := as.pages.get(vpn)
 	if !resident {
@@ -636,28 +618,25 @@ func (as *AddressSpace) pokePTE(vpn uint64) *PTE {
 	return pte
 }
 
-// PokePageRun rolls the n consecutive pages starting at startVPN back to
-// data, one contiguous buffer of n*mem.PageSize bytes holding what the pages
-// contained at the last ClearSoftDirty (nil: all-zero). It is the restorer's
-// write — one call per coalesced run of pages, modeling a single
-// process_vm_writev covering the run — and it copies, per page, only the
-// soft-dirty extent: the bytes outside it were not written since that clear
-// and equal data already. The simulated kernel still copies (and the caller
-// still charges) whole pages; the simulator stops re-copying bytes it knows
-// are equal. Pages that became resident during the epoch carry the whole
-// page as their extent, so they are copied in full. No allocation in steady
-// state (resident, privately-owned pages).
-func (as *AddressSpace) PokePageRun(startVPN uint64, n int, data []byte) {
-	if data != nil && len(data) != n*mem.PageSize {
-		panic(fmt.Sprintf("vm: PokePageRun of %d pages with %d bytes", n, len(data)))
-	}
-	for i := 0; i < n; i++ {
+// PokePageRun rolls the consecutive pages starting at startVPN back to
+// pages, one page of bytes each (nil: all-zero), holding what the pages
+// contained at the last ClearSoftDirty. It is the restorer's write — one call
+// per coalesced run of pages, modeling a single process_vm_writev covering
+// the run — and it copies, per page, only the soft-dirty extent: the bytes
+// outside it were not written since that clear and equal the source already.
+// The simulated kernel still copies (and the caller still charges) whole
+// pages; the simulator stops re-copying bytes it knows are equal. Pages that
+// became resident during the epoch carry the whole page as their extent, so
+// they are copied in full. No allocation in steady state (resident,
+// privately-owned pages).
+func (as *AddressSpace) PokePageRun(startVPN uint64, pages []*[mem.PageSize]byte) {
+	for i, page := range pages {
 		pte := as.pokePTE(startVPN + uint64(i))
-		var page []byte
-		if data != nil {
-			page = data[i*mem.PageSize : (i+1)*mem.PageSize]
+		var src []byte
+		if page != nil {
+			src = page[:]
 		}
-		as.phys.RestoreExtent(pte.Frame, page, int(pte.lo), int(pte.hi))
+		as.phys.RestoreExtent(pte.Frame, src, int(pte.lo), int(pte.hi))
 	}
 }
 
@@ -815,6 +794,13 @@ func (as *AddressSpace) CheckInvariants() error {
 		}
 		if pop != c.n || c.n == 0 {
 			return fmt.Errorf("vm: page-table chunk %#x population %d, bitmap %d", c.base, c.n, pop)
+		}
+		// Chunks are pooled across address spaces: a slot not present must
+		// hold nothing of a former owner.
+		for j := range c.entries {
+			if !c.present(uint64(j)) && c.entries[j] != (PTE{}) {
+				return fmt.Errorf("vm: page-table chunk %#x holds a stale entry at absent page %#x", c.base, c.base+uint64(j))
+			}
 		}
 		total += c.n
 	}
