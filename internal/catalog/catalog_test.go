@@ -102,7 +102,7 @@ func TestTable3Anchors(t *testing.T) {
 		if e.Prof.TotalPages != c.totalPages {
 			t.Errorf("%s pages = %d, want %d", c.name, e.Prof.TotalPages, c.totalPages)
 		}
-		if got := e.Prof.RestoredPages(); got != c.restored {
+		if got := e.Prof.DirtyPages + e.Prof.DropPages; got != c.restored {
 			t.Errorf("%s restored = %d, want %d", c.name, got, c.restored)
 		}
 	}

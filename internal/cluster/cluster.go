@@ -169,7 +169,8 @@ type Stats struct {
 	// cold start initiated a cross-host image pull before cloning; a local
 	// clone cloned from an image (or donor) already on its host — including
 	// scale-ups that joined a pull in flight (counted again in
-	// TransferDedups). Both record under CloneLatency, pull wait included.
+	// TransferDedups). Both add their whole cold start, pull wait included,
+	// to ColdStartCost and to the policy signals' mean clone cold start.
 	TransferColdStarts   int
 	LocalCloneColdStarts int
 	// TransferCost is the portion of ColdStartCost spent on cross-host

@@ -5,6 +5,7 @@ import (
 	"testing"
 	"time"
 
+	"groundhog/internal/faas"
 	"groundhog/internal/runtimes"
 	"groundhog/internal/sim"
 	"groundhog/internal/trace"
@@ -82,16 +83,16 @@ func TestOneHostClusterMatchesFleet(t *testing.T) {
 					ColdStartCost                                         sim.Duration
 					E2EMedian, E2EP99, QueueMedian, QueueP99              float64
 					FullColdStarts, CloneColdStarts, StateGets, StatePuts int
-					Crashes                                               int
+					Recovery                                              faas.RecoveryStats
 				}
 				got := shared{c.Name, c.Arrived, c.Requests, c.ColdStarts, c.Restores, c.Reaped,
 					c.ScaledToZero, c.ImagesEvicted, c.ColdStartCost,
 					c.E2E.Median(), c.E2E.P99(), c.Queue.Median(), c.Queue.P99(),
-					c.FullColdStarts, c.CloneColdStarts, c.StateGets, c.StatePuts, c.Crashes}
+					c.FullColdStarts, c.CloneColdStarts, c.StateGets, c.StatePuts, c.Recovery}
 				want := shared{f.Name, f.Arrived, f.Requests, f.ColdStarts, f.Restores, f.Reaped,
 					f.ScaledToZero, f.ImagesEvicted, f.ColdStartCost,
 					f.E2E.Median(), f.E2E.P99(), f.Queue.Median(), f.Queue.P99(),
-					f.FullColdStarts, f.CloneColdStarts, f.StateGets, f.StatePuts, f.Crashes}
+					f.FullColdStarts, f.CloneColdStarts, f.StateGets, f.StatePuts, f.Recovery}
 				if got != want {
 					t.Errorf("%s diverges:\ncluster %+v\nfleet   %+v", c.Name, got, want)
 				}

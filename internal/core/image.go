@@ -36,9 +36,6 @@ type SnapshotImage struct {
 	corrupted bool
 }
 
-// Pages reports the number of recorded pages in the image.
-func (img *SnapshotImage) Pages() int { return len(img.desc.VPNs) }
-
 // Released reports whether the image's frames have already been returned to
 // physical memory (image released / evicted).
 func (img *SnapshotImage) Released() bool { return img.released }

@@ -208,7 +208,7 @@ func TestCloneChargesHonestCosts(t *testing.T) {
 	if _, err := core.NewManagerFromSnapshot(k, img, core.DefaultOptions(), meter); err != nil {
 		t.Fatal(err)
 	}
-	min := k.Cost.CloneFromSnapshotBase + k.Cost.ClonePTEPerPage*sim.Duration(img.Pages())
+	min := k.Cost.CloneFromSnapshotBase + k.Cost.ClonePTEPerPage*sim.Duration(core.ImagePages(img))
 	if meter.Total() < min {
 		t.Fatalf("clone charged %v, below the spawn cost floor %v", meter.Total(), min)
 	}

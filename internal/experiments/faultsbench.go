@@ -123,17 +123,17 @@ func FaultsBench(cfg Config, quick bool) (FaultsBenchResult, error) {
 	for _, fs := range out.PerFunction {
 		res.Arrived += fs.Arrived
 		res.Requests += fs.Requests
-		res.Crashes += fs.Crashes
-		res.RestoreFaults += fs.RestoreFaults
-		res.ColdStartRetries += fs.ColdStartRetries
-		res.CloneFallbacks += fs.CloneFallbacks
-		res.ImageIntegrityFailures += fs.ImageIntegrityFailures
-		res.DonorsQuarantined += fs.DonorsQuarantined
+		res.Crashes += fs.Recovery.Crashes
+		res.RestoreFaults += fs.Recovery.RestoreFaults
+		res.ColdStartRetries += fs.Recovery.ColdStartRetries
+		res.CloneFallbacks += fs.Recovery.CloneFallbacks
+		res.ImageIntegrityFailures += fs.Recovery.ImageIntegrityFailures
+		res.DonorsQuarantined += fs.Recovery.DonorsQuarantined
 		res.EventCrashes += fs.EventCrashes
 		res.Drained += fs.Drained
 		res.FullColdStarts += fs.FullColdStarts
 		res.CloneColdStarts += fs.CloneColdStarts
-		res.RetryBackoffVirtualUs += float64(fs.RetryBackoff) / float64(time.Microsecond)
+		res.RetryBackoffVirtualUs += float64(fs.Recovery.RetryBackoff) / float64(time.Microsecond)
 		res.ColdStartVirtualUs += float64(fs.ColdStartCost) / float64(time.Microsecond)
 		e2es = append(e2es, fs.E2E)
 	}

@@ -89,7 +89,7 @@ func TestForkNeverSkipsCleanup(t *testing.T) {
 		t.Fatal(err)
 	}
 	// All children reaped despite trust: only the warm parent remains.
-	if n := liveProcesses(t, pl.Kern); n != 1 {
+	if n := liveProcesses(pl.Kern); n != 1 {
 		t.Fatalf("processes = %d after trusted fork run, want 1", n)
 	}
 }

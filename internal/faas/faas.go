@@ -51,11 +51,6 @@ type RequestStats struct {
 	// ReadyAgain is the virtual time the container could accept the next
 	// request (Completed + Cleanup).
 	ReadyAgain sim.Time
-	// ContainerLost reports that the container was torn down right after
-	// delivering this response: its post-response rollback failed, so it
-	// could never isolate another request. The response itself is valid —
-	// the request is served, only the container is gone.
-	ContainerLost bool
 	// StateGets and StatePuts count this request's external state-store
 	// operations (zero unless the profile declares state traffic; see
 	// runtimes.Profile.StateGets/StatePuts). Their virtual cost is already
@@ -406,9 +401,6 @@ func (pl *Platform) Serve(c *Container, caller string) (RequestStats, error) {
 	return pl.serveAs(c, c.requestsSeq, caller)
 }
 
-// Mode returns the platform's isolation mode.
-func (pl *Platform) Mode() isolation.Mode { return pl.mode }
-
 // Containers returns the warm containers.
 func (pl *Platform) Containers() []*Container { return pl.containers }
 
@@ -606,12 +598,12 @@ func (pl *Platform) AdoptTemplate(img *core.SnapshotImage, state runtimes.ImageS
 
 // ChargeColdStartDelay folds an externally imposed delay into a just-added
 // container's cold start — the cluster uses it for the image-pull wait a
-// scale-up cannot skip: the container becomes ready later, the delay joins
-// its ColdStartStats.Total (recorded as Transfer when this container's own
-// pull caused it, merely as added latency when it waited on a pull already
-// in flight), and the deployment's cumulative summary moves the clone into
-// the transfer bucket. Call it immediately after AddContainer, before the
-// container serves.
+// scale-up cannot skip: the container becomes ready later and the delay
+// joins its ColdStartStats.Total (recorded as Transfer when this container's
+// own pull caused it, merely as added latency when it waited on a pull
+// already in flight). The delay stays out of the deployment's
+// ColdStartSummary: the cluster tallies its transfers itself. Call it
+// immediately after AddContainer, before the container serves.
 func (pl *Platform) ChargeColdStartDelay(c *Container, d sim.Duration, transfer bool) {
 	if d <= 0 {
 		return
@@ -621,16 +613,6 @@ func (pl *Platform) ChargeColdStartDelay(c *Container, d sim.Duration, transfer 
 	if transfer {
 		c.cold.Transfer += d
 	}
-	if c.cold.ClonedFrom >= 0 {
-		pl.coldSummary.CloneCost += d
-		if transfer {
-			pl.coldSummary.TransferClone++
-			pl.coldSummary.TransferCost += d
-		}
-	} else {
-		pl.coldSummary.FullCost += d
-	}
-	pl.coldSummary.TotalCost += d
 }
 
 // QuarantineAfter is the number of clone failures a template tolerates
@@ -671,24 +653,17 @@ func (pl *Platform) CorruptImage() bool {
 // ColdStartSummary is the deployment's cumulative scale-up bill: how many
 // containers ran the full Fig. 1 pipeline vs. the snapshot-clone fast path
 // (pre-warmed constructor containers count as full — they did run the
-// pipeline), and the summed virtual cost per path. Scheduling policies and
-// the server's /deployments endpoint read it; unlike per-container
-// ColdStartStats it survives container removal.
+// pipeline), and the summed virtual cost per path. The server's
+// /deployments endpoint reads it; unlike per-container ColdStartStats it
+// survives container removal. Delays a cluster charges through
+// ChargeColdStartDelay stay out of it.
 type ColdStartSummary struct {
 	// Full and Clone count the cold starts per path.
 	Full  int
 	Clone int
-	// TransferClone counts the subset of Clone whose scale-up first pulled
-	// the image from another host (ChargeColdStartDelay with transfer=true);
-	// Clone − TransferClone clones served from an image already resident.
-	TransferClone int
-	// FullCost and CloneCost split the summed virtual duration by path;
-	// TotalCost is their sum. TransferCost is the portion of CloneCost spent
-	// waiting on cross-host image pulls.
-	FullCost     sim.Duration
-	CloneCost    sim.Duration
-	TransferCost sim.Duration
-	TotalCost    sim.Duration
+	// FullCost and CloneCost split the summed virtual duration by path.
+	FullCost  sim.Duration
+	CloneCost sim.Duration
 }
 
 // ColdStarts reports the deployment's cumulative cold-start summary.
@@ -704,7 +679,6 @@ func (pl *Platform) recordColdStart(cold ColdStartStats) {
 		pl.coldSummary.Full++
 		pl.coldSummary.FullCost += cold.Total
 	}
-	pl.coldSummary.TotalCost += cold.Total
 }
 
 // MemoryStats is the deployment's fleet-wide memory accounting, the figures
@@ -845,7 +819,6 @@ func (pl *Platform) serveAs(c *Container, reqID uint64, caller string) (RequestS
 	// already delivered): the container is torn down instead, since it can
 	// never isolate another request.
 	var cleanup isolation.CleanupResult
-	containerLost := false
 	if pl.TrustSameCaller && c.strat.CanSkipCleanup() {
 		c.tainted = true
 		c.lastCaller = caller
@@ -859,7 +832,6 @@ func (pl *Platform) serveAs(c *Container, reqID uint64, caller string) (RequestS
 			pl.recovery.RestoreFaults++
 			pl.RemoveContainer(c)
 			cleanup = isolation.CleanupResult{}
-			containerLost = true
 		} else {
 			if cleanup.Restored {
 				c.notifyRestored(pl)
@@ -875,17 +847,16 @@ func (pl *Platform) serveAs(c *Container, reqID uint64, caller string) (RequestS
 	c.lastDone = completed
 	c.ready = completed.Add(cleanup.Duration)
 	return RequestStats{
-		Invoker:       invoker,
-		E2E:           e2e,
-		Cleanup:       cleanup.Duration,
-		PreRestore:    preRestore,
-		Restore:       cleanup.Restore,
-		Restored:      cleanup.Restored,
-		Completed:     completed,
-		ReadyAgain:    c.ready,
-		ContainerLost: containerLost,
-		StateGets:     gets,
-		StatePuts:     puts,
+		Invoker:    invoker,
+		E2E:        e2e,
+		Cleanup:    cleanup.Duration,
+		PreRestore: preRestore,
+		Restore:    cleanup.Restore,
+		Restored:   cleanup.Restored,
+		Completed:  completed,
+		ReadyAgain: c.ready,
+		StateGets:  gets,
+		StatePuts:  puts,
 	}, nil
 }
 

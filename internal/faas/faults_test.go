@@ -300,12 +300,8 @@ func TestPostResponseRestoreFaultLosesContainerNotRequest(t *testing.T) {
 		t.Fatal(err)
 	}
 	c := pl.Containers()[0]
-	st, err := pl.Serve(c, "")
-	if err != nil {
+	if _, err := pl.Serve(c, ""); err != nil {
 		t.Fatalf("the response was delivered; Serve must not fail: %v", err)
-	}
-	if !st.ContainerLost {
-		t.Fatal("stats do not report the lost container")
 	}
 	if len(pl.Containers()) != 0 {
 		t.Fatal("container with failed rollback still pooled")

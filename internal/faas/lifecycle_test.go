@@ -103,8 +103,8 @@ func TestSharedEngineAcrossPlatforms(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Both functions' processes live in the same kernel.
-	if liveProcesses(t, kern) != 2 {
-		t.Fatalf("processes = %d, want 2", liveProcesses(t, kern))
+	if liveProcesses(kern) != 2 {
+		t.Fatalf("processes = %d, want 2", liveProcesses(kern))
 	}
 }
 

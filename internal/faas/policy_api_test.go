@@ -39,8 +39,9 @@ func TestColdStartSummarySplitsPaths(t *testing.T) {
 	if cs.Full != 1 || cs.Clone != 1 {
 		t.Fatalf("split %d/%d, want 1 full + 1 clone", cs.Full, cs.Clone)
 	}
-	if cs.TotalCost != cs.FullCost+cs.CloneCost {
-		t.Fatalf("cost split %v+%v != total %v", cs.FullCost, cs.CloneCost, cs.TotalCost)
+	if full := pl.Containers()[0].ColdStart().Total; cs.FullCost != full || cs.CloneCost != clone.ColdStart().Total {
+		t.Fatalf("cost split %v+%v, want the containers' own %v+%v",
+			cs.FullCost, cs.CloneCost, full, clone.ColdStart().Total)
 	}
 	if cs.CloneCost <= 0 || cs.CloneCost >= cs.FullCost {
 		t.Fatalf("clone cost %v not below full cost %v", cs.CloneCost, cs.FullCost)

@@ -52,7 +52,6 @@ type CleanupResult struct {
 
 // Strategy brackets request execution in a container.
 type Strategy interface {
-	Mode() Mode
 	// Init runs once after the runtime is warmed (dummy request executed).
 	// It returns the setup duration (snapshotting for GH, nothing for
 	// BASE), which extends container initialization, off any request's
@@ -138,7 +137,6 @@ type baseStrategy struct {
 	proc *kernel.Process
 }
 
-func (s *baseStrategy) Mode() Mode                  { return ModeBase }
 func (s *baseStrategy) CanSkipCleanup() bool        { return true }
 func (s *baseStrategy) Init() (sim.Duration, error) { return 0, nil }
 func (s *baseStrategy) Interposes() bool            { return false }
@@ -171,7 +169,6 @@ type managedStrategy struct {
 	manager *core.Manager
 }
 
-func (s *managedStrategy) Mode() Mode             { return s.mode }
 func (s *managedStrategy) Interposes() bool       { return s.mode != ModeFaasm }
 func (s *managedStrategy) CanSkipCleanup() bool   { return true }
 func (s *managedStrategy) Manager() *core.Manager { return s.manager }
@@ -226,7 +223,6 @@ func newForkStrategy(k *kernel.Kernel, p *kernel.Process) (*forkStrategy, error)
 	return &forkStrategy{kern: k, parent: p}, nil
 }
 
-func (s *forkStrategy) Mode() Mode                  { return ModeFork }
 func (s *forkStrategy) Init() (sim.Duration, error) { return 0, nil }
 func (s *forkStrategy) Interposes() bool            { return true }
 func (s *forkStrategy) CanSkipCleanup() bool        { return false }

@@ -2,6 +2,19 @@ package isolation
 
 import "testing"
 
+// strategyMode names the mode a strategy implements, from its concrete type.
+func strategyMode(s Strategy) Mode {
+	switch s := s.(type) {
+	case *baseStrategy:
+		return ModeBase
+	case *managedStrategy:
+		return s.mode
+	case *forkStrategy:
+		return ModeFork
+	}
+	return ""
+}
+
 func TestModeAndSkipFlags(t *testing.T) {
 	k, p := warmProcess(t, 1)
 	want := map[Mode]bool{ // mode -> CanSkipCleanup
@@ -16,8 +29,8 @@ func TestModeAndSkipFlags(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%v: %v", mode, err)
 		}
-		if s.Mode() != mode {
-			t.Fatalf("Mode() = %v, want %v", s.Mode(), mode)
+		if got := strategyMode(s); got != mode {
+			t.Fatalf("New(%v) built a %v strategy", mode, got)
 		}
 		if s.CanSkipCleanup() != canSkip {
 			t.Fatalf("%v CanSkipCleanup = %v, want %v", mode, s.CanSkipCleanup(), canSkip)

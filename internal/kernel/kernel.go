@@ -178,9 +178,3 @@ func (k *Kernel) Exit(p *Process) {
 	p.AS.Release()
 	delete(k.procs, p.PID)
 }
-
-// Process looks up a live process by PID.
-func (k *Kernel) Process(pid int) (*Process, bool) {
-	p, ok := k.procs[pid]
-	return p, ok
-}

@@ -121,7 +121,7 @@ func TestExitReleasesMemory(t *testing.T) {
 	if k.Phys.InUse() != 0 {
 		t.Fatalf("exit leaked %d frames", k.Phys.InUse())
 	}
-	if _, ok := k.Process(p.PID); ok {
+	if _, ok := k.procs[p.PID]; ok {
 		t.Fatal("exited process still in table")
 	}
 	k.Exit(p) // double exit is a no-op

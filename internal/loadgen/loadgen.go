@@ -99,6 +99,27 @@ type Result struct {
 	P50Ms, P95Ms, P99Ms float64
 }
 
+// latencies is the run's sketch of OK-request latencies (ms), shared by the
+// workers that add to it and the reporter that reads it mid-run.
+type latencies struct {
+	mu sync.Mutex
+	sk *metrics.Sketch
+}
+
+func (l *latencies) add(ms float64) {
+	l.mu.Lock()
+	l.sk.Add(ms)
+	l.mu.Unlock()
+}
+
+// quantiles returns the p50, p95 and p99 so far (all 0 before the first
+// sample).
+func (l *latencies) quantiles() (p50, p95, p99 float64) {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return l.sk.Median(), l.sk.Percentile(95), l.sk.P99()
+}
+
 // counters aggregates worker outcomes without locks on the request path.
 type counters struct {
 	fired, ok, rejected, transient, errs atomic.Int64
@@ -141,7 +162,7 @@ func Run(cfg Config) (Result, error) {
 	}
 
 	var cnt counters
-	lat := metrics.Locked(metrics.NewSketch(metrics.DefaultSketchAlpha))
+	lat := &latencies{sk: metrics.NewSketch(metrics.DefaultSketchAlpha)}
 	stopReport := startReporter(cfg, &cnt, lat)
 
 	start := time.Now()
@@ -170,11 +191,7 @@ func Run(cfg Config) (Result, error) {
 	if wall > 0 {
 		res.PerSec = float64(res.OK) / wall.Seconds()
 	}
-	if lat.N() > 0 {
-		res.P50Ms = lat.Median()
-		res.P95Ms = lat.Percentile(95)
-		res.P99Ms = lat.P99()
-	}
+	res.P50Ms, res.P95Ms, res.P99Ms = lat.quantiles()
 	if msg, _ := cnt.firstErr.Load().(string); msg != "" {
 		return res, fmt.Errorf("loadgen: %d request errors (first: %s)", res.Errors, msg)
 	}
@@ -185,17 +202,17 @@ func Run(cfg Config) (Result, error) {
 // instant the request was meant to go out. An open loop's due instant is its
 // arrival, so a late pacer or a slow dial counts against the request instead
 // of vanishing from the percentiles (coordinated omission).
-func fire(c Client, body []byte, due time.Time, cnt *counters, lat metrics.Recorder) {
+func fire(c Client, body []byte, due time.Time, cnt *counters, lat *latencies) {
 	cnt.fired.Add(1)
 	cl, err := c.Do(body)
 	if cl == ClassOK {
-		lat.Add(float64(time.Since(due)) / 1e6)
+		lat.add(float64(time.Since(due)) / 1e6)
 	}
 	cnt.account(cl, err)
 }
 
 // runClosed: Workers goroutines, back-to-back requests until the deadline.
-func runClosed(cfg Config, deadline time.Time, cnt *counters, lat metrics.Recorder) error {
+func runClosed(cfg Config, deadline time.Time, cnt *counters, lat *latencies) error {
 	var wg sync.WaitGroup
 	dialErr := make(chan error, cfg.Workers)
 	for w := 0; w < cfg.Workers; w++ {
@@ -225,7 +242,7 @@ func runClosed(cfg Config, deadline time.Time, cnt *counters, lat metrics.Record
 // runOpen: one pacer draws interarrivals from the fleet's arrival process
 // and fires each request in its own goroutine, reusing idle connections
 // from a pool — arrivals never wait for completions.
-func runOpen(cfg Config, deadline time.Time, cnt *counters, lat metrics.Recorder) error {
+func runOpen(cfg Config, deadline time.Time, cnt *counters, lat *latencies) error {
 	ap := trace.NewArrivalProcess(trace.FunctionLoad{
 		RatePerSec: cfg.Rate,
 		Burstiness: cfg.Burstiness,
@@ -288,7 +305,7 @@ func runOpen(cfg Config, deadline time.Time, cnt *counters, lat metrics.Recorder
 
 // startReporter emits a live progress line every Interval; the returned
 // stop func prints nothing further.
-func startReporter(cfg Config, cnt *counters, lat metrics.Recorder) (stop func()) {
+func startReporter(cfg Config, cnt *counters, lat *latencies) (stop func()) {
 	if cfg.Report == nil {
 		return func() {}
 	}
@@ -307,12 +324,13 @@ func startReporter(cfg Config, cnt *counters, lat metrics.Recorder) (stop func()
 				return
 			case <-tick.C:
 				ok := cnt.ok.Load()
+				p50, p95, p99 := lat.quantiles()
 				fmt.Fprintf(cfg.Report,
 					"[loadgen] t=%4.1fs ok=%d (+%.0f/s) rejected=%d transient=%d errors=%d p50=%.2fms p95=%.2fms p99=%.2fms\n",
 					time.Since(start).Seconds(), ok,
 					float64(ok-lastOK)/cfg.Interval.Seconds(),
 					cnt.rejected.Load(), cnt.transient.Load(), cnt.errs.Load(),
-					lat.Median(), lat.Percentile(95), lat.P99())
+					p50, p95, p99)
 				lastOK = ok
 			}
 		}

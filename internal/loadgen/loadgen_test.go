@@ -6,6 +6,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -198,5 +199,49 @@ func TestEchoCorruptionIsAnError(t *testing.T) {
 	})
 	if err == nil || res.Errors == 0 {
 		t.Fatalf("corrupt echo not surfaced: res=%+v err=%v", res, err)
+	}
+}
+
+// TestLatenciesConcurrentAdds: eight workers add into one run's latency
+// sketch while the reporter reads its quantiles mid-stream; the adds must
+// neither race (the -race CI step runs this package) nor drop samples.
+func TestLatenciesConcurrentAdds(t *testing.T) {
+	lat := &latencies{sk: metrics.NewSketch(metrics.DefaultSketchAlpha)}
+	const (
+		workers = 8
+		perW    = 5000
+	)
+	stop := make(chan struct{})
+	var reader sync.WaitGroup
+	reader.Add(1)
+	go func() {
+		defer reader.Done()
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+				lat.quantiles()
+			}
+		}
+	}()
+	var adders sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		adders.Add(1)
+		go func(w int) {
+			defer adders.Done()
+			for i := 0; i < perW; i++ {
+				lat.add(float64(w*perW + i))
+			}
+		}(w)
+	}
+	adders.Wait()
+	close(stop)
+	reader.Wait()
+	if got := lat.sk.N(); got != workers*perW {
+		t.Fatalf("sketch holds %d samples, want %d", got, workers*perW)
+	}
+	if _, _, p99 := lat.quantiles(); p99 <= 0 {
+		t.Fatalf("p99 = %v after %d samples", p99, workers*perW)
 	}
 }

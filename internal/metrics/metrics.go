@@ -136,24 +136,6 @@ func (s *Summary) P99() float64 { return s.Percentile(99) }
 // barely moves.
 func (s *Summary) P999() float64 { return s.Percentile(99.9) }
 
-// Min returns the smallest sample.
-func (s *Summary) Min() float64 {
-	if len(s.samples) == 0 {
-		return 0
-	}
-	s.ensureSorted()
-	return s.sorted[0]
-}
-
-// Max returns the largest sample.
-func (s *Summary) Max() float64 {
-	if len(s.samples) == 0 {
-		return 0
-	}
-	s.ensureSorted()
-	return s.sorted[len(s.sorted)-1]
-}
-
 // RelOverheadPct returns (x-base)/base in percent — the paper's relative
 // overhead convention (positive is worse than baseline).
 func RelOverheadPct(x, base float64) float64 {

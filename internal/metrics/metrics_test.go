@@ -19,14 +19,14 @@ func TestSummaryBasics(t *testing.T) {
 	if got := s.Std(); math.Abs(got-math.Sqrt(2)) > 1e-9 {
 		t.Fatalf("std = %v", got)
 	}
-	if s.Median() != 3 || s.Min() != 1 || s.Max() != 5 {
-		t.Fatalf("median/min/max = %v/%v/%v", s.Median(), s.Min(), s.Max())
+	if s.Median() != 3 || s.Percentile(0) != 1 || s.Percentile(100) != 5 {
+		t.Fatalf("p50/p0/p100 = %v/%v/%v", s.Median(), s.Percentile(0), s.Percentile(100))
 	}
 }
 
 func TestSummaryEmpty(t *testing.T) {
 	var s Summary
-	if s.Mean() != 0 || s.Std() != 0 || s.Median() != 0 || s.Percentile(95) != 0 || s.Min() != 0 || s.Max() != 0 {
+	if s.Mean() != 0 || s.Std() != 0 || s.Median() != 0 || s.Percentile(95) != 0 || s.Percentile(0) != 0 || s.Percentile(100) != 0 {
 		t.Fatal("empty summary not all-zero")
 	}
 }

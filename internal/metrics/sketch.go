@@ -13,7 +13,6 @@ import (
 // bounded-memory Sketch serves million-request simulations, chosen by
 // configuration rather than by code shape.
 type Recorder interface {
-	Add(v float64)
 	AddDuration(d time.Duration)
 	N() int
 	Mean() float64
@@ -21,8 +20,6 @@ type Recorder interface {
 	Median() float64
 	P99() float64
 	P999() float64
-	Min() float64
-	Max() float64
 }
 
 // Pool merges same-kind recorders into one fresh recorder — how
@@ -91,7 +88,8 @@ const sketchMinValue = 1e-9
 // (1±alpha) relative range and Percentile answers are within alpha of an
 // exact nearest-rank percentile (the contract pinned by
 // TestSketchPercentileErrorBound). Count, sum, min, and max are tracked
-// exactly, so N, Mean, Min, and Max are not approximations.
+// exactly, so N, Mean, Percentile(0) and Percentile(100) are not
+// approximations.
 //
 // Memory is proportional to the dynamic range of the data, not the sample
 // count: latencies spanning nanoseconds to hours fit in a couple of
@@ -199,27 +197,12 @@ func (s *Sketch) Mean() float64 {
 	return s.sum / float64(s.count)
 }
 
-// Min returns the exact smallest sample (0 for no samples).
-func (s *Sketch) Min() float64 {
-	if s.count == 0 {
-		return 0
-	}
-	return s.min
-}
-
-// Max returns the exact largest sample (0 for no samples).
-func (s *Sketch) Max() float64 {
-	if s.count == 0 {
-		return 0
-	}
-	return s.max
-}
-
 // Percentile returns an estimate of the p-th percentile (0 <= p <= 100)
 // under the nearest-rank convention: the returned value is within the
 // sketch's relative accuracy of the sample at rank ceil(p/100 * N). The
-// estimate is clamped to the exact [Min, Max], so single-sample and
-// constant distributions answer exactly.
+// estimate is clamped to the exact smallest and largest samples (which p = 0
+// and p = 100 return), so single-sample and constant distributions answer
+// exactly.
 func (s *Sketch) Percentile(p float64) float64 {
 	if s.count == 0 {
 		return 0
@@ -291,13 +274,4 @@ func (s *Sketch) Merge(other *Sketch) {
 			s.buckets[other.minIdx+i-s.minIdx] += c - 1 // bump added 1
 		}
 	}
-}
-
-// Reset returns the sketch to empty, keeping its bucket storage for reuse.
-func (s *Sketch) Reset() {
-	for i := range s.buckets {
-		s.buckets[i] = 0
-	}
-	s.zero, s.count, s.sum = 0, 0, 0
-	s.min, s.max = math.Inf(1), math.Inf(-1)
 }

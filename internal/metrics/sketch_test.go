@@ -136,17 +136,17 @@ func TestSketchExactStats(t *testing.T) {
 				max = v
 			}
 		}
-		if sk.Min() != min || sk.Max() != max {
-			t.Errorf("%s: Min/Max = %v/%v, want %v/%v", name, sk.Min(), sk.Max(), min, max)
+		if sk.Percentile(0) != min || sk.Percentile(100) != max {
+			t.Errorf("%s: p0/p100 = %v/%v, want %v/%v", name, sk.Percentile(0), sk.Percentile(100), min, max)
 		}
 		if got, want := sk.Mean(), sum/float64(len(samples)); math.Abs(got-want) > 1e-9*math.Abs(want) {
 			t.Errorf("%s: Mean = %v, want %v", name, got, want)
 		}
 	}
 	empty := NewSketch(0)
-	if empty.N() != 0 || empty.Mean() != 0 || empty.Min() != 0 || empty.Max() != 0 || empty.Percentile(50) != 0 {
-		t.Errorf("empty sketch stats not all zero: N=%d mean=%v min=%v max=%v p50=%v",
-			empty.N(), empty.Mean(), empty.Min(), empty.Max(), empty.Percentile(50))
+	if empty.N() != 0 || empty.Mean() != 0 || empty.Percentile(0) != 0 || empty.Percentile(100) != 0 || empty.Percentile(50) != 0 {
+		t.Errorf("empty sketch stats not all zero: N=%d mean=%v p0=%v p100=%v p50=%v",
+			empty.N(), empty.Mean(), empty.Percentile(0), empty.Percentile(100), empty.Percentile(50))
 	}
 }
 
@@ -172,9 +172,8 @@ func TestSketchMergeLossless(t *testing.T) {
 	for _, p := range parts {
 		merged.Merge(p)
 	}
-	if merged.N() != whole.N() || merged.Min() != whole.Min() || merged.Max() != whole.Max() {
-		t.Fatalf("merged N/Min/Max = %d/%v/%v, want %d/%v/%v",
-			merged.N(), merged.Min(), merged.Max(), whole.N(), whole.Min(), whole.Max())
+	if merged.N() != whole.N() {
+		t.Fatalf("merged N = %d, want %d", merged.N(), whole.N())
 	}
 	for _, p := range []float64{0, 1, 25, 50, 75, 95, 99, 99.9, 100} {
 		if got, want := merged.Percentile(p), whole.Percentile(p); got != want {
@@ -220,22 +219,6 @@ func TestSketchAddZeroAllocs(t *testing.T) {
 	}
 }
 
-// TestSketchReset checks Reset empties the sketch while keeping storage.
-func TestSketchReset(t *testing.T) {
-	sk := NewSketch(0)
-	for i := 1; i <= 100; i++ {
-		sk.Add(float64(i))
-	}
-	sk.Reset()
-	if sk.N() != 0 || sk.Percentile(50) != 0 || sk.Mean() != 0 {
-		t.Fatalf("Reset left data: N=%d p50=%v mean=%v", sk.N(), sk.Percentile(50), sk.Mean())
-	}
-	sk.Add(7)
-	if got := sk.Percentile(50); math.Abs(got-7) > 7*DefaultSketchAlpha {
-		t.Fatalf("post-Reset p50 = %v, want ~7", got)
-	}
-}
-
 // TestNewSummaryDoesNotMutateCaller pins the ownership contract fixed in
 // this package: order statistics on a NewSummary-built summary must not
 // reorder (or otherwise change) the caller's slice.
@@ -244,8 +227,7 @@ func TestNewSummaryDoesNotMutateCaller(t *testing.T) {
 	orig := append([]float64(nil), caller...)
 	s := NewSummary(caller)
 	_ = s.Percentile(50)
-	_ = s.Min()
-	_ = s.Max()
+	_ = s.Percentile(0)
 	_ = s.Median()
 	for i := range caller {
 		if caller[i] != orig[i] {
@@ -264,7 +246,7 @@ func TestNewSummaryDoesNotMutateCaller(t *testing.T) {
 			t.Fatalf("Samples() = %v, want %v", got, want)
 		}
 	}
-	if got, want := s.Min(), 1.0; got != want {
-		t.Fatalf("Min after Add = %v, want %v", got, want)
+	if got, want := s.Percentile(0), 1.0; got != want {
+		t.Fatalf("p0 after Add = %v, want %v", got, want)
 	}
 }

@@ -41,9 +41,6 @@ func Seize(k *kernel.Kernel, p *kernel.Process, meter *sim.Meter) (*Tracer, erro
 // manager report per-operation breakdowns).
 func (t *Tracer) SetMeter(m *sim.Meter) { t.meter = m }
 
-// Process returns the traced process.
-func (t *Tracer) Process() *kernel.Process { return t.proc }
-
 func (t *Tracer) check(needStopped bool) error {
 	if t.done {
 		return fmt.Errorf("ptrace: use after detach from %d", t.proc.PID)

@@ -183,9 +183,6 @@ type Profile struct {
 // DisplayName returns the figure label, e.g. "chaos (p)".
 func (p Profile) DisplayName() string { return p.Name + " " + p.Lang.Suffix() }
 
-// RestoredPages is the expected per-request restoration volume.
-func (p Profile) RestoredPages() int { return p.DirtyPages + p.DropPages }
-
 // ReadPages is the per-request read working set: REAP-style measurements
 // (§3.1) put total working sets near 9% of the footprint; reads beyond the
 // write set are roughly the write set again plus a slice of the total.

@@ -77,12 +77,8 @@ func TestUniformDirtyInvokeMarksExactlySet(t *testing.T) {
 
 func TestProfileAccessors(t *testing.T) {
 	p := uniformProfile(1000, 10)
-	p.DropPages = 5
 	if p.DisplayName() != "uniform-fn (c)" {
 		t.Fatalf("DisplayName = %q", p.DisplayName())
-	}
-	if p.RestoredPages() != 15 {
-		t.Fatalf("RestoredPages = %d", p.RestoredPages())
 	}
 }
 

@@ -69,7 +69,7 @@ func (h *Handle) ColdStartMeanMs() float64 {
 	defer dep.mu.Unlock()
 	cold := dep.platform.ColdStarts()
 	if n := cold.Full + cold.Clone; n > 0 {
-		return float64(cold.TotalCost) / 1e6 / float64(n)
+		return float64(cold.FullCost+cold.CloneCost) / 1e6 / float64(n)
 	}
 	return 0
 }

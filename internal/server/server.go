@@ -336,17 +336,11 @@ type DeploymentInfo struct {
 
 	// Cold-start split: pipeline vs. snapshot-clone scale-ups over the
 	// deployment's lifetime (removed containers included), with the summed
-	// virtual cost — the provider's scale-up bill. Clone starts are further
-	// split by where the image came from: a cross-host transfer or a
-	// host-local template (a single-host server reports zero transfers; the
-	// field exists so the listing's shape matches the cluster simulation's
-	// cold-start taxonomy).
-	FullColdStarts          int     `json:"full_cold_starts"`
-	TransferCloneColdStarts int     `json:"transfer_clone_cold_starts"`
-	LocalCloneColdStarts    int     `json:"local_clone_cold_starts"`
-	CloneColdStarts         int     `json:"clone_cold_starts"`
-	ColdStartTotalMS        float64 `json:"cold_start_total_ms"`
-	CloneColdStartReady     bool    `json:"clone_cold_start_ready"`
+	// virtual cost — the provider's scale-up bill.
+	FullColdStarts      int     `json:"full_cold_starts"`
+	CloneColdStarts     int     `json:"clone_cold_starts"`
+	ColdStartTotalMS    float64 `json:"cold_start_total_ms"`
+	CloneColdStartReady bool    `json:"clone_cold_start_ready"`
 
 	// Latency summary over the most recent served requests (ms, windowed
 	// like the fleet's observation rings).
@@ -402,9 +396,7 @@ func (dep *deployment) describe() DeploymentInfo {
 	cold := pl.ColdStarts()
 	info.FullColdStarts = cold.Full
 	info.CloneColdStarts = cold.Clone
-	info.TransferCloneColdStarts = cold.TransferClone
-	info.LocalCloneColdStarts = cold.Clone - cold.TransferClone
-	info.ColdStartTotalMS = float64(cold.TotalCost) / 1e6
+	info.ColdStartTotalMS = float64(cold.FullCost+cold.CloneCost) / 1e6
 	info.CloneColdStartReady = pl.CloneSourceReady()
 
 	if len(dep.e2e) > 0 {

@@ -177,10 +177,6 @@ func TestDeploymentsPerFunctionBreakdown(t *testing.T) {
 		t.Fatalf("cold-start split %d/%d, want 1/0 (the deploy pipeline)",
 			d.FullColdStarts, d.CloneColdStarts)
 	}
-	if d.TransferCloneColdStarts != 0 || d.LocalCloneColdStarts != d.CloneColdStarts {
-		t.Fatalf("clone split %d transfer + %d local of %d: a server deployment never pulls an image",
-			d.TransferCloneColdStarts, d.LocalCloneColdStarts, d.CloneColdStarts)
-	}
 	if d.ColdStartTotalMS <= 0 {
 		t.Fatalf("no cold-start bill: %+v", d)
 	}

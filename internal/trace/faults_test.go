@@ -93,7 +93,7 @@ func TestCrashedRequestsRetryNotDrop(t *testing.T) {
 	f, res := runFleet(t, cfg, 10)
 	crashes := 0
 	for _, fs := range res.PerFunction {
-		crashes += fs.Crashes
+		crashes += fs.Recovery.Crashes
 	}
 	if crashes == 0 {
 		t.Fatal("5% crash rate produced no crashes")
@@ -116,8 +116,8 @@ func TestColdStartFaultsRecover(t *testing.T) {
 	f, res := runFleet(t, cfg, 12)
 	fallbacks, retries := 0, 0
 	for _, fs := range res.PerFunction {
-		fallbacks += fs.CloneFallbacks
-		retries += fs.ColdStartRetries
+		fallbacks += fs.Recovery.CloneFallbacks
+		retries += fs.Recovery.ColdStartRetries
 	}
 	if fallbacks == 0 {
 		t.Fatal("30% clone-spawn fault rate produced no fallbacks")
@@ -158,10 +158,10 @@ func TestCorruptImageEventFallsBack(t *testing.T) {
 	}
 	f, res := runFleet(t, cfg, 25)
 	for _, fs := range res.PerFunction {
-		if fs.ImageIntegrityFailures == 0 {
+		if fs.Recovery.ImageIntegrityFailures == 0 {
 			t.Fatalf("%s: corruption never detected", fs.Name)
 		}
-		if fs.CloneFallbacks == 0 {
+		if fs.Recovery.CloneFallbacks == 0 {
 			t.Fatalf("%s: corrupted image produced no clone fallback", fs.Name)
 		}
 	}

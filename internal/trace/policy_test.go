@@ -172,7 +172,7 @@ func TestSignalsDoNotMutateStats(t *testing.T) {
 	}
 	fs := f.fns[0]
 	for _, v := range []float64{5, 1, 4, 2, 3} {
-		fs.stats.E2E.Add(v)
+		fs.stats.E2E.AddDuration(time.Duration(v) * time.Millisecond)
 		fs.observeLatency(v, v/2)
 	}
 	stats := func() [4]float64 {
@@ -365,8 +365,8 @@ func TestFleetPolicyKeepsImageOnScaleToZero(t *testing.T) {
 		t.Fatal("scale-up did not clone")
 	}
 	fs.stats.CloneColdStarts++
-	fs.stats.CloneLatency.AddDuration(cold.Total)
-	fs.stats.E2E.Add(5)
+	fs.cloneColdMs += float64(cold.Total) / float64(time.Millisecond)
+	fs.stats.E2E.AddDuration(5 * time.Millisecond)
 	fs.observeLatency(5, 3)
 	f.engine.Run()
 

@@ -332,22 +332,11 @@ type FunctionStats struct {
 	ScaledToZero  int
 	ImagesEvicted int
 
-	// Failure and recovery accounting (all zero on a fault-free run).
-	// Crashes counts containers lost mid-request (the request retried on
-	// another container); RestoreFaults counts containers lost to a failed
-	// post-response restore (the response was already delivered).
-	Crashes       int
-	RestoreFaults int
-	// ColdStartRetries / RetryBackoff / CloneFallbacks / DonorsQuarantined /
-	// ImageIntegrityFailures mirror the platform's RecoveryStats: in-pipeline
-	// retries (and their summed backoff), clone attempts that fell back to
-	// the full pipeline, templates quarantined after repeated clone failures,
-	// and checksum mismatches detected at clone time.
-	ColdStartRetries       int
-	RetryBackoff           sim.Duration
-	CloneFallbacks         int
-	DonorsQuarantined      int
-	ImageIntegrityFailures int
+	// Recovery sums the function's pools' failure-recovery counters after
+	// the drain (all zero on a fault-free run). A crashed request was
+	// retried on another container; a restore fault lost the container
+	// after its response was delivered.
+	Recovery faas.RecoveryStats
 	// EventCrashes and Drained count containers removed by scheduled
 	// crash-wave and drain events.
 	EventCrashes int
@@ -366,11 +355,6 @@ type FunctionStats struct {
 	// initializes them — a zero FunctionStats has nil recorders.
 	E2E   metrics.Recorder
 	Queue metrics.Recorder
-	// FullColdLatency and CloneLatency summarize the two cold-start paths'
-	// durations (ms), separating the pipeline's hundreds of milliseconds
-	// from the clone path's sub-millisecond spawns.
-	FullColdLatency metrics.Recorder
-	CloneLatency    metrics.Recorder
 }
 
 // newRecorder returns a latency recorder per the Config.SketchStats
@@ -386,11 +370,9 @@ func newRecorder(sketch bool) metrics.Recorder {
 // initialized.
 func newFunctionStats(name string, sketch bool) *FunctionStats {
 	return &FunctionStats{
-		Name:            name,
-		E2E:             newRecorder(sketch),
-		Queue:           newRecorder(sketch),
-		FullColdLatency: newRecorder(sketch),
-		CloneLatency:    newRecorder(sketch),
+		Name:  name,
+		E2E:   newRecorder(sketch),
+		Queue: newRecorder(sketch),
 	}
 }
 
@@ -496,6 +478,11 @@ type fnState struct {
 	// coldFailStreak counts consecutive failed scale-ups; it drives the
 	// dispatcher's backoff and resets on the first success.
 	coldFailStreak int
+	// fullColdMs and cloneColdMs sum the two cold-start paths' durations
+	// (ms) in scale-up order; over FullColdStarts and CloneColdStarts they
+	// are the signals' mean cold starts.
+	fullColdMs  float64
+	cloneColdMs float64
 }
 
 // observeArrival records one arrival timestamp in the rate ring.
@@ -815,11 +802,11 @@ func (d *Dispatcher) signals(fs *fnState, now sim.Time) Signals {
 			sig.ArrivalRatePerSec = float64(n) / span.Seconds()
 		}
 	}
-	if fs.stats.FullColdLatency.N() > 0 {
-		sig.MeanFullColdMs = fs.stats.FullColdLatency.Mean()
+	if n := fs.stats.FullColdStarts; n > 0 {
+		sig.MeanFullColdMs = fs.fullColdMs / float64(n)
 	}
-	if fs.stats.CloneLatency.N() > 0 {
-		sig.MeanCloneColdMs = fs.stats.CloneLatency.Mean()
+	if n := fs.stats.CloneColdStarts; n > 0 {
+		sig.MeanCloneColdMs = fs.cloneColdMs / float64(n)
 	}
 	if len(fs.recentE2E) > 0 {
 		// One reused scratch buffer stands in for a fresh slice-and-Summary
@@ -899,18 +886,18 @@ func (d *Dispatcher) Run() (*Result, error) {
 		res.MeanFrames = d.frameArea / float64(deadline)
 	}
 	for _, fs := range d.fns {
-		// Fold the pools' recovery counters into the per-function stats;
-		// Crashes and RestoreFaults were already counted on the dispatch path.
 		for _, pl := range fs.pools {
 			if pl == nil {
 				continue
 			}
-			rec := pl.Recovery()
-			fs.stats.ColdStartRetries += rec.ColdStartRetries
-			fs.stats.RetryBackoff += rec.RetryBackoff
-			fs.stats.CloneFallbacks += rec.CloneFallbacks
-			fs.stats.DonorsQuarantined += rec.DonorsQuarantined
-			fs.stats.ImageIntegrityFailures += rec.ImageIntegrityFailures
+			rec, sum := pl.Recovery(), &fs.stats.Recovery
+			sum.ColdStartRetries += rec.ColdStartRetries
+			sum.RetryBackoff += rec.RetryBackoff
+			sum.CloneFallbacks += rec.CloneFallbacks
+			sum.Crashes += rec.Crashes
+			sum.RestoreFaults += rec.RestoreFaults
+			sum.ImageIntegrityFailures += rec.ImageIntegrityFailures
+			sum.DonorsQuarantined += rec.DonorsQuarantined
 		}
 		res.PerFunction = append(res.PerFunction, fs.stats)
 	}
@@ -1079,12 +1066,13 @@ func (d *Dispatcher) dispatch(fs *fnState) {
 					cold := nc.ColdStart()
 					fs.stats.ColdStarts++
 					fs.stats.ColdStartCost += cold.Total
+					ms := float64(cold.Total) / float64(time.Millisecond)
 					if cold.ClonedFrom >= 0 {
 						fs.stats.CloneColdStarts++
-						fs.stats.CloneLatency.AddDuration(cold.Total)
+						fs.cloneColdMs += ms
 					} else {
 						fs.stats.FullColdStarts++
-						fs.stats.FullColdLatency.AddDuration(cold.Total)
+						fs.fullColdMs += ms
 					}
 					d.engine.At(nc.Ready(), fs.redispatch)
 					added = true
@@ -1104,7 +1092,6 @@ func (d *Dispatcher) dispatch(fs *fnState) {
 		st, err := pl.Serve(c, "")
 		if err != nil {
 			if errors.Is(err, faas.ErrContainerCrashed) {
-				fs.stats.Crashes++
 				continue
 			}
 			d.err = err
@@ -1123,9 +1110,6 @@ func (d *Dispatcher) dispatch(fs *fnState) {
 		}
 		if st.Restored {
 			fs.stats.Restores++
-		}
-		if st.ContainerLost {
-			fs.stats.RestoreFaults++
 		}
 		if run := qr.run; run != nil {
 			// Chain requests hand off to the next stage when the response is

@@ -8,9 +8,11 @@ import (
 
 	"groundhog/internal/catalog"
 	"groundhog/internal/core"
+	"groundhog/internal/faas"
 	"groundhog/internal/isolation"
 	"groundhog/internal/kernel"
 	"groundhog/internal/mem"
+	"groundhog/internal/metrics"
 	"groundhog/internal/sim"
 )
 
@@ -448,56 +450,92 @@ func TestFleetScaleToZeroConfigValidation(t *testing.T) {
 	}
 }
 
+// coldStartLog is a Provider that records each scale-up's cold-start
+// duration (ms) by path, in the order the dispatcher sees them.
+type coldStartLog struct {
+	Provider
+	full, clone []float64
+}
+
+func (p *coldStartLog) ScaleUp(fn int, now sim.Time) (*faas.Container, error) {
+	c, err := p.Provider.ScaleUp(fn, now)
+	if err != nil {
+		return nil, err
+	}
+	ms := float64(c.ColdStart().Total) / float64(time.Millisecond)
+	if c.ColdStart().ClonedFrom >= 0 {
+		p.clone = append(p.clone, ms)
+	} else {
+		p.full = append(p.full, ms)
+	}
+	return c, nil
+}
+
 // TestFleetCloneScaleOutStats: under CloneScaleOut the dispatcher's scale-ups
-// take the clone path, the full/clone split adds up, and clone cold starts
-// are far cheaper than the keep-alive-only fleet's full pipelines.
+// take the clone path, the full/clone split adds up, clone cold starts are
+// far cheaper than the keep-alive-only fleet's full pipelines, and the
+// policy signals' mean cold starts are, bit for bit, the means of the
+// recorded cold starts whichever recorder SketchStats selects.
 func TestFleetCloneScaleOutStats(t *testing.T) {
-	run := func(cloneScaleOut bool) *FunctionStats {
+	run := func(cloneScaleOut, sketch bool) (*FunctionStats, *coldStartLog) {
 		cfg := testConfig(isolation.ModeGH)
 		cfg.CloneScaleOut = cloneScaleOut
+		cfg.SketchStats = sketch
 		loads := testLoads(t, 60)[:1]
 		loads[0].Burstiness = 4
-		f, err := NewFleet(cfg, loads)
+		host := &oneHost{engine: sim.NewEngine(), kern: kernel.New(cfg.Cost), cfg: cfg}
+		log := &coldStartLog{Provider: host}
+		d, err := NewDispatcher(host.engine, cfg, loads, log)
 		if err != nil {
 			t.Fatal(err)
 		}
-		res, err := f.Run()
+		res, err := d.Run()
 		if err != nil {
 			t.Fatal(err)
 		}
-		return res.PerFunction[0]
-	}
-	full := run(false)
-	clone := run(true)
-
-	for _, fs := range []*FunctionStats{full, clone} {
+		fs := res.PerFunction[0]
 		if fs.ColdStarts != fs.FullColdStarts+fs.CloneColdStarts {
 			t.Fatalf("cold-start split %d+%d != total %d",
 				fs.FullColdStarts, fs.CloneColdStarts, fs.ColdStarts)
 		}
-		if fs.CloneLatency.N() != fs.CloneColdStarts || fs.FullColdLatency.N() != fs.FullColdStarts {
-			t.Fatal("latency summaries diverge from cold-start counters")
+		if len(log.full) != fs.FullColdStarts || len(log.clone) != fs.CloneColdStarts {
+			t.Fatalf("provider saw %d full + %d clone scale-ups, stats count %d + %d",
+				len(log.full), len(log.clone), fs.FullColdStarts, fs.CloneColdStarts)
 		}
+		// FixedTTL skips the signals' means; the sums behind them are kept
+		// either way.
+		d.fns[0].signalFree = false
+		sig := d.signals(d.fns[0], d.engine.Now())
+		if want := metrics.NewSummary(log.full).Mean(); sig.MeanFullColdMs != want {
+			t.Fatalf("sketch=%v: mean full cold start %v, want %v", sketch, sig.MeanFullColdMs, want)
+		}
+		if want := metrics.NewSummary(log.clone).Mean(); sig.MeanCloneColdMs != want {
+			t.Fatalf("sketch=%v: mean clone cold start %v, want %v", sketch, sig.MeanCloneColdMs, want)
+		}
+		return fs, log
 	}
-	if full.ColdStarts == 0 {
-		t.Skip("workload never scaled up; nothing to compare")
-	}
-	if full.CloneColdStarts != 0 {
-		t.Fatalf("clone cold starts %d with cloning disabled", full.CloneColdStarts)
-	}
-	if clone.CloneColdStarts == 0 {
-		t.Fatal("clone-enabled fleet never cloned on scale-up")
-	}
-	if clone.FullColdStarts != 0 {
-		t.Fatalf("clone-enabled fleet ran %d full pipelines beyond the pre-warmed floor", clone.FullColdStarts)
-	}
-	if clone.CloneLatency.Max() >= full.FullColdLatency.Min() {
-		t.Fatalf("slowest clone (%.2f ms) not below fastest full cold start (%.2f ms)",
-			clone.CloneLatency.Max(), full.FullColdLatency.Min())
-	}
-	if clone.ColdStartCost >= full.ColdStartCost {
-		t.Fatalf("clone fleet cold-start bill %v not below keep-alive fleet's %v",
-			clone.ColdStartCost, full.ColdStartCost)
+	for _, sketch := range []bool{false, true} {
+		full, fullLog := run(false, sketch)
+		clone, cloneLog := run(true, sketch)
+		if full.ColdStarts == 0 {
+			t.Skip("workload never scaled up; nothing to compare")
+		}
+		if full.CloneColdStarts != 0 {
+			t.Fatalf("clone cold starts %d with cloning disabled", full.CloneColdStarts)
+		}
+		if clone.CloneColdStarts == 0 {
+			t.Fatal("clone-enabled fleet never cloned on scale-up")
+		}
+		if clone.FullColdStarts != 0 {
+			t.Fatalf("clone-enabled fleet ran %d full pipelines beyond the pre-warmed floor", clone.FullColdStarts)
+		}
+		if slowest, fastest := slices.Max(cloneLog.clone), slices.Min(fullLog.full); slowest >= fastest {
+			t.Fatalf("slowest clone (%.2f ms) not below fastest full cold start (%.2f ms)", slowest, fastest)
+		}
+		if clone.ColdStartCost >= full.ColdStartCost {
+			t.Fatalf("clone fleet cold-start bill %v not below keep-alive fleet's %v",
+				clone.ColdStartCost, full.ColdStartCost)
+		}
 	}
 }
 
