@@ -2,19 +2,20 @@
 // simulated hosts under one virtual clock — the ROADMAP's next order of
 // scale, following the shape of faasd's single-box supervisor spread
 // tinyFaaS-style across nodes. Each host owns its own physical memory,
-// kernel, and per-deployment container pools; a pluggable trace.Placer
-// decides where every scale-up lands; and an image Registry layers
-// cross-host snapshot distribution (pull dedup, per-frame transfer
-// charging, refcount-derived presence) on the PR 4 image lifecycle.
+// kernel, and per-deployment container pools; a Placer decides where every
+// scale-up lands; and an image Registry layers cross-host snapshot
+// distribution (pull dedup, per-frame transfer charging, refcount-derived
+// presence) on the clone image lifecycle.
 //
 // The placement decision is the experiment the paper never reaches: a host
-// already holding a deployment's image clones a container in ~1 ms (PR 3),
-// a host without it first pays a per-frame image transfer
+// already holding a deployment's image clones a container in ~1 ms, a host
+// without it first pays a per-frame image transfer
 // (kernel.CostModel.ImageTransferBase/PerFrame), and a cold host runs the
-// full Fig. 1 pipeline — so whether clone cheapness favors packing work
-// onto image-warm hosts or spreading it for failure headroom is decided by
-// the Placer, and measured by the bench-cluster benchmark under host
-// failure and drain events.
+// full Fig. 1 pipeline. Packing onto the lowest-ID live host (PackFirst,
+// the default) keeps every scale-up on the host that holds the template;
+// spreading (RoundRobin) buys failure headroom with transfers. The
+// bench-cluster benchmark measures both under host failure and drain
+// events.
 //
 // The cluster has no dispatcher of its own. Queueing, dispatch, reaping,
 // policy signals, arrivals and per-function stats are trace.Dispatcher's —
@@ -63,9 +64,9 @@ type Config struct {
 	// Window is the simulated duration.
 	Window sim.Duration
 
-	// Placer decides which host each scale-up lands on; nil selects
-	// LocalityAware.
-	Placer trace.Placer
+	// Placer decides which live host each scale-up lands on; nil selects
+	// PackFirst.
+	Placer Placer
 
 	// Faults arms deterministic fault injection. Each host gets its own
 	// injector with the plan's seed perturbed by the host ID, so per-host
@@ -258,7 +259,7 @@ type depState struct {
 // one virtual clock.
 type Cluster struct {
 	cfg      Config
-	placer   trace.Placer
+	placer   Placer
 	engine   *sim.Engine
 	disp     *trace.Dispatcher
 	hosts    []*host
@@ -268,8 +269,9 @@ type Cluster struct {
 
 // New deploys the given functions across cfg.Hosts simulated hosts, one
 // pre-warmed container each (placed by the Placer, so even the warm floor
-// reflects the placement policy). Clone scale-out is always on: image
-// locality is the cluster's whole placement signal. The loads go through
+// reflects the placement policy). Clone scale-out is always on: a host
+// holding the deployment's image clones instead of running the pipeline,
+// which is what makes pack-first the cheap default. The loads go through
 // the dispatcher's validation, runtime overlays and per-function policy
 // resolution exactly as a trace.Fleet's do.
 func New(cfg Config, loads []trace.FunctionLoad) (*Cluster, error) {
@@ -283,7 +285,7 @@ func New(cfg Config, loads []trace.FunctionLoad) (*Cluster, error) {
 		registry: newRegistry(),
 	}
 	if cl.placer == nil {
-		cl.placer = LocalityAware{}
+		cl.placer = PackFirst{}
 	}
 	for id := 0; id < cfg.Hosts; id++ {
 		h := &host{kern: kernel.New(cfg.Cost), stats: HostStats{ID: id}}
@@ -304,8 +306,8 @@ func New(cfg Config, loads []trace.FunctionLoad) (*Cluster, error) {
 	// Pre-warm one container per deployment, placed by the placer under
 	// test; every host is live before Run.
 	for _, ds := range cl.deps {
-		views := cl.liveHosts(ds)
-		hid := views[cl.placer.Place(views)].Host
+		live := cl.liveHosts()
+		hid := live[cl.placer.Place(len(live))]
 		pl, err := cl.pool(ds, hid)
 		if err != nil {
 			return nil, err
@@ -349,30 +351,16 @@ func (cl *Cluster) pool(ds *depState, hostID int) (*faas.Platform, error) {
 	return pl, nil
 }
 
-// liveHosts builds the placement views for one deployment: every live host,
-// in host-ID order (HostView.Host maps a view back to its host).
-func (cl *Cluster) liveHosts(ds *depState) []trace.HostView {
-	now := cl.engine.Now()
-	var views []trace.HostView
+// liveHosts returns the IDs of the hosts that accept placements, in host-ID
+// order — the list a Placer's pick indexes.
+func (cl *Cluster) liveHosts() []int {
+	live := make([]int, 0, len(cl.hosts))
 	for id, h := range cl.hosts {
-		if !h.alive() {
-			continue
+		if h.alive() {
+			live = append(live, id)
 		}
-		v := trace.HostView{Host: id}
-		_, v.PullInFlight = cl.registry.PendingPull(ds.stats.Name, id, now)
-		if pl := ds.pools[id]; pl != nil {
-			for _, c := range pl.Containers() {
-				if c.Ready() > now {
-					v.Busy++
-				}
-			}
-			if !v.PullInFlight {
-				v.CloneReady = pl.CloneSourceReady()
-			}
-		}
-		views = append(views, v)
 	}
-	return views
+	return live
 }
 
 // findSource returns a live host's platform that can source a transfer of
@@ -448,11 +436,11 @@ func (cl *Cluster) FramesInUse() int {
 // start before handing it to the dispatcher.
 func (cl *Cluster) ScaleUp(fn int, now sim.Time) (*faas.Container, error) {
 	ds := cl.deps[fn]
-	views := cl.liveHosts(ds)
-	if len(views) == 0 {
+	live := cl.liveHosts()
+	if len(live) == 0 {
 		return nil, fmt.Errorf("cluster: %s: no live hosts left", ds.stats.Name)
 	}
-	hid := views[cl.placer.Place(views)].Host
+	hid := live[cl.placer.Place(len(live))]
 	pl, err := cl.pool(ds, hid)
 	if err != nil {
 		return nil, err

@@ -119,24 +119,32 @@ func TestPlacersSurviveFailureAndDrain(t *testing.T) {
 	}
 }
 
-// TestPackFirstPacks: with every host live, pack-first never leaves
-// host 0.
+// TestPackFirstPacks: with every host live, pack-first — set explicitly or
+// as the nil default — never leaves host 0 and never pays a transfer.
 func TestPackFirstPacks(t *testing.T) {
-	cfg := testConfig()
-	cfg.Placer = PackFirst{}
-	cl, res := runCluster(t, cfg, 20)
-	for _, hs := range res.PerHost[1:] {
-		if hs.Placements != 0 {
-			t.Fatalf("pack-first placed %d containers on host %d", hs.Placements, hs.ID)
+	for _, placer := range []Placer{PackFirst{}, nil} {
+		name := "default"
+		if placer != nil {
+			name = placer.Name()
 		}
+		t.Run(name, func(t *testing.T) {
+			cfg := testConfig()
+			cfg.Placer = placer
+			cl, res := runCluster(t, cfg, 20)
+			for _, hs := range res.PerHost[1:] {
+				if hs.Placements != 0 {
+					t.Fatalf("pack-first placed %d containers on host %d", hs.Placements, hs.ID)
+				}
+			}
+			if res.PerHost[0].Placements == 0 {
+				t.Fatal("no placements recorded on host 0")
+			}
+			if res.Registry.Transfers != 0 {
+				t.Fatalf("pack-first on one host paid %d transfers", res.Registry.Transfers)
+			}
+			checkNoLostWork(t, cl, res)
+		})
 	}
-	if res.PerHost[0].Placements == 0 {
-		t.Fatal("no placements recorded on host 0")
-	}
-	if res.Registry.Transfers != 0 {
-		t.Fatalf("pack-first on one host paid %d transfers", res.Registry.Transfers)
-	}
-	checkNoLostWork(t, cl, res)
 }
 
 // TestRoundRobinSpreadsAndPaysTransfers: cycling placements touch every
@@ -166,32 +174,12 @@ func TestRoundRobinSpreadsAndPaysTransfers(t *testing.T) {
 	checkNoLostWork(t, cl, res)
 }
 
-// TestLocalityAvoidsTransfers: with no failures, locality-aware placement
-// keeps each deployment on its image-warm host and never pays a transfer,
-// while round-robin on the same workload does.
-func TestLocalityAvoidsTransfers(t *testing.T) {
-	loc := testConfig()
-	loc.Placer = LocalityAware{}
-	clLoc, resLoc := runCluster(t, loc, 30)
-	if resLoc.Registry.Transfers != 0 {
-		t.Fatalf("locality-aware paid %d transfers with every host healthy", resLoc.Registry.Transfers)
-	}
-	rr := testConfig()
-	rr.Placer = &RoundRobin{}
-	_, resRR := runCluster(t, rr, 30)
-	if resRR.Registry.Transfers <= resLoc.Registry.Transfers {
-		t.Fatalf("round-robin transfers (%d) not above locality's (%d)",
-			resRR.Registry.Transfers, resLoc.Registry.Transfers)
-	}
-	checkNoLostWork(t, clLoc, resLoc)
-}
-
 // TestClusterDeterministic: the same seed reproduces the same run,
 // transfers, placements and latencies included.
 func TestClusterDeterministic(t *testing.T) {
 	run := func() *Result {
 		cfg := testConfig()
-		cfg.Placer = LocalityAware{}
+		cfg.Placer = &RoundRobin{}
 		cfg.Faults = testFaults(11)
 		cfg.Events = []Event{{At: sim.Duration(cfg.Window) / 2, Kind: EventHostFail, Host: 0}}
 		_, res := runCluster(t, cfg, 20)

@@ -13,9 +13,10 @@ import (
 )
 
 // FuzzConfigValidate maps arbitrary inputs onto a cluster configuration —
-// hosts (-1 to 4), window, both TTLs, one event and one fault rate — and
-// holds Validate to what it promises. Validate never panics (through
-// Config.dispatcher it runs trace.Config.Validate too). A
+// hosts (-1 to 4, and through hosts/6 the placer: round-robin when odd, the
+// pack-first default otherwise), window, both TTLs, one event and one fault
+// rate — and holds Validate to what it promises. Validate never panics
+// (through Config.dispatcher it runs trace.Config.Validate too). A
 // configuration it accepts builds: New deploys one small C load and
 // Teardown gives back every frame, and the only way New may still fail is
 // an injected fault outlasting the cold-start retry budget. The seed corpus
@@ -39,6 +40,9 @@ func FuzzConfigValidate(f *testing.F) {
 			Window:                   sim.Duration(window),
 			KeepAlive:                sim.Duration(keepAlive),
 			ScaleToZeroAfter:         sim.Duration(scaleToZero),
+		}
+		if hosts/6%2 == 1 {
+			cfg.Placer = &RoundRobin{}
 		}
 		if kind := kinds[int(evKind)%len(kinds)]; kind != "" {
 			cfg.Events = []Event{{At: sim.Duration(evAt), Kind: kind, Host: int(evHost)}}

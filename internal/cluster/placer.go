@@ -1,82 +1,51 @@
 package cluster
 
-import (
-	"groundhog/internal/trace"
-)
-
-// The built-in placers. All three are deterministic: given the same host
-// views (and, for round-robin, the same call history) they pick the same
-// host, so cluster runs reproduce byte-identically.
-
-// LocalityAware places scale-ups by start-cost class, the tentpole signal:
-// a host that can clone right now (it holds a clone template) beats a
-// host whose pull is still in flight (joining it costs only the remaining
-// wait), which beats a host that must pay a fresh transfer or the full
-// Fig. 1 pipeline. Ties break to the host with the fewest busy containers
-// for this deployment, then to the lowest host ID.
-type LocalityAware struct{}
-
-// Name implements trace.Placer.
-func (LocalityAware) Name() string { return "locality" }
-
-// Place implements trace.Placer.
-func (LocalityAware) Place(hosts []trace.HostView) int {
-	best, bestClass, bestBusy := 0, placementClass(hosts[0]), hosts[0].Busy
-	for i := 1; i < len(hosts); i++ {
-		c := placementClass(hosts[i])
-		if c < bestClass || (c == bestClass && hosts[i].Busy < bestBusy) {
-			best, bestClass, bestBusy = i, c, hosts[i].Busy
-		}
-	}
-	return best
+// Placer decides where a cluster scale-up lands. Place returns an index into
+// the live hosts in host-ID order (live > 0; failed and draining hosts are
+// filtered out before placement) and must be deterministic given live plus
+// the placer's own state (a round-robin cursor is state; a clock or RNG is
+// not), so cluster runs reproduce byte-identically.
+type Placer interface {
+	// Name identifies the placer in results and benchmark output.
+	Name() string
+	// Place picks the live host for the deployment's next container.
+	Place(live int) int
 }
 
-// placementClass ranks a host by what the next container costs there:
-// 0 = clone now, 1 = join an in-flight pull, 2 = transfer or full pipeline.
-func placementClass(h trace.HostView) int {
-	switch {
-	case h.CloneReady:
-		return 0
-	case h.PullInFlight:
-		return 1
-	default:
-		return 2
-	}
-}
+// PackFirst places every scale-up on the lowest-ID live host — the
+// consolidation-maximizing policy and the cluster's default. The first
+// full cold start there captures the clone template, so every later
+// scale-up clones locally and no image ever crosses hosts; it moves to the
+// next host only when that one fails or drains.
+type PackFirst struct{}
 
-// RoundRobin cycles placements across the live hosts regardless of
-// image locality — the spread-maximizing strawman. After a pull lands on
-// every host it behaves like locality (everyone clones), so its cost is
-// front-loaded into N transfers.
+// Name implements Placer.
+func (PackFirst) Name() string { return "pack-first" }
+
+// Place implements Placer.
+func (PackFirst) Place(int) int { return 0 }
+
+// RoundRobin cycles placements across the live hosts regardless of image
+// locality — the spread-maximizing strawman. After a pull lands on every
+// host each scale-up clones locally, so its cost is front-loaded into N
+// transfers. It is the built-in placer that reaches pulls, pull dedup and
+// transfer faults.
 type RoundRobin struct {
 	next int
 }
 
-// Name implements trace.Placer.
+// Name implements Placer.
 func (*RoundRobin) Name() string { return "round-robin" }
 
-// Place implements trace.Placer.
-func (rr *RoundRobin) Place(hosts []trace.HostView) int {
-	i := rr.next % len(hosts)
+// Place implements Placer.
+func (rr *RoundRobin) Place(live int) int {
+	i := rr.next % live
 	rr.next++
 	return i
 }
 
-// PackFirst places every scale-up on the lowest-ID live host — the
-// consolidation-maximizing policy (fewest hosts touched, so the fewest
-// images materialized, at the price of no spare warm capacity elsewhere
-// when that host fails). It moves to the next host only when that one
-// fails or drains.
-type PackFirst struct{}
-
-// Name implements trace.Placer.
-func (PackFirst) Name() string { return "pack-first" }
-
-// Place implements trace.Placer.
-func (PackFirst) Place([]trace.HostView) int { return 0 }
-
-// Placers returns fresh instances of the three built-in placers, in the
-// order the cluster benchmark compares them.
-func Placers() []trace.Placer {
-	return []trace.Placer{LocalityAware{}, &RoundRobin{}, PackFirst{}}
+// Placers returns fresh instances of the built-in placers, in the order the
+// cluster benchmark compares them.
+func Placers() []Placer {
+	return []Placer{PackFirst{}, &RoundRobin{}}
 }

@@ -75,10 +75,10 @@ func clusterPlan(seed uint64) faults.Plan {
 }
 
 // clusterEvents is the benchmark's host schedule: host 2 crashes at 2/5 of
-// the window (felt by the spreading placers) and host 0 — where locality
-// and pack-first concentrate — drains at 7/10, so every placer is measured
-// on its recovery behavior, not just its steady state. Hosts 1 and 3
-// survive the whole window.
+// the window (felt by round-robin) and host 0 — where pack-first
+// concentrates — drains at 7/10, so every placer is measured on its
+// recovery behavior, not just its steady state. Hosts 1 and 3 survive the
+// whole window.
 func clusterEvents(window sim.Duration) []cluster.Event {
 	return []cluster.Event{
 		{At: window * 2 / 5, Kind: cluster.EventHostFail, Host: 2},
@@ -91,9 +91,9 @@ const clusterHosts = 4
 
 // ClusterBench runs the multi-host placement benchmark: the fleetMix
 // workload on a clusterHosts-host GH cluster, once per built-in placer
-// (locality-aware, round-robin, pack-first), each under the same fault
-// plan, host failure, and drain. Deterministic for a fixed seed; quick is
-// FleetBench's reduced scale (fleetMixLoads: half window, three functions).
+// (pack-first, round-robin), each under the same fault plan, host failure,
+// and drain. Deterministic for a fixed seed; quick is FleetBench's reduced
+// scale (fleetMixLoads: half window, three functions).
 func ClusterBench(cfg Config, quick bool) ([]ClusterBenchResult, error) {
 	loads, window, err := fleetMixLoads(quick)
 	if err != nil {

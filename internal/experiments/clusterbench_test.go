@@ -3,6 +3,8 @@ package experiments
 import (
 	"reflect"
 	"testing"
+
+	"groundhog/internal/cluster"
 )
 
 // TestClusterBenchInvariants pins the placement benchmark's guarantees in
@@ -14,8 +16,8 @@ func TestClusterBenchInvariants(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(res) != 3 {
-		t.Fatalf("placer entries = %d, want 3", len(res))
+	if want := len(cluster.Placers()); len(res) != want {
+		t.Fatalf("placer entries = %d, want %d", len(res), want)
 	}
 	transfers, faults, crashes := 0, 0, 0
 	for _, r := range res {

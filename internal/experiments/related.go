@@ -95,16 +95,15 @@ func AblationStateStore(cfg Config) (*metrics.Table, error) {
 // repurposed for per-request isolation; Groundhog's restore runs between
 // requests.
 var relatedWorkCosts = []struct {
-	name        string
-	onPath      sim.Duration
-	offCritical bool
+	name   string
+	onPath sim.Duration
 }{
-	{"cold-start per request", 0, false}, // priced from the cost model in RelatedWork
-	{"CRIU (disk restore)", 2 * time.Second, false},
-	{"Catalyzer", 232 * time.Millisecond, false},
-	{"REAP", 60 * time.Millisecond, false},
-	{"Groundhog", 0, true}, // measured restore, off the critical path
-	{"Groundhog (GH-NOP floor)", 0, true},
+	{"cold-start per request", 0}, // priced from the cost model in RelatedWork
+	{"CRIU (disk restore)", 2 * time.Second},
+	{"Catalyzer", 232 * time.Millisecond},
+	{"REAP", 60 * time.Millisecond},
+	{"Groundhog", 0}, // measured restore, off the critical path
+	{"Groundhog (GH-NOP floor)", 0},
 }
 
 // RelatedWork reproduces the §6 comparison for a 1 ms hello-world function:

@@ -1,11 +1,17 @@
 package faas
 
 import (
+	"encoding/binary"
+	"fmt"
+	"strconv"
+	"strings"
 	"testing"
 	"time"
 
+	"groundhog/internal/catalog"
 	"groundhog/internal/isolation"
 	"groundhog/internal/kernel"
+	"groundhog/internal/mem"
 )
 
 func TestTrustedCallersSkipRestores(t *testing.T) {
@@ -62,6 +68,83 @@ func TestTrustedCallersStillIsolateAcrossCallers(t *testing.T) {
 	if st.PreRestore <= 0 {
 		t.Fatal("no pre-restore before differently-principaled request")
 	}
+}
+
+// TestTrustedCallersWipePreviousCallersRequest is the wipe guarantee across
+// callers at the faas layer. With TrustSameCaller on, alice's request on a
+// leaking profile (logging (p)) is left in place until bob arrives on the
+// same container. The runtime writes each request's ID to its stack, its
+// registers and its churn: and leak: region names, so after bob's request
+// no VMA name, resident word or register may still carry alice's ID. GH
+// passes. BASE must fail the same check — the leak:<id> mapping survives —
+// which proves the route is reached.
+func TestTrustedCallersWipePreviousCallersRequest(t *testing.T) {
+	entry, err := catalog.Lookup("logging (p)")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if entry.Prof.LeakPages == 0 {
+		t.Fatal("logging (p) no longer leaks; the test needs a profile that maps pages per request")
+	}
+	const aliceID, bobID = 0xA11CE0A11CE0, 0xB0B0B0B0B0
+	for _, tc := range []struct {
+		mode  isolation.Mode
+		leaks bool
+	}{{isolation.ModeGH, false}, {isolation.ModeBase, true}} {
+		t.Run(string(tc.mode), func(t *testing.T) {
+			pl, err := NewPlatform(kernel.Default(), entry.Prof, tc.mode, 1, 1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			pl.TrustSameCaller = true
+			c := pl.Containers()[0]
+			if _, err := pl.serveAs(c, aliceID, "alice"); err != nil {
+				t.Fatal(err)
+			}
+			if len(requestTraces(c, aliceID)) == 0 {
+				t.Fatal("alice's request left no trace of its ID to look for")
+			}
+			if _, err := pl.serveAs(c, bobID, "bob"); err != nil {
+				t.Fatal(err)
+			}
+			traces := requestTraces(c, aliceID)
+			switch {
+			case tc.leaks && len(traces) == 0:
+				t.Fatal("BASE wiped alice's request: the check does not reach the leak route")
+			case !tc.leaks && len(traces) > 0:
+				t.Fatalf("bob's request can see alice's: %s", strings.Join(traces, "; "))
+			}
+			pl.Teardown()
+		})
+	}
+}
+
+// requestTraces lists where c's process still carries request id: region
+// names, resident words and thread registers.
+func requestTraces(c *Container, id uint64) []string {
+	var out []string
+	proc := c.inst.Proc
+	name := strconv.FormatUint(id, 10)
+	for _, v := range proc.AS.VMAs() {
+		if strings.Contains(v.Name, name) {
+			out = append(out, fmt.Sprintf("region %q", v.Name))
+		}
+	}
+	for vpn, page := range pageContents(proc.AS) {
+		for off := 0; off+mem.WordSize <= len(page); off += mem.WordSize {
+			if binary.LittleEndian.Uint64(page[off:]) == id {
+				out = append(out, fmt.Sprintf("page %#x offset %d", vpn, off))
+			}
+		}
+	}
+	for _, th := range proc.Threads {
+		for i, r := range th.Regs.GP {
+			if r == id {
+				out = append(out, fmt.Sprintf("thread %d GP[%d]", th.TID, i))
+			}
+		}
+	}
+	return out
 }
 
 func TestTrustedCallersDisabledByDefault(t *testing.T) {

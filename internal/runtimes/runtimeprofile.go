@@ -13,7 +13,7 @@ import (
 // same handler as a static binary, a Python script, or a Node.js service,
 // and the three differ in exactly the knobs here: how much memory the
 // runtime maps, how aggressively it dirties pages per request, and how long
-// its initialization runs before the first request. Placers and policies
+// its initialization runs before the first request. Scaling policies
 // therefore face real heterogeneity even across functions with identical
 // compute.
 //

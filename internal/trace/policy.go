@@ -367,40 +367,6 @@ func DefaultPolicies() []Policy {
 	}
 }
 
-// HostView is one host's placement-relevant state as the cluster scheduler
-// sees it at a scale-up decision: image locality (the tentpole signal — a
-// host with the image clones in ~1 ms, one without it pays a transfer or the
-// full pipeline) and the deployment's load there. The cluster builds one
-// HostView per live host (failed and draining hosts are filtered out before
-// placement) and hands the slice to a Placer.
-type HostView struct {
-	// Host is the host's cluster-wide ID.
-	Host int
-	// CloneReady reports whether a scale-up on this host would take the
-	// clone fast path right now — the host holds a clone template
-	// (faas.Platform.CloneSourceReady).
-	CloneReady bool
-	// Busy is how many of the deployment's containers on this host cannot
-	// serve right now (mid-request, restoring or still cold-starting).
-	Busy int
-	// PullInFlight reports whether an image transfer to this host is
-	// already underway for this deployment; placing here joins that pull
-	// (dedup) instead of starting a second one.
-	PullInFlight bool
-}
-
-// Placer decides where a cluster scale-up lands. Place returns an index
-// into hosts — which is never empty and contains only live hosts — and
-// must be deterministic given its inputs plus the placer's own state (a
-// round-robin cursor is state; a clock or RNG is not), so cluster runs
-// reproduce byte-identically.
-type Placer interface {
-	// Name identifies the placer in results and benchmark output.
-	Name() string
-	// Place picks hosts[i] for the deployment's next container.
-	Place(hosts []HostView) int
-}
-
 // Advice is one policy's decision set against an observed signal snapshot —
 // what it would do right now. The server's /deployments endpoint reports it
 // per deployment so the policies' behavior can be inspected without running
