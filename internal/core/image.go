@@ -219,6 +219,7 @@ func CopyImageTo(dst *kernel.Kernel, img *SnapshotImage, meter *sim.Meter) (*Sna
 		failAt = dst.Faults.Cut(faults.SiteImageTransfer, len(src)+1)
 	}
 	copied := make(map[mem.FrameID]mem.FrameID, len(src))
+	var page [mem.PageSize]byte // each frame's bytes on their way between pools
 	for i := 0; ; i++ {
 		if i == failAt {
 			return nil, out.unwind("image transfer", fault)
@@ -232,7 +233,8 @@ func CopyImageTo(dst *kernel.Kernel, img *SnapshotImage, meter *sim.Meter) (*Sna
 		} else {
 			nf = dst.Phys.Alloc()
 			if !img.phys.IsZero(src[i]) {
-				dst.Phys.RestoreInto(nf, img.phys.Snapshot(src[i]))
+				img.phys.ReadAt(src[i], 0, page[:])
+				dst.Phys.RestoreInto(nf, page[:])
 			}
 			copied[src[i]] = nf
 			sim.ChargeTo(meter, dst.Cost.ImageTransferPerFrame)

@@ -13,7 +13,9 @@
 // carved them: one whose every frame is freed hands its slabs, whole, to a
 // process-wide spare list — the package's only shared state — and the next
 // PhysMem to run out of slab takes one from there before asking the runtime,
-// as a host's page allocator outlives the processes it serves. That a
+// as a host's page allocator outlives the processes it serves. Its
+// bookkeeping goes with them: the frame table and the free lists, emptied but
+// with their capacity, are the next PhysMem's to fill. That a
 // recycled frame shows nothing of its last owner, in the same PhysMem or
 // another, is a tested property, not a convention. The same buffers are lent
 // whole to hold bytes that are no frame's (a snapshot's copy of a page, see
@@ -52,8 +54,8 @@ type frame struct {
 	data []byte
 }
 
-// PhysMem is a pool of reference-counted frames. The zero value is not
-// usable; call New.
+// PhysMem is a pool of reference-counted frames. The zero value is an empty
+// pool, as New returns.
 //
 // Frames live in a slot-indexed slice (the FrameID is the slot), with freed
 // IDs recycled through a free list — like a real kernel's frame allocator,
@@ -74,37 +76,50 @@ type frame struct {
 // recycled the same way, and counted (Lent) until ReturnPage takes it back.
 // When Unref frees the last live frame with no page lent, or ReturnPage takes
 // the last lent page back with no frame live, every buffer is free, so the
-// PhysMem hands every slab it carves from back to the spare list and starts
-// over with none. It stays usable, and its frame
-// IDs, InUse and Peak (live frames, whatever the slabs hold) are untouched:
-// only backing bytes move between PhysMems.
+// PhysMem hands every slab it carves from back to the spare list, and its
+// tables (frame table, free-ID list, free-buffer list, slab list) with them,
+// emptied, and starts over with none. It stays usable: its next Alloc or
+// LendPage takes a set of tables from the spare list, as a new PhysMem's
+// first does, and makes one only if the list is empty. Either way the frame
+// IDs start again from an empty ID space that merely has capacity, so a
+// teardown followed by a rebuild grows no table from nothing. A frame ID is
+// an identity within one PhysMem's lifetime between hand-backs, nothing
+// more; InUse and Peak (live frames, whatever the slabs hold) are untouched.
 //
 // A PhysMem is not safe for concurrent use — the simulation is
 // single-threaded by design (see internal/sim) — but distinct PhysMems may be
 // used from distinct goroutines: the spare list they share is locked.
 type PhysMem struct {
-	frames []frame   // slot 0 is NoFrame and never used
-	free   []FrameID // freed slots, reused LIFO
-	bufs   [][]byte  // released page buffers, contents intact, reused by takeBuf
-	slabs  [][]byte  // every slab carved from since the last hand-back, whole
-	slab   []byte    // the newest slab's uncarved tail
-	reused bool      // the newest slab came from the spare list: its bytes are stale
-	carved int       // page buffers carved from slabs since the last hand-back
-	lent   int       // page buffers lent by LendPage and not yet returned
+	tables        // nil until the first Alloc or LendPage since New or the last hand-back
+	slab   []byte // the newest slab's uncarved tail
+	reused bool   // the newest slab came from the spare list: its bytes are stale
+	carved int    // page buffers carved from slabs since the last hand-back
+	lent   int    // page buffers lent by LendPage and not yet returned
 	// stats
 	inUse int
 	peak  int
 }
 
+// tables is a PhysMem's bookkeeping: what it knows about its frames and
+// buffers, as opposed to the bytes they hold. A hand-back passes it on whole.
+type tables struct {
+	frames []frame   // slot 0 is NoFrame and never used
+	free   []FrameID // freed slots, reused LIFO
+	bufs   [][]byte  // released page buffers, contents intact, reused by takeBuf
+	slabs  [][]byte  // every slab carved from since the last hand-back, whole
+}
+
 // spare holds the whole slabs of PhysMems whose every frame was freed, for
-// the next PhysMem that runs out of slab. It needs no bound of its own: a slab
-// is made only while it is empty, so slab bytes, live and spare together,
-// never exceed what the process once held live. Not a sync.Pool, which drops
-// its contents within two collections: a teardown is often followed by one
-// before the next platform is built.
+// the next PhysMem that runs out of slab, and their emptied tables, for the
+// next PhysMem to start. It needs no bound of its own: a slab or a set of
+// tables is made only while its list is empty, so what the lists hold, live
+// and spare together, never exceeds what the process once held live. Not a
+// sync.Pool, which drops its contents within two collections: a teardown is
+// often followed by one before the next platform is built.
 var spare struct {
 	sync.Mutex
-	slabs [][]byte
+	slabs  [][]byte
+	tables []tables
 }
 
 // slabPages is the size, in pages, of the next slab given the page buffers
@@ -130,25 +145,50 @@ func takeSpare() []byte {
 	return s
 }
 
-// handBack gives every slab to the spare list and forgets the page buffers
-// carved from them. The caller guarantees no frame holds one and none is lent
-// (InUse and Lent are 0).
+// handBack gives every slab to the spare list, and its tables, emptied, with
+// them: the PhysMem keeps neither, nor the page buffers carved from the
+// slabs. The caller guarantees no frame holds one and none is lent (InUse and
+// Lent are 0), so every frame slot is free and holds no buffer.
 func (p *PhysMem) handBack() {
+	clear(p.bufs)
 	spare.Lock()
 	spare.slabs = append(spare.slabs, p.slabs...)
-	spare.Unlock()
 	clear(p.slabs)
-	clear(p.bufs)
-	p.slabs, p.bufs, p.slab, p.carved = p.slabs[:0], p.bufs[:0], nil, 0
+	spare.tables = append(spare.tables, tables{
+		frames: p.frames[:1],
+		free:   p.free[:0],
+		bufs:   p.bufs[:0],
+		slabs:  p.slabs[:0],
+	})
+	spare.Unlock()
+	p.tables, p.slab, p.carved = tables{}, nil, 0
+}
+
+// takeTables gives a PhysMem with none a set of tables: one from the spare
+// list if it holds one, else a new one.
+func (p *PhysMem) takeTables() {
+	spare.Lock()
+	if n := len(spare.tables); n > 0 {
+		p.tables = spare.tables[n-1]
+		spare.tables[n-1] = tables{}
+		spare.tables = spare.tables[:n-1]
+	}
+	spare.Unlock()
+	if p.frames == nil {
+		p.frames = make([]frame, 1)
+	}
 }
 
 // New returns an empty physical memory pool.
 func New() *PhysMem {
-	return &PhysMem{frames: make([]frame, 1)}
+	return &PhysMem{}
 }
 
 // Alloc returns a fresh zero-filled frame with reference count 1.
 func (p *PhysMem) Alloc() FrameID {
+	if p.frames == nil {
+		p.takeTables()
+	}
 	var id FrameID
 	if n := len(p.free); n > 0 {
 		id = p.free[n-1]
@@ -197,7 +237,7 @@ func (p *PhysMem) Ref(id FrameID) {
 
 // Unref decrements the reference count and frees the frame when it reaches
 // zero. Freeing the last live frame while no page is lent hands the slabs
-// back (see PhysMem).
+// and tables back (see PhysMem).
 func (p *PhysMem) Unref(id FrameID) {
 	f := p.get(id)
 	f.refs--
@@ -217,15 +257,18 @@ func (p *PhysMem) Unref(id FrameID) {
 // pages. Like materializeRaw, it does not clear: the page may hold what its
 // last user left, so the borrower overwrites it whole before it reads it. The
 // page is the borrower's until ReturnPage; while any page is lent the PhysMem
-// keeps its slabs, even with no frame live.
+// keeps its slabs and tables, even with no frame live.
 func (p *PhysMem) LendPage() *[PageSize]byte {
+	if p.frames == nil {
+		p.takeTables()
+	}
 	p.lent++
 	return (*[PageSize]byte)(p.takeBuf(false))
 }
 
 // ReturnPage takes back a page LendPage lent, contents intact, for the next
 // frame or borrower to take (and clear, or overwrite whole). Returning the
-// last lent page while no frame is live hands the slabs back.
+// last lent page while no frame is live hands the slabs and tables back.
 func (p *PhysMem) ReturnPage(b *[PageSize]byte) {
 	if p.lent == 0 {
 		panic("mem: ReturnPage of a page not lent")

@@ -3,6 +3,7 @@ package mem
 import (
 	"bytes"
 	"math/rand"
+	"runtime"
 	"sync"
 	"testing"
 	"testing/quick"
@@ -319,6 +320,7 @@ func checkOwnership(t *testing.T, ms []*slabModel) bool {
 	}
 	spare.Lock()
 	spares := append([][]byte(nil), spare.slabs...)
+	spareTables := append([]tables(nil), spare.tables...)
 	spare.Unlock()
 	for _, s := range spares {
 		if !hold(s, spareOwner) {
@@ -330,6 +332,37 @@ func checkOwnership(t *testing.T, ms []*slabModel) bool {
 			if !hold(s, i) {
 				return false
 			}
+		}
+	}
+	// Tables move whole: each backing array is one PhysMem's or the spare
+	// list's, and a set on the spare list is empty.
+	tableOwner := map[any]int{}
+	holdTables := func(tb tables, who int) bool {
+		for _, a := range []any{backing(tb.frames), backing(tb.free), backing(tb.bufs), backing(tb.slabs)} {
+			if a == nil {
+				continue
+			}
+			if prev, dup := tableOwner[a]; dup {
+				t.Errorf("a table's backing array is held by %d and by %d", prev, who)
+				return false
+			}
+			tableOwner[a] = who
+		}
+		return true
+	}
+	for _, tb := range spareTables {
+		if len(tb.frames) != 1 || len(tb.free)+len(tb.bufs)+len(tb.slabs) != 0 {
+			t.Errorf("spare tables not emptied: %d frame slots, %d free IDs, %d buffers, %d slabs",
+				len(tb.frames), len(tb.free), len(tb.bufs), len(tb.slabs))
+			return false
+		}
+		if !holdTables(tb, spareOwner) {
+			return false
+		}
+	}
+	for i, m := range ms {
+		if !holdTables(m.p.tables, i) {
+			return false
 		}
 	}
 	used := map[*byte]bool{}
@@ -386,10 +419,19 @@ func checkOwnership(t *testing.T, ms []*slabModel) bool {
 	return true
 }
 
+// backing returns a pointer to the first element of s's backing array, or
+// nil if it has none: two slices with the same backing share the array.
+func backing[T any](s []T) any {
+	if cap(s) == 0 {
+		return nil
+	}
+	return &s[:1][0]
+}
+
 // tearDown frees every frame of m and returns every lent page, in either
 // order, as a platform's teardown does, and checks the PhysMem kept its slabs
-// while a page was lent, then handed each of them to the spare list and kept
-// none.
+// and tables while a page was lent, then handed each of them to the spare
+// list and kept none.
 func (m *slabModel) tearDown() bool {
 	held := append([][]byte(nil), m.p.slabs...)
 	returnAll := func() bool {
@@ -413,12 +455,15 @@ func (m *slabModel) tearDown() bool {
 	if len(m.lent) > 0 && len(p.slabs) == 0 {
 		return m.failf("handed its slabs back with %d pages lent", len(m.lent))
 	}
+	if len(m.lent) > 0 && p.frames == nil {
+		return m.failf("handed its tables back with %d pages lent", len(m.lent))
+	}
 	if !returnAll() {
 		return false
 	}
-	if p.InUse() != 0 || len(p.slabs) != 0 || len(p.bufs) != 0 || len(p.slab) != 0 || p.carved != 0 {
-		return m.failf("torn down with InUse %d: kept %d slabs, %d released buffers, %d tail bytes, carved %d",
-			p.InUse(), len(p.slabs), len(p.bufs), len(p.slab), p.carved)
+	if p.InUse() != 0 || p.frames != nil || p.free != nil || p.bufs != nil || p.slabs != nil || len(p.slab) != 0 || p.carved != 0 {
+		return m.failf("torn down with InUse %d: kept a frame table %v, %d free IDs, %d released buffers, %d slabs, %d tail bytes, carved %d",
+			p.InUse(), p.frames != nil, len(p.free), len(p.bufs), len(p.slabs), len(p.slab), p.carved)
 	}
 	onSpare := map[*byte]bool{}
 	noteSpares(onSpare)
@@ -433,16 +478,19 @@ func (m *slabModel) tearDown() bool {
 
 // TestSlabMatchesReferenceModel: whatever sequence of operations — lends and
 // returns of pages among them — runs on two PhysMems, one of them torn down
-// mid-sequence and used again, every read equals a plain map of refcounted
-// pages, InUse counts the map's live frames (not slab capacity) and Lent the
-// pages out, every page buffer is exactly one page of its own PhysMem's slabs
-// that no other frame, lent page, released buffer or PhysMem shares, a lent
+// mid-sequence and used again (lending, and maybe returning, before its next
+// Alloc), and in half the cases on a third made after the teardown, which
+// must start on the tables the torn-down one handed back: every read equals a
+// plain map of refcounted pages, InUse counts the map's live frames (not slab
+// capacity) and Lent the pages out, every page buffer is exactly one page of
+// its own PhysMem's slabs that no other frame, lent page, released buffer or
+// PhysMem shares, every table is one PhysMem's or the spare list's, a lent
 // page keeps what its borrower wrote, the teardown waits for every lent page
-// and then hands every slab to the spare list, and the slab pages a PhysMem
-// makes (rather than takes spare) never exceed the most buffers it needed at
-// once plus one slab of slack. Sequences run long enough to cross dozens of
-// slab boundaries and, in the larger cases, into the proportional part of the
-// growth rule.
+// and then hands every slab and table to the spare list, and the slab pages a
+// PhysMem makes (rather than takes spare) never exceed the most buffers it
+// needed at once plus one slab of slack. Sequences run long enough to cross
+// dozens of slab boundaries and, in the larger cases, into the proportional
+// part of the growth rule.
 func TestSlabMatchesReferenceModel(t *testing.T) {
 	prop := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
@@ -462,10 +510,38 @@ func TestSlabMatchesReferenceModel(t *testing.T) {
 		steps := 100 + rng.Intn(900)
 		teardownAt := rng.Intn(steps)
 		for n := steps; n > 0; n-- {
-			if n == teardownAt && !ms[0].tearDown() {
-				return false
+			if n == teardownAt {
+				frameTable := backing(ms[0].p.frames)
+				if !ms[0].tearDown() {
+					return false
+				}
+				if rng.Intn(2) == 0 {
+					// The next platform on the host: its first Alloc takes
+					// the tables the drained PhysMem just handed back.
+					next := &slabModel{t: t, rng: rng, p: New(), live: map[FrameID]*modelFrame{}, spared: spared}
+					next.allocWritten()
+					if frameTable != nil && backing(next.p.frames) != frameTable {
+						t.Errorf("a new PhysMem did not start on the frame table the drained one handed back")
+						return false
+					}
+					ms = append(ms, next)
+				}
+				// The drained PhysMem lends before its next Alloc, and may
+				// return some or all of it before that Alloc too.
+				for k := rng.Intn(3); k > 0; k-- {
+					ms[0].lend()
+				}
+				for len(ms[0].lent) > 0 && rng.Intn(2) == 0 {
+					if !ms[0].giveBack(rng.Intn(len(ms[0].lent))) {
+						return false
+					}
+				}
+				noteSpares(spared)
+				if !checkOwnership(t, ms) {
+					return false
+				}
 			}
-			m := ms[rng.Intn(2)]
+			m := ms[rng.Intn(len(ms))]
 			touched := m.step()
 			noteSpares(spared)
 			if !m.check(touched, n%97 == 1) || n%97 == 1 && !checkOwnership(t, ms) {
@@ -489,11 +565,13 @@ func TestSlabMatchesReferenceModel(t *testing.T) {
 // freed or returned leave it in their buffers (release does not scrub —
 // materialize does, on reuse), so every way a frame can come to hold a
 // buffer must hide it, and a borrower, who overwrites its page whole, must
-// read back only what it wrote. In half the cases
-// a frame of the secret's PhysMem stays live and the secret waits in its free
-// list; in the other half every frame is freed, the PhysMem hands its slabs
-// to the spare list, and a second PhysMem — the next platform on the host —
-// takes them. Frames are taken back through every entry point until the
+// read back only what it wrote. In half the cases a frame of the secret's
+// PhysMem stays live and the secret waits in its free list; in the other
+// half every frame is freed, the PhysMem hands its slabs and tables to the
+// spare list, and either a second PhysMem — the next platform on the host —
+// takes them or the drained one is used again, in half of those cases after
+// lending a page the borrower fills with the secret and returning it before
+// the next Alloc. Frames are taken back through every entry point until the
 // recycled buffers and slabs are used up and fresh slab pages are being
 // carved, and no byte of the secret may show outside what the caller itself
 // wrote.
@@ -537,11 +615,21 @@ func TestRecycledFramesCarryNoSecret(t *testing.T) {
 		}
 		p := a
 		if anchor == NoFrame {
-			if a.InUse() != 0 || a.Lent() != 0 || len(a.slabs) != 0 || spareLen() == 0 {
-				t.Errorf("seed %d: PhysMem with no live frame kept its slabs", seed)
+			if a.InUse() != 0 || a.Lent() != 0 || len(a.slabs) != 0 || a.frames != nil || spareLen() == 0 {
+				t.Errorf("seed %d: PhysMem with no live frame kept its slabs or tables", seed)
 				return false
 			}
-			p = New()
+			if rng.Intn(2) == 0 {
+				p = New()
+			}
+			if rng.Intn(2) == 0 {
+				// Before its next Alloc the drained PhysMem, or the new one
+				// on its tables, lends a page the borrower fills with the
+				// secret and gives back.
+				b := p.LendPage()
+				copy(b[:], secrets)
+				p.ReturnPage(b)
+			}
 		}
 		for fresh := 8; fresh > 0; {
 			if len(p.bufs) == 0 && spareLen() == 0 && (len(p.slab) == 0 || !p.reused) {
@@ -606,12 +694,58 @@ func TestRecycledFramesCarryNoSecret(t *testing.T) {
 	}
 }
 
-// drainSpares empties the spare list, so a test sees only the slabs its own
-// PhysMems hand back.
+// drainSpares empties the spare list, so a test sees only the slabs and
+// tables its own PhysMems hand back.
 func drainSpares() {
 	spare.Lock()
-	spare.slabs = nil
+	spare.slabs, spare.tables = nil, nil
 	spare.Unlock()
+}
+
+// TestDrainedPoolPassesOnItsTables: a PhysMem that drains passes its
+// bookkeeping on with its slabs, so a new PhysMem driven through the same
+// sequence — frames allocated and written, half of them freed and allocated
+// again off the free list, pages lent, every frame freed and every page
+// returned — allocates nothing: its frame table, free lists and slab list
+// are the drained one's, emptied, with their capacity.
+func TestDrainedPoolPassesOnItsTables(t *testing.T) {
+	const frames, pages = 600, 40
+	var ids [frames]FrameID
+	var lent [pages]*[PageSize]byte
+	run := func(p *PhysMem) {
+		for i := range ids {
+			ids[i] = p.Alloc()
+			p.WriteWord(ids[i], 0, uint64(i+1))
+		}
+		for i := 0; i < frames; i += 2 {
+			p.Unref(ids[i])
+		}
+		for i := 0; i < frames; i += 2 {
+			ids[i] = p.Alloc()
+		}
+		for i := range lent {
+			lent[i] = p.LendPage()
+		}
+		for _, id := range ids {
+			p.Unref(id)
+		}
+		for _, b := range lent {
+			p.ReturnPage(b)
+		}
+	}
+	drainSpares()
+	run(New())
+	p := New()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	run(p)
+	runtime.ReadMemStats(&after)
+	if n := after.TotalAlloc - before.TotalAlloc; n != 0 {
+		t.Fatalf("a new PhysMem after a drained one allocated %d bytes, want 0", n)
+	}
+	if p.InUse() != 0 || p.Lent() != 0 || p.frames != nil {
+		t.Fatalf("InUse %d, Lent %d, tables kept %v after the sequence drained", p.InUse(), p.Lent(), p.frames != nil)
+	}
 }
 
 // spareLen reports how many slabs wait on the spare list.

@@ -276,7 +276,7 @@ func (as *AddressSpace) Fork() *AddressSpace {
 	child.mmapNext = as.mmapNext
 	child.pages.chunks = make([]*pageChunk, 0, len(as.pages.chunks))
 	for _, c := range as.pages.chunks {
-		cc := chunkPool.Get().(*pageChunk)
+		cc := getChunk()
 		cc.base, cc.n, cc.bitmap = c.base, c.n, c.bitmap
 		for w, word := range c.bitmap {
 			for ; word != 0; word &= word - 1 {
@@ -298,10 +298,12 @@ func (as *AddressSpace) Fork() *AddressSpace {
 	return child
 }
 
-// Release drops every backing frame. Call when the process exits so the
-// physical pool's accounting stays accurate. The page table's chunks, cleared,
-// go to the process-wide pool the next address space draws from.
+// Release drops every backing frame and every region. Call when the process
+// exits so the physical pool's accounting stays accurate. The page table's
+// chunks, cleared, go to the process-wide pool the next address space draws
+// from; the region and chunk lists keep their capacity.
 func (as *AddressSpace) Release() {
 	as.pages.release(as.phys)
-	as.vmas = nil
+	clear(as.vmas)
+	as.vmas = as.vmas[:0]
 }

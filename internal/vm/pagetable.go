@@ -42,11 +42,41 @@ func (c *pageChunk) setBit(i uint64)   { c.bitmap[i>>6] |= 1 << (i & 63) }
 func (c *pageChunk) clearBit(i uint64) { c.bitmap[i>>6] &^= 1 << (i & 63) }
 
 // chunkPool holds emptied chunks, every entry and bit zero, for the next
-// addChunk of any address space in the process: an exiting process's chunks
-// (Release clears them) are what the next clone maps its image into, and a
-// request that maps and writes a scratch region the rollback then unmaps
-// takes back the chunk the unmap emptied. Without it, each would allocate.
-var chunkPool = sync.Pool{New: func() any { return new(pageChunk) }}
+// addChunk or Fork of any address space in the process: an exiting process's
+// chunks (Release clears them) are what the next clone maps its image into,
+// and a request that maps and writes a scratch region the rollback then
+// unmaps takes back the chunk the unmap emptied. Without it, each would
+// allocate. A locked spare list, as mem's slabs have, not a sync.Pool, which
+// empties within two collections: the chunks a GC found idle would be made
+// again by the next request. It needs no bound of its own: a chunk is made
+// only while the list is empty, so chunks, live and spare together, never
+// outnumber the most the process once held live.
+var chunkPool struct {
+	sync.Mutex
+	free []*pageChunk
+}
+
+// getChunk takes an empty chunk from the pool, or makes one if it is empty.
+func getChunk() *pageChunk {
+	chunkPool.Lock()
+	n := len(chunkPool.free)
+	if n == 0 {
+		chunkPool.Unlock()
+		return new(pageChunk)
+	}
+	c := chunkPool.free[n-1]
+	chunkPool.free[n-1] = nil
+	chunkPool.free = chunkPool.free[:n-1]
+	chunkPool.Unlock()
+	return c
+}
+
+// putChunks gives emptied chunks, every entry and bit zero, to the pool.
+func putChunks(cs ...*pageChunk) {
+	chunkPool.Lock()
+	chunkPool.free = append(chunkPool.free, cs...)
+	chunkPool.Unlock()
+}
 
 // pageTable is a sorted collection of chunks plus a one-entry lookup cache
 // (page operations are strongly local: workloads touch one region at a time
@@ -117,7 +147,7 @@ func (pt *pageTable) set(vpn uint64, pte PTE) *PTE {
 
 // addChunk inserts an empty chunk at base, keeping the list sorted.
 func (pt *pageTable) addChunk(base uint64) *pageChunk {
-	c := chunkPool.Get().(*pageChunk)
+	c := getChunk()
 	c.base = base
 	lo, hi := 0, len(pt.chunks)
 	for lo < hi {
@@ -168,14 +198,15 @@ func (pt *pageTable) removeChunk(c *pageChunk) {
 	if pt.cache == c {
 		pt.cache = nil
 	}
-	chunkPool.Put(c)
+	putChunks(c)
 }
 
 // len returns the number of resident pages.
 func (pt *pageTable) len() int { return pt.total }
 
 // release unrefs every live entry's frame, clears the entry and its bit, and
-// pools each chunk, leaving the table empty.
+// pools the chunks, under one lock, leaving the table empty with its chunk
+// list's capacity.
 func (pt *pageTable) release(phys *mem.PhysMem) {
 	for _, c := range pt.chunks {
 		for w, word := range c.bitmap {
@@ -186,9 +217,10 @@ func (pt *pageTable) release(phys *mem.PhysMem) {
 			}
 		}
 		c.bitmap, c.n = [chunkWords]uint64{}, 0
-		chunkPool.Put(c)
 	}
-	pt.chunks = nil
+	putChunks(pt.chunks...)
+	clear(pt.chunks)
+	pt.chunks = pt.chunks[:0]
 	pt.total = 0
 	pt.cache = nil
 }

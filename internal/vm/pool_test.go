@@ -2,6 +2,7 @@ package vm
 
 import (
 	"math/rand"
+	"runtime"
 	"sync"
 	"testing"
 
@@ -83,4 +84,30 @@ func TestChunkPoolOnManyGoroutines(t *testing.T) {
 		}(w)
 	}
 	wg.Wait()
+}
+
+// TestChunksOutliveCollections: the chunks an exiting process's page table
+// gives back are still there for the next one after the collector has run —
+// twice, which empties a sync.Pool. An address space maps a span of several
+// chunks, writes a word to each, and is released; after two collections the
+// same span, mapped and written again, allocates nothing.
+func TestChunksOutliveCollections(t *testing.T) {
+	const pages = 3 * chunkPages
+	base := Addr(0x10000000)
+	as := New(mem.New(), Costs{})
+	cycle := func() {
+		if err := as.MmapFixed(base, pages*mem.PageSize, ProtRW, KindAnon, ""); err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < pages; i += chunkPages / 2 {
+			as.WriteWord(base+Addr(i*mem.PageSize), 0x0101010101010101)
+		}
+		as.Release()
+		runtime.GC()
+		runtime.GC()
+	}
+	cycle()
+	if n := testing.AllocsPerRun(5, cycle); n != 0 {
+		t.Fatalf("mapping and writing a released span again after two collections: %v allocs, want 0", n)
+	}
 }
