@@ -114,7 +114,8 @@ func TestOneHostClusterMatchesFleet(t *testing.T) {
 
 // TestNewRejectsWhatNewFleetRejects: the cluster's loads go through the one
 // shared load validation. The amplitude-1.5 load used to be accepted and then
-// panicked Run with "sim: negative delay".
+// panicked Run with "sim: negative delay"; a load's FixedTTL is held to the
+// config's TTL rule.
 func TestNewRejectsWhatNewFleetRejects(t *testing.T) {
 	for _, tc := range []struct {
 		name   string
@@ -134,6 +135,12 @@ func TestNewRejectsWhatNewFleetRejects(t *testing.T) {
 			l.Runtime = runtimes.RuntimeProfile{Name: "bad", WarmupExtra: -1}
 		}},
 		{"zero rate", func(l *trace.FunctionLoad) { l.RatePerSec = 0 }},
+		{"fixed-ttl scale-to-zero below keep-alive", func(l *trace.FunctionLoad) {
+			l.Policy = trace.FixedTTL{KeepAlive: 2 * time.Second, ScaleToZeroAfter: time.Second}
+		}},
+		{"negative fixed-ttl keep-alive", func(l *trace.FunctionLoad) {
+			l.Policy = trace.FixedTTL{KeepAlive: -time.Second}
+		}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			loads := testLoads(t, 10)
@@ -147,6 +154,17 @@ func TestNewRejectsWhatNewFleetRejects(t *testing.T) {
 				t.Fatalf("different verdicts:\ncluster: %v\nfleet:   %v", clusterErr, fleetErr)
 			}
 		})
+	}
+	// The fleet's own default policy is resolved the same way.
+	for _, bad := range []trace.FixedTTL{
+		{KeepAlive: 2 * time.Second, ScaleToZeroAfter: time.Second},
+		{KeepAlive: -time.Second},
+	} {
+		cfg := fleetConfig(testConfig())
+		cfg.Policy = bad
+		if _, err := trace.NewFleet(cfg, testLoads(t, 10)); err == nil {
+			t.Fatalf("fleet accepted Config.Policy %+v", bad)
+		}
 	}
 }
 
@@ -235,6 +253,88 @@ func TestPerLoadPolicyOverride(t *testing.T) {
 		case fs.Name != held && fs.ScaledToZero == 0:
 			t.Errorf("%s, on the cluster default, no longer scales to zero", fs.Name)
 		}
+	}
+}
+
+// footprintCheck is CostMinimizing holding every decision's memory signals
+// to the sum of Memory over the function's pools on the cluster, nil slots
+// skipped; it counts its checks and those made with a nil slot present.
+type footprintCheck struct {
+	trace.CostMinimizing
+	t               *testing.T
+	pools           *[]*faas.Platform
+	checks, withNil int
+}
+
+func (p *footprintCheck) check(sig trace.Signals) {
+	var pages, bytes int
+	nilSlot := false
+	for _, pl := range *p.pools {
+		if pl == nil {
+			nilSlot = true
+			continue
+		}
+		st := pl.Memory()
+		pages += st.ResidentPages
+		bytes += st.StateStoreBytes
+	}
+	if sig.ResidentPages != pages || sig.StateStoreBytes != bytes {
+		p.t.Fatalf("signals report %d pages, %d bytes; the pools' Memory %d pages, %d bytes",
+			sig.ResidentPages, sig.StateStoreBytes, pages, bytes)
+	}
+	p.checks++
+	if nilSlot {
+		p.withNil++
+	}
+}
+
+func (p *footprintCheck) ScaleUp(sig trace.Signals) int {
+	p.check(sig)
+	return p.CostMinimizing.ScaleUp(sig)
+}
+
+func (p *footprintCheck) Reap(sig trace.Signals, idle sim.Duration, last bool) bool {
+	p.check(sig)
+	return p.CostMinimizing.Reap(sig, idle, last)
+}
+
+func (p *footprintCheck) EvictImage(sig trace.Signals) bool {
+	p.check(sig)
+	return p.CostMinimizing.EvictImage(sig)
+}
+
+// TestClusterSignalsSumFootprint: on a 2-host cluster the dispatcher's
+// memory signals sum every pool's Memory figures at each CostMinimizing
+// decision, while some pool slots are still nil and after they fill.
+func TestClusterSignalsSumFootprint(t *testing.T) {
+	cfg := testConfig()
+	cfg.Hosts = 2
+	cfg.Placer = &RoundRobin{}
+	loads := testLoads(t, 20)
+	checks := make([]*footprintCheck, len(loads))
+	for i := range loads {
+		checks[i] = &footprintCheck{t: t}
+		loads[i].Policy = checks[i]
+	}
+	cl, err := New(cfg, loads)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, ds := range cl.deps {
+		checks[i].pools = &ds.pools
+	}
+	res, err := cl.Run()
+	if err != nil {
+		t.Fatal(err)
+	}
+	checkNoLostWork(t, cl, res)
+	var all, withNil int
+	for _, p := range checks {
+		all += p.checks
+		withNil += p.withNil
+	}
+	if withNil == 0 || withNil == all {
+		t.Fatalf("%d of %d checks saw a nil pool slot; want some with and some without", withNil, all)
 	}
 }
 

@@ -157,6 +157,65 @@ func TestCloneFleetMemorySubLinear(t *testing.T) {
 	}
 }
 
+// TestFootprintMatchesMemory: the policies' two memory figures equal what
+// Memory reports, and the resident count equals a walk over every resident
+// page, under both stores — with clones sharing the image's frames, after
+// each container has served (so CoW stores have diverged), and after a
+// RemoveContainer.
+func TestFootprintMatchesMemory(t *testing.T) {
+	for _, store := range []core.StoreKind{core.StoreCopy, core.StoreCoW} {
+		t.Run(store.String(), func(t *testing.T) {
+			pl, err := NewPlatformOn(sim.NewEngine(), kernel.New(kernel.Default()), testProfile(), isolation.ModeGH, 0, 42)
+			if err != nil {
+				t.Fatal(err)
+			}
+			pl.CloneScaleOut = true
+			pl.Store = store
+			if _, err := pl.AddWarmContainer(); err != nil {
+				t.Fatal(err)
+			}
+			for len(pl.Containers()) < 3 {
+				if _, err := pl.AddContainer(); err != nil {
+					t.Fatal(err)
+				}
+			}
+			check := func(when string) {
+				t.Helper()
+				pages, bytes := pl.Footprint()
+				st := pl.Memory()
+				if pages != st.ResidentPages || bytes != st.StateStoreBytes {
+					t.Fatalf("%s: Footprint (%d pages, %d bytes) != Memory (%d pages, %d bytes)",
+						when, pages, bytes, st.ResidentPages, st.StateStoreBytes)
+				}
+				walked := 0
+				for _, c := range pl.Containers() {
+					walked += len(c.inst.Proc.AS.AppendResidentVPNs(nil))
+				}
+				if pages != walked || pages == 0 {
+					t.Fatalf("%s: Footprint counts %d resident pages, the walk %d", when, pages, walked)
+				}
+				if st.SharedFramePages == 0 {
+					t.Fatalf("%s: no shared frames across clones", when)
+				}
+			}
+			check("clones")
+			for _, c := range pl.Containers() {
+				pl.Engine.RunUntil(c.Ready())
+				if _, err := pl.Serve(c, ""); err != nil {
+					t.Fatal(err)
+				}
+			}
+			check("served")
+			if _, bytes := pl.Footprint(); store == core.StoreCopy && bytes == 0 {
+				t.Fatal("copy stores report no state-store memory")
+			}
+			pl.RemoveContainer(pl.Containers()[0])
+			check("removed")
+			pl.Teardown()
+		})
+	}
+}
+
 // TestCloneDonorEligibility: the template is taken by the first cold start,
 // right after its snapshot, so nothing the donor serves afterwards reaches a
 // clone. A served GH-NOP deployment, whose donor never rolls back, still

@@ -700,18 +700,29 @@ type MemoryStats struct {
 	FramesInUse int
 }
 
+// Footprint reports the two memory figures the scaling policies read: the
+// containers' resident set and their managers' materialized snapshot memory
+// (MemoryStats.ResidentPages and StateStoreBytes), without Memory's walk
+// over every resident page.
+func (pl *Platform) Footprint() (residentPages, stateStoreBytes int) {
+	for _, c := range pl.containers {
+		residentPages += c.inst.Proc.AS.ResidentPages()
+		if m := c.strat.Manager(); m != nil {
+			stateStoreBytes += m.StateStoreBytes()
+		}
+	}
+	return residentPages, stateStoreBytes
+}
+
 // Memory reports the deployment's current memory accounting.
 func (pl *Platform) Memory() MemoryStats {
 	st := MemoryStats{FramesInUse: pl.Kern.Phys.InUse()}
+	st.ResidentPages, st.StateStoreBytes = pl.Footprint()
 	phys := pl.Kern.Phys
 	var vpns []uint64
 	for _, c := range pl.containers {
-		if m := c.strat.Manager(); m != nil {
-			st.StateStoreBytes += m.StateStoreBytes()
-		}
 		as := c.inst.Proc.AS
 		vpns = as.AppendResidentVPNs(vpns[:0])
-		st.ResidentPages += len(vpns)
 		for _, vpn := range vpns {
 			if pte, ok := as.PTEAt(vpn); ok && phys.Refs(pte.Frame) > 1 {
 				st.SharedFramePages++

@@ -423,10 +423,11 @@ func (dep *deployment) describe() DeploymentInfo {
 	// unavailable separately), and no SLO target is configured — so the
 	// advice shows each policy's leanings, not a bit-exact fleet decision.
 	sig := trace.Signals{
-		PoolSize:   len(cs),
-		CloneReady: info.CloneColdStartReady,
-		P95E2EMs:   info.E2EP95MS,
-		Memory:     trace.StaticMemory(mem),
+		PoolSize:        len(cs),
+		CloneReady:      info.CloneColdStartReady,
+		P95E2EMs:        info.E2EP95MS,
+		ResidentPages:   mem.ResidentPages,
+		StateStoreBytes: mem.StateStoreBytes,
 	}
 	if now > 0 {
 		sig.ArrivalRatePerSec = float64(dep.invoked) / (float64(now) / 1e9)

@@ -1,10 +1,10 @@
 package trace
 
 import (
+	"fmt"
 	"math"
 	"time"
 
-	"groundhog/internal/faas"
 	"groundhog/internal/mem"
 	"groundhog/internal/sim"
 )
@@ -12,10 +12,9 @@ import (
 // Signals is the per-function observation set a Policy reads at every
 // decision point: the dispatcher's queue state, an arrival-rate estimate,
 // the observed cost of each cold-start path, the latency distribution
-// against the function's SLO target, and the deployment's memory
-// accounting (faas.Platform.Memory). All figures are derived from the
-// simulation's own measurements — a policy never sees configuration the
-// provider would not have.
+// against the function's SLO target, and the deployment's memory footprint.
+// All figures are derived from the simulation's own measurements — a policy
+// never sees configuration the provider would not have.
 type Signals struct {
 	// QueueDepth is the number of requests waiting for a container.
 	QueueDepth int
@@ -48,57 +47,12 @@ type Signals struct {
 	// SLOTargetMs is the function's p95 E2E target (Config.SLOTargetMs;
 	// 0 = no target configured).
 	SLOTargetMs float64
-	// Memory lazily reports the deployment's current memory accounting
-	// (FramesInUse is host-wide on shared-kernel fleets). Computing the
-	// stats costs a walk over every resident page, so the signal is a
-	// memoized thunk: policies that never call Get never pay for the walk,
-	// and repeated Gets within one snapshot reuse the first answer.
-	Memory MemorySignal
+	// ResidentPages is the containers' total resident set and
+	// StateStoreBytes their managers' materialized snapshot memory, summed
+	// over the function's pools.
+	ResidentPages   int
+	StateStoreBytes int
 }
-
-// MemorySignal is Signals.Memory: a lazily evaluated, per-snapshot memoized
-// view of faas.Platform.Memory. The zero value reports zero stats; use
-// StaticMemory to build one from a precomputed MemoryStats (the server's
-// advice endpoint, tests).
-type MemorySignal struct {
-	memo  *memoryMemo
-	value faas.MemoryStats
-}
-
-// memoryMemo is the shared memo behind a dispatcher-issued MemorySignal; the
-// dispatcher resets it at every signal snapshot so a refreshed snapshot
-// re-walks. The stats are summed over the function's pools (nil slots are
-// pools not created yet).
-type memoryMemo struct {
-	pools []*faas.Platform
-	valid bool
-	stats faas.MemoryStats
-}
-
-// Get returns the memory stats, computing (and memoizing) them on first use.
-func (m MemorySignal) Get() faas.MemoryStats {
-	if m.memo == nil {
-		return m.value
-	}
-	if !m.memo.valid {
-		var sum faas.MemoryStats
-		for _, pl := range m.memo.pools {
-			if pl == nil {
-				continue
-			}
-			st := pl.Memory()
-			sum.StateStoreBytes += st.StateStoreBytes
-			sum.ResidentPages += st.ResidentPages
-			sum.SharedFramePages += st.SharedFramePages
-			sum.FramesInUse += st.FramesInUse
-		}
-		m.memo.stats, m.memo.valid = sum, true
-	}
-	return m.memo.stats
-}
-
-// StaticMemory wraps a precomputed MemoryStats as a MemorySignal.
-func StaticMemory(st faas.MemoryStats) MemorySignal { return MemorySignal{value: st} }
 
 // Policy is the fleet's scheduling brain: it decides how many containers a
 // saturated function adds, which idle containers the reaper removes, how
@@ -130,21 +84,12 @@ type Policy interface {
 	EvictImage(sig Signals) bool
 }
 
-// SignalFree is an optional Policy refinement: implementing it declares
-// that every decision ignores the observed signals, letting the fleet skip
-// the expensive parts of assembling them (the Memory page walk, the p95
-// copy-and-sort) on the dispatch hot path. Scheduling-only fields
-// (QueueDepth, PoolSize, Warming, SLOTargetMs) are still populated.
-type SignalFree interface {
-	SignalFree()
-}
-
 // FixedTTL is the classic two-tier reaper as a Policy: tier one removes
 // containers above a warm floor of one once idle past KeepAlive; tier two
 // (ScaleToZeroAfter > 0) removes the floor after the longer TTL and always
-// evicts the snapshot image. It is bit-compatible with the pre-policy
-// reaper — a fleet with a nil Config.Policy runs FixedTTL built from the
-// config's two TTLs, and existing baselines hold.
+// evicts the snapshot image. A fleet with a nil Config.Policy runs FixedTTL
+// built from the config's two TTLs. Its decisions ignore the signals, so the
+// dispatcher skips observation for a function whose policy is a FixedTTL.
 type FixedTTL struct {
 	KeepAlive sim.Duration
 	// ScaleToZeroAfter must be at least KeepAlive when positive; zero
@@ -152,12 +97,18 @@ type FixedTTL struct {
 	ScaleToZeroAfter sim.Duration
 }
 
+// validate is the one TTL rule, for Config's TTLs and every resolved
+// FixedTTL: no negative TTL, and a positive ScaleToZeroAfter at least KeepAlive.
+func (p FixedTTL) validate() error {
+	if p.KeepAlive < 0 || p.ScaleToZeroAfter < 0 || (p.ScaleToZeroAfter > 0 && p.ScaleToZeroAfter < p.KeepAlive) {
+		return fmt.Errorf("invalid TTLs (keep-alive %v, scale-to-zero %v): none may be negative, and a positive scale-to-zero must be at least the keep-alive",
+			p.KeepAlive, p.ScaleToZeroAfter)
+	}
+	return nil
+}
+
 // Name implements Policy.
 func (FixedTTL) Name() string { return "fixed-ttl" }
-
-// SignalFree marks FixedTTL's decisions as signal-independent: its TTLs
-// are configuration, so the fleet skips the observation work entirely.
-func (FixedTTL) SignalFree() {}
 
 // ScaleUp implements Policy: the classic dispatcher adds exactly one
 // container per saturation event.
@@ -175,7 +126,7 @@ func (p FixedTTL) Reap(_ Signals, idle sim.Duration, last bool) bool {
 }
 
 // EvictImage implements Policy: scale-to-zero always returns the image's
-// frames (the PR 4 lifecycle).
+// frames.
 func (FixedTTL) EvictImage(Signals) bool { return true }
 
 // SLOAware keeps the warm pool no larger than the latency target needs,
@@ -299,7 +250,7 @@ func (CostMinimizing) breakEven(sig Signals) sim.Duration {
 	if pool < 1 {
 		pool = 1
 	}
-	pages := sig.Memory.Get().ResidentPages / pool
+	pages := sig.ResidentPages / pool
 	if pages < 1 {
 		pages = 1
 	}
@@ -336,7 +287,7 @@ func (CostMinimizing) EvictImage(sig Signals) bool {
 	if sig.MeanFullColdMs <= 0 {
 		return false
 	}
-	pages := sig.Memory.Get().StateStoreBytes / mem.PageSize
+	pages := sig.StateStoreBytes / mem.PageSize
 	if pages < 1 {
 		pages = 1
 	}

@@ -4,7 +4,6 @@ import (
 	"testing"
 	"time"
 
-	"groundhog/internal/faas"
 	"groundhog/internal/isolation"
 	"groundhog/internal/sim"
 )
@@ -108,8 +107,7 @@ func TestCostMinimizingBreakEven(t *testing.T) {
 	p := CostMinimizing{} // rent: 100 virtual µs per page-second
 	// 2000 resident pages over 2 containers, full cold start 600ms =
 	// 600000 µs: break-even = 600000 / (1000 x 100) = 6s.
-	sig := Signals{PoolSize: 2, MeanFullColdMs: 600,
-		Memory: StaticMemory(faas.MemoryStats{ResidentPages: 2000})}
+	sig := Signals{PoolSize: 2, MeanFullColdMs: 600, ResidentPages: 2000}
 	if p.Reap(sig, 5*time.Second, false) {
 		t.Fatal("reaped below the 6s break-even")
 	}
@@ -126,7 +124,7 @@ func TestCostMinimizingBreakEven(t *testing.T) {
 	}
 	// Image eviction: at high rates the image pays for itself...
 	img := Signals{ArrivalRatePerSec: 50, MeanFullColdMs: 600, MeanCloneColdMs: 1,
-		Memory: StaticMemory(faas.MemoryStats{StateStoreBytes: 800 * 4096})}
+		StateStoreBytes: 800 * 4096}
 	if p.EvictImage(img) {
 		t.Fatal("evicted a profitable image")
 	}
@@ -195,6 +193,78 @@ func TestSignalsDoNotMutateStats(t *testing.T) {
 	}
 	if again := f.signals(fs, f.engine.Now()); again.P95E2EMs != sig.P95E2EMs {
 		t.Fatalf("repeated signal read moved: %v -> %v", sig.P95E2EMs, again.P95E2EMs)
+	}
+}
+
+// TestSignalsSumEveryPoolsFootprint: the policy's two memory signals are
+// the function's pools' Memory figures, summed. The cluster's half, with
+// nil pool slots, is cluster.TestClusterSignalsSumFootprint.
+func TestSignalsSumEveryPoolsFootprint(t *testing.T) {
+	cfg := testConfig(isolation.ModeGH)
+	cfg.CloneScaleOut = true
+	cfg.Policy = CostMinimizing{}
+	f, err := NewFleet(cfg, testLoads(t, 20))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := f.Run(); err != nil {
+		t.Fatal(err)
+	}
+	seen := 0
+	for _, fs := range f.fns {
+		var pages, bytes int
+		for _, pl := range fs.pools {
+			st := pl.Memory()
+			pages += st.ResidentPages
+			bytes += st.StateStoreBytes
+		}
+		sig := f.signals(fs, f.engine.Now())
+		if sig.ResidentPages != pages || sig.StateStoreBytes != bytes {
+			t.Fatalf("%s: signals report %d pages, %d bytes; the pools' Memory %d pages, %d bytes",
+				fs.stats.Name, sig.ResidentPages, sig.StateStoreBytes, pages, bytes)
+		}
+		seen += pages
+	}
+	if seen == 0 {
+		t.Fatal("no function holds a resident page after Run: nothing compared")
+	}
+	if left := f.Teardown(); left != 0 {
+		t.Fatalf("%d frames left after teardown", left)
+	}
+}
+
+// TestSignalFreedomFollowsResolvedPolicy: the dispatcher skips observation
+// for a function whose own resolved policy is a FixedTTL, whatever the
+// fleet default is — a FixedTTL override under an SLOAware default keeps
+// its arrival and latency rings empty, and an SLOAware override under the
+// nil default (a FixedTTL) fills them.
+func TestSignalFreedomFollowsResolvedPolicy(t *testing.T) {
+	for _, tc := range []struct {
+		name        string
+		fleet, load Policy
+		free        bool
+	}{
+		{"fixed-ttl override under slo-aware", SLOAware{}, FixedTTL{KeepAlive: time.Second}, true},
+		{"slo-aware override under nil default", nil, SLOAware{}, false},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			cfg := testConfig(isolation.ModeBase)
+			cfg.Policy = tc.fleet
+			loads := testLoads(t, 10)[:1]
+			loads[0].Policy = tc.load
+			f, err := NewFleet(cfg, loads)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := f.Run(); err != nil {
+				t.Fatal(err)
+			}
+			fs := f.fns[0]
+			rings := len(fs.arrivalTimes) + len(fs.recentE2E) + len(fs.recentSvc)
+			if fs.signalFree != tc.free || (rings == 0) != tc.free {
+				t.Fatalf("signalFree = %v with %d ring entries, want signal-free %v", fs.signalFree, rings, tc.free)
+			}
+		})
 	}
 }
 

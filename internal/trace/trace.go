@@ -271,11 +271,8 @@ func (c Config) Validate() error {
 		// re-fire at one instant forever.
 		return fmt.Errorf("trace: keep-alive %v leaves no policy tick period", c.KeepAlive)
 	}
-	if c.ScaleToZeroAfter < 0 {
-		return fmt.Errorf("trace: negative scale-to-zero TTL")
-	}
-	if c.ScaleToZeroAfter > 0 && c.ScaleToZeroAfter < c.KeepAlive {
-		return fmt.Errorf("trace: scale-to-zero TTL %v below keep-alive %v", c.ScaleToZeroAfter, c.KeepAlive)
+	if err := (FixedTTL{KeepAlive: c.KeepAlive, ScaleToZeroAfter: c.ScaleToZeroAfter}).validate(); err != nil {
+		return fmt.Errorf("trace: %w", err)
 	}
 	if c.SLOTargetMs < 0 {
 		return fmt.Errorf("trace: negative SLO target")
@@ -446,9 +443,9 @@ type fnState struct {
 	// nil slots and otherwise treats the pools as one pool.
 	pools []*faas.Platform
 	// policy is the function's resolved scaling policy (the load's
-	// override, else the fleet's); signalFree caches whether it declared
-	// SignalFree, so the dispatcher skips maintaining the observation
-	// rings for this function when the decisions ignore them.
+	// override, else the fleet's); signalFree caches whether it is a
+	// FixedTTL, whose decisions ignore the signals, so the dispatcher skips
+	// maintaining the observation rings for this function.
 	policy     Policy
 	signalFree bool
 	// queue is a head-indexed ring of waiting requests: dequeue advances
@@ -463,9 +460,6 @@ type fnState struct {
 	// container-ready and retry event — one allocation per function instead
 	// of one per scheduled dispatch.
 	redispatch func()
-	// memMemo backs the signal snapshot's lazy Memory thunk; signals()
-	// resets it so every snapshot re-walks (every pool) at most once.
-	memMemo memoryMemo
 	// arrivalTimes is a drop-oldest ring of recent arrival timestamps; the
 	// policy's rate estimate is its population over its span to now, so a
 	// deployment whose traffic stopped sees its rate decay.
@@ -701,6 +695,14 @@ func NewDispatcher(engine *sim.Engine, cfg Config, loads []FunctionLoad, prov Pr
 		if err := load.Runtime.Validate(); err != nil {
 			return nil, fmt.Errorf("trace: %s: %w", name, err)
 		}
+		policy := fleetPolicy
+		if load.Policy != nil {
+			policy = load.Policy
+		}
+		ttl, signalFree := policy.(FixedTTL)
+		if err := ttl.validate(); signalFree && err != nil {
+			return nil, fmt.Errorf("trace: %s: %w", name, err)
+		}
 		// The deployed profile is the measured one through the runtime
 		// overlay — a zero overlay returns it unchanged, byte for byte.
 		pools, err := prov.Deploy(i, load.Runtime.Apply(load.Entry.Prof), cfg.Seed+uint64(i)*7919)
@@ -708,17 +710,14 @@ func NewDispatcher(engine *sim.Engine, cfg Config, loads []FunctionLoad, prov Pr
 			return nil, err
 		}
 		fs := &fnState{
-			index:  i,
-			load:   load,
-			pools:  pools,
-			policy: fleetPolicy,
-			stats:  newFunctionStats(name, cfg.SketchStats),
-			rng:    sim.NewRand(cfg.Seed ^ uint64(i)*0x9E3779B97F4A7C15),
+			index:      i,
+			load:       load,
+			pools:      pools,
+			policy:     policy,
+			signalFree: signalFree,
+			stats:      newFunctionStats(name, cfg.SketchStats),
+			rng:        sim.NewRand(cfg.Seed ^ uint64(i)*0x9E3779B97F4A7C15),
 		}
-		if load.Policy != nil {
-			fs.policy = load.Policy
-		}
-		_, fs.signalFree = fs.policy.(SignalFree)
 		fs.redispatch = func() { d.dispatch(fs) }
 		d.fns = append(d.fns, fs)
 	}
@@ -759,12 +758,11 @@ func (d *Dispatcher) fn(name string) *fnState {
 }
 
 // signals assembles the policy's observation set for one function at the
-// current virtual time, over all of its pools: pool size and warming count
-// sum, CloneReady holds if any pool can clone, Memory aggregates every pool.
-// Percentiles are computed on copies — reading a signal must never disturb
-// the stats the fleet is still accumulating. For SignalFree policies the
-// expensive observations (the Memory page walk, the p95 copy-and-sort) are
-// skipped: the decisions ignore them anyway.
+// current virtual time, over all of its pools: pool size, warming count and
+// the two memory figures sum, CloneReady holds if any pool can clone.
+// Percentiles are computed on copies — reading a signal must never
+// disturb the stats the fleet is still accumulating. A FixedTTL gets only
+// the scheduling fields: its decisions ignore the rest.
 func (d *Dispatcher) signals(fs *fnState, now sim.Time) Signals {
 	sig := Signals{
 		QueueDepth:  fs.queueDepth(),
@@ -786,17 +784,14 @@ func (d *Dispatcher) signals(fs *fnState, now sim.Time) Signals {
 		return sig
 	}
 	for _, pl := range fs.pools {
-		if pl != nil && pl.CloneSourceReady() {
-			sig.CloneReady = true
-			break
+		if pl == nil {
+			continue
 		}
+		sig.CloneReady = sig.CloneReady || pl.CloneSourceReady()
+		pages, store := pl.Footprint()
+		sig.ResidentPages += pages
+		sig.StateStoreBytes += store
 	}
-	// Memory is handed out as a lazy memoized thunk: resetting the memo
-	// invalidates any earlier snapshot's view, and the O(resident pages)
-	// walk runs only if (and when) the policy calls Get — at most once per
-	// snapshot.
-	fs.memMemo = memoryMemo{pools: fs.pools}
-	sig.Memory = MemorySignal{memo: &fs.memMemo}
 	if n := len(fs.arrivalTimes); n > 0 {
 		if span := now.Sub(fs.arrivalTimes[0]); span > 0 {
 			sig.ArrivalRatePerSec = float64(n) / span.Seconds()

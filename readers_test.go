@@ -17,7 +17,6 @@ import (
 var keptUnread = map[string]string{
 	"vm.AddressSpace.Mremap":            "the adversary vocabulary a request can use against a restore",
 	"server.Handle.ArmFaults":           "the live fault soak decides whether serving keeps an injector",
-	"trace.FixedTTL.SignalFree":         "a marker method that NewDispatcher type-asserts",
 	"kernel.Regs.PC":                    "compared whole with the rest of Regs by core.Manager.Verify",
 	"kernel.Regs.SP":                    "compared whole with the rest of Regs by core.Manager.Verify",
 	"kernel.Regs.GP":                    "the registers a request taints (runtimes.Instance.InvokeOn); compared whole by core.Manager.Verify",
