@@ -9,7 +9,9 @@
 //
 // The bytes live in page buffers carved from slabs and recycled, unscrubbed,
 // through a free list; a frame that takes a recycled buffer zeroes it unless
-// it overwrites the whole page (see PhysMem). Slabs outlive the PhysMem that
+// it overwrites the whole page (see PhysMem). Large slabs leave a cache line
+// between pages, so that page starts spread over the cache's sets rather than
+// pile into one (see slabStride). Slabs outlive the PhysMem that
 // carved them: one whose every frame is freed hands its slabs, whole, to a
 // process-wide spare list — the package's only shared state — and the next
 // PhysMem to run out of slab takes one from there before asking the runtime,
@@ -72,7 +74,10 @@ type frame struct {
 // slabPages(buffers carved so far) pages — it grows with the pool, so a
 // PhysMem that only ever holds a few dozen frames (a live gateway's whole
 // stack) wastes at most a few pages of slack while one holding tens of
-// thousands allocates by the megabyte. A page lent by LendPage is carved or
+// thousands allocates by the megabyte. A slab of 8 pages or more is carved
+// at a stride of a page and a cache line (slabStride), so the first lines of
+// its pages, where most writes land, do not all share one cache set; the few
+// small slabs stay whole pages. A page lent by LendPage is carved or
 // recycled the same way, and counted (Lent) until ReturnPage takes it back.
 // When Unref frees the last live frame with no page lent, or ReturnPage takes
 // the last lent page back with no frame live, every buffer is free, so the
@@ -123,12 +128,37 @@ var spare struct {
 }
 
 // slabPages is the size, in pages, of the next slab given the page buffers
-// carved so far: a thirty-second of them, at least 4 and at most 256 (1 MiB).
-// Proportional rather than fixed because the slack — the newest slab's
-// uncarved tail — is heap the simulator holds for nothing: 3 % of a large
-// pool at most, 16 KiB of a small one.
+// carved so far: a thirty-second of them, at least 4 and at most 256 (1,040
+// KiB at the coloured stride, see slabStride). Proportional rather than fixed
+// because the slack — the newest slab's uncarved tail — is heap the simulator
+// holds for nothing: 3 % of a large pool at most, 16 KiB of a small one.
 func slabPages(carved int) int {
 	return min(max(carved/32, 4), 256)
+}
+
+const (
+	// linePad is the gap left after each page of a coloured slab: one cache
+	// line, so successive pages start on successive cache sets.
+	linePad = 64
+	// colourPages is the smallest slab, in pages, that is coloured. Smaller
+	// slabs are made only while a pool has carved fewer than 256 pages (a
+	// live gateway's whole pool), and stay whole pages.
+	colourPages = 8
+)
+
+// slabStride is the distance between the starts of successive pages of a
+// slab of n bytes. Pages carved back to back, 4 KiB apart, all start at the
+// same cache index, and nearly every word a request writes and every extent
+// a restore copies lies in a page's first line: they would contend for one
+// L1 set and a few dozen L2 sets. A slab of colourPages pages or more
+// therefore leaves linePad unused bytes after each page, so the first lines
+// of its pages rotate through every set. The stride follows from the length
+// alone, so a spare slab keeps it in whichever pool takes it.
+func slabStride(n int) int {
+	if n >= colourPages*PageSize {
+		return PageSize + linePad
+	}
+	return PageSize
 }
 
 // takeSpare pops a slab off the spare list, or returns nil if it is empty.
@@ -320,11 +350,13 @@ func (p *PhysMem) materializeRaw(f *frame) []byte {
 // WriteWord and undo, whose common case is a frame that already has its
 // buffer). A released buffer is reused first; it still holds its last user's
 // bytes and is cleared here, on reuse, if the taker asks for zeros. With
-// none, the next page of the current slab is carved off, capacity clipped to
-// the page so no taker can reach its neighbour's bytes. When that slab is used up the next
-// one is a spare if there is one — its pages hold a dead PhysMem's bytes and
-// are cleared for takers that ask for zeros, as a released buffer is — and a
-// new one, zero as the runtime allocates it, only if there is none.
+// none, the next page of the current slab is carved off at the slab's stride
+// (slabStride of its whole length, so a coloured spare stays coloured here),
+// capacity clipped to the page so no taker can reach the gap after it or its
+// neighbour's bytes. When that slab is used up the next one is a spare if
+// there is one — its pages hold a dead PhysMem's bytes and are cleared for
+// takers that ask for zeros, as a released buffer is — and a new one, zero as
+// the runtime allocates it, only if there is none.
 //
 //go:noinline
 func (p *PhysMem) takeBuf(zero bool) []byte {
@@ -340,12 +372,13 @@ func (p *PhysMem) takeBuf(zero bool) []byte {
 		p.slab = takeSpare()
 		p.reused = p.slab != nil
 		if !p.reused {
-			p.slab = make([]byte, slabPages(p.carved)*PageSize)
+			n := slabPages(p.carved)
+			p.slab = make([]byte, n*slabStride(n*PageSize))
 		}
 		p.slabs = append(p.slabs, p.slab)
 	}
 	b := p.slab[:PageSize:PageSize]
-	p.slab = p.slab[PageSize:]
+	p.slab = p.slab[slabStride(len(p.slabs[len(p.slabs)-1])):]
 	p.carved++
 	if zero && p.reused {
 		clear(b)

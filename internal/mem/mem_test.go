@@ -1,6 +1,7 @@
 package mem
 
 import (
+	"fmt"
 	"testing"
 	"testing/quick"
 )
@@ -248,5 +249,33 @@ func TestClonePreservesContentsProperty(t *testing.T) {
 		return equal(p, f, c)
 	}, &quick.Config{MaxCount: 50}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// BenchmarkWordAcrossPool writes one word at offset 0 of every frame of a
+// warm pool, the access pattern of a request touching many pages: with page
+// starts at one cache index, the pool's first lines conflict in a few sets
+// once it outgrows them. Reported per page written.
+func BenchmarkWordAcrossPool(b *testing.B) {
+	for _, n := range []int{256, 1024, 4096} {
+		b.Run(fmt.Sprintf("frames=%d", n), func(b *testing.B) {
+			p := New()
+			ids := make([]FrameID, n)
+			for i := range ids {
+				ids[i] = p.Alloc()
+				p.WriteWord(ids[i], 0, 1)
+			}
+			v := uint64(0)
+			for b.Loop() {
+				v++
+				for _, id := range ids {
+					p.WriteWord(id, 0, v)
+				}
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*n), "ns/page")
+			for _, id := range ids {
+				p.Unref(id)
+			}
+		})
 	}
 }

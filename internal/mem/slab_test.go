@@ -7,6 +7,7 @@ import (
 	"sync"
 	"testing"
 	"testing/quick"
+	"unsafe"
 )
 
 // modelFrame is the reference model's frame: a refcount and a page of bytes,
@@ -238,7 +239,11 @@ func (m *slabModel) check(touched []FrameID, all bool) bool {
 	made := 0
 	for _, s := range p.slabs {
 		if !m.spared[&s[0]] {
-			made += len(s) / PageSize
+			stride := modelStride(len(s))
+			if stride == 0 {
+				return m.failf("slab of %d bytes is neither whole pages nor whole coloured pages", len(s))
+			}
+			made += len(s) / stride
 		}
 	}
 	if limit := m.peak + max(4, m.peak/32); made > limit {
@@ -293,23 +298,40 @@ func noteSpares(spared map[*byte]bool) {
 	}
 }
 
+// modelStride is the reference model's rule for where a slab's pages start,
+// written out apart from slabStride: a slab of fewer than 8 pages is whole
+// pages, 4096 bytes apart; from 8 pages on, each page is followed by one
+// 64-byte line that no buffer covers, 4160 bytes apart. It returns 0 for a
+// slab that is neither.
+func modelStride(n int) int {
+	switch {
+	case n > 0 && n < 8*4096 && n%4096 == 0:
+		return 4096
+	case n >= 8*4096 && n%4160 == 0:
+		return 4160
+	}
+	return 0
+}
+
 // checkOwnership is the sweep across PhysMems: every slab page is held by one
 // PhysMem or by the spare list, never two; every page buffer — a live frame's,
 // a lent page, a released one awaiting reuse, an uncarved one in a slab's
-// tail — lies in a slab of its own PhysMem (never on the spare list) and is
-// no other buffer's; and each PhysMem's counters agree with the buffers its
-// live frames and borrowers hold. No page buffer is reachable from two
-// PhysMems.
+// tail — is exactly one page, starts where a page of a slab of its own
+// PhysMem starts (never on the spare list, never in the gap after a page of
+// a coloured slab) and is no other buffer's; and each PhysMem's counters
+// agree with the buffers its live frames and borrowers hold. No page buffer
+// is reachable from two PhysMems.
 func checkOwnership(t *testing.T, ms []*slabModel) bool {
 	t.Helper()
 	const spareOwner = -1
 	owner := map[*byte]int{}
 	hold := func(s []byte, who int) bool {
-		if len(s)%PageSize != 0 {
-			t.Errorf("slab of %d bytes is not whole pages", len(s))
+		stride := modelStride(len(s))
+		if stride == 0 {
+			t.Errorf("slab of %d bytes is neither whole pages nor whole coloured pages", len(s))
 			return false
 		}
-		for off := 0; off < len(s); off += PageSize {
+		for off := 0; off < len(s); off += stride {
 			if prev, dup := owner[&s[off]]; dup {
 				t.Errorf("slab page held by %d and by %d", prev, who)
 				return false
@@ -369,12 +391,12 @@ func checkOwnership(t *testing.T, ms []*slabModel) bool {
 	for i, m := range ms {
 		p := m.p
 		use := func(d []byte, what string) bool {
-			if cap(d) < PageSize {
-				t.Errorf("PhysMem %d: %s of cap %d, want a page", i, what, cap(d))
+			if len(d) != PageSize || cap(d) != PageSize {
+				t.Errorf("PhysMem %d: %s of len %d cap %d, want one page exactly", i, what, len(d), cap(d))
 				return false
 			}
 			if who, ok := owner[&d[0]]; !ok || who != i {
-				t.Errorf("PhysMem %d: %s lies outside its own slabs", i, what)
+				t.Errorf("PhysMem %d: %s does not start a page of its own slabs", i, what)
 				return false
 			}
 			if used[&d[0]] {
@@ -399,16 +421,19 @@ func checkOwnership(t *testing.T, ms []*slabModel) bool {
 			}
 		}
 		for _, d := range p.bufs {
-			if cap(d) != PageSize {
-				return m.failf("PhysMem %d: released buffer of cap %d, want one page", i, cap(d))
-			}
 			if !use(d, "released buffer") {
 				return false
 			}
 		}
-		for off := 0; off < len(p.slab); off += PageSize {
-			if !use(p.slab[off:], "slab tail page") {
-				return false
+		if len(p.slab) > 0 {
+			stride := modelStride(len(p.slabs[len(p.slabs)-1]))
+			if len(p.slab)%stride != 0 {
+				return m.failf("PhysMem %d: slab tail of %d bytes is not whole strides of %d", i, len(p.slab), stride)
+			}
+			for off := 0; off < len(p.slab); off += stride {
+				if !use(p.slab[off:off+PageSize:off+PageSize], "slab tail page") {
+					return false
+				}
 			}
 		}
 		if mat := p.carved - len(p.bufs); live+len(m.lent) != mat {
@@ -748,6 +773,75 @@ func TestDrainedPoolPassesOnItsTables(t *testing.T) {
 	}
 }
 
+// TestSlabColorsPageStarts: a pool large enough to make slabs of 8 pages or
+// more carves them at a stride of a page and a cache line, so its page
+// buffers start at every line offset within a 4 KiB page rather than all at
+// the same one; a pool that never carves 256 pages (a live gateway's) makes
+// only the whole-page slabs it always made; and a coloured slab handed back
+// keeps its stride in the small pool that takes it next.
+func TestSlabColorsPageStarts(t *testing.T) {
+	written := func(p *PhysMem, n int) []FrameID {
+		ids := make([]FrameID, n)
+		for i := range ids {
+			ids[i] = p.Alloc()
+			p.WriteWord(ids[i], 0, uint64(i+1))
+		}
+		return ids
+	}
+	freeAll := func(p *PhysMem, ids []FrameID) {
+		for _, id := range ids {
+			p.Unref(id)
+		}
+	}
+
+	drainSpares()
+	p := New()
+	ids := written(p, 4000)
+	starts := map[uintptr]bool{}
+	for _, id := range ids {
+		starts[uintptr(unsafe.Pointer(&p.frames[id].data[0]))%PageSize] = true
+	}
+	if len(starts) != PageSize/linePad {
+		t.Errorf("4000 frames start at %d distinct offsets within a page, want %d", len(starts), PageSize/linePad)
+	}
+	freeAll(p, ids)
+
+	drainSpares()
+	p = New()
+	ids = written(p, 100)
+	for i, s := range p.slabs {
+		if len(s) != 4*PageSize {
+			t.Errorf("slab %d of a 100-frame pool is %d bytes, want 4 whole pages", i, len(s))
+		}
+	}
+	for i, id := range ids {
+		if d, s := p.frames[id].data, p.slabs[i/4]; &d[0] != &s[i%4*PageSize] {
+			t.Errorf("frame %d of a 100-frame pool is not page %d of slab %d", i, i%4, i/4)
+		}
+	}
+	freeAll(p, ids)
+
+	// The big pool's newest slab, coloured, is the first spare a small pool
+	// takes.
+	drainSpares()
+	big := New()
+	ids = written(big, 300)
+	newest := big.slabs[len(big.slabs)-1]
+	freeAll(big, ids)
+	small := New()
+	ids = written(small, 8)
+	s := small.slabs[0]
+	if &s[0] != &newest[0] || len(s) < colourPages*(PageSize+linePad) {
+		t.Fatalf("the small pool's first slab is not the big pool's newest, coloured one (%d bytes)", len(s))
+	}
+	for k, id := range ids {
+		if d := small.frames[id].data; &d[0] != &s[k*(PageSize+linePad)] || len(d) != PageSize || cap(d) != PageSize {
+			t.Errorf("frame %d of the small pool is not page %d of the coloured spare, one page long", k, k)
+		}
+	}
+	freeAll(small, ids)
+}
+
 // spareLen reports how many slabs wait on the spare list.
 func spareLen() int {
 	spare.Lock()
@@ -758,9 +852,11 @@ func spareLen() int {
 // TestPhysMemsOnManyGoroutines: PhysMems on distinct goroutines share only
 // the spare list. Each goroutine runs its own through rounds of allocate,
 // write, check, free everything, so every round ends in a hand-back and
-// starts on slabs any goroutine may have handed back. No page may show a byte
-// its own frame was not given, whoever wrote the slab before; under -race the
-// run also holds the spare list's locking.
+// starts on slabs any goroutine may have handed back. Every fifth round
+// carves more than 256 pages, so coloured slabs are made too and pass to
+// other goroutines and into small rounds. No page may show a byte its own
+// frame was not given, whoever wrote the slab before; under -race the run
+// also holds the spare list's locking.
 func TestPhysMemsOnManyGoroutines(t *testing.T) {
 	const workers, rounds = 4, 25
 	var wg sync.WaitGroup
@@ -772,7 +868,11 @@ func TestPhysMemsOnManyGoroutines(t *testing.T) {
 			p := New()
 			mark := bytes.Repeat([]byte{byte(w + 1)}, PageSize)
 			for r := 0; r < rounds; r++ {
-				ids := make([]FrameID, 20+rng.Intn(300))
+				n := 20 + rng.Intn(300)
+				if r%5 == 0 {
+					n = 300 + rng.Intn(300)
+				}
+				ids := make([]FrameID, n)
 				want := make([][]byte, len(ids))
 				for i := range ids {
 					want[i] = make([]byte, PageSize)
