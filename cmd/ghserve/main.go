@@ -3,14 +3,15 @@
 // testing.
 //
 // One HTTP listener carries both planes: the gateway's raw data plane
-// under /fn/ and the JSON control plane everywhere else. A second listener
-// speaks the gateway's length-prefixed binary protocol (see
-// internal/gateway/binary.go for the framing).
+// under /fn/, the only HTTP route that invokes, and the read-only JSON
+// control plane everywhere else. A second listener speaks the gateway's
+// length-prefixed binary protocol (see internal/gateway/binary.go for the
+// framing).
 //
 //	go run ./cmd/ghserve -addr :8080 &
 //	curl -s localhost:8080/functions | head
-//	curl -s -X POST 'localhost:8080/invoke?fn=get-time%20(p)&mode=gh'
-//	curl -s -X POST --data-binary 'payload' 'localhost:8080/fn/get-time%20(p)'
+//	curl -s -i -X POST --data-binary 'payload' 'localhost:8080/fn/get-time%20(p)'
+//	curl -s -X POST -H 'X-Gh-Mode: base' --data-binary 'payload' 'localhost:8080/fn/get-time%20(p)'
 //	curl -s localhost:8080/deployments
 //	go run ./cmd/ghload -url http://localhost:8080 -duration 5s
 //
@@ -82,8 +83,7 @@ func main() {
 		IdleTimeout:       idleTimeout,
 	}
 	log.Printf("ghserve: simulated FaaS platform listening on %s", *addr)
-	log.Printf("ghserve: try  curl -s -X POST '%s/invoke?fn=get-time%%20(p)&mode=gh'", *addr)
-	log.Printf("ghserve: or   curl -s -X POST --data-binary hi '%s/fn/get-time%%20(p)'", *addr)
+	log.Printf("ghserve: try  curl -s -i -X POST --data-binary hi '%s/fn/get-time%%20(p)'", *addr)
 	go func() {
 		if err := srv.ListenAndServe(); !errors.Is(err, http.ErrServerClosed) {
 			log.Fatal(err)

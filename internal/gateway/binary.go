@@ -30,6 +30,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"io"
+	"math"
 	"net"
 	"time"
 
@@ -174,8 +175,10 @@ func (g *Gateway) ServeBinaryConn(conn net.Conn) error {
 	}
 }
 
-// appendError builds an error frame in b.
+// appendError builds an error frame in b. msg is clipped to the u16 length
+// field: an error quoting a long function name back must not outgrow it.
 func appendError(b []byte, code byte, retrySecs uint16, msg string) []byte {
+	msg = msg[:min(len(msg), math.MaxUint16)]
 	b = binary.BigEndian.AppendUint32(b, uint32(1+1+2+2+len(msg)))
 	b = append(b, opError, code)
 	b = binary.BigEndian.AppendUint16(b, retrySecs)
@@ -249,7 +252,6 @@ func (g *Gateway) binInvoke(b, p []byte) []byte {
 			return appendError(b, CodeInternal, 0, err.Error())
 		}
 	}
-	rt.updateRetry()
 	g.served.Add(1)
 
 	b = binary.BigEndian.AppendUint32(b, uint32(1+8+8+1+len(body)))
@@ -266,9 +268,5 @@ func (g *Gateway) binInvoke(b, p []byte) []byte {
 
 // retrySecsU16 clamps a route's Retry-After to the error frame's u16 field.
 func retrySecsU16(rt *route) uint16 {
-	s := rt.retrySecs.Load()
-	if s > 65535 {
-		s = 65535
-	}
-	return uint16(s)
+	return uint16(min(rt.retrySecs(), math.MaxUint16))
 }

@@ -4,9 +4,11 @@ import (
 	"encoding/binary"
 	"errors"
 	"io"
+	"math"
 	"net"
 	"net/http"
 	"os"
+	"strings"
 	"testing"
 	"time"
 )
@@ -161,6 +163,25 @@ func TestBinarySemanticErrorsSurvive(t *testing.T) {
 	if op, p := readFrame(t, c); op != opInvoke || string(p[17:]) != "still alive" {
 		t.Fatalf("post-garbage invoke: op=%d payload=%q", op, p)
 	}
+}
+
+// TestBinaryLongErrorMessageFits: at the production MaxBody a resolve may
+// name a function of 65,535 bytes. The error quoting it back is clipped to
+// the frame's u16 message length, so the frame still states its own size,
+// and the connection keeps serving.
+func TestBinaryLongErrorMessageFits(t *testing.T) {
+	_, g := newGateway(t, Config{})
+	c := startConn(t, g)
+	name := strings.Repeat("x", math.MaxUint16)
+	if _, err := c.Write(frame(opResolve, resolvePayload(modeDefault, name))); err != nil {
+		t.Fatal(err)
+	}
+	op, p := readFrame(t, c)
+	if code, _, msg := errFrame(t, op, p); code != CodeUnknown || len(msg) != math.MaxUint16 {
+		t.Fatalf("long unknown name: code %d, %d-byte message; want CodeUnknown and %d bytes",
+			code, len(msg), math.MaxUint16)
+	}
+	resolveID(t, c, modeDefault, "get-time (p)")
 }
 
 // TestBinaryBadLengthCloses: a broken length prefix poisons the stream

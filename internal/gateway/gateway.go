@@ -2,9 +2,10 @@
 // a tinyFaaS-style reverse proxy with per-deployment routing, a zero-alloc
 // hot invoke path, and bounded admission queues.
 //
-// The control plane (internal/server's /invoke) answers JSON and is priced
-// for humans; this package is priced for traffic. Three design rules hold
-// on the hot path:
+// It is the only way a request reaches a deployment. The rest of the HTTP
+// listener falls through to internal/server's JSON control plane, which
+// only lists (/deployments, /functions, /modes); this package is priced for
+// traffic. Three design rules hold on the hot path:
 //
 //   - No per-request JSON. POST /fn/<name> takes the raw request body,
 //     returns the raw body (the simulated functions produce no payload of
@@ -41,6 +42,7 @@ import (
 	"io"
 	"math"
 	"net/http"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -114,17 +116,7 @@ type Gateway struct {
 // routeSet is one function's routes across isolation modes, indexed by
 // position in isolation.Modes so the hot path never concatenates a map key.
 type routeSet struct {
-	byMode [len5]*route
-}
-
-// len5 pins the mode-index array to the isolation mode count; the
-// compile-time use in routeSet keeps the two in sync via init below.
-const len5 = 5
-
-func init() {
-	if len(isolation.Modes) != len5 {
-		panic("gateway: isolation.Modes changed size; update routeSet")
-	}
+	byMode [len(isolation.Modes)]*route
 }
 
 // route is one fn × mode deployment's data-plane state.
@@ -139,32 +131,19 @@ type route struct {
 	// from admission until the invoke completes (not until the response is
 	// written — a slow client never holds admission capacity).
 	slots chan struct{}
-
-	// retrySecs is the cached Retry-After the 429 path answers, refreshed
-	// after each served request from the deployment's observed cold-start
-	// mean. The shed path must never touch the deployment lock — a wedged
-	// deployment still sheds load instantly.
-	retrySecs atomic.Int64
 }
 
-// retryAfter renders the route's current Retry-After seconds.
+// retrySecs is the Retry-After a shed or transiently failed request gets:
+// the time a scale-up would take (the deployment's published cold-start
+// mean), never below one second. It reads no lock, so a wedged deployment
+// still sheds load instantly.
+func (rt *route) retrySecs() int64 {
+	return max(1, int64(math.Ceil(rt.h.ColdStartMeanMs()/1000)))
+}
+
+// retryAfter renders the route's Retry-After seconds.
 func (rt *route) retryAfter() string {
-	return strconv.FormatInt(rt.retrySecs.Load(), 10)
-}
-
-// updateRetry re-derives Retry-After from the deployment's cold-start mean:
-// the honest wait is the time a scale-up would take, never below one
-// second.
-func (rt *route) updateRetry() {
-	ms := rt.h.ColdStartMeanMs()
-	if ms <= 0 {
-		return
-	}
-	secs := int64(math.Ceil(ms / 1000))
-	if secs < 1 {
-		secs = 1
-	}
-	rt.retrySecs.Store(secs)
+	return strconv.FormatInt(rt.retrySecs(), 10)
 }
 
 // New returns a gateway over s.
@@ -225,14 +204,7 @@ func (g *Gateway) Close() error {
 }
 
 // ghModeIdx is the index of the default mode (gh) in isolation.Modes.
-var ghModeIdx = func() int {
-	for i, m := range isolation.Modes {
-		if m == isolation.ModeGH {
-			return i
-		}
-	}
-	panic("gateway: ModeGH missing from isolation.Modes")
-}()
+var ghModeIdx = slices.Index(isolation.Modes[:], isolation.ModeGH)
 
 // modeIndex maps an X-Gh-Mode header value to its isolation.Modes index
 // without allocating; empty selects gh, unknown returns -1.
@@ -240,12 +212,7 @@ func modeIndex(s string) int {
 	if s == "" {
 		return ghModeIdx
 	}
-	for i, m := range isolation.Modes {
-		if string(m) == s {
-			return i
-		}
-	}
-	return -1
+	return slices.Index(isolation.Modes[:], isolation.Mode(s))
 }
 
 // job is the pooled per-request record: the body buffer and the header
@@ -361,7 +328,6 @@ func (g *Gateway) handleFn(w http.ResponseWriter, r *http.Request) {
 		g.failInvoke(w, rt, err)
 		return
 	}
-	rt.updateRetry()
 	g.served.Add(1)
 
 	j.hdr = appendStats(j.hdr[:0], st)
@@ -431,7 +397,6 @@ func (g *Gateway) register(name string, mi int) (*route, error) {
 		h:       h,
 		slots:   make(chan struct{}, g.cfg.QueueDepth),
 	}
-	rt.retrySecs.Store(1)
 	g.byID = append(g.byID, rt)
 	rs.byMode[mi] = rt
 	return rt, nil

@@ -1,6 +1,7 @@
 package gateway
 
 import (
+	"encoding/json"
 	"fmt"
 	"io"
 	"net/http"
@@ -137,6 +138,37 @@ func TestGatewayModeHeaderAndControlPlane(t *testing.T) {
 	if cp.StatusCode != http.StatusOK ||
 		!strings.Contains(string(listing), `"fork"`) || !strings.Contains(string(listing), `"gh"`) {
 		t.Fatalf("/deployments through gateway = %d %s", cp.StatusCode, listing)
+	}
+	// The control plane lists; it does not invoke.
+	resp, err = http.Post(ts.URL+"/invoke?fn="+url.QueryEscape("get-time (p)")+"&mode=gh", "", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusNotFound {
+		t.Fatalf("POST /invoke: status %d, want 404", resp.StatusCode)
+	}
+}
+
+// TestGatewayDefaultModeIsGH: a request without X-Gh-Mode deploys and
+// serves the gh mode.
+func TestGatewayDefaultModeIsGH(t *testing.T) {
+	_, g := newGateway(t, Config{})
+	ts := serveHTTP(t, g)
+	if status, _, _ := postFn(t, fnURL(ts.URL, "version (p)"), "x"); status != http.StatusOK {
+		t.Fatalf("POST without X-Gh-Mode: status %d", status)
+	}
+	resp, err := http.Get(ts.URL + "/deployments")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var deps []server.DeploymentInfo
+	if err := json.NewDecoder(resp.Body).Decode(&deps); err != nil {
+		t.Fatal(err)
+	}
+	if len(deps) != 1 || deps[0].Mode != "gh" {
+		t.Fatalf("deployments after a default-mode request = %+v, want one gh entry", deps)
 	}
 }
 

@@ -37,7 +37,7 @@ const (
 )
 
 // Modes lists all configurations in the paper's presentation order.
-var Modes = []Mode{ModeBase, ModeGHNop, ModeGH, ModeFork, ModeFaasm}
+var Modes = [...]Mode{ModeBase, ModeGHNop, ModeGH, ModeFork, ModeFaasm}
 
 // CleanupResult reports the off-critical-path work done after a request.
 type CleanupResult struct {

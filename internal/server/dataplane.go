@@ -1,6 +1,6 @@
-// Data-plane seam: the exported deployment handle internal/gateway routes
-// through. The control-plane HTTP handlers (/invoke, /deployments) stay the
-// human-facing JSON surface; the gateway's hot path needs the same
+// Data plane: the exported deployment handle, the one way a request reaches
+// a deployment. internal/gateway routes both of its listeners through it;
+// the control-plane HTTP handlers only list. The hot path needs the
 // deployment registry and per-deployment serialization without any JSON —
 // raw request in, RequestStats out — and a shutdown a serving front end must
 // survive mid-traffic.
@@ -10,6 +10,8 @@ package server
 import (
 	"errors"
 	"fmt"
+	"math"
+	"slices"
 
 	"groundhog/internal/faas"
 	"groundhog/internal/faults"
@@ -23,20 +25,20 @@ import (
 var ErrGone = errors.New("server: deployment gone")
 
 // Handle is an opaque reference to one fn × mode deployment, valid until
-// the deployment is torn down. Handles are cheap and safe to cache: all
-// methods serialize on the deployment's own lock, never the server's, so
-// unrelated deployments invoke concurrently.
+// the deployment is torn down. Handles are cheap and safe to cache: Invoke
+// and ArmFaults serialize on the deployment's own lock, never the server's,
+// so unrelated deployments invoke concurrently.
 type Handle struct {
-	s   *Server
 	dep *deployment
 }
 
 // DataPlane returns (registering and deploying if needed) the invoke handle
 // for fn × mode. Unknown functions and modes, and a function × mode that
 // cannot be built (fork on a multi-threaded runtime, FAASM on Node), fail
-// here, so the gateway's hot path never re-validates.
+// here, so the gateway's hot path never re-validates. An unknown mode fails
+// before registration, listing the valid ones, and leaves nothing behind.
 func (s *Server) DataPlane(fn string, mode isolation.Mode) (*Handle, error) {
-	if !validMode(mode) {
+	if !slices.Contains(isolation.Modes[:], mode) {
 		return nil, fmt.Errorf("unknown mode %q; valid modes: %s", mode, modeList())
 	}
 	dep, err := s.deployment(fn, mode)
@@ -44,34 +46,53 @@ func (s *Server) DataPlane(fn string, mode isolation.Mode) (*Handle, error) {
 		return nil, err
 	}
 	dep.mu.Lock()
-	_, err = s.deploy(dep)
+	err = s.deploy(dep)
 	dep.mu.Unlock()
 	if err != nil {
 		return nil, err
 	}
-	return &Handle{s: s, dep: dep}, nil
+	return &Handle{dep: dep}, nil
 }
 
-// Invoke runs one request from caller against the deployment (see
-// Server.invoke: self-healing pool) and returns its stats.
-func (h *Handle) Invoke(caller string) (faas.RequestStats, error) {
-	st, _, err := h.s.invoke(h.dep, caller)
-	return st, err
+// Invoke runs one request from caller against the deployment and returns
+// its stats. It is the one request path: under the deployment's lock, taken
+// once, it re-pools an empty deployment (crash-drained or reaped to zero)
+// with a fresh cold start, runs the request, counts it and republishes the
+// cold-start mean. DataPlane deployed the platform before handing out the
+// handle, so only a teardown since (ErrGone) stands in the way. Transient
+// failures (injected crashes, exhausted cold-start retries) propagate for
+// the caller to answer with a retry hint.
+func (h *Handle) Invoke(caller string) (st faas.RequestStats, err error) {
+	dep := h.dep
+	dep.mu.Lock()
+	defer dep.mu.Unlock()
+	if dep.gone {
+		return st, ErrGone
+	}
+	defer dep.publishColdMean()
+	pl := dep.platform
+	if len(pl.Containers()) == 0 {
+		// Self-heal: one scale-up attempt (the platform's own retry budget
+		// applies inside). Failure is transient — the next request tries
+		// again.
+		if _, err = pl.AddContainer(); err != nil {
+			return st, err
+		}
+	}
+	if st, err = pl.InvokeOnce(caller); err != nil {
+		return st, err
+	}
+	dep.record(st)
+	return st, nil
 }
 
 // ColdStartMeanMs reports the deployment's observed mean cold-start cost in
 // milliseconds over every cold start so far (the deploy's, then scale-ups;
 // full pipeline and clones pooled) — the signal the gateway derives
-// Retry-After from when it sheds load.
+// Retry-After from when it sheds load. It takes no lock: a wedged
+// deployment still answers.
 func (h *Handle) ColdStartMeanMs() float64 {
-	dep := h.dep
-	dep.mu.Lock()
-	defer dep.mu.Unlock()
-	cold := dep.platform.ColdStarts()
-	if n := cold.Full + cold.Clone; n > 0 {
-		return float64(cold.FullCost+cold.CloneCost) / 1e6 / float64(n)
-	}
-	return 0
+	return math.Float64frombits(h.dep.coldMeanMs.Load())
 }
 
 // ArmFaults arms a deterministic fault plan on the deployment's kernel. The
@@ -126,9 +147,18 @@ func (dep *deployment) teardown() int {
 	return phys.InUse() + phys.Lent()
 }
 
+// publishColdMean stores the platform's mean cold-start cost for
+// Handle.ColdStartMeanMs. Caller holds dep.mu.
+func (dep *deployment) publishColdMean() {
+	cold := dep.platform.ColdStarts()
+	if n := cold.Full + cold.Clone; n > 0 {
+		dep.coldMeanMs.Store(math.Float64bits(float64(cold.FullCost+cold.CloneCost) / 1e6 / float64(n)))
+	}
+}
+
 // record updates the per-deployment request counters after a served
 // request, so the /deployments listing counts every served request once,
-// whichever plane served it. Caller holds dep.mu.
+// whichever listener served it. Caller holds dep.mu.
 func (dep *deployment) record(st faas.RequestStats) {
 	dep.invoked++
 	dep.e2e = metrics.PushBounded(dep.e2e, float64(st.E2E)/1e6, e2eWindow)

@@ -2,8 +2,6 @@ package server
 
 import (
 	"errors"
-	"net/http"
-	"net/url"
 	"sync"
 	"testing"
 
@@ -15,14 +13,9 @@ import (
 // bytes — not just counters — and they are the deployment's own: another
 // function deploying moves none of them.
 func TestDeploymentsReportMemory(t *testing.T) {
-	_, ts := testServer(t)
-	if resp := post(t, ts.URL+"/invoke?fn="+url.QueryEscape("get-time (p)")+"&mode=gh", nil); resp.StatusCode != http.StatusOK {
-		t.Fatalf("invoke: %d", resp.StatusCode)
-	}
-	var deps []DeploymentInfo
-	if resp := get(t, ts.URL+"/deployments", &deps); resp.StatusCode != http.StatusOK {
-		t.Fatalf("deployments: %d", resp.StatusCode)
-	}
+	s, ts := testServer(t)
+	invoke(t, s, "get-time (p)", isolation.ModeGH, "")
+	deps := deployments(t, ts)
 	if len(deps) != 1 {
 		t.Fatalf("deployments = %d, want 1", len(deps))
 	}
@@ -46,8 +39,8 @@ func TestDeploymentsReportMemory(t *testing.T) {
 			d.ResidentPages, d.FramesInUse)
 	}
 
-	post(t, ts.URL+"/invoke?fn="+url.QueryEscape("version (p)")+"&mode=gh", nil)
-	get(t, ts.URL+"/deployments", &deps)
+	invoke(t, s, "version (p)", isolation.ModeGH, "")
+	deps = deployments(t, ts)
 	if len(deps) != 2 {
 		t.Fatalf("deployments = %d, want 2", len(deps))
 	}
@@ -63,15 +56,15 @@ func TestDeploymentsReportMemory(t *testing.T) {
 // deployment Shutdown tears down shows in its total, and only the call that
 // tore that deployment down reports it.
 func TestShutdownCountsUndeployedLeaks(t *testing.T) {
-	s, ts := testServer(t)
+	s, _ := testServer(t)
 	for _, fn := range []string{"get-time (p)", "version (p)"} {
-		post(t, ts.URL+"/invoke?fn="+url.QueryEscape(fn)+"&mode=gh", nil)
+		invoke(t, s, fn, isolation.ModeGH, "")
 	}
 	s.deployments["get-time (p)|gh"].platform.Kern.Phys.Alloc()
 	if leaked := s.Shutdown(); leaked != 1 {
 		t.Fatalf("Shutdown() = %d leaked frames, want the 1 left on get-time's kernel", leaked)
 	}
-	post(t, ts.URL+"/invoke?fn="+url.QueryEscape("version (p)")+"&mode=gh", nil)
+	invoke(t, s, "version (p)", isolation.ModeGH, "")
 	if leaked := s.Shutdown(); leaked != 0 {
 		t.Fatalf("second Shutdown() = %d leaked frames, want 0 from the fresh deployment", leaked)
 	}
@@ -123,7 +116,7 @@ func TestDeployWhileShuttingDown(t *testing.T) {
 	}
 }
 
-// TestDeploymentsMemoryOmitsUndeployed: a registered deployment whose
+// TestDeploymentsMemoryZeroBeforeDeploy: a registered deployment whose
 // platform has not been constructed reports zero memory rather than erroring.
 func TestDeploymentsMemoryZeroBeforeDeploy(t *testing.T) {
 	s, ts := testServer(t)
@@ -131,10 +124,7 @@ func TestDeploymentsMemoryZeroBeforeDeploy(t *testing.T) {
 	if _, err := s.deployment("get-time (p)", "gh"); err != nil {
 		t.Fatal(err)
 	}
-	var deps []DeploymentInfo
-	if resp := get(t, ts.URL+"/deployments", &deps); resp.StatusCode != http.StatusOK {
-		t.Fatalf("deployments: %d", resp.StatusCode)
-	}
+	deps := deployments(t, ts)
 	if len(deps) != 1 {
 		t.Fatalf("deployments = %d, want 1", len(deps))
 	}

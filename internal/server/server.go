@@ -1,29 +1,29 @@
-// Package server exposes the simulated FaaS platform over HTTP — a
-// "provider in a box" for exploring Groundhog interactively. Deployments
-// (one platform per function × isolation mode) are created lazily on first
-// invocation and stay warm, exactly like reused containers; repeated
+// Package server holds the simulated FaaS platform — a "provider in a box"
+// for exploring Groundhog interactively. Deployments (one platform per
+// function × isolation mode) are deployed when the data plane first routes
+// a request to them and stay warm, exactly like reused containers; repeated
 // invocations against the same deployment therefore exercise container
 // reuse with or without request isolation. Each deployment owns its kernel
 // and physical-memory pool, so /deployments reports per-deployment memory.
 //
-// Endpoints:
+// Requests reach a deployment one way: through the Handle that DataPlane
+// returns (dataplane.go), which internal/gateway fronts with admission
+// control on HTTP POST /fn/<name> and on its binary listener. The JSON
+// control plane only reads:
 //
 //	GET  /healthz                      liveness
 //	GET  /functions                    the 58-benchmark catalog
 //	GET  /modes                        isolation modes
-//	POST /invoke?fn=NAME&mode=MODE[&caller=ID]
-//	                                   run one request; JSON stats
 //	GET  /deployments                  active deployments and counters
 package server
 
 import (
 	"encoding/json"
-	"errors"
 	"fmt"
 	"net/http"
-	"slices"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"groundhog/internal/catalog"
@@ -32,14 +32,12 @@ import (
 	"groundhog/internal/kernel"
 	"groundhog/internal/metrics"
 	"groundhog/internal/runtimes"
-	"groundhog/internal/sim"
 	"groundhog/internal/trace"
 )
 
-// Server multiplexes HTTP requests onto simulated platforms. Each platform
-// simulation is single-threaded, so a per-deployment mutex serializes
-// invocations of the same function × mode; unrelated deployments run
-// concurrently. The server's own mutex guards the deployments map and the
+// Server is the registry of simulated platforms. Each platform simulation
+// is single-threaded, so a per-deployment mutex serializes invocations of
+// the same function × mode; unrelated deployments run concurrently. The server's own mutex guards the deployments map and the
 // deploy-time configuration.
 type Server struct {
 	mu    sync.Mutex
@@ -50,9 +48,9 @@ type Server struct {
 }
 
 // deployment is one function × mode platform on a kernel of its own. Its
-// mutex covers the platform (constructed lazily on the first invocation, so
-// a slow cold start never blocks the whole server) and the invocation
-// counter.
+// mutex covers the platform (constructed under it, not the server's lock,
+// so a slow cold start never blocks the whole server) and the invocation
+// counters.
 type deployment struct {
 	fn    string
 	mode  isolation.Mode
@@ -74,6 +72,10 @@ type deployment struct {
 	// so a long-lived server neither grows without bound nor re-sorts its
 	// whole history per listing.
 	e2e []float64
+	// coldMeanMs holds the float64 bits of the platform's mean cold-start
+	// cost, republished under mu after the deploy and after every invoke,
+	// so Handle.ColdStartMeanMs reads it without the lock.
+	coldMeanMs atomic.Uint64
 }
 
 // e2eWindow bounds the per-deployment latency ring (matching the fleet's
@@ -99,7 +101,6 @@ func (s *Server) Handler() http.Handler {
 	mux.HandleFunc("/healthz", s.handleHealthz)
 	mux.HandleFunc("/functions", s.handleFunctions)
 	mux.HandleFunc("/modes", s.handleModes)
-	mux.HandleFunc("/invoke", s.handleInvoke)
 	mux.HandleFunc("/deployments", s.handleDeployments)
 	return mux
 }
@@ -143,13 +144,6 @@ func (s *Server) handleModes(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, isolation.Modes)
 }
 
-// validMode reports whether mode is one of isolation.Modes. Unknown values
-// are rejected up front with a 400 instead of surfacing as a generic deploy
-// error from strategy construction.
-func validMode(mode isolation.Mode) bool {
-	return slices.Contains(isolation.Modes, mode)
-}
-
 // modeList renders the allowed mode names for error messages.
 func modeList() string {
 	names := make([]string, len(isolation.Modes))
@@ -157,108 +151,6 @@ func modeList() string {
 		names[i] = string(m)
 	}
 	return strings.Join(names, ", ")
-}
-
-// InvokeResponse is the JSON result of POST /invoke.
-type InvokeResponse struct {
-	Function     string  `json:"function"`
-	Mode         string  `json:"mode"`
-	Caller       string  `json:"caller,omitempty"`
-	InvokerMS    float64 `json:"invoker_ms"`
-	E2EMS        float64 `json:"e2e_ms"`
-	RestoreMS    float64 `json:"restore_ms"`
-	Restored     bool    `json:"restored"`
-	PreRestoreMS float64 `json:"pre_restore_ms,omitempty"`
-	ColdStartMS  float64 `json:"cold_start_ms,omitempty"` // present on the deployment's first request
-	VirtualTime  string  `json:"virtual_time"`
-}
-
-func (s *Server) handleInvoke(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		http.Error(w, "POST required", http.StatusMethodNotAllowed)
-		return
-	}
-	fn := r.URL.Query().Get("fn")
-	mode := isolation.Mode(r.URL.Query().Get("mode"))
-	if mode == "" {
-		mode = isolation.ModeGH
-	}
-	if !validMode(mode) {
-		http.Error(w, fmt.Sprintf("unknown mode %q; valid modes: %s", mode, modeList()),
-			http.StatusBadRequest)
-		return
-	}
-	caller := r.URL.Query().Get("caller")
-
-	dep, err := s.deployment(fn, mode)
-	if err != nil {
-		http.Error(w, err.Error(), http.StatusBadRequest)
-		return
-	}
-
-	st, deployCold, err := s.invoke(dep, caller)
-	if err != nil {
-		var de deployError
-		switch {
-		case errors.Is(err, ErrGone):
-			// Torn down between the registry lookup and the lock: the record is
-			// already out of the map, so the client's retry re-registers afresh.
-			http.Error(w, err.Error(), http.StatusNotFound)
-		case errors.As(err, &de):
-			http.Error(w, err.Error(), http.StatusBadRequest)
-		case faas.IsTransient(err):
-			// Transient failures — a crashed container, an exhausted cold-start
-			// retry budget — are the client's cue to retry, not a server bug:
-			// 503 with a Retry-After, like a real invoker shedding load during a
-			// failure burst.
-			w.Header().Set("Retry-After", "1")
-			http.Error(w, err.Error(), http.StatusServiceUnavailable)
-		default:
-			http.Error(w, err.Error(), http.StatusInternalServerError)
-		}
-		return
-	}
-	writeJSON(w, http.StatusOK, InvokeResponse{
-		Function:     fn,
-		Mode:         string(mode),
-		Caller:       caller,
-		InvokerMS:    float64(st.Invoker) / 1e6,
-		E2EMS:        float64(st.E2E) / 1e6,
-		RestoreMS:    float64(st.Cleanup) / 1e6,
-		Restored:     st.Restored,
-		PreRestoreMS: float64(st.PreRestore) / 1e6,
-		ColdStartMS:  float64(deployCold) / 1e6,
-		VirtualTime:  st.Completed.String(), // InvokeOnce ran the deployment's clock up to it
-	})
-}
-
-// invoke is the one request path, shared by the control plane's /invoke and
-// the data plane's Handle.Invoke: deploy the platform on first use, re-pool
-// an empty deployment (crash-drained or reaped to zero) with a fresh cold
-// start, run the request, count it. deployCold is the deploy pipeline's cost
-// on the request that built the platform, zero afterwards. Transient
-// failures (injected crashes, exhausted cold-start retries) propagate for
-// the caller to map to 503 + Retry-After.
-func (s *Server) invoke(dep *deployment, caller string) (st faas.RequestStats, deployCold sim.Duration, err error) {
-	dep.mu.Lock()
-	defer dep.mu.Unlock()
-	if deployCold, err = s.deploy(dep); err != nil {
-		return st, 0, err
-	}
-	pl := dep.platform
-	if len(pl.Containers()) == 0 {
-		// Self-heal: one scale-up attempt (the platform's own retry budget
-		// applies inside). Failure is transient — the next request tries
-		// again.
-		if _, err = pl.AddContainer(); err != nil {
-			return st, 0, err
-		}
-	}
-	if st, err = pl.InvokeOnce(caller); err != nil {
-		return st, 0, err
-	}
-	dep.record(st)
-	return st, deployCold, nil
 }
 
 // deployment returns (registering if needed) the deployment record for
@@ -280,25 +172,18 @@ func (s *Server) deployment(fn string, mode isolation.Mode) (*deployment, error)
 	return dep, nil
 }
 
-// deployError marks a failed platform construction — a function × mode
-// that cannot be built (fork on a multi-threaded runtime) — which the
-// control plane answers with 400 rather than 500.
-type deployError struct{ error }
-
-func (e deployError) Unwrap() error { return e.error }
-
 // deploy constructs dep's platform (the cold start) with its own virtual
-// timeline, kernel and physical-memory pool, unless it has one, and returns
-// the deploy pipeline's cost when this call built it. A failed deploy drops
-// the record, so the next request retries, /deployments never lists a dead
-// entry and cached handles see ErrGone. s.mu under dep.mu is the one lock
-// order: nothing locks a deployment while holding s.mu. Caller holds dep.mu.
-func (s *Server) deploy(dep *deployment) (sim.Duration, error) {
+// timeline, kernel and physical-memory pool, unless it has one. A failed
+// deploy drops the record, so the next request retries, /deployments never
+// lists a dead entry and cached handles see ErrGone. s.mu under dep.mu is
+// the one lock order: nothing locks a deployment while holding s.mu. Caller
+// holds dep.mu.
+func (s *Server) deploy(dep *deployment) error {
 	if dep.gone {
-		return 0, ErrGone
+		return ErrGone
 	}
 	if dep.platform != nil {
-		return 0, nil
+		return nil
 	}
 	pl, err := faas.NewPlatform(kernel.Default(), dep.prof, dep.mode, 1, dep.seed)
 	if err != nil {
@@ -306,11 +191,12 @@ func (s *Server) deploy(dep *deployment) (sim.Duration, error) {
 		delete(s.deployments, dep.fn+"|"+string(dep.mode))
 		s.mu.Unlock()
 		dep.gone = true
-		return 0, deployError{fmt.Errorf("deploy %s under %s: %w", dep.fn, dep.mode, err)}
+		return fmt.Errorf("deploy %s under %s: %w", dep.fn, dep.mode, err)
 	}
 	pl.TrustSameCaller = dep.trust
 	dep.platform = pl
-	return pl.Containers()[0].ColdStart().Total, nil
+	dep.publishColdMean()
+	return nil
 }
 
 // DeploymentInfo is one entry of the /deployments listing. Beyond the

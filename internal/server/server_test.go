@@ -3,15 +3,16 @@ package server
 import (
 	"encoding/json"
 	"fmt"
-	"io"
 	"net/http"
 	"net/http/httptest"
-	"net/url"
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
+	"groundhog/internal/faas"
 	"groundhog/internal/faults"
+	"groundhog/internal/isolation"
 )
 
 func testServer(t *testing.T) (*Server, *httptest.Server) {
@@ -37,19 +38,29 @@ func get(t *testing.T, url string, out interface{}) *http.Response {
 	return resp
 }
 
-func post(t *testing.T, url string, out interface{}) *http.Response {
+// invoke serves one request from caller on fn × mode through the data
+// plane, registering and deploying the deployment on first use.
+func invoke(t *testing.T, s *Server, fn string, mode isolation.Mode, caller string) faas.RequestStats {
 	t.Helper()
-	resp, err := http.Post(url, "application/json", nil)
+	h, err := s.DataPlane(fn, mode)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer resp.Body.Close()
-	if out != nil && resp.StatusCode == http.StatusOK {
-		if err := json.NewDecoder(resp.Body).Decode(out); err != nil {
-			t.Fatal(err)
-		}
+	st, err := h.Invoke(caller)
+	if err != nil {
+		t.Fatal(err)
 	}
-	return resp
+	return st
+}
+
+// deployments fetches the /deployments listing.
+func deployments(t *testing.T, ts *httptest.Server) []DeploymentInfo {
+	t.Helper()
+	var deps []DeploymentInfo
+	if resp := get(t, ts.URL+"/deployments", &deps); resp.StatusCode != http.StatusOK {
+		t.Fatalf("deployments: status %d", resp.StatusCode)
+	}
+	return deps
 }
 
 func TestHealthz(t *testing.T) {
@@ -88,61 +99,74 @@ func TestModes(t *testing.T) {
 	}
 }
 
+// TestInvokeLifecycle: the deploy pays the one cold start /deployments
+// reports, a GH request restores, and a warm one adds no cold start and has
+// plausible latencies.
 func TestInvokeLifecycle(t *testing.T) {
-	_, ts := testServer(t)
-	u := ts.URL + "/invoke?fn=" + url.QueryEscape("get-time (p)") + "&mode=gh"
-
-	var first InvokeResponse
-	post(t, u, &first)
-	if first.ColdStartMS <= 0 {
-		t.Fatalf("first invocation should report cold start: %+v", first)
+	s, ts := testServer(t)
+	h, err := s.DataPlane("get-time (p)", isolation.ModeGH)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if !first.Restored || first.RestoreMS <= 0 {
+	if deps := deployments(t, ts); len(deps) != 1 || deps[0].ColdStartMS <= 0 {
+		t.Fatalf("deployed platform should report its cold start: %+v", deps)
+	}
+
+	first, err := h.Invoke("")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !first.Restored || first.Cleanup <= 0 {
 		t.Fatalf("GH invocation did not restore: %+v", first)
 	}
 
-	var second InvokeResponse
-	post(t, u, &second)
-	if second.ColdStartMS != 0 {
-		t.Fatalf("warm invocation reported a cold start: %+v", second)
+	second, err := h.Invoke("")
+	if err != nil {
+		t.Fatal(err)
 	}
-	if second.InvokerMS <= 0 || second.E2EMS <= second.InvokerMS {
+	if second.Invoker <= 0 || second.E2E <= second.Invoker {
 		t.Fatalf("implausible latencies: %+v", second)
+	}
+	if d := deployments(t, ts)[0]; d.FullColdStarts != 1 || d.CloneColdStarts != 0 {
+		t.Fatalf("warm invocations paid a cold start: %d full, %d clone", d.FullColdStarts, d.CloneColdStarts)
 	}
 }
 
 func TestInvokeBaseNeverRestores(t *testing.T) {
-	_, ts := testServer(t)
-	var resp InvokeResponse
-	post(t, ts.URL+"/invoke?fn="+url.QueryEscape("get-time (p)")+"&mode=base", &resp)
-	if resp.Restored || resp.RestoreMS != 0 {
-		t.Fatalf("BASE restored: %+v", resp)
+	s, _ := testServer(t)
+	if st := invoke(t, s, "get-time (p)", isolation.ModeBase, ""); st.Restored || st.Cleanup != 0 {
+		t.Fatalf("BASE restored: %+v", st)
 	}
 }
 
+// TestInvokeErrors: an unknown function and a function × mode that cannot
+// be built fail at registration, and a failed deploy leaves no deployment
+// behind.
 func TestInvokeErrors(t *testing.T) {
-	_, ts := testServer(t)
-	if resp := post(t, ts.URL+"/invoke?fn=nope&mode=gh", nil); resp.StatusCode != http.StatusBadRequest {
-		t.Fatalf("bogus fn: %d", resp.StatusCode)
+	s, ts := testServer(t)
+	for _, c := range []struct {
+		fn   string
+		mode isolation.Mode
+	}{
+		{"nope", isolation.ModeGH},
+		{"get-time (n)", isolation.ModeFork},
+		{"get-time (n)", isolation.ModeFaasm},
+	} {
+		if h, err := s.DataPlane(c.fn, c.mode); err == nil {
+			t.Fatalf("%s under %s: got handle %p, want an error", c.fn, c.mode, h)
+		}
 	}
-	if resp := post(t, ts.URL+"/invoke?fn="+url.QueryEscape("get-time (n)")+"&mode=fork", nil); resp.StatusCode != http.StatusBadRequest {
-		t.Fatalf("fork-on-node: %d", resp.StatusCode)
-	}
-	if resp := post(t, ts.URL+"/invoke?fn="+url.QueryEscape("get-time (n)")+"&mode=faasm", nil); resp.StatusCode != http.StatusBadRequest {
-		t.Fatalf("faasm-on-node: %d", resp.StatusCode)
-	}
-	if resp := get(t, ts.URL+"/invoke?fn=x", nil); resp.StatusCode != http.StatusMethodNotAllowed {
-		t.Fatalf("GET invoke: %d", resp.StatusCode)
+	if deps := deployments(t, ts); len(deps) != 0 {
+		t.Fatalf("failed deploys left deployments behind: %+v", deps)
 	}
 }
 
 func TestDeploymentsListing(t *testing.T) {
-	_, ts := testServer(t)
-	post(t, ts.URL+"/invoke?fn="+url.QueryEscape("version (p)")+"&mode=gh", nil)
-	post(t, ts.URL+"/invoke?fn="+url.QueryEscape("version (p)")+"&mode=gh", nil)
-	post(t, ts.URL+"/invoke?fn="+url.QueryEscape("version (p)")+"&mode=base", nil)
-	var deps []DeploymentInfo
-	get(t, ts.URL+"/deployments", &deps)
+	s, ts := testServer(t)
+	invoke(t, s, "version (p)", isolation.ModeGH, "")
+	invoke(t, s, "version (p)", isolation.ModeGH, "")
+	invoke(t, s, "version (p)", isolation.ModeBase, "")
+	deps := deployments(t, ts)
 	if len(deps) != 2 {
 		t.Fatalf("deployments = %d, want 2", len(deps))
 	}
@@ -162,13 +186,11 @@ func TestDeploymentsListing(t *testing.T) {
 // split, the latency summary, and each built-in policy's decisions — the
 // per-function view the fleet policies read.
 func TestDeploymentsPerFunctionBreakdown(t *testing.T) {
-	_, ts := testServer(t)
-	u := ts.URL + "/invoke?fn=" + url.QueryEscape("get-time (p)") + "&mode=gh"
+	s, ts := testServer(t)
 	for i := 0; i < 3; i++ {
-		post(t, u, nil)
+		invoke(t, s, "get-time (p)", isolation.ModeGH, "")
 	}
-	var deps []DeploymentInfo
-	get(t, ts.URL+"/deployments", &deps)
+	deps := deployments(t, ts)
 	if len(deps) != 1 {
 		t.Fatalf("deployments = %d, want 1", len(deps))
 	}
@@ -206,44 +228,36 @@ func TestDeploymentsPerFunctionBreakdown(t *testing.T) {
 	}
 }
 
-func TestTrustedCallerOverHTTP(t *testing.T) {
-	s, ts := testServer(t)
+// TestTrustedCaller: with the §4.4 optimization on, a request from the
+// previous caller skips the restore, and a caller switch pays the deferred
+// restore before it runs.
+func TestTrustedCaller(t *testing.T) {
+	s, _ := testServer(t)
 	s.SetTrustSameCaller(true)
-	u := ts.URL + "/invoke?fn=" + url.QueryEscape("md2html (p)") + "&mode=gh&caller="
-	var a1, a2, b InvokeResponse
-	post(t, u+"alice", &a1)
-	post(t, u+"alice", &a2)
-	post(t, u+"bob", &b)
-	if a2.Restored || a2.RestoreMS != 0 {
+	invoke(t, s, "md2html (p)", isolation.ModeGH, "alice")
+	if a2 := invoke(t, s, "md2html (p)", isolation.ModeGH, "alice"); a2.Restored || a2.Cleanup != 0 {
 		t.Fatalf("same-caller invocation restored: %+v", a2)
 	}
-	if b.PreRestoreMS <= 0 {
+	if b := invoke(t, s, "md2html (p)", isolation.ModeGH, "bob"); b.PreRestore <= 0 {
 		t.Fatalf("caller switch did not pay deferred restore: %+v", b)
 	}
 }
 
-// TestInvokeRejectsUnknownMode: bad mode values must fail validation up
-// front with a 400 listing the allowed modes, not surface as a deploy error.
+// TestInvokeRejectsUnknownMode: a bad mode fails validation up front with
+// an error listing the allowed modes, not as a deploy error, and registers
+// nothing.
 func TestInvokeRejectsUnknownMode(t *testing.T) {
-	_, ts := testServer(t)
-	resp, err := http.Post(ts.URL+"/invoke?fn="+url.QueryEscape("version (p)")+"&mode=bogus",
-		"application/json", nil)
-	if err != nil {
-		t.Fatal(err)
+	s, ts := testServer(t)
+	_, err := s.DataPlane("version (p)", "bogus")
+	if err == nil {
+		t.Fatal("unknown mode: got a handle, want an error")
 	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusBadRequest {
-		t.Fatalf("unknown mode: status %d, want 400", resp.StatusCode)
-	}
-	body, _ := io.ReadAll(resp.Body)
 	for _, want := range []string{"bogus", "base", "gh", "fork", "faasm"} {
-		if !strings.Contains(string(body), want) {
-			t.Fatalf("error %q does not mention %q", body, want)
+		if !strings.Contains(err.Error(), want) {
+			t.Fatalf("error %q does not mention %q", err, want)
 		}
 	}
-	var deps []DeploymentInfo
-	get(t, ts.URL+"/deployments", &deps)
-	if len(deps) != 0 {
+	if deps := deployments(t, ts); len(deps) != 0 {
 		t.Fatalf("rejected mode left a deployment behind: %+v", deps)
 	}
 }
@@ -253,28 +267,24 @@ func TestInvokeRejectsUnknownMode(t *testing.T) {
 // platform's single-threaded simulation stays serialized, and (under -race)
 // no shared state is touched without a lock.
 func TestConcurrentInvokes(t *testing.T) {
-	_, ts := testServer(t)
+	s, ts := testServer(t)
 	fns := []string{"get-time (p)", "version (p)", "md2html (p)"}
-	modes := []string{"gh", "base"}
+	modes := []isolation.Mode{isolation.ModeGH, isolation.ModeBase}
 
 	var wg sync.WaitGroup
 	errs := make(chan error, len(fns)*len(modes)*4)
 	for _, fn := range fns {
 		for _, mode := range modes {
-			u := ts.URL + "/invoke?fn=" + url.QueryEscape(fn) + "&mode=" + mode
 			for i := 0; i < 4; i++ {
 				wg.Add(1)
 				go func() {
 					defer wg.Done()
-					resp, err := http.Post(u, "application/json", nil)
-					if err != nil {
-						errs <- err
-						return
+					h, err := s.DataPlane(fn, mode)
+					if err == nil {
+						_, err = h.Invoke("")
 					}
-					defer resp.Body.Close()
-					if resp.StatusCode != http.StatusOK {
-						body, _ := io.ReadAll(resp.Body)
-						errs <- fmt.Errorf("%s: status %d: %s", u, resp.StatusCode, body)
+					if err != nil {
+						errs <- fmt.Errorf("%s under %s: %w", fn, mode, err)
 					}
 				}()
 			}
@@ -286,8 +296,7 @@ func TestConcurrentInvokes(t *testing.T) {
 		t.Error(err)
 	}
 
-	var deps []DeploymentInfo
-	get(t, ts.URL+"/deployments", &deps)
+	deps := deployments(t, ts)
 	if len(deps) != len(fns)*len(modes) {
 		t.Fatalf("deployments = %d, want %d", len(deps), len(fns)*len(modes))
 	}
@@ -298,49 +307,43 @@ func TestConcurrentInvokes(t *testing.T) {
 	}
 }
 
-// TestInjectedCrashAnswers503 arms a one-shot request-crash fault on a live
-// deployment: the crashed invocation must surface as 503 + Retry-After (the
+// TestInjectedCrashIsTransient arms a one-shot request-crash fault on a
+// live deployment: the crashed invocation must fail transiently (the
 // request is retryable — the platform tore the container down), the next
 // invocation must succeed again after the pool rebuilds, and /deployments
 // must report the crash in its recovery counters.
-func TestInjectedCrashAnswers503(t *testing.T) {
+func TestInjectedCrashIsTransient(t *testing.T) {
 	s, ts := testServer(t)
-	u := ts.URL + "/invoke?fn=" + url.QueryEscape("version (p)") + "&mode=gh"
-	post(t, u, nil) // deploy + first request
-
-	dep := s.deployments["version (p)|gh"]
-	dep.platform.Kern.Faults = faults.New(faults.Plan{
+	invoke(t, s, "version (p)", isolation.ModeGH, "") // deploy + first request
+	h, err := s.DataPlane("version (p)", isolation.ModeGH)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := h.ArmFaults(faults.Plan{
 		Seed:     1,
 		Schedule: map[faults.Site][]uint64{faults.SiteRequestCrash: {1}},
-	})
-
-	resp := post(t, u, nil)
-	if resp.StatusCode != http.StatusServiceUnavailable {
-		t.Fatalf("crashed invoke: status %d, want 503", resp.StatusCode)
-	}
-	if resp.Header.Get("Retry-After") == "" {
-		t.Fatal("503 without a Retry-After header")
+	}); err != nil {
+		t.Fatal(err)
 	}
 
-	var deps []DeploymentInfo
-	get(t, ts.URL+"/deployments", &deps)
-	if len(deps) != 1 || deps[0].Crashes != 1 {
+	if _, err := h.Invoke(""); !faas.IsTransient(err) {
+		t.Fatalf("crashed invoke: err %v, want a transient failure", err)
+	}
+	if deps := deployments(t, ts); len(deps) != 1 || deps[0].Crashes != 1 {
 		t.Fatalf("deployment listing after crash = %+v, want crashes=1", deps)
 	}
-
-	if resp := post(t, u, nil); resp.StatusCode != http.StatusOK {
-		t.Fatalf("invoke after the crash: status %d, want 200 (pool rebuilt)", resp.StatusCode)
+	if _, err := h.Invoke(""); err != nil {
+		t.Fatalf("invoke after the crash: %v, want success (pool rebuilt)", err)
 	}
 }
 
 // TestZeroContainerDeployment: a platform drained by keep-alive expiry
 // (RemoveContainer) must not panic the handlers — /deployments reports a
-// zero cold start, and /invoke re-pools the deployment with a fresh cold
+// zero cold start, and Invoke re-pools the deployment with a fresh cold
 // start and serves the request.
 func TestZeroContainerDeployment(t *testing.T) {
 	s, ts := testServer(t)
-	u := ts.URL + "/invoke?fn=" + url.QueryEscape("version (p)") + "&mode=gh"
-	post(t, u, nil)
+	invoke(t, s, "version (p)", isolation.ModeGH, "")
 
 	dep := s.deployments["version (p)|gh"]
 	if dep == nil {
@@ -348,23 +351,37 @@ func TestZeroContainerDeployment(t *testing.T) {
 	}
 	dep.platform.RemoveContainer(dep.platform.Containers()[0])
 
-	var deps []DeploymentInfo
-	if resp := get(t, ts.URL+"/deployments", &deps); resp.StatusCode != http.StatusOK {
-		t.Fatalf("deployments with zero containers: status %d", resp.StatusCode)
-	}
-	if len(deps) != 1 || deps[0].ColdStartMS != 0 {
+	if deps := deployments(t, ts); len(deps) != 1 || deps[0].ColdStartMS != 0 {
 		t.Fatalf("zero-container deployment listing = %+v, want one entry with zero cold start", deps)
 	}
-	if resp := post(t, u, nil); resp.StatusCode != http.StatusOK {
-		t.Fatalf("invoke on drained platform: status %d, want 200 (pool healed)", resp.StatusCode)
+	invoke(t, s, "version (p)", isolation.ModeGH, "")
+	if n := len(dep.platform.Containers()); n != 1 {
+		t.Fatalf("containers after invoking a drained platform = %d, want 1 (pool healed)", n)
 	}
 }
 
-func TestDefaultModeIsGH(t *testing.T) {
-	_, ts := testServer(t)
-	var resp InvokeResponse
-	post(t, ts.URL+"/invoke?fn="+url.QueryEscape("version (p)"), &resp)
-	if resp.Mode != "gh" {
-		t.Fatalf("default mode = %q", resp.Mode)
+// TestColdStartMeanTakesNoLock: the gateway reads the cold-start mean on
+// its shed path, so it must answer while another request holds the
+// deployment lock, and equal the mean over every cold start so far.
+func TestColdStartMeanTakesNoLock(t *testing.T) {
+	s, _ := testServer(t)
+	h, err := s.DataPlane("version (p)", isolation.ModeGH)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cold := h.dep.platform.ColdStarts()
+	want := float64(cold.FullCost+cold.CloneCost) / 1e6 / float64(cold.Full+cold.Clone)
+
+	h.dep.mu.Lock()
+	defer h.dep.mu.Unlock()
+	got := make(chan float64, 1)
+	go func() { got <- h.ColdStartMeanMs() }()
+	select {
+	case ms := <-got:
+		if ms <= 0 || ms != want {
+			t.Fatalf("ColdStartMeanMs() = %v, want %v", ms, want)
+		}
+	case <-time.After(time.Second):
+		t.Fatal("ColdStartMeanMs blocked on the deployment lock")
 	}
 }
