@@ -183,3 +183,53 @@ func TestRunCallersRejectsEmptySequence(t *testing.T) {
 		t.Fatal("empty caller sequence accepted")
 	}
 }
+
+// TestRespondWipesPendingCleanup is the wipe guarantee across the live
+// plane's pending-cleanup window. Alice's request is answered with Respond
+// and its rollback left pending; bob's Respond follows with no Settle in
+// between, so only Respond's own leading settle stands between the two.
+// After bob's response no VMA name, resident word or register may still
+// carry alice's request ID. BASE must fail the same check, which proves the
+// route is reached. Torn down with bob's cleanup still pending, the platform
+// gives back every frame and lent page.
+func TestRespondWipesPendingCleanup(t *testing.T) {
+	entry, err := catalog.Lookup("logging (p)")
+	if err != nil {
+		t.Fatal(err)
+	}
+	const aliceID, bobID = 0xA11CE0A11CE0, 0xB0B0B0B0B0
+	for _, tc := range []struct {
+		mode  isolation.Mode
+		leaks bool
+	}{{isolation.ModeGH, false}, {isolation.ModeBase, true}} {
+		t.Run(string(tc.mode), func(t *testing.T) {
+			pl, err := NewPlatform(kernel.Default(), entry.Prof, tc.mode, 1, 1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			c := pl.Containers()[0]
+			c.requestsSeq = aliceID - 1
+			if _, err := pl.Respond("alice"); err != nil {
+				t.Fatal(err)
+			}
+			if len(requestTraces(c, aliceID)) == 0 {
+				t.Fatal("alice's request left no trace of its ID to look for")
+			}
+			c.requestsSeq = bobID - 1
+			if _, err := pl.Respond("bob"); err != nil {
+				t.Fatal(err)
+			}
+			traces := requestTraces(c, aliceID)
+			switch {
+			case tc.leaks && len(traces) == 0:
+				t.Fatal("BASE wiped alice's request: the check does not reach the leak route")
+			case !tc.leaks && len(traces) > 0:
+				t.Fatalf("bob's request can see alice's: %s", strings.Join(traces, "; "))
+			}
+			pl.Teardown()
+			if phys := pl.Kern.Phys; phys.InUse() != 0 || phys.Lent() != 0 {
+				t.Fatalf("teardown with a cleanup pending left %d frames in use, %d pages lent", phys.InUse(), phys.Lent())
+			}
+		})
+	}
+}

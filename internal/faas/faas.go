@@ -44,8 +44,15 @@ type RequestStats struct {
 	PreRestore sim.Duration
 	// Restore is Groundhog's breakdown, when state was rolled back.
 	Restore core.RestoreStats
-	// Restored reports whether the cleanup rolled state back.
+	// Restored reports whether this request's own cleanup rolled state
+	// back.
 	Restored bool
+	// RolledBack reports whether the container was rolled back between its
+	// previous request and this one: false for a container's first request,
+	// under BASE and GH-NOP, and for a trusted same-caller follow-up. Unlike
+	// Restored it is known when the response goes out, so it is what the
+	// live plane reports.
+	RolledBack bool
 	// Completed is the virtual completion time of the response.
 	Completed sim.Time
 	// ReadyAgain is the virtual time the container could accept the next
@@ -105,13 +112,16 @@ type Container struct {
 	// the rollback is skipped.
 	lastCaller string
 	tainted    bool // state modified since the last rollback
+	// rolledBack records a rollback since the last response, for the next
+	// one's RequestStats.RolledBack.
+	rolledBack bool
 
 	// lastDone is when the most recent response completed (keep-alive
 	// bookkeeping for fleet dispatchers).
 	lastDone sim.Time
 
 	requests    uint64
-	requestsSeq uint64 // ID source for InvokeOnce and Serve
+	requestsSeq uint64 // ID source for Respond and Serve
 }
 
 // notifyRestored routes the rollback notification according to the
@@ -194,6 +204,10 @@ type Platform struct {
 	// (serving is synchronous and never reentrant, so one scratch meter per
 	// platform suffices; TestServeSteadyStateZeroAllocs pins this).
 	serveMeter *sim.Meter
+
+	// pending is the container whose cleanup Respond left for Settle (nil
+	// when none is).
+	pending *Container
 }
 
 // RecoveryStats counts the deployment's failure-recovery actions. All zeros
@@ -348,6 +362,9 @@ func (pl *Platform) AddContainer() (*Container, error) {
 // CoW and clone-shared stores, a fork child orphaned mid-request), so a
 // removed clone's share of the image frames goes back to the pool.
 func (pl *Platform) RemoveContainer(c *Container) {
+	if pl.pending == c {
+		pl.pending = nil
+	}
 	pl.Kern.Exit(c.inst.Proc)
 	c.strat.Release()
 	for i, x := range pl.containers {
@@ -734,9 +751,31 @@ func (pl *Platform) Memory() MemoryStats {
 
 // InvokeOnce executes a single request from the given caller on the first
 // container, advancing virtual time past any in-progress restoration first
-// (the request-gating rule of §4.5). It is the entry point for interactive
-// front ends such as cmd/ghserve.
+// (the request-gating rule of §4.5): Respond and Settle back to back, with
+// both halves of the stats in one RequestStats.
 func (pl *Platform) InvokeOnce(caller string) (RequestStats, error) {
+	st, err := pl.Respond(caller)
+	if err != nil {
+		return st, err
+	}
+	if err := pl.settle(&st); err != nil {
+		return RequestStats{}, err
+	}
+	return st, nil
+}
+
+// Respond is the first half of InvokeOnce and the live plane's request
+// path (internal/server): it settles any cleanup still pending, advances
+// virtual time past the container's restoration, and runs one request from
+// caller on the first container up to its response. The request's own
+// cleanup is left pending until Settle, or the next Respond, runs it, so no
+// request reaches the container before the previous one's rollback has run.
+// The stats carry the response half: Cleanup, Restore, Restored and
+// ReadyAgain are Settle's.
+func (pl *Platform) Respond(caller string) (RequestStats, error) {
+	if _, err := pl.Settle(); err != nil {
+		return RequestStats{}, err
+	}
 	if len(pl.containers) == 0 {
 		return RequestStats{}, ErrNoContainers
 	}
@@ -745,22 +784,62 @@ func (pl *Platform) InvokeOnce(caller string) (RequestStats, error) {
 		pl.Engine.RunUntil(c.ready)
 	}
 	c.requestsSeq++
-	st, err := pl.serveAs(c, c.requestsSeq, caller)
-	if err != nil {
+	var st RequestStats
+	if err := pl.respond(c, c.requestsSeq, caller, &st); err != nil {
 		return RequestStats{}, err
 	}
+	pl.pending = c
 	pl.Engine.RunUntil(st.Completed)
 	return st, nil
 }
 
+// Settle runs the cleanup Respond left pending and returns its half of the
+// request's stats: Cleanup, Restore, Restored and ReadyAgain. With nothing
+// pending it does nothing. A post-response restore fault removes the
+// container, as in serveAs; any other failure leaves the cleanup pending, so
+// the container serves nothing until a later Settle succeeds.
+func (pl *Platform) Settle() (RequestStats, error) {
+	var st RequestStats
+	if err := pl.settle(&st); err != nil {
+		return RequestStats{}, err
+	}
+	return st, nil
+}
+
+// settle runs the pending cleanup, if any, into st.
+func (pl *Platform) settle(st *RequestStats) error {
+	c := pl.pending
+	if c == nil {
+		return nil
+	}
+	if err := pl.cleanup(c, st); err != nil {
+		return err
+	}
+	pl.pending = nil
+	return nil
+}
+
 // serveAs executes one request from the given security principal
-// synchronously against container c and returns its stats. The caller is
-// responsible for scheduling: c must be ready. Under the trusted-caller
-// optimization, consecutive requests from the same principal skip the
-// rollback between them; a change of principal forces the deferred rollback
-// before the new request executes (§4.4).
-func (pl *Platform) serveAs(c *Container, reqID uint64, caller string) (RequestStats, error) {
-	cost := pl.Kern.Cost
+// synchronously against container c and returns its stats: the response
+// half (respond), then the cleanup half (cleanup). The caller is responsible
+// for scheduling: c must be ready.
+func (pl *Platform) serveAs(c *Container, reqID uint64, caller string) (st RequestStats, err error) {
+	if err = pl.respond(c, reqID, caller, &st); err == nil {
+		err = pl.cleanup(c, &st)
+	}
+	if err != nil {
+		return RequestStats{}, err
+	}
+	return st, nil
+}
+
+// respond runs one request on container c up to its response and fills
+// st's response half. Under the trusted-caller optimization, consecutive
+// requests from the same principal skip the rollback between them; a change
+// of principal forces the deferred rollback before the new request executes
+// (§4.4).
+func (pl *Platform) respond(c *Container, reqID uint64, caller string, st *RequestStats) error {
+	cost := &pl.Kern.Cost
 	m := pl.serveMeter
 	if m == nil {
 		m = sim.NewMeter()
@@ -780,12 +859,13 @@ func (pl *Platform) serveAs(c *Container, reqID uint64, caller string) (RequestS
 		if err != nil {
 			if errors.Is(err, faults.ErrInjected) {
 				pl.crash(c)
-				return RequestStats{}, fmt.Errorf("%w: deferred rollback on container %d: %w", ErrContainerCrashed, c.ID, err)
+				return fmt.Errorf("%w: deferred rollback on container %d: %w", ErrContainerCrashed, c.ID, err)
 			}
-			return RequestStats{}, err
+			return err
 		}
 		if cleanup.Restored {
 			c.notifyRestored(pl)
+			c.rolledBack = true
 		}
 		c.tainted = false
 		preRestore = cleanup.Duration
@@ -799,7 +879,7 @@ func (pl *Platform) serveAs(c *Container, reqID uint64, caller string) (RequestS
 
 	proc, err := c.strat.BeginRequest(m)
 	if err != nil {
-		return RequestStats{}, err
+		return err
 	}
 
 	// Mid-request crash seam: the function process dies after the request
@@ -809,13 +889,12 @@ func (pl *Platform) serveAs(c *Container, reqID uint64, caller string) (RequestS
 	// on another container.
 	if ferr := pl.Kern.Faults.Fire(faults.SiteRequestCrash); ferr != nil {
 		pl.crash(c)
-		return RequestStats{}, fmt.Errorf("%w: container %d: %w", ErrContainerCrashed, c.ID, ferr)
+		return fmt.Errorf("%w: container %d: %w", ErrContainerCrashed, c.ID, ferr)
 	}
 
 	getsBefore, putsBefore := c.inst.StateOps()
 	resp := c.inst.InvokeOn(proc, req, m)
 	gets, puts := c.inst.StateOps()
-	gets, puts = gets-getsBefore, puts-putsBefore
 
 	// Output path: interposing strategies relay the response back through
 	// the manager too.
@@ -823,52 +902,55 @@ func (pl *Platform) serveAs(c *Container, reqID uint64, caller string) (RequestS
 		sim.ChargeTo(m, relay(cost.PipePerKB, resp.SizeKB))
 	}
 
-	// The response is now back at the invoker; cleanup happens after —
-	// unless the platform trusts the next same-caller request, in which
-	// case the rollback is deferred (and possibly elided entirely). A
-	// rollback that fails *here* cannot fail the request (the response was
-	// already delivered): the container is torn down instead, since it can
-	// never isolate another request.
-	var cleanup isolation.CleanupResult
-	if pl.TrustSameCaller && c.strat.CanSkipCleanup() {
-		c.tainted = true
-		c.lastCaller = caller
-	} else {
-		var err error
-		cleanup, err = c.strat.EndRequest()
-		if err != nil {
-			if !errors.Is(err, faults.ErrInjected) {
-				return RequestStats{}, err
-			}
-			pl.recovery.RestoreFaults++
-			pl.RemoveContainer(c)
-			cleanup = isolation.CleanupResult{}
-		} else {
-			if cleanup.Restored {
-				c.notifyRestored(pl)
-			}
-			c.lastCaller = caller
-		}
-	}
-
+	// The response is now back at the invoker; cleanup happens after.
 	invoker := m.Total()
-	e2e := preRestore + invoker + pl.rng.Jitter(cost.PlatformOverhead, 0.25)
 	completed := pl.Engine.Now().Add(preRestore + invoker)
 	c.requests++
 	c.lastDone = completed
-	c.ready = completed.Add(cleanup.Duration)
-	return RequestStats{
-		Invoker:    invoker,
-		E2E:        e2e,
-		Cleanup:    cleanup.Duration,
-		PreRestore: preRestore,
-		Restore:    cleanup.Restore,
-		Restored:   cleanup.Restored,
-		Completed:  completed,
-		ReadyAgain: c.ready,
-		StateGets:  gets,
-		StatePuts:  puts,
-	}, nil
+	c.lastCaller = caller
+	st.Invoker = invoker
+	st.E2E = preRestore + invoker + pl.rng.Jitter(cost.PlatformOverhead, 0.25)
+	st.PreRestore = preRestore
+	st.RolledBack = c.rolledBack
+	st.Completed = completed
+	st.StateGets = gets - getsBefore
+	st.StatePuts = puts - putsBefore
+	c.rolledBack = false
+	return nil
+}
+
+// cleanup is the half of a request after its response, and fills st's
+// cleanup half: the rollback, unless the platform trusts the next
+// same-caller request, in which case the container is marked tainted and
+// the rollback deferred (and possibly elided entirely). A rollback that
+// fails here cannot fail the request (the response was already delivered):
+// the container is torn down instead, since it can never isolate another
+// request. The container is ready again once the cleanup is done.
+func (pl *Platform) cleanup(c *Container, st *RequestStats) error {
+	var res isolation.CleanupResult
+	if pl.TrustSameCaller && c.strat.CanSkipCleanup() {
+		c.tainted = true
+	} else {
+		var err error
+		res, err = c.strat.EndRequest()
+		if err != nil {
+			if !errors.Is(err, faults.ErrInjected) {
+				return err
+			}
+			pl.recovery.RestoreFaults++
+			pl.RemoveContainer(c)
+			res = isolation.CleanupResult{}
+		} else if res.Restored {
+			c.notifyRestored(pl)
+			c.rolledBack = true
+		}
+	}
+	c.ready = c.lastDone.Add(res.Duration)
+	st.Cleanup = res.Duration
+	st.Restore = res.Restore
+	st.Restored = res.Restored
+	st.ReadyAgain = c.ready
+	return nil
 }
 
 // relay is the pipe copy of a kb-KB message the manager passes between the

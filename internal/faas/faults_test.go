@@ -292,25 +292,47 @@ func TestMidRequestCrashTearsDownContainer(t *testing.T) {
 	}
 }
 
+// TestPostResponseRestoreFaultLosesContainerNotRequest: a restore that fails
+// after the response cannot fail the request. It is torn down instead, both
+// when the cleanup runs right after the response (Serve) and when the live
+// plane runs it after the reply has left (Respond, then Settle).
 func TestPostResponseRestoreFaultLosesContainerNotRequest(t *testing.T) {
-	pl := emptyArmedPlatform(t, isolation.ModeGH, faults.Plan{Schedule: map[faults.Site][]uint64{
-		faults.SiteRestore: {1},
-	}})
-	if _, err := pl.AddWarmContainer(); err != nil {
-		t.Fatal(err)
-	}
-	c := pl.Containers()[0]
-	if _, err := pl.Serve(c, ""); err != nil {
-		t.Fatalf("the response was delivered; Serve must not fail: %v", err)
-	}
-	if len(pl.Containers()) != 0 {
-		t.Fatal("container with failed rollback still pooled")
-	}
-	if pl.Recovery().RestoreFaults != 1 {
-		t.Fatalf("recovery = %+v, want 1 restore fault", pl.Recovery())
-	}
-	if got := pl.Kern.Phys.InUse(); got != 0 {
-		t.Fatalf("teardown leaked %d frames", got)
+	for _, route := range []struct {
+		name  string
+		serve func(*Platform) error
+	}{
+		{"serve", func(pl *Platform) error {
+			_, err := pl.Serve(pl.Containers()[0], "")
+			return err
+		}},
+		{"respond-settle", func(pl *Platform) error {
+			if _, err := pl.Respond(""); err != nil {
+				return err
+			}
+			_, err := pl.Settle()
+			return err
+		}},
+	} {
+		t.Run(route.name, func(t *testing.T) {
+			pl := emptyArmedPlatform(t, isolation.ModeGH, faults.Plan{Schedule: map[faults.Site][]uint64{
+				faults.SiteRestore: {1},
+			}})
+			if _, err := pl.AddWarmContainer(); err != nil {
+				t.Fatal(err)
+			}
+			if err := route.serve(pl); err != nil {
+				t.Fatalf("the response was delivered; the request must not fail: %v", err)
+			}
+			if len(pl.Containers()) != 0 {
+				t.Fatal("container with failed rollback still pooled")
+			}
+			if pl.Recovery().RestoreFaults != 1 {
+				t.Fatalf("recovery = %+v, want 1 restore fault", pl.Recovery())
+			}
+			if got := pl.Kern.Phys.InUse(); got != 0 {
+				t.Fatalf("teardown leaked %d frames", got)
+			}
+		})
 	}
 }
 

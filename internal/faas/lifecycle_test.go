@@ -123,3 +123,93 @@ func TestNewPlatformOnAllowsZeroContainers(t *testing.T) {
 		t.Fatal("negative container count accepted")
 	}
 }
+
+// TestRespondThenSettle: Respond answers before the rollback, so its stats
+// carry no cleanup; Settle runs the pending restore and returns that half,
+// and with nothing pending returns nothing. InvokeOnce is the two back to
+// back: on twin platforms it returns exactly the merged halves.
+func TestRespondThenSettle(t *testing.T) {
+	pl := newPlatform(t, isolation.ModeGH, 1)
+	twin := newPlatform(t, isolation.ModeGH, 1)
+	for i := 0; i < 3; i++ {
+		st, err := pl.Respond("")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if st.Restored || st.Cleanup != 0 || st.ReadyAgain != 0 {
+			t.Fatalf("request %d: Respond carries cleanup stats: %+v", i, st)
+		}
+		cl, err := pl.Settle()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !cl.Restored || cl.Cleanup <= 0 || cl.ReadyAgain != st.Completed.Add(cl.Cleanup) {
+			t.Fatalf("request %d: Settle did not restore: %+v", i, cl)
+		}
+		if again, err := pl.Settle(); err != nil || again != (RequestStats{}) {
+			t.Fatalf("request %d: a second Settle = %+v, %v; want nothing", i, again, err)
+		}
+		st.Cleanup, st.Restore, st.Restored, st.ReadyAgain = cl.Cleanup, cl.Restore, cl.Restored, cl.ReadyAgain
+		once, err := twin.InvokeOnce("")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if once != st {
+			t.Fatalf("request %d: InvokeOnce = %+v, Respond + Settle = %+v", i, once, st)
+		}
+	}
+}
+
+// TestRolledBackSincePreviousRequest: a response reports whether its
+// container was rolled back since the previous request — never for a
+// container's first request, under BASE or GH-NOP, or for a trusted
+// same-caller follow-up; always after a GH rollback, deferred or not.
+func TestRolledBackSincePreviousRequest(t *testing.T) {
+	for _, tc := range []struct {
+		mode    isolation.Mode
+		trust   bool
+		callers []string
+		want    []bool
+	}{
+		{isolation.ModeGH, false, []string{"a", "a", "a"}, []bool{false, true, true}},
+		{isolation.ModeGHNop, false, []string{"a", "a"}, []bool{false, false}},
+		{isolation.ModeBase, false, []string{"a", "a"}, []bool{false, false}},
+		{isolation.ModeGH, true, []string{"alice", "alice", "bob", "bob"}, []bool{false, false, true, false}},
+	} {
+		pl := newPlatform(t, tc.mode, 1)
+		pl.TrustSameCaller = tc.trust
+		for i, caller := range tc.callers {
+			st, err := pl.Respond(caller)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if st.RolledBack != tc.want[i] {
+				t.Errorf("%s (trust %v) request %d from %s: RolledBack %v, want %v", tc.mode, tc.trust, i, caller, st.RolledBack, tc.want[i])
+			}
+		}
+	}
+}
+
+// TestRemoveContainerDropsPendingCleanup: a container removed, or torn down,
+// with its cleanup pending takes the cleanup with it. Settle then does
+// nothing, rather than restore a released manager, and every frame and lent
+// page comes back.
+func TestRemoveContainerDropsPendingCleanup(t *testing.T) {
+	for _, remove := range []func(*Platform){
+		func(pl *Platform) { pl.RemoveContainer(pl.Containers()[0]) },
+		(*Platform).Teardown,
+	} {
+		pl := newPlatform(t, isolation.ModeGH, 1)
+		if _, err := pl.Respond(""); err != nil {
+			t.Fatal(err)
+		}
+		remove(pl)
+		if cl, err := pl.Settle(); err != nil || cl.Restored {
+			t.Fatalf("Settle after removing the container = %+v, %v; want nothing", cl, err)
+		}
+		pl.Teardown()
+		if phys := pl.Kern.Phys; phys.InUse() != 0 || phys.Lent() != 0 {
+			t.Fatalf("%d frames in use, %d pages lent after teardown", phys.InUse(), phys.Lent())
+		}
+	}
+}

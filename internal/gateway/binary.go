@@ -11,7 +11,9 @@
 //	         -> op=1 | routeID u32
 //	invoke   := op=2 | routeID u32 | callerLen u8 | caller | body
 //	         -> op=2 | e2eUs u64 | invokerUs u64 | flags u8 | body (echoed)
-//	            flags bit0 = request served from a restored snapshot
+//	            flags bit0 = the container was rolled back since its
+//	                         previous request (the reply precedes this
+//	                         request's own rollback)
 //	error    -> op=255 | code u8 | retryAfterSecs u16 | msgLen u16 | msg
 //
 // Error codes and their connection fate: a frame that parses (known op,
@@ -161,15 +163,23 @@ func (g *Gateway) ServeBinaryConn(conn net.Conn) error {
 		if _, err := io.ReadFull(conn, rbuf); err != nil {
 			return err
 		}
+		var settle *route
 		switch rbuf[0] {
 		case opResolve:
 			wbuf = g.binResolve(wbuf[:0], rbuf[1:])
 		case opInvoke:
-			wbuf = g.binInvoke(wbuf[:0], rbuf[1:])
+			wbuf, settle = g.binInvoke(wbuf[:0], rbuf[1:])
 		default:
 			wbuf = appendError(wbuf[:0], CodeBadOp, 0, "unknown op")
 		}
-		if _, err := conn.Write(wbuf); err != nil {
+		// The reply goes out before the restore, and with no deployment lock
+		// held: a peer that never reads stalls only this connection, and the
+		// deployment's next request settles the cleanup in this one's place.
+		_, err := conn.Write(wbuf)
+		if settle != nil {
+			settle.h.Settle()
+		}
+		if err != nil {
 			return err
 		}
 	}
@@ -211,28 +221,30 @@ func (g *Gateway) binResolve(b, p []byte) []byte {
 	return binary.BigEndian.AppendUint32(b, rt.id)
 }
 
-// binInvoke answers an invoke frame — the binary hot path. With a cached
-// route ID and empty caller it allocates nothing in steady state.
-func (g *Gateway) binInvoke(b, p []byte) []byte {
+// binInvoke answers an invoke frame — the binary hot path — and returns the
+// route whose pending cleanup the caller settles once the reply is written
+// (nil unless the invoke was served). With a cached route ID and empty
+// caller it allocates nothing in steady state.
+func (g *Gateway) binInvoke(b, p []byte) ([]byte, *route) {
 	if len(p) < 5 {
-		return appendError(b, CodeBadFrame, 0, "short invoke payload")
+		return appendError(b, CodeBadFrame, 0, "short invoke payload"), nil
 	}
 	id := binary.BigEndian.Uint32(p[:4])
 	callerLen := int(p[4])
 	if len(p) < 5+callerLen {
-		return appendError(b, CodeBadFrame, 0, "invoke length mismatch")
+		return appendError(b, CodeBadFrame, 0, "invoke length mismatch"), nil
 	}
 	body := p[5+callerLen:]
 	rt := g.routeByID(id)
 	if rt == nil {
-		return appendError(b, CodeUnknown, 0, "unknown route id")
+		return appendError(b, CodeUnknown, 0, "unknown route id"), nil
 	}
 
 	select {
 	case rt.slots <- struct{}{}:
 	default:
 		g.rejected.Add(1)
-		return appendError(b, CodeQueueFull, retrySecsU16(rt), "deployment queue full")
+		return appendError(b, CodeQueueFull, retrySecsU16(rt), "deployment queue full"), nil
 	}
 	caller := ""
 	if callerLen > 0 {
@@ -244,12 +256,12 @@ func (g *Gateway) binInvoke(b, p []byte) []byte {
 		switch {
 		case errors.Is(err, server.ErrGone):
 			g.dropRoute(rt)
-			return appendError(b, CodeGone, 0, err.Error())
+			return appendError(b, CodeGone, 0, err.Error()), nil
 		case faas.IsTransient(err):
 			g.transient.Add(1)
-			return appendError(b, CodeTransient, retrySecsU16(rt), err.Error())
+			return appendError(b, CodeTransient, retrySecsU16(rt), err.Error()), nil
 		default:
-			return appendError(b, CodeInternal, 0, err.Error())
+			return appendError(b, CodeInternal, 0, err.Error()), nil
 		}
 	}
 	g.served.Add(1)
@@ -259,11 +271,11 @@ func (g *Gateway) binInvoke(b, p []byte) []byte {
 	b = binary.BigEndian.AppendUint64(b, uint64(st.E2E)/1000)
 	b = binary.BigEndian.AppendUint64(b, uint64(st.Invoker)/1000)
 	var flags byte
-	if st.Restored {
+	if st.RolledBack {
 		flags |= flagRestored
 	}
 	b = append(b, flags)
-	return append(b, body...)
+	return append(b, body...), rt
 }
 
 // retrySecsU16 clamps a route's Retry-After to the error frame's u16 field.

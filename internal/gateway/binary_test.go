@@ -252,8 +252,11 @@ func TestBinaryQueueFullFrame(t *testing.T) {
 
 // TestBinarySlowConsumerDoesNotWedgeHTTP: a binary client that stops
 // reading blocks only its own connection's response write — the admission
-// slot is released before the write, so HTTP traffic to the same
-// deployment keeps flowing.
+// slot and the deployment lock are released before the write, so HTTP
+// traffic to the same deployment keeps flowing. The stalled reply also holds
+// back its own Settle, so the HTTP requests settle its restore in its place:
+// each of their replies follows a rollback, and every request's rollback
+// runs exactly once.
 func TestBinarySlowConsumerDoesNotWedgeHTTP(t *testing.T) {
 	_, g := newGateway(t, Config{QueueDepth: 2})
 	ts := serveHTTP(t, g)
@@ -271,9 +274,14 @@ func TestBinarySlowConsumerDoesNotWedgeHTTP(t *testing.T) {
 	go func() { c.Write(frame(opInvoke, invokePayload(id, "", big))) }()
 	waitUntil(t, "binary invoke to complete", func() bool { return g.Snapshot().Served >= 1 })
 
-	for i := 0; i < 5; i++ {
-		if status, _, _ := postFn(t, fnURL(ts.URL, fn), "http while binary stalls"); status != http.StatusOK {
+	const posts = 5
+	for i := 0; i < posts; i++ {
+		status, _, hdr := postFn(t, fnURL(ts.URL, fn), "http while binary stalls")
+		if status != http.StatusOK {
 			t.Fatalf("http request %d: status %d, want 200", i, status)
+		}
+		if st := hdr.Get("X-Gh-Stats"); !strings.HasSuffix(st, ";restored=1") {
+			t.Fatalf("http request %d ran before the previous request's rollback: X-Gh-Stats %q", i, st)
 		}
 	}
 
@@ -281,6 +289,12 @@ func TestBinarySlowConsumerDoesNotWedgeHTTP(t *testing.T) {
 	op, p := readFrame(t, c)
 	if op != opInvoke || string(p[17:]) != string(big) {
 		t.Fatalf("stalled response corrupt: op=%d len=%d", op, len(p))
+	}
+	if p[16]&flagRestored != 0 {
+		t.Fatal("the container's first reply reports a rollback before it")
+	}
+	if d := listDeployments(t, ts.URL); len(d) != 1 || d[0].Invoked != 1+posts || d[0].Restored != 1+posts {
+		t.Fatalf("deployments %+v, want %d requests served and rolled back once each", d, 1+posts)
 	}
 }
 

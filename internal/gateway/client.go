@@ -31,8 +31,10 @@ func (e *ProtoError) Error() string {
 type InvokeResult struct {
 	E2EUs     uint64
 	InvokerUs uint64
-	Restored  bool
-	Body      []byte
+	// Restored is flags bit0: the container was rolled back since its
+	// previous request.
+	Restored bool
+	Body     []byte
 }
 
 // BinaryClient speaks the binary protocol over one connection. Not safe for

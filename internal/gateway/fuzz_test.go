@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"io"
+	"math"
 	"net"
 	"net/http"
 	"net/http/httptest"
@@ -54,9 +55,24 @@ func expectedReplies(data []byte, maxFrame uint32) (replies int, badLength bool)
 // frame, and answers a bad length with CodeBadFrame and a closed connection.
 // The seed corpus is testdata/fuzz/FuzzServeBinaryConn; route ID 0 (the
 // gateway's first) is live in every run, so the corpus's invokes, and their
-// mutations, reach the platform.
+// mutations, reach the platform. A small maxBody keeps the fuzzer's inputs
+// short; FuzzServeBinaryMaxBody holds the same property at MaxBody.
 func FuzzServeBinaryConn(f *testing.F) {
-	const maxBody = 1024
+	fuzzBinaryConn(f, 1024)
+}
+
+// FuzzServeBinaryMaxBody is FuzzServeBinaryConn at the production MaxBody,
+// where a frame can carry more than an error frame's u16 message length
+// can quote. Its seed resolves a 65,535-byte function name: the unknown-name
+// error quoting it back must be clipped and still state its own size.
+func FuzzServeBinaryMaxBody(f *testing.F) {
+	f.Add(frame(opResolve, resolvePayload(modeDefault, strings.Repeat("x", math.MaxUint16))))
+	fuzzBinaryConn(f, MaxBody)
+}
+
+// fuzzBinaryConn runs the binary decoder's fuzz property on a gateway whose
+// body cap is maxBody.
+func fuzzBinaryConn(f *testing.F, maxBody int) {
 	s := server.New()
 	g := New(s, Config{})
 	g.maxBody = maxBody
@@ -86,7 +102,7 @@ func FuzzServeBinaryConn(f *testing.F) {
 			_, _ = client.Write(data)
 		}()
 
-		replies, badLength := expectedReplies(data, maxBody+frameOverhead)
+		replies, badLength := expectedReplies(data, uint32(maxBody+frameOverhead))
 		var hdr [4]byte
 		var lastOp, lastCode byte
 		for i := 0; i < replies; i++ {
@@ -94,7 +110,7 @@ func FuzzServeBinaryConn(f *testing.F) {
 				t.Fatalf("reply %d of %d: %v", i+1, replies, err)
 			}
 			n := binary.BigEndian.Uint32(hdr[:])
-			if n == 0 || n > maxBody+2*frameOverhead { // an invoke reply is its request's body plus 18 bytes
+			if n == 0 || int(n) > maxBody+2*frameOverhead { // an invoke reply is its request's body plus 18 bytes
 				t.Fatalf("reply %d: length prefix %d", i+1, n)
 			}
 			p := make([]byte, n)
@@ -113,7 +129,7 @@ func FuzzServeBinaryConn(f *testing.F) {
 				}
 			case opError:
 				if len(p) < 5 || len(p) != 5+int(binary.BigEndian.Uint16(p[3:5])) {
-					t.Fatalf("reply %d: malformed error frame % x", i+1, p)
+					t.Fatalf("reply %d: malformed error frame of %d bytes, starting % x", i+1, len(p), p[:min(len(p), 16)])
 				}
 				lastCode = p[0]
 			default:

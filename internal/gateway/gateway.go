@@ -5,15 +5,23 @@
 // It is the only way a request reaches a deployment. The rest of the HTTP
 // listener falls through to internal/server's JSON control plane, which
 // only lists (/deployments, /functions, /modes); this package is priced for
-// traffic. Three design rules hold on the hot path:
+// traffic. Four design rules hold on the hot path:
 //
 //   - No per-request JSON. POST /fn/<name> takes the raw request body,
 //     returns the raw body (the simulated functions produce no payload of
 //     their own, so the data plane echoes the input — end-to-end payload
 //     integrity is testable), and reports per-request metadata in one
-//     response header (X-Gh-Stats: e2e_us=..;invoker_us=..;restored=0|1).
-//     Isolation mode and caller principal ride request headers (X-Gh-Mode,
-//     X-Gh-Caller).
+//     response header (X-Gh-Stats: e2e_us=..;invoker_us=..;restored=0|1,
+//     where restored=1 means the container was rolled back since its
+//     previous request). Isolation mode and caller principal ride request
+//     headers (X-Gh-Mode, X-Gh-Caller).
+//
+//   - Reply first, then restore. server.Handle.Invoke returns once the
+//     response exists and leaves the request's rollback pending; the
+//     listener writes the reply, then calls Handle.Settle, and whoever
+//     takes the deployment lock next settles first if Settle could not. No
+//     deployment lock is held across a socket write, and a request still
+//     reaches a container only after the previous request's rollback (§4.5).
 //
 //   - No per-request allocation from the gateway itself. Request records
 //     and body buffers are pooled, the route table is read-locked and
@@ -128,8 +136,9 @@ type route struct {
 	h       *server.Handle
 
 	// slots is the admission queue: buffered to QueueDepth, one slot held
-	// from admission until the invoke completes (not until the response is
-	// written — a slow client never holds admission capacity).
+	// from admission until Invoke returns with the response (not while the
+	// response is written or the restore runs after it — a slow client
+	// never holds admission capacity).
 	slots chan struct{}
 }
 
@@ -221,6 +230,20 @@ func modeIndex(s string) int {
 type job struct {
 	body []byte
 	hdr  []byte
+	// clen is the Content-Length header value for a body of clenN bytes. It
+	// is rebuilt when the body length changes, never edited in place (a
+	// header map may still hold it), so same-size replies allocate nothing
+	// for it.
+	clen  []string
+	clenN int
+}
+
+// contentLength returns the Content-Length header value for j.body.
+func (j *job) contentLength() []string {
+	if j.clen == nil || j.clenN != len(j.body) {
+		j.clen, j.clenN = []string{strconv.Itoa(len(j.body))}, len(j.body)
+	}
+	return j.clen
 }
 
 var jobPool = sync.Pool{New: func() any { return &job{} }}
@@ -265,7 +288,7 @@ func appendStats(b []byte, st faas.RequestStats) []byte {
 	b = strconv.AppendInt(b, int64(st.E2E)/1000, 10)
 	b = append(b, ";invoker_us="...)
 	b = strconv.AppendInt(b, int64(st.Invoker)/1000, 10)
-	if st.Restored {
+	if st.RolledBack {
 		b = append(b, ";restored=1"...)
 	} else {
 		b = append(b, ";restored=0"...)
@@ -296,9 +319,9 @@ func (g *Gateway) handleFn(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	// Admission: one bounded slot per request, held from here until the
-	// invoke completes. A full queue sheds immediately — no goroutine ever
-	// waits on a deployment it was not admitted to.
+	// Admission: one bounded slot per request, held from here until Invoke
+	// returns with the response. A full queue sheds immediately — no
+	// goroutine ever waits on a deployment it was not admitted to.
 	select {
 	case rt.slots <- struct{}{}:
 	default:
@@ -330,11 +353,21 @@ func (g *Gateway) handleFn(w http.ResponseWriter, r *http.Request) {
 	}
 	g.served.Add(1)
 
+	// The reply leaves before the restore: with Content-Length set, Flush
+	// puts the whole response on the wire (without it, Flush switches to
+	// chunked encoding, whose last chunk only the handler's return writes),
+	// and the deployment's pending cleanup runs after.
 	j.hdr = appendStats(j.hdr[:0], st)
-	w.Header().Set("X-Gh-Stats", string(j.hdr))
+	hdr := w.Header()
+	hdr.Set("X-Gh-Stats", string(j.hdr))
+	hdr["Content-Length"] = j.contentLength()
 	w.WriteHeader(http.StatusOK)
 	_, _ = w.Write(j.body)
+	if f, ok := w.(http.Flusher); ok {
+		f.Flush()
+	}
 	jobPool.Put(j)
+	rt.h.Settle()
 }
 
 // failInvoke maps an invoke error onto the HTTP status taxonomy: gone

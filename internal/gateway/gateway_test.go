@@ -1,9 +1,11 @@
 package gateway
 
 import (
+	"bufio"
 	"encoding/json"
 	"fmt"
 	"io"
+	"net"
 	"net/http"
 	"net/http/httptest"
 	"net/url"
@@ -55,6 +57,21 @@ func postFn(t *testing.T, u, body string) (int, string, http.Header) {
 		t.Fatal(err)
 	}
 	return resp.StatusCode, string(b), resp.Header
+}
+
+// listDeployments fetches the control plane's /deployments listing.
+func listDeployments(t *testing.T, base string) []server.DeploymentInfo {
+	t.Helper()
+	resp, err := http.Get(base + "/deployments")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var deps []server.DeploymentInfo
+	if err := json.NewDecoder(resp.Body).Decode(&deps); err != nil {
+		t.Fatal(err)
+	}
+	return deps
 }
 
 // waitUntil polls cond for up to 2s.
@@ -158,16 +175,7 @@ func TestGatewayDefaultModeIsGH(t *testing.T) {
 	if status, _, _ := postFn(t, fnURL(ts.URL, "version (p)"), "x"); status != http.StatusOK {
 		t.Fatalf("POST without X-Gh-Mode: status %d", status)
 	}
-	resp, err := http.Get(ts.URL + "/deployments")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	var deps []server.DeploymentInfo
-	if err := json.NewDecoder(resp.Body).Decode(&deps); err != nil {
-		t.Fatal(err)
-	}
-	if len(deps) != 1 || deps[0].Mode != "gh" {
+	if deps := listDeployments(t, ts.URL); len(deps) != 1 || deps[0].Mode != "gh" {
 		t.Fatalf("deployments after a default-mode request = %+v, want one gh entry", deps)
 	}
 }
@@ -377,12 +385,15 @@ func TestGatewayQueueIsolation(t *testing.T) {
 	}
 }
 
-// TestGatewayFaultInjection: the PR 6 invariants hold over real HTTP. A
+// TestGatewayFaultInjection: the fault invariants hold over real HTTP. A
 // deterministic fault plan (mid-request crash on the 2nd request, restore
-// fault a few requests later) is armed behind the gateway; every accepted
-// request gets exactly one response — 200 with an intact echo or 503 +
-// Retry-After for transient failures — and after shutdown no deployment
-// leaks a single frame.
+// fault a few requests later) is armed behind the gateway. The requests go
+// one after another down one connection, and every accepted request gets
+// exactly one response — 200 with an intact echo or 503 + Retry-After for
+// transient failures — and nothing follows the last. The restore fault
+// fires after its request's reply, so that reply stands and only the
+// container is lost. Only a fresh container's first reply says restored=0.
+// After shutdown no deployment leaks a single frame.
 func TestGatewayFaultInjection(t *testing.T) {
 	s, g := newGateway(t, Config{})
 	ts := serveHTTP(t, g)
@@ -403,25 +414,53 @@ func TestGatewayFaultInjection(t *testing.T) {
 		t.Fatal(err)
 	}
 
+	conn, err := net.Dial("tcp", ts.Listener.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	br := bufio.NewReader(conn)
 	const n = 12
-	var ok, transient int
+	var ok, transient, fresh int
 	for i := 0; i < n; i++ {
 		body := fmt.Sprintf("req-%d", i)
-		status, echo, hdr := postFn(t, u, body)
-		switch status {
+		req, err := http.NewRequest(http.MethodPost, u, strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := req.Write(conn); err != nil {
+			t.Fatal(err)
+		}
+		resp, err := http.ReadResponse(br, req)
+		if err != nil {
+			t.Fatalf("request %d: %v", i, err)
+		}
+		echo, err := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if err != nil {
+			t.Fatalf("request %d: %v", i, err)
+		}
+		switch resp.StatusCode {
 		case http.StatusOK:
 			ok++
-			if echo != body {
+			if string(echo) != body {
 				t.Fatalf("request %d: echo %q != body %q", i, echo, body)
+			}
+			if strings.HasSuffix(resp.Header.Get("X-Gh-Stats"), ";restored=0") {
+				fresh++
 			}
 		case http.StatusServiceUnavailable:
 			transient++
-			if hdr.Get("Retry-After") == "" {
+			if resp.Header.Get("Retry-After") == "" {
 				t.Fatalf("request %d: 503 without Retry-After", i)
 			}
 		default:
-			t.Fatalf("request %d: status %d, want 200 or 503", i, status)
+			t.Fatalf("request %d: status %d, want 200 or 503", i, resp.StatusCode)
 		}
+	}
+	_ = conn.SetReadDeadline(time.Now().Add(50 * time.Millisecond))
+	if extra, err := br.ReadByte(); err == nil {
+		t.Fatalf("a byte (%q) follows the last response: some request was answered twice", extra)
 	}
 	if ok+transient != n {
 		t.Fatalf("responses %d+%d != %d requests", ok, transient, n)
@@ -435,6 +474,16 @@ func TestGatewayFaultInjection(t *testing.T) {
 	snap := g.Snapshot()
 	if snap.Served != uint64(ok) || snap.Transient != uint64(transient) {
 		t.Fatalf("snapshot %+v, want served=%d transient=%d", snap, ok, transient)
+	}
+	d := listDeployments(t, ts.URL)[0]
+	if d.Crashes != 1 || d.RestoreFaults != 1 {
+		t.Fatalf("crashes %d, restore faults %d; want 1 each", d.Crashes, d.RestoreFaults)
+	}
+	if d.Invoked != ok || d.Restored != ok-d.RestoreFaults {
+		t.Fatalf("invoked %d, restored %d; want %d served, each rolled back but the one whose restore failed", d.Invoked, d.Restored, ok)
+	}
+	if want := 1 + d.Crashes + d.RestoreFaults; fresh != want {
+		t.Fatalf("%d replies say restored=0, want %d (the first on each fresh container)", fresh, want)
 	}
 
 	_ = g.Close()

@@ -25,9 +25,9 @@ import (
 var ErrGone = errors.New("server: deployment gone")
 
 // Handle is an opaque reference to one fn × mode deployment, valid until
-// the deployment is torn down. Handles are cheap and safe to cache: Invoke
-// and ArmFaults serialize on the deployment's own lock, never the server's,
-// so unrelated deployments invoke concurrently.
+// the deployment is torn down. Handles are cheap and safe to cache: Invoke,
+// Settle and ArmFaults serialize on the deployment's own lock, never the
+// server's, so unrelated deployments invoke concurrently.
 type Handle struct {
 	dep *deployment
 }
@@ -55,19 +55,30 @@ func (s *Server) DataPlane(fn string, mode isolation.Mode) (*Handle, error) {
 }
 
 // Invoke runs one request from caller against the deployment and returns
-// its stats. It is the one request path: under the deployment's lock, taken
-// once, it re-pools an empty deployment (crash-drained or reaped to zero)
-// with a fresh cold start, runs the request, counts it and republishes the
-// cold-start mean. DataPlane deployed the platform before handing out the
-// handle, so only a teardown since (ErrGone) stands in the way. Transient
-// failures (injected crashes, exhausted cold-start retries) propagate for
-// the caller to answer with a retry hint.
+// its stats once the response exists, before the request's rollback. It is
+// the one request path: under the deployment's lock, taken once, it settles
+// the previous request's pending cleanup, re-pools an empty deployment
+// (crash-drained or reaped to zero) with a fresh cold start, runs the
+// request up to its response (faas.Platform.Respond), counts it and
+// republishes the cold-start mean. If another Invoke is waiting for the
+// lock, it restores inline before unlocking, since the waiter would wait
+// for that restore anyway (§4.5); otherwise it leaves the cleanup pending
+// for Settle, or for whoever takes the lock next, which settles first.
+// DataPlane deployed the platform before handing out the handle, so only a
+// teardown since (ErrGone) stands in the way. Transient failures (injected
+// crashes, exhausted cold-start retries) propagate for the caller to answer
+// with a retry hint.
 func (h *Handle) Invoke(caller string) (st faas.RequestStats, err error) {
 	dep := h.dep
+	dep.waiters.Add(1)
 	dep.mu.Lock()
+	dep.waiters.Add(-1)
 	defer dep.mu.Unlock()
 	if dep.gone {
 		return st, ErrGone
+	}
+	if _, err = dep.settle(); err != nil {
+		return st, err
 	}
 	defer dep.publishColdMean()
 	pl := dep.platform
@@ -79,11 +90,29 @@ func (h *Handle) Invoke(caller string) (st faas.RequestStats, err error) {
 			return st, err
 		}
 	}
-	if st, err = pl.InvokeOnce(caller); err != nil {
+	if st, err = pl.Respond(caller); err != nil {
 		return st, err
 	}
 	dep.record(st)
+	dep.pending.Store(true)
+	if dep.waiters.Load() > 0 {
+		_, _ = dep.settle() // a failure stays pending; the waiter reports it
+	}
 	return st, nil
+}
+
+// Settle runs the cleanup the deployment's last Invoke left pending: the
+// gateway calls it once the reply has left. It never waits: when another
+// request holds the deployment lock, that holder settles first, so Settle
+// returns without doing anything. A cleanup that fails stays pending for
+// the next Invoke to report.
+func (h *Handle) Settle() {
+	dep := h.dep
+	if !dep.pending.Load() || !dep.mu.TryLock() {
+		return
+	}
+	_, _ = dep.settle()
+	dep.mu.Unlock()
 }
 
 // ColdStartMeanMs reports the deployment's observed mean cold-start cost in
@@ -97,7 +126,7 @@ func (h *Handle) ColdStartMeanMs() float64 {
 
 // ArmFaults arms a deterministic fault plan on the deployment's kernel. The
 // kernel is the deployment's own, so the blast radius is this deployment and
-// nothing else.
+// nothing else. A cleanup still pending runs first, under the old plan.
 func (h *Handle) ArmFaults(plan faults.Plan) error {
 	if err := plan.Validate(); err != nil {
 		return err
@@ -107,6 +136,11 @@ func (h *Handle) ArmFaults(plan faults.Plan) error {
 	defer dep.mu.Unlock()
 	if dep.gone {
 		return ErrGone
+	}
+	// The previous request's restore runs under the plan it was served
+	// under, never the new one.
+	if _, err := dep.settle(); err != nil {
+		return err
 	}
 	dep.platform.Kern.Faults = faults.New(plan)
 	return nil
@@ -137,11 +171,13 @@ func (s *Server) Shutdown() int {
 
 // teardown tears the deployment's platform down and returns the frames its
 // kernel still counts in use afterwards, plus the pages it still lends: the
-// deployment's leak. Caller holds dep.mu.
+// deployment's leak. A pending cleanup is dropped with its container, not
+// run. Caller holds dep.mu.
 func (dep *deployment) teardown() int {
 	if dep.platform == nil {
 		return 0
 	}
+	dep.pending.Store(false)
 	dep.platform.Teardown()
 	phys := dep.platform.Kern.Phys
 	return phys.InUse() + phys.Lent()
@@ -162,7 +198,23 @@ func (dep *deployment) publishColdMean() {
 func (dep *deployment) record(st faas.RequestStats) {
 	dep.invoked++
 	dep.e2e = metrics.PushBounded(dep.e2e, float64(st.E2E)/1e6, e2eWindow)
+}
+
+// settle runs the platform's pending cleanup, if any, and counts its
+// rollback, so /deployments counts the rollbacks actually done. It returns
+// the cleanup half of the stats. A failed cleanup stays pending. Caller
+// holds dep.mu.
+func (dep *deployment) settle() (faas.RequestStats, error) {
+	if !dep.pending.Load() {
+		return faas.RequestStats{}, nil
+	}
+	st, err := dep.platform.Settle()
+	if err != nil {
+		return st, err
+	}
+	dep.pending.Store(false)
 	if st.Restored {
 		dep.restored++
 	}
+	return st, nil
 }

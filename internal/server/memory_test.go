@@ -60,7 +60,13 @@ func TestShutdownCountsUndeployedLeaks(t *testing.T) {
 	for _, fn := range []string{"get-time (p)", "version (p)"} {
 		invoke(t, s, fn, isolation.ModeGH, "")
 	}
-	s.deployments["get-time (p)|gh"].platform.Kern.Phys.Alloc()
+	dep := s.deployments["get-time (p)|gh"]
+	dep.mu.Lock()
+	if _, err := dep.settle(); err != nil {
+		t.Fatal(err)
+	}
+	dep.platform.Kern.Phys.Alloc()
+	dep.mu.Unlock()
 	if leaked := s.Shutdown(); leaked != 1 {
 		t.Fatalf("Shutdown() = %d leaked frames, want the 1 left on get-time's kernel", leaked)
 	}

@@ -58,13 +58,20 @@ type deployment struct {
 	seed  uint64
 	trust bool
 
-	mu       sync.Mutex
+	mu sync.Mutex
+	// pending is set while the last Invoke's cleanup waits on the platform
+	// (faas.Platform.Settle); waiters counts the Invokes blocked on mu. Both
+	// are atomics so Handle.Settle and the unlocking Invoke read them without
+	// the lock.
+	pending  atomic.Bool
+	waiters  atomic.Int32
 	platform *faas.Platform
 	// gone marks a torn-down deployment: the record left the registry
 	// (Shutdown, or a failed deploy) and cached data-plane handles must fail
 	// with ErrGone instead of reviving it.
-	gone     bool
-	invoked  int
+	gone    bool
+	invoked int
+	// restored counts the rollbacks actually done, at settle time.
 	restored int
 	// e2e is a drop-oldest ring of recent per-request end-to-end latency
 	// samples (ms) — the windowed latency summary /deployments reports and
@@ -252,8 +259,10 @@ type DeploymentInfo struct {
 	Policies []trace.Advice `json:"policies"`
 }
 
-// describe renders one deployment's listing entry. Caller holds dep.mu.
+// describe renders one deployment's listing entry, after settling any
+// pending cleanup so the listing counts it. Caller holds dep.mu.
 func (dep *deployment) describe() DeploymentInfo {
+	_, _ = dep.settle() // a failure stays pending for the next Invoke to report
 	info := DeploymentInfo{
 		Function: dep.fn,
 		Mode:     string(dep.mode),

@@ -2,6 +2,7 @@ package server
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"net/http"
 	"net/http/httptest"
@@ -99,9 +100,24 @@ func TestModes(t *testing.T) {
 	}
 }
 
+// settle runs h's pending cleanup under the deployment lock, as the next
+// request would, and returns its half of the stats.
+func settle(t *testing.T, h *Handle) faas.RequestStats {
+	t.Helper()
+	h.dep.mu.Lock()
+	defer h.dep.mu.Unlock()
+	st, err := h.dep.settle()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return st
+}
+
 // TestInvokeLifecycle: the deploy pays the one cold start /deployments
-// reports, a GH request restores, and a warm one adds no cold start and has
-// plausible latencies.
+// reports; a GH request's reply comes back before its restore, which the
+// next holder of the deployment lock (or Settle) runs; the next reply says
+// its container was rolled back; and a warm request adds no cold start and
+// has plausible latencies.
 func TestInvokeLifecycle(t *testing.T) {
 	s, ts := testServer(t)
 	h, err := s.DataPlane("get-time (p)", isolation.ModeGH)
@@ -116,26 +132,48 @@ func TestInvokeLifecycle(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !first.Restored || first.Cleanup <= 0 {
-		t.Fatalf("GH invocation did not restore: %+v", first)
+	if first.RolledBack || first.Restored || first.Cleanup != 0 {
+		t.Fatalf("a fresh container's first reply reports a rollback: %+v", first)
+	}
+	if !h.dep.pending.Load() {
+		t.Fatal("the reply went out with no cleanup pending")
+	}
+	if cl := settle(t, h); !cl.Restored || cl.Cleanup <= 0 {
+		t.Fatalf("GH invocation did not restore: %+v", cl)
 	}
 
 	second, err := h.Invoke("")
 	if err != nil {
 		t.Fatal(err)
 	}
+	if !second.RolledBack {
+		t.Fatalf("the reply after a GH restore does not say so: %+v", second)
+	}
 	if second.Invoker <= 0 || second.E2E <= second.Invoker {
 		t.Fatalf("implausible latencies: %+v", second)
 	}
-	if d := deployments(t, ts)[0]; d.FullColdStarts != 1 || d.CloneColdStarts != 0 {
+	h.Settle()
+	if h.dep.pending.Load() {
+		t.Fatal("Settle on an idle deployment left the cleanup pending")
+	}
+	d := deployments(t, ts)[0]
+	if d.FullColdStarts != 1 || d.CloneColdStarts != 0 {
 		t.Fatalf("warm invocations paid a cold start: %d full, %d clone", d.FullColdStarts, d.CloneColdStarts)
+	}
+	if d.Invoked != 2 || d.Restored != 2 {
+		t.Fatalf("invoked %d, restored %d; want 2 and 2", d.Invoked, d.Restored)
 	}
 }
 
 func TestInvokeBaseNeverRestores(t *testing.T) {
-	s, _ := testServer(t)
-	if st := invoke(t, s, "get-time (p)", isolation.ModeBase, ""); st.Restored || st.Cleanup != 0 {
-		t.Fatalf("BASE restored: %+v", st)
+	s, ts := testServer(t)
+	for i := 0; i < 2; i++ {
+		if st := invoke(t, s, "get-time (p)", isolation.ModeBase, ""); st.RolledBack || st.Restored || st.Cleanup != 0 {
+			t.Fatalf("BASE request %d restored: %+v", i, st)
+		}
+	}
+	if d := deployments(t, ts)[0]; d.Restored != 0 {
+		t.Fatalf("BASE deployment counts %d rollbacks", d.Restored)
 	}
 }
 
@@ -202,6 +240,7 @@ func TestDeploymentsPerFunctionBreakdown(t *testing.T) {
 	if d.ColdStartTotalMS <= 0 {
 		t.Fatalf("no cold-start bill: %+v", d)
 	}
+	// The third request's restore was still pending; the listing settles it.
 	if d.Restored != 3 {
 		t.Fatalf("restored = %d, want 3 (GH restores per request)", d.Restored)
 	}
@@ -235,10 +274,10 @@ func TestTrustedCaller(t *testing.T) {
 	s, _ := testServer(t)
 	s.SetTrustSameCaller(true)
 	invoke(t, s, "md2html (p)", isolation.ModeGH, "alice")
-	if a2 := invoke(t, s, "md2html (p)", isolation.ModeGH, "alice"); a2.Restored || a2.Cleanup != 0 {
+	if a2 := invoke(t, s, "md2html (p)", isolation.ModeGH, "alice"); a2.RolledBack || a2.PreRestore != 0 {
 		t.Fatalf("same-caller invocation restored: %+v", a2)
 	}
-	if b := invoke(t, s, "md2html (p)", isolation.ModeGH, "bob"); b.PreRestore <= 0 {
+	if b := invoke(t, s, "md2html (p)", isolation.ModeGH, "bob"); b.PreRestore <= 0 || !b.RolledBack {
 		t.Fatalf("caller switch did not pay deferred restore: %+v", b)
 	}
 }
@@ -349,13 +388,21 @@ func TestZeroContainerDeployment(t *testing.T) {
 	if dep == nil {
 		t.Fatal("deployment not registered")
 	}
+	dep.mu.Lock()
+	if _, err := dep.settle(); err != nil {
+		t.Fatal(err)
+	}
 	dep.platform.RemoveContainer(dep.platform.Containers()[0])
+	dep.mu.Unlock()
 
 	if deps := deployments(t, ts); len(deps) != 1 || deps[0].ColdStartMS != 0 {
 		t.Fatalf("zero-container deployment listing = %+v, want one entry with zero cold start", deps)
 	}
 	invoke(t, s, "version (p)", isolation.ModeGH, "")
-	if n := len(dep.platform.Containers()); n != 1 {
+	dep.mu.Lock()
+	n := len(dep.platform.Containers())
+	dep.mu.Unlock()
+	if n != 1 {
 		t.Fatalf("containers after invoking a drained platform = %d, want 1 (pool healed)", n)
 	}
 }
@@ -383,5 +430,206 @@ func TestColdStartMeanTakesNoLock(t *testing.T) {
 		}
 	case <-time.After(time.Second):
 		t.Fatal("ColdStartMeanMs blocked on the deployment lock")
+	}
+}
+
+// TestPendingCleanupRunsInlineForAWaiter: an Invoke that finds another one
+// waiting for the deployment lock restores before it unlocks, since the
+// waiter would wait for that restore anyway; with no waiter it leaves the
+// cleanup pending.
+func TestPendingCleanupRunsInlineForAWaiter(t *testing.T) {
+	s, _ := testServer(t)
+	h, err := s.DataPlane("get-time (p)", isolation.ModeGH)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := h.Invoke(""); err != nil {
+		t.Fatal(err)
+	}
+	if !h.dep.pending.Load() {
+		t.Fatal("no waiter, yet the cleanup ran before the unlock")
+	}
+	h.dep.waiters.Add(1) // a request queued behind this one
+	_, err = h.Invoke("")
+	h.dep.waiters.Add(-1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if h.dep.pending.Load() {
+		t.Fatal("a request was waiting, yet the cleanup was left pending")
+	}
+	h.dep.mu.Lock()
+	restored := h.dep.restored
+	h.dep.mu.Unlock()
+	if restored != 2 {
+		t.Fatalf("restored = %d, want 2", restored)
+	}
+}
+
+// TestPendingCleanupSettleNeverWaits: Settle gives way to a holder of the
+// deployment lock, which settles first itself; once the lock is free it runs
+// the pending cleanup.
+func TestPendingCleanupSettleNeverWaits(t *testing.T) {
+	s, _ := testServer(t)
+	h, err := s.DataPlane("get-time (p)", isolation.ModeGH)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := h.Invoke(""); err != nil {
+		t.Fatal(err)
+	}
+	h.dep.mu.Lock()
+	done := make(chan struct{})
+	go func() { h.Settle(); close(done) }()
+	select {
+	case <-done:
+	case <-time.After(time.Second):
+		t.Fatal("Settle waited for the deployment lock")
+	}
+	h.dep.mu.Unlock()
+	if !h.dep.pending.Load() {
+		t.Fatal("Settle ran the cleanup without the lock")
+	}
+	h.Settle()
+	if h.dep.pending.Load() {
+		t.Fatal("Settle on a free deployment left the cleanup pending")
+	}
+}
+
+// TestPendingCleanupUnderConcurrentInvokes: requests on one deployment from
+// several goroutines, each followed by Settle as the gateway does. Every
+// reply but the container's first reports a rollback since the previous
+// request, so no request ran before the previous one's restore, and every
+// restore ran exactly once. Under -race this holds the hand-offs between
+// Invoke, its waiters and Settle.
+func TestPendingCleanupUnderConcurrentInvokes(t *testing.T) {
+	s, ts := testServer(t)
+	h, err := s.DataPlane("get-time (p)", isolation.ModeGH)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const workers, each = 4, 25
+	var wg sync.WaitGroup
+	var mu sync.Mutex
+	fresh := 0
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < each; i++ {
+				st, err := h.Invoke("")
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				h.Settle()
+				if !st.RolledBack {
+					mu.Lock()
+					fresh++
+					mu.Unlock()
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	if fresh != 1 {
+		t.Fatalf("%d replies report no rollback before them, want 1 (the container's first)", fresh)
+	}
+	if d := deployments(t, ts)[0]; d.Invoked != workers*each || d.Restored != workers*each {
+		t.Fatalf("invoked %d, restored %d; want %d each", d.Invoked, d.Restored, workers*each)
+	}
+}
+
+// TestPendingCleanupShutdown: Shutdown tears a deployment down with its
+// cleanup still pending, without running it, and leaks no frame or lent
+// page — alone, and racing requests that settle after their replies.
+func TestPendingCleanupShutdown(t *testing.T) {
+	s, _ := testServer(t)
+	h, err := s.DataPlane("get-time (p)", isolation.ModeGH)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := h.Invoke(""); err != nil {
+		t.Fatal(err)
+	}
+	if !h.dep.pending.Load() {
+		t.Fatal("no cleanup pending to shut down with")
+	}
+	if leaked := s.Shutdown(); leaked != 0 {
+		t.Fatalf("Shutdown with a cleanup pending leaked %d frames and lent pages", leaked)
+	}
+	h.Settle() // the handle is stale: nothing to run
+
+	stop := make(chan struct{})
+	var wg sync.WaitGroup
+	for w := 0; w < 3; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				h, err := s.DataPlane("get-time (p)", isolation.ModeGH)
+				if err == nil {
+					_, err = h.Invoke("")
+					h.Settle()
+				}
+				if err != nil && !errors.Is(err, ErrGone) {
+					t.Error(err)
+					return
+				}
+			}
+		}()
+	}
+	leaked := 0
+	for i := 0; i < 20; i++ {
+		leaked += s.Shutdown()
+		time.Sleep(time.Millisecond)
+	}
+	close(stop)
+	wg.Wait()
+	if leaked += s.Shutdown(); leaked != 0 {
+		t.Fatalf("shutdowns racing pending cleanups leaked %d frames and lent pages", leaked)
+	}
+}
+
+// TestArmFaultsSettlesPendingCleanup: ArmFaults runs a pending cleanup
+// under the old plan before it installs the new one, so the new plan's
+// first restore is the next request's. That restore, after the reply, fails:
+// the reply stands, the container goes, and the next request re-pools.
+func TestArmFaultsSettlesPendingCleanup(t *testing.T) {
+	s, ts := testServer(t)
+	h, err := s.DataPlane("version (p)", isolation.ModeGH)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := h.Invoke(""); err != nil {
+		t.Fatal(err)
+	}
+	if err := h.ArmFaults(faults.Plan{
+		Seed:     1,
+		Schedule: map[faults.Site][]uint64{faults.SiteRestore: {1}},
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if d := deployments(t, ts)[0]; d.RestoreFaults != 0 || d.Restored != 1 {
+		t.Fatalf("restore faults %d, restored %d; the new plan fired on the old request's restore", d.RestoreFaults, d.Restored)
+	}
+	if _, err := h.Invoke(""); err != nil {
+		t.Fatalf("a restore fault after the reply failed the request: %v", err)
+	}
+	h.Settle()
+	if d := deployments(t, ts)[0]; d.RestoreFaults != 1 || d.Containers != 0 || d.Invoked != 2 {
+		t.Fatalf("after the post-reply restore fault: %+v; want 1 restore fault, 0 containers, 2 served", d)
+	}
+	st, err := h.Invoke("")
+	if err != nil {
+		t.Fatalf("invoke after the restore fault: %v, want the pool re-pooled", err)
+	}
+	if st.RolledBack {
+		t.Fatalf("a fresh container's first reply reports a rollback: %+v", st)
 	}
 }
