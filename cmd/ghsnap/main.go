@@ -39,6 +39,11 @@ func main() {
 }
 
 func run(pages, dirty, threads int, tracker, store string, coalesce bool, churnOps int) error {
+	if dirty < 0 || dirty > pages {
+		// The request writes one word per page from the heap's start; past
+		// the last heap page it would write outside the process's mappings.
+		return fmt.Errorf("-dirty %d outside [0, -pages %d]", dirty, pages)
+	}
 	opts := core.Options{Coalesce: coalesce}
 	switch tracker {
 	case "soft-dirty":

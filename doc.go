@@ -10,8 +10,10 @@
 // Start with ARCHITECTURE.md for the package map, the data paths (the
 // request, the restore fast path, the UFFD dirty log, clone), and the table
 // of invariants with the tests that pin them; bench/README.md documents the
-// benchmark JSONs and the re-baseline workflow, and examples/ holds runnable
-// walkthroughs. The figures come from the CLI (-quick for reduced scale):
+// benchmark JSONs and the re-baseline workflow, and examples/ holds
+// walkthroughs whose output tier-1 pins (each has an Example with an
+// "// Output:" block). The figures come from the CLI (-quick for reduced
+// scale):
 //
 //	go run ./cmd/ghbench -e all
 //

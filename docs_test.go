@@ -1,12 +1,14 @@
 // Docs checks, run by the CI docs job: every relative markdown link must
 // resolve to a file in the repository, every Go name the reference docs put
-// in inline code must be declared, and every ```go fence must hold
-// gofmt-clean Go (a whole file, or a fragment of declarations/statements).
+// in inline code must be declared, every ```go fence must hold gofmt-clean
+// Go (a whole file, or a fragment of declarations/statements), and every
+// example program must pin its output.
 package groundhog_test
 
 import (
 	"encoding/json"
 	"go/ast"
+	"go/doc"
 	"go/format"
 	"go/parser"
 	"go/token"
@@ -378,6 +380,45 @@ func TestDocsGoExamplesGofmtClean(t *testing.T) {
 			if string(formatted) != src {
 				t.Errorf("%s: go example %d is not gofmt-clean; want:\n%s", f, i+1, formatted)
 			}
+		}
+	}
+}
+
+// TestExamplesPinTheirOutput: every program under examples/, and
+// cmd/ghsnap, has a test file declaring an Example with an "// Output:"
+// block, so tier-1 checks what a walkthrough prints and not only that it
+// builds. A new example without one fails here.
+func TestExamplesPinTheirOutput(t *testing.T) {
+	entries, err := os.ReadDir("examples")
+	if err != nil {
+		t.Fatal(err)
+	}
+	dirs := []string{filepath.Join("cmd", "ghsnap")}
+	for _, e := range entries {
+		if e.IsDir() {
+			dirs = append(dirs, filepath.Join("examples", e.Name()))
+		}
+	}
+	for _, dir := range dirs {
+		tests, err := filepath.Glob(filepath.Join(dir, "*_test.go"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		fset := token.NewFileSet()
+		var files []*ast.File
+		for _, path := range tests {
+			f, err := parser.ParseFile(fset, path, nil, parser.ParseComments)
+			if err != nil {
+				t.Fatal(err)
+			}
+			files = append(files, f)
+		}
+		pinned := false
+		for _, ex := range doc.Examples(files...) {
+			pinned = pinned || ex.Output != ""
+		}
+		if !pinned {
+			t.Errorf("%s: no Example with an // Output: block in a _test.go file", dir)
 		}
 	}
 }

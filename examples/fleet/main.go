@@ -1,9 +1,10 @@
-// Fleet: a provider's view of Groundhog. Six functions share one simulated
-// host with dynamically scaled container pools, keep-alive reaping, and
-// bursty Azure-style arrivals; the same trace runs under plain container
-// reuse (BASE) and under Groundhog (GH), and then again comparing
+// Fleet: a provider's view of Groundhog at quick scale. Three functions
+// share one simulated host with dynamically scaled container pools, keep-alive
+// reaping, and bursty Azure-style arrivals; the same trace runs with
 // keep-alive-only scale-out against snapshot-clone scale-out with
-// scale-to-zero image eviction.
+// scale-to-zero image eviction, and then under the three scheduling
+// policies. The same mix under plain container reuse (BASE) against
+// Groundhog (GH) is `go run ./cmd/ghbench -e fleet`.
 //
 //	go run ./examples/fleet
 package main
@@ -16,23 +17,10 @@ import (
 )
 
 func main() {
-	fmt.Println("Simulating a multi-function fleet under BASE and GH...")
-	fmt.Println("(identical arrivals; the only variable is request isolation)")
-	fmt.Println()
-	tb, err := experiments.Fleet(experiments.Default())
-	if err != nil {
-		log.Fatal(err)
-	}
-	fmt.Println(tb.Render())
-	fmt.Println("Reading the table: cold starts are identical (Groundhog does not change")
-	fmt.Println("scheduling); every GH request is followed by a restore; latency medians")
-	fmt.Println("move by a few ms; only large-footprint Node functions queue noticeably.")
-	fmt.Println()
-
-	fmt.Println("Now the same bursty mix with clone-aware scheduling...")
+	fmt.Println("Simulating a bursty multi-function mix with clone-aware scheduling...")
 	fmt.Println("(identical arrivals; the only variable is how scale-ups cold-start)")
 	fmt.Println()
-	res, err := experiments.FleetBench(experiments.Default(), false)
+	res, err := experiments.FleetBench(experiments.Default(), true)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -42,10 +30,10 @@ func main() {
 	fmt.Println("and peaks far lower on frames — clones share the warm image copy-on-write.")
 	fmt.Println()
 
-	fmt.Println("Finally, the same mix under the three scheduling policies...")
+	fmt.Println("Now the same mix under the three scheduling policies...")
 	fmt.Println("(identical arrivals; the only variable is when the fleet scales)")
 	fmt.Println()
-	pres, err := experiments.PolicyBench(experiments.Default(), false)
+	pres, err := experiments.PolicyBench(experiments.Default(), true)
 	if err != nil {
 		log.Fatal(err)
 	}

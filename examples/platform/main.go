@@ -4,7 +4,7 @@
 // the paper's evaluation.
 //
 //	go run ./examples/platform
-//	go run ./examples/platform sentiment        # any pyperformance/FaaSProfiler name
+//	go run ./examples/platform "bicg (c)"      # any catalog display name
 package main
 
 import (
@@ -23,7 +23,7 @@ import (
 func main() {
 	name := "sentiment (p)"
 	if len(os.Args) > 1 {
-		name = os.Args[1] + " (p)"
+		name = os.Args[1]
 	}
 	entry, err := catalog.Lookup(name)
 	if err != nil {
