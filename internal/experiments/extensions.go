@@ -127,16 +127,12 @@ func AblationTrust(cfg Config) (*metrics.Table, error) {
 			}
 			pl.Teardown()
 			var e2e metrics.Summary
-			restores := 0
 			for _, st := range stats {
 				e2e.AddDuration(st.E2E)
-				if st.Restored || st.PreRestore > 0 {
-					restores++
-				}
 			}
 			cells = append(cells, fmt.Sprintf("%.2f", e2e.Mean()))
 			if trust {
-				restoresPerReq = float64(restores) / float64(len(stats))
+				restoresPerReq = float64(pl.Restores()) / float64(len(stats))
 			}
 		}
 		t.AddRow(pat.name, cells[0], cells[1], fmt.Sprintf("%.2f", restoresPerReq))

@@ -31,19 +31,15 @@ func TestTrustedCallersSkipRestores(t *testing.T) {
 	}
 	// No restore runs between Alice's own requests...
 	for i, st := range stats[:10] {
-		if st.Restored || st.Cleanup != 0 {
+		if st.Restored || st.Cleanup != 0 || st.RolledBack {
 			t.Fatalf("request %d (alice) triggered cleanup: %+v", i, st)
 		}
 	}
-	for _, st := range stats[1:10] {
-		if st.PreRestore != 0 {
-			t.Fatal("restore ran between same-caller requests")
-		}
-	}
-	// ...but Bob's request pays the deferred rollback before executing.
+	// ...but Bob's request pays the deferred rollback before executing: the
+	// one rollback the platform ran, and bob's own cleanup restored nothing.
 	bob := stats[10]
-	if bob.PreRestore <= 0 {
-		t.Fatalf("caller change did not force the deferred restore: %+v", bob)
+	if !bob.RolledBack || bob.Restored || pl.Restores() != 1 {
+		t.Fatalf("caller change did not force the deferred restore: %+v, %d restores", bob, pl.Restores())
 	}
 }
 
@@ -57,16 +53,16 @@ func TestTrustedCallersStillIsolateAcrossCallers(t *testing.T) {
 	if _, err := pl.serveAs(c, 1, "alice"); err != nil {
 		t.Fatal(err)
 	}
-	if !c.tainted {
-		t.Fatal("container not marked tainted after trusted request")
+	if !c.tainted || pl.Restores() != 0 {
+		t.Fatalf("container not marked tainted after trusted request (%d restores)", pl.Restores())
 	}
 	// Bob arrives: the rollback must happen before his request executes.
 	st, err := pl.serveAs(c, 2, "bob")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if st.PreRestore <= 0 {
-		t.Fatal("no pre-restore before differently-principaled request")
+	if !st.RolledBack || pl.Restores() != 1 {
+		t.Fatalf("no pre-restore before differently-principaled request: %+v, %d restores", st, pl.Restores())
 	}
 }
 

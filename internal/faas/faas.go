@@ -38,10 +38,6 @@ type RequestStats struct {
 	E2E sim.Duration
 	// Cleanup is the off-critical-path work after the response (restore).
 	Cleanup sim.Duration
-	// PreRestore is rollback work forced onto this request's critical path
-	// by the trusted-caller optimization: the previous caller's deferred
-	// restore ran just before this request (§4.4).
-	PreRestore sim.Duration
 	// Restore is Groundhog's breakdown, when state was rolled back.
 	Restore core.RestoreStats
 	// Restored reports whether this request's own cleanup rolled state
@@ -124,9 +120,10 @@ type Container struct {
 	requestsSeq uint64 // ID source for Respond and Serve
 }
 
-// notifyRestored routes the rollback notification according to the
-// platform's time-virtualization setting (§5.3.1).
+// notifyRestored counts a rollback on the platform and routes the
+// notification according to its time-virtualization setting (§5.3.1).
 func (c *Container) notifyRestored(pl *Platform) {
+	pl.restores++
 	if pl.VirtualizeTime {
 		c.inst.NotifyRestoredVirtualized()
 	} else {
@@ -208,6 +205,9 @@ type Platform struct {
 	// pending is the container whose cleanup Respond left for Settle (nil
 	// when none is).
 	pending *Container
+
+	// restores counts the rollbacks run on the platform's containers.
+	restores int
 }
 
 // RecoveryStats counts the deployment's failure-recovery actions. All zeros
@@ -236,6 +236,13 @@ type RecoveryStats struct {
 
 // Recovery reports the deployment's cumulative failure-recovery counters.
 func (pl *Platform) Recovery() RecoveryStats { return pl.recovery }
+
+// Restores reports how many rollbacks the platform has run: each cleanup
+// that restored a container after its response, and each deferred restore a
+// caller switch forced before a request under TrustSameCaller (§4.4). A
+// cleanup Respond left pending counts once Settle runs it; a failed restore
+// counts nothing.
+func (pl *Platform) Restores() int { return pl.restores }
 
 // RemoteDonorID is the ColdStartStats.ClonedFrom sentinel for containers
 // cloned from an adopted (cross-host transferred) template: there is no
@@ -910,7 +917,6 @@ func (pl *Platform) respond(c *Container, reqID uint64, caller string, st *Reque
 	c.lastCaller = caller
 	st.Invoker = invoker
 	st.E2E = preRestore + invoker + pl.rng.Jitter(cost.PlatformOverhead, 0.25)
-	st.PreRestore = preRestore
 	st.RolledBack = c.rolledBack
 	st.Completed = completed
 	st.StateGets = gets - getsBefore

@@ -293,9 +293,10 @@ func TestMidRequestCrashTearsDownContainer(t *testing.T) {
 }
 
 // TestPostResponseRestoreFaultLosesContainerNotRequest: a restore that fails
-// after the response cannot fail the request. It is torn down instead, both
-// when the cleanup runs right after the response (Serve) and when the live
-// plane runs it after the reply has left (Respond, then Settle).
+// after the response cannot fail the request. It is torn down instead, and
+// counts no rollback, both when the cleanup runs right after the response
+// (Serve) and when the live plane runs it after the reply has left (Respond,
+// then Settle).
 func TestPostResponseRestoreFaultLosesContainerNotRequest(t *testing.T) {
 	for _, route := range []struct {
 		name  string
@@ -326,8 +327,8 @@ func TestPostResponseRestoreFaultLosesContainerNotRequest(t *testing.T) {
 			if len(pl.Containers()) != 0 {
 				t.Fatal("container with failed rollback still pooled")
 			}
-			if pl.Recovery().RestoreFaults != 1 {
-				t.Fatalf("recovery = %+v, want 1 restore fault", pl.Recovery())
+			if pl.Recovery().RestoreFaults != 1 || pl.Restores() != 0 {
+				t.Fatalf("recovery = %+v, %d restores; want 1 restore fault and no restore counted", pl.Recovery(), pl.Restores())
 			}
 			if got := pl.Kern.Phys.InUse(); got != 0 {
 				t.Fatalf("teardown leaked %d frames", got)

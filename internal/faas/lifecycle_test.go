@@ -139,12 +139,15 @@ func TestRespondThenSettle(t *testing.T) {
 		if st.Restored || st.Cleanup != 0 || st.ReadyAgain != 0 {
 			t.Fatalf("request %d: Respond carries cleanup stats: %+v", i, st)
 		}
+		if pl.Restores() != i {
+			t.Fatalf("request %d: %d restores with the cleanup still pending, want %d", i, pl.Restores(), i)
+		}
 		cl, err := pl.Settle()
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !cl.Restored || cl.Cleanup <= 0 || cl.ReadyAgain != st.Completed.Add(cl.Cleanup) {
-			t.Fatalf("request %d: Settle did not restore: %+v", i, cl)
+		if !cl.Restored || cl.Cleanup <= 0 || cl.ReadyAgain != st.Completed.Add(cl.Cleanup) || pl.Restores() != i+1 {
+			t.Fatalf("request %d: Settle did not restore: %+v, %d restores", i, cl, pl.Restores())
 		}
 		if again, err := pl.Settle(); err != nil || again != (RequestStats{}) {
 			t.Fatalf("request %d: a second Settle = %+v, %v; want nothing", i, again, err)
@@ -163,18 +166,23 @@ func TestRespondThenSettle(t *testing.T) {
 // TestRolledBackSincePreviousRequest: a response reports whether its
 // container was rolled back since the previous request — never for a
 // container's first request, under BASE or GH-NOP, or for a trusted
-// same-caller follow-up; always after a GH rollback, deferred or not.
+// same-caller follow-up; always after a GH rollback, deferred or not. Once
+// the last cleanup is settled, Restores counts exactly those rollbacks plus
+// the last request's own: one per GH request, one per caller switch under
+// TrustSameCaller, none under BASE or GH-NOP.
 func TestRolledBackSincePreviousRequest(t *testing.T) {
 	for _, tc := range []struct {
-		mode    isolation.Mode
-		trust   bool
-		callers []string
-		want    []bool
+		mode     isolation.Mode
+		trust    bool
+		callers  []string
+		want     []bool
+		restores int
 	}{
-		{isolation.ModeGH, false, []string{"a", "a", "a"}, []bool{false, true, true}},
-		{isolation.ModeGHNop, false, []string{"a", "a"}, []bool{false, false}},
-		{isolation.ModeBase, false, []string{"a", "a"}, []bool{false, false}},
-		{isolation.ModeGH, true, []string{"alice", "alice", "bob", "bob"}, []bool{false, false, true, false}},
+		{isolation.ModeGH, false, []string{"a", "a", "a"}, []bool{false, true, true}, 3},
+		{isolation.ModeGHNop, false, []string{"a", "a"}, []bool{false, false}, 0},
+		{isolation.ModeBase, false, []string{"a", "a"}, []bool{false, false}, 0},
+		{isolation.ModeGH, true, []string{"alice", "alice", "bob", "bob"}, []bool{false, false, true, false}, 1},
+		{isolation.ModeGH, true, []string{"alice", "bob", "alice", "alice", "bob"}, []bool{false, true, true, false, true}, 3},
 	} {
 		pl := newPlatform(t, tc.mode, 1)
 		pl.TrustSameCaller = tc.trust
@@ -186,6 +194,12 @@ func TestRolledBackSincePreviousRequest(t *testing.T) {
 			if st.RolledBack != tc.want[i] {
 				t.Errorf("%s (trust %v) request %d from %s: RolledBack %v, want %v", tc.mode, tc.trust, i, caller, st.RolledBack, tc.want[i])
 			}
+		}
+		if _, err := pl.Settle(); err != nil {
+			t.Fatal(err)
+		}
+		if got := pl.Restores(); got != tc.restores {
+			t.Errorf("%s (trust %v) after %v: %d restores, want %d", tc.mode, tc.trust, tc.callers, got, tc.restores)
 		}
 	}
 }

@@ -130,7 +130,6 @@ type routeSet struct {
 // route is one fn × mode deployment's data-plane state.
 type route struct {
 	name    string
-	mode    isolation.Mode
 	modeIdx int
 	id      uint32
 	h       *server.Handle
@@ -407,8 +406,7 @@ func (g *Gateway) route(name string, mi int) (*route, error) {
 // register resolves (name, mode) against the server's registry and installs
 // the route. Slow path: allocation and validation live here.
 func (g *Gateway) register(name string, mi int) (*route, error) {
-	mode := isolation.Modes[mi]
-	h, err := g.srv.DataPlane(name, mode)
+	h, err := g.srv.DataPlane(name, isolation.Modes[mi])
 	if err != nil {
 		return nil, err
 	}
@@ -424,7 +422,6 @@ func (g *Gateway) register(name string, mi int) (*route, error) {
 	}
 	rt := &route{
 		name:    name,
-		mode:    mode,
 		modeIdx: mi,
 		id:      uint32(len(g.byID)),
 		h:       h,

@@ -77,11 +77,11 @@ func (h *Handle) Invoke(caller string) (st faas.RequestStats, err error) {
 	if dep.gone {
 		return st, ErrGone
 	}
-	if _, err = dep.settle(); err != nil {
+	pl := dep.platform
+	if _, err = pl.Settle(); err != nil {
 		return st, err
 	}
 	defer dep.publishColdMean()
-	pl := dep.platform
 	if len(pl.Containers()) == 0 {
 		// Self-heal: one scale-up attempt (the platform's own retry budget
 		// applies inside). Failure is transient — the next request tries
@@ -94,9 +94,8 @@ func (h *Handle) Invoke(caller string) (st faas.RequestStats, err error) {
 		return st, err
 	}
 	dep.record(st)
-	dep.pending.Store(true)
 	if dep.waiters.Load() > 0 {
-		_, _ = dep.settle() // a failure stays pending; the waiter reports it
+		_, _ = pl.Settle() // a failure stays pending; the waiter reports it
 	}
 	return st, nil
 }
@@ -108,10 +107,10 @@ func (h *Handle) Invoke(caller string) (st faas.RequestStats, err error) {
 // the next Invoke to report.
 func (h *Handle) Settle() {
 	dep := h.dep
-	if !dep.pending.Load() || !dep.mu.TryLock() {
+	if !dep.mu.TryLock() {
 		return
 	}
-	_, _ = dep.settle()
+	_, _ = dep.platform.Settle()
 	dep.mu.Unlock()
 }
 
@@ -139,7 +138,7 @@ func (h *Handle) ArmFaults(plan faults.Plan) error {
 	}
 	// The previous request's restore runs under the plan it was served
 	// under, never the new one.
-	if _, err := dep.settle(); err != nil {
+	if _, err := dep.platform.Settle(); err != nil {
 		return err
 	}
 	dep.platform.Kern.Faults = faults.New(plan)
@@ -177,7 +176,6 @@ func (dep *deployment) teardown() int {
 	if dep.platform == nil {
 		return 0
 	}
-	dep.pending.Store(false)
 	dep.platform.Teardown()
 	phys := dep.platform.Kern.Phys
 	return phys.InUse() + phys.Lent()
@@ -198,23 +196,4 @@ func (dep *deployment) publishColdMean() {
 func (dep *deployment) record(st faas.RequestStats) {
 	dep.invoked++
 	dep.e2e = metrics.PushBounded(dep.e2e, float64(st.E2E)/1e6, e2eWindow)
-}
-
-// settle runs the platform's pending cleanup, if any, and counts its
-// rollback, so /deployments counts the rollbacks actually done. It returns
-// the cleanup half of the stats. A failed cleanup stays pending. Caller
-// holds dep.mu.
-func (dep *deployment) settle() (faas.RequestStats, error) {
-	if !dep.pending.Load() {
-		return faas.RequestStats{}, nil
-	}
-	st, err := dep.platform.Settle()
-	if err != nil {
-		return st, err
-	}
-	dep.pending.Store(false)
-	if st.Restored {
-		dep.restored++
-	}
-	return st, nil
 }

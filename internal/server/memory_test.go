@@ -62,7 +62,7 @@ func TestShutdownCountsUndeployedLeaks(t *testing.T) {
 	}
 	dep := s.deployments["get-time (p)|gh"]
 	dep.mu.Lock()
-	if _, err := dep.settle(); err != nil {
+	if _, err := dep.platform.Settle(); err != nil {
 		t.Fatal(err)
 	}
 	dep.platform.Kern.Phys.Alloc()

@@ -106,11 +106,19 @@ func settle(t *testing.T, h *Handle) faas.RequestStats {
 	t.Helper()
 	h.dep.mu.Lock()
 	defer h.dep.mu.Unlock()
-	st, err := h.dep.settle()
+	st, err := h.dep.platform.Settle()
 	if err != nil {
 		t.Fatal(err)
 	}
 	return st
+}
+
+// restores reads the rollbacks h's platform has run, under the deployment
+// lock. A cleanup still pending is not counted yet.
+func restores(h *Handle) int {
+	h.dep.mu.Lock()
+	defer h.dep.mu.Unlock()
+	return h.dep.platform.Restores()
 }
 
 // TestInvokeLifecycle: the deploy pays the one cold start /deployments
@@ -135,11 +143,11 @@ func TestInvokeLifecycle(t *testing.T) {
 	if first.RolledBack || first.Restored || first.Cleanup != 0 {
 		t.Fatalf("a fresh container's first reply reports a rollback: %+v", first)
 	}
-	if !h.dep.pending.Load() {
-		t.Fatal("the reply went out with no cleanup pending")
+	if n := restores(h); n != 0 {
+		t.Fatalf("the reply went out after its cleanup: %d restores", n)
 	}
-	if cl := settle(t, h); !cl.Restored || cl.Cleanup <= 0 {
-		t.Fatalf("GH invocation did not restore: %+v", cl)
+	if cl := settle(t, h); !cl.Restored || cl.Cleanup <= 0 || restores(h) != 1 {
+		t.Fatalf("GH invocation did not restore: %+v, %d restores", cl, restores(h))
 	}
 
 	second, err := h.Invoke("")
@@ -153,8 +161,8 @@ func TestInvokeLifecycle(t *testing.T) {
 		t.Fatalf("implausible latencies: %+v", second)
 	}
 	h.Settle()
-	if h.dep.pending.Load() {
-		t.Fatal("Settle on an idle deployment left the cleanup pending")
+	if n := restores(h); n != 2 {
+		t.Fatalf("Settle on an idle deployment left the cleanup pending: %d restores, want 2", n)
 	}
 	d := deployments(t, ts)[0]
 	if d.FullColdStarts != 1 || d.CloneColdStarts != 0 {
@@ -269,16 +277,41 @@ func TestDeploymentsPerFunctionBreakdown(t *testing.T) {
 
 // TestTrustedCaller: with the §4.4 optimization on, a request from the
 // previous caller skips the restore, and a caller switch pays the deferred
-// restore before it runs.
+// restore before it runs: the rollback is counted by the time its reply is
+// back, before any Settle. /deployments counts those deferred rollbacks, one
+// per reply that says its container was rolled back.
 func TestTrustedCaller(t *testing.T) {
-	s, _ := testServer(t)
+	s, ts := testServer(t)
 	s.SetTrustSameCaller(true)
-	invoke(t, s, "md2html (p)", isolation.ModeGH, "alice")
-	if a2 := invoke(t, s, "md2html (p)", isolation.ModeGH, "alice"); a2.RolledBack || a2.PreRestore != 0 {
-		t.Fatalf("same-caller invocation restored: %+v", a2)
+	h, err := s.DataPlane("md2html (p)", isolation.ModeGH)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if b := invoke(t, s, "md2html (p)", isolation.ModeGH, "bob"); b.PreRestore <= 0 || !b.RolledBack {
-		t.Fatalf("caller switch did not pay deferred restore: %+v", b)
+	rolledBack := 0
+	for i, req := range []struct {
+		caller   string
+		switched bool
+	}{{"alice", false}, {"bob", true}, {"alice", true}, {"alice", false}, {"bob", true}} {
+		st, err := h.Invoke(req.caller)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if st.RolledBack != req.switched {
+			t.Fatalf("request %d from %s: RolledBack %v, want %v", i, req.caller, st.RolledBack, req.switched)
+		}
+		if st.RolledBack {
+			rolledBack++
+		}
+		if n := restores(h); n != rolledBack {
+			t.Fatalf("request %d from %s: %d restores before Settle, want %d", i, req.caller, n, rolledBack)
+		}
+		h.Settle()
+		if n := restores(h); n != rolledBack {
+			t.Fatalf("request %d from %s: a trusted request's cleanup restored (%d restores, want %d)", i, req.caller, n, rolledBack)
+		}
+	}
+	if d := deployments(t, ts)[0]; d.Invoked != 5 || d.Restored != 3 {
+		t.Fatalf("invoked %d, restored %d; want 5 and 3", d.Invoked, d.Restored)
 	}
 }
 
@@ -389,7 +422,7 @@ func TestZeroContainerDeployment(t *testing.T) {
 		t.Fatal("deployment not registered")
 	}
 	dep.mu.Lock()
-	if _, err := dep.settle(); err != nil {
+	if _, err := dep.platform.Settle(); err != nil {
 		t.Fatal(err)
 	}
 	dep.platform.RemoveContainer(dep.platform.Containers()[0])
@@ -446,8 +479,8 @@ func TestPendingCleanupRunsInlineForAWaiter(t *testing.T) {
 	if _, err := h.Invoke(""); err != nil {
 		t.Fatal(err)
 	}
-	if !h.dep.pending.Load() {
-		t.Fatal("no waiter, yet the cleanup ran before the unlock")
+	if n := restores(h); n != 0 {
+		t.Fatalf("no waiter, yet the cleanup ran before the unlock: %d restores", n)
 	}
 	h.dep.waiters.Add(1) // a request queued behind this one
 	_, err = h.Invoke("")
@@ -455,14 +488,8 @@ func TestPendingCleanupRunsInlineForAWaiter(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if h.dep.pending.Load() {
-		t.Fatal("a request was waiting, yet the cleanup was left pending")
-	}
-	h.dep.mu.Lock()
-	restored := h.dep.restored
-	h.dep.mu.Unlock()
-	if restored != 2 {
-		t.Fatalf("restored = %d, want 2", restored)
+	if n := restores(h); n != 2 {
+		t.Fatalf("a request was waiting, yet the cleanup was left pending: %d restores, want 2", n)
 	}
 }
 
@@ -487,12 +514,12 @@ func TestPendingCleanupSettleNeverWaits(t *testing.T) {
 		t.Fatal("Settle waited for the deployment lock")
 	}
 	h.dep.mu.Unlock()
-	if !h.dep.pending.Load() {
-		t.Fatal("Settle ran the cleanup without the lock")
+	if n := restores(h); n != 0 {
+		t.Fatalf("Settle ran the cleanup without the lock: %d restores", n)
 	}
 	h.Settle()
-	if h.dep.pending.Load() {
-		t.Fatal("Settle on a free deployment left the cleanup pending")
+	if n := restores(h); n != 1 {
+		t.Fatalf("Settle on a free deployment left the cleanup pending: %d restores, want 1", n)
 	}
 }
 
@@ -552,8 +579,8 @@ func TestPendingCleanupShutdown(t *testing.T) {
 	if _, err := h.Invoke(""); err != nil {
 		t.Fatal(err)
 	}
-	if !h.dep.pending.Load() {
-		t.Fatal("no cleanup pending to shut down with")
+	if n := restores(h); n != 0 {
+		t.Fatalf("no cleanup pending to shut down with: %d restores", n)
 	}
 	if leaked := s.Shutdown(); leaked != 0 {
 		t.Fatalf("Shutdown with a cleanup pending leaked %d frames and lent pages", leaked)

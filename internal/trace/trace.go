@@ -320,8 +320,11 @@ type FunctionStats struct {
 	// ColdStartCost is the summed virtual cost of all cold starts — the
 	// provider's total scale-up bill for this function.
 	ColdStartCost sim.Duration
-	Restores      int
-	Reaped        int
+	// Restores counts every rollback the function's pools ran
+	// (faas.Platform.Restores), summed after the drain: post-response
+	// cleanups and deferred trusted-caller restores alike.
+	Restores int
+	Reaped   int
 	// ScaledToZero counts the times the reaper took the pool to zero;
 	// ImagesEvicted counts the exported snapshot images actually released —
 	// at scale-to-zero, or at a later policy tick once a kept image stops
@@ -885,6 +888,7 @@ func (d *Dispatcher) Run() (*Result, error) {
 			if pl == nil {
 				continue
 			}
+			fs.stats.Restores += pl.Restores()
 			rec, sum := pl.Recovery(), &fs.stats.Recovery
 			sum.ColdStartRetries += rec.ColdStartRetries
 			sum.RetryBackoff += rec.RetryBackoff
@@ -1102,9 +1106,6 @@ func (d *Dispatcher) dispatch(fs *fnState) {
 		fs.stats.StatePuts += st.StatePuts
 		if !fs.signalFree {
 			fs.observeLatency(float64(st.E2E+wait)/1e6, float64(st.Invoker)/1e6)
-		}
-		if st.Restored {
-			fs.stats.Restores++
 		}
 		if run := qr.run; run != nil {
 			// Chain requests hand off to the next stage when the response is
