@@ -47,10 +47,3 @@ func main() {
 	fmt.Printf("restored %d pages from the snapshot; byte-level verify: %v\n", res.Restored, res.Verified)
 	fmt.Println("the real kernel agrees with the simulated soft-dirty semantics")
 }
-
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
-}

@@ -4,10 +4,12 @@
 // Fig. 1 phases (environment instantiation, runtime initialization, data
 // initialization, snapshot), and the two workload drivers of §5 — a
 // closed-loop low-load client for latency (RunClosedLoop, and RunCallers for
-// the trusted-caller optimization) and a saturating driver for peak
-// throughput (RunSaturated). Open-loop arrivals are not driven here: a
-// Platform is a container pool under internal/trace's dispatcher, which owns
-// arrivals, queueing and scaling.
+// the trusted-caller optimization), which is a plain loop over InvokeOnce,
+// the path the live plane (internal/server) serves on, and a saturating
+// driver for peak throughput (RunSaturated). Every request the platform
+// serves takes its ID from its container's sequence. Open-loop arrivals are
+// not driven here: a Platform is a container pool under internal/trace's
+// dispatcher, which owns arrivals, queueing and scaling.
 //
 // One Platform instance evaluates one function in one configuration
 // (isolation mode, container count), exactly like the paper's per-benchmark
@@ -117,7 +119,7 @@ type Container struct {
 	lastDone sim.Time
 
 	requests    uint64
-	requestsSeq uint64 // ID source for Respond and Serve
+	requestsSeq uint64 // the one request-ID source: Respond and Serve draw from it
 }
 
 // notifyRestored counts a rollback on the platform and routes the
@@ -144,7 +146,8 @@ func (c *Container) Requests() uint64 { return c.requests }
 // ColdStart reports the container's initialization breakdown.
 func (c *Container) ColdStart() ColdStartStats { return c.cold }
 
-// Instance exposes the runtime instance (examples and tests use it).
+// Instance exposes the runtime instance (the clone cold-start experiment
+// reads its resident pages; tests use it too).
 func (c *Container) Instance() *runtimes.Instance { return c.inst }
 
 // Platform hosts one function deployment under one isolation mode.
@@ -197,7 +200,7 @@ type Platform struct {
 	// recovery accumulates the deployment's failure-recovery counters.
 	recovery RecoveryStats
 
-	// serveMeter is the per-request meter serveAs reuses across requests
+	// serveMeter is the per-request meter respond reuses across requests
 	// (serving is synchronous and never reentrant, so one scratch meter per
 	// platform suffices; TestServeSteadyStateZeroAllocs pins this).
 	serveMeter *sim.Meter
@@ -418,8 +421,9 @@ func (pl *Platform) Teardown() {
 }
 
 // Serve executes one request from the given caller on container c at the
-// current virtual time. The container must be ready (Ready() <= now); the
-// scheduler — workload driver or fleet dispatcher — is responsible for that.
+// current virtual time, response and cleanup, with the next ID from c's
+// sequence. The container must be ready (Ready() <= now); the scheduler —
+// RunSaturated or a fleet dispatcher — is responsible for that.
 func (pl *Platform) Serve(c *Container, caller string) (RequestStats, error) {
 	c.requestsSeq++
 	return pl.serveAs(c, c.requestsSeq, caller)
@@ -803,8 +807,9 @@ func (pl *Platform) Respond(caller string) (RequestStats, error) {
 // Settle runs the cleanup Respond left pending and returns its half of the
 // request's stats: Cleanup, Restore, Restored and ReadyAgain. With nothing
 // pending it does nothing. A post-response restore fault removes the
-// container, as in serveAs; any other failure leaves the cleanup pending, so
-// the container serves nothing until a later Settle succeeds.
+// container, as any cleanup does, so the next Respond finds ErrNoContainers;
+// any other failure leaves the cleanup pending, so the container serves
+// nothing until a later Settle succeeds.
 func (pl *Platform) Settle() (RequestStats, error) {
 	var st RequestStats
 	if err := pl.settle(&st); err != nil {
@@ -828,8 +833,9 @@ func (pl *Platform) settle(st *RequestStats) error {
 
 // serveAs executes one request from the given security principal
 // synchronously against container c and returns its stats: the response
-// half (respond), then the cleanup half (cleanup). The caller is responsible
-// for scheduling: c must be ready.
+// half (respond), then the cleanup half (cleanup), under the given request
+// ID: Serve passes the container's next one, and the wipe tests pass IDs
+// they choose. The caller is responsible for scheduling: c must be ready.
 func (pl *Platform) serveAs(c *Container, reqID uint64, caller string) (st RequestStats, err error) {
 	if err = pl.respond(c, reqID, caller, &st); err == nil {
 		err = pl.cleanup(c, &st)

@@ -54,6 +54,37 @@ func TestInvokeOnceNoContainersSentinel(t *testing.T) {
 	if _, err := pl.RunCallers([]string{"a"}, 0); !errors.Is(err, ErrNoContainers) {
 		t.Fatalf("RunCallers on empty pool = %v, want ErrNoContainers", err)
 	}
+
+	// A post-response restore fault removes the container mid-loop: the
+	// request whose cleanup failed keeps its stats, and the loop stops on
+	// the empty pool instead of serving the exited process.
+	for _, loop := range []struct {
+		name  string
+		run   func(*Platform) ([]RequestStats, error)
+		stats int
+	}{
+		{"RunClosedLoop", func(pl *Platform) ([]RequestStats, error) { return pl.RunClosedLoop(4, 0) }, 1},
+		// The warm-up is RunCallers' first request.
+		{"RunCallers", func(pl *Platform) ([]RequestStats, error) { return pl.RunCallers(make([]string, 5), 0) }, 2},
+	} {
+		pl := emptyArmedPlatform(t, isolation.ModeGH, faults.Plan{Schedule: map[faults.Site][]uint64{
+			faults.SiteRestore: {2},
+		}})
+		if _, err := pl.AddWarmContainer(); err != nil {
+			t.Fatal(err)
+		}
+		out, err := loop.run(pl)
+		if !errors.Is(err, ErrNoContainers) || !IsTransient(err) {
+			t.Fatalf("%s after a restore fault = %v, want transient ErrNoContainers", loop.name, err)
+		}
+		if len(out) != loop.stats {
+			t.Fatalf("%s after a restore fault returned %d stats, want %d", loop.name, len(out), loop.stats)
+		}
+		pl.Teardown()
+		if phys := pl.Kern.Phys; phys.InUse() != 0 || phys.Lent() != 0 {
+			t.Fatalf("%s: teardown left %d frames in use, %d pages lent", loop.name, phys.InUse(), phys.Lent())
+		}
+	}
 }
 
 // TestEnsureExportedImageNoDonor: a deployment without a clone template —

@@ -16,8 +16,9 @@ import (
 //
 // One unrecorded warm-up request precedes the measurement: the first request
 // after a snapshot pays the full set of one-time soft-dirty arming faults,
-// which the paper's 1,200-invocation averages amortize away. The loop is
-// RunCallers' with one anonymous caller per request, warm-up included.
+// which the paper's 1,200-invocation averages amortize away. It is
+// RunCallers with one anonymous caller per request, warm-up included, so it
+// too serves through InvokeOnce.
 func (pl *Platform) RunClosedLoop(requests int, think sim.Duration) ([]RequestStats, error) {
 	if len(pl.containers) < 1 {
 		return nil, ErrNoContainers
@@ -32,12 +33,15 @@ func (pl *Platform) RunClosedLoop(requests int, think sim.Duration) ([]RequestSt
 	return out, err
 }
 
-// RunCallers drives the first container with a closed-loop client whose
-// requests carry the given sequence of security principals, cycling through
-// `callers` request by request. It exercises the trusted-caller optimization
-// (§4.4): with Platform.TrustSameCaller set, consecutive requests from the
-// same principal skip the rollback, and a change of principal pays the
-// deferred restore before executing.
+// RunCallers drives the first container with a closed-loop client, one
+// request per entry of callers, each through InvokeOnce, the path the live
+// plane serves on. A request that finds a restore still running waits for
+// it, and the wait counts in its E2E; the next request goes out `think`
+// after the response. With Platform.TrustSameCaller set, consecutive
+// requests from the same principal skip the rollback, and a change of
+// principal pays the deferred restore before executing (§4.4). A failure
+// ends the loop with the stats so far: ErrNoContainers once a restore fault
+// has removed the container.
 func (pl *Platform) RunCallers(callers []string, think sim.Duration) ([]RequestStats, error) {
 	if len(pl.containers) < 1 {
 		return nil, ErrNoContainers
@@ -45,37 +49,23 @@ func (pl *Platform) RunCallers(callers []string, think sim.Duration) ([]RequestS
 	if len(callers) == 0 {
 		return nil, fmt.Errorf("faas: empty caller sequence")
 	}
-	c := pl.containers[0]
 	out := make([]RequestStats, 0, len(callers))
-	var err error
-	idx := 0
-
-	var submit func()
-	submit = func() {
-		if err != nil || idx >= len(callers) {
-			return
-		}
+	for _, caller := range callers {
 		wait := sim.Duration(0)
-		if c.ready > pl.Engine.Now() {
-			wait = c.ready.Sub(pl.Engine.Now())
-		}
-		pl.Engine.After(wait, func() {
-			caller := callers[idx]
-			idx++
-			st, serr := pl.serveAs(c, uint64(idx), caller)
-			if serr != nil {
-				err = serr
-				pl.Engine.Stop()
-				return
+		if len(pl.containers) > 0 {
+			if ready := pl.containers[0].ready; ready > pl.Engine.Now() {
+				wait = ready.Sub(pl.Engine.Now())
 			}
-			st.E2E += wait
-			out = append(out, st)
-			pl.Engine.At(st.Completed.Add(think), submit)
-		})
+		}
+		st, err := pl.InvokeOnce(caller)
+		if err != nil {
+			return out, err
+		}
+		st.E2E += wait
+		out = append(out, st)
+		pl.Engine.RunUntil(st.Completed.Add(think))
 	}
-	pl.Engine.After(0, submit)
-	pl.Engine.Run()
-	return out, err
+	return out, nil
 }
 
 // ThroughputResult reports a saturation run.
@@ -104,7 +94,6 @@ func (pl *Platform) RunSaturated(perContainer int) (ThroughputResult, error) {
 	}
 	var res ThroughputResult
 	var err error
-	var id uint64
 
 	type window struct {
 		start, end sim.Time
@@ -125,8 +114,7 @@ func (pl *Platform) RunSaturated(perContainer int) (ThroughputResult, error) {
 				wait = c.ready.Sub(pl.Engine.Now())
 			}
 			pl.Engine.After(wait, func() {
-				id++
-				st, serr := pl.serveAs(c, id, "")
+				st, serr := pl.Serve(c, "")
 				if serr != nil {
 					err = serr
 					pl.Engine.Stop()

@@ -20,8 +20,8 @@ var keptUnread = map[string]string{
 	"kernel.Regs.PC":                    "compared whole with the rest of Regs by core.Manager.Verify",
 	"kernel.Regs.SP":                    "compared whole with the rest of Regs by core.Manager.Verify",
 	"kernel.Regs.GP":                    "the registers a request taints (runtimes.Instance.InvokeOn); compared whole by core.Manager.Verify",
-	"gateway.InvokeResult.E2EUs":        "wire field the reference client decodes",
-	"gateway.InvokeResult.InvokerUs":    "wire field the reference client decodes",
+	"gateway.InvokeResult.E2EUs":        "wire field the reference client decodes; gateway.TestTransportsReplyWhatInvokeOnceReports compares it with InvokeOnce",
+	"gateway.InvokeResult.InvokerUs":    "wire field the reference client decodes; gateway.TestTransportsReplyWhatInvokeOnceReports compares it with InvokeOnce",
 	"gateway.ProtoError.RetryAfterSecs": "wire field the reference client decodes",
 }
 
