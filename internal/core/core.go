@@ -224,7 +224,9 @@ func attach(k *kernel.Kernel, p *kernel.Process, opts Options, meter *sim.Meter)
 	if opts.Tracker == TrackUffd {
 		p.AS.SetUffdTracking(true)
 	}
-	return &Manager{kern: k, fs: procfs.New(k), proc: p, opts: opts, tracer: tr, holds: 1}, nil
+	m := &Manager{kern: k, fs: procfs.New(k), proc: p, opts: opts, tracer: tr, holds: 1}
+	m.takeScratch()
+	return m, nil
 }
 
 // Process returns the managed function process.
@@ -383,13 +385,18 @@ func (m *Manager) Retain() { m.holds++ }
 // Release gives back one hold; the last drops the snapshot, returning what
 // the StateStore holds to physical memory: lent pages (copy stores) or frame
 // references (CoW stores, and clone stores sharing a snapshot image's
-// frames). Container teardown calls it alongside the process's exit: the
-// kernel frees the address space, Release frees the snapshot — together a
-// removed container's frames and pages all return to PhysMem. The manager must not snapshot or restore afterwards.
+// frames), and passes the restore scratch on to the next manager attached.
+// Container teardown calls it alongside the process's exit: the kernel frees
+// the address space, Release frees the snapshot — together a removed
+// container's frames and pages all return to PhysMem. The manager must not
+// snapshot or restore afterwards.
 func (m *Manager) Release() {
-	if m.holds--; m.holds > 0 || m.snap == nil {
+	if m.holds--; m.holds != 0 {
 		return
 	}
-	m.snap.store.release(m.kern.Phys)
-	m.snap = nil
+	if m.snap != nil {
+		m.snap.store.release(m.kern.Phys)
+		m.snap = nil
+	}
+	m.retireScratch()
 }

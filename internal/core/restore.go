@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"slices"
+	"sync"
 
 	"groundhog/internal/faults"
 	"groundhog/internal/mem"
@@ -152,6 +153,69 @@ type restoreScratch struct {
 	restore []int             // store indices whose contents must be copied back
 	runs    []vpnRun          // coalesced madvise runs
 	diff    diffScratch
+}
+
+// spareScratch holds the restore scratch of managers whose last hold was
+// released, for the next manager attach creates, a full cold start's or a
+// clone's: without it every new manager grows its layout, page and plan
+// buffers from nothing over its first restores, and a fleet that scales to
+// zero and back, or loses a host, makes new managers all the time. A locked
+// spare list, as vm's and mem's are, not a sync.Pool, which empties within
+// two collections. A scratch goes onto it only from a manager that took one
+// or made one, so scratches, live and spare together, never outnumber the
+// managers the process once held live.
+var spareScratch struct {
+	sync.Mutex
+	free []restoreScratch
+}
+
+// takeScratch gives a new manager a retired manager's scratch, if the spare
+// list holds one; otherwise its buffers grow from nil.
+func (m *Manager) takeScratch() {
+	spareScratch.Lock()
+	defer spareScratch.Unlock()
+	if n := len(spareScratch.free); n > 0 {
+		m.scratch = spareScratch.free[n-1]
+		spareScratch.free[n-1] = restoreScratch{}
+		spareScratch.free = spareScratch.free[:n-1]
+	}
+}
+
+// retireScratch passes the manager's scratch to the spare list, every buffer
+// at length 0 with its capacity and no region name left in any VMA slot, and
+// leaves the manager none of it.
+func (m *Manager) retireScratch() {
+	sc := &m.scratch
+	d := &sc.diff
+	spent := restoreScratch{
+		layout:  emptied(sc.layout),
+		pm:      sc.pm[:0],
+		dirty:   sc.dirty[:0],
+		present: sc.present[:0],
+		lost:    sc.lost[:0],
+		fresh:   sc.fresh[:0],
+		restore: sc.restore[:0],
+		runs:    sc.runs[:0],
+		diff: diffScratch{
+			cuts:      d.cuts[:0],
+			unmap:     emptied(d.unmap),
+			remap:     emptied(d.remap),
+			reprotect: emptied(d.reprotect),
+		},
+	}
+	m.scratch = restoreScratch{}
+	spareScratch.Lock()
+	spareScratch.free = append(spareScratch.free, spent)
+	spareScratch.Unlock()
+}
+
+// emptied returns a region list at length 0 with every slot up to its
+// capacity zeroed, so no region name its last owner put there stays
+// reachable.
+func emptied(s []vm.VMA) []vm.VMA {
+	s = s[:0]
+	clear(s[:cap(s)])
+	return s
 }
 
 // Restore rolls the function process back to the snapshot (§4.4). It must

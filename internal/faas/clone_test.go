@@ -12,7 +12,7 @@ import (
 
 // clonePlatform deploys one warm container of mode with clone scale-out
 // enabled before it, so its cold start captures the clone template.
-func clonePlatform(t *testing.T, mode isolation.Mode) *Platform {
+func clonePlatform(t testing.TB, mode isolation.Mode) *Platform {
 	t.Helper()
 	pl, err := NewPlatformOn(sim.NewEngine(), kernel.New(kernel.Default()), testProfile(), mode, 0, 42)
 	if err != nil {

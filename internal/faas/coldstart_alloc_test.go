@@ -1,6 +1,8 @@
 package faas
 
 import (
+	"os"
+	"os/exec"
 	"runtime"
 	"testing"
 
@@ -72,4 +74,96 @@ func contentPages(as *vm.AddressSpace) int {
 		}
 	}
 	return n
+}
+
+// mallocs returns the number of heap objects fn allocates.
+func mallocs(fn func()) uint64 {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	fn()
+	runtime.ReadMemStats(&after)
+	return after.Mallocs - before.Mallocs
+}
+
+// cloneAndRestore adds a clone of pl's exported image and serves it one
+// request, whose restore runs before it returns: a clone cold start plus its
+// first restore.
+func cloneAndRestore(t testing.TB, pl *Platform) *Container {
+	c, err := pl.AddContainer()
+	if err != nil {
+		t.Fatal(err)
+	}
+	pl.Engine.RunUntil(c.Ready())
+	if _, err := pl.Serve(c, ""); err != nil {
+		t.Fatal(err)
+	}
+	pl.Engine.RunUntil(c.Ready())
+	return c
+}
+
+// clonePlatformExported is clonePlatform with its template's image exported,
+// so no clone pays the one-time export.
+func clonePlatformExported(t testing.TB) *Platform {
+	pl := clonePlatform(t, isolation.ModeGH)
+	if _, _, err := pl.EnsureExportedImage(nil); err != nil {
+		t.Fatal(err)
+	}
+	return pl
+}
+
+// maxCloneAfterTeardownAllocs pins what a clone cold start plus its first
+// restore allocates once a torn-down clone has passed on its address space's
+// books and its manager's restore scratch: the objects themselves (the
+// container and its strategy, the instance and its random source, the
+// process and its two threads, the address space, the manager with its
+// tracer, procfs view and snapshot record, a meter) and the request's churn
+// region name. The first clone of a process allocates 88.
+const maxCloneAfterTeardownAllocs = 15
+
+// TestCloneColdStartAfterTeardownAllocatesLess: a container torn down passes
+// its address space's region list, chunk list and epoch logs and its
+// manager's restore scratch to the next container started, so a clone cold
+// start plus its first restore, after a teardown, allocates fewer objects
+// than the process's first one did, and at most maxCloneAfterTeardownAllocs.
+// The spare lists are process-wide and any earlier test may have filled them,
+// so the test runs again, alone, in a new process of the test binary, where
+// the first clone starts from empty lists.
+func TestCloneColdStartAfterTeardownAllocatesLess(t *testing.T) {
+	const alone = "GROUNDHOG_FAAS_ALLOC_ALONE"
+	if os.Getenv(alone) == "" {
+		cmd := exec.Command(os.Args[0], "-test.run=^"+t.Name()+"$", "-test.count=1", "-test.v")
+		cmd.Env = append(os.Environ(), alone+"=1")
+		out, err := cmd.CombinedOutput()
+		if err != nil {
+			t.Fatalf("%v\n%s", err, out)
+		}
+		t.Logf("%s", out)
+		return
+	}
+	pl := clonePlatformExported(t)
+	var c *Container
+	first := mallocs(func() { c = cloneAndRestore(t, pl) })
+	for i := 0; i < 3; i++ {
+		pl.RemoveContainer(c)
+		after := mallocs(func() { c = cloneAndRestore(t, pl) })
+		t.Logf("clone cold start plus first restore: %d allocs first, %d after teardown %d", first, after, i+1)
+		if after >= first || after > maxCloneAfterTeardownAllocs {
+			t.Errorf("after teardown %d: %d allocs, want fewer than the first clone's %d and at most %d",
+				i+1, after, first, maxCloneAfterTeardownAllocs)
+		}
+	}
+}
+
+// BenchmarkCloneColdStartAfterTeardown: a clone cold start, its first
+// restore and its container's teardown, each clone starting on what the
+// previous one's teardown passed on.
+func BenchmarkCloneColdStartAfterTeardown(b *testing.B) {
+	pl := clonePlatformExported(b)
+	pl.RemoveContainer(cloneAndRestore(b, pl))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		pl.RemoveContainer(cloneAndRestore(b, pl))
+	}
 }

@@ -61,18 +61,18 @@ func (k *Kernel) SpawnFromImage(img ProcessImage, meter *sim.Meter) (*Process, e
 	k.nextPID++
 	for i, vpn := range img.VPNs {
 		if i == failAt {
-			as.Release()
+			as.Retire()
 			return nil, fmt.Errorf("kernel: spawn from image aborted after %d of %d pages: %w", i, len(img.VPNs), spawnFault)
 		}
 		if err := as.MapFrameCoW(vpn, img.Frames[i]); err != nil {
 			// Unwind the partial clone so the frame pool stays balanced.
-			as.Release()
+			as.Retire()
 			return nil, err
 		}
 		sim.ChargeTo(meter, k.Cost.ClonePTEPerPage)
 	}
 	if failAt == len(img.VPNs) {
-		as.Release()
+		as.Retire()
 		return nil, fmt.Errorf("kernel: spawn from image aborted after all %d pages: %w", len(img.VPNs), spawnFault)
 	}
 	for _, regs := range img.Regs {

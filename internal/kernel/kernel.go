@@ -169,12 +169,14 @@ func (k *Kernel) Fork(parent *Process, meter *sim.Meter) (*Process, error) {
 	return child, nil
 }
 
-// Exit terminates a process and releases its memory.
+// Exit terminates a process and releases its memory. The address space
+// retires: its region list, page-table chunk list and epoch logs go to the
+// next process spawned, cloned or forked (see vm.AddressSpace.Retire).
 func (k *Kernel) Exit(p *Process) {
 	if !p.alive {
 		return
 	}
 	p.alive = false
-	p.AS.Release()
+	p.AS.Retire()
 	delete(k.procs, p.PID)
 }

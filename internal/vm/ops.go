@@ -3,6 +3,7 @@ package vm
 import (
 	"fmt"
 	"math/bits"
+	"slices"
 
 	"groundhog/internal/mem"
 	"groundhog/internal/sim"
@@ -270,11 +271,10 @@ func (as *AddressSpace) SetupText(bytes int) (VMA, error) {
 // and the meter are not inherited.
 func (as *AddressSpace) Fork() *AddressSpace {
 	child := New(as.phys, as.costs)
-	child.vmas = make([]VMA, len(as.vmas))
-	copy(child.vmas, as.vmas)
+	child.vmas = append(child.vmas, as.vmas...)
 	child.brkBase, child.brk = as.brkBase, as.brk
 	child.mmapNext = as.mmapNext
-	child.pages.chunks = make([]*pageChunk, 0, len(as.pages.chunks))
+	child.pages.chunks = slices.Grow(child.pages.chunks, len(as.pages.chunks))
 	for _, c := range as.pages.chunks {
 		cc := getChunk()
 		cc.base, cc.n, cc.bitmap = c.base, c.n, c.bitmap
@@ -298,10 +298,11 @@ func (as *AddressSpace) Fork() *AddressSpace {
 	return child
 }
 
-// Release drops every backing frame and every region. Call when the process
-// exits so the physical pool's accounting stays accurate. The page table's
-// chunks, cleared, go to the process-wide pool the next address space draws
-// from; the region and chunk lists keep their capacity.
+// Release drops every backing frame and every region, leaving the address
+// space empty and usable. The page table's chunks, cleared, go to the
+// process-wide pool the next address space draws from. The region and chunk
+// lists and the epoch logs stay with the address space, which reuses them if
+// it is used again; Retire, for a process gone for good, passes them on.
 func (as *AddressSpace) Release() {
 	as.pages.release(as.phys)
 	clear(as.vmas)
