@@ -216,6 +216,8 @@ func NewManager(k *kernel.Kernel, p *kernel.Process, opts Options) (*Manager, er
 
 // attach seizes p and selects its write tracker, charging the seize to meter:
 // the step a manager of a warm process and a manager of a cloned one share.
+// The new manager's scratch is a released manager's, if spareScratch holds
+// one; otherwise its buffers grow from nil.
 func attach(k *kernel.Kernel, p *kernel.Process, opts Options, meter *sim.Meter) (*Manager, error) {
 	tr, err := ptrace.Seize(k, p, meter)
 	if err != nil {
@@ -224,9 +226,8 @@ func attach(k *kernel.Kernel, p *kernel.Process, opts Options, meter *sim.Meter)
 	if opts.Tracker == TrackUffd {
 		p.AS.SetUffdTracking(true)
 	}
-	m := &Manager{kern: k, fs: procfs.New(k), proc: p, opts: opts, tracer: tr, holds: 1}
-	m.takeScratch()
-	return m, nil
+	sc, _ := spareScratch.Take()
+	return &Manager{kern: k, fs: procfs.New(k), proc: p, opts: opts, tracer: tr, scratch: sc, holds: 1}, nil
 }
 
 // Process returns the managed function process.

@@ -273,6 +273,84 @@ func TestRestoreRevertsBrkShrink(t *testing.T) {
 	}
 }
 
+// TestRestoreRefillsHeapHole: a request that unmaps pages inside the heap,
+// below the break, leaves a hole no brk puts back. Restore maps it back (and
+// unmaps whatever the request mapped into it) whether the break stayed, fell
+// toward the hole or rose, and the hole's pages hold their snapshot contents.
+func TestRestoreRefillsHeapHole(t *testing.T) {
+	for _, tc := range []struct {
+		name     string
+		impostor bool
+		brkPages int // where the request leaves the break, in heap pages; 0 keeps it
+	}{
+		{name: "break kept"},
+		{name: "region mapped into the hole", impostor: true},
+		{name: "break lowered above the hole", brkPages: 10},
+		{name: "break raised", impostor: true, brkPages: 24},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			_, p, m := newManagedProcess(t, 1, 16, DefaultOptions())
+			heap := p.AS.HeapBase()
+			hole := heap + 4*mem.PageSize
+			if err := p.AS.Munmap(hole, 2*mem.PageSize); err != nil {
+				t.Fatal(err)
+			}
+			if tc.impostor {
+				if err := p.AS.MmapFixed(hole, mem.PageSize, vm.ProtRW, vm.KindFile, "req"); err != nil {
+					t.Fatal(err)
+				}
+				p.AS.WriteWord(hole, 0xBAD)
+			}
+			if tc.brkPages > 0 {
+				if _, err := p.AS.Brk(heap + vm.Addr(tc.brkPages*mem.PageSize)); err != nil {
+					t.Fatal(err)
+				}
+			}
+			st, err := m.Restore()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if st.LayoutOps == 0 {
+				t.Error("restore reported no layout operation")
+			}
+			if err := m.Verify(); err != nil {
+				t.Fatal(err)
+			}
+			for i := 4; i < 6; i++ {
+				a := heap + vm.Addr(i*mem.PageSize)
+				if got := p.AS.ReadWord(a); got != 0x1000+uint64(i) {
+					t.Errorf("heap page %d = %#x, want %#x", i, got, 0x1000+i)
+				}
+				p.AS.WriteWord(a, 1)
+			}
+		})
+	}
+}
+
+// TestRestoreClearsTheWayForTheBreak: a request that lowers the break and
+// maps a region where the heap was leaves it in the way of the break growing
+// back. Restore unmaps it before the brk it injects.
+func TestRestoreClearsTheWayForTheBreak(t *testing.T) {
+	_, p, m := newManagedProcess(t, 1, 16, DefaultOptions())
+	heap := p.AS.HeapBase()
+	if _, err := p.AS.Brk(heap + 10*mem.PageSize); err != nil {
+		t.Fatal(err)
+	}
+	if err := p.AS.MmapFixed(heap+12*mem.PageSize, mem.PageSize, vm.ProtRW, vm.KindFile, "req"); err != nil {
+		t.Fatal(err)
+	}
+	p.AS.WriteWord(heap+12*mem.PageSize, 0xBAD)
+	if _, err := m.Restore(); err != nil {
+		t.Fatal(err)
+	}
+	if err := m.Verify(); err != nil {
+		t.Fatal(err)
+	}
+	if got := p.AS.ReadWord(heap + 12*mem.PageSize); got != 0x100C {
+		t.Fatalf("heap page 12 = %#x, want 0x100c", got)
+	}
+}
+
 func TestRestoreRevertsMprotect(t *testing.T) {
 	_, p, m := newManagedProcess(t, 1, 8, DefaultOptions())
 	heap := p.AS.HeapBase()
@@ -510,7 +588,7 @@ func TestDiffLayoutsMergesAdjacentChanges(t *testing.T) {
 		{Start: 0x30000, End: 0x40000, Prot: vm.ProtRW, Kind: vm.KindAnon},
 		{Start: 0x40000, End: 0x50000, Prot: vm.ProtRW, Kind: vm.KindAnon},
 	}
-	d := (&diffScratch{}).diff(cur, base)
+	d := (&diffScratch{}).diff(cur, base, 0, 0)
 	if len(d.unmap) != 1 || d.unmap[0].Start != 0x30000 || d.unmap[0].End != 0x50000 {
 		t.Fatalf("unmap runs = %+v, want one merged [0x30000,0x50000)", d.unmap)
 	}

@@ -37,14 +37,16 @@ func wordOff(b uint16) vm.Addr {
 // brk movement, madvise, mprotect, demand-faulting reads of the stack and the
 // heap (one page or batched), mremap growth and moves (of request mappings
 // and of the six-page snapshot mapping at snapMap), munmaps that bite into
-// the snapshot mapping and file mappings placed over the range it left, and
-// forked children that write. It returns the children still alive: they share
-// the parent's frames, so a restore under them has to break copy-on-write
-// inside its pokes.
+// the snapshot mapping and file mappings placed over the range it left,
+// munmaps of snapshot heap pages below the break (and file mappings placed in
+// the hole), and forked children that write. It returns the children still
+// alive: they share the parent's frames, so a restore under them has to
+// break copy-on-write inside its pokes.
 func applyMutations(p *kernel.Process, snapMap vm.Addr, muts []mutation) (children []*vm.AddressSpace) {
 	as := p.AS
 	heap := as.HeapBase()
-	snapRange := snapMap // where the snapshot recorded the mapping, wherever it moves
+	snapBrk := as.BrkValue() // a request starts at the snapshot's break: the last restore put it back
+	snapRange := snapMap     // where the snapshot recorded the mapping, wherever it moves
 	heapPage := func(a uint16) (vm.Addr, bool) {
 		brk, _ := as.Brk(0)
 		if brk <= heap {
@@ -59,6 +61,11 @@ func applyMutations(p *kernel.Process, snapMap vm.Addr, muts []mutation) (childr
 		return ok && r.Prot&vm.ProtWrite != 0
 	}
 	writable := func(addr vm.Addr) bool { return writableIn(as, addr) }
+	// Reads are skipped if an earlier step unmapped the page.
+	readable := func(addr vm.Addr) bool {
+		_, ok := as.FindVMA(addr)
+		return ok
+	}
 	write := func(as *vm.AddressSpace, addr vm.Addr, v uint64) {
 		if writableIn(as, addr) {
 			as.WriteWord(addr, v)
@@ -103,7 +110,7 @@ func applyMutations(p *kernel.Process, snapMap vm.Addr, muts []mutation) (childr
 		case 8: // demand-fault a read-only touch of the stack
 			as.TouchPage((vm.StackTop - vm.Addr(mu.A%1000+1)*mem.PageSize).PageNum())
 		case 9: // read a heap page (faulting a zero frame in if it was dropped)
-			if page, ok := heapPage(mu.A); ok {
+			if page, ok := heapPage(mu.A); ok && readable(page) {
 				as.TouchPage(page.PageNum())
 			}
 		case 10: // write to the snapshot mapping, wherever it is now
@@ -142,7 +149,7 @@ func applyMutations(p *kernel.Process, snapMap vm.Addr, muts []mutation) (childr
 		case 14: // batched read: heap pages (faulting dropped ones back in) and a stack page
 			var vpns []uint64
 			for j := uint16(0); j <= mu.B%5; j++ {
-				if page, ok := heapPage(mu.A + j); ok {
+				if page, ok := heapPage(mu.A + j); ok && readable(page) {
 					vpns = append(vpns, page.PageNum())
 				}
 			}
@@ -158,13 +165,21 @@ func applyMutations(p *kernel.Process, snapMap vm.Addr, muts []mutation) (childr
 					as.WriteWord(a+wordOff(mu.B), mu.V)
 				}
 			}
+		case 17: // unmap pages of the snapshot heap below the break, maybe mapping a file region into the hole
+			if top := min(as.BrkValue(), snapBrk); top > heap {
+				a := heap + vm.Addr(int(mu.A)%int((top-heap)/mem.PageSize)*mem.PageSize)
+				_ = as.Munmap(a, min((int(mu.B%3)+1)*mem.PageSize, int(top-a)))
+				if mu.V%2 == 0 && as.MmapFixed(a, mem.PageSize, vm.ProtRW, vm.KindFile, "req") == nil {
+					as.WriteWord(a+wordOff(mu.B), mu.V)
+				}
+			}
 		}
 	}
 	return children
 }
 
 // numMutationOps is the number of request steps applyMutations knows.
-const numMutationOps = 17
+const numMutationOps = 18
 
 // ScratchCycle is the tail of a request whose scratch memory comes and goes: a
 // one-page mapping is written and unmapped again, which leaves the layout as

@@ -3,11 +3,11 @@ package core
 import (
 	"fmt"
 	"slices"
-	"sync"
 
 	"groundhog/internal/faults"
 	"groundhog/internal/mem"
 	"groundhog/internal/sim"
+	"groundhog/internal/spare"
 	"groundhog/internal/vm"
 )
 
@@ -71,11 +71,14 @@ func appendRun(list []vm.VMA, v vm.VMA) []vm.VMA {
 
 // diff compares region lists with a boundary sweep. Both lists must be
 // sorted by start address (as /proc maps and vm.VMAs always are). Heap
-// growth and shrinkage are left to the brk injection, but heap protection
-// changes are reverted like any other region's.
-func (sc *diffScratch) diff(cur, snap []vm.VMA) layoutDiff {
-	// Collect every boundary.
-	sc.cuts = sc.cuts[:0]
+// between the current break and the snapshot's is the brk injection's to
+// grow or shrink back, so the diff neither unmaps nor maps it; any other
+// region there is the diff's. Everywhere else the heap is a region like any
+// other: a hole a request unmapped below both breaks is mapped back, and its
+// protection changes are reverted.
+func (sc *diffScratch) diff(cur, snap []vm.VMA, curBrk, snapBrk vm.Addr) layoutDiff {
+	// Collect every boundary, the two breaks among them.
+	sc.cuts = append(sc.cuts[:0], curBrk, snapBrk)
 	for _, v := range cur {
 		sc.cuts = append(sc.cuts, v.Start, v.End)
 	}
@@ -85,31 +88,30 @@ func (sc *diffScratch) diff(cur, snap []vm.VMA) layoutDiff {
 	slices.Sort(sc.cuts)
 	cuts := slices.Compact(sc.cuts)
 
-	var d layoutDiff
+	d := layoutDiff{brkDelta: curBrk != snapBrk}
+	brkLo, brkHi := min(curBrk, snapBrk), max(curBrk, snapBrk)
 	sc.unmap, sc.remap, sc.reprotect = sc.unmap[:0], sc.remap[:0], sc.reprotect[:0]
 	for i := 0; i+1 < len(cuts); i++ {
 		lo, hi := cuts[i], cuts[i+1]
 		c, cok := lookupVMA(cur, lo)
 		s, sok := lookupVMA(snap, lo)
+		byBrk := brkLo <= lo && lo < brkHi
 		switch {
-		case cok && !sok:
-			if c.Kind == vm.KindHeap {
-				break // heap growth: reversed by the brk injection
+		case cok && sok && c.Kind == s.Kind && c.Name == s.Name:
+			if c.Prot != s.Prot {
+				sc.reprotect = appendRun(sc.reprotect, vm.VMA{Start: lo, End: hi, Prot: s.Prot, Kind: s.Kind, Name: s.Name})
 			}
-			sc.unmap = appendRun(sc.unmap, vm.VMA{Start: lo, End: hi, Prot: c.Prot, Kind: c.Kind, Name: c.Name})
-		case !cok && sok:
-			if s.Kind == vm.KindHeap {
-				break // heap shrinkage: reversed by the brk injection
+		case cok || sok:
+			// Not the snapshot's region, or none: unmap what is here (heap
+			// growth is the brk injection's to take back) and map the
+			// snapshot's back (heap shrinkage is the brk injection's to grow
+			// back). A region over part of a snapshot region's range is both.
+			if cok && !(byBrk && c.Kind == vm.KindHeap) {
+				sc.unmap = appendRun(sc.unmap, vm.VMA{Start: lo, End: hi, Prot: c.Prot, Kind: c.Kind, Name: c.Name})
 			}
-			sc.remap = appendRun(sc.remap, vm.VMA{Start: lo, End: hi, Prot: s.Prot, Kind: s.Kind, Name: s.Name})
-		case cok && sok && s.Kind != vm.KindHeap && (c.Kind != s.Kind || c.Name != s.Name):
-			// Another region now covers a snapshot region's range (the
-			// request unmapped part of it and something else grew or was
-			// mapped there): unmap the impostor, map the original back.
-			sc.unmap = appendRun(sc.unmap, vm.VMA{Start: lo, End: hi, Prot: c.Prot, Kind: c.Kind, Name: c.Name})
-			sc.remap = appendRun(sc.remap, vm.VMA{Start: lo, End: hi, Prot: s.Prot, Kind: s.Kind, Name: s.Name})
-		case cok && sok && (c.Prot != s.Prot):
-			sc.reprotect = appendRun(sc.reprotect, vm.VMA{Start: lo, End: hi, Prot: s.Prot, Kind: s.Kind, Name: s.Name})
+			if sok && !(byBrk && s.Kind == vm.KindHeap) {
+				sc.remap = appendRun(sc.remap, vm.VMA{Start: lo, End: hi, Prot: s.Prot, Kind: s.Kind, Name: s.Name})
+			}
 		}
 	}
 	d.unmap, d.remap, d.reprotect = sc.unmap, sc.remap, sc.reprotect
@@ -159,27 +161,8 @@ type restoreScratch struct {
 // released, for the next manager attach creates, a full cold start's or a
 // clone's: without it every new manager grows its layout, page and plan
 // buffers from nothing over its first restores, and a fleet that scales to
-// zero and back, or loses a host, makes new managers all the time. A locked
-// spare list, as vm's and mem's are, not a sync.Pool, which empties within
-// two collections. A scratch goes onto it only from a manager that took one
-// or made one, so scratches, live and spare together, never outnumber the
-// managers the process once held live.
-var spareScratch struct {
-	sync.Mutex
-	free []restoreScratch
-}
-
-// takeScratch gives a new manager a retired manager's scratch, if the spare
-// list holds one; otherwise its buffers grow from nil.
-func (m *Manager) takeScratch() {
-	spareScratch.Lock()
-	defer spareScratch.Unlock()
-	if n := len(spareScratch.free); n > 0 {
-		m.scratch = spareScratch.free[n-1]
-		spareScratch.free[n-1] = restoreScratch{}
-		spareScratch.free = spareScratch.free[:n-1]
-	}
-}
+// zero and back, or loses a host, makes new managers all the time.
+var spareScratch spare.List[restoreScratch]
 
 // retireScratch passes the manager's scratch to the spare list, every buffer
 // at length 0 with its capacity and no region name left in any VMA slot, and
@@ -187,8 +170,8 @@ func (m *Manager) takeScratch() {
 func (m *Manager) retireScratch() {
 	sc := &m.scratch
 	d := &sc.diff
-	spent := restoreScratch{
-		layout:  emptied(sc.layout),
+	spareScratch.Put(restoreScratch{
+		layout:  spare.Emptied(sc.layout),
 		pm:      sc.pm[:0],
 		dirty:   sc.dirty[:0],
 		present: sc.present[:0],
@@ -198,24 +181,12 @@ func (m *Manager) retireScratch() {
 		runs:    sc.runs[:0],
 		diff: diffScratch{
 			cuts:      d.cuts[:0],
-			unmap:     emptied(d.unmap),
-			remap:     emptied(d.remap),
-			reprotect: emptied(d.reprotect),
+			unmap:     spare.Emptied(d.unmap),
+			remap:     spare.Emptied(d.remap),
+			reprotect: spare.Emptied(d.reprotect),
 		},
-	}
+	})
 	m.scratch = restoreScratch{}
-	spareScratch.Lock()
-	spareScratch.free = append(spareScratch.free, spent)
-	spareScratch.Unlock()
-}
-
-// emptied returns a region list at length 0 with every slot up to its
-// capacity zeroed, so no region name its last owner put there stays
-// reachable.
-func emptied(s []vm.VMA) []vm.VMA {
-	s = s[:0]
-	clear(s[:cap(s)])
-	return s
 }
 
 // Restore rolls the function process back to the snapshot (§4.4). It must
@@ -330,26 +301,28 @@ func (m *Manager) diffLayout(same bool) layoutDiff {
 	sc.meter.Attribute(&sc.phases[phDiff])
 	var d layoutDiff
 	if !same {
-		d = sc.diff.diff(sc.layout, m.snap.layout)
-		d.brkDelta = m.proc.AS.BrkValue() != m.snap.brk
+		d = sc.diff.diff(sc.layout, m.snap.layout, m.proc.AS.BrkValue(), m.snap.brk)
 	}
 	sc.meter.Charge(m.kern.Cost.DiffPerVMA * sim.Duration(len(sc.layout)+len(m.snap.layout)))
 	return d
 }
 
-// applyLayout reverses the layout changes by injecting syscalls.
+// applyLayout reverses the layout changes by injecting syscalls. The brk
+// runs between the munmaps and the mmaps: a break that grows back needs its
+// range free of what the request mapped there, and a break that shrinks back
+// removes the heap from where a snapshot region is then mapped back.
 func (m *Manager) applyLayout(d layoutDiff) error {
 	sc := &m.scratch
-	sc.meter.Attribute(&sc.phases[phBrk])
-	if d.brkDelta {
-		if err := m.tracer.InjectBrk(m.snap.brk); err != nil {
-			return fmt.Errorf("core: restore brk: %w", err)
-		}
-	}
 	sc.meter.Attribute(&sc.phases[phMunmap])
 	for _, v := range d.unmap {
 		if err := m.tracer.InjectMunmap(v.Start, v.Len()); err != nil {
 			return fmt.Errorf("core: restore munmap %v: %w", v, err)
+		}
+	}
+	sc.meter.Attribute(&sc.phases[phBrk])
+	if d.brkDelta {
+		if err := m.tracer.InjectBrk(m.snap.brk); err != nil {
+			return fmt.Errorf("core: restore brk: %w", err)
 		}
 	}
 	sc.meter.Attribute(&sc.phases[phMmap])

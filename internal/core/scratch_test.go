@@ -10,6 +10,7 @@ import (
 
 	"groundhog/internal/kernel"
 	"groundhog/internal/mem"
+	"groundhog/internal/spare"
 	"groundhog/internal/vm"
 )
 
@@ -32,6 +33,18 @@ func backingOf(s any) any {
 		return nil
 	}
 	return v.Slice(0, 1).Index(0).Addr().Interface()
+}
+
+// peek returns what l holds, bottom first, and leaves it as it was. Call it
+// while no other goroutine uses l.
+func peek[T any](l *spare.List[T]) []T {
+	var vs []T
+	for v, ok := l.Take(); ok; v, ok = l.Take() {
+		vs = append(vs, v)
+	}
+	slices.Reverse(vs)
+	l.Put(vs...)
+	return vs
 }
 
 // checkSpentScratch reports what a scratch on the spare list, or arriving at
@@ -58,9 +71,7 @@ func checkSpentScratch(sc *restoreScratch) error {
 // spare list is spent, and every live manager's process holds its
 // address-space invariants.
 func checkScratch(live []*Manager) error {
-	spareScratch.Lock()
-	spares := slices.Clone(spareScratch.free)
-	spareScratch.Unlock()
+	spares := peek(&spareScratch)
 	owner := map[any]string{}
 	hold := func(sc *restoreScratch, who string) error {
 		for what, s := range scratchLists(sc) {

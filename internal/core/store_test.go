@@ -239,6 +239,7 @@ func TestDiffLayoutsTable(t *testing.T) {
 	cases := []struct {
 		name                     string
 		cur, snap                []vm.VMA
+		curBrk, snapBrk          vm.Addr
 		unmap, remap, reprotect  int
 		firstUnmap, firstRemapLo vm.Addr
 	}{
@@ -271,14 +272,45 @@ func TestDiffLayoutsTable(t *testing.T) {
 			reprotect: 1,
 		},
 		{
-			name: "heap-only growth is left to brk",
-			cur:  []vm.VMA{heap(0x1000, 0x8000)},
-			snap: []vm.VMA{heap(0x1000, 0x2000)},
+			name:   "heap-only growth is left to brk",
+			cur:    []vm.VMA{heap(0x1000, 0x8000)},
+			snap:   []vm.VMA{heap(0x1000, 0x2000)},
+			curBrk: 0x8000, snapBrk: 0x2000,
 		},
 		{
-			name: "heap-only shrinkage is left to brk",
-			cur:  []vm.VMA{heap(0x1000, 0x2000)},
-			snap: []vm.VMA{heap(0x1000, 0x6000)},
+			name:   "heap-only shrinkage is left to brk",
+			cur:    []vm.VMA{heap(0x1000, 0x2000)},
+			snap:   []vm.VMA{heap(0x1000, 0x6000)},
+			curBrk: 0x2000, snapBrk: 0x6000,
+		},
+		{
+			name:   "a heap hole below the break is mapped back",
+			cur:    []vm.VMA{heap(0x1000, 0x3000), heap(0x5000, 0x8000)},
+			snap:   []vm.VMA{heap(0x1000, 0x8000)},
+			curBrk: 0x8000, snapBrk: 0x8000,
+			remap: 1, firstRemapLo: 0x3000,
+		},
+		{
+			name:   "a region in a heap hole is unmapped and the hole mapped back",
+			cur:    []vm.VMA{heap(0x1000, 0x3000), {Start: 0x3000, End: 0x4000, Prot: vm.ProtRW, Kind: vm.KindFile, Name: "req"}, heap(0x5000, 0x8000)},
+			snap:   []vm.VMA{heap(0x1000, 0x8000)},
+			curBrk: 0x8000, snapBrk: 0x8000,
+			unmap: 1, firstUnmap: 0x3000,
+			remap: 1, firstRemapLo: 0x3000,
+		},
+		{
+			name:   "a heap hole below a lowered break is mapped back, the rest left to brk",
+			cur:    []vm.VMA{heap(0x1000, 0x2000), heap(0x3000, 0x4000)},
+			snap:   []vm.VMA{heap(0x1000, 0x8000)},
+			curBrk: 0x4000, snapBrk: 0x8000,
+			remap: 1, firstRemapLo: 0x2000,
+		},
+		{
+			name:   "a region in the way of the break growing back is only unmapped",
+			cur:    []vm.VMA{heap(0x1000, 0x2000), rw(0x3000, 0x4000)},
+			snap:   []vm.VMA{heap(0x1000, 0x6000)},
+			curBrk: 0x2000, snapBrk: 0x6000,
+			unmap: 1, firstUnmap: 0x3000,
 		},
 		{
 			name:  "region grown at tail unmaps only the extension",
@@ -296,7 +328,7 @@ func TestDiffLayoutsTable(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			d := (&diffScratch{}).diff(tc.cur, tc.snap)
+			d := (&diffScratch{}).diff(tc.cur, tc.snap, tc.curBrk, tc.snapBrk)
 			if len(d.unmap) != tc.unmap || len(d.remap) != tc.remap || len(d.reprotect) != tc.reprotect {
 				t.Fatalf("diff = unmap:%d remap:%d reprotect:%d, want %d/%d/%d\n%+v",
 					len(d.unmap), len(d.remap), len(d.reprotect),
@@ -326,8 +358,8 @@ func TestDiffScratchReuse(t *testing.T) {
 		{{rw(0x1000, 0x3000)}, {rw(0x2000, 0x3000)}},
 	}
 	for i, in := range inputs {
-		got := sc.diff(in[0], in[1])
-		want := (&diffScratch{}).diff(in[0], in[1])
+		got := sc.diff(in[0], in[1], 0, 0)
+		want := (&diffScratch{}).diff(in[0], in[1], 0, 0)
 		if len(got.unmap) != len(want.unmap) || len(got.remap) != len(want.remap) ||
 			len(got.reprotect) != len(want.reprotect) {
 			t.Fatalf("input %d: reused scratch diff %+v != fresh diff %+v", i, got, want)

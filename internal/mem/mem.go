@@ -11,15 +11,16 @@
 // through a free list; a frame that takes a recycled buffer zeroes it unless
 // it overwrites the whole page (see PhysMem). Large slabs leave a cache line
 // between pages, so that page starts spread over the cache's sets rather than
-// pile into one (see slabStride). Slabs outlive the PhysMem that
-// carved them: one whose every frame is freed hands its slabs, whole, to a
-// process-wide spare list — the package's only shared state — and the next
-// PhysMem to run out of slab takes one from there before asking the runtime,
-// as a host's page allocator outlives the processes it serves. Its
-// bookkeeping goes with them: the frame table and the free lists, emptied but
-// with their capacity, are the next PhysMem's to fill. That a
-// recycled frame shows nothing of its last owner, in the same PhysMem or
-// another, is a tested property, not a convention. The same buffers are lent
+// pile into one (see slabStride). Slabs outlive the PhysMem that carved
+// them: one whose every frame is freed hands its slabs, whole, to a
+// process-wide spare list, and the next PhysMem to run out of slab takes one
+// from there before asking the runtime, as a host's page allocator outlives
+// the processes it serves. Its bookkeeping goes with them, onto a second
+// list: the frame table and the free lists, emptied but with their capacity,
+// are the next PhysMem's to fill. The two lists (see package spare) are the
+// package's only shared state. That a recycled frame shows nothing of its
+// last owner, in the same PhysMem or another, is a tested property, not a
+// convention. The same buffers are lent
 // whole to hold bytes that are no frame's (a snapshot's copy of a page, see
 // LendPage), so that memory too is recycled rather than made.
 package mem
@@ -29,7 +30,8 @@ import (
 	"encoding/binary"
 	"fmt"
 	"slices"
-	"sync"
+
+	"groundhog/internal/spare"
 )
 
 const (
@@ -93,7 +95,7 @@ type frame struct {
 //
 // A PhysMem is not safe for concurrent use — the simulation is
 // single-threaded by design (see internal/sim) — but distinct PhysMems may be
-// used from distinct goroutines: the spare list they share is locked.
+// used from distinct goroutines: the spare lists they share are locked.
 type PhysMem struct {
 	tables        // nil until the first Alloc or LendPage since New or the last hand-back
 	slab   []byte // the newest slab's uncarved tail
@@ -114,18 +116,13 @@ type tables struct {
 	slabs  [][]byte  // every slab carved from since the last hand-back, whole
 }
 
-// spare holds the whole slabs of PhysMems whose every frame was freed, for
-// the next PhysMem that runs out of slab, and their emptied tables, for the
-// next PhysMem to start. It needs no bound of its own: a slab or a set of
-// tables is made only while its list is empty, so what the lists hold, live
-// and spare together, never exceeds what the process once held live. Not a
-// sync.Pool, which drops its contents within two collections: a teardown is
-// often followed by one before the next platform is built.
-var spare struct {
-	sync.Mutex
-	slabs  [][]byte
-	tables []tables
-}
+// spareSlabs holds the whole slabs of PhysMems whose every frame was freed,
+// for the next PhysMem that runs out of slab; spareTables holds their
+// emptied tables, for the next PhysMem to start.
+var (
+	spareSlabs  spare.List[[]byte]
+	spareTables spare.List[tables]
+)
 
 // slabPages is the size, in pages, of the next slab given the page buffers
 // carved so far: a thirty-second of them, at least 4 and at most 256 (1,040
@@ -161,49 +158,25 @@ func slabStride(n int) int {
 	return PageSize
 }
 
-// takeSpare pops a slab off the spare list, or returns nil if it is empty.
-func takeSpare() []byte {
-	spare.Lock()
-	defer spare.Unlock()
-	n := len(spare.slabs)
-	if n == 0 {
-		return nil
-	}
-	s := spare.slabs[n-1]
-	spare.slabs[n-1] = nil
-	spare.slabs = spare.slabs[:n-1]
-	return s
-}
-
 // handBack gives every slab to the spare list, and its tables, emptied, with
 // them: the PhysMem keeps neither, nor the page buffers carved from the
 // slabs. The caller guarantees no frame holds one and none is lent (InUse and
 // Lent are 0), so every frame slot is free and holds no buffer.
 func (p *PhysMem) handBack() {
-	clear(p.bufs)
-	spare.Lock()
-	spare.slabs = append(spare.slabs, p.slabs...)
-	clear(p.slabs)
-	spare.tables = append(spare.tables, tables{
+	spareSlabs.Put(p.slabs...)
+	spareTables.Put(tables{
 		frames: p.frames[:1],
 		free:   p.free[:0],
-		bufs:   p.bufs[:0],
-		slabs:  p.slabs[:0],
+		bufs:   spare.Emptied(p.bufs),
+		slabs:  spare.Emptied(p.slabs),
 	})
-	spare.Unlock()
 	p.tables, p.slab, p.carved = tables{}, nil, 0
 }
 
 // takeTables gives a PhysMem with none a set of tables: one from the spare
 // list if it holds one, else a new one.
 func (p *PhysMem) takeTables() {
-	spare.Lock()
-	if n := len(spare.tables); n > 0 {
-		p.tables = spare.tables[n-1]
-		spare.tables[n-1] = tables{}
-		spare.tables = spare.tables[:n-1]
-	}
-	spare.Unlock()
+	p.tables, _ = spareTables.Take()
 	if p.frames == nil {
 		p.frames = make([]frame, 1)
 	}
@@ -369,8 +342,7 @@ func (p *PhysMem) takeBuf(zero bool) []byte {
 		return b
 	}
 	if len(p.slab) == 0 {
-		p.slab = takeSpare()
-		p.reused = p.slab != nil
+		p.slab, p.reused = spareSlabs.Take()
 		if !p.reused {
 			n := slabPages(p.carved)
 			p.slab = make([]byte, n*slabStride(n*PageSize))

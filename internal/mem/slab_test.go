@@ -4,10 +4,13 @@ import (
 	"bytes"
 	"math/rand"
 	"runtime"
+	"slices"
 	"sync"
 	"testing"
 	"testing/quick"
 	"unsafe"
+
+	"groundhog/internal/spare"
 )
 
 // modelFrame is the reference model's frame: a refcount and a page of bytes,
@@ -291,11 +294,21 @@ func (m *slabModel) check(touched []FrameID, all bool) bool {
 // noteSpares records every slab now on the spare list, so check can tell a
 // slab a PhysMem took from there from one it made.
 func noteSpares(spared map[*byte]bool) {
-	spare.Lock()
-	defer spare.Unlock()
-	for _, s := range spare.slabs {
+	for _, s := range peek(&spareSlabs) {
 		spared[&s[0]] = true
 	}
+}
+
+// peek returns what l holds, bottom first, and leaves it as it was. Call it
+// while no other goroutine uses l.
+func peek[T any](l *spare.List[T]) []T {
+	var vs []T
+	for v, ok := l.Take(); ok; v, ok = l.Take() {
+		vs = append(vs, v)
+	}
+	slices.Reverse(vs)
+	l.Put(vs...)
+	return vs
 }
 
 // modelStride is the reference model's rule for where a slab's pages start,
@@ -340,11 +353,7 @@ func checkOwnership(t *testing.T, ms []*slabModel) bool {
 		}
 		return true
 	}
-	spare.Lock()
-	spares := append([][]byte(nil), spare.slabs...)
-	spareTables := append([]tables(nil), spare.tables...)
-	spare.Unlock()
-	for _, s := range spares {
+	for _, s := range peek(&spareSlabs) {
 		if !hold(s, spareOwner) {
 			return false
 		}
@@ -372,7 +381,7 @@ func checkOwnership(t *testing.T, ms []*slabModel) bool {
 		}
 		return true
 	}
-	for _, tb := range spareTables {
+	for _, tb := range peek(&spareTables) {
 		if len(tb.frames) != 1 || len(tb.free)+len(tb.bufs)+len(tb.slabs) != 0 {
 			t.Errorf("spare tables not emptied: %d frame slots, %d free IDs, %d buffers, %d slabs",
 				len(tb.frames), len(tb.free), len(tb.bufs), len(tb.slabs))
@@ -722,9 +731,10 @@ func TestRecycledFramesCarryNoSecret(t *testing.T) {
 // drainSpares empties the spare list, so a test sees only the slabs and
 // tables its own PhysMems hand back.
 func drainSpares() {
-	spare.Lock()
-	spare.slabs, spare.tables = nil, nil
-	spare.Unlock()
+	for _, ok := spareSlabs.Take(); ok; _, ok = spareSlabs.Take() {
+	}
+	for _, ok := spareTables.Take(); ok; _, ok = spareTables.Take() {
+	}
 }
 
 // TestDrainedPoolPassesOnItsTables: a PhysMem that drains passes its
@@ -843,11 +853,7 @@ func TestSlabColorsPageStarts(t *testing.T) {
 }
 
 // spareLen reports how many slabs wait on the spare list.
-func spareLen() int {
-	spare.Lock()
-	defer spare.Unlock()
-	return len(spare.slabs)
-}
+func spareLen() int { return len(peek(&spareSlabs)) }
 
 // TestPhysMemsOnManyGoroutines: PhysMems on distinct goroutines share only
 // the spare list. Each goroutine runs its own through rounds of allocate,

@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"groundhog/internal/mem"
+	"groundhog/internal/spare"
 )
 
 // bookSlices names every list of a set of books, for the ownership checks.
@@ -32,6 +33,18 @@ func backingOf(s any) any {
 		return nil
 	}
 	return v.Slice(0, 1).Index(0).Addr().Interface()
+}
+
+// peek returns what l holds, bottom first, and leaves it as it was. Call it
+// while no other goroutine uses l.
+func peek[T any](l *spare.List[T]) []T {
+	var vs []T
+	for v, ok := l.Take(); ok; v, ok = l.Take() {
+		vs = append(vs, v)
+	}
+	slices.Reverse(vs)
+	l.Put(vs...)
+	return vs
 }
 
 // checkSpent reports what a set of books on the spare list, or arriving at a
@@ -68,9 +81,7 @@ func checkSpent(b books) error {
 // the spare list is spent (checkSpent), and every live address space holds
 // its invariants.
 func checkBooks(live []*AddressSpace) error {
-	spareBooks.Lock()
-	spares := slices.Clone(spareBooks.free)
-	spareBooks.Unlock()
+	spares := peek(&spareBooks)
 	owner := map[any]string{}
 	hold := func(b books, who string) error {
 		for what, s := range bookSlices(b) {

@@ -109,17 +109,11 @@ func (as *AddressSpace) Brk(newBrk Addr) (Addr, error) {
 	case target == old:
 		// no-op
 	case target > old:
-		// Grow: extend (or create) the heap VMA.
-		as.carve(as.brkBase, old) // remove current heap region, if any
-		if target > as.brkBase {
-			if err := as.insertVMA(VMA{Start: as.brkBase, End: target, Prot: ProtRW, Kind: KindHeap}); err != nil {
-				// Restore the old region before reporting: the heap range
-				// collided with another mapping.
-				if old > as.brkBase {
-					_ = as.insertVMA(VMA{Start: as.brkBase, End: old, Prot: ProtRW, Kind: KindHeap})
-				}
-				return as.brk, err
-			}
+		// Grow: map [old, target), merging with the heap region below it.
+		// As with the syscall, nothing below the old break changes: a hole
+		// a munmap left there stays a hole.
+		if err := as.insertVMA(VMA{Start: old, End: target, Prot: ProtRW, Kind: KindHeap}); err != nil {
+			return as.brk, err
 		}
 		as.brk = target
 	default:

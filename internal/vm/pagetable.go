@@ -2,9 +2,9 @@ package vm
 
 import (
 	"math/bits"
-	"sync"
 
 	"groundhog/internal/mem"
+	"groundhog/internal/spare"
 )
 
 // The sparse page table behind AddressSpace. PTEs live in chunks of 512
@@ -41,41 +41,19 @@ func (c *pageChunk) present(i uint64) bool {
 func (c *pageChunk) setBit(i uint64)   { c.bitmap[i>>6] |= 1 << (i & 63) }
 func (c *pageChunk) clearBit(i uint64) { c.bitmap[i>>6] &^= 1 << (i & 63) }
 
-// chunkPool holds emptied chunks, every entry and bit zero, for the next
+// spareChunks holds emptied chunks, every entry and bit zero, for the next
 // addChunk or Fork of any address space in the process: an exiting process's
 // chunks (Release clears them) are what the next clone maps its image into,
 // and a request that maps and writes a scratch region the rollback then
-// unmaps takes back the chunk the unmap emptied. Without it, each would
-// allocate. A locked spare list, as mem's slabs have, not a sync.Pool, which
-// empties within two collections: the chunks a GC found idle would be made
-// again by the next request. It needs no bound of its own: a chunk is made
-// only while the list is empty, so chunks, live and spare together, never
-// outnumber the most the process once held live.
-var chunkPool struct {
-	sync.Mutex
-	free []*pageChunk
-}
+// unmaps takes back the chunk the unmap emptied.
+var spareChunks spare.List[*pageChunk]
 
-// getChunk takes an empty chunk from the pool, or makes one if it is empty.
+// getChunk takes an empty chunk from spareChunks, or makes one if it is empty.
 func getChunk() *pageChunk {
-	chunkPool.Lock()
-	n := len(chunkPool.free)
-	if n == 0 {
-		chunkPool.Unlock()
-		return new(pageChunk)
+	if c, ok := spareChunks.Take(); ok {
+		return c
 	}
-	c := chunkPool.free[n-1]
-	chunkPool.free[n-1] = nil
-	chunkPool.free = chunkPool.free[:n-1]
-	chunkPool.Unlock()
-	return c
-}
-
-// putChunks gives emptied chunks, every entry and bit zero, to the pool.
-func putChunks(cs ...*pageChunk) {
-	chunkPool.Lock()
-	chunkPool.free = append(chunkPool.free, cs...)
-	chunkPool.Unlock()
+	return new(pageChunk)
 }
 
 // pageTable is a sorted collection of chunks plus a one-entry lookup cache
@@ -185,7 +163,7 @@ func (pt *pageTable) delete(vpn uint64) (PTE, bool) {
 }
 
 // removeChunk drops an empty chunk (all entries and bits zero, as delete
-// leaves them) from the sorted list and pools it.
+// leaves them) from the sorted list and puts it on spareChunks.
 func (pt *pageTable) removeChunk(c *pageChunk) {
 	for i, x := range pt.chunks {
 		if x == c {
@@ -198,15 +176,15 @@ func (pt *pageTable) removeChunk(c *pageChunk) {
 	if pt.cache == c {
 		pt.cache = nil
 	}
-	putChunks(c)
+	spareChunks.Put(c)
 }
 
 // len returns the number of resident pages.
 func (pt *pageTable) len() int { return pt.total }
 
 // release unrefs every live entry's frame, clears the entry and its bit, and
-// pools the chunks, under one lock, leaving the table empty with its chunk
-// list's capacity.
+// puts the chunks on spareChunks in one Put, leaving the table empty with its
+// chunk list's capacity.
 func (pt *pageTable) release(phys *mem.PhysMem) {
 	for _, c := range pt.chunks {
 		for w, word := range c.bitmap {
@@ -218,9 +196,8 @@ func (pt *pageTable) release(phys *mem.PhysMem) {
 		}
 		c.bitmap, c.n = [chunkWords]uint64{}, 0
 	}
-	putChunks(pt.chunks...)
-	clear(pt.chunks)
-	pt.chunks = pt.chunks[:0]
+	spareChunks.Put(pt.chunks...)
+	pt.chunks = spare.Emptied(pt.chunks)
 	pt.total = 0
 	pt.cache = nil
 }

@@ -5,10 +5,10 @@ import (
 	"math/bits"
 	"slices"
 	"sort"
-	"sync"
 
 	"groundhog/internal/mem"
 	"groundhog/internal/sim"
+	"groundhog/internal/spare"
 )
 
 // Standard address-space layout constants. The specific values only need to
@@ -196,15 +196,20 @@ func (l *epochLog) appendAll(dst []uint64) []uint64 {
 
 // New returns an empty address space backed by phys with the given cost
 // table. Its bookkeeping is a retired address space's, if the spare list
-// holds one (see Retire).
+// holds one (see Retire); otherwise its lists grow from nil.
 func New(phys *mem.PhysMem, costs Costs) *AddressSpace {
-	as := &AddressSpace{
+	b, _ := spareBooks.Take()
+	return &AddressSpace{
 		phys:     phys,
 		costs:    costs,
 		mmapNext: MmapTop,
+		vmas:     b.vmas,
+		carved:   b.carved,
+		pages:    pageTable{chunks: b.chunks},
+		dirty:    b.dirty,
+		fresh:    b.fresh,
+		lost:     b.lost,
 	}
-	as.takeBooks()
-	return as
 }
 
 // books is what an address space keeps about its pages besides the pages
@@ -222,29 +227,8 @@ type books struct {
 // makes, whether for a spawn, a clone (NewFromLayout) or a Fork: a container
 // torn down by scale-to-zero, a host failure or a drain leaves behind lists
 // grown to a runtime's size, and the next cold start would otherwise grow its
-// own from nothing, one doubling at a time. A locked spare list, as
-// chunkPool is, not a sync.Pool, which empties within two collections. It
-// needs no bound of its own: a set of books goes onto it only from an
-// address space that took one or made one, so sets, live and spare
-// together, never outnumber the address spaces the process once held live.
-var spareBooks struct {
-	sync.Mutex
-	free []books
-}
-
-// takeBooks gives a new address space the books of a retired one, if the
-// spare list holds any; otherwise its lists grow from nil.
-func (as *AddressSpace) takeBooks() {
-	spareBooks.Lock()
-	defer spareBooks.Unlock()
-	if n := len(spareBooks.free); n > 0 {
-		b := spareBooks.free[n-1]
-		spareBooks.free[n-1] = books{}
-		spareBooks.free = spareBooks.free[:n-1]
-		as.vmas, as.carved, as.pages.chunks = b.vmas, b.carved, b.chunks
-		as.dirty, as.fresh, as.lost = b.dirty, b.fresh, b.lost
-	}
-}
+// own from nothing, one doubling at a time.
+var spareBooks spare.List[books]
 
 // Retire releases the address space, as Release does, and passes its books
 // to the spare list the next New draws from. Call it once, where the process
@@ -252,28 +236,16 @@ func (as *AddressSpace) takeBooks() {
 // lists it passed on, and if it is used again it grows new ones from nil.
 func (as *AddressSpace) Retire() {
 	as.Release()
-	b := books{
-		vmas:   emptied(as.vmas),
-		carved: emptied(as.carved),
-		chunks: emptied(as.pages.chunks),
+	spareBooks.Put(books{
+		vmas:   spare.Emptied(as.vmas),
+		carved: spare.Emptied(as.carved),
+		chunks: spare.Emptied(as.pages.chunks),
 		dirty:  epochLog{vpns: as.dirty.vpns[:0]},
 		fresh:  epochLog{vpns: as.fresh.vpns[:0]},
 		lost:   epochLog{vpns: as.lost.vpns[:0]},
-	}
+	})
 	as.vmas, as.carved, as.pages.chunks = nil, nil, nil
 	as.dirty, as.fresh, as.lost = epochLog{}, epochLog{}, epochLog{}
-	spareBooks.Lock()
-	spareBooks.free = append(spareBooks.free, b)
-	spareBooks.Unlock()
-}
-
-// emptied returns s at length 0 with every slot up to its capacity zeroed, so
-// that nothing its last owner put there (a region's name, a chunk) stays
-// reachable through it.
-func emptied[T any](s []T) []T {
-	s = s[:0]
-	clear(s[:cap(s)])
-	return s
 }
 
 // Phys returns the backing physical memory pool.

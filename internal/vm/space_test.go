@@ -329,6 +329,40 @@ func TestBrkGrowShrink(t *testing.T) {
 	}
 }
 
+// TestBrkGrowLeavesBelowTheBreakAlone: growing the break maps only the range
+// above the old one, as the syscall does. A hole unmapped below it stays a
+// hole, and a region mapped there keeps its kind and its page.
+func TestBrkGrowLeavesBelowTheBreakAlone(t *testing.T) {
+	as := newTestSpace(t)
+	base := Addr(0x01000000)
+	mustBrk(t, as, base+8*mem.PageSize)
+	if err := as.Munmap(base+2*mem.PageSize, 3*mem.PageSize); err != nil {
+		t.Fatal(err)
+	}
+	if err := as.MmapFixed(base+4*mem.PageSize, mem.PageSize, ProtRW, KindFile, "req"); err != nil {
+		t.Fatal(err)
+	}
+	as.WriteWord(base+4*mem.PageSize, 7)
+	mustBrk(t, as, base+12*mem.PageSize)
+	for i := 0; i < 12; i++ {
+		r, ok := as.FindVMA(base + Addr(i*mem.PageSize))
+		switch {
+		case i == 2 || i == 3:
+			if ok {
+				t.Errorf("page %d: in %v, want a hole", i, r)
+			}
+		case !ok || (r.Kind == KindFile) != (i == 4) || r.Kind != KindFile && r.Kind != KindHeap:
+			t.Errorf("page %d: region %v (found %v)", i, r, ok)
+		}
+	}
+	if got := as.ReadWord(base + 4*mem.PageSize); got != 7 {
+		t.Fatalf("the region below the break lost its page: %d", got)
+	}
+	if err := as.CheckInvariants(); err != nil {
+		t.Fatal(err)
+	}
+}
+
 func TestBrkQueryAndErrors(t *testing.T) {
 	as := newTestSpace(t)
 	cur, err := as.Brk(0)
