@@ -25,7 +25,6 @@ import (
 	"groundhog/internal/procfs"
 	"groundhog/internal/ptrace"
 	"groundhog/internal/sim"
-	"groundhog/internal/vm"
 )
 
 // Phase names for the restore breakdown, matching the legend of Fig. 8.
@@ -174,17 +173,15 @@ type RestoreStats struct {
 
 // snapshot is everything needed to put the process back, held in the
 // manager's memory (never serialized to disk — the property that
-// distinguishes Groundhog from CRIU-style approaches, §6). Page contents
-// live in the stateStore.
+// distinguishes Groundhog from CRIU-style approaches, §6). It is the
+// kernel.ProcessImage a clone is spawned from — layout, brk and its base,
+// the mmap placement cursor (so a clone places future mappings exactly
+// where the donor would have), registers in Process.Threads order and the
+// sorted VPN index — whose Frames hold a CoW store's pages, plus the copy
+// store's lent pages beside it (see store.go).
 type snapshot struct {
-	layout []vm.VMA
-	brk    vm.Addr
-	// mmapBase is the address space's mmap placement cursor at snapshot
-	// time, recorded so that a container cloned from this snapshot places
-	// future mappings exactly where the donor would have.
-	mmapBase vm.Addr
-	regs     []kernel.Regs // one per thread, in Process.Threads order (append-only)
-	store    stateStore
+	kernel.ProcessImage
+	pages []*[mem.PageSize]byte
 }
 
 // Manager is the Groundhog manager process for one function process
@@ -272,10 +269,11 @@ func (m *Manager) TakeSnapshot() (SnapshotStats, error) {
 	// UFFD, whose manager never reads soft-dirty bits — with a mincore-style
 	// resident walk through the address space's append accessor. Both paths
 	// run through the manager's reusable scratch buffers.
-	snap := &snapshot{
-		layout: layout,
-		regs:   make([]kernel.Regs, 0, len(m.proc.Threads)),
-	}
+	snap := &snapshot{ProcessImage: kernel.ProcessImage{
+		Layout:  layout,
+		BrkBase: m.proc.AS.HeapBase(),
+		Regs:    make([]kernel.Regs, 0, len(m.proc.Threads)),
+	}}
 	sim.ChargeTo(meter, m.kern.Cost.SnapshotBase)
 	sc := &m.scratch
 	resident := m.proc.AS.ResidentPages()
@@ -292,29 +290,29 @@ func (m *Manager) TakeSnapshot() (SnapshotStats, error) {
 		}
 	}
 
-	st, phys := &snap.store, m.kern.Phys
+	phys := m.kern.Phys
 	// A snapshot that fails part-way gives back what its store took.
 	kept := false
 	defer func() {
 		if !kept {
-			st.release(phys)
+			snap.release(phys)
 		}
 	}()
-	st.vpns = make([]uint64, 0, resident)
+	snap.VPNs = make([]uint64, 0, resident)
 	switch m.opts.Store {
 	case StoreCoW:
-		st.frames = make([]mem.FrameID, 0, resident)
+		snap.Frames = make([]mem.FrameID, 0, resident)
 		for _, vpn := range sc.present {
 			f, ok := m.proc.AS.ShareFrameCoW(vpn)
 			if !ok {
 				return SnapshotStats{}, fmt.Errorf("core: page %#x vanished during snapshot", vpn)
 			}
-			st.vpns = append(st.vpns, vpn)
-			st.frames = append(st.frames, f)
+			snap.VPNs = append(snap.VPNs, vpn)
+			snap.Frames = append(snap.Frames, f)
 			sim.ChargeTo(meter, m.kern.Cost.SnapshotCoWPerPage)
 		}
 	default:
-		st.pages = make([]*[mem.PageSize]byte, 0, resident)
+		snap.pages = make([]*[mem.PageSize]byte, 0, resident)
 		// Each page is read into the lent page in hand, kept only if it
 		// holds bytes: all-zero (or vanished) pages take none, and the page
 		// in hand at the end goes back.
@@ -332,8 +330,8 @@ func (m *Manager) TakeSnapshot() (SnapshotStats, error) {
 			if ok && !zero {
 				page, hand = hand, nil
 			}
-			st.vpns = append(st.vpns, vpn)
-			st.pages = append(st.pages, page)
+			snap.VPNs = append(snap.VPNs, vpn)
+			snap.pages = append(snap.pages, page)
 			sim.ChargeTo(meter, m.kern.Cost.SnapshotPerPage)
 		}
 		if hand != nil {
@@ -347,14 +345,14 @@ func (m *Manager) TakeSnapshot() (SnapshotStats, error) {
 		if err != nil {
 			return SnapshotStats{}, err
 		}
-		snap.regs = append(snap.regs, regs)
+		snap.Regs = append(snap.Regs, regs)
 	}
 	brk, err := m.proc.AS.Brk(0)
 	if err != nil {
 		return SnapshotStats{}, err
 	}
-	snap.brk = brk
-	snap.mmapBase = m.proc.AS.MmapBase()
+	snap.Brk = brk
+	snap.MmapBase = m.proc.AS.MmapBase()
 
 	// (d) reset write tracking, then resume.
 	m.fs.ClearRefs(m.proc, meter)
@@ -363,10 +361,10 @@ func (m *Manager) TakeSnapshot() (SnapshotStats, error) {
 	}
 
 	if m.snap != nil {
-		m.snap.store.release(phys)
+		m.snap.release(phys)
 	}
 	m.snap, kept = snap, true
-	return SnapshotStats{Duration: meter.Total(), Pages: snap.store.len(), VMAs: len(layout)}, nil
+	return SnapshotStats{Duration: meter.Total(), Pages: snap.len(), VMAs: len(layout)}, nil
 }
 
 // StateStoreBytes reports the StateStore's current materialized memory. For
@@ -376,7 +374,7 @@ func (m *Manager) StateStoreBytes() int {
 	if m.snap == nil {
 		return 0
 	}
-	return m.snap.store.bytes(m.kern.Phys)
+	return m.snap.bytes(m.kern.Phys)
 }
 
 // Retain adds a holder of the manager's snapshot, which a new manager's
@@ -396,7 +394,7 @@ func (m *Manager) Release() {
 		return
 	}
 	if m.snap != nil {
-		m.snap.store.release(m.kern.Phys)
+		m.snap.release(m.kern.Phys)
 		m.snap = nil
 	}
 	m.retireScratch()

@@ -34,7 +34,7 @@ func (m *Manager) exactRestore() (RestoreStats, error) {
 	}
 	sc.meter.Attribute(&sc.phases[phReadMaps])
 	sc.layout = m.fs.MapsRegions(m.proc, &sc.meter, sc.layout[:0])
-	same := as.BrkValue() == m.snap.brk && slices.Equal(sc.layout, m.snap.layout)
+	same := as.BrkValue() == m.snap.Brk && slices.Equal(sc.layout, m.snap.Layout)
 
 	mapped := m.scan()
 	sc.dirty, sc.present = sc.dirty[:0], as.AppendResidentVPNs(sc.present[:0])
@@ -61,10 +61,10 @@ func (m *Manager) exactRestore() (RestoreStats, error) {
 // merge of the store's VPN index with the resident and the dirty list, which
 // asks the page table about every clean store page that was resident.
 func (m *Manager) exactPlan() {
-	sc, st, as, phys := &m.scratch, &m.snap.store, m.proc.AS, m.kern.Phys
+	sc, st, as, phys := &m.scratch, m.snap, m.proc.AS, m.kern.Phys
 	sc.fresh, sc.restore = sc.fresh[:0], sc.restore[:0]
 	pi, di := 0, 0
-	for i, vpn := range st.vpns {
+	for i, vpn := range st.VPNs {
 		for ; pi < len(sc.present) && sc.present[pi] < vpn; pi++ {
 			m.addFresh(sc.present[pi])
 		}

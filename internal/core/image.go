@@ -119,50 +119,45 @@ func (img *SnapshotImage) unwind(what string, cause error) error {
 // cost amortized across every subsequent clone); all-zero pages share a single
 // lazily-zero frame, the moral equivalent of the kernel zero page, charged
 // like a CoW reference (the refcount bump is the same work whether the frame
-// holds content or not). The layout, page numbers and registers never change
-// once recorded, so the image shares the snapshot's slices.
+// holds content or not). The snapshot is itself a kernel.ProcessImage whose
+// layout, page numbers and registers never change once recorded, so the
+// image starts as a copy of it, sharing those slices, and builds only its
+// own Frames.
 func (m *Manager) ExportImage(meter *sim.Meter) (*SnapshotImage, error) {
 	if m.snap == nil {
 		return nil, fmt.Errorf("core: export before snapshot")
 	}
-	snap, st, phys, cost := m.snap, &m.snap.store, m.kern.Phys, &m.kern.Cost
-	if len(m.proc.Threads) != len(snap.regs) {
-		return nil, fmt.Errorf("core: export: %d threads, snapshot had %d", len(m.proc.Threads), len(snap.regs))
+	snap, phys, cost := m.snap, m.kern.Phys, &m.kern.Cost
+	if len(m.proc.Threads) != len(snap.Regs) {
+		return nil, fmt.Errorf("core: export: %d threads, snapshot had %d", len(m.proc.Threads), len(snap.Regs))
 	}
-	img := &SnapshotImage{phys: phys, desc: kernel.ProcessImage{
-		Layout:   snap.layout,
-		BrkBase:  m.proc.AS.HeapBase(),
-		Brk:      snap.brk,
-		MmapBase: snap.mmapBase,
-		VPNs:     st.vpns,
-		Frames:   make([]mem.FrameID, 0, st.len()),
-		Regs:     snap.regs,
-	}}
+	img := &SnapshotImage{phys: phys, desc: snap.ProcessImage}
+	img.desc.Frames = make([]mem.FrameID, 0, snap.len())
 
 	// An armed fault plan can abort the export before any page, between two,
 	// or after the last.
 	failAt := -1
 	var fault error
 	if fault = m.kern.Faults.Fire(faults.SiteSnapshotExport); fault != nil {
-		failAt = m.kern.Faults.Cut(faults.SiteSnapshotExport, st.len()+1)
+		failAt = m.kern.Faults.Cut(faults.SiteSnapshotExport, snap.len()+1)
 	}
 	zeroFrame := mem.NoFrame
 	for i := 0; ; i++ {
 		if i == failAt {
 			return nil, img.unwind("snapshot export", fault)
 		}
-		if i == st.len() {
+		if i == snap.len() {
 			break
 		}
 		var f mem.FrameID
 		charge := cost.SnapshotCoWPerPage
 		switch {
-		case st.frames != nil:
-			f = st.frames[i]
+		case snap.Frames != nil:
+			f = snap.Frames[i]
 			phys.Ref(f)
-		case st.pages[i] != nil:
+		case snap.pages[i] != nil:
 			f = phys.Alloc()
-			phys.RestoreInto(f, st.pages[i][:])
+			phys.RestoreInto(f, snap.pages[i][:])
 			charge = cost.SnapshotPerPage
 		case zeroFrame == mem.NoFrame:
 			zeroFrame = phys.Alloc()
@@ -181,7 +176,7 @@ func (m *Manager) ExportImage(meter *sim.Meter) (*SnapshotImage, error) {
 	if m.kern.Faults.Armed() {
 		img.sum = img.computeSum()
 		img.summed = true
-		sim.ChargeTo(meter, cost.ChecksumPerPage*sim.Duration(st.len()))
+		sim.ChargeTo(meter, cost.ChecksumPerPage*sim.Duration(snap.len()))
 	}
 	return img, nil
 }
@@ -247,11 +242,13 @@ func CopyImageTo(dst *kernel.Kernel, img *SnapshotImage, meter *sim.Meter) (*Sna
 // NewManagerFromSnapshot is the snapshot-clone cold start: it spawns a fresh
 // process whose address space maps the image's frames copy-on-write
 // (kernel.SpawnFromImage, charging CloneFromSnapshotBase + ClonePTEPerPage
-// per page), seizes it, installs a state store that shares the image's
-// frames, and arms write tracking — leaving the manager exactly where
-// TakeSnapshot leaves a fully-initialized sibling, at a small fraction of
-// the cost. Init/TakeSnapshot must NOT be called on the result; the snapshot
-// is already present.
+// per page), seizes it, installs the image as its snapshot — sharing its
+// slices, which nothing writes once exported, and taking its own reference
+// on every frame, so restoring a clone copies from the same physical pages
+// every sibling reads — and arms write tracking: the manager ends exactly
+// where TakeSnapshot leaves a fully-initialized sibling, at a small fraction
+// of the cost. Init/TakeSnapshot must NOT be called on the result; the
+// snapshot is already present.
 func NewManagerFromSnapshot(k *kernel.Kernel, img *SnapshotImage, opts Options, meter *sim.Meter) (*Manager, error) {
 	if img == nil || img.released {
 		return nil, fmt.Errorf("core: clone from released snapshot image")
@@ -267,19 +264,7 @@ func NewManagerFromSnapshot(k *kernel.Kernel, img *SnapshotImage, opts Options, 
 		return nil, err
 	}
 
-	// The clone's state store shares the image frames too (its own refs), so
-	// restoring a clone copies from the same physical pages every sibling
-	// snapshot reads — no per-container copy of the snapshot at all. Nothing
-	// writes the image's slices once it is exported, so the snapshot shares
-	// them as well; only the references are the clone's own, taken here and
-	// dropped by its Release.
-	m.snap = &snapshot{
-		layout:   d.Layout,
-		brk:      d.Brk,
-		mmapBase: d.MmapBase,
-		regs:     d.Regs,
-		store:    stateStore{vpns: d.VPNs, frames: d.Frames},
-	}
+	m.snap = &snapshot{ProcessImage: *d}
 	for _, f := range d.Frames {
 		k.Phys.Ref(f)
 	}

@@ -584,7 +584,7 @@ func TestRestoreAfterDrops(t *testing.T) {
 							if zero {
 								at.page += mem.PageSize
 							}
-							if !m.snap.store.has(at.page.PageNum()) || m.snap.store.zeroAt(m.snap.store.index(at.page.PageNum()), m.kern.Phys) != zero {
+							if !m.snap.has(at.page.PageNum()) || m.snap.zeroAt(m.snap.index(at.page.PageNum()), m.kern.Phys) != zero {
 								t.Fatalf("fixture: page %v is not a recorded page with zero=%v", at.page, zero)
 							}
 							route.drop(t, as, at)

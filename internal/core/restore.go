@@ -228,7 +228,7 @@ func (m *Manager) Restore() (RestoreStats, error) {
 
 	// Whether the layout (and brk) ended the request as the snapshot recorded
 	// it only decides if the diff sweeps.
-	same := as.BrkValue() == m.snap.brk && slices.Equal(sc.layout, m.snap.layout)
+	same := as.BrkValue() == m.snap.Brk && slices.Equal(sc.layout, m.snap.Layout)
 
 	mapped := m.scan()
 	diff := m.diffLayout(same)
@@ -301,9 +301,9 @@ func (m *Manager) diffLayout(same bool) layoutDiff {
 	sc.meter.Attribute(&sc.phases[phDiff])
 	var d layoutDiff
 	if !same {
-		d = sc.diff.diff(sc.layout, m.snap.layout, m.proc.AS.BrkValue(), m.snap.brk)
+		d = sc.diff.diff(sc.layout, m.snap.Layout, m.proc.AS.BrkValue(), m.snap.Brk)
 	}
-	sc.meter.Charge(m.kern.Cost.DiffPerVMA * sim.Duration(len(sc.layout)+len(m.snap.layout)))
+	sc.meter.Charge(m.kern.Cost.DiffPerVMA * sim.Duration(len(sc.layout)+len(m.snap.Layout)))
 	return d
 }
 
@@ -321,7 +321,7 @@ func (m *Manager) applyLayout(d layoutDiff) error {
 	}
 	sc.meter.Attribute(&sc.phases[phBrk])
 	if d.brkDelta {
-		if err := m.tracer.InjectBrk(m.snap.brk); err != nil {
+		if err := m.tracer.InjectBrk(m.snap.Brk); err != nil {
 			return fmt.Errorf("core: restore brk: %w", err)
 		}
 	}
@@ -381,7 +381,7 @@ func seek(vpns []uint64, i int, vpn uint64) (int, bool) {
 // pages. So the merges run over the short lists, dirty ∪ lost in page order,
 // never the store.
 func (m *Manager) plan() {
-	sc, st := &m.scratch, &m.snap.store
+	sc, st := &m.scratch, m.snap
 	sc.fresh, sc.restore = sc.fresh[:0], sc.restore[:0]
 	sc.lost = m.proc.AS.AppendLostVPNs(sc.lost[:0])
 	di, li, si, hit := 0, 0, 0, false
@@ -396,13 +396,13 @@ func (m *Manager) plan() {
 		if li < len(sc.lost) && sc.lost[li] == vpn {
 			li++
 		}
-		if si, hit = seek(st.vpns, si, vpn); hit && (isDirty || !st.zeroAt(si, m.kern.Phys)) {
+		if si, hit = seek(st.VPNs, si, vpn); hit && (isDirty || !st.zeroAt(si, m.kern.Phys)) {
 			sc.restore = append(sc.restore, si)
 		}
 	}
 	si = 0
 	for _, vpn := range sc.present {
-		if si, hit = seek(st.vpns, si, vpn); !hit {
+		if si, hit = seek(st.VPNs, si, vpn); !hit {
 			m.addFresh(vpn)
 		}
 	}
@@ -411,7 +411,7 @@ func (m *Manager) plan() {
 // addFresh puts a resident page the store does not hold into the madvise set
 // if its region survives the restore.
 func (m *Manager) addFresh(vpn uint64) {
-	if _, ok := lookupVMA(m.snap.layout, vm.PageAddr(vpn)); ok {
+	if _, ok := lookupVMA(m.snap.Layout, vm.PageAddr(vpn)); ok {
 		m.scratch.fresh = append(m.scratch.fresh, vpn)
 	}
 }
@@ -421,7 +421,7 @@ func (m *Manager) addFresh(vpn uint64) {
 // only each page's soft-dirty extent (see vm.PTE); the charges stay whole
 // pages.
 func (m *Manager) applyContent() error {
-	sc, st, cost := &m.scratch, &m.snap.store, &m.kern.Cost
+	sc, st, cost := &m.scratch, m.snap, &m.kern.Cost
 	sc.meter.Attribute(&sc.phases[phMadvise])
 	sc.runs = appendRuns(sc.runs[:0], sc.fresh)
 	for _, r := range sc.runs {
@@ -433,7 +433,7 @@ func (m *Manager) applyContent() error {
 	for i := 0; i < len(sc.restore); {
 		j := i + 1
 		for j < len(sc.restore) && sc.restore[j] == sc.restore[j-1]+1 &&
-			st.vpns[sc.restore[j]] == st.vpns[sc.restore[j-1]]+1 {
+			st.VPNs[sc.restore[j]] == st.VPNs[sc.restore[j-1]]+1 {
 			j++
 		}
 		m.restoreRun(m.proc.AS, st, sc.restore[i], sc.restore[j-1]+1)
@@ -461,11 +461,11 @@ func (m *Manager) rearm() error {
 		m.fs.ClearRefs(m.proc, &sc.meter)
 	}
 	sc.meter.Attribute(&sc.phases[phRestoreRegs])
-	if len(m.proc.Threads) != len(m.snap.regs) {
-		return fmt.Errorf("core: %d threads, snapshot had %d", len(m.proc.Threads), len(m.snap.regs))
+	if len(m.proc.Threads) != len(m.snap.Regs) {
+		return fmt.Errorf("core: %d threads, snapshot had %d", len(m.proc.Threads), len(m.snap.Regs))
 	}
 	for i, th := range m.proc.Threads {
-		if err := m.tracer.SetRegs(th.TID, m.snap.regs[i]); err != nil {
+		if err := m.tracer.SetRegs(th.TID, m.snap.Regs[i]); err != nil {
 			return err
 		}
 	}
@@ -478,10 +478,10 @@ func (m *Manager) rearm() error {
 // consecutive VPNs — back into the address space with one batched poke: of
 // the CoW store's frames, or of the copy store's lent pages (nil ones zero
 // their page).
-func (m *Manager) restoreRun(as *vm.AddressSpace, st *stateStore, lo, hi int) {
-	if st.frames != nil {
-		as.PokeFrameRun(st.vpns[lo], st.frames[lo:hi])
+func (m *Manager) restoreRun(as *vm.AddressSpace, st *snapshot, lo, hi int) {
+	if st.Frames != nil {
+		as.PokeFrameRun(st.VPNs[lo], st.Frames[lo:hi])
 		return
 	}
-	as.PokePageRun(st.vpns[lo], st.pages[lo:hi])
+	as.PokePageRun(st.VPNs[lo], st.pages[lo:hi])
 }

@@ -204,11 +204,11 @@ func TestSeekMatchesLinearScan(t *testing.T) {
 
 // TestStateStoreIndex covers the sorted-index primitives directly.
 func TestStateStoreIndex(t *testing.T) {
-	st := stateStore{
-		vpns:  []uint64{10, 11, 14, 90},
-		pages: []*[mem.PageSize]byte{new([mem.PageSize]byte), nil, new([mem.PageSize]byte), new([mem.PageSize]byte)},
+	st := snapshot{
+		ProcessImage: kernel.ProcessImage{VPNs: []uint64{10, 11, 14, 90}},
+		pages:        []*[mem.PageSize]byte{new([mem.PageSize]byte), nil, new([mem.PageSize]byte), new([mem.PageSize]byte)},
 	}
-	for i, vpn := range st.vpns {
+	for i, vpn := range st.VPNs {
 		if got := st.index(vpn); got != i {
 			t.Fatalf("index(%d) = %d, want %d", vpn, got, i)
 		}
@@ -453,7 +453,7 @@ func TestFirstSnapshotSizesItsBuffersOnce(t *testing.T) {
 		if err := m.Verify(); err != nil {
 			t.Fatal(err)
 		}
-		st := &m.snap.store
+		st := m.snap
 		resident, holding := p.AS.ResidentPages(), contentPages(p.AS)
 		if holding == 0 || holding == resident {
 			t.Fatalf("tracker %v: %d of %d resident pages hold bytes; the test needs both kinds", tracker, holding, resident)
@@ -468,9 +468,9 @@ func TestFirstSnapshotSizesItsBuffersOnce(t *testing.T) {
 			t.Errorf("tracker %v: the store keeps %d pages, %d are lent; want both %d (pages holding bytes)",
 				tracker, kept, k.Phys.Lent(), holding)
 		}
-		if st.len() != resident || len(st.pages) != resident || cap(st.vpns) != resident || cap(st.pages) != resident {
+		if st.len() != resident || len(st.pages) != resident || cap(st.VPNs) != resident || cap(st.pages) != resident {
 			t.Errorf("tracker %v: index holds %d pages, %d page pointers (caps %d, %d); %d resident",
-				tracker, st.len(), len(st.pages), cap(st.vpns), cap(st.pages), resident)
+				tracker, st.len(), len(st.pages), cap(st.VPNs), cap(st.pages), resident)
 		}
 		m.Release()
 		if k.Phys.Lent() != 0 {

@@ -24,12 +24,12 @@ func (m *Manager) Verify() error {
 
 	// Layout.
 	cur := as.VMAs()
-	if len(cur) != len(m.snap.layout) {
+	if len(cur) != len(m.snap.Layout) {
 		return fmt.Errorf("core: verify: %d regions, snapshot had %d\ncur: %v\nsnap: %v",
-			len(cur), len(m.snap.layout), cur, m.snap.layout)
+			len(cur), len(m.snap.Layout), cur, m.snap.Layout)
 	}
 	for i, v := range cur {
-		s := m.snap.layout[i]
+		s := m.snap.Layout[i]
 		if v.Start != s.Start || v.End != s.End || v.Prot != s.Prot || v.Kind != s.Kind || v.Name != s.Name {
 			return fmt.Errorf("core: verify: region %d is %v, snapshot had %v", i, v, s)
 		}
@@ -40,16 +40,16 @@ func (m *Manager) Verify() error {
 	if err != nil {
 		return err
 	}
-	if brk != m.snap.brk {
-		return fmt.Errorf("core: verify: brk %v, snapshot had %v", brk, m.snap.brk)
+	if brk != m.snap.Brk {
+		return fmt.Errorf("core: verify: brk %v, snapshot had %v", brk, m.snap.Brk)
 	}
 
 	// Registers.
-	if len(m.proc.Threads) != len(m.snap.regs) {
-		return fmt.Errorf("core: verify: %d threads, snapshot had %d", len(m.proc.Threads), len(m.snap.regs))
+	if len(m.proc.Threads) != len(m.snap.Regs) {
+		return fmt.Errorf("core: verify: %d threads, snapshot had %d", len(m.proc.Threads), len(m.snap.Regs))
 	}
 	for i, th := range m.proc.Threads {
-		if th.Regs != m.snap.regs[i] {
+		if th.Regs != m.snap.Regs[i] {
 			return fmt.Errorf("core: verify: thread %d registers diverged", th.TID)
 		}
 	}
@@ -58,9 +58,9 @@ func (m *Manager) Verify() error {
 	// every currently resident page must match the snapshot (zero if the
 	// snapshot had no content there).
 	phys := as.Phys()
-	st := &m.snap.store
+	st := m.snap
 	var buf, want [mem.PageSize]byte
-	for i, vpn := range st.vpns {
+	for i, vpn := range st.VPNs {
 		var got []byte // nil: not resident, or all-zero
 		if zero, ok := as.PeekPageInto(vpn, buf[:]); ok && !zero {
 			got = buf[:]

@@ -114,25 +114,11 @@ var relatedWorkCosts = []struct {
 // alternative adds tens to thousands of ms on the critical path.
 func RelatedWork(cfg Config) (*metrics.Table, error) {
 	const pages = 1000 // a C hello-world footprint (Table 3's smallest)
-	k := kernel.New(cfg.Cost)
-	p, err := k.Spawn(kernel.ExecSpec{TextPages: 16, Threads: 1})
+	_, p, m, err := ablationProcess(cfg, pages, core.DefaultOptions())
 	if err != nil {
 		return nil, err
 	}
 	heap := p.AS.HeapBase()
-	if _, err := p.AS.Brk(heap + vm.Addr(pages*mem.PageSize)); err != nil {
-		return nil, err
-	}
-	for i := 0; i < pages; i++ {
-		p.AS.TouchPage(heap.PageNum() + uint64(i))
-	}
-	m, err := core.NewManager(k, p, core.DefaultOptions())
-	if err != nil {
-		return nil, err
-	}
-	if _, err := m.TakeSnapshot(); err != nil {
-		return nil, err
-	}
 
 	// One hello-world request: 1 ms of compute, a handful of dirty pages.
 	exec := func() sim.Duration {

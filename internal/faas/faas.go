@@ -671,7 +671,7 @@ func (pl *Platform) noteCloneFailure(tmpl *cloneTemplate, err error) {
 // integrity check detects it, evicts the image, and falls back to the full
 // pipeline. Returns false when no exported image exists to corrupt.
 func (pl *Platform) CorruptImage() bool {
-	if pl.template == nil || pl.template.image == nil {
+	if !pl.HasImage() {
 		return false
 	}
 	pl.template.image.MarkCorrupted()

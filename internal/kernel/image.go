@@ -11,9 +11,11 @@ import (
 
 // ProcessImage describes a process to be spawned as a copy-on-write clone of
 // a recorded snapshot: the memory layout and its anchors, the resident pages
-// with the frames that back them, and per-thread register files. The image
-// does not own its frames — the spawned address space takes its own
-// reference on each, so an image can seed any number of sibling processes.
+// with the frames that back them, and per-thread register files. The
+// description itself takes no frame reference; its holder does: a
+// core.SnapshotImage and a CoW-store (or cloned) manager's snapshot each hold
+// one reference per Frames entry, and every address space spawned from the
+// image takes its own, so an image can seed any number of sibling processes.
 type ProcessImage struct {
 	Layout   []vm.VMA
 	BrkBase  vm.Addr

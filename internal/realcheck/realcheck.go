@@ -45,13 +45,13 @@ type Result struct {
 	Written       []int // page indices the check wrote
 	ReportedDirty []int // page indices the kernel flagged soft-dirty
 	Restored      int
-	Verified      bool
+	verified      bool
 }
 
-// Run performs the cycle over `pages` pages, writing to the given page
+// cycle performs the check over `pages` pages, writing to the given page
 // indices after clearing refs. It returns ErrUnsupported (wrapped) when the
 // kernel cannot track soft-dirty bits.
-func Run(pages int, writeSet []int) (*Result, error) {
+func cycle(pages int, writeSet []int) (*Result, error) {
 	if runtime.GOOS != "linux" {
 		return nil, ErrUnsupported
 	}
@@ -119,7 +119,7 @@ func Run(pages int, writeSet []int) (*Result, error) {
 			return res, fmt.Errorf("realcheck: byte %d differs after restore", i)
 		}
 	}
-	res.Verified = true
+	res.verified = true
 	return res, nil
 }
 

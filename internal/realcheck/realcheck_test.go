@@ -10,7 +10,7 @@ import (
 // locked-down /proc) skip rather than fail.
 func run(t *testing.T, pages int, writes []int) *Result {
 	t.Helper()
-	res, err := Run(pages, writes)
+	res, err := cycle(pages, writes)
 	if errors.Is(err, ErrUnsupported) {
 		t.Skipf("soft-dirty tracking unavailable: %v", err)
 	}
@@ -23,14 +23,14 @@ func run(t *testing.T, pages int, writes []int) *Result {
 func TestKernelTracksWrites(t *testing.T) {
 	writes := []int{0, 3, 7, 31, 32, 63}
 	res := run(t, 64, writes)
-	if !res.Verified {
+	if !res.verified {
 		t.Fatal("restore verification failed on the real kernel")
 	}
 	if len(res.Written) != len(writes) {
 		t.Fatalf("wrote %d pages, expected %d", len(res.Written), len(writes))
 	}
 	// Soundness of the model: the kernel's dirty set covers the write set
-	// (checked inside Run) and does not wildly over-approximate. Go's
+	// (checked inside cycle) and does not wildly over-approximate. Go's
 	// runtime shares the address space, so allow slack — but a tracker
 	// reporting nearly everything dirty would invalidate Groundhog's
 	// premise.
@@ -42,7 +42,7 @@ func TestKernelTracksWrites(t *testing.T) {
 
 func TestKernelCleanRun(t *testing.T) {
 	res := run(t, 32, nil)
-	if !res.Verified {
+	if !res.verified {
 		t.Fatal("verification failed")
 	}
 	if len(res.ReportedDirty) > 4 {
@@ -51,7 +51,7 @@ func TestKernelCleanRun(t *testing.T) {
 }
 
 func TestRejectsBadPageCount(t *testing.T) {
-	if _, err := Run(0, nil); err == nil {
+	if _, err := cycle(0, nil); err == nil {
 		t.Fatal("zero pages accepted")
 	}
 }
