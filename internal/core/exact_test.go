@@ -1,7 +1,6 @@
 package core
 
 import (
-	"math"
 	"reflect"
 	"slices"
 
@@ -38,9 +37,9 @@ func (m *Manager) exactRestore() (RestoreStats, error) {
 
 	mapped := m.scan()
 	sc.dirty, sc.present = sc.dirty[:0], as.AppendResidentVPNs(sc.present[:0])
-	for _, e := range as.AppendPagemapRange(0, math.MaxUint64, nil) {
-		if e.SoftDirty {
-			sc.dirty = append(sc.dirty, e.VPN)
+	for _, vpn := range sc.present {
+		if pte, _ := as.PTEAt(vpn); pte.SoftDirty {
+			sc.dirty = append(sc.dirty, vpn)
 		}
 	}
 	diff := m.diffLayout(same)

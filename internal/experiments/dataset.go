@@ -12,10 +12,8 @@ import (
 )
 
 // Cell holds the measurements of one (benchmark, configuration) pair — one
-// cell of the paper's Table 1.
+// cell of the paper's Table 1; Row.Cells keys it by mode.
 type Cell struct {
-	Mode isolation.Mode
-
 	E2EMeanMS  float64
 	E2EStdMS   float64
 	InvMeanMS  float64
@@ -73,7 +71,7 @@ func (cfg Config) benchmarks() []catalog.Entry {
 // measureCell runs the latency and throughput workloads for one
 // (benchmark, mode) pair.
 func (cfg Config) measureCell(e catalog.Entry, mode isolation.Mode) (*Cell, error) {
-	cell := &Cell{Mode: mode}
+	cell := &Cell{}
 
 	// Latency: one single-core container, closed-loop low load.
 	pl, err := faas.NewPlatform(cfg.Cost, e.Prof, mode, 1, cfg.Seed)

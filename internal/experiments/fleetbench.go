@@ -32,8 +32,8 @@ type FleetVariantStats struct {
 // summarizeVariantStats folds per-function stats into the shared variant
 // summary. The latency percentiles are computed over the pooled
 // per-request samples of every function, matching how a provider would
-// report fleet SLOs.
-func summarizeVariantStats(out *trace.Result) FleetVariantStats {
+// report fleet SLOs; that pooled E2E recorder is returned too.
+func summarizeVariantStats(out *trace.Result) (FleetVariantStats, metrics.Recorder) {
 	v := FleetVariantStats{
 		PeakFramesInUse: out.PeakFrames,
 		EndFrames:       out.EndFrames,
@@ -56,7 +56,7 @@ func summarizeVariantStats(out *trace.Result) FleetVariantStats {
 	v.E2EP50VirtualMs = e2e.Percentile(50)
 	v.E2EP95VirtualMs = e2e.Percentile(95)
 	v.QueueP95VirtualMs = queue.Percentile(95)
-	return v
+	return v, e2e
 }
 
 // FleetBenchVariant is one fleet scale-out mode's outcome under the shared
@@ -147,7 +147,8 @@ func FleetBench(cfg Config, quick bool) (FleetBenchResult, error) {
 // summarizeFleet folds per-function stats into one scale-out variant
 // summary.
 func summarizeFleet(variant string, out *trace.Result) FleetBenchVariant {
-	return FleetBenchVariant{Variant: variant, FleetVariantStats: summarizeVariantStats(out)}
+	v, _ := summarizeVariantStats(out)
+	return FleetBenchVariant{Variant: variant, FleetVariantStats: v}
 }
 
 // FleetBenchTable renders the comparison for the console.

@@ -141,35 +141,27 @@ func FleetXLBench(cfg Config, quick bool) (FleetXLBenchResult, error) {
 		return FleetXLBenchResult{}, fmt.Errorf("fleet-xl: %w", err)
 	}
 
+	v, e2e := summarizeVariantStats(out)
 	res := FleetXLBenchResult{
-		Benchmark:       "fleet-xl-million",
-		Mode:            string(isolation.ModeGH),
-		Functions:       len(loads),
-		WindowMs:        float64(window) / float64(time.Millisecond),
-		PeakFramesInUse: out.PeakFrames,
-		EndFrames:       out.EndFrames,
+		Benchmark:              "fleet-xl-million",
+		Mode:                   string(isolation.ModeGH),
+		Functions:              len(loads),
+		WindowMs:               float64(window) / float64(time.Millisecond),
+		Requests:               v.Requests,
+		ReachedMillionRequests: v.Requests >= 1_000_000,
+		FullColdStarts:         v.FullColdStarts,
+		CloneColdStarts:        v.CloneColdStarts,
+		ColdStartVirtualUs:     v.ColdStartVirtualUs,
+		E2EP50VirtualMs:        v.E2EP50VirtualMs,
+		E2EP95VirtualMs:        v.E2EP95VirtualMs,
+		E2EP99VirtualMs:        e2e.P99(),
+		QueueP95VirtualMs:      v.QueueP95VirtualMs,
+		PeakFramesInUse:        v.PeakFramesInUse,
+		EndFrames:              v.EndFrames,
+		Reaped:                 v.Reaped,
+		ScaledToZero:           v.ScaledToZero,
+		ImagesEvicted:          v.ImagesEvicted,
 	}
-	e2es := make([]metrics.Recorder, 0, len(out.PerFunction))
-	queues := make([]metrics.Recorder, 0, len(out.PerFunction))
-	for _, fs := range out.PerFunction {
-		res.Requests += fs.Requests
-		res.FullColdStarts += fs.FullColdStarts
-		res.CloneColdStarts += fs.CloneColdStarts
-		res.ColdStartVirtualUs += float64(fs.ColdStartCost) / float64(time.Microsecond)
-		res.Reaped += fs.Reaped
-		res.ScaledToZero += fs.ScaledToZero
-		res.ImagesEvicted += fs.ImagesEvicted
-		e2es = append(e2es, fs.E2E)
-		queues = append(queues, fs.Queue)
-	}
-	e2e := metrics.Pool(e2es...)
-	queue := metrics.Pool(queues...)
-	res.E2EP50VirtualMs = e2e.Percentile(50)
-	res.E2EP95VirtualMs = e2e.Percentile(95)
-	res.E2EP99VirtualMs = e2e.P99()
-	res.QueueP95VirtualMs = queue.Percentile(95)
-
-	res.ReachedMillionRequests = res.Requests >= 1_000_000
 	fl.Teardown()
 	return res, nil
 }

@@ -102,9 +102,10 @@ func (r *PolicyBenchResult) variant(name string) *PolicyBenchVariant {
 // percentiles match a provider's fleet SLO report; the per-function worst
 // p95 judges the SLO, since a target is promised per function.
 func summarizePolicy(name string, out *trace.Result, targetMs float64) PolicyBenchVariant {
+	stats, _ := summarizeVariantStats(out)
 	v := PolicyBenchVariant{
 		Policy:            name,
-		FleetVariantStats: summarizeVariantStats(out),
+		FleetVariantStats: stats,
 		SLOMet:            true,
 		MeanFramesInUse:   out.MeanFrames,
 	}

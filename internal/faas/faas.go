@@ -66,17 +66,13 @@ type RequestStats struct {
 
 // ColdStartStats reports a container's initialization, phase by phase
 // (Fig. 1 of the paper). A container started down the snapshot-clone fast
-// path skips the three pipeline phases entirely: Clone carries the whole
-// cost and ClonedFrom names the donor.
+// path skips the three pipeline phases entirely: Total carries the whole
+// cost (the deployment's first clone also pays the one-time image export)
+// and ClonedFrom names the donor.
 type ColdStartStats struct {
 	EnvInstantiation sim.Duration
 	RuntimeInit      sim.Duration // runtime + data initialization + dummy request
 	StrategyInit     sim.Duration // snapshotting (GH/FAASM), zero otherwise
-	// Clone is the snapshot-clone duration when the container was cloned
-	// from a sibling's snapshot instead of running the full Fig. 1
-	// pipeline (the one-time image export is amortized into the
-	// deployment's first clone).
-	Clone sim.Duration
 	// ClonedFrom is the donor container's ID, or -1 after a full cold
 	// start. RemoteDonorID marks a clone from a template pulled from
 	// another host rather than captured by a local full cold start.
@@ -552,7 +548,6 @@ func (pl *Platform) cloneStart(id int, seed uint64, tmpl *cloneTemplate) (*Conta
 		inst:  inst,
 		strat: strat,
 		cold: ColdStartStats{
-			Clone:      m.Total(),
 			ClonedFrom: tmpl.donorID,
 			Total:      m.Total(),
 		},
@@ -887,7 +882,7 @@ func (pl *Platform) respond(c *Container, reqID uint64, caller string, st *Reque
 	// Input path. Interposing strategies (Groundhog, fork) relay the
 	// request through the manager: an extra copy in and out (§4.5).
 	if c.strat.Interposes() {
-		sim.ChargeTo(m, cost.ProxyPerRequest+relay(cost.PipePerKB, pl.prof.InputKB))
+		sim.ChargeTo(m, cost.ProxyPerRequest+relay(cost.PipePerKB, req.SizeKB))
 	}
 
 	proc, err := c.strat.BeginRequest(m)

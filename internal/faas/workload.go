@@ -73,8 +73,6 @@ type ThroughputResult struct {
 	// RequestsPerSec is the sustained completion rate over the measured
 	// window (warm-up excluded).
 	RequestsPerSec float64
-	// Requests is the number of completions measured.
-	Requests int
 	// Elapsed is the measured window in virtual time.
 	Elapsed sim.Duration
 	// Stats carries the per-request records (all containers interleaved).
@@ -125,7 +123,6 @@ func (pl *Platform) RunSaturated(perContainer int) (ThroughputResult, error) {
 					// Warm-up request: opens this container's window.
 					windows[i].start = st.ReadyAgain
 				} else {
-					res.Requests++
 					res.Stats = append(res.Stats, st)
 					windows[i].end = st.ReadyAgain
 					windows[i].count++

@@ -258,7 +258,6 @@ func (g *Gateway) binInvoke(b, p []byte) ([]byte, *route) {
 			g.dropRoute(rt)
 			return appendError(b, CodeGone, 0, err.Error()), nil
 		case faas.IsTransient(err):
-			g.transient.Add(1)
 			return appendError(b, CodeTransient, retrySecsU16(rt), err.Error()), nil
 		default:
 			return appendError(b, CodeInternal, 0, err.Error()), nil

@@ -90,9 +90,6 @@ type Stats struct {
 	Served uint64
 	// Rejected counts admissions shed with 429 / queue-full frames.
 	Rejected uint64
-	// Transient counts invokes that failed transiently (503 frames):
-	// injected crashes, exhausted cold-start retries.
-	Transient uint64
 }
 
 // Gateway fronts a server.Server's deployments for both listeners. Create
@@ -106,9 +103,8 @@ type Gateway struct {
 	routes map[string]*routeSet
 	byID   []*route
 
-	served    atomic.Uint64
-	rejected  atomic.Uint64
-	transient atomic.Uint64
+	served   atomic.Uint64
+	rejected atomic.Uint64
 
 	closed atomic.Bool
 	connMu sync.Mutex
@@ -190,9 +186,8 @@ func (g *Gateway) Handler() http.Handler { return g }
 // Snapshot reports the gateway's serving counters.
 func (g *Gateway) Snapshot() Stats {
 	return Stats{
-		Served:    g.served.Load(),
-		Rejected:  g.rejected.Load(),
-		Transient: g.transient.Load(),
+		Served:   g.served.Load(),
+		Rejected: g.rejected.Load(),
 	}
 }
 
@@ -378,7 +373,6 @@ func (g *Gateway) failInvoke(w http.ResponseWriter, rt *route, err error) {
 		g.dropRoute(rt)
 		http.Error(w, err.Error(), http.StatusNotFound)
 	case faas.IsTransient(err):
-		g.transient.Add(1)
 		w.Header().Set("Retry-After", rt.retryAfter())
 		http.Error(w, err.Error(), http.StatusServiceUnavailable)
 	default:

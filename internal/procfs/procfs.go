@@ -1,13 +1,15 @@
 // Package procfs exposes the simulated kernel's per-process state the way
 // Linux's /proc filesystem does: the maps file (memory regions), the pagemap
-// file (per-page present and soft-dirty bits), and the clear_refs control
-// file. Groundhog's manager consumes exactly these three interfaces (§4.2,
-// §4.3 of the paper).
+// file (which pages are present), and the clear_refs control file.
+// Groundhog's manager consumes exactly these three interfaces (§4.2, §4.3 of
+// the paper).
 //
 // PagemapRangePresent is the one pagemap reader: core.TakeSnapshot enumerates
-// the resident pages with it, a region at a time. core.Restore charges the
-// same per-region, per-mapped-page price for its scan but takes the data from
-// the address space's own indexes instead of reading the file again.
+// the resident pages with it, a region at a time. An entry is a resident
+// page's number; the page's soft-dirty state belongs to its page-table entry
+// (vm.AddressSpace.PTEAt). core.Restore charges the same per-region,
+// per-mapped-page price for its scan but takes its resident and dirty sets
+// from the address space's own indexes instead of reading the file again.
 //
 // MapsRegions is the one maps reader: core.TakeSnapshot records the layout
 // with it and core.Restore reads the current layout with it, at the same
@@ -39,13 +41,14 @@ func (fs *FS) MapsRegions(p *kernel.Process, meter *sim.Meter, buf []vm.VMA) []v
 }
 
 // PagemapRangePresent reads the pagemap entries for [start, end), appending
-// one vm.PagemapEntry (page number and soft-dirty bit) per present page to buf
-// and returning the extended slice, so a caller that reuses buf allocates
-// nothing. It walks the page table's resident chunks instead of testing every
-// page of the span, but the charge is the file read's: PagemapRangeBase (the
-// seek to the range's offset) plus PagemapPerPage for every page of the span,
-// present or not — the reason scan cost grows with address-space size even at
-// a fixed write-set size (Fig. 3 right, §5.2.2).
+// one vm.PagemapEntry per present page to buf and returning the extended
+// slice, so a caller that reuses buf allocates nothing. An entry is the
+// page's number; its soft-dirty state belongs to its PTE (PTEAt). It walks
+// the page table's resident chunks instead of testing every page of the
+// span, but the charge is the file read's: PagemapRangeBase (the seek to the
+// range's offset) plus PagemapPerPage for every page of the span, present or
+// not — the reason scan cost grows with address-space size even at a fixed
+// write-set size (Fig. 3 right, §5.2.2).
 func (fs *FS) PagemapRangePresent(p *kernel.Process, start, end vm.Addr, meter *sim.Meter, buf []vm.PagemapEntry) []vm.PagemapEntry {
 	buf = p.AS.AppendPagemapRange(start.PageNum(), end.PageNum(), buf)
 	sim.ChargeTo(meter, fs.kern.Cost.PagemapRangeBase)

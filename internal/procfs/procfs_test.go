@@ -81,13 +81,14 @@ func TestPagemapFlags(t *testing.T) {
 	p.AS.WriteWord(heap+2*mem.PageSize, 1)
 	p.AS.ReadWord(heap + 3*mem.PageSize)
 	got := fs.PagemapRangePresent(p, heap, heap+4*mem.PageSize, nil, nil)
-	want := []vm.PagemapEntry{
-		{VPN: heap.PageNum(), SoftDirty: true},
-		{VPN: heap.PageNum() + 2, SoftDirty: true},
-		{VPN: heap.PageNum() + 3}, // read only: present, clean
-	}
+	want := []vm.PagemapEntry{{VPN: heap.PageNum()}, {VPN: heap.PageNum() + 2}, {VPN: heap.PageNum() + 3}}
 	if !slices.Equal(got, want) { // the untouched page 1 has no entry
 		t.Fatalf("heap entries = %+v, want %+v", got, want)
+	}
+	for i, dirty := range []bool{true, true, false} { // page 3 was only read: present, clean
+		if pte, _ := p.AS.PTEAt(got[i].VPN); pte.SoftDirty != dirty {
+			t.Fatalf("page %x soft-dirty = %v, want %v", got[i].VPN, pte.SoftDirty, dirty)
+		}
 	}
 }
 
@@ -144,7 +145,7 @@ func TestSoftDirtyLifecycle(t *testing.T) {
 	dirty := func() []uint64 {
 		var d []uint64
 		for _, e := range fs.PagemapRangePresent(p, heap, heap+8*mem.PageSize, nil, nil) {
-			if e.SoftDirty {
+			if pte, _ := p.AS.PTEAt(e.VPN); pte.SoftDirty {
 				d = append(d, e.VPN)
 			}
 		}

@@ -39,19 +39,17 @@ const (
 	presentBit = 1 << 63
 )
 
-// Result reports one real-kernel snapshot/restore cycle.
-type Result struct {
-	Pages         int
-	Written       []int // page indices the check wrote
-	ReportedDirty []int // page indices the kernel flagged soft-dirty
-	Restored      int
+// result reports one real-kernel snapshot/restore cycle.
+type result struct {
+	written       []int // page indices the check wrote
+	reportedDirty []int // page indices the kernel flagged soft-dirty
 	verified      bool
 }
 
 // cycle performs the check over `pages` pages, writing to the given page
 // indices after clearing refs. It returns ErrUnsupported (wrapped) when the
 // kernel cannot track soft-dirty bits.
-func cycle(pages int, writeSet []int) (*Result, error) {
+func cycle(pages int, writeSet []int) (*result, error) {
 	if runtime.GOOS != "linux" {
 		return nil, ErrUnsupported
 	}
@@ -83,36 +81,35 @@ func cycle(pages int, writeSet []int) (*Result, error) {
 	}
 
 	// The "request": dirty the chosen subset.
-	res := &Result{Pages: pages}
+	res := &result{}
 	for _, idx := range writeSet {
 		if idx < 0 || idx >= pages {
 			continue
 		}
 		region[idx*pageSize+7] = 0xAB
-		res.Written = append(res.Written, idx)
+		res.written = append(res.written, idx)
 	}
 
 	// Read the soft-dirty bits back.
-	res.ReportedDirty, err = readSoftDirty(base, pages)
+	res.reportedDirty, err = readSoftDirty(base, pages)
 	if err != nil {
 		return nil, err
 	}
 
 	// Completeness: every written page must be flagged.
-	flagged := make(map[int]bool, len(res.ReportedDirty))
-	for _, idx := range res.ReportedDirty {
+	flagged := make(map[int]bool, len(res.reportedDirty))
+	for _, idx := range res.reportedDirty {
 		flagged[idx] = true
 	}
-	for _, idx := range res.Written {
+	for _, idx := range res.written {
 		if !flagged[idx] {
 			return res, fmt.Errorf("realcheck: kernel missed dirty page %d", idx)
 		}
 	}
 
 	// Restore the flagged pages from the snapshot and verify everything.
-	for _, idx := range res.ReportedDirty {
+	for _, idx := range res.reportedDirty {
 		copy(region[idx*pageSize:(idx+1)*pageSize], snapshot[idx*pageSize:(idx+1)*pageSize])
-		res.Restored++
 	}
 	for i := range region {
 		if region[i] != snapshot[i] {

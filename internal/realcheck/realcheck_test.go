@@ -8,7 +8,7 @@ import (
 // The real-kernel check validates the simulated soft-dirty semantics against
 // the machine the tests run on. Kernels without CONFIG_MEM_SOFT_DIRTY (or
 // locked-down /proc) skip rather than fail.
-func run(t *testing.T, pages int, writes []int) *Result {
+func run(t *testing.T, pages int, writes []int) *result {
 	t.Helper()
 	res, err := cycle(pages, writes)
 	if errors.Is(err, ErrUnsupported) {
@@ -21,22 +21,23 @@ func run(t *testing.T, pages int, writes []int) *Result {
 }
 
 func TestKernelTracksWrites(t *testing.T) {
+	const pages = 64
 	writes := []int{0, 3, 7, 31, 32, 63}
-	res := run(t, 64, writes)
+	res := run(t, pages, writes)
 	if !res.verified {
 		t.Fatal("restore verification failed on the real kernel")
 	}
-	if len(res.Written) != len(writes) {
-		t.Fatalf("wrote %d pages, expected %d", len(res.Written), len(writes))
+	if len(res.written) != len(writes) {
+		t.Fatalf("wrote %d pages, expected %d", len(res.written), len(writes))
 	}
 	// Soundness of the model: the kernel's dirty set covers the write set
 	// (checked inside cycle) and does not wildly over-approximate. Go's
 	// runtime shares the address space, so allow slack — but a tracker
 	// reporting nearly everything dirty would invalidate Groundhog's
 	// premise.
-	if len(res.ReportedDirty) > res.Pages/2+len(writes) {
+	if len(res.reportedDirty) > pages/2+len(writes) {
 		t.Fatalf("kernel flagged %d/%d pages for %d writes — over-approximation too coarse",
-			len(res.ReportedDirty), res.Pages, len(writes))
+			len(res.reportedDirty), pages, len(writes))
 	}
 }
 
@@ -45,8 +46,8 @@ func TestKernelCleanRun(t *testing.T) {
 	if !res.verified {
 		t.Fatal("verification failed")
 	}
-	if len(res.ReportedDirty) > 4 {
-		t.Fatalf("no writes issued, yet %d pages dirty", len(res.ReportedDirty))
+	if len(res.reportedDirty) > 4 {
+		t.Fatalf("no writes issued, yet %d pages dirty", len(res.reportedDirty))
 	}
 }
 

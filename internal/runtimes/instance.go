@@ -322,7 +322,7 @@ func (in *Instance) InvokeOn(proc *kernel.Process, req Request, meter *sim.Meter
 		th.Regs.GP[1] = req.Secret
 	}
 
-	return Response{ID: req.ID, SizeKB: prof.OutputKB}
+	return Response{SizeKB: prof.OutputKB}
 }
 
 // churnRegionPages is the size of each scratch region cycled per request.

@@ -239,7 +239,6 @@ type Request struct {
 
 // Response is a function invocation's output.
 type Response struct {
-	ID     uint64
 	SizeKB int
 }
 

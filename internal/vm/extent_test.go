@@ -337,7 +337,7 @@ func TestExtentBoundsEveryWrittenByte(t *testing.T) {
 			for _, v := range as.VMAs() {
 				for _, e := range as.AppendPagemapRange(v.Start.PageNum(), v.End.PageNum(), nil) {
 					resident = append(resident, e.VPN)
-					if e.SoftDirty {
+					if pte, _ := as.PTEAt(e.VPN); pte.SoftDirty {
 						dirty = append(dirty, e.VPN)
 					}
 				}

@@ -257,7 +257,7 @@ func (pt *pageTable) appendRange(lo, hi uint64, dst []PagemapEntry) []PagemapEnt
 				if vpn >= hi {
 					return dst
 				}
-				dst = append(dst, PagemapEntry{VPN: vpn, SoftDirty: c.entries[k].SoftDirty})
+				dst = append(dst, PagemapEntry{VPN: vpn})
 			}
 		}
 	}

@@ -583,11 +583,10 @@ func (as *AddressSpace) PTEAt(vpn uint64) (PTE, bool) {
 	return as.pages.get(vpn)
 }
 
-// PagemapEntry is one resident page's pagemap view: its page number and
-// soft-dirty bit.
+// PagemapEntry is one resident page's pagemap view: its page number. The
+// page's soft-dirty state belongs to its page-table entry (PTEAt).
 type PagemapEntry struct {
-	VPN       uint64
-	SoftDirty bool
+	VPN uint64
 }
 
 // AppendPagemapRange appends a PagemapEntry for every resident page in

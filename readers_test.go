@@ -1,11 +1,18 @@
 package groundhog_test
 
 import (
+	"bytes"
 	"go/ast"
-	"path"
+	"go/importer"
+	"go/parser"
+	"go/token"
+	"go/types"
+	"io"
+	"os"
+	"os/exec"
 	"path/filepath"
+	"reflect"
 	"slices"
-	"strconv"
 	"strings"
 	"testing"
 )
@@ -22,6 +29,7 @@ var keptUnread = map[string]string{
 	"kernel.Regs.GP":                    "the registers a request taints (runtimes.Instance.InvokeOn); compared whole by core.Manager.Verify",
 	"gateway.InvokeResult.E2EUs":        "wire field the reference client decodes; gateway.TestTransportsReplyWhatInvokeOnceReports compares it with InvokeOnce",
 	"gateway.InvokeResult.InvokerUs":    "wire field the reference client decodes; gateway.TestTransportsReplyWhatInvokeOnceReports compares it with InvokeOnce",
+	"gateway.InvokeResult.Restored":     "wire field the reference client decodes; gateway.TestTransportsReplyWhatInvokeOnceReports compares it with InvokeOnce",
 	"gateway.ProtoError.RetryAfterSecs": "wire field the reference client decodes",
 }
 
@@ -29,98 +37,38 @@ var keptUnread = map[string]string{
 // interfaces (error, fmt.Stringer, http.Handler).
 var readByStdlib = map[string]bool{"Error": true, "Unwrap": true, "Is": true, "String": true, "ServeHTTP": true}
 
+// checked is one type-checked non-test package.
+type checked struct {
+	pkg   *types.Package
+	files []*ast.File
+	info  *types.Info
+}
+
 // TestExportedNamesHaveReaders lists every exported func, method and struct
 // field declared in a non-test file under internal/ that no non-test file of
 // the repository reads, the nested bench/e2e module included, and requires
-// the list to equal keptUnread. Funcs resolve through a file's imports or by
-// bare name in their own package; methods and fields match by name across
-// the repository, so a name collision hides a name. A field on an
-// assignment's left side (indexed or not), in an inc/dec or as a
-// composite-literal key is written, not read; a field with a json tag is
-// read by encoding/json.
+// the list to equal keptUnread. Both modules are type-checked from source,
+// so a root change that breaks a bench/e2e caller fails here with the
+// compiler's message. Every identifier resolves by type to the object it
+// names, and the rules are:
+//   - a use is a read of the object it resolves to, so a read of another
+//     type's member with the same name does not count;
+//   - an assignment target (indexed or not), an inc/dec operand and a
+//     composite-literal key are writes, not reads;
+//   - a json-tagged field is read by encoding/json, an embedded field through
+//     its own members, a method in readByStdlib by the standard library;
+//   - a method is also read when an interface method of its name is called
+//     and its type (or a pointer to it) implements that interface.
 func TestExportedNamesHaveReaders(t *testing.T) {
-	declared := map[string]string{} // "pkg.Func" or "pkg.Type.Member" -> its key in used
-	used := map[string]bool{}       // "pkg.Func" for a func, the bare name for a member
-	parseGoFiles(t, false, func(p string, f *ast.File) {
-		pkg := path.Base(filepath.ToSlash(filepath.Dir(p)))
-		if strings.HasPrefix(filepath.ToSlash(p), "internal/") {
-			declare(f, pkg, declared)
-		}
-		imports := map[string]string{} // name in this file -> package directory
-		for _, im := range f.Imports {
-			ip, _ := strconv.Unquote(im.Path.Value)
-			name := path.Base(ip)
-			if im.Name != nil {
-				name = im.Name.Name
-			}
-			imports[name] = path.Base(ip)
-		}
-		var read func(n ast.Node) bool
-		written := func(e ast.Expr) { // a write target's own selector is not a read
-			for {
-				switch x := e.(type) {
-				case *ast.IndexExpr:
-					ast.Inspect(x.Index, read)
-					e = x.X
-				case *ast.SelectorExpr:
-					ast.Inspect(x.X, read)
-					return
-				default:
-					ast.Inspect(e, read)
-					return
-				}
-			}
-		}
-		read = func(n ast.Node) bool {
-			switch n := n.(type) {
-			case *ast.FuncDecl: // its own name is not a read
-				ast.Inspect(n.Type, read)
-				if n.Body != nil {
-					ast.Inspect(n.Body, read)
-				}
-				return false
-			case *ast.AssignStmt:
-				for _, e := range n.Lhs {
-					written(e)
-				}
-				for _, e := range n.Rhs {
-					ast.Inspect(e, read)
-				}
-				return false
-			case *ast.IncDecStmt:
-				written(n.X)
-				return false
-			case *ast.KeyValueExpr:
-				if _, field := n.Key.(*ast.Ident); !field {
-					ast.Inspect(n.Key, read)
-				}
-				ast.Inspect(n.Value, read)
-				return false
-			case *ast.SelectorExpr:
-				if id, ok := n.X.(*ast.Ident); ok && imports[id.Name] != "" {
-					used[imports[id.Name]+"."+n.Sel.Name] = true
-					return false
-				}
-				used[n.Sel.Name] = true
-				ast.Inspect(n.X, read)
-				return false
-			case *ast.Ident:
-				used[pkg+"."+n.Name] = true
-			}
-			return true
-		}
-		for _, decl := range f.Decls {
-			ast.Inspect(decl, read)
-		}
-	})
+	got := unread(loadModules(t, ".", "bench/e2e"))
 	var diff []string
-	for name, key := range declared {
-		if _, kept := keptUnread[name]; !kept && !used[key] {
+	for _, name := range got {
+		if _, kept := keptUnread[name]; !kept {
 			diff = append(diff, "no production reader (delete it, or keep it in keptUnread with a reason): "+name)
 		}
 	}
 	for name := range keptUnread {
-		if key, ok := declared[name]; !ok || used[key] {
+		if !slices.Contains(got, name) {
 			diff = append(diff, "stale keptUnread entry (it is read, or gone): "+name)
 		}
 	}
@@ -130,56 +78,222 @@ func TestExportedNamesHaveReaders(t *testing.T) {
 	}
 }
 
-// declare records f's exported funcs, methods and struct fields with the key
-// that marks each one read: "pkg.Func" for a func, the bare name for a
-// member. Methods the standard library calls, json-tagged fields and
-// embedded fields (reached through their own members) are read by
-// definition and left out.
-func declare(f *ast.File, pkg string, declared map[string]string) {
-	for _, decl := range f.Decls {
-		switch decl := decl.(type) {
-		case *ast.FuncDecl:
-			switch name := decl.Name.Name; {
-			case !decl.Name.IsExported() || readByStdlib[name] && decl.Recv != nil:
-			case decl.Recv == nil:
-				declared[pkg+"."+name] = pkg + "." + name
-			default:
-				declared[pkg+"."+recvType(decl.Recv.List[0].Type)+"."+name] = name
-			}
-		case *ast.GenDecl:
-			for _, spec := range decl.Specs {
-				ts, ok := spec.(*ast.TypeSpec)
-				if !ok {
-					continue
-				}
-				st, ok := ts.Type.(*ast.StructType)
-				if !ok {
-					continue
-				}
-				for _, field := range st.Fields.List {
-					if field.Tag != nil && strings.Contains(field.Tag.Value, `json:"`) {
-						continue
+// loadModules type-checks every non-test package of the modules rooted at
+// dirs, in dependency order, from source; a package two modules share is
+// checked once. The standard library comes in as export data that one
+// `go list -export` per module builds or finds in the build cache.
+func loadModules(t *testing.T, dirs ...string) []*checked {
+	t.Helper()
+	fset := token.NewFileSet()
+	exports := map[string]string{} // standard import path -> export data file
+	gc := importer.ForCompiler(fset, "gc", func(path string) (io.ReadCloser, error) {
+		return os.Open(exports[path])
+	})
+	byPath := map[string]*checked{}
+	conf := types.Config{Importer: importerFunc(func(path string) (*types.Package, error) {
+		if c := byPath[path]; c != nil {
+			return c.pkg, nil
+		}
+		return gc.Import(path)
+	})}
+	var pkgs []*checked
+	for _, dir := range dirs {
+		cmd := exec.Command("go", "list", "-export", "-deps", "-f",
+			`{{.Standard}} {{.ImportPath}} {{if .Standard}}{{.Export}}{{else}}{{.Dir}}{{range .GoFiles}} {{.}}{{end}}{{end}}`, "./...")
+		cmd.Dir = dir
+		var stderr bytes.Buffer
+		cmd.Stderr = &stderr
+		out, err := cmd.Output()
+		if err != nil {
+			t.Fatalf("go list -export in %s: %v\n%s", dir, err, stderr.Bytes())
+		}
+		for _, line := range strings.Split(strings.TrimSpace(string(out)), "\n") {
+			f := strings.Fields(line) // unsafe is the one package with no export data
+			switch std, path := f[0] == "true", f[1]; {
+			case std && len(f) == 3:
+				exports[path] = f[2]
+			case !std && byPath[path] == nil:
+				var files []*ast.File
+				for _, name := range f[3:] {
+					file, err := parser.ParseFile(fset, filepath.Join(f[2], name), nil, parser.SkipObjectResolution)
+					if err != nil {
+						t.Fatal(err)
 					}
-					for _, n := range field.Names {
-						if n.IsExported() {
-							declared[pkg+"."+ts.Name.Name+"."+n.Name] = n.Name
+					files = append(files, file)
+				}
+				c, err := typeCheck(&conf, fset, path, files)
+				if err != nil {
+					t.Fatalf("type-checking %s: %v", path, err)
+				}
+				byPath[path] = c
+				pkgs = append(pkgs, c)
+			}
+		}
+	}
+	return pkgs
+}
+
+// typeCheck checks one package's files and records what each identifier
+// uses.
+func typeCheck(conf *types.Config, fset *token.FileSet, path string, files []*ast.File) (*checked, error) {
+	c := &checked{files: files, info: &types.Info{Uses: map[*ast.Ident]types.Object{}}}
+	var err error
+	c.pkg, err = conf.Check(path, fset, files, c.info)
+	return c, err
+}
+
+type importerFunc func(path string) (*types.Package, error)
+
+func (f importerFunc) Import(path string) (*types.Package, error) { return f(path) }
+
+// unread names, sorted, the exported funcs, methods and struct fields
+// declared in pkgs under groundhog/internal/ that no file of pkgs reads by
+// the rules TestExportedNamesHaveReaders states: "pkg.Func" or
+// "pkg.Type.Member".
+func unread(pkgs []*checked) []string {
+	used := map[types.Object]bool{}
+	var called []*types.Func // interface methods that are used
+	for _, c := range pkgs {
+		written := map[*ast.Ident]bool{}
+		var target func(e ast.Expr) // marks the identifier an assignment writes
+		target = func(e ast.Expr) {
+			switch x := ast.Unparen(e).(type) {
+			case *ast.IndexExpr:
+				target(x.X)
+			case *ast.SelectorExpr:
+				written[x.Sel] = true
+			case *ast.Ident:
+				written[x] = true
+			}
+		}
+		for _, f := range c.files {
+			ast.Inspect(f, func(n ast.Node) bool {
+				switch n := n.(type) {
+				case *ast.AssignStmt:
+					for _, e := range n.Lhs {
+						target(e)
+					}
+				case *ast.IncDecStmt:
+					target(n.X)
+				case *ast.CompositeLit:
+					for _, e := range n.Elts {
+						if kv, ok := e.(*ast.KeyValueExpr); ok {
+							if id, ok := kv.Key.(*ast.Ident); ok {
+								if v, ok := c.info.Uses[id].(*types.Var); ok && v.IsField() {
+									written[id] = true
+								}
+							}
 						}
+					}
+				}
+				return true
+			})
+		}
+		for id, obj := range c.info.Uses {
+			if written[id] {
+				continue
+			}
+			switch obj := obj.(type) {
+			case *types.Var:
+				used[obj.Origin()] = true
+			case *types.Func:
+				used[obj.Origin()] = true
+				if recv := obj.Type().(*types.Signature).Recv(); recv != nil && types.IsInterface(recv.Type()) {
+					called = append(called, obj)
+				}
+			}
+		}
+	}
+
+	var names []string
+	for _, c := range pkgs {
+		p := c.pkg
+		if !strings.HasPrefix(p.Path(), "groundhog/internal/") {
+			continue
+		}
+		scope := p.Scope()
+		for _, n := range scope.Names() {
+			switch obj := scope.Lookup(n).(type) {
+			case *types.Func:
+				if obj.Exported() && !used[obj] {
+					names = append(names, p.Name()+"."+n)
+				}
+			case *types.TypeName:
+				named, ok := obj.Type().(*types.Named)
+				if !ok {
+					continue
+				}
+				if st, ok := named.Underlying().(*types.Struct); ok {
+					for i := range st.NumFields() {
+						fld := st.Field(i)
+						_, tagged := reflect.StructTag(st.Tag(i)).Lookup("json")
+						if fld.Exported() && !fld.Embedded() && !tagged && !used[fld] {
+							names = append(names, p.Name()+"."+n+"."+fld.Name())
+						}
+					}
+				}
+				for m := range named.Methods() {
+					if m.Exported() && !readByStdlib[m.Name()] && !used[m] && !implementsCalled(named, m, called) {
+						names = append(names, p.Name()+"."+n+"."+m.Name())
 					}
 				}
 			}
 		}
 	}
+	slices.Sort(names)
+	return names
 }
 
-// recvType names a method's receiver type: T for T, *T, T[P] and *T[P, Q].
-func recvType(e ast.Expr) string {
-	switch e := e.(type) {
-	case *ast.StarExpr:
-		return recvType(e.X)
-	case *ast.IndexExpr:
-		return recvType(e.X)
-	case *ast.IndexListExpr:
-		return recvType(e.X)
+// implementsCalled reports whether m, a method of t, is reached through a
+// called interface method of its name whose interface *t implements (*t's
+// method set holds t's). A generic type is left out: Implements is
+// unspecified for an uninstantiated one.
+func implementsCalled(t *types.Named, m *types.Func, called []*types.Func) bool {
+	if t.TypeParams() != nil {
+		return false
 	}
-	return e.(*ast.Ident).Name
+	for _, im := range called {
+		iface := im.Type().(*types.Signature).Recv().Type().Underlying().(*types.Interface)
+		if im.Name() == m.Name() && types.Implements(types.NewPointer(t), iface) {
+			return true
+		}
+	}
+	return false
+}
+
+// TestUnreadRules holds unread to its rules on one-file packages that import
+// nothing.
+func TestUnreadRules(t *testing.T) {
+	for _, tc := range []struct {
+		name, src string
+		want      []string
+	}{
+		{"read", `type T struct{ F int }; func f(t T) int { return t.F }`, nil},
+		{"only assigned", `type T struct{ F int }; func f(t *T) { t.F = 1 }`, []string{"p.T.F"}},
+		{"only assigned through an index", `type T struct{ F []int }; func f(t *T) { t.F[0] = 1 }`, []string{"p.T.F"}},
+		{"only a composite-literal key", `type T struct{ F int }; func f() T { return T{F: 1} }`, []string{"p.T.F"}},
+		{"only incremented", `type T struct{ F int }; func f(t *T) { t.F++ }`, []string{"p.T.F"}},
+		{"same name read on another type", `type T struct{ F int }; type U struct{ F int }; func f(t *T, u U) int { t.F = 1; return u.F }`, []string{"p.T.F"}},
+		{"json-tagged", "type T struct{ F int `json:\"f\"` }", nil},
+		{"embedded, read through its members", `type E struct{ G int }; type T struct{ E }; func f(t T) int { return t.G }`, nil},
+		{"exported func", `func F() {}`, []string{"p.F"}},
+		{"generic method called on an instance", `type L[V any] struct{}; func (*L[V]) Put(V) {}; func f(l *L[int]) { l.Put(1) }`, nil},
+		{"method called through an interface it implements", `type I interface{ M() }; type T struct{}; func (*T) M() {}; func f(i I) { i.M() }`, nil},
+		{"same-name method on an unrelated type", `type I interface{ M(); N() }; type T struct{}; func (T) M() {}; func (T) N() {}; type U struct{}; func (U) M() {}; func f(i I) { i.M(); i.N() }`, []string{"p.U.M"}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			fset := token.NewFileSet()
+			f, err := parser.ParseFile(fset, "p.go", "package p; "+tc.src, parser.SkipObjectResolution)
+			if err != nil {
+				t.Fatal(err)
+			}
+			c, err := typeCheck(&types.Config{}, fset, "groundhog/internal/p", []*ast.File{f})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := unread([]*checked{c}); !slices.Equal(got, tc.want) {
+				t.Errorf("unread = %q, want %q", got, tc.want)
+			}
+		})
+	}
 }
