@@ -31,7 +31,6 @@ func main() {
 	var (
 		exp   = flag.String("e", "", "experiment to run (see -list), 'all', or 'bench-all' (every bench-* suite at its baseline's scale, whatever -quick says)")
 		quick = flag.Bool("quick", false, "reduced scale (fast)")
-		max   = flag.Int("benchmarks", 0, "limit number of catalog benchmarks (0 = all 58)")
 		seed  = flag.Uint64("seed", 1, "simulation seed")
 		list  = flag.Bool("list", false, "list experiments and exit")
 		out   = flag.String("out", ".", "directory the bench-* suites write their BENCH_*.json into")
@@ -55,12 +54,9 @@ func main() {
 	cfg := experiments.Default()
 	if *quick {
 		cfg = experiments.Quick()
-		cfg.MaxBenchmarks = 0 // -benchmarks controls truncation explicitly
+		cfg.MaxBenchmarks = 0 // the catalog is never truncated on the command line
 	}
 	cfg.Seed = *seed
-	if *max > 0 {
-		cfg.MaxBenchmarks = *max
-	}
 	stop, err := startProfiles(*cpuprofile, *memprofile)
 	if err == nil {
 		err = run(cfg, *exp, *quick, *out)

@@ -49,6 +49,11 @@ func main() {
 		quiet     = flag.Bool("quiet", false, "suppress the live progress line")
 	)
 	flag.Parse()
+	if *bodyBytes < 0 {
+		fmt.Fprintf(os.Stderr, "ghload: -body-bytes %d is negative\n", *bodyBytes)
+		flag.Usage()
+		os.Exit(2)
+	}
 
 	target, err := resolveTarget(*urlFlag, *binFlag, *transport)
 	if err != nil {

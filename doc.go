@@ -174,10 +174,12 @@
 // each generated at the scale experiments.Registry records for its suite
 // (-quick for all but bench-fleet-xl) and pinned by digest in
 // bench/baselines/SHA256SUMS. Every one is the output of a seeded
-// simulation, so the gate has one rule: CI regenerates the JSONs on every
-// push (ghbench -e bench-all) and runs cmd/benchdiff over the two
+// simulation, so the gate has one rule, byte identity: CI regenerates the
+// JSONs on every push (ghbench -e bench-all) and runs diff -r over the two
 // directories, and any pair that is not byte-identical — or any file without
-// its partner — fails the build, naming the leaves that moved. Host-time
+// its partner — fails the build; the diff, one leaf per line, names the
+// leaves that moved. Tier-1's experiments.TestQuickBaselinesReproduce holds
+// the -quick-scale suites to the same rule with bytes.Equal. Host-time
 // figures live in bench/e2e (BENCHMARK.json), not here. After an intentional
 // change, re-baseline by regenerating and committing the files together
 // with SHA256SUMS (bench/README.md walks through it):

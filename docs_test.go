@@ -15,6 +15,7 @@ import (
 	"os"
 	"path/filepath"
 	"regexp"
+	"strconv"
 	"strings"
 	"testing"
 )
@@ -151,8 +152,8 @@ func TestDocsBenchReferencesResolve(t *testing.T) {
 		// span inside out.
 		prose := anyFence.ReplaceAllString(doc, "")
 		for _, m := range codeSpan.FindAllStringSubmatch(prose, -1) {
-			// Only the leading token is a path claim ("cmd/benchdiff
-			// -baseline ..." names the command, not a file called that);
+			// Only the leading token is a path claim ("cmd/ghbench
+			// -e ..." names the command, not a file called that);
 			// globs like `cmd/*` are patterns, not paths.
 			token := strings.Fields(m[1])[0]
 			if strings.ContainsAny(token, "*<>") {
@@ -193,11 +194,14 @@ var testName = regexp.MustCompile(`^(?:Test|Fuzz)\w*$`)
 // of doc.go's package comment, a name that reads pkg.Ident[.Ident…] where
 // internal/pkg exists must have Ident declared at the top level of that
 // package (a test or fuzz target counts), and every later identifier must be
-// a method or field declared in it; a bare `TestX` or `FuzzX` span must be a
-// test or fuzz target declared somewhere in the repository. A renamed test
-// or a method that never existed fails here instead of misleading a reader.
-// The benchmark's metric names (BENCHMARK.json) share the dotted shape and
-// are not Go names.
+// a method or field declared in it; where internal/pkg does not exist, pkg
+// must be the last element of an import path some non-test file of the root
+// module imports (`sync.Pool`, `http.Server`), so a name left behind by a
+// deleted package fails too. A bare `TestX` or `FuzzX` span must be a test
+// or fuzz target declared somewhere in the repository. A renamed test or a
+// method that never existed fails here instead of misleading a reader. The
+// benchmark's metric names (BENCHMARK.json) share the dotted shape and are
+// not Go names.
 func TestDocsNamesResolve(t *testing.T) {
 	blob, err := os.ReadFile("BENCHMARK.json")
 	if err != nil {
@@ -214,10 +218,29 @@ func TestDocsNamesResolve(t *testing.T) {
 	for _, m := range append(bench.EndToEnd, bench.PerLayer...) {
 		metric[m.Name] = true
 	}
+	imported := map[string]bool{}
+	parseGoFiles(t, false, func(path string, f *ast.File) {
+		if strings.HasPrefix(filepath.ToSlash(path), "bench/e2e/") { // a module of its own
+			return
+		}
+		for _, imp := range f.Imports {
+			p, err := strconv.Unquote(imp.Path.Value)
+			if err != nil {
+				t.Fatal(err)
+			}
+			imported[p[strings.LastIndex(p, "/")+1:]] = true
+		}
+	})
 	pkgs := map[string]declaredNames{}
 	resolve := func(f, name, pkg, idents string) {
+		if metric[name] {
+			return
+		}
 		dir := filepath.Join("internal", pkg)
-		if fi, err := os.Stat(dir); metric[name] || err != nil || !fi.IsDir() {
+		if fi, err := os.Stat(dir); err != nil || !fi.IsDir() {
+			if !imported[pkg] {
+				t.Errorf("%s: `%s`: there is no %s, and the module imports no package %s", f, name, dir, pkg)
+			}
 			return
 		}
 		decl, ok := pkgs[dir]

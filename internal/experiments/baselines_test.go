@@ -1,14 +1,14 @@
 package experiments
 
 import (
+	"bytes"
 	"crypto/sha256"
 	"encoding/hex"
+	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
-
-	"groundhog/internal/benchdiff"
 )
 
 var baselineDir = filepath.Join("..", "..", "bench", "baselines")
@@ -30,12 +30,12 @@ func committedBaselines(t *testing.T) map[string]bool {
 
 // TestQuickBaselinesReproduce runs every -quick-scale suite of the Registry
 // with ghbench's default configuration, marshals each summary as ghbench
-// does, and holds the bytes to the committed baseline through the comparison
-// CI's gate runs, so a failure names the leaves that moved. SHA256SUMS
-// proves the baseline files were not edited; this proves the code still
-// produces them — a change to the dispatcher, the cluster's placement ladder
-// or anything under them that moves a simulation output fails here, in
-// tier-1. The full-window suite (bench-fleet-xl, ~16 s) is left to CI's
+// does, and holds the bytes to the committed baseline, the one rule CI's
+// `diff -r` gate enforces; a failure lists the lines that differ.
+// SHA256SUMS proves the baseline files were not edited; this proves the code
+// still produces them — a change to the dispatcher, the cluster's placement
+// ladder or anything under them that moves a simulation output fails here,
+// in tier-1. The full-window suite (bench-fleet-xl, ~16 s) is left to CI's
 // bench-all, which runs all eight.
 func TestQuickBaselinesReproduce(t *testing.T) {
 	cfg := Default() // ghbench -e bench-all: default scale, -seed 1
@@ -57,15 +57,39 @@ func TestQuickBaselinesReproduce(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			moved, err := benchdiff.Compare(want, got)
-			if err != nil {
-				t.Fatal(err)
-			}
-			for _, v := range moved {
-				t.Errorf("%s no longer reproduces %s: %s", e.Name, path, v)
+			if !bytes.Equal(want, got) {
+				t.Errorf("%s no longer reproduces %s:\n%s", e.Name, path, diffLines(want, got, 20))
 			}
 		})
 	}
+}
+
+// diffLines lists the first limit lines at which got differs from want, each
+// with its line number in want and both values. MarshalBench writes one leaf
+// per line, so a moved leaf is one line; a leaf added or removed shifts
+// every line after it, and the first one listed is where the shapes part.
+func diffLines(want, got []byte, limit int) string {
+	w, g := strings.Split(string(want), "\n"), strings.Split(string(got), "\n")
+	at := func(lines []string, i int) string {
+		if i >= len(lines) {
+			return "(no line)"
+		}
+		return strings.TrimSuffix(strings.TrimSpace(lines[i]), ",")
+	}
+	var out []string
+	differ := 0
+	for i := 0; i < len(w) || i < len(g); i++ {
+		if i < len(w) && i < len(g) && w[i] == g[i] {
+			continue
+		}
+		if differ++; differ <= limit {
+			out = append(out, fmt.Sprintf("  line %d: baseline %s, current %s", i+1, at(w, i), at(g, i)))
+		}
+	}
+	if differ > limit {
+		out = append(out, fmt.Sprintf("  … and %d more", differ-limit))
+	}
+	return strings.Join(out, "\n")
 }
 
 // TestBaselinesPinned holds bench/baselines/SHA256SUMS and the directory to

@@ -133,7 +133,7 @@ func view(f func(*Dataset) *metrics.Table) func(*Dataset) []*metrics.Table {
 }
 
 // single adapts a suite that yields one result object; its artifact is that
-// object as a one-element array, the shape benchdiff flattens.
+// object as a one-element array, the shape every BENCH_*.json has.
 func single[R any](bench func(Config, bool) (R, error), table func(R) *metrics.Table) func(Config, bool) (any, *metrics.Table, error) {
 	return func(cfg Config, quick bool) (any, *metrics.Table, error) {
 		res, err := bench(cfg, quick)

@@ -36,7 +36,7 @@ func TestRegistryEntriesWellFormed(t *testing.T) {
 
 // TestEverySuiteGatedEveryBaselineProduced holds the Registry and
 // bench/baselines/ to each other: a suite without a committed baseline would
-// fail CI's directory benchdiff only after merge, and a baseline without a
+// fail CI's `diff -r` gate only after merge, and a baseline without a
 // producer is a file the gate compares against nothing.
 func TestEverySuiteGatedEveryBaselineProduced(t *testing.T) {
 	committed := committedBaselines(t)
