@@ -54,7 +54,6 @@ func main() {
 	cfg := experiments.Default()
 	if *quick {
 		cfg = experiments.Quick()
-		cfg.MaxBenchmarks = 0 // the catalog is never truncated on the command line
 	}
 	cfg.Seed = *seed
 	stop, err := startProfiles(*cpuprofile, *memprofile)

@@ -11,15 +11,18 @@
 //	ghload -loop open -rate 2000 -burstiness 4
 //	ghload -url http://localhost:8080 -fn 'json (p)' -mode fork
 //
-// Exit status is nonzero when the run saw any transport error, any lost
-// (unaccounted) request, leaked snapshot frames at shutdown, or zero
-// successful responses — CI's smoke steps (one per transport) lean on that
-// contract.
+// Exit status is 2 for a bad command line, refused before any stack is
+// built, and 1 when the run saw any transport error, any lost (unaccounted)
+// request, leaked snapshot frames at shutdown, or zero successful responses
+// — CI's smoke steps (one per transport) lean on that contract. A self-hosted
+// stack is torn down, and its frames counted, on every exit after it is up.
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"log"
 	"net"
 	"net/http"
@@ -32,79 +35,98 @@ import (
 	"groundhog/internal/server"
 )
 
-func main() {
+func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
+
+// run is ghload on a command line. It returns the exit status: 2 for a bad
+// command line, refused before any stack is built; 1 for a failed run, after
+// the stack is torn down; 0 otherwise.
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("ghload", flag.ContinueOnError)
+	fs.SetOutput(stderr)
 	var (
-		urlFlag   = flag.String("url", "", "HTTP base URL of an external gateway (empty self-hosts in-process)")
-		binFlag   = flag.String("binary-addr", "", "binary-protocol address of an external gateway (with -transport binary)")
-		transport = flag.String("transport", "http", "transport: http or binary")
-		loop      = flag.String("loop", "closed", "loop discipline: closed or open")
-		workers   = flag.Int("workers", 8, "closed-loop concurrency")
-		rate      = flag.Float64("rate", 500, "open-loop mean arrival rate per second")
-		burst     = flag.Float64("burstiness", 1, "open-loop interarrival CoV (1 = Poisson)")
-		duration  = flag.Duration("duration", 5*time.Second, "run length")
-		fn        = flag.String("fn", "get-time (p)", "catalog function to invoke")
-		mode      = flag.String("mode", "", "isolation mode (empty = server default, gh)")
-		bodyBytes = flag.Int("body-bytes", 512, "request payload size (echoed and verified)")
-		seed      = flag.Uint64("seed", 1, "open-loop arrival process seed")
-		quiet     = flag.Bool("quiet", false, "suppress the live progress line")
+		urlFlag   = fs.String("url", "", "HTTP base URL of an external gateway (empty self-hosts in-process)")
+		binFlag   = fs.String("binary-addr", "", "binary-protocol address of an external gateway (with -transport binary)")
+		transport = fs.String("transport", "http", "transport: http or binary")
+		loop      = fs.String("loop", "closed", "loop discipline: closed or open")
+		workers   = fs.Int("workers", 8, "closed-loop concurrency")
+		rate      = fs.Float64("rate", 500, "open-loop mean arrival rate per second")
+		burst     = fs.Float64("burstiness", 1, "open-loop interarrival CoV (1 = Poisson)")
+		duration  = fs.Duration("duration", 5*time.Second, "run length")
+		fn        = fs.String("fn", "get-time (p)", "catalog function to invoke")
+		mode      = fs.String("mode", "", "isolation mode (empty = server default, gh)")
+		bodyBytes = fs.Int("body-bytes", 512, "request payload size (echoed and verified)")
+		seed      = fs.Uint64("seed", 1, "open-loop arrival process seed")
+		quiet     = fs.Bool("quiet", false, "suppress the live progress line")
 	)
-	flag.Parse()
-	if *bodyBytes < 0 {
-		fmt.Fprintf(os.Stderr, "ghload: -body-bytes %d is negative\n", *bodyBytes)
-		flag.Usage()
-		os.Exit(2)
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return 0
+		}
+		return 2
+	}
+	var bad string
+	switch {
+	case *transport != "http" && *transport != "binary":
+		bad = fmt.Sprintf("unknown -transport %q (want http or binary)", *transport)
+	case *loop != "closed" && *loop != "open":
+		bad = fmt.Sprintf("unknown -loop %q (want closed or open)", *loop)
+	case *loop == "closed" && *workers < 1:
+		bad = fmt.Sprintf("-workers %d is below 1", *workers)
+	case *loop == "open" && !(*rate > 0):
+		bad = fmt.Sprintf("-rate %v is not positive", *rate)
+	case *duration <= 0:
+		bad = fmt.Sprintf("-duration %v is not positive", *duration)
+	case *bodyBytes < 0:
+		bad = fmt.Sprintf("-body-bytes %d is negative", *bodyBytes)
+	}
+	if bad != "" {
+		fmt.Fprintf(stderr, "ghload: %s\n", bad)
+		fs.Usage()
+		return 2
 	}
 
-	target, err := resolveTarget(*urlFlag, *binFlag, *transport)
+	logger := log.New(stderr, "", log.LstdFlags)
+	target, err := resolveTarget(*urlFlag, *binFlag, *transport, logger)
 	if err != nil {
-		log.Fatalf("ghload: %v", err)
-	}
-	defer target.close()
-
-	var dial loadgen.Dial
-	switch *transport {
-	case "http":
-		dial = loadgen.HTTPDial(target.httpURL, *fn, isolation.Mode(*mode))
-	case "binary":
-		dial = loadgen.BinaryDial(target.binAddr, *fn, isolation.Mode(*mode))
-	default:
-		log.Fatalf("ghload: unknown -transport %q (want http or binary)", *transport)
+		logger.Printf("ghload: %v", err)
+		return 1
 	}
 
 	cfg := loadgen.Config{
-		Dial:       dial,
 		Duration:   *duration,
 		Body:       bodyOf(*bodyBytes),
 		Seed:       *seed,
 		Burstiness: *burst,
+		Closed:     *loop == "closed",
+		Workers:    *workers,
+		Rate:       *rate,
 	}
-	switch *loop {
-	case "closed":
-		cfg.Closed = true
-		cfg.Workers = *workers
-	case "open":
-		cfg.Rate = *rate
-	default:
-		log.Fatalf("ghload: unknown -loop %q (want closed or open)", *loop)
+	if *transport == "http" {
+		cfg.Dial = loadgen.HTTPDial(target.httpURL, *fn, isolation.Mode(*mode))
+	} else {
+		cfg.Dial = loadgen.BinaryDial(target.binAddr, *fn, isolation.Mode(*mode))
 	}
 	if !*quiet {
-		cfg.Report = os.Stderr
+		cfg.Report = stderr
 	}
 
 	res, err := loadgen.Run(cfg)
-	printResult(res)
-	if err != nil {
-		log.Fatalf("ghload: %v", err)
-	}
-	if res.OK == 0 {
-		log.Fatal("ghload: zero successful requests")
-	}
-	if res.Lost != 0 {
-		log.Fatalf("ghload: %d requests fired but never accounted", res.Lost)
+	printResult(stdout, res)
+	switch {
+	case err != nil:
+	case res.OK == 0:
+		err = errors.New("zero successful requests")
+	case res.Lost != 0:
+		err = fmt.Errorf("%d requests fired but never accounted", res.Lost)
 	}
 	if leaked := target.close(); leaked != 0 {
-		log.Fatalf("ghload: shutdown leaked %d snapshot frames", leaked)
+		err = errors.Join(err, fmt.Errorf("shutdown leaked %d snapshot frames", leaked))
 	}
+	if err != nil {
+		logger.Printf("ghload: %v", err)
+		return 1
+	}
+	return 0
 }
 
 func bodyOf(n int) []byte {
@@ -115,10 +137,10 @@ func bodyOf(n int) []byte {
 	return body
 }
 
-func printResult(res loadgen.Result) {
-	fmt.Printf("requests %d  ok %d  rejected %d  transient %d  errors %d  lost %d\n",
+func printResult(w io.Writer, res loadgen.Result) {
+	fmt.Fprintf(w, "requests %d  ok %d  rejected %d  transient %d  errors %d  lost %d\n",
 		res.Requests, res.OK, res.Rejected, res.Transient, res.Errors, res.Lost)
-	fmt.Printf("wall %.2fs  throughput %.0f ok/s  latency p50 %.2fms p95 %.2fms p99 %.2fms\n",
+	fmt.Fprintf(w, "wall %.2fs  throughput %.0f ok/s  latency p50 %.2fms p95 %.2fms p99 %.2fms\n",
 		res.Wall.Seconds(), res.PerSec, res.P50Ms, res.P95Ms, res.P99Ms)
 }
 
@@ -133,7 +155,7 @@ type target struct {
 
 // resolveTarget self-hosts a full serving stack on loopback unless an
 // external address was given for the transport in use.
-func resolveTarget(urlFlag, binFlag, transport string) (*target, error) {
+func resolveTarget(urlFlag, binFlag, transport string, logger *log.Logger) (*target, error) {
 	external := (transport == "http" && urlFlag != "") || (transport == "binary" && binFlag != "")
 	if external {
 		return &target{httpURL: urlFlag, binAddr: binFlag, close: func() int { return 0 }}, nil
@@ -142,7 +164,7 @@ func resolveTarget(urlFlag, binFlag, transport string) (*target, error) {
 	if err != nil {
 		return nil, err
 	}
-	log.Printf("ghload: self-hosted stack on %s (http) and %s (binary)", stack.httpURL, stack.binAddr)
+	logger.Printf("ghload: self-hosted stack on %s (http) and %s (binary)", stack.httpURL, stack.binAddr)
 	return stack, nil
 }
 
@@ -163,19 +185,13 @@ func selfHost() (*target, error) {
 	hs := &http.Server{Handler: g.Handler()}
 	go func() { _ = hs.Serve(httpLn) }()
 	go func() { _ = g.ServeBinary(binLn) }()
-	closed := false
-	leaked := 0
 	return &target{
 		httpURL: "http://" + httpLn.Addr().String(),
 		binAddr: binLn.Addr().String(),
 		close: func() int {
-			if !closed {
-				closed = true
-				hs.Close()
-				g.Close()
-				leaked = s.Shutdown()
-			}
-			return leaked
+			hs.Close()
+			g.Close()
+			return s.Shutdown()
 		},
 	}, nil
 }

@@ -39,9 +39,6 @@ type Config struct {
 	// MicroRequests is the number of measured requests per microbenchmark
 	// point.
 	MicroRequests int
-	// MaxBenchmarks optionally truncates the catalog (0 = all 58); used by
-	// the quick benchmarks.
-	MaxBenchmarks int
 }
 
 // Default returns the full-scale configuration.
@@ -67,6 +64,5 @@ func Quick() Config {
 	cfg.TputPerContainer = 3
 	cfg.MicroMappedPages = 12_000
 	cfg.MicroRequests = 3
-	cfg.MaxBenchmarks = 8
 	return cfg
 }

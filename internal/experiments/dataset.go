@@ -39,8 +39,8 @@ type Row struct {
 // applicable (fork on Node, FAASM on Node).
 func (r Row) Cell(m isolation.Mode) *Cell { return r.Cells[m] }
 
-// Dataset is the master result set from which Figs. 4-5 and Tables 1-3
-// render.
+// Dataset is the master result set from which Figs. 4-6, Fig. 8 and
+// Tables 1-3 render.
 type Dataset struct {
 	Rows []Row
 }
@@ -57,15 +57,6 @@ func ModesFor(e catalog.Entry) []isolation.Mode {
 		modes = append(modes, isolation.ModeFaasm)
 	}
 	return modes
-}
-
-// benchmarks returns the catalog truncated to cfg.MaxBenchmarks.
-func (cfg Config) benchmarks() []catalog.Entry {
-	all := catalog.All()
-	if cfg.MaxBenchmarks > 0 && cfg.MaxBenchmarks < len(all) {
-		return all[:cfg.MaxBenchmarks]
-	}
-	return all
 }
 
 // measureCell runs the latency and throughput workloads for one
@@ -123,11 +114,15 @@ func (cfg Config) measureCell(e catalog.Entry, mode isolation.Mode) (*Cell, erro
 	return cell, nil
 }
 
-// RunFull measures every benchmark under every applicable configuration.
-// It is the master experiment behind Figs. 4-5 and Tables 1-3.
-func RunFull(cfg Config) (*Dataset, error) {
+// RunFull measures every catalog benchmark under every applicable
+// configuration. It is the master experiment behind Figs. 4-6, Fig. 8 and
+// Tables 1-3.
+func RunFull(cfg Config) (*Dataset, error) { return cfg.measure(catalog.All()) }
+
+// measure builds the Dataset of entries, one row each, in their order.
+func (cfg Config) measure(entries []catalog.Entry) (*Dataset, error) {
 	ds := &Dataset{}
-	for _, e := range cfg.benchmarks() {
+	for _, e := range entries {
 		row := Row{Entry: e, Cells: map[isolation.Mode]*Cell{}}
 		for _, mode := range ModesFor(e) {
 			cell, err := cfg.measureCell(e, mode)

@@ -13,6 +13,42 @@ import (
 // quick returns a fast configuration for tests.
 func quick() Config { return Quick() }
 
+// entries looks up the named catalog benchmarks, in the given order.
+func entries(t *testing.T, names ...string) []catalog.Entry {
+	t.Helper()
+	out := make([]catalog.Entry, len(names))
+	for i, n := range names {
+		e, err := catalog.Lookup(n)
+		if err != nil {
+			t.Fatal(err)
+		}
+		out[i] = e
+	}
+	return out
+}
+
+// measureNamed builds the Dataset of the named catalog benchmarks, one row
+// each, in the given order.
+func measureNamed(t *testing.T, cfg Config, names ...string) *Dataset {
+	t.Helper()
+	ds, err := cfg.measure(entries(t, names...))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return ds
+}
+
+// rowNames returns the benchmark column of a rendered table's data rows
+// (every benchmark's display name is two fields, "name (lang)").
+func rowNames(tb *metrics.Table) []string {
+	var names []string
+	for _, line := range strings.Split(strings.TrimSpace(tb.Render()), "\n")[3:] {
+		f := strings.Fields(line)
+		names = append(names, f[0]+" "+f[1])
+	}
+	return names
+}
+
 // cellValue parses a rendered numeric cell.
 func cellValue(t *testing.T, s string) float64 {
 	t.Helper()
@@ -53,12 +89,7 @@ func TestModesFor(t *testing.T) {
 }
 
 func TestRunFullAndDerivedTables(t *testing.T) {
-	cfg := quick()
-	cfg.MaxBenchmarks = 3
-	ds, err := RunFull(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	ds := measureNamed(t, quick(), "chaos (p)", "logging (p)", "pyaes (p)")
 	if len(ds.Rows) != 3 {
 		t.Fatalf("rows = %d", len(ds.Rows))
 	}
@@ -166,12 +197,8 @@ func TestFig3RightShape(t *testing.T) {
 
 func TestFig6Comparable(t *testing.T) {
 	cfg := quick()
-	cfg.MaxBenchmarks = 4
 	cfg.LatencySamples = 3
-	tb, err := Fig6(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	tb := Fig6(measureNamed(t, cfg, "chaos (p)", "logging (p)", "pyaes (p)", "spectral (p)"))
 	if numRows(tb) == 0 {
 		t.Fatal("Fig 6 empty")
 	}
@@ -186,9 +213,7 @@ func TestFig6Comparable(t *testing.T) {
 }
 
 func TestFig7NearLinearScaling(t *testing.T) {
-	cfg := quick()
-	cfg.MaxBenchmarks = 2
-	tb, err := Fig7(cfg)
+	tb, err := quick().fig7(entries(t, "bicg (c)", "seidel-2d (c)"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -204,12 +229,8 @@ func TestFig7NearLinearScaling(t *testing.T) {
 
 func TestFig8BreakdownSums(t *testing.T) {
 	cfg := quick()
-	cfg.MaxBenchmarks = 3
 	cfg.LatencySamples = 3
-	tb, err := Fig8(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	tb := Fig8(measureNamed(t, cfg, "get-time (p)", "bicg (c)", "seidel-2d (c)"))
 	for _, line := range strings.Split(strings.TrimSpace(tb.Render()), "\n")[3:] {
 		f := strings.Fields(line)
 		// Last 13 columns are phase percentages; they must sum to ~100.
@@ -220,6 +241,19 @@ func TestFig8BreakdownSums(t *testing.T) {
 		if sum < 95 || sum > 105 {
 			t.Fatalf("phase percentages sum to %.1f: %s", sum, line)
 		}
+	}
+}
+
+// TestFig6And8ChooseTheirRows: Fig. 8 lists the Dataset's representatives in
+// catalog.Representative14's order, not the Dataset's, and Fig. 6 leaves out
+// the FaaSProfiler rows.
+func TestFig6And8ChooseTheirRows(t *testing.T) {
+	ds := measureNamed(t, quick(), "mdp (p)", "pyflate (p)", "bicg (c)", "get-time (p)")
+	if got, want := strings.Join(rowNames(Fig8(ds)), ", "), "pyflate (p), mdp (p), get-time (p), bicg (c)"; got != want {
+		t.Errorf("Fig. 8 rows: %s, want %s", got, want)
+	}
+	if got, want := strings.Join(rowNames(Fig6(ds)), ", "), "mdp (p), pyflate (p), bicg (c)"; got != want {
+		t.Errorf("Fig. 6 rows: %s, want %s", got, want)
 	}
 }
 
@@ -275,12 +309,7 @@ func TestFig1ColdStart(t *testing.T) {
 }
 
 func TestHeadlineDirections(t *testing.T) {
-	cfg := quick()
-	cfg.MaxBenchmarks = 5
-	ds, err := RunFull(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	ds := measureNamed(t, quick(), "chaos (p)", "logging (p)", "pyaes (p)", "spectral (p)", "deltablue (p)")
 	out := Headline(ds).Render()
 	lines := strings.Split(strings.TrimSpace(out), "\n")
 	// E2E overhead median should be small (single digits of percent).

@@ -12,30 +12,23 @@ import (
 )
 
 // Fig6 regenerates the GH-vs-FAASM restoration-duration comparison for the
-// pyperformance and PolyBench suites (both compile to WebAssembly).
+// pyperformance and PolyBench suites (both compile to WebAssembly), from
+// the Dataset's GH and FAASM cells.
 // Expected shape: the two are comparable — within a small factor of each
 // other — because restoration is not where the two systems differ most
 // (§5.3.3: the latency gap is dominated by native-vs-wasm compilation).
-func Fig6(cfg Config) (*metrics.Table, error) {
+func Fig6(ds *Dataset) *metrics.Table {
 	t := metrics.NewTable("Fig. 6: restoration duration (ms), off the critical path",
 		"benchmark", "suite", "gh", "faasm")
-	for _, e := range cfg.benchmarks() {
-		if e.Suite == catalog.SuiteFaaSProfiler {
+	for _, row := range ds.Rows {
+		if row.Entry.Suite == catalog.SuiteFaaSProfiler {
 			continue // Fig. 6 plots pyperformance and PolyBench only
 		}
-		gh, err := cfg.measureCell(e, isolation.ModeGH)
-		if err != nil {
-			return nil, err
-		}
-		fa, err := cfg.measureCell(e, isolation.ModeFaasm)
-		if err != nil {
-			return nil, err
-		}
-		t.AddRow(e.Prof.DisplayName(), string(e.Suite),
-			fmt.Sprintf("%.2f", gh.RestoreMeanMS),
-			fmt.Sprintf("%.2f", fa.RestoreMeanMS))
+		t.AddRow(row.Entry.Prof.DisplayName(), string(row.Entry.Suite),
+			fmt.Sprintf("%.2f", row.Cell(isolation.ModeGH).RestoreMeanMS),
+			fmt.Sprintf("%.2f", row.Cell(isolation.ModeFaasm).RestoreMeanMS))
 	}
-	return t, nil
+	return t
 }
 
 // fig7Modes are the three configurations plotted in Fig. 7.
@@ -45,10 +38,12 @@ var fig7Modes = []isolation.Mode{isolation.ModeBase, isolation.ModeGHNop, isolat
 // representative benchmarks. Expected shape: near-linear scaling for every
 // configuration — each core runs an independent container with its own
 // Groundhog copy (§5.3.4).
-func Fig7(cfg Config) (*metrics.Table, error) {
+func Fig7(cfg Config) (*metrics.Table, error) { return cfg.fig7(catalog.Representative14()) }
+
+// fig7 runs Fig. 7's core sweep on reps.
+func (cfg Config) fig7(reps []catalog.Entry) (*metrics.Table, error) {
 	t := metrics.NewTable("Fig. 7: throughput (req/s) scaling with cores",
 		"benchmark", "mode", "1 core", "2 cores", "3 cores", "4 cores")
-	reps := cfg.representatives()
 	for _, e := range reps {
 		for _, mode := range fig7Modes {
 			row := []string{e.Prof.DisplayName(), string(mode)}
@@ -70,33 +65,28 @@ func Fig7(cfg Config) (*metrics.Table, error) {
 	return t, nil
 }
 
-// representatives returns the Fig. 7/8 benchmark set. Quick configurations
-// truncate from the tail, which holds the smallest footprints (Fig. 8 sorts
-// by restore time), keeping test runs fast.
-func (cfg Config) representatives() []catalog.Entry {
-	reps := catalog.Representative14()
-	if cfg.MaxBenchmarks > 0 && cfg.MaxBenchmarks < len(reps) {
-		reps = reps[len(reps)-cfg.MaxBenchmarks:]
-	}
-	return reps
-}
-
 // Fig8 regenerates the restoration-cost breakdown: per-phase shares of the
-// restore, the page counts, and the one-time snapshot cost, for the 14
-// representative benchmarks (sorted, like the figure, by restore duration).
+// restore, the page counts, and the one-time snapshot cost, from the
+// Dataset's GH cells of the 14 representative benchmarks, in
+// catalog.Representative14's order (sorted, like the figure, by restore
+// duration). A representative the Dataset does not hold is skipped.
 // Expected shape: memory restoration tracks #restored pages; page-metadata
 // scanning tracks total address-space size; interrupt/regs/detach are
 // visible mainly for the multi-threaded Node runtimes.
-func Fig8(cfg Config) (*metrics.Table, error) {
+func Fig8(ds *Dataset) *metrics.Table {
 	header := []string{"benchmark", "restore(ms)", "pagesK", "restoredK", "snapshot(ms)"}
 	for _, ph := range core.Phases {
 		header = append(header, ph+"%")
 	}
 	t := metrics.NewTable("Fig. 8: restoration breakdown and snapshot cost", header...)
-	for _, e := range cfg.representatives() {
-		cell, err := cfg.measureCell(e, isolation.ModeGH)
-		if err != nil {
-			return nil, err
+	gh := map[string]*Cell{}
+	for _, row := range ds.Rows {
+		gh[row.Entry.Prof.DisplayName()] = row.Cell(isolation.ModeGH)
+	}
+	for _, e := range catalog.Representative14() {
+		cell, ok := gh[e.Prof.DisplayName()]
+		if !ok {
+			continue
 		}
 		row := []string{
 			e.Prof.DisplayName(),
@@ -114,7 +104,7 @@ func Fig8(cfg Config) (*metrics.Table, error) {
 		}
 		t.AddRow(row...)
 	}
-	return t, nil
+	return t
 }
 
 // Fig1ColdStart reports the container life-cycle phases (Fig. 1): it is not

@@ -84,9 +84,7 @@ func fleetMixLoads(quick bool) ([]trace.FunctionLoad, sim.Duration, error) {
 // moderate per-function loads, restores == requests under GH, and a modest
 // fleet-wide memory increase from the managers' state.
 func Fleet(cfg Config) (*metrics.Table, error) {
-	// A figure takes no quick parameter: the reduced scale follows the
-	// catalog-truncation knob that Quick() sets.
-	loads, window, err := fleetMixLoads(cfg.MaxBenchmarks > 0)
+	loads, window, err := fleetMixLoads(false) // a figure has one scale
 	if err != nil {
 		return nil, err
 	}

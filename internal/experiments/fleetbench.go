@@ -103,10 +103,8 @@ func fleetBenchConfig(cfg Config, window sim.Duration) trace.Config {
 // with scale-to-zero image eviction — and summarizes both for
 // BENCH_fleet.json. Arrivals are independent of dispatch, so the two
 // variants serve exactly the same request trace. quick halves the window
-// and truncates the mix; it is an explicit parameter (not inferred from
-// cfg.MaxBenchmarks, the catalog-truncation knob) because it changes the
-// artifact's shape and must be the scale the suite's Registry entry records
-// for its baseline.
+// and truncates the mix, which changes the artifact's shape, so it is the
+// scale the suite's Registry entry records for its baseline.
 func FleetBench(cfg Config, quick bool) (FleetBenchResult, error) {
 	loads, window, err := fleetMixLoads(quick)
 	if err != nil {

@@ -49,9 +49,9 @@ var Registry = []Experiment{
 		return []*metrics.Table{Fig4E2E(d), Fig4Invoker(d)}
 	}},
 	{Name: "fig5", View: view(Fig5)},
-	{Name: "fig6", Run: figure(Fig6)},
+	{Name: "fig6", View: view(Fig6)},
 	{Name: "fig7", Run: figure(Fig7)},
-	{Name: "fig8", Run: figure(Fig8)},
+	{Name: "fig8", View: view(Fig8)},
 	{Name: "table1", View: view(Table1)},
 	{Name: "table2", View: view(Table2)},
 	{Name: "table3", View: view(Table3)},

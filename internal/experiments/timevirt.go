@@ -18,10 +18,11 @@ import (
 // GH-NOP for the GC-sensitive Node benchmarks, most dramatically for
 // img-resize(n) (+62% → a few %).
 func AblationTimeVirt(cfg Config) (*metrics.Table, error) {
-	names := []string{"img-resize (n)", "base64 (n)", "json (n)", "get-time (n)", "ocr-img (n)"}
-	if cfg.MaxBenchmarks > 0 && cfg.MaxBenchmarks < len(names) {
-		names = names[:cfg.MaxBenchmarks]
-	}
+	return cfg.timeVirt("img-resize (n)", "base64 (n)", "json (n)", "get-time (n)", "ocr-img (n)")
+}
+
+// timeVirt runs the time-virtualization ablation on the named benchmarks.
+func (cfg Config) timeVirt(names ...string) (*metrics.Table, error) {
 	t := metrics.NewTable(
 		"Ablation (§5.3.1 future work): time virtualization across restores (invoker latency, ms)",
 		"benchmark", "base", "gh", "gh+timevirt", "gh overhead%", "timevirt overhead%")

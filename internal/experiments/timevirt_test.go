@@ -6,9 +6,7 @@ import (
 )
 
 func TestAblationTimeVirtCollapsesGCPenalty(t *testing.T) {
-	cfg := quick()
-	cfg.MaxBenchmarks = 2 // img-resize (n), base64 (n)
-	tb, err := AblationTimeVirt(cfg)
+	tb, err := quick().timeVirt("img-resize (n)", "base64 (n)")
 	if err != nil {
 		t.Fatal(err)
 	}
